@@ -9,13 +9,11 @@ from .phantom import (TissueParams, Phantom, SequenceParams, Paradigm,
                       modulated_state, ellipsoid_roi, PhantomError)
 from .trajectories import (Shot, SamplingPlan, gen_epi_3d, gen_spiral,
                            gen_stack_of_spirals, save_trajectory_file,
-                           load_trajectory_file, frame_partition,
-                           TrajectoryError)
-from .engine import (CoilProfile, NoiseConfig, OffResonanceTerms,
-                     birdcage_coils, centered_fft, centered_ifft, ndft,
-                     ndft_adjoint, sample_kspace, sample_kspace_adjoint,
-                     phantom_energy, add_noise, acquire_shot_basic,
-                     acquire_shot_t2s, run_acquisition, EngineError)
+                           load_trajectory_file, TrajectoryError)
+from .engine import (NDFT, CoilProfile, NoiseConfig, birdcage_coils,
+                     centered_fft, centered_ifft, phantom_energy, add_noise,
+                     acquire_shot_basic, acquire_shot_t2s, run_acquisition,
+                     EngineError)
 from .wavelets import WaveletBasis, WaveletCoeffs, soft_threshold, WaveletError
 from .recon import (ReconConfig, FrameEstimate, FrameSeries, FrameOperator,
                     adjoint_recon, radial_density_weights, sure_threshold,

@@ -2,14 +2,11 @@
 
 Samples are produced shot by shot from the current image state, either
 under the basic Fourier model (contrast frozen at TE) or the extended
-model with per-tissue T2* decay along the readout and optional separable
-off-resonance terms. Calibrated complex Gaussian noise is added per
-sample, and results stream to the dataset container without ever
-materializing the full 4D series.
-
-NDFT convention: y[n] = sum_m x[r_m] exp(-2i pi k_n . r_m) with voxel
-coordinates r_m = (m - N//2)/N per axis, so the DC sample equals the
-volume sum and on-grid sampling coincides with the centered FFT.
+model with per-tissue T2* decay along the readout. Each shot's samples
+come from one :class:`NDFT` over the shot's k-points, which is also the
+operator that reconstruction inverts. Calibrated complex Gaussian noise
+is added per sample, and results stream to the dataset container
+without ever materializing the full 4D series.
 """
 
 from __future__ import annotations
@@ -34,20 +31,6 @@ class EngineError(ValueError):
 # Fourier primitives
 
 
-def _axis_coords(n):
-    return (np.arange(n) - n // 2) / n
-
-
-def _on_grid(points, dims, tol=1e-9):
-    rounded = np.round(points)
-    if not np.allclose(points, rounded, atol=tol, rtol=0):
-        return None
-    idx = (rounded + np.array(dims) // 2).astype(np.intp)
-    if (idx < 0).any() or (idx >= np.array(dims)).any():
-        return None
-    return tuple(idx.T)
-
-
 def centered_fft(volume):
     """Centered FFT matching the NDFT convention (DC at N//2)."""
     return np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(volume)))
@@ -57,53 +40,82 @@ def centered_ifft(spectrum):
     return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spectrum)))
 
 
-def ndft(volume, points):
-    """Exact non-uniform DFT of a 3D volume at arbitrary k-points."""
-    volume = np.asarray(volume)
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    coords = [_axis_coords(n) for n in volume.shape]
-    # separable phase factors per axis keep this O(P * (Nx+Ny+Nz) + P*M)
-    ex = np.exp(-2j * np.pi * points[:, 0, None] * coords[0])
-    ey = np.exp(-2j * np.pi * points[:, 1, None] * coords[1])
-    ez = np.exp(-2j * np.pi * points[:, 2, None] * coords[2])
-    tmp = np.tensordot(ez, volume, axes=(1, 2))        # (P, Nx, Ny)
-    tmp = np.einsum("py,pxy->px", ey, tmp)
-    return np.einsum("px,px->p", ex, tmp)
+# largest (point, y, z) phase table built at once; bigger point sets are
+# handled in chunks of this many elements
+PHASE_TABLE_LIMIT = 4_000_000
 
 
-def ndft_adjoint(samples, points, dims):
-    """Adjoint of :func:`ndft`: scatter samples back to the grid."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    coords = [_axis_coords(n) for n in dims]
-    ex = np.exp(2j * np.pi * points[:, 0, None] * coords[0])
-    ey = np.exp(2j * np.pi * points[:, 1, None] * coords[1])
-    ez = np.exp(2j * np.pi * points[:, 2, None] * coords[2])
-    out = np.einsum("p,px,py,pz->xyz", samples, ex, ey, ez, optimize=True)
-    return out
+class NDFT:
+    """Exact single-coil, unscaled non-uniform DFT at fixed 3D k-points.
 
+    forward: y[n] = sum_m x[r_m] exp(-2i pi k_n . r_m) with voxel
+    coordinates r_m = (m - N//2)/N per axis, so the DC sample equals the
+    volume sum and on-grid sampling coincides with the centered FFT.
+    adjoint is its exact adjoint. When every point lies on the integer
+    grid both directions go through the FFT; otherwise the separable
+    phase tables are built once and shared by every call.
+    """
 
-def sample_kspace(volume, points):
-    """NDFT with an exact FFT fast path when every point is on-grid."""
-    points = np.atleast_2d(points)
-    idx = _on_grid(points, volume.shape)
-    if idx is not None:
-        return centered_fft(volume)[idx]
-    return ndft(volume, points)
+    def __init__(self, points, dims):
+        self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        self.dims = tuple(dims)
+        self._grid_idx = self._on_grid()
+        if self._grid_idx is not None:
+            return
+        n, ny, nz = len(self.points), self.dims[1], self.dims[2]
+        ex, ey, ez = (np.exp(-2j * np.pi * self.points[:, a, None]
+                             * ((np.arange(d) - d // 2) / d))
+                      for a, d in enumerate(self.dims))
+        self._ex = ex
+        if n * ny * nz <= PHASE_TABLE_LIMIT:
+            # combined (P, Ny*Nz) table turns both directions into one matmul
+            self._eyz = (ey[:, :, None] * ez[:, None, :]).reshape(n, -1)
+            step = n
+        else:
+            self._eyz, self._ey, self._ez = None, ey, ez
+            step = max(1, PHASE_TABLE_LIMIT // (ny * nz))
+        self._chunks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
+    def _on_grid(self, tol=1e-9):
+        rounded = np.round(self.points)
+        if not np.allclose(self.points, rounded, atol=tol, rtol=0):
+            return None
+        idx = (rounded + np.array(self.dims) // 2).astype(np.intp)
+        if (idx < 0).any() or (idx >= np.array(self.dims)).any():
+            return None
+        return tuple(idx.T)
 
-def sample_kspace_adjoint(samples, points, dims):
-    points = np.atleast_2d(points)
-    idx = _on_grid(points, dims)
-    if idx is not None:
-        grid = np.zeros(dims, dtype=np.complex128)
-        np.add.at(grid, idx, np.asarray(samples, dtype=np.complex128))
-        return centered_ifft(grid) * np.prod(dims)
-    return ndft_adjoint(samples, points, dims)
+    def _eyz_chunk(self, sl):
+        if self._eyz is not None:
+            return self._eyz[sl]
+        return (self._ey[sl, :, None] * self._ez[sl, None, :]).reshape(
+            sl.stop - sl.start, -1)
+
+    def forward(self, x):
+        if self._grid_idx is not None:
+            return centered_fft(x)[self._grid_idx]
+        out = np.empty(len(self.points), dtype=np.complex128)
+        flat = np.asarray(x).reshape(self.dims[0], -1)
+        for sl in self._chunks:
+            tmp = flat @ self._eyz_chunk(sl).T           # (Nx, P)
+            out[sl] = np.einsum("px,xp->p", self._ex[sl], tmp)
+        return out
+
+    def adjoint(self, y):
+        y = np.asarray(y, dtype=np.complex128)
+        if self._grid_idx is not None:
+            grid = np.zeros(self.dims, dtype=np.complex128)
+            np.add.at(grid, self._grid_idx, y)
+            return centered_ifft(grid) * np.prod(self.dims)
+        out = np.zeros(self.dims, dtype=np.complex128)
+        for sl in self._chunks:
+            t1 = y[sl, None] * self._ex[sl].conj()       # (P, Nx)
+            out += (t1.T @ self._eyz_chunk(sl).conj()).reshape(self.dims)
+        return out
 
 
 # ---------------------------------------------------------------------------
-# Coils, off-resonance, noise
+# Coils and noise
 
 
 @dataclass(frozen=True)
@@ -149,23 +161,6 @@ def birdcage_coils(dims, n_coils) -> CoilProfile:
     rss = np.sqrt((np.abs(maps) ** 2).sum(axis=0))
     maps /= rss.max()
     return CoilProfile(maps=maps)
-
-
-@dataclass(frozen=True)
-class OffResonanceTerms:
-    """Separable approximation sum_p c_p(t) b_p(r) of static off-resonance."""
-
-    c: np.ndarray  # (P, n_samples) complex time series
-    b: np.ndarray  # (P, *dims) complex volumes
-
-    @classmethod
-    def identity(cls, n_samples, dims):
-        return cls(c=np.ones((1, n_samples), dtype=np.complex128),
-                   b=np.ones((1, *dims), dtype=np.complex128))
-
-    @property
-    def n_terms(self):
-        return self.c.shape[0]
 
 
 @dataclass(frozen=True)
@@ -229,12 +224,12 @@ def add_noise(samples, noise: NoiseConfig, energy, shot_index=0):
 
 def acquire_shot_basic(mu_volume, coils: CoilProfile, shot: Shot):
     """Basic Fourier model: y_l = F{S_l * mu}[k] with contrast frozen at TE."""
-    return np.stack([sample_kspace(coils.maps[l] * mu_volume, shot.points)
+    nufft = NDFT(shot.points, mu_volume.shape)
+    return np.stack([nufft.forward(coils.maps[l] * mu_volume)
                      for l in range(coils.n_coils)])
 
 
-def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile,
-                     shot: Shot, offres: OffResonanceTerms | None = None):
+def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Shot):
     """Extended model: per-tissue T2* decay along the echo-centered readout.
 
     tissue_volumes are mu_i * w_i at t_ref = TE; the sample at time t_n
@@ -247,16 +242,12 @@ def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile,
             f"{tissue_volumes.shape[0]} tissue volumes for "
             f"{len(tissue_t2s_s)} T2* values"
         )
-    if offres is None:
-        offres = OffResonanceTerms.identity(shot.n_samples, tissue_volumes.shape[1:])
+    nufft = NDFT(shot.points, tissue_volumes.shape[1:])
     out = np.zeros((coils.n_coils, shot.n_samples), dtype=np.complex128)
     for i, t2s in enumerate(tissue_t2s_s):
         decay = np.exp(-shot.times / t2s) if np.isfinite(t2s) else np.ones(shot.n_samples)
-        for p in range(offres.n_terms):
-            for l in range(coils.n_coils):
-                y = sample_kspace(offres.b[p] * coils.maps[l] * tissue_volumes[i],
-                                  shot.points)
-                out[l] += decay * offres.c[p] * y
+        for l in range(coils.n_coils):
+            out[l] += decay * nufft.forward(coils.maps[l] * tissue_volumes[i])
     return out
 
 
@@ -274,7 +265,7 @@ def _worker_count(n_jobs=None):
 def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
                     seq: SequenceParams, bold: BoldSpec | None = None,
                     model="basic", noise: NoiseConfig | None = None,
-                    sink_path=None, gm_index=None, offres=None, n_jobs=None):
+                    sink_path=None, gm_index=None, n_jobs=None):
     """Acquire every shot of the plan in order and stream to the sink.
 
     The modulated image state is rebuilt per shot from the immutable
@@ -300,8 +291,7 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
         if model == "basic":
             samples = acquire_shot_basic(tissue_vols.sum(axis=0), coils, shot)
         else:
-            samples = acquire_shot_t2s(tissue_vols, t2s_s, coils, shot,
-                                       offres=offres)
+            samples = acquire_shot_t2s(tissue_vols, t2s_s, coils, shot)
         return add_noise(samples, noise, energy, shot_index=global_idx)
 
     header = {

@@ -7,19 +7,21 @@ per-frame regularization level can be estimated from the current image
 with the SURE threshold rule, and frame series can be solved with cold,
 warm or refined initialization strategies.
 
-The frame operator used inside the solver is unitary-scaled: forward is
-NDFT / sqrt(M) and the k-space data is divided by sqrt(M) on entry, so
-in the fully sampled orthonormal case the least-squares solution is the
-inverse FFT of the raw data.
+The frame operator used inside the solver wraps the engine's
+:class:`~snakesim.engine.NDFT` (the same operator that produced the
+data) with the coil maps and a unitary scale: forward is NDFT / sqrt(M)
+and the k-space data is divided by sqrt(M) on entry, so in the fully
+sampled orthonormal case the least-squares solution is the inverse FFT
+of the raw data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CoilProfile, _on_grid, centered_fft, centered_ifft
+from .engine import NDFT, CoilProfile
 from .wavelets import WaveletBasis, soft_threshold
 
 
@@ -34,7 +36,6 @@ class ReconConfig:
     tol: float = 1e-6                 # relative objective change
     mu_mode: str = "sure"             # "sure" or "fixed"
     mu_value: float = 0.0             # used when mu_mode == "fixed"
-    density_comp: str = "none"        # none | radial
 
     def __post_init__(self):
         if self.strategy not in ("cold", "warm", "refined"):
@@ -67,73 +68,23 @@ class FrameOperator:
         self.dims = tuple(dims)
         self.coils = coils
         self._scale = 1.0 / np.sqrt(np.prod(dims))
-        self._grid_idx = _on_grid(self.points, self.dims)
-        if self._grid_idx is None:
-            # phase factors are fixed for the frame; cache them once
-            coords = [(np.arange(n) - n // 2) / n for n in self.dims]
-            self._ex = np.exp(-2j * np.pi * self.points[:, 0, None] * coords[0])
-            ey = np.exp(-2j * np.pi * self.points[:, 1, None] * coords[1])
-            ez = np.exp(-2j * np.pi * self.points[:, 2, None] * coords[2])
-            # combined (P, Ny, Nz) phase tensor turns both directions into
-            # one matmul; cache it only when it stays small
-            if len(self.points) * self.dims[1] * self.dims[2] <= 4_000_000:
-                self._eyz = ey[:, :, None] * ez[:, None, :]
-                self._ey, self._ez = None, None
-            else:
-                self._eyz = None
-                self._ey, self._ez = ey, ez
+        self._ndft = NDFT(self.points, self.dims)
 
     @property
     def n_coils(self):
         return self.coils.n_coils if self.coils else 1
 
-    def _eyz_chunk(self, sl):
-        if self._eyz is not None:
-            return self._eyz[sl]
-        return self._ey[sl, :, None] * self._ez[sl, None, :]
-
-    def _chunks(self):
-        n = len(self.points)
-        step = n if self._eyz is not None else max(
-            1, 4_000_000 // (self.dims[1] * self.dims[2]))
-        for lo in range(0, n, step):
-            yield slice(lo, min(lo + step, n))
-
-    def _forward(self, x):
-        if self._grid_idx is not None:
-            return centered_fft(x)[self._grid_idx]
-        out = np.empty(len(self.points), dtype=np.complex128)
-        flat = x.reshape(self.dims[0], -1)
-        for sl in self._chunks():
-            eyz = self._eyz_chunk(sl).reshape(sl.stop - sl.start, -1)
-            tmp = flat @ eyz.T                       # (Nx, P)
-            out[sl] = np.einsum("px,xp->p", self._ex[sl], tmp)
-        return out
-
-    def _backward(self, y):
-        if self._grid_idx is not None:
-            grid = np.zeros(self.dims, dtype=np.complex128)
-            np.add.at(grid, self._grid_idx, y)
-            return centered_ifft(grid) * np.prod(self.dims)
-        y = np.asarray(y, dtype=np.complex128)
-        out = np.zeros(self.dims, dtype=np.complex128)
-        for sl in self._chunks():
-            t1 = y[sl, None] * self._ex[sl].conj()   # (P, Nx)
-            eyz = self._eyz_chunk(sl).conj().reshape(sl.stop - sl.start, -1)
-            out += (t1.T @ eyz).reshape(self.dims)
-        return out
-
     def op(self, x):
         if self.coils is None:
-            return self._forward(x)[None] * self._scale
-        return np.stack([self._forward(self.coils.maps[l] * x)
+            return self._ndft.forward(x)[None] * self._scale
+        return np.stack([self._ndft.forward(self.coils.maps[l] * x)
                          for l in range(self.n_coils)]) * self._scale
 
     def adj_op(self, y):
         y = np.atleast_2d(y)
         out = np.zeros(self.dims, dtype=np.complex128)
         for l in range(y.shape[0]):
-            back = self._backward(y[l])
+            back = self._ndft.adjoint(y[l])
             out += back if self.coils is None else np.conj(self.coils.maps[l]) * back
         return out * self._scale
 

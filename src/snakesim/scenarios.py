@@ -27,9 +27,11 @@ from .phantom import (BoldSpec, Paradigm, Phantom, SequenceParams,
                       build_bold_timecourse, contrast_volume, default_tissues,
                       ellipsoid_roi, gre_contrast, load_phantom,
                       synthetic_phantom)
-from .recon import ReconConfig, WaveletBasis, adjoint_series, reconstruct_series
+from .recon import (ReconConfig, ReconError, WaveletBasis, adjoint_series,
+                    reconstruct_series)
 from .trajectories import (gen_epi_3d, gen_spiral, gen_stack_of_spirals,
                            load_trajectory_file)
+from .wavelets import WaveletError
 
 
 class ConfigError(ValueError):
@@ -95,6 +97,19 @@ class RunConfig:
             raise ConfigError(f"unknown model {data['model']!r}")
         if data["trajectory"]["kind"] == "external" and not data["trajectory"].get("path"):
             raise ConfigError("external trajectory requires a path")
+        rcfg = data["recon"]
+        if rcfg.get("method") not in ("adjoint", "cs"):
+            raise ConfigError(f"unknown recon method {rcfg.get('method')!r}")
+        if rcfg.get("density_comp") not in ("none", "radial"):
+            raise ConfigError(
+                f"unknown recon density_comp {rcfg.get('density_comp')!r}")
+        if rcfg["method"] == "cs":
+            try:
+                _cs_recon(rcfg, data["dims"])
+            except KeyError as e:
+                raise ConfigError(f"recon: missing key {e}") from e
+            except (ReconError, WaveletError) as e:
+                raise ConfigError(f"recon: {e}") from e
         return cls(raw=data)
 
     @classmethod
@@ -107,6 +122,20 @@ class RunConfig:
 
     def hash(self) -> str:
         return hashlib.sha256(canonical_json(self.raw).encode()).hexdigest()
+
+
+def _cs_recon(rcfg, dims):
+    """(WaveletBasis, ReconConfig) of a CS recon section on a ``dims`` grid."""
+    # drop to the deepest level the grid supports (wavelets reject dims
+    # not divisible by 2^levels)
+    levels = rcfg["levels"]
+    while levels > 1 and any(d % (2 ** levels) for d in dims):
+        levels -= 1
+    basis = WaveletBasis(family=rcfg["wavelet"], levels=levels)
+    config = ReconConfig(strategy=rcfg["strategy"], max_iters=rcfg["max_iters"],
+                         tol=rcfg["tol"], mu_mode=rcfg["mu_mode"],
+                         mu_value=rcfg["mu_value"])
+    return basis, config
 
 
 # ---------------------------------------------------------------------------
@@ -308,20 +337,9 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         if rcfg["method"] == "adjoint":
             series = adjoint_series(frames, plan, coils,
                                     density_comp=rcfg["density_comp"])
-        elif rcfg["method"] == "cs":
-            # drop to the deepest level the grid supports (wavelets reject
-            # dims not divisible by 2^levels)
-            levels = rcfg["levels"]
-            while levels > 1 and any(d % (2 ** levels) for d in phantom.dims):
-                levels -= 1
-            basis = WaveletBasis(family=rcfg["wavelet"], levels=levels)
-            rc = ReconConfig(strategy=rcfg["strategy"], max_iters=rcfg["max_iters"],
-                             tol=rcfg["tol"], mu_mode=rcfg["mu_mode"],
-                             mu_value=rcfg["mu_value"],
-                             density_comp=rcfg["density_comp"])
-            series = reconstruct_series(frames, plan, coils, basis, rc)
         else:
-            raise ConfigError(f"unknown recon method {rcfg['method']!r}")
+            basis, rc = _cs_recon(rcfg, phantom.dims)
+            series = reconstruct_series(frames, plan, coils, basis, rc)
         mags = series.magnitude()
         for t in range(mags.shape[0]):
             write_volume(out / f"frame_{t:04d}.snkv", mags[t],

@@ -10,7 +10,7 @@ immutable once built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,13 +251,3 @@ def load_trajectory_file(path, dims, shots_per_frame=None) -> SamplingPlan:
         shots_per_frame = len(shots)
     return SamplingPlan(shots=tuple(shots), shots_per_frame=shots_per_frame,
                         tr_shot=tr_shot_s, kind="external", dims=tuple(dims))
-
-
-def frame_partition(plan: SamplingPlan, n_frames):
-    """Split the plan into consecutive frame groups, preserving order."""
-    total = len(plan.shots)
-    if total % n_frames != 0 or total // n_frames != plan.shots_per_frame:
-        raise TrajectoryError(
-            f"{total} shots cannot form {n_frames} frames of {plan.shots_per_frame}"
-        )
-    return [plan.frame(t) for t in range(n_frames)]

@@ -71,6 +71,24 @@ class TestAdjointRecon:
         assert np.vdot(y, op.op(x)) == pytest.approx(np.vdot(op.adj_op(y), x),
                                                      rel=1e-9)
 
+    @pytest.mark.parametrize("kind", ["epi", "random"])
+    def test_op_matches_acquisition(self, kind):
+        from snakesim.engine import acquire_shot_basic
+        from snakesim.trajectories import Shot
+        rng = np.random.default_rng(21)
+        dims = (4, 4, 4)
+        if kind == "epi":
+            shot = gen_epi_3d(dims, _seq()).frame(0)[0]
+        else:
+            shot = Shot(points=rng.uniform(-2, 1.9, (9, 3)),
+                        times=np.linspace(-1e-3, 1e-3, 9))
+        coils = birdcage_coils(dims, 3)
+        x = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+        op = FrameOperator((shot,), dims, coils)
+        np.testing.assert_allclose(acquire_shot_basic(x, coils, shot),
+                                   op.op(x) * np.sqrt(np.prod(dims)),
+                                   rtol=1e-12, atol=1e-12)
+
     def test_zero_data_zero_volume(self):
         dims = (4, 4, 4)
         plan = gen_epi_3d(dims, _seq())

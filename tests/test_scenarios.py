@@ -52,6 +52,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="model"):
             RunConfig.from_dict(_base_config(model="fancy"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("method", "sense"), ("wavelet", "db4"), ("strategy", "lukewarm"),
+        ("mu_mode", "guess"), ("levels", 0), ("max_iters", 0)])
+    def test_bad_cs_recon_value_rejected(self, key, value):
+        cfg = _base_config()
+        cfg["recon"].update({"method": "cs", key: value})
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(cfg)
+
+    def test_bad_density_comp_rejected_for_adjoint(self):
+        cfg = _base_config()
+        cfg["recon"]["density_comp"] = "voronoi"
+        with pytest.raises(ConfigError, match="density_comp"):
+            RunConfig.from_dict(cfg)
+
     def test_external_without_path_rejected(self):
         cfg = _base_config()
         cfg["trajectory"]["kind"] = "external"
@@ -226,6 +241,16 @@ class TestCli:
         cfg_path.write_text(yaml.safe_dump(cfg))
         assert cli_main(["run", str(cfg_path),
                          "--out", str(tmp_path / "run")]) == 3
+
+    def test_run_bad_recon_value_exit_2_before_acquisition(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(_tiny_config().raw))
+        cfg["recon"].update(method="cs", wavelet="db4")
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "run"
+        assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
+        assert "wavelet" in capsys.readouterr().err
+        assert not (out / "kspace.snkd").exists()
 
     def test_run_scale_on_config_file_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

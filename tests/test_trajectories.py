@@ -4,9 +4,8 @@ import pytest
 from snakesim.io import write_trajectory
 from snakesim.phantom import SequenceParams
 from snakesim.trajectories import (SamplingPlan, Shot, TrajectoryError,
-                                   frame_partition, gen_epi_3d, gen_spiral,
-                                   gen_stack_of_spirals, load_trajectory_file,
-                                   save_trajectory_file)
+                                   gen_epi_3d, gen_spiral, gen_stack_of_spirals,
+                                   load_trajectory_file, save_trajectory_file)
 
 
 def _seq(t_obs=25.0):
@@ -198,25 +197,24 @@ class TestFramePartition:
                             tr_shot=0.05, kind="external", dims=(4, 4, 4))
 
     def test_budget_not_divisible(self):
-        plan = self._plan(6000, 1)
         with pytest.raises(TrajectoryError):
-            frame_partition(plan, 136)  # 6000 shots cannot make 136 frames of 44
+            self._plan(6000, 44)  # 6000 shots cannot make whole frames of 44
 
     def test_5984_divides(self):
         plan = self._plan(5984, 44)
-        frames = frame_partition(plan, 136)
-        assert len(frames) == 136
-        assert all(len(f) == 44 for f in frames)
+        assert plan.n_frames == 136
+        assert all(len(plan.frame(t)) == 44 for t in range(plan.n_frames))
 
     def test_single_frame(self):
         plan = self._plan(14, 14)
-        assert len(frame_partition(plan, 1)) == 1
+        assert plan.n_frames == 1
+        assert len(plan.frame(0)) == 14
 
     def test_frame_start_times(self):
         plan = self._plan(20, 5)
-        frames = frame_partition(plan, 4)
-        for t, frame in enumerate(frames):
-            assert frame[0].shot_time == pytest.approx(t * 5 * 0.05)
+        assert plan.n_frames == 4
+        for t in range(plan.n_frames):
+            assert plan.frame(t)[0].shot_time == pytest.approx(t * 5 * 0.05)
 
 
 class TestShotInvariants:
