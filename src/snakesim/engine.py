@@ -3,8 +3,12 @@
 Samples are produced shot by shot from the current image state, either
 under the basic Fourier model (contrast frozen at TE) or the extended
 model with per-tissue T2* decay along the readout. Each shot's samples
-come from one :class:`NDFT` over the shot's k-points, which is also the
-operator that reconstruction inverts. Calibrated complex Gaussian noise
+come from one :class:`NDFT` over the shot's k-points, applied to all
+coils at once, which is also the operator that reconstruction inverts.
+The NDFT takes one of three exact paths: the FFT when every point is on
+the grid (EPI), a per-kz-plane 2D DFT when every kz is an integer
+(stack-of-spirals), and separable phase tables for any other 3D
+trajectory. Calibrated complex Gaussian noise
 is added per sample, and results stream to the dataset container
 without ever materializing the full 4D series.
 """
@@ -40,20 +44,48 @@ def centered_ifft(spectrum):
     return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spectrum)))
 
 
-# largest (point, y, z) phase table built at once; bigger point sets are
-# handled in chunks of this many elements
+# largest combined phase table (elements) kept in memory; bigger point
+# sets rebuild it per call in chunks of this many elements
 PHASE_TABLE_LIMIT = 4_000_000
+
+def _phase(k, n):
+    """(len(k), n) table exp(-2i pi k r) at voxel coordinates r = (m - n//2)/n."""
+    return np.exp(-2j * np.pi * k[:, None] * ((np.arange(n) - n // 2) / n))
+
+
+def _is_integer(k):
+    """Whether every k-space coordinate is within 1e-9 of an integer."""
+    return np.allclose(k, np.round(k), atol=1e-9, rtol=0)
 
 
 class NDFT:
-    """Exact single-coil, unscaled non-uniform DFT at fixed 3D k-points.
+    """Exact unscaled non-uniform DFT at fixed 3D k-points.
 
     forward: y[n] = sum_m x[r_m] exp(-2i pi k_n . r_m) with voxel
     coordinates r_m = (m - N//2)/N per axis, so the DC sample equals the
     volume sum and on-grid sampling coincides with the centered FFT.
-    adjoint is its exact adjoint. When every point lies on the integer
-    grid both directions go through the FFT; otherwise the separable
-    phase tables are built once and shared by every call.
+    adjoint is its exact adjoint. Both take leading batch axes (coils,
+    tissues): forward maps (..., Nx, Ny, Nz) to (..., P) and adjoint
+    (..., P) to (..., Nx, Ny, Nz).
+
+    The points select one of three exact paths, named by ``path``:
+
+    - ``"fft"``, every point on the integer grid (Cartesian, EPI): the
+      centered FFT and a gather; the adjoint scatters and inverse-FFTs.
+    - ``"stack"``, every kz an integer (stack-of-spirals and other
+      stack-of-X plans): the points are grouped by kz plane, z is
+      contracted once per plane with a (U, Nz) phase table, then an
+      exact 2D DFT over (x, y) runs on each plane's points through
+      (P, Nx) and (P, Ny) tables. That is Nx*Ny*Nz*U + Nx*Ny*P MACs for
+      U distinct planes, against Nx*Ny*Nz*P for the general path.
+    - ``"general"``, any other points (3D trajectories): a (P, Nx)
+      table and a combined (P, Ny*Nz) table. The combined table is built
+      once when it has at most PHASE_TABLE_LIMIT elements and otherwise
+      rebuilt per call in chunks of that size.
+
+    Both non-FFT paths contract x last in forward and first in adjoint,
+    and the adjoint uses the forward tables as conj(conj(y) E), so no
+    conjugated copy of a per-point table is made.
     """
 
     def __init__(self, points, dims):
@@ -61,57 +93,100 @@ class NDFT:
         self.dims = tuple(dims)
         self._grid_idx = self._on_grid()
         if self._grid_idx is not None:
+            self.path = "fft"
             return
-        n, ny, nz = len(self.points), self.dims[1], self.dims[2]
-        ex, ey, ez = (np.exp(-2j * np.pi * self.points[:, a, None]
-                             * ((np.arange(d) - d // 2) / d))
-                      for a, d in enumerate(self.dims))
-        self._ex = ex
+        n, (nx, ny, nz) = len(self.points), self.dims
+        kz = self.points[:, 2]
+        if _is_integer(kz):
+            self.path = "stack"
+            planes, plane_of = np.unique(np.round(kz), return_inverse=True)
+            # tables are kept sorted by plane: row j is point _order[j] and
+            # point i is row _rank[i]
+            self._order = np.argsort(plane_of, kind="stable")
+            bounds = np.searchsorted(plane_of[self._order], np.arange(len(planes) + 1))
+            self._eplane = _phase(planes, nz)
+            rows = self.points[self._order]
+            self._rank = np.argsort(self._order)
+            self._ex, self._table = _phase(rows[:, 0], nx), _phase(rows[:, 1], ny)
+            # (plane, rows) pairs
+            self._chunks = [(g, slice(lo, hi))
+                            for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+            return
+        self.path = "general"
+        self._ex = _phase(self.points[:, 0], nx)
+        self._ey, self._ez = _phase(self.points[:, 1], ny), _phase(kz, nz)
+        self._table = None
         if n * ny * nz <= PHASE_TABLE_LIMIT:
-            # combined (P, Ny*Nz) table turns both directions into one matmul
-            self._eyz = (ey[:, :, None] * ez[:, None, :]).reshape(n, -1)
+            self._table = self._rows(slice(0, n))
             step = n
         else:
-            self._eyz, self._ey, self._ez = None, ey, ez
             step = max(1, PHASE_TABLE_LIMIT // (ny * nz))
-        self._chunks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        self._chunks = [(0, slice(lo, min(lo + step, n))) for lo in range(0, n, step)]
 
-    def _on_grid(self, tol=1e-9):
-        rounded = np.round(self.points)
-        if not np.allclose(self.points, rounded, atol=tol, rtol=0):
+    def _on_grid(self):
+        if not _is_integer(self.points):
             return None
-        idx = (rounded + np.array(self.dims) // 2).astype(np.intp)
+        idx = (np.round(self.points) + np.array(self.dims) // 2).astype(np.intp)
         if (idx < 0).any() or (idx >= np.array(self.dims)).any():
             return None
         return tuple(idx.T)
 
-    def _eyz_chunk(self, sl):
-        if self._eyz is not None:
-            return self._eyz[sl]
+    def _rows(self, sl):
+        """Rows ``sl`` of the (P, Ny) or combined (P, Ny*Nz) phase table."""
+        if self._table is not None:
+            return self._table[sl]
         return (self._ey[sl, :, None] * self._ez[sl, None, :]).reshape(
             sl.stop - sl.start, -1)
 
     def forward(self, x):
-        if self._grid_idx is not None:
-            return centered_fft(x)[self._grid_idx]
-        out = np.empty(len(self.points), dtype=np.complex128)
-        flat = np.asarray(x).reshape(self.dims[0], -1)
-        for sl in self._chunks:
-            tmp = flat @ self._eyz_chunk(sl).T           # (Nx, P)
-            out[sl] = np.einsum("px,xp->p", self._ex[sl], tmp)
-        return out
+        x = np.asarray(x)
+        lead, n = x.shape[:-3], len(self.points)
+        x = x.reshape(-1, *self.dims)
+        batch, (nx, ny, nz) = len(x), self.dims
+        if self.path == "fft":
+            # one 3D FFT per item: an FFT over the batch axis too saves
+            # nothing and measured a few percent slower
+            out = np.stack([centered_fft(v)[self._grid_idx] for v in x])
+            return out.reshape(*lead, n)
+        if self.path == "stack":
+            # (U, B*Nx, Ny): the volume contracted along z at each plane
+            vols = (self._eplane @ x.reshape(-1, nz).T).reshape(-1, batch * nx, ny)
+        else:
+            vols = x.reshape(1, batch * nx, ny * nz)
+        out = np.empty((batch, n), dtype=np.complex128)
+        for g, sl in self._chunks:
+            tmp = (vols[g] @ self._rows(sl).T).reshape(batch, nx, -1)
+            out[:, sl] = np.einsum("px,bxp->bp", self._ex[sl], tmp)
+        if self.path == "stack":
+            out = out[:, self._rank]
+        return out.reshape(*lead, n)
 
     def adjoint(self, y):
         y = np.asarray(y, dtype=np.complex128)
-        if self._grid_idx is not None:
-            grid = np.zeros(self.dims, dtype=np.complex128)
-            np.add.at(grid, self._grid_idx, y)
-            return centered_ifft(grid) * np.prod(self.dims)
-        out = np.zeros(self.dims, dtype=np.complex128)
-        for sl in self._chunks:
-            t1 = y[sl, None] * self._ex[sl].conj()       # (P, Nx)
-            out += (t1.T @ self._eyz_chunk(sl).conj()).reshape(self.dims)
-        return out
+        lead = y.shape[:-1]
+        y = y.reshape(-1, len(self.points))
+        batch, (nx, ny, nz) = len(y), self.dims
+        if self.path == "fft":
+            out = np.empty((batch, *self.dims), dtype=np.complex128)
+            for b in range(batch):
+                grid = np.zeros(self.dims, dtype=np.complex128)
+                np.add.at(grid, self._grid_idx, y[b])
+                out[b] = centered_ifft(grid) * np.prod(self.dims)
+            return out.reshape(*lead, *self.dims)
+        yc = y.conj()
+        if self.path == "stack":
+            yc = yc[:, self._order]
+            acc = np.zeros((len(self._eplane), batch * nx, ny), dtype=np.complex128)
+        else:
+            acc = np.zeros((1, batch * nx, ny * nz), dtype=np.complex128)
+        for g, sl in self._chunks:
+            t1 = (yc[:, None, sl] * self._ex[sl].T).reshape(batch * nx, -1)
+            acc[g] += t1 @ self._rows(sl)
+        np.conj(acc, out=acc)
+        if self.path == "stack":
+            # (B*Nx*Ny, U) @ (U, Nz) takes each plane back along z
+            acc = acc.reshape(len(self._eplane), -1).T @ self._eplane.conj()
+        return acc.reshape(*lead, *self.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +299,7 @@ def add_noise(samples, noise: NoiseConfig, energy, shot_index=0):
 
 def acquire_shot_basic(mu_volume, coils: CoilProfile, shot: Shot):
     """Basic Fourier model: y_l = F{S_l * mu}[k] with contrast frozen at TE."""
-    nufft = NDFT(shot.points, mu_volume.shape)
-    return np.stack([nufft.forward(coils.maps[l] * mu_volume)
-                     for l in range(coils.n_coils)])
+    return NDFT(shot.points, mu_volume.shape).forward(coils.maps * mu_volume)
 
 
 def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Shot):
@@ -246,8 +319,7 @@ def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Sho
     out = np.zeros((coils.n_coils, shot.n_samples), dtype=np.complex128)
     for i, t2s in enumerate(tissue_t2s_s):
         decay = np.exp(-shot.times / t2s) if np.isfinite(t2s) else np.ones(shot.n_samples)
-        for l in range(coils.n_coils):
-            out[l] += decay * nufft.forward(coils.maps[l] * tissue_volumes[i])
+        out += decay * nufft.forward(coils.maps * tissue_volumes[i])
     return out
 
 

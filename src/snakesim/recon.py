@@ -12,12 +12,23 @@ The frame operator used inside the solver wraps the engine's
 data) with the coil maps and a unitary scale: forward is NDFT / sqrt(M)
 and the k-space data is divided by sqrt(M) on entry, so in the fully
 sampled orthonormal case the least-squares solution is the inverse FFT
-of the raw data.
+of the raw data. The NDFT runs all coils in one call on one of three
+exact paths, chosen from the frame's points: the FFT for Cartesian
+frames (every point on the grid), a per-kz-plane 2D DFT for
+stack-of-X frames (every kz an integer), and separable phase tables
+for any other 3D trajectory.
+
+The solver reuses each objective evaluation's residual for the next
+gradient, so an iteration costs one op and one adj_op. A series
+builds one operator, and estimates its Lipschitz constant once, per
+run of consecutive frames that share a point set: once for a static
+plan, once per frame for a dynamic one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +68,11 @@ class FrameEstimate:
 # Frame operator
 
 
+def _frame_points(frame_shots):
+    """The (P, 3) k-points of a frame's shots, in acquisition order."""
+    return np.concatenate([np.atleast_2d(s.points) for s in frame_shots])
+
+
 class FrameOperator:
     """Unitary-scaled multi-coil Fourier operator for one frame.
 
@@ -64,9 +80,10 @@ class FrameOperator:
     """
 
     def __init__(self, frame_shots, dims, coils: CoilProfile | None = None):
-        self.points = np.concatenate([np.atleast_2d(s.points) for s in frame_shots])
+        self.points = _frame_points(frame_shots)
         self.dims = tuple(dims)
         self.coils = coils
+        self._conj_maps = None if coils is None else np.conj(coils.maps)
         self._scale = 1.0 / np.sqrt(np.prod(dims))
         self._ndft = NDFT(self.points, self.dims)
 
@@ -77,16 +94,13 @@ class FrameOperator:
     def op(self, x):
         if self.coils is None:
             return self._ndft.forward(x)[None] * self._scale
-        return np.stack([self._ndft.forward(self.coils.maps[l] * x)
-                         for l in range(self.n_coils)]) * self._scale
+        return self._ndft.forward(self.coils.maps * x) * self._scale
 
     def adj_op(self, y):
-        y = np.atleast_2d(y)
-        out = np.zeros(self.dims, dtype=np.complex128)
-        for l in range(y.shape[0]):
-            back = self._ndft.adjoint(y[l])
-            out += back if self.coils is None else np.conj(self.coils.maps[l]) * back
-        return out * self._scale
+        back = self._ndft.adjoint(np.atleast_2d(y))
+        if self.coils is not None:
+            back *= self._conj_maps
+        return back.sum(axis=0) * self._scale
 
     def lipschitz(self, n_iters=20, safety=1.05, seed=1234):
         """Spectral norm of A^H A by power iteration (with safety margin)."""
@@ -101,6 +115,11 @@ class FrameOperator:
                 return safety
             x /= value
         return float(value * safety)
+
+    @cached_property
+    def lipschitz_bound(self):
+        """:meth:`lipschitz` at its defaults, estimated once per operator."""
+        return self.lipschitz()
 
 
 def _stack_frame_data(frame_kdata):
@@ -141,10 +160,15 @@ def radial_density_weights(points):
 
 
 def adjoint_recon(frame_kdata, frame_shots, dims, coils: CoilProfile | None = None,
-                  density_comp="none"):
-    """Coil-combined adjoint x = sum_l conj(S_l) NDFT^H(w * y_l) / M."""
+                  density_comp="none", operator: FrameOperator | None = None):
+    """Coil-combined adjoint x = sum_l conj(S_l) NDFT^H(w * y_l) / M.
+
+    ``operator``, when given, must be the FrameOperator of ``frame_shots``,
+    ``dims`` and ``coils``; it is then reused instead of rebuilt.
+    """
     y = _stack_frame_data(frame_kdata)
-    operator = FrameOperator(frame_shots, dims, coils)
+    if operator is None:
+        operator = FrameOperator(frame_shots, dims, coils)
     if y.shape[1] != len(operator.points):
         raise ReconError(
             f"{y.shape[1]} samples for {len(operator.points)} plan points"
@@ -171,7 +195,8 @@ def sure_threshold_coeffs(alpha):
     normalized energy is below log2(n)^{3/2}/sqrt(n) the universal
     threshold sqrt(2 log2 n) is returned; otherwise the candidate
     w in |alpha| minimizing sum_i min(alpha_i^2, w^2) - 2*[alpha_i^2 < w^2]
-    is used, capped at the universal threshold.
+    is used, capped at the universal threshold. The risks of all n
+    candidates come from one sort and a cumulative sum, in O(n log n).
     """
     alpha = np.asarray(alpha).ravel()
     n = alpha.size
@@ -193,10 +218,13 @@ def sure_threshold_coeffs(alpha):
     if a @ a / n < np.log2(n) ** 1.5 / np.sqrt(n):
         return universal, sigma
     a2 = a ** 2
-    candidates = a
-    risks = np.array([np.sum(np.minimum(a2, w * w) - 2.0 * (a2 < w * w))
-                      for w in candidates])
-    best = candidates[np.argmin(risks)]
+    # risk(w) = sum(min(a2, w^2)) - 2 #{a2 < w^2}; with k = #{a2 < w^2},
+    # the first term is the sum of the k smallest a2 plus (n - k) w^2
+    sorted_a2 = np.sort(a2)
+    below = np.concatenate([[0.0], np.cumsum(sorted_a2)])
+    k = np.searchsorted(sorted_a2, a2, side="left")
+    risks = below[k] + (n - k) * a2 - 2.0 * k
+    best = a[np.argmin(risks)]
     return min(float(best), float(universal)), sigma
 
 
@@ -220,15 +248,19 @@ def sure_threshold(volume, basis: WaveletBasis):
 
 
 def cs_solve(frame_kdata, frame_shots, dims, coils, basis: WaveletBasis,
-             config: ReconConfig, init=None, mu=None) -> FrameEstimate:
+             config: ReconConfig, init=None, mu=None,
+             operator: FrameOperator | None = None) -> FrameEstimate:
     """Solve 0.5 sum_l ||A_l x - y_l||^2 + mu ||Psi x||_1 with POGM.
 
     The prox of the l1 term is exact soft-thresholding in the orthonormal
     wavelet domain. Momentum restarts on objective increase; iteration
     stops at max_iters or when the relative objective change drops below
-    config.tol.
+    config.tol. ``operator``, when given, must be the FrameOperator of
+    ``frame_shots``, ``dims`` and ``coils``; it and its Lipschitz bound
+    are then reused instead of rebuilt.
     """
-    operator = FrameOperator(frame_shots, dims, coils)
+    if operator is None:
+        operator = FrameOperator(frame_shots, dims, coils)
     y = _stack_frame_data(frame_kdata) / np.sqrt(np.prod(dims))
     if y.shape[1] != len(operator.points):
         raise ReconError(f"{y.shape[1]} samples for {len(operator.points)} plan points")
@@ -243,17 +275,14 @@ def cs_solve(frame_kdata, frame_shots, dims, coils, basis: WaveletBasis,
         else:
             mu = sure_threshold(np.abs(init), basis)
 
-    lip = operator.lipschitz()
-    step = 1.0 / lip
-
-    def grad(x):
-        return operator.adj_op(operator.op(x) - y)
+    step = 1.0 / operator.lipschitz_bound
 
     def objective(x):
+        """(objective, residual); the residual feeds the next gradient."""
         resid = operator.op(x) - y
         fidelity = 0.5 * float(np.sum(np.abs(resid) ** 2))
         penalty = mu * float(np.sum(np.abs(basis.forward(x).ravel())))
-        return fidelity + penalty
+        return fidelity + penalty, resid
 
     def prox(z, gamma):
         return basis.inverse(basis.forward(z).map(
@@ -264,10 +293,11 @@ def cs_solve(frame_kdata, frame_shots, dims, coils, basis: WaveletBasis,
     z = x.copy()
     theta = 1.0
     gamma_prev = step
-    trace = [objective(x)]
-    best_x, best_obj = x, trace[0]
+    obj, resid = objective(x)
+    trace = [obj]
+    best_x, best_obj = x, obj
     for k in range(config.max_iters):
-        w = x - step * grad(x)
+        w = x - step * operator.adj_op(resid)
         theta_new = (1 + np.sqrt(1 + 4 * theta ** 2)) / 2
         gamma = step * (2 * theta + theta_new - 1) / theta_new
         z_new = (w
@@ -275,7 +305,7 @@ def cs_solve(frame_kdata, frame_shots, dims, coils, basis: WaveletBasis,
                  + theta / theta_new * (w - x)
                  + step * (theta - 1) / (gamma_prev * theta_new) * (z - x))
         x_new = prox(z_new, gamma)
-        obj = objective(x_new)
+        obj, resid = objective(x_new)
         if not np.isfinite(obj) or obj > 10 * max(trace[0], 1e-300):
             raise ReconError(f"solver diverged at iteration {k} (objective {obj:.3e})")
         if obj > trace[-1]:
@@ -296,6 +326,21 @@ def cs_solve(frame_kdata, frame_shots, dims, coils, basis: WaveletBasis,
 # Series strategies
 
 
+def _frame_operators(plan, coils):
+    """``operator_for(t)``: the FrameOperator of frame t, kept while
+    consecutive requests share k-points (every frame of a static plan),
+    so such frames also share its Lipschitz bound."""
+    operator = None
+
+    def operator_for(t):
+        nonlocal operator
+        shots = plan.frame(t)
+        if operator is None or not np.array_equal(_frame_points(shots), operator.points):
+            operator = FrameOperator(shots, plan.dims, coils)
+        return operator
+    return operator_for
+
+
 @dataclass
 class FrameSeries:
     volumes: np.ndarray        # (n_frames, *dims) complex
@@ -314,17 +359,20 @@ def reconstruct_series(frames_kdata, plan, coils, basis: WaveletBasis,
 
     cold: each frame solved independently from its adjoint init. warm:
     frame t+1 starts from frame t's estimate. refined: a warm pass, then
-    every frame re-solved from the final warm-pass estimate.
+    every frame re-solved from the final warm-pass estimate. One
+    FrameOperator and one Lipschitz estimate serve each run of
+    consecutive frames with the same k-points.
     """
     n_frames = len(frames_kdata)
     if n_frames < 1:
         raise ReconError("need at least one frame")
     dims = plan.dims
+    operator_for = _frame_operators(plan, coils)
 
     def solve(t, init):
         try:
             return cs_solve(frames_kdata[t], plan.frame(t), dims, coils,
-                            basis, config, init=init)
+                            basis, config, init=init, operator=operator_for(t))
         except ReconError as e:
             raise ReconError(f"frame {t}: {e}") from e
 
@@ -357,8 +405,9 @@ def reconstruct_series(frames_kdata, plan, coils, basis: WaveletBasis,
 
 def adjoint_series(frames_kdata, plan, coils, density_comp="none") -> FrameSeries:
     """Density-compensated adjoint reconstruction of every frame."""
+    operator_for = _frame_operators(plan, coils)
     volumes = [adjoint_recon(frames_kdata[t], plan.frame(t), plan.dims, coils,
-                             density_comp=density_comp)
+                             density_comp=density_comp, operator=operator_for(t))
                for t in range(len(frames_kdata))]
     return FrameSeries(volumes=np.stack(volumes), mu_values=[0.0] * len(volumes),
                        objective_traces=[[] for _ in volumes], strategy="adjoint",

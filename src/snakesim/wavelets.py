@@ -69,8 +69,9 @@ def _synthesis(a, d, lo, hi, axis):
     d = np.moveaxis(d, axis, 0)
     out = np.zeros((n, *a.shape[1:]), dtype=np.promote_types(a.dtype, np.float64))
     for j, (cl, ch) in enumerate(zip(lo, hi)):
+        # n is even, so one tap's positions are distinct and += adds each once
         pos = (2 * np.arange(n // 2) + j) % n
-        np.add.at(out, pos, cl * a + ch * d)
+        out[pos] += cl * a + ch * d
     return np.moveaxis(out, 0, axis)
 
 

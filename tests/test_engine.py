@@ -133,6 +133,100 @@ class TestNdftChunked:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def _planes(rng, kz_values, n_per_plane, dims):
+    """Off-grid (kx, ky) points on the given integer kz planes."""
+    return np.concatenate([
+        np.column_stack([rng.uniform(-dims[0] / 2, dims[0] / 2 - 0.1, n_per_plane),
+                         rng.uniform(-dims[1] / 2, dims[1] / 2 - 0.1, n_per_plane),
+                         np.full(n_per_plane, float(kz))])
+        for kz in kz_values])
+
+
+class TestNdftStack:
+    """The stack-of-X path: every kz an integer, kx/ky anywhere."""
+
+    dims = (4, 6, 4)
+
+    def test_single_kz_shot(self):
+        rng = np.random.default_rng(30)
+        vol = _random_volume(rng, self.dims)
+        pts = _planes(rng, [1], 12, self.dims)
+        op = NDFT(pts, self.dims)
+        assert op.path == "stack"
+        np.testing.assert_allclose(op.forward(vol), _ndft_oracle(vol, pts), rtol=1e-10)
+
+    def test_multi_kz_frame_off_grid_xy(self):
+        rng = np.random.default_rng(31)
+        vol = _random_volume(rng, self.dims)
+        # interleaved planes, one repeated out-of-range kz and one on-grid point
+        pts = _planes(rng, [0, -2, 1, 0, 3], 5, self.dims)[rng.permutation(25)]
+        pts = np.vstack([pts, [[1.0, -2.0, -1.0]]])
+        op = NDFT(pts, self.dims)
+        assert op.path == "stack"
+        np.testing.assert_allclose(op.forward(vol), _ndft_oracle(vol, pts), rtol=1e-10)
+
+    def test_one_non_integer_kz_takes_general_path(self):
+        rng = np.random.default_rng(32)
+        vol = _random_volume(rng, self.dims)
+        pts = _planes(rng, [0, 1], 6, self.dims)
+        pts[4, 2] = 0.5
+        op = NDFT(pts, self.dims)
+        assert op.path == "general"
+        np.testing.assert_allclose(op.forward(vol), _ndft_oracle(vol, pts), rtol=1e-10)
+
+    def test_no_table_limit_needed(self, monkeypatch):
+        # the stack path keeps only (P, Nx) and (P, Ny) tables, so a limit
+        # that would chunk the general path below one row changes nothing
+        rng = np.random.default_rng(33)
+        vol = _random_volume(rng, self.dims)
+        y = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+        pts = _planes(rng, [0, -1, 1], 7, self.dims)
+        whole = NDFT(pts, self.dims)
+        monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 10)
+        op = NDFT(pts, self.dims)
+        assert op.path == "stack"
+        np.testing.assert_allclose(op.forward(vol), _ndft_oracle(vol, pts), rtol=1e-10)
+        np.testing.assert_array_equal(op.forward(vol), whole.forward(vol))
+        np.testing.assert_array_equal(op.adjoint(y), whole.adjoint(y))
+
+    def test_adjoint_identity(self):
+        rng = np.random.default_rng(34)
+        vol = _random_volume(rng, self.dims)
+        pts = _planes(rng, [2, -1, 0], 6, self.dims)
+        y = rng.standard_normal(18) + 1j * rng.standard_normal(18)
+        op = NDFT(pts, self.dims)
+        assert np.vdot(y, op.forward(vol)) == pytest.approx(np.vdot(op.adjoint(y), vol),
+                                                           rel=1e-10)
+
+
+class TestNdftBatch:
+    dims = (4, 6, 4)
+
+    @pytest.mark.parametrize("path", ["fft", "stack", "general", "general-chunked"])
+    def test_batch_equals_per_slice_loop(self, path, monkeypatch):
+        rng = np.random.default_rng(35)
+        if path == "general-chunked":
+            # 100 elements of a (P, 6*4) table: chunks of 4 points
+            monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 100)
+            path = "general"
+        if path == "fft":
+            pts = rng.integers(-2, 2, (15, 3)).astype(np.float64)
+        elif path == "stack":
+            pts = _planes(rng, [0, 1, -2], 5, self.dims)
+        else:
+            pts = rng.uniform(-2, 1.9, (15, 3))
+        op = NDFT(pts, self.dims)
+        assert op.path == path
+        x = _random_volume(rng, (2, 3, *self.dims))
+        y = rng.standard_normal((2, 3, 15)) + 1j * rng.standard_normal((2, 3, 15))
+        fwd, adj = op.forward(x), op.adjoint(y)
+        assert fwd.shape == (2, 3, 15) and adj.shape == (2, 3, *self.dims)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(fwd[i, j], op.forward(x[i, j]), rtol=1e-12)
+                np.testing.assert_allclose(adj[i, j], op.adjoint(y[i, j]), rtol=1e-12)
+
+
 def _unit_shot(points, t_obs=0.025):
     n = len(points)
     dt = t_obs / n

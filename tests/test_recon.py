@@ -6,8 +6,9 @@ from snakesim.engine import birdcage_coils, centered_fft, centered_ifft
 from snakesim.phantom import (SequenceParams, contrast_volume, gre_contrast,
                               synthetic_phantom)
 from snakesim.recon import (FrameOperator, ReconConfig, ReconError,
-                            adjoint_recon, cs_solve, radial_density_weights,
-                            reconstruct_series, sure_threshold)
+                            adjoint_recon, adjoint_series, cs_solve,
+                            radial_density_weights, reconstruct_series,
+                            sure_threshold)
 from snakesim.trajectories import gen_epi_3d, gen_spiral, gen_stack_of_spirals
 from snakesim.wavelets import WaveletBasis, soft_threshold
 
@@ -210,13 +211,42 @@ class TestSolver:
         assert np.all(np.abs(resid[~nz]) <= mu + 1e-10)
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of FrameOperator builds and op/adj_op/lipschitz calls in recon."""
+    counts = {"builds": 0, "op": 0, "adj_op": 0, "lipschitz": 0}
+
+    class CountingOperator(FrameOperator):
+        def __init__(self, *args, **kwargs):
+            counts["builds"] += 1
+            super().__init__(*args, **kwargs)
+
+        def op(self, x):
+            counts["op"] += 1
+            return super().op(x)
+
+        def adj_op(self, y):
+            counts["adj_op"] += 1
+            return super().adj_op(y)
+
+        def lipschitz(self, *args, **kwargs):
+            counts["lipschitz"] += 1
+            return super().lipschitz(*args, **kwargs)
+
+    monkeypatch.setattr(recon_mod, "FrameOperator", CountingOperator)
+    return counts
+
+
+LIPSCHITZ_ITERS = 20  # FrameOperator.lipschitz default
+
+
 class TestSeries:
-    def _tiny_dataset(self, n_frames=3, seed=6):
+    def _tiny_dataset(self, n_frames=3, seed=6, dynamic=True):
         rng = np.random.default_rng(seed)
         dims = (8, 8, 8)
         sp = gen_spiral((8, 8), 16)
         plan = gen_stack_of_spirals(sp, 8, af=2.0, center_fraction=0.15,
-                                    dynamic=True, n_frames=n_frames, seed=seed,
+                                    dynamic=dynamic, n_frames=n_frames, seed=seed,
                                     dims=dims)
         coils = birdcage_coils(dims, 2)
         vol = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
@@ -274,10 +304,11 @@ class TestSeries:
         real_cs_solve = recon_mod.cs_solve
 
         def spy(frame_kdata, frame_shots, dims, coils_, basis_, config,
-                init=None, mu=None):
+                init=None, mu=None, operator=None):
             calls.append(None if init is None else init.copy())
             return real_cs_solve(frame_kdata, frame_shots, dims, coils_,
-                                 basis_, config, init=init, mu=mu)
+                                 basis_, config, init=init, mu=mu,
+                                 operator=operator)
 
         monkeypatch.setattr(recon_mod, "cs_solve", spy)
         cfg = ReconConfig(strategy="refined", max_iters=5, tol=1e-12,
@@ -300,3 +331,57 @@ class TestSeries:
         cfg = ReconConfig(max_iters=5, mu_mode="fixed", mu_value=0.0)
         with pytest.raises(ReconError, match="frame 1"):
             reconstruct_series(frames, plan, coils, basis, cfg)
+
+    def test_cs_solve_one_op_per_iteration(self, counted):
+        frames, plan, coils = self._tiny_dataset(n_frames=1)
+        cfg = ReconConfig(max_iters=7, tol=1e-14, mu_mode="fixed", mu_value=0.01)
+        est = cs_solve(frames[0], plan.frame(0), plan.dims, coils,
+                       WaveletBasis("haar", 1), cfg)
+        iters = len(est.objective_trace) - 1
+        assert iters == 7
+        assert counted["builds"] == 1 and counted["lipschitz"] == 1
+        # initial objective, one objective per iteration, power iteration
+        assert counted["op"] == 1 + iters + LIPSCHITZ_ITERS
+        # adjoint init, one gradient per iteration, power iteration
+        assert counted["adj_op"] == 1 + iters + LIPSCHITZ_ITERS
+
+    @pytest.mark.parametrize("strategy", ["cold", "refined"])
+    def test_static_plan_builds_one_operator(self, counted, strategy):
+        frames, plan, coils = self._tiny_dataset(n_frames=3, dynamic=False)
+        cfg = ReconConfig(strategy=strategy, max_iters=3, tol=1e-14,
+                          mu_mode="fixed", mu_value=0.01)
+        reconstruct_series(frames, plan, coils, WaveletBasis("haar", 1), cfg)
+        assert counted["builds"] == 1
+        assert counted["lipschitz"] == 1
+
+    def test_dynamic_plan_builds_one_operator_per_frame(self, counted):
+        frames, plan, coils = self._tiny_dataset(n_frames=3)
+        cfg = ReconConfig(strategy="warm", max_iters=3, tol=1e-14,
+                          mu_mode="fixed", mu_value=0.01)
+        reconstruct_series(frames, plan, coils, WaveletBasis("haar", 1), cfg)
+        assert counted["builds"] == 3
+        assert counted["lipschitz"] == 3
+
+    def test_shared_operator_matches_fresh_solves(self):
+        frames, plan, coils = self._tiny_dataset(n_frames=3, dynamic=False)
+        basis = WaveletBasis("haar", 1)
+        cfg = ReconConfig(max_iters=5, tol=1e-14, mu_mode="fixed", mu_value=0.01)
+        series = reconstruct_series(frames, plan, coils, basis, cfg)
+        for t in range(3):
+            est = cs_solve(frames[t], plan.frame(t), plan.dims, coils, basis, cfg)
+            np.testing.assert_array_equal(series.volumes[t], est.volume)
+
+    def test_adjoint_series_shares_operator_on_static_plan(self, counted):
+        rng = np.random.default_rng(8)
+        dims = (8, 8, 8)
+        plan = gen_epi_3d(dims, _seq(), n_frames=3)
+        coils = birdcage_coils(dims, 2)
+        frames = [[[rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    for n in (s.n_samples for s in plan.frame(t))]
+                   for _ in range(2)]
+                  for t in range(3)]
+        series = adjoint_series(frames, plan, coils)
+        assert counted["builds"] == 1
+        for t in range(3):
+            np.testing.assert_array_equal(
+                series.volumes[t], adjoint_recon(frames[t], plan.frame(t), dims, coils))

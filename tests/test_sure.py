@@ -69,6 +69,24 @@ class TestSureThresholdCoeffs:
         mu, _ = sure_threshold_coeffs(alpha)
         assert mu <= np.sqrt(2 * np.log2(n)) + 1e-12
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_brute_force_on_large_tied_vector(self, seed):
+        # values rounded to one decimal: ~60 distinct magnitudes over 2400
+        # coefficients, half of them shrunk so the scan picks a threshold
+        # below the universal cap
+        rng = np.random.default_rng(200 + seed)
+        n = 2400
+        alpha = np.round(rng.standard_normal(n), 1)
+        alpha[rng.random(n) < 0.5] *= 0.02
+        sigma_ref = 0.675 * np.median(np.abs(alpha - np.median(alpha)))
+        a = np.abs(alpha) / sigma_ref
+        risks = [np.sum(np.minimum(a * a, w * w) - 2.0 * (a * a < w * w)) for w in a]
+        best = a[int(np.argmin(risks))]
+        assert best < np.sqrt(2 * np.log2(n))
+        mu, sigma = sure_threshold_coeffs(alpha)
+        assert sigma == pytest.approx(sigma_ref, rel=1e-12)
+        assert mu == pytest.approx(best, rel=1e-12)
+
     def test_rejects_tiny_input(self):
         with pytest.raises(ReconError):
             sure_threshold_coeffs(np.array([1.0]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snakesim.wavelets import (FAMILIES, WaveletBasis, WaveletError,
-                               soft_threshold)
+                               _analysis, _filters, _synthesis, soft_threshold)
 
 
 def _random_volume(rng, dims, complex_=False):
@@ -110,3 +110,18 @@ def test_map_applies_everywhere():
     x = _random_volume(rng, (8, 8, 8))
     doubled = basis.inverse(basis.forward(x).map(lambda c: 2 * c))
     np.testing.assert_allclose(doubled, 2 * x, atol=1e-10)
+
+
+@pytest.mark.parametrize("family", ["haar", "symlet8"])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_synthesis_equals_scatter_add_reference(family, axis):
+    rng = np.random.default_rng(4)
+    lo, hi = _filters(family)
+    a, d = _analysis(_random_volume(rng, (8, 6, 4), complex_=True), lo, hi, axis)
+    # reference: the same taps accumulated with np.add.at
+    n = 2 * a.shape[axis]
+    am, dm = np.moveaxis(a, axis, 0), np.moveaxis(d, axis, 0)
+    ref = np.zeros((n, *am.shape[1:]), dtype=np.complex128)
+    for j, (cl, ch) in enumerate(zip(lo, hi)):
+        np.add.at(ref, (2 * np.arange(n // 2) + j) % n, cl * am + ch * dm)
+    assert np.array_equal(_synthesis(a, d, lo, hi, axis), np.moveaxis(ref, 0, axis))
