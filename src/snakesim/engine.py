@@ -8,21 +8,30 @@ coils at once, which is also the operator that reconstruction inverts.
 The NDFT takes one of three exact paths: the FFT when every point is on
 the grid (EPI), a per-kz-plane 2D DFT when every kz is an integer
 (stack-of-spirals), and separable phase tables for any other 3D
-trajectory. Calibrated complex Gaussian noise
-is added per sample, and results stream to the dataset container
-without ever materializing the full 4D series.
+trajectory.
+
+The BOLD model is affine in time, so a run transforms two images per
+tissue, a base and a BOLD delta, and each shot combines their samples
+with its response value h_s. A k-point pattern that the plan repeats is
+transformed once per run and memoized; a shot of that pattern is then a
+lookup, an AXPY and the noise draw. Calibrated complex Gaussian noise is
+added per sample. :func:`run_acquisition` keeps every shot's samples in
+memory until the run ends and then writes them to the dataset container
+in order; streaming shots to the sink as they finish is not done yet.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .io import DatasetWriter, canonical_json
-from .phantom import (Phantom, SequenceParams, BoldSpec, gre_contrast,
+# modulated_state is not called here; perfbench/spans.py traces it under
+# this module's name, so it stays importable from here
+from .phantom import (Phantom, SequenceParams, BoldSpec, gre_contrast,  # noqa: F401
                       modulated_state, contrast_volume)
 from .trajectories import SamplingPlan, Shot
 
@@ -243,6 +252,9 @@ class NoiseConfig:
     snr_i: float = np.inf     # input SNR; inf disables noise
     sigma: np.ndarray | None = None  # (L, L) Hermitian PSD coil covariance
     seed: int = 0
+    # sigma = chol @ chol^H, or None for white noise; set from sigma
+    chol: np.ndarray | None = field(init=False, default=None, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         if not (self.snr_i > 0):
@@ -251,25 +263,18 @@ class NoiseConfig:
             s = np.asarray(self.sigma)
             if not np.allclose(s, s.conj().T, atol=1e-12):
                 raise EngineError("coil covariance must be Hermitian")
-            eigs = np.linalg.eigvalsh(s)
+            # PSD with possible zero eigenvalues: regularized Cholesky
+            eigs, vecs = np.linalg.eigh(np.asarray(s, dtype=np.complex128))
             if eigs.min() < -1e-12:
                 raise EngineError("coil covariance must be positive semi-definite")
+            eigs = np.clip(eigs, 0, None)
+            object.__setattr__(self, "chol", vecs @ np.diag(np.sqrt(eigs)))
 
 
 def phantom_energy(mu_volume):
     """Mean squared magnitude of the ideal contrast volume at TE."""
     mu = np.asarray(mu_volume)
     return float(np.mean(np.abs(mu) ** 2))
-
-
-def _noise_chol(sigma, n_coils):
-    if sigma is None:
-        return np.eye(n_coils)
-    s = np.asarray(sigma, dtype=np.complex128)
-    # PSD with possible zero eigenvalues: regularized Cholesky
-    eigs, vecs = np.linalg.eigh(s)
-    eigs = np.clip(eigs, 0, None)
-    return vecs @ np.diag(np.sqrt(eigs))
 
 
 def add_noise(samples, noise: NoiseConfig, energy, shot_index=0):
@@ -288,26 +293,68 @@ def add_noise(samples, noise: NoiseConfig, energy, shot_index=0):
     white = np.empty((n_coils, n_samples), dtype=np.complex128)
     for l in range(n_coils):
         rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_index, l)))
-        white[l] = rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
-    chol = _noise_chol(noise.sigma, n_coils)
-    return samples + scale * (chol @ white)
+        # one draw of 2n is the same stream as two draws of n
+        draw = rng.standard_normal(2 * n_samples)
+        white[l] = draw[:n_samples] + 1j * draw[n_samples:]
+    if noise.chol is not None:
+        white = noise.chol @ white
+    return samples + scale * white
 
 
 # ---------------------------------------------------------------------------
 # Shot acquisition
 
 
-def acquire_shot_basic(mu_volume, coils: CoilProfile, shot: Shot):
-    """Basic Fourier model: y_l = F{S_l * mu}[k] with contrast frozen at TE."""
-    return NDFT(shot.points, mu_volume.shape).forward(coils.maps * mu_volume)
+def _pattern_key(shot: Shot):
+    """Memo key of a shot's k-point pattern: its points and sample times."""
+    return shot.points.shape, shot.points.tobytes(), shot.times.tobytes()
 
 
-def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Shot):
+def _pattern_numbers(shots):
+    """Each shot's pattern number, with patterns numbered in order of first use."""
+    first = {}
+    return [first.setdefault(_pattern_key(shot), len(first)) for shot in shots]
+
+
+def _memoized(cache, shot, transform):
+    """transform(), memoized per k-point pattern when cache is a dict.
+
+    The stored array is read-only, and every caller of a pattern gets
+    that one array. Concurrent first callers of a pattern may each
+    transform, but ``setdefault`` keeps the first value stored.
+    """
+    if cache is None:
+        return transform()
+    key = _pattern_key(shot)
+    value = cache.get(key)
+    if value is None:
+        value = transform()
+        value.flags.writeable = False
+        value = cache.setdefault(key, value)
+    return value
+
+
+def acquire_shot_basic(mu_volume, coils: CoilProfile, shot: Shot, cache=None):
+    """Basic Fourier model: y_l = F{S_l * mu}[k] with contrast frozen at TE.
+
+    Leading term axes of mu_volume are kept: (..., Nx, Ny, Nz) maps to
+    (..., L, P). ``cache``, a dict, memoizes the result per k-point
+    pattern; one dict must only ever see one mu_volume and coil set.
+    """
+    mu_volume = np.asarray(mu_volume)
+    return _memoized(cache, shot, lambda: NDFT(shot.points, mu_volume.shape[-3:]).forward(
+        mu_volume[..., None, :, :, :] * coils.maps))
+
+
+def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Shot,
+                     cache=None):
     """Extended model: per-tissue T2* decay along the echo-centered readout.
 
     tissue_volumes are mu_i * w_i at t_ref = TE; the sample at time t_n
     (relative to the echo center) carries exp(-t_n / T2*_i), so the echo
-    center sample matches the basic model exactly.
+    center sample matches the basic model exactly. Term axes after the
+    tissue axis are kept: (T, ..., Nx, Ny, Nz) maps to (..., L, P).
+    ``cache`` is as for :func:`acquire_shot_basic`.
     """
     tissue_volumes = np.asarray(tissue_volumes)
     if tissue_volumes.shape[0] != len(tissue_t2s_s):
@@ -315,12 +362,17 @@ def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Sho
             f"{tissue_volumes.shape[0]} tissue volumes for "
             f"{len(tissue_t2s_s)} T2* values"
         )
-    nufft = NDFT(shot.points, tissue_volumes.shape[1:])
-    out = np.zeros((coils.n_coils, shot.n_samples), dtype=np.complex128)
-    for i, t2s in enumerate(tissue_t2s_s):
-        decay = np.exp(-shot.times / t2s) if np.isfinite(t2s) else np.ones(shot.n_samples)
-        out += decay * nufft.forward(coils.maps * tissue_volumes[i])
-    return out
+
+    def transform():
+        nufft = NDFT(shot.points, tissue_volumes.shape[-3:])
+        out = np.zeros((*tissue_volumes.shape[1:-3], coils.n_coils, shot.n_samples),
+                       dtype=np.complex128)
+        for i, t2s in enumerate(tissue_t2s_s):
+            decay = np.exp(-shot.times / t2s) if np.isfinite(t2s) else np.ones(shot.n_samples)
+            out += decay * nufft.forward(tissue_volumes[i][..., None, :, :, :] * coils.maps)
+        return out
+
+    return _memoized(cache, shot, transform)
 
 
 # ---------------------------------------------------------------------------
@@ -334,37 +386,98 @@ def _worker_count(n_jobs=None):
     return max(1, n_jobs or 1)
 
 
+def _check_run_inputs(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
+                      bold: BoldSpec | None, gm_index):
+    """Reject mismatched inputs before any shot runs or the sink opens."""
+    dims = tuple(phantom.dims)
+    if tuple(plan.dims) != dims:
+        raise EngineError(f"plan dims {tuple(plan.dims)} differ from phantom dims {dims}")
+    if coils.maps.shape[1:] != dims:
+        raise EngineError(f"coil map dims {coils.maps.shape[1:]} differ from "
+                          f"phantom dims {dims}")
+    if gm_index is not None and not 0 <= gm_index < phantom.n_tissues:
+        raise EngineError(f"gm_index {gm_index} is not one of the "
+                          f"{phantom.n_tissues} tissues")
+    if bold is not None:
+        if bold.roi.shape != dims:
+            raise EngineError(f"BOLD roi shape {bold.roi.shape} differs from "
+                              f"phantom dims {dims}")
+        if np.shape(bold.h_tilde) != (len(plan.shots),):
+            raise EngineError(f"h_tilde has shape {np.shape(bold.h_tilde)}, "
+                              f"need one value per shot ({len(plan.shots)})")
+
+
 def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
                     seq: SequenceParams, bold: BoldSpec | None = None,
                     model="basic", noise: NoiseConfig | None = None,
                     sink_path=None, gm_index=None, n_jobs=None):
-    """Acquire every shot of the plan in order and stream to the sink.
+    """Acquire every shot of the plan in order and write it to the sink.
 
-    The modulated image state is rebuilt per shot from the immutable
-    phantom (tissue parameters are frozen within a shot); only one shot's
-    samples exist in memory per worker. Returns (header, frames) as from
+    The BOLD state is affine in time: tissue i at shot s is
+    b_i + h_s * d_i with base b_i = mu_i * w_i, delta
+    d_i = -(TE * 1e-3) * dR2* * roi * b_i for the modulated tissues
+    (``gm_index``, or all when None, as in
+    :func:`snakesim.phantom.modulated_state`) and d_i = 0 otherwise, and
+    h_s = ``bold.h_tilde[s]`` (0 without BOLD). The basic model
+    transforms B = sum b_i and D = sum d_i; the t2s model keeps the
+    tissues apart and applies each one's decay after its transform.
+
+    A k-point pattern that occurs in more than one shot has its term
+    samples Y (2, L, P) transformed once and memoized for the run, and
+    each of its shots is y = Y[0] + h_s * Y[1]. The memo holds
+    2 x patterns x L x P complex128 values (0.8 MB for a 22-plane EPI
+    plan at 1080 samples and one coil). A pattern that occurs once is
+    transformed as the single image B + h_s * D. So no shot costs more
+    transforms than rebuilding its state would. The first shot of every
+    pattern runs on the worker pool; the memo hits follow on the calling
+    thread.
+
+    Every shot's samples stay in memory until the last shot is done;
+    then they are written to the sink in [frame][coil][shot] order.
+    Inputs that do not match the phantom raise :class:`EngineError`
+    before the sink is created. Returns (header, frames) as from
     :func:`snakesim.io.read_dataset`.
     """
     if model not in ("basic", "t2s"):
         raise EngineError(f"unknown model {model!r}")
+    _check_run_inputs(phantom, plan, coils, bold, gm_index)
     noise = noise or NoiseConfig()
     mu = gre_contrast(phantom, seq)
     baseline = contrast_volume(phantom, mu)
     energy = phantom_energy(baseline)
     t2s_s = np.array([t.t2_star * 1e-3 for t in phantom.tissues])
+    n_shots = len(plan.shots)
 
-    def compute_shot(global_idx):
-        shot = plan.shots[global_idx]
-        if bold is not None:
-            tissue_vols = modulated_state(phantom, mu, bold, seq.te,
-                                          global_idx, gm_index=gm_index)
-        else:
-            tissue_vols = mu[:, None, None, None] * phantom.weights
+    base = mu[:, None, None, None] * phantom.weights
+    delta = np.zeros_like(base)
+    h = np.zeros(n_shots)
+    if bold is not None:
+        gain = -(seq.te * 1e-3) * bold.delta_r2s * bold.roi
+        for i in range(phantom.n_tissues) if gm_index is None else [gm_index]:
+            delta[i] = gain * base[i]
+        h = np.asarray(bold.h_tilde, dtype=np.float64)
+    terms = np.stack([base, delta], axis=1)  # (T, 2, *dims)
+    if model == "basic":
+        terms = terms.sum(axis=0)            # (2, *dims): B and D
+    pattern = _pattern_numbers(plan.shots)
+    repeated = np.bincount(pattern)[pattern] > 1
+    # each pattern's first shot transforms; every other shot is a memo hit
+    leads = np.unique(pattern, return_index=True)[1].tolist()
+    memo = {}
+
+    def acquire(volumes, shot, cache=None):
         if model == "basic":
-            samples = acquire_shot_basic(tissue_vols.sum(axis=0), coils, shot)
+            return acquire_shot_basic(volumes, coils, shot, cache=cache)
+        return acquire_shot_t2s(volumes, t2s_s, coils, shot, cache=cache)
+
+    def compute_shot(s):
+        shot = plan.shots[s]
+        if repeated[s]:
+            y = acquire(terms, shot, cache=memo)
+            samples = y[0] + h[s] * y[1]
         else:
-            samples = acquire_shot_t2s(tissue_vols, t2s_s, coils, shot)
-        return add_noise(samples, noise, energy, shot_index=global_idx)
+            samples = acquire(terms[..., 0, :, :, :] + h[s] * terms[..., 1, :, :, :], shot)
+        return add_noise(samples, noise, energy, shot_index=s)
 
     header = {
         "dims": list(plan.dims),
@@ -383,16 +496,23 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     }
 
     workers = _worker_count(n_jobs)
-    n_shots = len(plan.shots)
     frames = []
     writer = DatasetWriter(sink_path, header) if sink_path else None
     try:
+        all_samples = [None] * n_shots
         if workers == 1:
-            results = map(compute_shot, range(n_shots))
-            all_samples = list(results)
+            lead_samples = map(compute_shot, leads)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                all_samples = list(pool.map(compute_shot, range(n_shots)))
+                lead_samples = list(pool.map(compute_shot, leads))
+        for s, y in zip(leads, lead_samples):
+            all_samples[s] = y
+        # memo hits hold the GIL for most of their time (the lookup, the
+        # AXPY and the noise draw of a few thousand samples), so threads
+        # would only contend for it: they run on this thread
+        for s in range(n_shots):
+            if all_samples[s] is None:
+                all_samples[s] = compute_shot(s)
         for t in range(plan.n_frames):
             coils_data = []
             for l in range(coils.n_coils):

@@ -1,14 +1,22 @@
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import snakesim.engine as engine
 from snakesim.engine import (NDFT, PHASE_TABLE_LIMIT, CoilProfile, EngineError,
-                             NoiseConfig, acquire_shot_basic, acquire_shot_t2s,
-                             add_noise, birdcage_coils, centered_fft,
-                             centered_ifft, phantom_energy, run_acquisition)
-from snakesim.phantom import (BoldSpec, SequenceParams, default_tissues,
+                             NoiseConfig, _pattern_key, acquire_shot_basic,
+                             acquire_shot_t2s, add_noise, birdcage_coils,
+                             centered_fft, centered_ifft, phantom_energy,
+                             run_acquisition)
+from snakesim.io import DatasetWriter
+from snakesim.phantom import (BoldSpec, Phantom, SequenceParams, default_tissues,
                               gre_contrast, contrast_volume, modulated_state,
                               synthetic_phantom)
-from snakesim.trajectories import Shot, gen_epi_3d
+from snakesim.trajectories import (SamplingPlan, Shot, gen_epi_3d, gen_spiral,
+                                   gen_stack_of_spirals)
 
 
 def _seq(**kw):
@@ -419,6 +427,36 @@ class TestNoise:
         corr = np.mean(a * np.conj(b)) / np.mean(np.abs(a) ** 2)
         assert abs(corr) < 3 / np.sqrt(n)
 
+    @pytest.mark.parametrize("sigma", ["white", "psd3"])
+    def test_matches_per_shot_factor_loop(self, sigma):
+        """add_noise equals, bit for bit, a loop that factors sigma per call
+        and draws the real and imaginary parts separately."""
+        rng = np.random.default_rng(16)
+        n_coils = 3
+        if sigma == "white":
+            sigma = None
+        else:
+            a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+            sigma = a @ a.conj().T  # rank 2: one zero eigenvalue is clipped
+        noise = NoiseConfig(snr_i=50.0, sigma=sigma, seed=11)
+        y = rng.standard_normal((n_coils, 37)) + 1j * rng.standard_normal((n_coils, 37))
+
+        def reference(samples, shot_index):
+            if sigma is None:
+                chol = np.eye(n_coils)
+            else:
+                eigs, vecs = np.linalg.eigh(np.asarray(sigma, dtype=np.complex128))
+                chol = vecs @ np.diag(np.sqrt(np.clip(eigs, 0, None)))
+            white = np.empty(samples.shape, dtype=np.complex128)
+            for l in range(n_coils):
+                r = np.random.default_rng(np.random.SeedSequence((11, shot_index, l)))
+                white[l] = r.standard_normal(37) + 1j * r.standard_normal(37)
+            return samples + np.sqrt(0.7 / 50.0 / 2.0) * (chol @ white)
+
+        for shot_index in (0, 5):
+            assert np.array_equal(add_noise(y, noise, 0.7, shot_index=shot_index),
+                                  reference(y, shot_index))
+
     def test_non_psd_sigma_rejected(self):
         with pytest.raises(EngineError):
             NoiseConfig(snr_i=10.0, sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -507,3 +545,157 @@ class TestRunAcquisition:
         header, frames = run_acquisition(ph, plan, coils, seq, model="t2s")
         assert header["model"] == "t2s"
         assert np.all(np.isfinite(frames[0][0][0]))
+
+
+def _off_grid_plan(dims, seq):
+    """External plan over 3 frames of 2 shots with off-grid 3D points:
+    pattern A in every frame, B in frames 0 and 2, C once in frame 1."""
+    rng = np.random.default_rng(21)
+    half = np.array(dims) / 2
+    a, b, c = (rng.uniform(-half, half - 0.5, (12, 3)) for _ in range(3))
+    times = (np.arange(12) - 5.5) * seq.t_obs_s / 12
+    shots = [Shot(points=p, times=times, shot_time=i * seq.tr_shot_s)
+             for i, p in enumerate([a, b, a, c, a, b])]
+    return SamplingPlan(shots=tuple(shots), shots_per_frame=2, tr_shot=seq.tr_shot_s,
+                        kind="external", dims=tuple(dims))
+
+
+def _plan(kind, dims, seq):
+    spiral = gen_spiral(dims[:2], 20, n_turns=2.0)
+    if kind == "epi":
+        return gen_epi_3d(dims, seq, n_frames=3)
+    if kind in ("sos_static", "sos_dynamic"):
+        return gen_stack_of_spirals(spiral, dims[2], af=2.0, dynamic=kind == "sos_dynamic",
+                                    n_frames=3, seed=4, tr_shot_s=seq.tr_shot_s,
+                                    t_obs_s=seq.t_obs_s, dims=dims)
+    return _off_grid_plan(dims, seq)
+
+
+PLAN_PATHS = {"epi": "fft", "sos_static": "stack", "sos_dynamic": "stack",
+              "external": "general"}
+
+
+def _bold_phantom(dims, plan):
+    """WM ball around a GM sphere, the GM weights as ROI, and a response
+    that changes every shot."""
+    tissues = default_tissues(("WM", "GM"))
+    center = tuple(d / 2 for d in dims)
+    gm = synthetic_phantom(dims, [(center, 1.5, 1)], tissues=tissues).weights[1]
+    wm = synthetic_phantom(dims, [(center, 3.0, 0)], tissues=tissues).weights[0]
+    ph = Phantom(dims=tuple(dims), voxel_size=(1.0, 1.0, 1.0), tissues=tuple(tissues),
+                 weights=np.stack([np.clip(wm - gm, 0, 1), gm]))
+    h = np.random.default_rng(22).uniform(0, 1, len(plan.shots))
+    return ph, BoldSpec(roi=gm, delta_r2s=-2.0, h_tilde=h / h.max())
+
+
+def _pattern_counts(plan):
+    counts = Counter(_pattern_key(s) for s in plan.shots)
+    return sum(c > 1 for c in counts.values()), sum(c == 1 for c in counts.values())
+
+
+class TestAffineAcquisition:
+    """run_acquisition's affine terms and pattern memo against per-shot
+    modulated_state volumes fed to the shot functions."""
+
+    dims = (6, 6, 8)
+
+    @pytest.mark.parametrize("gm_index", [1, None])
+    @pytest.mark.parametrize("model", ["basic", "t2s"])
+    @pytest.mark.parametrize("kind", list(PLAN_PATHS))
+    def test_matches_per_shot_modulated_state(self, kind, model, gm_index):
+        seq = _seq()
+        plan = _plan(kind, self.dims, seq)
+        assert NDFT(plan.shots[0].points, self.dims).path == PLAN_PATHS[kind]
+        repeated, once = _pattern_counts(plan)
+        assert repeated > 0 and (once > 0) == (kind in ("sos_dynamic", "external"))
+        ph, bold = _bold_phantom(self.dims, plan)
+        coils = birdcage_coils(self.dims, 2)
+        _, frames = run_acquisition(ph, plan, coils, seq, bold=bold, model=model,
+                                    gm_index=gm_index)
+        mu = gre_contrast(ph, seq)
+        t2s_s = [t.t2_star * 1e-3 for t in ph.tissues]
+        for s, shot in enumerate(plan.shots):
+            vols = modulated_state(ph, mu, bold, seq.te, s, gm_index=gm_index)
+            if model == "basic":
+                want = acquire_shot_basic(vols.sum(axis=0), coils, shot)
+            else:
+                want = acquire_shot_t2s(vols, t2s_s, coils, shot)
+            t, i = divmod(s, plan.shots_per_frame)
+            got = np.array([frames[t][l][i] for l in range(2)])
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("model", ["basic", "t2s"])
+    @pytest.mark.parametrize("kind", ["epi22", "sos_dynamic"])
+    def test_one_call_per_shot_one_transform_per_pattern(self, kind, model, workers,
+                                                         monkeypatch, tmp_path):
+        """Shot calls = plan shots, appends = shots x coils, NDFT builds =
+        repeated patterns + once-only shots, at any worker count (with a
+        short switch interval, so threads interleave often)."""
+        seq = _seq()
+        dims = (6, 6, 22) if kind == "epi22" else self.dims
+        plan = gen_epi_3d(dims, seq, n_frames=3) if kind == "epi22" else _plan(kind, dims, seq)
+        ph, bold = _bold_phantom(dims, plan)
+        coils = birdcage_coils(dims, 2)
+        calls = {"shot": 0, "append": 0, "ndft": 0}
+        lock = threading.Lock()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                with lock:
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        class CountingNDFT(NDFT):
+            def __init__(self, *args, **kwargs):
+                with lock:
+                    calls["ndft"] += 1
+                super().__init__(*args, **kwargs)
+
+        shot_fn = "acquire_shot_basic" if model == "basic" else "acquire_shot_t2s"
+        monkeypatch.setattr(engine, shot_fn, counting("shot", getattr(engine, shot_fn)))
+        monkeypatch.setattr(DatasetWriter, "append", counting("append", DatasetWriter.append))
+        monkeypatch.setattr(engine, "NDFT", CountingNDFT)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_acquisition(ph, plan, coils, seq, bold=bold, model=model, gm_index=1,
+                            sink_path=tmp_path / "run.snkd", n_jobs=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        repeated, once = _pattern_counts(plan)
+        assert calls["shot"] == len(plan.shots)
+        assert calls["append"] == len(plan.shots) * coils.n_coils
+        assert calls["ndft"] == repeated + once
+        if kind == "epi22":
+            assert (repeated, once) == (22, 0)
+
+    @pytest.mark.parametrize("bad", ["h_short", "roi_shape", "gm_index_high",
+                                     "gm_index_negative", "plan_dims", "coil_dims"])
+    def test_bad_inputs_rejected_before_sink(self, bad, tmp_path):
+        seq = _seq()
+        plan = gen_epi_3d(self.dims, seq, n_frames=2)
+        ph, bold = _bold_phantom(self.dims, plan)
+        coils = birdcage_coils(self.dims, 2)
+        gm_index = 1
+        if bad == "h_short":
+            bold = BoldSpec(roi=bold.roi, delta_r2s=-2.0, h_tilde=bold.h_tilde[:-1])
+        elif bad == "roi_shape":
+            bold = BoldSpec(roi=bold.roi[:-1], delta_r2s=-2.0, h_tilde=bold.h_tilde)
+        elif bad == "gm_index_high":
+            gm_index = 2
+        elif bad == "gm_index_negative":
+            gm_index = -1
+        elif bad == "plan_dims":
+            plan = gen_epi_3d((6, 6, 6), seq, n_frames=2)
+            bold = BoldSpec(roi=bold.roi, delta_r2s=-2.0,
+                            h_tilde=np.ones(len(plan.shots)))
+        else:
+            coils = birdcage_coils((6, 6, 7), 2)
+        sink = tmp_path / "run.snkd"
+        with pytest.raises(EngineError):
+            run_acquisition(ph, plan, coils, seq, bold=bold, gm_index=gm_index,
+                            sink_path=sink, n_jobs=2)
+        assert not sink.exists()
