@@ -80,7 +80,8 @@ class NDFT:
     The points select one of three exact paths, named by ``path``:
 
     - ``"fft"``, every point on the integer grid (Cartesian, EPI): the
-      centered FFT and a gather; the adjoint scatters and inverse-FFTs.
+      centered FFT and a gather; the adjoint scatters (by assignment
+      unless a grid point repeats) and inverse-FFTs.
     - ``"stack"``, every kz an integer (stack-of-spirals and other
       stack-of-X plans): the points are grouped by kz plane, z is
       contracted once per plane with a (U, Nz) phase table, then an
@@ -103,6 +104,9 @@ class NDFT:
         self._grid_idx = self._on_grid()
         if self._grid_idx is not None:
             self.path = "fft"
+            flat = np.ravel_multi_index(self._grid_idx, self.dims)
+            # the adjoint scatters by assignment unless a grid point repeats
+            self._distinct = np.unique(flat).size == flat.size
             return
         n, (nx, ny, nz) = len(self.points), self.dims
         kz = self.points[:, 2]
@@ -179,7 +183,10 @@ class NDFT:
             out = np.empty((batch, *self.dims), dtype=np.complex128)
             for b in range(batch):
                 grid = np.zeros(self.dims, dtype=np.complex128)
-                np.add.at(grid, self._grid_idx, y[b])
+                if self._distinct:
+                    grid[self._grid_idx] = y[b]
+                else:
+                    np.add.at(grid, self._grid_idx, y[b])
                 out[b] = centered_ifft(grid) * np.prod(self.dims)
             return out.reshape(*lead, *self.dims)
         yc = y.conj()
@@ -305,15 +312,10 @@ def add_noise(samples, noise: NoiseConfig, energy, shot_index=0):
 # Shot acquisition
 
 
-def _pattern_key(shot: Shot):
-    """Memo key of a shot's k-point pattern: its points and sample times."""
-    return shot.points.shape, shot.points.tobytes(), shot.times.tobytes()
-
-
 def _pattern_numbers(shots):
     """Each shot's pattern number, with patterns numbered in order of first use."""
     first = {}
-    return [first.setdefault(_pattern_key(shot), len(first)) for shot in shots]
+    return [first.setdefault(shot.pattern_key, len(first)) for shot in shots]
 
 
 def _memoized(cache, shot, transform):
@@ -325,7 +327,7 @@ def _memoized(cache, shot, transform):
     """
     if cache is None:
         return transform()
-    key = _pattern_key(shot)
+    key = shot.pattern_key
     value = cache.get(key)
     if value is None:
         value = transform()

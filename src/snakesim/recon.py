@@ -19,7 +19,11 @@ stack-of-X frames (every kz an integer), and separable phase tables
 for any other 3D trajectory.
 
 The solver reuses each objective evaluation's residual for the next
-gradient, so an iteration costs one op and one adj_op. A series
+gradient, so an iteration costs one op and one adj_op. It also takes
+the objective's l1 term from the thresholded coefficients of the prox:
+the wavelet basis is orthonormal, so they are the coefficients of the
+new iterate, and an iteration costs one wavelet forward and one inverse
+transform. A series
 builds one operator, and estimates its Lipschitz constant once, per
 run of consecutive frames that share a point set: once for a static
 plan, once per frame for a dynamic one.
@@ -62,6 +66,8 @@ class FrameEstimate:
     volume: np.ndarray
     objective_trace: list
     mu_used: float
+    n_iters: int               # POGM iterations run
+    converged: bool            # stopped because the relative change fell below tol
 
 
 # ---------------------------------------------------------------------------
@@ -277,25 +283,29 @@ def cs_solve(frame_kdata, frame_shots, dims, coils, basis: WaveletBasis,
 
     step = 1.0 / operator.lipschitz_bound
 
-    def objective(x):
-        """(objective, residual); the residual feeds the next gradient."""
+    def objective(x, coeffs):
+        """(objective, residual) at x, whose wavelet coefficients are
+        coeffs; the residual feeds the next gradient."""
         resid = operator.op(x) - y
         fidelity = 0.5 * float(np.sum(np.abs(resid) ** 2))
-        penalty = mu * float(np.sum(np.abs(basis.forward(x).ravel())))
+        penalty = mu * float(np.sum(np.abs(coeffs.ravel())))
         return fidelity + penalty, resid
 
     def prox(z, gamma):
-        return basis.inverse(basis.forward(z).map(
-            lambda c: soft_threshold(c, gamma * mu)))
+        """(x, Psi x): Psi is orthonormal, so the thresholded coefficients
+        are the coefficients of their inverse transform."""
+        coeffs = basis.forward(z).map(lambda c: soft_threshold(c, gamma * mu))
+        return basis.inverse(coeffs), coeffs
 
     x = init.astype(np.complex128)
     w_prev = x.copy()
     z = x.copy()
     theta = 1.0
     gamma_prev = step
-    obj, resid = objective(x)
+    obj, resid = objective(x, basis.forward(x))
     trace = [obj]
     best_x, best_obj = x, obj
+    converged = False
     for k in range(config.max_iters):
         w = x - step * operator.adj_op(resid)
         theta_new = (1 + np.sqrt(1 + 4 * theta ** 2)) / 2
@@ -304,8 +314,8 @@ def cs_solve(frame_kdata, frame_shots, dims, coils, basis: WaveletBasis,
                  + (theta - 1) / theta_new * (w - w_prev)
                  + theta / theta_new * (w - x)
                  + step * (theta - 1) / (gamma_prev * theta_new) * (z - x))
-        x_new = prox(z_new, gamma)
-        obj, resid = objective(x_new)
+        x_new, coeffs = prox(z_new, gamma)
+        obj, resid = objective(x_new, coeffs)
         if not np.isfinite(obj) or obj > 10 * max(trace[0], 1e-300):
             raise ReconError(f"solver diverged at iteration {k} (objective {obj:.3e})")
         if obj > trace[-1]:
@@ -318,8 +328,10 @@ def cs_solve(frame_kdata, frame_shots, dims, coils, basis: WaveletBasis,
         if obj < best_obj:
             best_x, best_obj = x, obj
         if rel_change < config.tol:
+            converged = True
             break
-    return FrameEstimate(volume=best_x, objective_trace=trace, mu_used=float(mu))
+    return FrameEstimate(volume=best_x, objective_trace=trace, mu_used=float(mu),
+                         n_iters=len(trace) - 1, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +360,8 @@ class FrameSeries:
     objective_traces: list
     strategy: str
     tr_vol: float = 0.0
+    n_iters: list | None = None      # per frame, for solver reconstructions
+    converged: list | None = None
 
     def magnitude(self):
         return np.abs(self.volumes)
@@ -400,6 +414,8 @@ def reconstruct_series(frames_kdata, plan, coils, basis: WaveletBasis,
         objective_traces=[e.objective_trace for e in estimates],
         strategy=config.strategy,
         tr_vol=plan.tr_vol,
+        n_iters=[e.n_iters for e in estimates],
+        converged=[e.converged for e in estimates],
     )
 
 

@@ -348,6 +348,8 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
                  "tr_vol_s": plan.tr_vol, "strategy": series.strategy,
                  "mu": [float(m) for m in series.mu_values],
                  "objective_traces": "objective_traces.csv"}
+        if series.n_iters is not None:
+            index.update(n_iters=series.n_iters, converged=series.converged)
         (out / "series_index.json").write_text(canonical_json(index))
         with open(out / "objective_traces.csv", "w", newline="") as f:
             writer = csv.writer(f)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,34 @@ class Shot:
     @property
     def n_samples(self):
         return len(self.points)
+
+    @cached_property
+    def pattern_key(self):
+        """Dict key of the k-point pattern: the points and sample times."""
+        return PatternKey(self.points, self.times)
+
+
+class PatternKey:
+    """Equal for shots whose points (shape and bytes) and times (bytes)
+    are equal. The hash of those bytes is computed once, and the key
+    holds no copy of them, so one key per shot of a plan stays small."""
+
+    __slots__ = ("points", "times", "_hash")
+
+    def __init__(self, points, times):
+        self.points, self.times = points, times
+        self._hash = hash((points.shape, points.tobytes(), times.tobytes()))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, PatternKey):
+            return NotImplemented
+        return self is other or (
+            self.points.shape == other.points.shape
+            and self.points.tobytes() == other.points.tobytes()
+            and self.times.tobytes() == other.times.tobytes())
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,19 @@ transform contract does not depend on an external wavelet library.
 Periodization preserves orthonormality for any even signal length, so
 perfect reconstruction and Parseval hold to machine precision.
 
-Coefficient layout: a :class:`WaveletCoeffs` holds the coarsest
-approximation block plus, per level from coarsest to finest, the seven
-detail subbands keyed by their axis code (e.g. ``"ddd"`` is the
-highest-detail subband: high-pass along every axis).
+Matrix form: one level of the periodized DWT along an axis of length n
+is an orthogonal (n, n) matrix, the n/2 low-pass rows stacked on the
+n/2 high-pass rows. ``forward`` applies these matrices along x, y and
+z to the leading block of each level, finest first; ``inverse``
+applies their transposes, coarsest first. The matrices are built from
+the taps once per block shape and cached on the basis.
+
+Coefficient layout: a :class:`WaveletCoeffs` is one dense array of the
+volume's shape in Mallat layout. The coarsest approximation is its
+leading block; each level's seven detail subbands, keyed by their axis
+code (e.g. ``"ddd"`` is high-pass along every axis), fill the rest of
+that level's leading block. ``approx``, ``details`` and
+``finest_detail`` are views into it.
 """
 
 from __future__ import annotations
@@ -49,56 +58,69 @@ def _filters(family):
     return lo, hi
 
 
-def _analysis(x, lo, hi, axis):
-    """Circular convolution + downsample by 2 along one axis."""
-    n = x.shape[axis]
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(len(lo))[None, :]) % n
-    taken = np.take(x, idx.ravel(), axis=axis)
-    shape = list(x.shape)
-    shape[axis: axis + 1] = [n // 2, len(lo)]
-    taken = taken.reshape(shape)
-    a = np.tensordot(taken, lo, axes=([axis + 1], [0]))
-    d = np.tensordot(taken, hi, axes=([axis + 1], [0]))
-    return a, d
+def _analysis_matrix(n, lo, hi):
+    """(n, n) one-level periodized DWT along one axis: low-pass rows over
+    high-pass rows, row i taking taps at positions (2i + j) mod n.
+
+    Taps that wrap onto one position (n below the filter length) add up.
+    The matrix is orthogonal for any even n, so its transpose inverts it.
+    """
+    rows = np.repeat(np.arange(n // 2), len(lo))
+    cols = (2 * rows + np.tile(np.arange(len(lo)), n // 2)) % n
+    w = np.zeros((n, n))
+    np.add.at(w, (rows, cols), np.tile(lo, n // 2))
+    np.add.at(w, (rows + n // 2, cols), np.tile(hi, n // 2))
+    return w
 
 
-def _synthesis(a, d, lo, hi, axis):
-    """Adjoint of :func:`_analysis` (equal to the inverse by orthonormality)."""
-    n = 2 * a.shape[axis]
-    a = np.moveaxis(a, axis, 0)
-    d = np.moveaxis(d, axis, 0)
-    out = np.zeros((n, *a.shape[1:]), dtype=np.promote_types(a.dtype, np.float64))
-    for j, (cl, ch) in enumerate(zip(lo, hi)):
-        # n is even, so one tap's positions are distinct and += adds each once
-        pos = (2 * np.arange(n // 2) + j) % n
-        out[pos] += cl * a + ch * d
-    return np.moveaxis(out, 0, axis)
+def _band(code, half):
+    """Slices of the subband ``code`` of a level whose blocks are ``half``."""
+    return tuple(slice(0, h) if c == "a" else slice(h, 2 * h)
+                 for c, h in zip(code, half))
+
+
+def _half(shape, level):
+    """Subband block shape of ``level`` (1 = finest) in a ``shape`` array."""
+    return tuple(n >> level for n in shape)
 
 
 @dataclass
 class WaveletCoeffs:
-    """Multilevel 3D coefficients: approx block + per-level detail dicts."""
+    """Multilevel 3D coefficients in one dense array, in Mallat layout.
 
-    approx: np.ndarray
-    details: list  # coarsest-first list of {code: array}
+    ``data`` has the volume's shape. The coarsest approximation is its
+    leading block of shape dims / 2^levels; at each level, the detail
+    subbands fill the rest of that level's leading block of shape
+    dims / 2^(level-1), in its low ("a") or high ("d") half per axis.
+    """
 
-    def ravel(self):
-        parts = [self.approx.ravel()]
-        for level in self.details:
-            parts.extend(level[code].ravel() for code in _SUBBAND_ORDER)
-        return np.concatenate(parts)
+    data: np.ndarray
+    levels: int
 
-    def map(self, fn):
-        return WaveletCoeffs(
-            approx=fn(self.approx),
-            details=[{code: fn(level[code]) for code in _SUBBAND_ORDER}
-                     for level in self.details],
-        )
+    @property
+    def approx(self):
+        """View of the coarsest approximation block."""
+        return self.data[_band("aaa", _half(self.data.shape, self.levels))]
+
+    @property
+    def details(self):
+        """Coarsest-first list of {code: view} for the seven detail subbands."""
+        return [{code: self.data[_band(code, _half(self.data.shape, level))]
+                 for code in _SUBBAND_ORDER}
+                for level in range(self.levels, 0, -1)]
 
     @property
     def finest_detail(self):
-        """The highest-detail (high-pass on all axes) finest-level subband."""
-        return self.details[-1]["ddd"]
+        """View of the highest-detail (high-pass on all axes) finest subband."""
+        return self.data[_band("ddd", _half(self.data.shape, 1))]
+
+    def ravel(self):
+        """Every coefficient, in the C order of ``data``."""
+        return self.data.ravel()
+
+    def map(self, fn):
+        """fn applied to the whole coefficient array in one call."""
+        return WaveletCoeffs(data=fn(self.data), levels=self.levels)
 
 
 class WaveletBasis:
@@ -110,6 +132,7 @@ class WaveletBasis:
         self.family = family
         self.levels = levels
         self.lo, self.hi = _filters(family)
+        self._matrices = {}
 
     def _check_dims(self, dims):
         for n in dims:
@@ -119,50 +142,59 @@ class WaveletBasis:
                     f"pad to a multiple of {2 ** self.levels} first"
                 )
 
+    def _level_matrices(self, shape, parts):
+        """(W_x, W_y, W_z kron I_parts) for a level block of ``shape``.
+
+        ``parts`` is 2 for complex blocks, which are transformed as their
+        float64 view: x and y act on whole rows of that view, and the
+        Kronecker factor keeps real and imaginary parts apart along z.
+        Built once per block shape and kind, then cached on the basis.
+        """
+        key = (shape, parts)
+        mats = self._matrices.get(key)
+        if mats is None:
+            wx, wy, wz = (_analysis_matrix(n, self.lo, self.hi) for n in shape)
+            mats = self._matrices.setdefault(key, (wx, wy, np.kron(wz, np.eye(parts))))
+        return mats
+
+    def _apply(self, block, inverse):
+        """One level along x, y and z of a block (transposed matrices when
+        ``inverse``), as a new array."""
+        block = np.ascontiguousarray(block, dtype=np.result_type(block, np.float64))
+        nx, ny, _ = block.shape
+        wx, wy, wz = self._level_matrices(block.shape, block.itemsize // 8)
+        if inverse:
+            wx, wy, wz = wx.T, wy.T, wz.T
+        r = block.view(np.float64)
+        r = (r.reshape(nx * ny, -1) @ wz.T).reshape(nx, ny, -1)
+        r = wy @ r
+        r = (wx @ r.reshape(nx, -1)).reshape(nx, ny, -1)
+        return r.view(block.dtype)
+
     def forward(self, volume) -> WaveletCoeffs:
         volume = np.asarray(volume)
         if volume.ndim != 3:
             raise WaveletError("expected a 3D volume")
         self._check_dims(volume.shape)
-        approx = volume
-        details = []
-        for _ in range(self.levels):
-            # one level: split along each axis in turn
-            blocks = {"": approx}
-            for axis in range(3):
-                new = {}
-                for code, arr in blocks.items():
-                    a, d = _analysis(arr, self.lo, self.hi, axis)
-                    new[code + "a"] = a
-                    new[code + "d"] = d
-                blocks = new
-            approx = blocks.pop("aaa")
-            details.append(blocks)
-        details.reverse()  # coarsest first
-        return WaveletCoeffs(approx=approx, details=details)
+        out = self._apply(volume, inverse=False)
+        for level in range(1, self.levels):
+            sl = _band("aaa", _half(out.shape, level))
+            out[sl] = self._apply(out[sl], inverse=False)
+        return WaveletCoeffs(data=out, levels=self.levels)
 
     def inverse(self, coeffs: WaveletCoeffs):
-        approx = coeffs.approx
-        for level in coeffs.details:
-            blocks = dict(level)
-            blocks["aaa"] = approx
-            for axis in reversed(range(3)):
-                new = {}
-                prefixes = sorted({code[:axis] + code[axis + 1:] for code in blocks})
-                for pre in prefixes:
-                    a = blocks[pre[:axis] + "a" + pre[axis:]]
-                    d = blocks[pre[:axis] + "d" + pre[axis:]]
-                    new[pre] = _synthesis(a, d, self.lo, self.hi, axis)
-                blocks = new
-            approx = blocks[""]
-        return approx
+        out = np.array(coeffs.data, dtype=np.result_type(coeffs.data, np.float64))
+        for level in range(coeffs.levels - 1, 0, -1):
+            sl = _band("aaa", _half(out.shape, level))
+            out[sl] = self._apply(out[sl], inverse=True)
+        return self._apply(out, inverse=True)
 
 
 def soft_threshold(x, mu):
     """Complex soft-thresholding: shrink magnitudes by mu."""
     mag = np.abs(x)
     scale = np.maximum(mag - mu, 0.0)
-    out = np.zeros_like(x)
     nz = mag > 0
-    out[nz] = x[nz] / mag[nz] * scale[nz]
-    return out
+    # (x / mag) * scale where mag > 0 and 0 elsewhere, in that order
+    out = np.divide(x, mag, out=np.zeros_like(x), where=nz)
+    return np.multiply(out, scale, out=out, where=nz)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import snakesim.engine as engine
+import snakesim.trajectories as trajectories
 from snakesim.engine import (NDFT, PHASE_TABLE_LIMIT, CoilProfile, EngineError,
-                             NoiseConfig, _pattern_key, acquire_shot_basic,
+                             NoiseConfig, acquire_shot_basic,
                              acquire_shot_t2s, add_noise, birdcage_coils,
                              centered_fft, centered_ifft, phantom_energy,
                              run_acquisition)
@@ -99,6 +100,26 @@ class TestNdft:
         lhs = np.vdot(y, op.forward(vol))
         rhs = np.vdot(op.adjoint(y), vol)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    @pytest.mark.parametrize("points", ["distinct", "repeated"])
+    def test_adjoint_on_grid_matches_oracle(self, points):
+        """The FFT-path adjoint equals E^H y for the brute-force matrix E,
+        scattering by assignment for distinct points and adding repeats."""
+        rng = np.random.default_rng(18)
+        dims = (4, 4, 4)
+        grid = np.stack(np.meshgrid(*[np.arange(-2, 2)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        pts = grid[rng.permutation(len(grid))[:20]].astype(np.float64)
+        if points == "repeated":
+            pts = np.concatenate([pts, pts[[0, 3, 3]]])
+        op = NDFT(pts, dims)
+        assert op.path == "fft" and op._distinct == (points == "distinct")
+        matrix = np.stack([_ndft_oracle(e.reshape(dims), pts) for e in np.eye(64)], axis=1)
+        y = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
+        np.testing.assert_allclose(op.adjoint(y).ravel(), matrix.conj().T @ y,
+                                   rtol=1e-10, atol=1e-10)
+        vol = _random_volume(rng, dims)
+        assert np.vdot(y, op.forward(vol)) == pytest.approx(np.vdot(op.adjoint(y), vol),
+                                                            rel=1e-10)
 
     def test_fast_path_matches_ndft(self):
         rng = np.random.default_rng(5)
@@ -589,7 +610,7 @@ def _bold_phantom(dims, plan):
 
 
 def _pattern_counts(plan):
-    counts = Counter(_pattern_key(s) for s in plan.shots)
+    counts = Counter(s.pattern_key for s in plan.shots)
     return sum(c > 1 for c in counts.values()), sum(c == 1 for c in counts.values())
 
 
@@ -638,7 +659,7 @@ class TestAffineAcquisition:
         plan = gen_epi_3d(dims, seq, n_frames=3) if kind == "epi22" else _plan(kind, dims, seq)
         ph, bold = _bold_phantom(dims, plan)
         coils = birdcage_coils(dims, 2)
-        calls = {"shot": 0, "append": 0, "ndft": 0}
+        calls = {"shot": 0, "append": 0, "ndft": 0, "key": 0}
         lock = threading.Lock()
 
         def counting(name, fn):
@@ -657,7 +678,14 @@ class TestAffineAcquisition:
         shot_fn = "acquire_shot_basic" if model == "basic" else "acquire_shot_t2s"
         monkeypatch.setattr(engine, shot_fn, counting("shot", getattr(engine, shot_fn)))
         monkeypatch.setattr(DatasetWriter, "append", counting("append", DatasetWriter.append))
+        class CountingKey(trajectories.PatternKey):
+            def __init__(self, *args):
+                with lock:
+                    calls["key"] += 1
+                super().__init__(*args)
+
         monkeypatch.setattr(engine, "NDFT", CountingNDFT)
+        monkeypatch.setattr(trajectories, "PatternKey", CountingKey)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -669,6 +697,8 @@ class TestAffineAcquisition:
         assert calls["shot"] == len(plan.shots)
         assert calls["append"] == len(plan.shots) * coils.n_coils
         assert calls["ndft"] == repeated + once
+        # one pattern key per shot, shared by the numbering and the memo
+        assert calls["key"] == len(plan.shots)
         if kind == "epi22":
             assert (repeated, once) == (22, 0)
 

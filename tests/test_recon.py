@@ -345,6 +345,71 @@ class TestSeries:
         # adjoint init, one gradient per iteration, power iteration
         assert counted["adj_op"] == 1 + iters + LIPSCHITZ_ITERS
 
+    @pytest.mark.parametrize("family", ["haar", "symlet8"])
+    @pytest.mark.parametrize("mu_mode", ["fixed", "sure"])
+    def test_cs_solve_one_wavelet_pair_per_iteration(self, monkeypatch, mu_mode, family):
+        """1 + iterations forward transforms (+1 for SURE) and one inverse
+        per iteration; the objective trace equals the objective of each
+        iterate with its l1 term from a fresh forward transform."""
+        frames, plan, coils = self._tiny_dataset(n_frames=1)
+        basis = WaveletBasis(family, 1)
+        calls = {"forward": 0, "inverse": 0}
+        iterates = []
+        real_forward, real_inverse = WaveletBasis.forward, WaveletBasis.inverse
+
+        def forward(self, volume):
+            calls["forward"] += 1
+            return real_forward(self, volume)
+
+        def inverse(self, coeffs):
+            calls["inverse"] += 1
+            iterates.append(real_inverse(self, coeffs))
+            return iterates[-1]
+
+        monkeypatch.setattr(WaveletBasis, "forward", forward)
+        monkeypatch.setattr(WaveletBasis, "inverse", inverse)
+        operator = FrameOperator(plan.frame(0), plan.dims, coils)
+        cfg = ReconConfig(max_iters=12, tol=1e-14, mu_mode=mu_mode, mu_value=0.01)
+        est = cs_solve(frames[0], plan.frame(0), plan.dims, coils, basis, cfg,
+                       operator=operator)
+        monkeypatch.undo()
+        iters = est.n_iters
+        assert iters == len(est.objective_trace) - 1 == 12
+        assert calls == {"forward": 1 + iters + (mu_mode == "sure"), "inverse": iters}
+
+        y = recon_mod._stack_frame_data(frames[0]) / np.sqrt(np.prod(plan.dims))
+
+        def two_transform_objective(x):
+            resid = operator.op(x) - y
+            return (0.5 * np.sum(np.abs(resid) ** 2)
+                    + est.mu_used * np.sum(np.abs(basis.forward(x).ravel())))
+
+        want = [two_transform_objective(x) for x in [operator.adj_op(y), *iterates]]
+        np.testing.assert_allclose(est.objective_trace, want, rtol=1e-12)
+
+    def test_solver_telemetry(self):
+        frames, plan, coils = self._tiny_dataset(n_frames=1)
+        basis = WaveletBasis("haar", 1)
+        args = (frames[0], plan.frame(0), plan.dims, coils, basis)
+        loose = cs_solve(*args, ReconConfig(max_iters=500, tol=1e-4, mu_mode="fixed",
+                                            mu_value=0.01))
+        trace = np.array(loose.objective_trace)
+        rel = np.abs(np.diff(trace)) / np.abs(trace[:-1])
+        assert loose.converged and loose.n_iters == len(trace) - 1 < 500
+        assert rel[-1] < 1e-4 and np.all(rel[:-1] >= 1e-4)
+        capped = cs_solve(*args, ReconConfig(max_iters=3, tol=1e-14, mu_mode="fixed",
+                                             mu_value=0.01))
+        assert not capped.converged and capped.n_iters == 3
+
+    def test_series_carries_telemetry(self):
+        frames, plan, coils = self._tiny_dataset(n_frames=3)
+        cfg = ReconConfig(strategy="refined", max_iters=4, tol=1e-14,
+                          mu_mode="fixed", mu_value=0.01)
+        series = reconstruct_series(frames, plan, coils, WaveletBasis("haar", 1), cfg)
+        assert series.n_iters == [len(t) - 1 for t in series.objective_traces] == [4] * 3
+        assert series.converged == [False] * 3
+        assert adjoint_series(frames, plan, coils).n_iters is None
+
     @pytest.mark.parametrize("strategy", ["cold", "refined"])
     def test_static_plan_builds_one_operator(self, counted, strategy):
         frames, plan, coils = self._tiny_dataset(n_frames=3, dynamic=False)

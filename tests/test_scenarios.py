@@ -162,6 +162,10 @@ class TestRunPipeline:
         metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics) >= {"auc_pr", "bacc", "psnr_first", "ssim_last",
                                 "tsnr_roi_mean"}
+        # the adjoint recon runs no solver, so it reports no solver telemetry
+        index = json.loads((out / "series_index.json").read_text())
+        assert config.raw["recon"]["method"] == "adjoint"
+        assert "n_iters" not in index and "converged" not in index
 
     def test_deterministic_artifacts(self, tmp_path):
         a = run_pipeline(_tiny_config(), tmp_path / "a")
@@ -197,6 +201,8 @@ class TestRunPipeline:
         index = json.loads((tmp_path / "run" / "series_index.json").read_text())
         assert index["n_frames"] == 25
         assert len(index["mu"]) == 25
+        assert index["n_iters"] == [3] * 25
+        assert index["converged"] == [False] * 25
 
 
 class TestCli:

@@ -237,3 +237,26 @@ class TestShotInvariants:
         save_trajectory_file(a_path, gen_stack_of_spirals(sp, **kw), 10.0)
         save_trajectory_file(b_path, gen_stack_of_spirals(sp, **kw), 10.0)
         assert a_path.read_bytes() == b_path.read_bytes()
+
+
+class TestPatternKey:
+    def test_equal_exactly_when_points_and_times_are(self):
+        rng = np.random.default_rng(3)
+        pts, times = rng.uniform(-2, 2, (5, 3)), np.linspace(-1e-3, 1e-3, 5)
+        a = Shot(points=pts, times=times)
+        b = Shot(points=pts.copy(), times=times.copy(), shot_time=0.5)
+        assert a.pattern_key is a.pattern_key  # built once per shot
+        assert a.pattern_key == b.pattern_key
+        assert hash(a.pattern_key) == hash(b.pattern_key)
+        assert {a.pattern_key: 1}.get(b.pattern_key) == 1
+        moved = pts.copy()
+        moved[2, 1] = np.nextafter(moved[2, 1], 9.0)
+        zero_sign = np.zeros((5, 3))
+        zero_sign[0, 0] = -0.0
+        for other in (Shot(points=moved, times=times),
+                      Shot(points=pts, times=times + 1e-9),
+                      Shot(points=pts[:, :2].copy(), times=times)):
+            assert other.pattern_key != a.pattern_key
+        # the bytes decide, as the engine's memo needs bit-equal points
+        assert (Shot(points=zero_sign, times=times).pattern_key
+                != Shot(points=np.zeros((5, 3)), times=times).pattern_key)

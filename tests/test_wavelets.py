@@ -1,8 +1,78 @@
 import numpy as np
 import pytest
 
-from snakesim.wavelets import (FAMILIES, WaveletBasis, WaveletError,
-                               _analysis, _filters, _synthesis, soft_threshold)
+from snakesim.wavelets import (_SUBBAND_ORDER, FAMILIES, WaveletBasis, WaveletError,
+                               _analysis_matrix, _filters, soft_threshold)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the filter-bank DWT (circular convolution and downsampling per
+# axis, subbands kept as separate blocks) and the masked soft threshold
+
+
+def _ref_analysis(x, lo, hi, axis):
+    """Circular convolution + downsample by 2 along one axis."""
+    n = x.shape[axis]
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(len(lo))[None, :]) % n
+    taken = np.take(x, idx.ravel(), axis=axis)
+    shape = list(x.shape)
+    shape[axis: axis + 1] = [n // 2, len(lo)]
+    taken = taken.reshape(shape)
+    a = np.tensordot(taken, lo, axes=([axis + 1], [0]))
+    d = np.tensordot(taken, hi, axes=([axis + 1], [0]))
+    return a, d
+
+
+def _ref_synthesis(a, d, lo, hi, axis):
+    """Adjoint of :func:`_ref_analysis`: the taps accumulated with np.add.at."""
+    n = 2 * a.shape[axis]
+    am, dm = np.moveaxis(a, axis, 0), np.moveaxis(d, axis, 0)
+    out = np.zeros((n, *am.shape[1:]), dtype=np.promote_types(a.dtype, np.float64))
+    for j, (cl, ch) in enumerate(zip(lo, hi)):
+        np.add.at(out, (2 * np.arange(n // 2) + j) % n, cl * am + ch * dm)
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_forward(x, family, levels):
+    """(approx, coarsest-first [{code: block}]) of the filter bank."""
+    lo, hi = _filters(family)
+    approx, details = x, []
+    for _ in range(levels):
+        blocks = {"": approx}
+        for axis in range(3):
+            blocks = {code + c: arr
+                      for code, block in blocks.items()
+                      for c, arr in zip("ad", _ref_analysis(block, lo, hi, axis))}
+        approx = blocks.pop("aaa")
+        details.append(blocks)
+    return approx, details[::-1]
+
+
+def _ref_inverse(approx, details, family):
+    lo, hi = _filters(family)
+    for level in details:
+        blocks = {**level, "aaa": approx}
+        for axis in reversed(range(3)):
+            prefixes = sorted({code[:axis] + code[axis + 1:] for code in blocks})
+            blocks = {pre: _ref_synthesis(blocks[pre[:axis] + "a" + pre[axis:]],
+                                          blocks[pre[:axis] + "d" + pre[axis:]],
+                                          lo, hi, axis)
+                      for pre in prefixes}
+        approx = blocks[""]
+    return approx
+
+
+def _ref_soft_threshold(x, mu):
+    mag = np.abs(x)
+    scale = np.maximum(mag - mu, 0.0)
+    out = np.zeros_like(x)
+    nz = mag > 0
+    out[nz] = x[nz] / mag[nz] * scale[nz]
+    return out
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def _random_volume(rng, dims, complex_=False):
@@ -115,13 +185,86 @@ def test_map_applies_everywhere():
 @pytest.mark.parametrize("family", ["haar", "symlet8"])
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_synthesis_equals_scatter_add_reference(family, axis):
+    """One level's synthesis along an axis, the transposed level matrix,
+    equals the np.add.at synthesis of the filter bank."""
     rng = np.random.default_rng(4)
     lo, hi = _filters(family)
-    a, d = _analysis(_random_volume(rng, (8, 6, 4), complex_=True), lo, hi, axis)
-    # reference: the same taps accumulated with np.add.at
+    a, d = _ref_analysis(_random_volume(rng, (8, 6, 4), complex_=True), lo, hi, axis)
     n = 2 * a.shape[axis]
-    am, dm = np.moveaxis(a, axis, 0), np.moveaxis(d, axis, 0)
-    ref = np.zeros((n, *am.shape[1:]), dtype=np.complex128)
-    for j, (cl, ch) in enumerate(zip(lo, hi)):
-        np.add.at(ref, (2 * np.arange(n // 2) + j) % n, cl * am + ch * dm)
-    assert np.array_equal(_synthesis(a, d, lo, hi, axis), np.moveaxis(ref, 0, axis))
+    stacked = np.moveaxis(np.concatenate([a, d], axis=axis), axis, 0)
+    got = np.moveaxis(np.tensordot(_analysis_matrix(n, lo, hi).T, stacked, axes=1), 0, axis)
+    _close(got, _ref_synthesis(a, d, lo, hi, axis))
+
+
+@pytest.mark.parametrize("family", ["haar", "symlet8"])
+@pytest.mark.parametrize("n", [2, 4, 6, 18, 32])
+def test_level_matrix_orthogonal(family, n):
+    """Orthogonal also where taps wrap (n below the filter length)."""
+    w = _analysis_matrix(n, *_filters(family))
+    np.testing.assert_allclose(w @ w.T, np.eye(n), atol=1e-10)
+
+
+DENSE_CASES = [(levels, dims) for levels in (1, 2, 3)
+               for dims in ((16, 24, 8), (8, 32, 16))] + [(1, (16, 18, 16))]
+
+
+@pytest.mark.parametrize("family", ["haar", "symlet8"])
+@pytest.mark.parametrize("levels,dims", DENSE_CASES)
+def test_forward_matches_filter_bank(family, levels, dims):
+    """Each block of the dense Mallat array equals the filter-bank subband."""
+    rng = np.random.default_rng(6)
+    x = _random_volume(rng, dims, complex_=True)
+    coeffs = WaveletBasis(family, levels).forward(x)
+    approx, details = _ref_forward(x, family, levels)
+    assert coeffs.data.shape == dims
+    _close(coeffs.approx, approx)
+    assert len(coeffs.details) == levels
+    for got, want in zip(coeffs.details, details):
+        assert list(got) == list(_SUBBAND_ORDER)
+        for code in _SUBBAND_ORDER:
+            _close(got[code], want[code])
+    _close(coeffs.finest_detail, details[-1]["ddd"])
+    # real volumes take the real path
+    real = WaveletBasis(family, levels).forward(x.real)
+    assert real.data.dtype == np.float64
+    _close(real.approx, _ref_forward(x.real, family, levels)[0])
+
+
+@pytest.mark.parametrize("family", ["haar", "symlet8"])
+@pytest.mark.parametrize("levels,dims", DENSE_CASES)
+def test_inverse_matches_filter_bank(family, levels, dims):
+    """The inverse of an arbitrary dense array equals the filter-bank
+    synthesis of its blocks, and leaves the coefficients untouched."""
+    rng = np.random.default_rng(7)
+    basis = WaveletBasis(family, levels)
+    coeffs = basis.forward(np.zeros(dims, dtype=np.complex128))
+    coeffs.data[...] = _random_volume(rng, dims, complex_=True)
+    before = coeffs.data.copy()
+    want = _ref_inverse(coeffs.approx, coeffs.details, family)
+    _close(basis.inverse(coeffs), want)
+    assert np.array_equal(coeffs.data, before)
+
+
+def test_map_and_ravel_act_on_the_dense_array():
+    basis = WaveletBasis("haar", 2)
+    coeffs = basis.forward(_random_volume(np.random.default_rng(8), (8, 8, 8)))
+    calls = []
+    mapped = coeffs.map(lambda c: calls.append(c.shape) or -c)
+    assert calls == [(8, 8, 8)]
+    assert np.array_equal(mapped.data, -coeffs.data)
+    assert np.array_equal(coeffs.ravel(), coeffs.data.ravel())
+    # the views share memory with the dense array
+    assert np.shares_memory(coeffs.approx, coeffs.data)
+    assert np.shares_memory(coeffs.details[0]["ada"], coeffs.data)
+
+
+def test_soft_threshold_equals_masked_reference():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    x[::7] = 0
+    x[3::11] = rng.standard_normal(len(x[3::11]))  # real-valued entries
+    x[5::13] = -0.0
+    x[1] = 1e-300
+    for mu in (0.0, 0.3, 1.5, 10.0):
+        for arr in (x, x.real, x.reshape(8, 25)):
+            assert np.array_equal(soft_threshold(arr, mu), _ref_soft_threshold(arr, mu))
