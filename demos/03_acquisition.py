@@ -50,28 +50,30 @@ noise = NoiseConfig(snr_i=1000.0, seed=42)
 
 with tempfile.TemporaryDirectory() as tmp:
     sink = Path(tmp) / "run.snkd"
-    header, frames = run_acquisition(phantom, plan, coils, seq, bold=bold,
-                                     model="basic", noise=noise,
-                                     sink_path=sink, gm_index=1)
+    header, kdata = run_acquisition(phantom, plan, coils, seq, bold=bold,
+                                    model="basic", noise=noise,
+                                    sink_path=sink, gm_index=1)
     print("dataset header:", {k: header[k] for k in
                               ("dims", "n_coils", "n_frames", "snr_i")})
+    print("k-space array (frames, coils, samples):", kdata.shape)
     print("file size:", sink.stat().st_size, "bytes")
 
-    # The container reads back with identical structure.
-    header2, frames2 = read_dataset(sink)
+    # The container reads back as the same array, quantized to complex64.
+    header2, kdata2 = read_dataset(sink)
     print("frames on disk:", header2["n_frames"],
-          "| shots/frame:", header2["n_shots_per_frame"])
+          "| shots/frame:", header2["n_shots_per_frame"],
+          "| equal to the c64 run data:",
+          np.array_equal(kdata2, kdata.astype(np.complex64)))
 
-# Nyquist check without noise: gather each frame's shots onto the
+# Nyquist check without noise: gather each frame's samples onto the
 # Cartesian grid, inverse FFT, compare against the modulated phantom.
 _, clean = run_acquisition(phantom, plan, coils, seq, bold=bold,
                            model="basic", noise=NoiseConfig(), gm_index=1)
 mu = gre_contrast(phantom, seq)
 for t in range(plan.n_frames):
+    points = np.concatenate([shot.points for shot in plan.frame(t)])
     grid = np.zeros(dims, dtype=np.complex128)
-    for s, shot in enumerate(plan.frame(t)):
-        idx = tuple((shot.points + np.array(dims) // 2).astype(int).T)
-        grid[idx] = clean[t][0][s]
+    grid[tuple((points + np.array(dims) // 2).astype(int).T)] = clean[t, 0]
     image = centered_ifft(grid) / coils.maps[0]
     truth = modulated_state(phantom, mu, bold, seq.te,
                             t * plan.shots_per_frame, gm_index=1).sum(axis=0)

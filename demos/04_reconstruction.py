@@ -46,13 +46,13 @@ paradigm = Paradigm.blocks(on=20.0, off=20.0, run_length=300.0)
 h = build_bold_timecourse(paradigm, np.array([s.shot_time for s in plan.shots]))
 bold = BoldSpec(roi=(phantom.weights[1] >= 0.5).astype(float),
                 delta_r2s=-1.0, h_tilde=h)
-_, frames = run_acquisition(phantom, plan, coils, seq, bold=bold,
-                            noise=NoiseConfig(snr_i=1000.0, seed=5), gm_index=1)
+_, kdata = run_acquisition(phantom, plan, coils, seq, bold=bold,
+                           noise=NoiseConfig(snr_i=1000.0, seed=5), gm_index=1)
 
 reference = np.abs(contrast_volume(phantom, gre_contrast(phantom, seq)))
 
 # Adjoint baseline: density-compensated conjugate-transpose reconstruction.
-adj = adjoint_series(frames, plan, coils, density_comp="radial")
+adj = adjoint_series(kdata, plan, coils, density_comp="radial")
 print(f"adjoint     PSNR {psnr(adj.magnitude()[0], reference):6.2f} dB")
 
 # CS with the three strategies. Cold solves every frame from the adjoint
@@ -62,7 +62,7 @@ basis = WaveletBasis("haar", 2)
 for strategy in ("cold", "warm", "refined"):
     cfg = ReconConfig(strategy=strategy, max_iters=40, tol=1e-7,
                       mu_mode="sure")
-    series = reconstruct_series(frames, plan, coils, basis, cfg)
+    series = reconstruct_series(kdata, plan, coils, basis, cfg)
     quality = psnr(series.magnitude()[0], reference)
     iters = len(series.objective_traces[0]) - 1
     print(f"cs/{strategy:<8} PSNR {quality:6.2f} dB | "

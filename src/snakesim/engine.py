@@ -15,9 +15,9 @@ tissue, a base and a BOLD delta, and each shot combines their samples
 with its response value h_s. A k-point pattern that the plan repeats is
 transformed once per run and memoized; a shot of that pattern is then a
 lookup, an AXPY and the noise draw. Calibrated complex Gaussian noise is
-added per sample. :func:`run_acquisition` keeps every shot's samples in
-memory until the run ends and then writes them to the dataset container
-in order; streaming shots to the sink as they finish is not done yet.
+added per sample. :func:`run_acquisition` fills one complex128 array
+of shape (n_frames, n_coils, P), the layout of the dataset body, and
+writes it out when the run ends; streaming frames is not done yet.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import DatasetWriter, canonical_json
+from .io import DatasetWriter
+from .phantom import Phantom, SequenceParams, BoldSpec, gre_contrast, contrast_volume
 # modulated_state is not called here; perfbench/spans.py traces it under
 # this module's name, so it stays importable from here
-from .phantom import (Phantom, SequenceParams, BoldSpec, gre_contrast,  # noqa: F401
-                      modulated_state, contrast_volume)
+from .phantom import modulated_state  # noqa: F401
 from .trajectories import SamplingPlan, Shot
 
 
@@ -390,7 +390,8 @@ def _worker_count(n_jobs=None):
 
 def _check_run_inputs(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
                       bold: BoldSpec | None, gm_index):
-    """Reject mismatched inputs before any shot runs or the sink opens."""
+    """Reject mismatched inputs before any shot runs or the sink opens;
+    return the per-shot sample counts, which every frame must share."""
     dims = tuple(phantom.dims)
     if tuple(plan.dims) != dims:
         raise EngineError(f"plan dims {tuple(plan.dims)} differ from phantom dims {dims}")
@@ -407,6 +408,13 @@ def _check_run_inputs(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
         if np.shape(bold.h_tilde) != (len(plan.shots),):
             raise EngineError(f"h_tilde has shape {np.shape(bold.h_tilde)}, "
                               f"need one value per shot ({len(plan.shots)})")
+    counts = np.array([shot.n_samples for shot in plan.shots]).reshape(plan.n_frames, -1)
+    ragged = np.flatnonzero((counts != counts[0]).any(axis=1))
+    if ragged.size:
+        t = ragged[0]
+        raise EngineError(f"frame {t} has per-shot sample counts {counts[t].tolist()}, "
+                          f"frame 0 has {counts[0].tolist()}")
+    return counts[0].tolist()
 
 
 def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
@@ -434,15 +442,18 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     pattern runs on the worker pool; the memo hits follow on the calling
     thread.
 
-    Every shot's samples stay in memory until the last shot is done;
-    then they are written to the sink in [frame][coil][shot] order.
-    Inputs that do not match the phantom raise :class:`EngineError`
-    before the sink is created. Returns (header, frames) as from
-    :func:`snakesim.io.read_dataset`.
+    Shot i of frame t writes its (L, n_s) samples into
+    ``kdata[t, :, bounds[i]:bounds[i+1]]`` of one complex128 array of
+    shape (n_frames, n_coils, P), P the samples of one frame, which goes
+    to the sink when the last shot is done. Inputs that do not match the
+    phantom, or frames with unequal per-shot sample counts, raise
+    :class:`EngineError` before the sink is created. Returns
+    ``(header, kdata)``, which :func:`snakesim.io.read_dataset` reads
+    back with kdata quantized to complex64.
     """
     if model not in ("basic", "t2s"):
         raise EngineError(f"unknown model {model!r}")
-    _check_run_inputs(phantom, plan, coils, bold, gm_index)
+    counts = _check_run_inputs(phantom, plan, coils, bold, gm_index)
     noise = noise or NoiseConfig()
     mu = gre_contrast(phantom, seq)
     baseline = contrast_volume(phantom, mu)
@@ -465,7 +476,11 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     repeated = np.bincount(pattern)[pattern] > 1
     # each pattern's first shot transforms; every other shot is a memo hit
     leads = np.unique(pattern, return_index=True)[1].tolist()
+    hits = sorted(set(range(n_shots)).difference(leads))
     memo = {}
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    # full precision in memory; the sink quantizes to c64
+    kdata = np.empty((plan.n_frames, coils.n_coils, bounds[-1]), dtype=np.complex128)
 
     def acquire(volumes, shot, cache=None):
         if model == "basic":
@@ -479,7 +494,9 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
             samples = y[0] + h[s] * y[1]
         else:
             samples = acquire(terms[..., 0, :, :, :] + h[s] * terms[..., 1, :, :, :], shot)
-        return add_noise(samples, noise, energy, shot_index=s)
+        t, i = divmod(s, plan.shots_per_frame)
+        kdata[t, :, bounds[i]:bounds[i + 1]] = add_noise(samples, noise, energy,
+                                                         shot_index=s)
 
     header = {
         "dims": list(plan.dims),
@@ -487,8 +504,7 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
         "n_coils": coils.n_coils,
         "n_frames": plan.n_frames,
         "n_shots_per_frame": plan.shots_per_frame,
-        "samples_per_shot": [plan.shots[i].n_samples
-                             for i in range(plan.shots_per_frame)],
+        "samples_per_shot": counts,
         "tr_shot_ms": plan.tr_shot * 1e3,
         "te_ms": seq.te,
         "model": model,
@@ -498,36 +514,25 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     }
 
     workers = _worker_count(n_jobs)
-    frames = []
     writer = DatasetWriter(sink_path, header) if sink_path else None
     try:
-        all_samples = [None] * n_shots
         if workers == 1:
-            lead_samples = map(compute_shot, leads)
+            for s in leads:
+                compute_shot(s)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                lead_samples = list(pool.map(compute_shot, leads))
-        for s, y in zip(leads, lead_samples):
-            all_samples[s] = y
+                list(pool.map(compute_shot, leads))
         # memo hits hold the GIL for most of their time (the lookup, the
         # AXPY and the noise draw of a few thousand samples), so threads
         # would only contend for it: they run on this thread
-        for s in range(n_shots):
-            if all_samples[s] is None:
-                all_samples[s] = compute_shot(s)
-        for t in range(plan.n_frames):
-            coils_data = []
-            for l in range(coils.n_coils):
-                shots_data = []
-                for s in range(plan.shots_per_frame):
-                    # full precision in memory; the sink quantizes to c64
-                    y = all_samples[t * plan.shots_per_frame + s][l]
-                    shots_data.append(y)
-                    if writer:
-                        writer.append(y)
-                coils_data.append(shots_data)
-            frames.append(coils_data)
+        for s in hits:
+            compute_shot(s)
+        if writer:
+            for frame in kdata:
+                for coil in frame:
+                    for lo, hi in zip(bounds[:-1], bounds[1:]):
+                        writer.append(coil[lo:hi])
     finally:
         if writer:
             writer.close()
-    return header, frames
+    return header, kdata

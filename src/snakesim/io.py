@@ -10,7 +10,8 @@ Three little-endian formats are defined here:
   cycles/FOV.
 * ``SNKD1`` -- a k-space dataset: magic, u32 length-prefixed canonical
   JSON header, then per frame, per coil, per shot, complex f32
-  interleaved (re, im).
+  interleaved (re, im): one C-order complex64 array of shape
+  (n_frames, n_coils, P), P the samples of one frame.
 
 A minimal NIfTI-1 reader (little-endian float32 only) is provided for
 ingesting per-tissue fuzzy masks.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -28,6 +30,8 @@ import numpy as np
 VOLUME_MAGIC = b"SNKV1"
 TRAJ_MAGIC = b"SNKT1"
 DATASET_MAGIC = b"SNKD1"
+# header keys read_dataset needs to shape the body
+_DATASET_KEYS = ("n_frames", "n_coils", "n_shots_per_frame", "samples_per_shot")
 
 
 class FormatError(ValueError):
@@ -202,24 +206,13 @@ class DatasetWriter:
     def close(self):
         if self._f.closed:
             return
-        if self._written != self._expected:
-            # rewrite the header in place with a partial-file marker
-            self._f.flush()
-            body = None
-            self._f.close()
-            raw = self.path.read_bytes()
-            hlen = struct.unpack_from("<I", raw, 5)[0]
-            body = raw[9 + hlen:]
-            header = dict(self.header)
-            header["partial"] = True
-            with open(self.path, "wb") as f:
-                blob = canonical_json(header).encode()
-                f.write(DATASET_MAGIC)
-                f.write(struct.pack("<I", len(blob)))
-                f.write(blob)
-                f.write(body)
-            return
         self._f.close()
+        if self._written != self._expected:
+            # rewrite the file with a partial-file marker in the header
+            body = self.path.read_bytes()[9 + len(canonical_json(self.header).encode()):]
+            with open(self.path, "wb") as self._f:
+                self._write_header({**self.header, "partial": True})
+                self._f.write(body)
 
     def __enter__(self):
         return self
@@ -231,34 +224,32 @@ class DatasetWriter:
 def read_dataset(path):
     """Read an SNKD1 container.
 
-    Returns ``(header, frames)`` where frames is a list (per frame) of
-    lists (per coil) of lists (per shot) of complex64 arrays.
+    Returns ``(header, kdata)``, kdata the body as one C-order complex64
+    array of shape (n_frames, n_coils, P), P = sum(samples_per_shot). A
+    bad magic, a partial marker, a missing header key, or a body shorter
+    or longer than the header predicts raises :class:`FormatError`.
     """
-    raw = Path(path).read_bytes()
-    if raw[:5] != DATASET_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:5]!r}")
-    hlen = struct.unpack_from("<I", raw, 5)[0]
-    header = json.loads(raw[9: 9 + hlen].decode())
-    if header.get("partial"):
-        raise FormatError(f"{path}: dataset is marked partial")
-    n_frames = header["n_frames"]
-    n_coils = header["n_coils"]
-    shots_per_frame = header["n_shots_per_frame"]
-    counts = header["samples_per_shot"]
-    if isinstance(counts, int):
-        counts = [counts] * shots_per_frame
-    offset = 9 + hlen
-    frames = []
-    for _t in range(n_frames):
-        coils = []
-        for _l in range(n_coils):
-            shots = []
-            for n in counts:
-                block = raw[offset: offset + 8 * n]
-                if len(block) < 8 * n:
-                    raise FormatError(f"{path}: truncated frame data")
-                shots.append(np.frombuffer(block, dtype="<c8").copy())
-                offset += 8 * n
-            coils.append(shots)
-        frames.append(coils)
-    return header, frames
+    with open(path, "rb") as f:
+        prefix = f.read(9)
+        if prefix[:5] != DATASET_MAGIC or len(prefix) < 9:
+            raise FormatError(f"{path}: bad magic {prefix[:5]!r}")
+        header = json.loads(f.read(struct.unpack_from("<I", prefix, 5)[0]).decode())
+        if header.get("partial"):
+            raise FormatError(f"{path}: dataset is marked partial")
+        missing = [k for k in _DATASET_KEYS if k not in header]
+        if missing:
+            raise FormatError(f"{path}: header lacks {', '.join(missing)}")
+        counts = header["samples_per_shot"]
+        if isinstance(counts, int):
+            counts = [counts] * header["n_shots_per_frame"]
+        shape = (header["n_frames"], header["n_coils"], sum(counts))
+        need = 8 * int(np.prod(shape))
+        have = os.fstat(f.fileno()).st_size - f.tell()
+        if have < need:
+            raise FormatError(f"{path}: truncated frame data ({have} body bytes, "
+                              f"the header predicts {need})")
+        if have > need:
+            raise FormatError(f"{path}: {have - need} bytes after the "
+                              f"{need} body bytes the header predicts")
+        kdata = np.fromfile(f, dtype="<c8", count=need // 8)
+    return header, kdata.reshape(shape)

@@ -18,6 +18,11 @@ frames (every point on the grid), a per-kz-plane 2D DFT for
 stack-of-X frames (every kz an integer), and separable phase tables
 for any other 3D trajectory.
 
+A frame's input is the pair (y, operator): y = kdata[t], the frame's
+(L, P) block of the run's (n_frames, n_coils, P) k-space array, and the
+:class:`FrameOperator` of the frame's shots. Both routes reject y unless
+its shape is (operator.n_coils, len(operator.points)).
+
 The solver reuses each objective evaluation's residual for the next
 gradient, so an iteration costs one op and one adj_op. It also takes
 the objective's l1 term from the thresholded coefficients of the prox:
@@ -85,27 +90,24 @@ class FrameOperator:
     op(x)[l] = NDFT(S_l * x) / sqrt(M); adj_op is its exact adjoint.
     """
 
-    def __init__(self, frame_shots, dims, coils: CoilProfile | None = None):
+    def __init__(self, frame_shots, dims, coils: CoilProfile):
         self.points = _frame_points(frame_shots)
         self.dims = tuple(dims)
         self.coils = coils
-        self._conj_maps = None if coils is None else np.conj(coils.maps)
+        self._conj_maps = np.conj(coils.maps)
         self._scale = 1.0 / np.sqrt(np.prod(dims))
         self._ndft = NDFT(self.points, self.dims)
 
     @property
     def n_coils(self):
-        return self.coils.n_coils if self.coils else 1
+        return self.coils.n_coils
 
     def op(self, x):
-        if self.coils is None:
-            return self._ndft.forward(x)[None] * self._scale
         return self._ndft.forward(self.coils.maps * x) * self._scale
 
     def adj_op(self, y):
-        back = self._ndft.adjoint(np.atleast_2d(y))
-        if self.coils is not None:
-            back *= self._conj_maps
+        back = self._ndft.adjoint(y)
+        back *= self._conj_maps
         return back.sum(axis=0) * self._scale
 
     def lipschitz(self, n_iters=20, safety=1.05, seed=1234):
@@ -128,18 +130,14 @@ class FrameOperator:
         return self.lipschitz()
 
 
-def _stack_frame_data(frame_kdata):
-    """Per-coil concatenation of a frame's shot sample arrays."""
-    try:
-        coils = [np.concatenate([np.asarray(s).ravel() for s in coil])
-                 for coil in frame_kdata]
-    except ValueError as exc:
-        raise ReconError(f"malformed k-space data: {exc}") from exc
-    lengths = {len(c) for c in coils}
-    if len(lengths) != 1:
-        raise ReconError(
-            f"coil sample counts differ: {sorted(lengths)}")
-    return np.asarray(coils, dtype=np.complex128)
+def _frame_data(y, operator: FrameOperator):
+    """y as complex128, if it holds one sample per coil and operator point."""
+    y = np.asarray(y, dtype=np.complex128)
+    want = (operator.n_coils, len(operator.points))
+    if y.shape != want:
+        raise ReconError(f"k-space data of shape {y.shape} for an operator of "
+                         f"{want[0]} coils and {want[1]} points")
+    return y
 
 
 def radial_density_weights(points):
@@ -165,25 +163,15 @@ def radial_density_weights(points):
     return w
 
 
-def adjoint_recon(frame_kdata, frame_shots, dims, coils: CoilProfile | None = None,
-                  density_comp="none", operator: FrameOperator | None = None):
-    """Coil-combined adjoint x = sum_l conj(S_l) NDFT^H(w * y_l) / M.
-
-    ``operator``, when given, must be the FrameOperator of ``frame_shots``,
-    ``dims`` and ``coils``; it is then reused instead of rebuilt.
-    """
-    y = _stack_frame_data(frame_kdata)
-    if operator is None:
-        operator = FrameOperator(frame_shots, dims, coils)
-    if y.shape[1] != len(operator.points):
-        raise ReconError(
-            f"{y.shape[1]} samples for {len(operator.points)} plan points"
-        )
+def adjoint_recon(y, operator: FrameOperator, density_comp="none"):
+    """Coil-combined adjoint x = sum_l conj(S_l) NDFT^H(w * y_l) / M of
+    the (L, P) frame data y at ``operator.points``."""
+    y = _frame_data(y, operator)
     if density_comp == "radial":
         y = y * radial_density_weights(operator.points)
     elif density_comp != "none":
         raise ReconError(f"unknown density compensation {density_comp!r}")
-    m = np.prod(dims)
+    m = np.prod(operator.dims)
     # adj_op carries 1/sqrt(M); one more 1/sqrt(M) makes the fully
     # sampled Cartesian case the inverse FFT of the data.
     return operator.adj_op(y) / np.sqrt(m)
@@ -253,28 +241,24 @@ def sure_threshold(volume, basis: WaveletBasis):
 # POGM solver
 
 
-def cs_solve(frame_kdata, frame_shots, dims, coils, basis: WaveletBasis,
-             config: ReconConfig, init=None, mu=None,
-             operator: FrameOperator | None = None) -> FrameEstimate:
-    """Solve 0.5 sum_l ||A_l x - y_l||^2 + mu ||Psi x||_1 with POGM.
+def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfig,
+             init=None, mu=None) -> FrameEstimate:
+    """Solve 0.5 sum_l ||A_l x - y_l||^2 + mu ||Psi x||_1 with POGM, where
+    A is ``operator`` and y the (L, P) frame data at its points.
 
     The prox of the l1 term is exact soft-thresholding in the orthonormal
     wavelet domain. Momentum restarts on objective increase; iteration
     stops at max_iters or when the relative objective change drops below
-    config.tol. ``operator``, when given, must be the FrameOperator of
-    ``frame_shots``, ``dims`` and ``coils``; it and its Lipschitz bound
-    are then reused instead of rebuilt.
+    config.tol. The operator's Lipschitz bound is estimated once per
+    operator, so frames that share an operator share it.
     """
-    if operator is None:
-        operator = FrameOperator(frame_shots, dims, coils)
-    y = _stack_frame_data(frame_kdata) / np.sqrt(np.prod(dims))
-    if y.shape[1] != len(operator.points):
-        raise ReconError(f"{y.shape[1]} samples for {len(operator.points)} plan points")
+    dims = operator.dims
+    y = _frame_data(y, operator) / np.sqrt(np.prod(dims))
 
     if init is None:
         init = operator.adj_op(y)
-    elif init.shape != tuple(dims):
-        raise ReconError(f"init shape {init.shape} != {tuple(dims)}")
+    elif init.shape != dims:
+        raise ReconError(f"init shape {init.shape} != {dims}")
     if mu is None:
         if config.mu_mode == "fixed":
             mu = config.mu_value
@@ -367,9 +351,10 @@ class FrameSeries:
         return np.abs(self.volumes)
 
 
-def reconstruct_series(frames_kdata, plan, coils, basis: WaveletBasis,
+def reconstruct_series(kdata, plan, coils, basis: WaveletBasis,
                        config: ReconConfig) -> FrameSeries:
-    """Reconstruct every frame under the configured strategy.
+    """Reconstruct every frame of the (n_frames, n_coils, P) k-space
+    array ``kdata`` under the configured strategy.
 
     cold: each frame solved independently from its adjoint init. warm:
     frame t+1 starts from frame t's estimate. refined: a warm pass, then
@@ -377,16 +362,14 @@ def reconstruct_series(frames_kdata, plan, coils, basis: WaveletBasis,
     FrameOperator and one Lipschitz estimate serve each run of
     consecutive frames with the same k-points.
     """
-    n_frames = len(frames_kdata)
+    n_frames = len(kdata)
     if n_frames < 1:
         raise ReconError("need at least one frame")
-    dims = plan.dims
     operator_for = _frame_operators(plan, coils)
 
     def solve(t, init):
         try:
-            return cs_solve(frames_kdata[t], plan.frame(t), dims, coils,
-                            basis, config, init=init, operator=operator_for(t))
+            return cs_solve(kdata[t], operator_for(t), basis, config, init=init)
         except ReconError as e:
             raise ReconError(f"frame {t}: {e}") from e
 
@@ -419,12 +402,12 @@ def reconstruct_series(frames_kdata, plan, coils, basis: WaveletBasis,
     )
 
 
-def adjoint_series(frames_kdata, plan, coils, density_comp="none") -> FrameSeries:
-    """Density-compensated adjoint reconstruction of every frame."""
+def adjoint_series(kdata, plan, coils, density_comp="none") -> FrameSeries:
+    """Density-compensated adjoint reconstruction of every frame of the
+    (n_frames, n_coils, P) k-space array ``kdata``."""
     operator_for = _frame_operators(plan, coils)
-    volumes = [adjoint_recon(frames_kdata[t], plan.frame(t), plan.dims, coils,
-                             density_comp=density_comp, operator=operator_for(t))
-               for t in range(len(frames_kdata))]
+    volumes = [adjoint_recon(kdata[t], operator_for(t), density_comp=density_comp)
+               for t in range(len(kdata))]
     return FrameSeries(volumes=np.stack(volumes), mu_values=[0.0] * len(volumes),
                        objective_traces=[[] for _ in volumes], strategy="adjoint",
                        tr_vol=plan.tr_vol)

@@ -318,7 +318,7 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         noise = NoiseConfig(snr_i=np.inf if snr in (None, 0) else float(snr),
                             seed=cfg["seed"])
         dataset_path = out / "kspace.snkd"
-        header, frames = run_acquisition(
+        header, kdata = run_acquisition(
             phantom, plan, coils, seq, bold=bold, model=cfg["model"],
             noise=noise, sink_path=dataset_path, gm_index=gm_index,
             n_jobs=n_jobs)
@@ -335,11 +335,11 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         t0 = time.monotonic()
         rcfg = cfg["recon"]
         if rcfg["method"] == "adjoint":
-            series = adjoint_series(frames, plan, coils,
+            series = adjoint_series(kdata, plan, coils,
                                     density_comp=rcfg["density_comp"])
         else:
             basis, rc = _cs_recon(rcfg, phantom.dims)
-            series = reconstruct_series(frames, plan, coils, basis, rc)
+            series = reconstruct_series(kdata, plan, coils, basis, rc)
         mags = series.magnitude()
         for t in range(mags.shape[0]):
             write_volume(out / f"frame_{t:04d}.snkv", mags[t],

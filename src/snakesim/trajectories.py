@@ -64,10 +64,12 @@ class PatternKey:
     def __eq__(self, other):
         if not isinstance(other, PatternKey):
             return NotImplemented
-        return self is other or (
-            self.points.shape == other.points.shape
-            and self.points.tobytes() == other.points.tobytes()
-            and self.times.tobytes() == other.times.tobytes())
+        # shots that share their arrays compare without reading the bytes
+        if self.points is other.points and self.times is other.times:
+            return True
+        return (self.points.shape == other.points.shape
+                and self.points.tobytes() == other.points.tobytes()
+                and self.times.tobytes() == other.times.tobytes())
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,14 @@ def _check_bounds(points, dims):
             )
 
 
+def _plane_points(xy, kz):
+    """Read-only (n, 3) points of the 2D pattern ``xy`` on plane ``kz``,
+    built once per plane and shared by that plane's shots in every frame."""
+    pts = np.column_stack([xy, np.full(len(xy), float(kz))])
+    pts.flags.writeable = False
+    return pts
+
+
 def _echo_centered_times(n_samples, t_obs_s):
     """Times (n-1)*dt shifted so the midpoint sample sits at t=0."""
     dt = t_obs_s / n_samples
@@ -148,11 +158,11 @@ def gen_epi_3d(dims, seq: SequenceParams, n_planes_per_volume=None,
         plane[row * nx: (row + 1) * nx, 0] = xs
         plane[row * nx: (row + 1) * nx, 1] = ky[row]
     times = _echo_centered_times(ny * nx, seq.t_obs_s)
+    plane_points = [_plane_points(plane, kz) for kz in kz_sel]
 
     shots = []
     for t in range(n_frames):
-        for i, kz in enumerate(kz_sel):
-            pts = np.column_stack([plane, np.full(len(plane), float(kz))])
+        for i, pts in enumerate(plane_points):
             idx = t * n_planes_per_volume + i
             shots.append(Shot(points=pts, times=times,
                               shot_time=idx * seq.tr_shot_s))
@@ -229,6 +239,7 @@ def gen_stack_of_spirals(spiral, nz, af=1.0, center_fraction=0.1,
     rng = np.random.default_rng(seed)
     shots = []
     times = _echo_centered_times(len(spiral), t_obs_s)
+    plane_points = {kz: _plane_points(spiral, kz) for kz in all_kz}
     n_per_frame = n_center + n_outer
     if n_outer:
         stride_idx = np.round(np.linspace(0, len(outer_kz) - 1, n_outer)).astype(int)
@@ -244,9 +255,9 @@ def gen_stack_of_spirals(spiral, nz, af=1.0, center_fraction=0.1,
         frame_kz = np.concatenate([center_kz, sel_outer])
         frame_kz = frame_kz[np.argsort(np.abs(frame_kz), kind="stable")]
         for i, kz in enumerate(frame_kz):
-            pts = np.column_stack([spiral, np.full(len(spiral), float(kz))])
             idx = t * n_per_frame + i
-            shots.append(Shot(points=pts, times=times, shot_time=idx * tr_shot_s))
+            shots.append(Shot(points=plane_points[kz], times=times,
+                              shot_time=idx * tr_shot_s))
     if dims is None:
         dims = (nz, nz, nz)
     return SamplingPlan(shots=tuple(shots), shots_per_frame=n_per_frame,

@@ -19,8 +19,9 @@ from snakesim.phantom import (BoldSpec, Paradigm, Phantom, SequenceParams,
                               bold_modulate, build_bold_timecourse,
                               contrast_volume, default_tissues, gre_contrast,
                               modulated_state, synthetic_phantom)
-from snakesim.recon import (ReconConfig, adjoint_recon, cs_solve,
-                            reconstruct_series, sure_threshold_coeffs)
+from snakesim.recon import (FrameOperator, ReconConfig, adjoint_recon,
+                            cs_solve, reconstruct_series,
+                            sure_threshold_coeffs)
 from snakesim.scenarios import RunConfig, preset, run_pipeline
 from snakesim.trajectories import (Shot, gen_epi_3d, gen_spiral,
                                    gen_stack_of_spirals)
@@ -51,12 +52,16 @@ def _gm_phantom(dims):
 
 
 def _gather_full_frame(frame_data, shots, dims):
-    """Scatter a fully sampled Cartesian frame back onto the k-space grid."""
+    """Scatter a fully sampled Cartesian (L, P) frame back onto the k-space grid."""
     grid = np.zeros(dims, dtype=np.complex128)
-    for s, shot in enumerate(shots):
-        idx = tuple((shot.points + np.array(dims) // 2).astype(int).T)
-        grid[idx] = frame_data[0][s]
+    points = np.concatenate([shot.points for shot in shots])
+    grid[tuple((points + np.array(dims) // 2).astype(int).T)] = frame_data[0]
     return grid
+
+
+def _frame(shot_samples):
+    """One frame's (L, P) data from each shot's (L, n_s) samples."""
+    return np.concatenate(list(shot_samples), axis=1)
 
 
 def test_criterion_01_bold_amplitude():
@@ -207,11 +212,11 @@ def test_criterion_07_cs_closed_form():
     vol = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
     plan = gen_epi_3d(dims, _seq())
     coils = birdcage_coils(dims, 1)
-    frame = [[acquire_shot_basic(vol, coils, s)[0] for s in plan.frame(0)]]
+    frame = _frame(acquire_shot_basic(vol, coils, s) for s in plan.frame(0))
     basis = WaveletBasis("haar", 2)
     mu = 0.05
     cfg = ReconConfig(max_iters=200, tol=1e-14, mu_mode="fixed", mu_value=mu)
-    est = cs_solve(frame, plan.frame(0), dims, coils, basis, cfg)
+    est = cs_solve(frame, FrameOperator(plan.frame(0), dims, coils), basis, cfg)
     backproj = centered_ifft(_gather_full_frame(frame, plan.frame(0), dims))
     oracle = basis.inverse(
         basis.forward(backproj).map(lambda c: soft_threshold(c, mu)))
@@ -272,7 +277,7 @@ def _desk_s1(snr_i, dims=(16, 16, 16), n_frames=120):
     _, frames = run_acquisition(phantom, plan, coils, seq, bold=bold,
                                 model="basic", noise=noise, gm_index=gm_index)
     mags = np.stack([
-        np.abs(adjoint_recon(frames[t], plan.frame(t), dims, coils))
+        np.abs(adjoint_recon(frames[t], FrameOperator(plan.frame(t), dims, coils)))
         for t in range(n_frames)])
     design = build_design(paradigm, "double_gamma", n_frames, plan.tr_vol)
     mask = phantom.weights.sum(axis=0) > 0.1
@@ -344,14 +349,13 @@ def test_criterion_12_t2s_trend():
         mu = gre_contrast(phantom, seq)
         vols = mu[:, None, None, None] * phantom.weights
         t2s_s = [t.t2_star * 1e-3 for t in phantom.tissues]
-        frame_basic = [[acquire_shot_basic(vols.sum(axis=0), coils, s)[0]
-                        for s in plan.frame(0)]]
-        frame_t2s = [[acquire_shot_t2s(vols, t2s_s, coils, s)[0]
-                      for s in plan.frame(0)]]
-        x_basic = adjoint_recon(frame_basic, plan.frame(0), dims, coils,
-                                density_comp="radial")
-        x_t2s = adjoint_recon(frame_t2s, plan.frame(0), dims, coils,
-                              density_comp="radial")
+        frame_basic = _frame(acquire_shot_basic(vols.sum(axis=0), coils, s)
+                             for s in plan.frame(0))
+        frame_t2s = _frame(acquire_shot_t2s(vols, t2s_s, coils, s)
+                           for s in plan.frame(0))
+        operator = FrameOperator(plan.frame(0), dims, coils)
+        x_basic = adjoint_recon(frame_basic, operator, density_comp="radial")
+        x_t2s = adjoint_recon(frame_t2s, operator, density_comp="radial")
         errors.append(np.linalg.norm(x_t2s - x_basic)
                       / np.linalg.norm(x_basic))
     increasing = all(b > a for a, b in zip(errors, errors[1:]))

@@ -12,7 +12,7 @@ from snakesim.engine import (NDFT, PHASE_TABLE_LIMIT, CoilProfile, EngineError,
                              acquire_shot_t2s, add_noise, birdcage_coils,
                              centered_fft, centered_ifft, phantom_energy,
                              run_acquisition)
-from snakesim.io import DatasetWriter
+from snakesim.io import DatasetWriter, read_dataset
 from snakesim.phantom import (BoldSpec, Phantom, SequenceParams, default_tissues,
                               gre_contrast, contrast_volume, modulated_state,
                               synthetic_phantom)
@@ -517,10 +517,8 @@ class TestRunAcquisition:
     def test_time_invariant_without_bold(self):
         ph, seq, plan, coils = self._setup()
         header, frames = run_acquisition(ph, plan, coils, seq, model="basic")
-        for l in range(1):
-            for s in range(plan.shots_per_frame):
-                np.testing.assert_array_equal(frames[0][l][s], frames[1][l][s])
-                np.testing.assert_array_equal(frames[0][l][s], frames[2][l][s])
+        np.testing.assert_array_equal(frames[0], frames[1])
+        np.testing.assert_array_equal(frames[0], frames[2])
 
     def test_frame_ifft_matches_modulated_phantom(self):
         ph, seq, plan, coils = self._setup()
@@ -533,9 +531,8 @@ class TestRunAcquisition:
         mu = gre_contrast(ph, seq)
         for t in range(3):
             grid = np.zeros((8, 8, 8), dtype=np.complex128)
-            for s, shot in enumerate(plan.frame(t)):
-                idx = (shot.points + 4).astype(int)
-                grid[idx[:, 0], idx[:, 1], idx[:, 2]] = frames[t][0][s]
+            idx = (np.concatenate([shot.points for shot in plan.frame(t)]) + 4).astype(int)
+            grid[idx[:, 0], idx[:, 1], idx[:, 2]] = frames[t, 0]
             recon = centered_ifft(grid)
             expected = modulated_state(ph, mu, bold, seq.te,
                                        t * plan.shots_per_frame,
@@ -565,7 +562,7 @@ class TestRunAcquisition:
         ph, seq, plan, coils = self._setup()
         header, frames = run_acquisition(ph, plan, coils, seq, model="t2s")
         assert header["model"] == "t2s"
-        assert np.all(np.isfinite(frames[0][0][0]))
+        assert np.all(np.isfinite(frames[0, 0, :plan.shots[0].n_samples]))
 
 
 def _off_grid_plan(dims, seq):
@@ -642,7 +639,8 @@ class TestAffineAcquisition:
             else:
                 want = acquire_shot_t2s(vols, t2s_s, coils, shot)
             t, i = divmod(s, plan.shots_per_frame)
-            got = np.array([frames[t][l][i] for l in range(2)])
+            lo = sum(x.n_samples for x in plan.frame(t)[:i])
+            got = frames[t, :, lo:lo + shot.n_samples]
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
 
@@ -701,6 +699,65 @@ class TestAffineAcquisition:
         assert calls["key"] == len(plan.shots)
         if kind == "epi22":
             assert (repeated, once) == (22, 0)
+
+    @pytest.mark.parametrize("model", ["basic", "t2s"])
+    @pytest.mark.parametrize("kind", list(PLAN_PATHS))
+    def test_dense_round_trip(self, kind, model, tmp_path):
+        """The run returns one (T, L, P) complex128 array, and the sink
+        reads back as that array quantized to complex64."""
+        seq = _seq()
+        plan = _plan(kind, self.dims, seq)
+        ph, bold = _bold_phantom(self.dims, plan)
+        coils = birdcage_coils(self.dims, 2)
+        sink = tmp_path / "run.snkd"
+        header, kdata = run_acquisition(ph, plan, coils, seq, bold=bold, model=model,
+                                        noise=NoiseConfig(snr_i=100.0, seed=3),
+                                        sink_path=sink, gm_index=1, n_jobs=2)
+        n_samples = sum(s.n_samples for s in plan.frame(0))
+        assert kdata.shape == (plan.n_frames, 2, n_samples)
+        assert kdata.dtype == np.complex128 and kdata.flags.c_contiguous
+        back_header, back = read_dataset(sink)
+        assert back_header == header
+        assert back.shape == kdata.shape and back.dtype == np.complex64
+        assert np.array_equal(back, kdata.astype(np.complex64))
+
+    @pytest.mark.parametrize("kind", list(PLAN_PATHS))
+    def test_pool_writes_equal_one_thread(self, kind):
+        """Pool threads fill disjoint slices of one array: at 4 workers and
+        a short switch interval the array equals the 1-worker array."""
+        seq = _seq()
+        plan = _plan(kind, self.dims, seq)
+        ph, bold = _bold_phantom(self.dims, plan)
+        coils = birdcage_coils(self.dims, 2)
+        args = (ph, plan, coils, seq)
+        kw = dict(bold=bold, model="t2s", noise=NoiseConfig(snr_i=100.0, seed=5),
+                  gm_index=1)
+        one = run_acquisition(*args, **kw, n_jobs=1)[1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            four = run_acquisition(*args, **kw, n_jobs=4)[1]
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(one, four)
+
+    def test_ragged_plan_rejected_before_sink(self, tmp_path):
+        """A frame whose per-shot sample counts differ from frame 0's
+        cannot share the dataset's (T, L, P) layout."""
+        seq = _seq()
+        rng = np.random.default_rng(23)
+        shots = tuple(Shot(points=rng.uniform(-2, 1.9, (n, 3)),
+                           times=(np.arange(n) - n / 2) * 1e-4,
+                           shot_time=i * seq.tr_shot_s)
+                      for i, n in enumerate([12, 10]))
+        plan = SamplingPlan(shots=shots, shots_per_frame=1, tr_shot=seq.tr_shot_s,
+                            kind="external", dims=self.dims)
+        ph, bold = _bold_phantom(self.dims, plan)
+        sink = tmp_path / "run.snkd"
+        with pytest.raises(EngineError, match="frame 1"):
+            run_acquisition(ph, plan, birdcage_coils(self.dims, 2), seq, bold=bold,
+                            gm_index=1, sink_path=sink)
+        assert not sink.exists()
 
     @pytest.mark.parametrize("bad", ["h_short", "roi_shape", "gm_index_high",
                                      "gm_index_negative", "plan_dims", "coil_dims"])

@@ -124,12 +124,47 @@ def test_dataset_round_trip(tmp_path):
     back_header, frames = read_dataset(path)
     for key, val in header.items():
         assert back_header[key] == val
+    assert frames.shape == (2, 2, 8) and frames.dtype == np.complex64
     i = 0
     for t in range(2):
         for l in range(2):
             for s in range(2):
-                np.testing.assert_array_equal(frames[t][l][s], blocks[i])
+                np.testing.assert_array_equal(frames[t, l, 4 * s:4 * s + 4], blocks[i])
                 i += 1
+
+
+def _full_dataset(path, header):
+    with DatasetWriter(path, header) as w:
+        for _ in range(2 * 2 * 2):
+            w.append(np.ones(4, dtype=np.complex64))
+    return path.read_bytes()
+
+
+def test_dataset_short_body_rejected(tmp_path):
+    path = tmp_path / "s.snkd"
+    path.write_bytes(_full_dataset(path, _header())[:-8])
+    with pytest.raises(FormatError, match="truncated"):
+        read_dataset(path)
+
+
+def test_dataset_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "l.snkd"
+    path.write_bytes(_full_dataset(path, _header()) + bytes(16))
+    with pytest.raises(FormatError, match="16 bytes after"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("key", ["n_frames", "n_coils", "n_shots_per_frame",
+                                 "samples_per_shot"])
+def test_dataset_missing_header_key_rejected(tmp_path, key):
+    header = _header()
+    path = tmp_path / "k.snkd"
+    body = _full_dataset(path, header)[9 + len(canonical_json(header)):]
+    del header[key]
+    blob = canonical_json(header).encode()
+    path.write_bytes(b"SNKD1" + struct.pack("<I", len(blob)) + blob + body)
+    with pytest.raises(FormatError, match=key):
+        read_dataset(path)
 
 
 def test_dataset_partial_marker(tmp_path):

@@ -17,22 +17,27 @@ def _seq():
     return SequenceParams(tr_shot=50.0, te=25.0, flip_angle=12.0, t_obs=25.0)
 
 
-def _full_cartesian_data(vol, plan, coils):
-    """One frame of fully sampled data as nested [coil][shot] lists."""
+def _frame_data(vol, shots, coils):
+    """One frame's (L, P) data: the shots' samples side by side."""
     from snakesim.engine import acquire_shot_basic
-    frame = [[] for _ in range(coils.n_coils)]
-    for shot in plan.frame(0):
-        y = acquire_shot_basic(vol, coils, shot)
-        for l in range(coils.n_coils):
-            frame[l].append(y[l])
-    return frame
+    return np.concatenate([acquire_shot_basic(vol, coils, shot) for shot in shots],
+                          axis=1)
+
+
+def _full_cartesian_data(vol, plan, coils):
+    """One frame of fully sampled data, (L, P)."""
+    return _frame_data(vol, plan.frame(0), coils)
+
+
+def _op(plan, coils, t=0):
+    """The FrameOperator of frame t of the plan."""
+    return FrameOperator(plan.frame(t), plan.dims, coils)
 
 
 def _gather_grid(frame, plan, dims):
     grid = np.zeros(dims, dtype=np.complex128)
-    for s, shot in enumerate(plan.frame(0)):
-        idx = tuple((shot.points + np.array(dims) // 2).astype(int).T)
-        grid[idx] = frame[0][s]
+    points = np.concatenate([shot.points for shot in plan.frame(0)])
+    grid[tuple((points + np.array(dims) // 2).astype(int).T)] = frame[0]
     return grid
 
 
@@ -44,7 +49,7 @@ class TestAdjointRecon:
         plan = gen_epi_3d(dims, _seq())
         coils = birdcage_coils(dims, 1)
         frame = _full_cartesian_data(vol, plan, coils)
-        x = adjoint_recon(frame, plan.frame(0), dims, coils)
+        x = adjoint_recon(frame, _op(plan, coils))
         ref = centered_ifft(_gather_grid(frame, plan, dims))
         np.testing.assert_allclose(x, ref, atol=1e-10)
         np.testing.assert_allclose(x, vol, atol=1e-10)
@@ -94,18 +99,35 @@ class TestAdjointRecon:
         dims = (4, 4, 4)
         plan = gen_epi_3d(dims, _seq())
         coils = birdcage_coils(dims, 1)
-        frame = [[np.zeros(s.n_samples, dtype=np.complex128)
-                  for s in plan.frame(0)]]
-        x = adjoint_recon(frame, plan.frame(0), dims, coils)
+        frame = np.zeros((1, sum(s.n_samples for s in plan.frame(0))),
+                         dtype=np.complex128)
+        x = adjoint_recon(frame, _op(plan, coils))
         np.testing.assert_array_equal(x, 0)
 
     def test_shape_mismatch_rejected(self):
         dims = (4, 4, 4)
         plan = gen_epi_3d(dims, _seq())
         coils = birdcage_coils(dims, 1)
-        frame = [[np.zeros(3, dtype=np.complex128) for _ in plan.frame(0)]]
+        frame = np.zeros((1, 3 * len(plan.frame(0))), dtype=np.complex128)
         with pytest.raises(ReconError):
-            adjoint_recon(frame, plan.frame(0), dims, coils)
+            adjoint_recon(frame, _op(plan, coils))
+
+    def test_coil_count_mismatch_rejected(self):
+        """1-coil data against a 2-coil operator: neither route broadcasts
+        the data over the coils."""
+        rng = np.random.default_rng(9)
+        dims = (4, 4, 4)
+        plan = gen_epi_3d(dims, _seq())
+        op = _op(plan, birdcage_coils(dims, 2))
+        frame = _frame_data(rng.standard_normal(dims), plan.frame(0),
+                            birdcage_coils(dims, 1))
+        assert frame.shape == (1, len(op.points))
+        with pytest.raises(ReconError, match="2 coils"):
+            adjoint_recon(frame, op)
+        cfg = ReconConfig(max_iters=5, mu_mode="fixed", mu_value=0.01)
+        with pytest.raises(ReconError, match="2 coils"):
+            cs_solve(frame, op, WaveletBasis("haar", 1), cfg,
+                     init=np.zeros(dims, dtype=np.complex128))
 
 
 class TestDensityWeights:
@@ -143,7 +165,7 @@ class TestSolver:
         vol, plan, coils, frame = self._cartesian_setup()
         basis = WaveletBasis("haar", 2)
         cfg = ReconConfig(max_iters=100, tol=1e-12, mu_mode="fixed", mu_value=0.0)
-        est = cs_solve(frame, plan.frame(0), plan.dims, coils, basis, cfg)
+        est = cs_solve(frame, _op(plan, coils), basis, cfg)
         np.testing.assert_allclose(est.volume, vol,
                                    atol=1e-6 * np.abs(vol).max())
 
@@ -152,7 +174,7 @@ class TestSolver:
         basis = WaveletBasis("haar", 2)
         mu = 0.05
         cfg = ReconConfig(max_iters=200, tol=1e-14, mu_mode="fixed", mu_value=mu)
-        est = cs_solve(frame, plan.frame(0), plan.dims, coils, basis, cfg)
+        est = cs_solve(frame, _op(plan, coils), basis, cfg)
         # independent closed form: Psi^H soft(Psi F^H y, mu)
         grid = _gather_grid(frame, plan, plan.dims)
         backproj = centered_ifft(grid)
@@ -170,11 +192,10 @@ class TestSolver:
         plan = gen_stack_of_spirals(sp, 8, af=2.0, center_fraction=0.15,
                                     dims=dims)
         coils = birdcage_coils(dims, 1)
-        from snakesim.engine import acquire_shot_basic
-        frame = [[acquire_shot_basic(vol, coils, s)[0] for s in plan.frame(0)]]
+        frame = _frame_data(vol, plan.frame(0), coils)
         basis = WaveletBasis("haar", 2)
         cfg = ReconConfig(max_iters=100, tol=1e-14)
-        est = cs_solve(frame, plan.frame(0), dims, coils, basis, cfg)
+        est = cs_solve(frame, _op(plan, coils), basis, cfg)
         trace = est.objective_trace
         assert trace[-1] <= trace[0]
         assert min(trace) == pytest.approx(trace[-1], rel=1e-6) or trace[-1] <= trace[0]
@@ -188,11 +209,11 @@ class TestSolver:
         for _ in range(10):
             pts = rng.uniform(-2, 1.9, (12, 3))
             shots = (Shot(points=pts, times=np.linspace(-1e-3, 1e-3, 12)),)
-            frame = [[rng.standard_normal(12) + 1j * rng.standard_normal(12)]
-                     for _ in range(2)]
+            frame = np.array([rng.standard_normal(12) + 1j * rng.standard_normal(12)
+                              for _ in range(2)])
             cfg = ReconConfig(max_iters=20, tol=1e-14, mu_mode="fixed",
                               mu_value=float(rng.uniform(0, 0.1)))
-            est = cs_solve(frame, shots, dims, coils, basis, cfg)
+            est = cs_solve(frame, FrameOperator(shots, dims, coils), basis, cfg)
             assert est.objective_trace[-1] <= est.objective_trace[0] + 1e-12
 
     def test_prox_subgradient_optimality(self):
@@ -250,15 +271,7 @@ class TestSeries:
                                     dims=dims)
         coils = birdcage_coils(dims, 2)
         vol = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
-        from snakesim.engine import acquire_shot_basic
-        frames = []
-        for t in range(n_frames):
-            frame = [[] for _ in range(2)]
-            for shot in plan.frame(t):
-                y = acquire_shot_basic(vol, coils, shot)
-                for l in range(2):
-                    frame[l].append(y[l])
-            frames.append(frame)
+        frames = np.stack([_frame_data(vol, plan.frame(t), coils) for t in range(n_frames)])
         return frames, plan, coils
 
     def test_single_frame_strategies_coincide(self):
@@ -282,12 +295,7 @@ class TestSeries:
         seq = _seq()
         plan = gen_epi_3d(dims, seq, n_frames=2)
         coils = birdcage_coils(dims, 1)
-        from snakesim.engine import acquire_shot_basic
-        frames = []
-        for t in range(2):
-            frame = [[acquire_shot_basic(vol, coils, s)[0]
-                      for s in plan.frame(t)]]
-            frames.append(frame)
+        frames = np.stack([_frame_data(vol, plan.frame(t), coils) for t in range(2)])
         basis = WaveletBasis("haar", 2)
         for strategy in ("cold", "warm", "refined"):
             cfg = ReconConfig(strategy=strategy, max_iters=100, tol=1e-12,
@@ -303,12 +311,9 @@ class TestSeries:
         calls = []
         real_cs_solve = recon_mod.cs_solve
 
-        def spy(frame_kdata, frame_shots, dims, coils_, basis_, config,
-                init=None, mu=None, operator=None):
+        def spy(y, operator, basis_, config, init=None, mu=None):
             calls.append(None if init is None else init.copy())
-            return real_cs_solve(frame_kdata, frame_shots, dims, coils_,
-                                 basis_, config, init=init, mu=mu,
-                                 operator=operator)
+            return real_cs_solve(y, operator, basis_, config, init=init, mu=mu)
 
         monkeypatch.setattr(recon_mod, "cs_solve", spy)
         cfg = ReconConfig(strategy="refined", max_iters=5, tol=1e-12,
@@ -326,7 +331,7 @@ class TestSeries:
 
     def test_frame_error_carries_index(self):
         frames, plan, coils = self._tiny_dataset(n_frames=2)
-        frames[1][0][0] = frames[1][0][0][:-1]  # corrupt frame 1
+        frames[1, 0, 0] = np.nan  # corrupt frame 1
         basis = WaveletBasis("haar", 1)
         cfg = ReconConfig(max_iters=5, mu_mode="fixed", mu_value=0.0)
         with pytest.raises(ReconError, match="frame 1"):
@@ -335,7 +340,7 @@ class TestSeries:
     def test_cs_solve_one_op_per_iteration(self, counted):
         frames, plan, coils = self._tiny_dataset(n_frames=1)
         cfg = ReconConfig(max_iters=7, tol=1e-14, mu_mode="fixed", mu_value=0.01)
-        est = cs_solve(frames[0], plan.frame(0), plan.dims, coils,
+        est = cs_solve(frames[0], recon_mod.FrameOperator(plan.frame(0), plan.dims, coils),
                        WaveletBasis("haar", 1), cfg)
         iters = len(est.objective_trace) - 1
         assert iters == 7
@@ -370,14 +375,13 @@ class TestSeries:
         monkeypatch.setattr(WaveletBasis, "inverse", inverse)
         operator = FrameOperator(plan.frame(0), plan.dims, coils)
         cfg = ReconConfig(max_iters=12, tol=1e-14, mu_mode=mu_mode, mu_value=0.01)
-        est = cs_solve(frames[0], plan.frame(0), plan.dims, coils, basis, cfg,
-                       operator=operator)
+        est = cs_solve(frames[0], operator, basis, cfg)
         monkeypatch.undo()
         iters = est.n_iters
         assert iters == len(est.objective_trace) - 1 == 12
         assert calls == {"forward": 1 + iters + (mu_mode == "sure"), "inverse": iters}
 
-        y = recon_mod._stack_frame_data(frames[0]) / np.sqrt(np.prod(plan.dims))
+        y = frames[0] / np.sqrt(np.prod(plan.dims))
 
         def two_transform_objective(x):
             resid = operator.op(x) - y
@@ -390,7 +394,7 @@ class TestSeries:
     def test_solver_telemetry(self):
         frames, plan, coils = self._tiny_dataset(n_frames=1)
         basis = WaveletBasis("haar", 1)
-        args = (frames[0], plan.frame(0), plan.dims, coils, basis)
+        args = (frames[0], _op(plan, coils), basis)
         loose = cs_solve(*args, ReconConfig(max_iters=500, tol=1e-4, mu_mode="fixed",
                                             mu_value=0.01))
         trace = np.array(loose.objective_trace)
@@ -433,7 +437,7 @@ class TestSeries:
         cfg = ReconConfig(max_iters=5, tol=1e-14, mu_mode="fixed", mu_value=0.01)
         series = reconstruct_series(frames, plan, coils, basis, cfg)
         for t in range(3):
-            est = cs_solve(frames[t], plan.frame(t), plan.dims, coils, basis, cfg)
+            est = cs_solve(frames[t], _op(plan, coils, t), basis, cfg)
             np.testing.assert_array_equal(series.volumes[t], est.volume)
 
     def test_adjoint_series_shares_operator_on_static_plan(self, counted):
@@ -441,12 +445,10 @@ class TestSeries:
         dims = (8, 8, 8)
         plan = gen_epi_3d(dims, _seq(), n_frames=3)
         coils = birdcage_coils(dims, 2)
-        frames = [[[rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                    for n in (s.n_samples for s in plan.frame(t))]
-                   for _ in range(2)]
-                  for t in range(3)]
+        n = sum(s.n_samples for s in plan.frame(0))
+        frames = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
         series = adjoint_series(frames, plan, coils)
         assert counted["builds"] == 1
         for t in range(3):
             np.testing.assert_array_equal(
-                series.volumes[t], adjoint_recon(frames[t], plan.frame(t), dims, coils))
+                series.volumes[t], adjoint_recon(frames[t], _op(plan, coils, t)))

@@ -260,3 +260,35 @@ class TestPatternKey:
         # the bytes decide, as the engine's memo needs bit-equal points
         assert (Shot(points=zero_sign, times=times).pattern_key
                 != Shot(points=np.zeros((5, 3)), times=times).pattern_key)
+
+
+class TestPlaneSharing:
+    """Plan generators build one read-only points array per kz plane and
+    share it between that plane's shots in every frame."""
+
+    @staticmethod
+    def _plan(kind):
+        if kind == "epi":
+            return gen_epi_3d((6, 6, 22), _seq(), n_frames=3)
+        return gen_stack_of_spirals(gen_spiral((8, 8), 16), nz=8, af=2.0,
+                                    center_fraction=0.2, dynamic=True, n_frames=4,
+                                    seed=5, dims=(8, 8, 8))
+
+    @pytest.mark.parametrize("kind", ["epi", "sos_dynamic"])
+    def test_one_read_only_array_per_plane(self, kind):
+        plan = self._plan(kind)
+        by_plane, frames_of = {}, {}
+        for s, shot in enumerate(plan.shots):
+            kz = float(shot.points[0, 2])
+            assert by_plane.setdefault(kz, shot.points) is shot.points
+            frames_of.setdefault(kz, set()).add(s // plan.shots_per_frame)
+            assert not shot.points.flags.writeable
+        assert any(len(f) > 1 for f in frames_of.values())
+        assert len({id(shot.points) for shot in plan.shots}) == len(by_plane)
+        with pytest.raises(ValueError):
+            plan.shots[0].points[0, 0] = 1.0
+
+    def test_22_planes_give_22_patterns(self):
+        from snakesim.engine import _pattern_numbers
+        plan = self._plan("epi")
+        assert _pattern_numbers(plan.shots) == list(range(22)) * 3
