@@ -13,6 +13,7 @@ dimensionless.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -211,6 +212,10 @@ def synthetic_phantom(dims, spheres, tissues=None, voxel_size=(1.0, 1.0, 1.0),
     Each sphere is (center, radius, tissue_index). Edge voxels get
     fractional weights from subvoxel coverage; overlapping spheres of the
     same tissue combine by per-voxel max so the sum invariant holds.
+
+    Coverage is counted inside each sphere's bounding box, from per-axis
+    squared subvoxel distances summed into one preallocated buffer, so no
+    subvoxel offset allocates a full-volume temporary.
     """
     if tissues is None:
         tissues = default_tissues()
@@ -219,20 +224,34 @@ def synthetic_phantom(dims, spheres, tissues=None, voxel_size=(1.0, 1.0, 1.0),
     weights = np.zeros((len(tissues), *dims))
     # subvoxel offsets for partial-volume estimation
     off = (np.arange(supersample) + 0.5) / supersample - 0.5
-    ox, oy, oz = np.meshgrid(off, off, off, indexing="ij")
-    grids = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in dims], indexing="ij")
     for center, radius, ti in spheres:
         cx, cy, cz = center
         if not (radius <= cx <= dims[0] - radius and radius <= cy <= dims[1] - radius
                 and radius <= cz <= dims[2] - radius):
             raise PhantomError(f"sphere at {center} r={radius} does not fit in {dims}")
-        frac = np.zeros(dims)
-        for dx, dy, dz in zip(ox.ravel(), oy.ravel(), oz.ravel()):
-            inside = ((grids[0] + dx - cx) ** 2 + (grids[1] + dy - cy) ** 2
-                      + (grids[2] + dz - cz) ** 2) <= radius ** 2
-            frac += inside
+        # no subvoxel of a voxel more than radius + 1 from the center is inside
+        box = tuple(slice(max(0, math.floor(c - radius - 1)),
+                          min(n, math.ceil(c + radius + 1) + 1))
+                    for c, n in zip(center, dims))
+        # squared distances per axis, (supersample, box length) each; the
+        # loop sums them as (x^2 + y^2) + z^2, the order that fixes which
+        # subvoxels on the sphere's surface count as inside
+        sx, sy, sz = (((np.arange(b.start, b.stop, dtype=np.float64) + off[:, None]) - c) ** 2
+                      for b, c in zip(box, center))
+        shape = (len(sx[0]), len(sy[0]), len(sz[0]))
+        d2 = np.empty(shape)
+        inside = np.empty(shape, dtype=bool)
+        frac = np.zeros(shape)
+        r2 = radius ** 2
+        for dx2 in sx:
+            for dy2 in sy:
+                dxy2 = dx2[:, None, None] + dy2[:, None]
+                for dz2 in sz:
+                    np.add(dxy2, dz2, out=d2)
+                    np.less_equal(d2, r2, out=inside)
+                    frac += inside
         frac /= supersample ** 3
-        weights[ti] = np.maximum(weights[ti], frac)
+        np.maximum(weights[ti][box], frac, out=weights[ti][box])
     # distinct tissues may still overlap at edges; rescale offending voxels
     total = weights.sum(axis=0)
     over = total > 1.0
@@ -363,6 +382,6 @@ def ellipsoid_roi(phantom: Phantom, gm_index: int, center=None, axes=None):
     if axes is None:
         axes = tuple(dims / 4)
     grids = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in phantom.dims],
-                        indexing="ij")
+                        indexing="ij", sparse=True)
     dist = sum(((g - c) / a) ** 2 for g, c, a in zip(grids, center, axes))
     return phantom.weights[gm_index] * (dist <= 1.0)

@@ -322,6 +322,11 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
 # Series strategies
 
 
+def _check_frame_count(kdata, plan):
+    if len(kdata) != plan.n_frames:
+        raise ReconError(f"k-space holds {len(kdata)} frames, the plan {plan.n_frames}")
+
+
 def _frame_operators(plan, coils):
     """``operator_for(t)``: the FrameOperator of frame t, kept while
     consecutive requests share k-points (every frame of a static plan),
@@ -362,6 +367,7 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis,
     FrameOperator and one Lipschitz estimate serve each run of
     consecutive frames with the same k-points.
     """
+    _check_frame_count(kdata, plan)
     n_frames = len(kdata)
     if n_frames < 1:
         raise ReconError("need at least one frame")
@@ -405,6 +411,7 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis,
 def adjoint_series(kdata, plan, coils, density_comp="none") -> FrameSeries:
     """Density-compensated adjoint reconstruction of every frame of the
     (n_frames, n_coils, P) k-space array ``kdata``."""
+    _check_frame_count(kdata, plan)
     operator_for = _frame_operators(plan, coils)
     volumes = [adjoint_recon(kdata[t], operator_for(t), density_comp=density_comp)
                for t in range(len(kdata))]

@@ -10,8 +10,7 @@ immutable once built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,32 +24,40 @@ class TrajectoryError(ValueError):
 
 @dataclass(frozen=True)
 class Shot:
-    """One readout: k-space points with per-sample times (s)."""
+    """One readout: k-space points with per-sample times (s).
+
+    ``pattern_key`` is built from the shot's own arrays unless a key over
+    those same arrays is passed in. Plan generators pass one key per kz
+    plane to that plane's shots in every frame, so a plan hashes the
+    bytes of each plane once.
+    """
 
     points: np.ndarray       # (n_samples, ndims)
     times: np.ndarray        # (n_samples,), echo-centered
     shot_time: float = 0.0   # absolute start time within the run (s)
+    pattern_key: PatternKey | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) != len(self.times):
             raise TrajectoryError("points and times must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise TrajectoryError("sample times must be strictly increasing")
+        key = self.pattern_key
+        if key is None:
+            object.__setattr__(self, "pattern_key", PatternKey(self.points, self.times))
+        elif key.points is not self.points or key.times is not self.times:
+            raise TrajectoryError("pattern_key must hold the shot's own points and times")
 
     @property
     def n_samples(self):
         return len(self.points)
 
-    @cached_property
-    def pattern_key(self):
-        """Dict key of the k-point pattern: the points and sample times."""
-        return PatternKey(self.points, self.times)
-
 
 class PatternKey:
-    """Equal for shots whose points (shape and bytes) and times (bytes)
-    are equal. The hash of those bytes is computed once, and the key
-    holds no copy of them, so one key per shot of a plan stays small."""
+    """Dict key of a k-point pattern, equal for shots whose points (shape
+    and bytes) and times (bytes) are equal. The hash of those bytes is
+    computed once, and the key holds no copy of them; shots that share a
+    key share its hash and compare by identity."""
 
     __slots__ = ("points", "times", "_hash")
 
@@ -64,7 +71,7 @@ class PatternKey:
     def __eq__(self, other):
         if not isinstance(other, PatternKey):
             return NotImplemented
-        # shots that share their arrays compare without reading the bytes
+        # keys over the same arrays compare without reading the bytes
         if self.points is other.points and self.times is other.times:
             return True
         return (self.points.shape == other.points.shape
@@ -112,12 +119,17 @@ def _check_bounds(points, dims):
             )
 
 
-def _plane_points(xy, kz):
-    """Read-only (n, 3) points of the 2D pattern ``xy`` on plane ``kz``,
-    built once per plane and shared by that plane's shots in every frame."""
+def _plane_pattern(xy, kz, times):
+    """Pattern key of the read-only (n, 3) points of the 2D pattern ``xy``
+    on plane ``kz`` with sample ``times``, built once per plane and shared
+    by that plane's shots in every frame."""
     pts = np.column_stack([xy, np.full(len(xy), float(kz))])
     pts.flags.writeable = False
-    return pts
+    return PatternKey(pts, times)
+
+
+def _plane_shot(key, shot_time):
+    return Shot(points=key.points, times=key.times, shot_time=shot_time, pattern_key=key)
 
 
 def _echo_centered_times(n_samples, t_obs_s):
@@ -158,14 +170,13 @@ def gen_epi_3d(dims, seq: SequenceParams, n_planes_per_volume=None,
         plane[row * nx: (row + 1) * nx, 0] = xs
         plane[row * nx: (row + 1) * nx, 1] = ky[row]
     times = _echo_centered_times(ny * nx, seq.t_obs_s)
-    plane_points = [_plane_points(plane, kz) for kz in kz_sel]
+    planes = [_plane_pattern(plane, kz, times) for kz in kz_sel]
 
     shots = []
     for t in range(n_frames):
-        for i, pts in enumerate(plane_points):
+        for i, key in enumerate(planes):
             idx = t * n_planes_per_volume + i
-            shots.append(Shot(points=pts, times=times,
-                              shot_time=idx * seq.tr_shot_s))
+            shots.append(_plane_shot(key, idx * seq.tr_shot_s))
     return SamplingPlan(shots=tuple(shots), shots_per_frame=n_planes_per_volume,
                         tr_shot=seq.tr_shot_s, kind="epi3d", dims=tuple(dims))
 
@@ -239,7 +250,7 @@ def gen_stack_of_spirals(spiral, nz, af=1.0, center_fraction=0.1,
     rng = np.random.default_rng(seed)
     shots = []
     times = _echo_centered_times(len(spiral), t_obs_s)
-    plane_points = {kz: _plane_points(spiral, kz) for kz in all_kz}
+    planes = {kz: _plane_pattern(spiral, kz, times) for kz in all_kz}
     n_per_frame = n_center + n_outer
     if n_outer:
         stride_idx = np.round(np.linspace(0, len(outer_kz) - 1, n_outer)).astype(int)
@@ -256,8 +267,7 @@ def gen_stack_of_spirals(spiral, nz, af=1.0, center_fraction=0.1,
         frame_kz = frame_kz[np.argsort(np.abs(frame_kz), kind="stable")]
         for i, kz in enumerate(frame_kz):
             idx = t * n_per_frame + i
-            shots.append(Shot(points=plane_points[kz], times=times,
-                              shot_time=idx * tr_shot_s))
+            shots.append(_plane_shot(planes[kz], idx * tr_shot_s))
     if dims is None:
         dims = (nz, nz, nz)
     return SamplingPlan(shots=tuple(shots), shots_per_frame=n_per_frame,

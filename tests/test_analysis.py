@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import ndimage, stats
 
 from snakesim.analysis import (
+    Z_CAP,
     AnalysisError,
     DetectionResult,
     StatMap,
@@ -17,6 +18,7 @@ from snakesim.analysis import (
     threshold_detect,
     tsnr,
 )
+from snakesim.analysis import _box_mean, _norm_isf, _t_to_z
 from snakesim.phantom import Paradigm
 
 
@@ -112,6 +114,16 @@ class TestGlmFit:
         with pytest.raises(AnalysisError, match="frames"):
             glm_fit(np.zeros((10, 2, 2, 2)), design)
 
+    @pytest.mark.parametrize("dof", [1, 2, 3, 5, 7, 20, 133, 1000])
+    def test_t_to_z_is_the_scipy_stats_expression(self, dof):
+        t = np.concatenate([np.linspace(-Z_CAP, Z_CAP, 120_001),
+                            [0.0, -0.0, np.nan, 1e-300, -1e-300]])
+        want = np.where(t >= 0, stats.norm.isf(stats.t.sf(t, dof)),
+                        -stats.norm.isf(stats.t.sf(-t, dof)))
+        want = np.clip(np.nan_to_num(want, posinf=Z_CAP, neginf=-Z_CAP), -Z_CAP, Z_CAP)
+        # compared as bits, so the sign of every zero counts too
+        np.testing.assert_array_equal(_t_to_z(t, dof).view(np.int64), want.view(np.int64))
+
     def test_mask_zeroes_outside(self):
         rng = np.random.default_rng(5)
         design = self._design()
@@ -148,6 +160,17 @@ class TestThresholdDetect:
     def test_bad_p(self):
         with pytest.raises(AnalysisError):
             threshold_detect(_statmap(np.zeros((2, 2, 2))), 1.5, np.ones((2, 2, 2)))
+
+
+    @pytest.mark.parametrize("p", [0.5, 0.05, 0.01, 0.001, 1e-6, 1e-12, 0.999])
+    def test_threshold_is_norm_isf(self, p):
+        z_p = stats.norm.isf(p)
+        assert np.float64(_norm_isf(p)).view(np.int64) == np.float64(z_p).view(np.int64)
+        z = np.array([z_p, np.nextafter(z_p, np.inf)])
+        det = threshold_detect(_statmap(z), p, np.ones(2))
+        assert det.positive.tolist() == [False, True]
+        marker = precision_recall(_statmap(z), np.array([1.0, 1.0]), marker_p=p)["marker"]
+        assert marker[0] == 0.5
 
 
 class TestPrecisionRecall:
@@ -272,6 +295,17 @@ def _ssim_oracle(x, ref, window=7, k1=0.01, k2=0.03):
                 out[i, j, k] = ((2 * mx * mr + c1) * (2 * cov + c2)
                                 / ((mx * mx + mr * mr + c1) * (vx + vr + c2)))
     return float(out.mean())
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (7, 9, 5), (6, 5, 4)])
+@pytest.mark.parametrize("window", [3, 7])
+def test_box_mean_matches_uniform_filter(shape, window):
+    # window 7 on an axis of 5 or 4 wraps some voxels in more than once
+    a = np.random.default_rng(8).random((2, *shape)) - 0.25
+    got = _box_mean(a.copy(), window)
+    for field, mean in zip(a, got):
+        np.testing.assert_allclose(
+            mean, ndimage.uniform_filter(field, size=window, mode="wrap"), rtol=1e-12)
 
 
 class TestSsim:

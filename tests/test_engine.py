@@ -695,8 +695,8 @@ class TestAffineAcquisition:
         assert calls["shot"] == len(plan.shots)
         assert calls["append"] == len(plan.shots) * coils.n_coils
         assert calls["ndft"] == repeated + once
-        # one pattern key per shot, shared by the numbering and the memo
-        assert calls["key"] == len(plan.shots)
+        # the plan's shots carry their pattern keys; the run builds none
+        assert calls["key"] == 0
         if kind == "epi22":
             assert (repeated, once) == (22, 0)
 

@@ -1,10 +1,14 @@
-"""Every import in the package's modules is used.
+"""Every import in the package's modules is used, and importing the
+package loads no scipy subpackage but ``scipy.special``.
 
 ``__init__.py`` re-exports names on purpose and is skipped, as is any
 imported name on a line marked ``# noqa: F401``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,16 @@ def test_checker_flags_unused_and_honours_noqa():
               "def f():\n"
               "    return dumps(pi)\n")
     assert unused_imports(source) == [(2, "os")]
+
+
+def test_import_loads_only_scipy_special():
+    """``scipy.stats`` alone drags in linalg, optimize, sparse, spatial,
+    integrate, interpolate and fft, about 1 s of every run's set-up."""
+    code = "import sys, snakesim; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    subpackages = {m.split(".")[1] for m in loaded if m.startswith("scipy.")}
+    # scipy's own private and version modules load with the package itself
+    public = {m for m in subpackages if not m.startswith("_") and m != "version"}
+    assert public == {"special"}

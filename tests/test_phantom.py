@@ -101,6 +101,39 @@ class TestSyntheticPhantom:
         assert ph.weights.sum(axis=0).max() <= 1 + 1e-6
 
 
+def _meshgrid_phantom_weights(dims, spheres, n_tissues=3, supersample=4):
+    """The full-volume subvoxel loop synthetic_phantom replaced."""
+    weights = np.zeros((n_tissues, *dims))
+    off = (np.arange(supersample) + 0.5) / supersample - 0.5
+    ox, oy, oz = np.meshgrid(off, off, off, indexing="ij")
+    grids = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in dims], indexing="ij")
+    for (cx, cy, cz), radius, ti in spheres:
+        frac = np.zeros(dims)
+        for dx, dy, dz in zip(ox.ravel(), oy.ravel(), oz.ravel()):
+            frac += ((grids[0] + dx - cx) ** 2 + (grids[1] + dy - cy) ** 2
+                     + (grids[2] + dz - cz) ** 2) <= radius ** 2
+        frac /= supersample ** 3
+        weights[ti] = np.maximum(weights[ti], frac)
+    total = weights.sum(axis=0)
+    over = total > 1.0
+    if over.any():
+        weights[:, over] /= total[over]
+    return weights
+
+
+@pytest.mark.parametrize("supersample", [1, 4])
+@pytest.mark.parametrize("dims, spheres", [
+    ((15, 17, 13), [((7.5, 8.5, 6.5), 5.0, 0), ((7, 8, 6), 3.3, 1),
+                    ((4.2, 5.1, 4.0), 2.7, 2), ((10.9, 11.6, 8.8), 2.2, 1)]),
+    ((9, 11, 7), [((4.5, 5.5, 3.5), 3.5, 1), ((4.5, 5.5, 3.5), 1.25, 2)]),
+    ((11, 11, 11), [((5.5, 5.5, 5.5), 5.5, 0)]),
+])
+def test_synthetic_phantom_matches_meshgrid_loop(dims, spheres, supersample):
+    got = synthetic_phantom(dims, spheres, supersample=supersample).weights
+    want = _meshgrid_phantom_weights(dims, spheres, supersample=supersample)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestGreContrast:
     def _one_tissue(self, t1, t2s, rho):
         tis = TissueParams(name="x", t1=t1, t2=t2s, t2_star=t2s, rho=rho, chi=0.0)

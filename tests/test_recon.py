@@ -305,6 +305,21 @@ class TestSeries:
                 np.testing.assert_allclose(series.volumes[t], vol,
                                            atol=1e-5 * np.abs(vol).max())
 
+    @pytest.mark.parametrize("n_data", [1, 3])
+    @pytest.mark.parametrize("series_fn", ["adjoint", "reconstruct"])
+    def test_frame_count_must_match_plan(self, series_fn, n_data):
+        dims = (8, 8, 8)
+        plan = gen_epi_3d(dims, _seq(), n_frames=2)
+        coils = birdcage_coils(dims, 1)
+        kdata = np.zeros((n_data, 1, sum(s.n_samples for s in plan.frame(0))),
+                         dtype=np.complex128)
+        with pytest.raises(ReconError, match=f"{n_data} frames, the plan 2"):
+            if series_fn == "adjoint":
+                adjoint_series(kdata, plan, coils)
+            else:
+                reconstruct_series(kdata, plan, coils, WaveletBasis("haar", 1),
+                                   ReconConfig(strategy="cold", max_iters=2))
+
     def test_refined_second_pass_init_is_final_warm_estimate(self, monkeypatch):
         frames, plan, coils = self._tiny_dataset(n_frames=3)
         basis = WaveletBasis("haar", 1)

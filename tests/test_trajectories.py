@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from snakesim import trajectories
 from snakesim.io import write_trajectory
 from snakesim.phantom import SequenceParams
 from snakesim.trajectories import (SamplingPlan, Shot, TrajectoryError,
@@ -287,6 +288,27 @@ class TestPlaneSharing:
         assert len({id(shot.points) for shot in plan.shots}) == len(by_plane)
         with pytest.raises(ValueError):
             plan.shots[0].points[0, 0] = 1.0
+
+    def test_22_plane_3_frame_plan_hashes_22_times(self, monkeypatch):
+        hashed = []
+
+        class CountingKey(trajectories.PatternKey):
+            def __init__(self, points, times):
+                hashed.append(id(points))
+                super().__init__(points, times)
+
+        monkeypatch.setattr(trajectories, "PatternKey", CountingKey)
+        plan = self._plan("epi")
+        assert len(plan.shots) == 66 and len(hashed) == 22
+        for s, shot in enumerate(plan.shots):
+            assert shot.pattern_key is plan.shots[s % 22].pattern_key
+            assert shot.pattern_key.points is shot.points
+
+    def test_shared_key_must_hold_the_shots_arrays(self):
+        shot = self._plan("epi").shots[0]
+        with pytest.raises(TrajectoryError, match="pattern_key"):
+            Shot(points=shot.points.copy(), times=shot.times,
+                 pattern_key=shot.pattern_key)
 
     def test_22_planes_give_22_patterns(self):
         from snakesim.engine import _pattern_numbers
