@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import yaml
+
 from .io import FormatError, canonical_json, read_trajectory
 from .phantom import PhantomError, SequenceParams
 from .scenarios import ConfigError, RunConfig, preset, run_pipeline
@@ -66,20 +68,17 @@ def _build_parser():
 
 
 def _cmd_run(args):
-    if Path(args.config).is_file():
-        config = RunConfig.from_yaml(args.config)
-        if args.scale != 1.0:
-            raise ConfigError("--scale applies to preset names, not config files")
+    seed = {} if args.seed is None else {"seed": args.seed}
+    if not Path(args.config).is_file():
+        config = preset(args.config, scale=args.scale, trajectory_path=args.trajectory, **seed)
+    elif args.scale != 1.0:
+        raise ConfigError("--scale applies to preset names, not config files")
     else:
-        config = preset(args.config, scale=args.scale,
-                        trajectory_path=args.trajectory)
-    if args.seed is not None:
-        data = dict(config.raw)
-        data["seed"] = args.seed
-        config = RunConfig.from_dict(data)
-    if args.trajectory:
-        data = dict(config.raw)
-        data["trajectory"] = dict(data["trajectory"], path=args.trajectory)
+        data = yaml.safe_load(Path(args.config).read_text())
+        if isinstance(data, dict):
+            data.update(seed)
+            if args.trajectory and isinstance(data.get("trajectory"), dict):
+                data["trajectory"]["path"] = args.trajectory
         config = RunConfig.from_dict(data)
     manifest = run_pipeline(config, args.out, n_jobs=args.jobs)
     print(canonical_json(manifest.to_dict()))

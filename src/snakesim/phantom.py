@@ -24,13 +24,11 @@ from .io import load_volume_file
 
 WEIGHT_SUM_EPS = 1e-6
 
-#: Tissue relaxation parameters at 7T (times in ms, rho and chi
-#: dimensionless). Susceptibility is stored for forward compatibility
-#: and not consumed by any model here.
+#: Tissue relaxation parameters at 7T (times in ms, rho dimensionless).
 TISSUE_7T = {
-    "WM": dict(t1=1200.0, t2=57.0, t2_star=27.0, rho=0.77, chi=-9.08),
-    "GM": dict(t1=1800.0, t2=49.0, t2_star=28.0, rho=0.86, chi=-9.05),
-    "CSF": dict(t1=3730.0, t2=1010.0, t2_star=1010.0, rho=1.0, chi=-9.05),
+    "WM": dict(t1=1200.0, t2=57.0, t2_star=27.0, rho=0.77),
+    "GM": dict(t1=1800.0, t2=49.0, t2_star=28.0, rho=0.86),
+    "CSF": dict(t1=3730.0, t2=1010.0, t2_star=1010.0, rho=1.0),
 }
 
 
@@ -47,7 +45,6 @@ class TissueParams:
     t2: float
     t2_star: float
     rho: float
-    chi: float = 0.0
 
     def __post_init__(self):
         if self.t1 <= 0 or self.t2_star <= 0:
@@ -112,8 +109,8 @@ class SequenceParams:
     def __post_init__(self):
         if not (0 < self.te < self.tr_shot):
             raise PhantomError(f"need 0 < TE < TR_shot, got TE={self.te}, TR={self.tr_shot}")
-        if self.t_obs > self.tr_shot:
-            raise PhantomError(f"T_obs={self.t_obs} exceeds TR_shot={self.tr_shot}")
+        if not (0 < self.t_obs <= self.tr_shot):
+            raise PhantomError(f"need 0 < T_obs <= TR_shot, got {self.t_obs}, {self.tr_shot}")
         if self.dwell_time <= 0:
             raise PhantomError("dwell time must be positive")
 
@@ -149,13 +146,15 @@ class Paradigm:
             last = onset
 
     @classmethod
-    def blocks(cls, on: float, off: float, run_length: float, amplitude=1.0,
-               start="off"):
-        """Alternating on/off blocks over the run, e.g. 20s-on / 20s-off."""
+    def blocks(cls, on: float, off: float, run_length: float, start="off"):
+        """Alternating unit-amplitude on/off blocks over the run, e.g. 20s-on / 20s-off."""
+        if not (on > 0 and off >= 0 and run_length > 0):
+            raise PhantomError(f"need on > 0, off >= 0 and run_length > 0 s, "
+                               f"got {on}, {off}, {run_length}")
         events = []
         t = off if start == "off" else 0.0
         while t < run_length:
-            events.append((t, min(on, run_length - t), amplitude))
+            events.append((t, min(on, run_length - t), 1.0))
             t += on + off
         return cls(events=tuple(events), run_length=run_length)
 

@@ -1,14 +1,15 @@
 """Declarative run configuration, presets and end-to-end orchestration.
 
-A run is described by a strict YAML-compatible mapping (unknown keys are
-rejected before any compute). All randomness flows from one root seed,
-split per stage. Every stage output is persisted so stages can be
-re-run or inspected independently; the manifest records checksums so a
-repeated run can be verified bit-identical.
+A run is described by a strict YAML-compatible mapping, checked and
+built into typed objects before any compute. All randomness flows from
+one root seed, split per stage. Every stage output is persisted so
+stages can be re-run or inspected independently; the manifest records
+checksums so a repeated run can be verified bit-identical.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import time
@@ -21,9 +22,9 @@ import yaml
 from . import __version__
 from .analysis import (bacc, build_design, glm_fit, precision_recall, psnr,
                        ssim, threshold_detect, tsnr, MetricsReport)
-from .engine import NoiseConfig, birdcage_coils, run_acquisition
+from .engine import EngineError, NoiseConfig, birdcage_coils, run_acquisition
 from .io import canonical_json, write_volume
-from .phantom import (BoldSpec, Paradigm, Phantom, SequenceParams,
+from .phantom import (BoldSpec, Paradigm, Phantom, PhantomError, SequenceParams,
                       build_bold_timecourse, contrast_volume, default_tissues,
                       ellipsoid_roi, gre_contrast, load_phantom,
                       synthetic_phantom)
@@ -38,79 +39,109 @@ class ConfigError(ValueError):
     pass
 
 
-_SCHEMA = {
-    "name": str,
-    "seed": int,
-    "dims": list,
-    "voxel_size_mm": list,
-    "phantom": dict,          # {kind: synthetic|files, ...}
-    "sequence": dict,         # tr_shot_ms, te_ms, flip_angle_deg, t_obs_ms, dwell_time_us
-    "trajectory": dict,       # kind, n_shots_per_frame, af, center_fraction, dynamic, path
-    "paradigm": dict,         # block_on_s, block_off_s, run_length_s
-    "bold": dict,             # delta_r2s_hz, hrf
-    "model": str,             # basic | t2s
-    "noise": dict,            # snr_i
-    "recon": dict,            # method, strategy, max_iters, tol, mu_mode, mu_value, wavelet, levels
-    "analysis": dict,         # p_threshold, drift_order
-    "n_frames": int,
-    "n_coils": int,
+_NUMBER = (int, float)
+
+#: Every key of a run config and the type of its value: a set lists the
+#: allowed strings, a dict is a section. The phantom's keys depend on its kind.
+_KEYS = {
+    "name": str, "seed": int, "dims": list, "voxel_size_mm": list, "phantom": dict,
+    "sequence": {"tr_shot_ms": _NUMBER, "te_ms": _NUMBER, "flip_angle_deg": _NUMBER,
+                 "t_obs_ms": _NUMBER},
+    "trajectory": {"kind": {"epi3d", "stack_of_spirals", "external"},
+                   "n_shots_per_frame": int, "center_fraction": _NUMBER,
+                   "dynamic": bool, "path": str, "spiral_samples": int,
+                   "spiral_turns": _NUMBER},
+    "paradigm": {"block_on_s": _NUMBER, "block_off_s": _NUMBER, "run_length_s": _NUMBER},
+    "bold": {"delta_r2s_hz": _NUMBER, "hrf": {"double_gamma", "single_gamma"}},
+    "model": {"basic", "t2s"},
+    "noise": {"snr_i": _NUMBER},
+    "recon": {"method": {"adjoint", "cs"}, "strategy": str, "max_iters": int,
+              "tol": _NUMBER, "mu_mode": str, "mu_value": _NUMBER, "wavelet": str,
+              "levels": int, "density_comp": {"none", "radial"}},
+    "analysis": {"p_threshold": _NUMBER, "drift_order": int},
+    "n_frames": int, "n_coils": int,
 }
-
-_SUBKEYS = {
-    "phantom": {"kind", "gm_sphere_radius_frac", "files", "tissues"},
-    "sequence": {"tr_shot_ms", "te_ms", "flip_angle_deg", "t_obs_ms", "dwell_time_us"},
-    "trajectory": {"kind", "n_shots_per_frame", "af", "center_fraction",
-                   "dynamic", "path", "spiral_samples", "spiral_turns"},
-    "paradigm": {"block_on_s", "block_off_s", "run_length_s", "amplitude"},
-    "bold": {"delta_r2s_hz", "hrf"},
-    "noise": {"snr_i"},
-    "recon": {"method", "strategy", "max_iters", "tol", "mu_mode", "mu_value",
-              "wavelet", "levels", "density_comp"},
-    "analysis": {"p_threshold", "drift_order"},
-}
+_PHANTOM_KEYS = {"synthetic": {"kind": str, "gm_sphere_radius_frac": _NUMBER},
+                 "files": {"kind": str, "files": list, "tissues": list}}
 
 
-@dataclass
+def _check(section, data, keys):
+    """Check ``data`` against the key table ``keys``: no unknown or missing
+    key, and every value of its type or one of its allowed strings."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section}: expected a mapping, got {type(data).__name__}")
+    for problem, names in (("unknown", set(data) - set(keys)),
+                           ("missing", set(keys) - set(data))):
+        if names:
+            raise ConfigError(f"{problem} {section} keys: {sorted(names)}")
+    for key, want in keys.items():
+        where, value = key if section == "config" else f"{section}.{key}", data[key]
+        if isinstance(want, dict):
+            _check(key, value, want)
+        elif isinstance(want, set):
+            if not (isinstance(value, str) and value in want):
+                raise ConfigError(f"{where}: {value!r} is not one of {sorted(want)}")
+        elif not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+            raise ConfigError(f"{where}: expected {getattr(want, '__name__', 'number')}, "
+                              f"got {type(value).__name__}")
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    """A checked run config: ``raw``, the mapping saved and hashed, and the typed objects
+    built from it once; ``cs`` is the (WaveletBasis, ReconConfig) pair of a CS recon."""
+
     raw: dict
+    sequence: SequenceParams
+    paradigm: Paradigm
+    noise: NoiseConfig
+    cs: tuple | None
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - set(_SCHEMA)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = set(_SCHEMA) - set(data)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
-        for key, typ in _SCHEMA.items():
-            if not isinstance(data[key], typ):
-                raise ConfigError(f"{key}: expected {typ.__name__}, "
-                                  f"got {type(data[key]).__name__}")
-        for key, allowed in _SUBKEYS.items():
-            extra = set(data[key]) - allowed
-            if extra:
-                raise ConfigError(f"{key}: unknown keys {sorted(extra)}")
-        seq = data["sequence"]
-        if seq["te_ms"] >= seq["tr_shot_ms"]:
-            raise ConfigError("sequence: TE must be below TR_shot")
-        if data["model"] not in ("basic", "t2s"):
-            raise ConfigError(f"unknown model {data['model']!r}")
-        if data["trajectory"]["kind"] == "external" and not data["trajectory"].get("path"):
-            raise ConfigError("external trajectory requires a path")
-        rcfg = data["recon"]
-        if rcfg.get("method") not in ("adjoint", "cs"):
-            raise ConfigError(f"unknown recon method {rcfg.get('method')!r}")
-        if rcfg.get("density_comp") not in ("none", "radial"):
-            raise ConfigError(
-                f"unknown recon density_comp {rcfg.get('density_comp')!r}")
-        if rcfg["method"] == "cs":
-            try:
-                _cs_recon(rcfg, data["dims"])
-            except KeyError as e:
-                raise ConfigError(f"recon: missing key {e}") from e
-            except (ReconError, WaveletError) as e:
-                raise ConfigError(f"recon: {e}") from e
-        return cls(raw=data)
+        raw = copy.deepcopy(data)
+        _check("config", raw, _KEYS)
+        kind = raw["phantom"].get("kind")
+        if kind not in _PHANTOM_KEYS:
+            raise ConfigError(f"phantom.kind: {kind!r} is not one of {sorted(_PHANTOM_KEYS)}")
+        _check("phantom", raw["phantom"], _PHANTOM_KEYS[kind])
+        traj, analysis = raw["trajectory"], raw["analysis"]
+        for key, typ in (("dims", int), ("voxel_size_mm", _NUMBER)):
+            if len(raw[key]) != 3 or not all(isinstance(v, typ) and v > 0 for v in raw[key]):
+                raise ConfigError(f"{key}: need 3 positive values, got {raw[key]}")
+        for key, value in (("n_frames", raw["n_frames"]), ("n_coils", raw["n_coils"]),
+                           ("trajectory.n_shots_per_frame", traj["n_shots_per_frame"])):
+            if value < 1:
+                raise ConfigError(f"{key}: need at least 1, got {value}")
+        if traj["kind"] == "external" and not traj["path"]:
+            raise ConfigError("trajectory: the external kind requires a path")
+        if not (0 < analysis["p_threshold"] < 1
+                and 0 <= analysis["drift_order"] <= raw["n_frames"] - 2):
+            raise ConfigError(f"analysis: need 0 < p_threshold < 1 and 0 <= drift_order "
+                              f"<= n_frames - 2 = {raw['n_frames'] - 2}, got {analysis}")
+        seq, par, recon, section = raw["sequence"], raw["paradigm"], raw["recon"], "sequence"
+        try:
+            sequence = SequenceParams(tr_shot=seq["tr_shot_ms"], te=seq["te_ms"],
+                                      flip_angle=seq["flip_angle_deg"], t_obs=seq["t_obs_ms"])
+            section = "paradigm"
+            paradigm = Paradigm.blocks(par["block_on_s"], par["block_off_s"],
+                                       par["run_length_s"])
+            section = "noise"  # snr_i 0 means no noise
+            noise = NoiseConfig(snr_i=float(raw["noise"]["snr_i"] or np.inf), seed=raw["seed"])
+            section, cs = "recon", None
+            if recon["method"] == "cs":
+                # the deepest level up to ``levels`` the grid supports (wavelets
+                # reject dims not divisible by 2^levels)
+                levels = recon["levels"]
+                while levels > 1 and any(d % (2 ** levels) for d in raw["dims"]):
+                    levels -= 1
+                cs = (WaveletBasis(family=recon["wavelet"], levels=levels),
+                      ReconConfig(strategy=recon["strategy"], max_iters=recon["max_iters"],
+                                  tol=recon["tol"], mu_mode=recon["mu_mode"],
+                                  mu_value=recon["mu_value"]))
+        except (PhantomError, EngineError, ReconError, WaveletError) as e:
+            raise ConfigError(f"{section}: {e}") from e
+        return cls(raw, sequence, paradigm, noise, cs)
 
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":
@@ -122,20 +153,6 @@ class RunConfig:
 
     def hash(self) -> str:
         return hashlib.sha256(canonical_json(self.raw).encode()).hexdigest()
-
-
-def _cs_recon(rcfg, dims):
-    """(WaveletBasis, ReconConfig) of a CS recon section on a ``dims`` grid."""
-    # drop to the deepest level the grid supports (wavelets reject dims
-    # not divisible by 2^levels)
-    levels = rcfg["levels"]
-    while levels > 1 and any(d % (2 ** levels) for d in dims):
-        levels -= 1
-    basis = WaveletBasis(family=rcfg["wavelet"], levels=levels)
-    config = ReconConfig(strategy=rcfg["strategy"], max_iters=rcfg["max_iters"],
-                         tol=rcfg["tol"], mu_mode=rcfg["mu_mode"],
-                         mu_value=rcfg["mu_value"])
-    return basis, config
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +188,6 @@ def preset(name, scale=1.0, trajectory_path=None, seed=1234) -> RunConfig:
     if not (0 < scale <= 1):
         raise ConfigError("scale must be in (0, 1]")
     p = _PRESETS[name]
-    if p["kind"] == "external" and not trajectory_path:
-        raise ConfigError("the external-trajectory preset requires a trajectory path")
     if scale == 1.0:
         dims = list(p["dims"])
     else:
@@ -190,16 +205,15 @@ def preset(name, scale=1.0, trajectory_path=None, seed=1234) -> RunConfig:
         "voxel_size_mm": [3.0, 3.0, 3.0] if name != "s3_external" else [1.0, 1.0, 1.0],
         "phantom": {"kind": "synthetic", "gm_sphere_radius_frac": 0.3},
         "sequence": {"tr_shot_ms": tr_shot_ms, "te_ms": 25.0,
-                     "flip_angle_deg": 12.0, "t_obs_ms": p["t_obs_ms"],
-                     "dwell_time_us": 10.0},
+                     "flip_angle_deg": 12.0, "t_obs_ms": p["t_obs_ms"]},
         "trajectory": {"kind": p["kind"], "n_shots_per_frame": n_shots,
-                       "af": 4.0, "center_fraction": 0.1,
+                       "center_fraction": 0.1,
                        "dynamic": bool(p.get("dynamic", False)),
                        "path": trajectory_path or "",
                        "spiral_samples": max(64, dims[0] * dims[1] // 8),
                        "spiral_turns": 4.0},
         "paradigm": {"block_on_s": 20.0, "block_off_s": 20.0,
-                     "run_length_s": run_length, "amplitude": 1.0},
+                     "run_length_s": run_length},
         "bold": {"delta_r2s_hz": -1.0, "hrf": "double_gamma"},
         "model": "basic",
         "noise": {"snr_i": p["snr_i"]},
@@ -226,7 +240,7 @@ def _build_phantom(cfg):
     dims = tuple(cfg["dims"])
     spec = cfg["phantom"]
     if spec["kind"] == "synthetic":
-        r = spec.get("gm_sphere_radius_frac", 0.3) * min(dims)
+        r = spec["gm_sphere_radius_frac"] * min(dims)
         center = tuple(d / 2 for d in dims)
         tissues = default_tissues(("WM", "GM"))
         voxel = tuple(cfg["voxel_size_mm"])
@@ -239,12 +253,10 @@ def _build_phantom(cfg):
         phantom = Phantom(dims=tuple(dims), voxel_size=voxel, tissues=tuple(tissues),
                           weights=np.stack([wm, gm]))
         gm_index = 1
-    elif spec["kind"] == "files":
+    else:
         tissues = default_tissues(tuple(t.upper() for t in spec["tissues"]))
         phantom = load_phantom(spec["files"], tissues)
         gm_index = [t.name for t in tissues].index("GM")
-    else:
-        raise ConfigError(f"unknown phantom kind {spec['kind']!r}")
     return phantom, gm_index
 
 
@@ -259,15 +271,16 @@ def _build_plan(cfg, seq):
         spiral = gen_spiral(dims[:2], traj["spiral_samples"],
                             n_turns=traj["spiral_turns"], in_out=True)
         return gen_stack_of_spirals(
-            spiral, dims[2], af=traj["af"],
-            center_fraction=traj["center_fraction"], dynamic=traj["dynamic"],
+            spiral, dims[2], center_fraction=traj["center_fraction"], dynamic=traj["dynamic"],
             n_frames=n_frames, seed=cfg["seed"], tr_shot_s=seq.tr_shot_s,
             t_obs_s=seq.t_obs_s, dims=dims,
             shots_per_frame=traj["n_shots_per_frame"])
-    if traj["kind"] == "external":
-        return load_trajectory_file(traj["path"], dims,
-                                    shots_per_frame=traj["n_shots_per_frame"])
-    raise ConfigError(f"unknown trajectory kind {traj['kind']!r}")
+    plan = load_trajectory_file(traj["path"], dims,
+                                shots_per_frame=traj["n_shots_per_frame"])
+    if plan.n_frames != n_frames:
+        raise ConfigError(f"{traj['path']} holds {plan.n_frames} frames of "
+                          f"{plan.shots_per_frame} shots, the config's n_frames is {n_frames}")
+    return plan
 
 
 @dataclass
@@ -298,29 +311,18 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     stage = "acquisition"
     try:
         t0 = time.monotonic()
-        seq = SequenceParams(tr_shot=cfg["sequence"]["tr_shot_ms"],
-                             te=cfg["sequence"]["te_ms"],
-                             flip_angle=cfg["sequence"]["flip_angle_deg"],
-                             t_obs=cfg["sequence"]["t_obs_ms"],
-                             dwell_time=cfg["sequence"]["dwell_time_us"])
+        seq = config.sequence
         phantom, gm_index = _build_phantom(cfg)
         plan = _build_plan(cfg, seq)
         coils = birdcage_coils(phantom.dims, cfg["n_coils"])
-        par = cfg["paradigm"]
-        paradigm = Paradigm.blocks(par["block_on_s"], par["block_off_s"],
-                                   par["run_length_s"],
-                                   amplitude=par.get("amplitude", 1.0))
         shot_times = np.array([s.shot_time for s in plan.shots])
-        h = build_bold_timecourse(paradigm, shot_times, hrf=cfg["bold"]["hrf"])
+        h = build_bold_timecourse(config.paradigm, shot_times, hrf=cfg["bold"]["hrf"])
         roi = ellipsoid_roi(phantom, gm_index)
         bold = BoldSpec(roi=roi, delta_r2s=cfg["bold"]["delta_r2s_hz"], h_tilde=h)
-        snr = cfg["noise"]["snr_i"]
-        noise = NoiseConfig(snr_i=np.inf if snr in (None, 0) else float(snr),
-                            seed=cfg["seed"])
         dataset_path = out / "kspace.snkd"
         header, kdata = run_acquisition(
             phantom, plan, coils, seq, bold=bold, model=cfg["model"],
-            noise=noise, sink_path=dataset_path, gm_index=gm_index,
+            noise=config.noise, sink_path=dataset_path, gm_index=gm_index,
             n_jobs=n_jobs)
         mu = gre_contrast(phantom, seq)
         reference = contrast_volume(phantom, mu)
@@ -333,13 +335,11 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
 
         stage = "reconstruction"
         t0 = time.monotonic()
-        rcfg = cfg["recon"]
-        if rcfg["method"] == "adjoint":
+        if config.cs is None:
             series = adjoint_series(kdata, plan, coils,
-                                    density_comp=rcfg["density_comp"])
+                                    density_comp=cfg["recon"]["density_comp"])
         else:
-            basis, rc = _cs_recon(rcfg, phantom.dims)
-            series = reconstruct_series(kdata, plan, coils, basis, rc)
+            series = reconstruct_series(kdata, plan, coils, *config.cs)
         mags = series.magnitude()
         for t in range(mags.shape[0]):
             write_volume(out / f"frame_{t:04d}.snkv", mags[t],
@@ -363,7 +363,7 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
 
         stage = "analysis"
         t0 = time.monotonic()
-        design = build_design(paradigm, cfg["bold"]["hrf"], mags.shape[0],
+        design = build_design(config.paradigm, cfg["bold"]["hrf"], mags.shape[0],
                               plan.tr_vol,
                               drift_order=cfg["analysis"]["drift_order"])
         tissue_mask = phantom.weights.sum(axis=0) > 0.1

@@ -28,8 +28,8 @@ class Shot:
 
     ``pattern_key`` is built from the shot's own arrays unless a key over
     those same arrays is passed in. Plan generators pass one key per kz
-    plane to that plane's shots in every frame, so a plan hashes the
-    bytes of each plane once.
+    plane to that plane's shots in every frame, so a plan hashes and
+    checks the arrays of each plane once.
     """
 
     points: np.ndarray       # (n_samples, ndims)
@@ -38,10 +38,6 @@ class Shot:
     pattern_key: PatternKey | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.points) != len(self.times):
-            raise TrajectoryError("points and times must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise TrajectoryError("sample times must be strictly increasing")
         key = self.pattern_key
         if key is None:
             object.__setattr__(self, "pattern_key", PatternKey(self.points, self.times))
@@ -57,11 +53,16 @@ class PatternKey:
     """Dict key of a k-point pattern, equal for shots whose points (shape
     and bytes) and times (bytes) are equal. The hash of those bytes is
     computed once, and the key holds no copy of them; shots that share a
-    key share its hash and compare by identity."""
+    key share its hash and compare by identity. The pattern is checked
+    here, once per key: equal lengths and strictly increasing times."""
 
     __slots__ = ("points", "times", "_hash")
 
     def __init__(self, points, times):
+        if len(points) != len(times):
+            raise TrajectoryError("points and times must have equal length")
+        if np.any(np.diff(times) <= 0):
+            raise TrajectoryError("sample times must be strictly increasing")
         self.points, self.times = points, times
         self._hash = hash((points.shape, points.tobytes(), times.tobytes()))
 

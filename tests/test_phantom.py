@@ -24,17 +24,17 @@ class TestTissueParams:
     def test_defaults_table(self):
         by_name = {t.name: t for t in default_tissues()}
         wm, gm, csf = by_name["WM"], by_name["GM"], by_name["CSF"]
-        assert (wm.t1, wm.t2, wm.t2_star, wm.rho, wm.chi) == (1200, 57, 27, 0.77, -9.08)
-        assert (gm.t1, gm.t2, gm.t2_star, gm.rho, gm.chi) == (1800, 49, 28, 0.86, -9.05)
-        assert (csf.t1, csf.t2, csf.t2_star, csf.rho, csf.chi) == (3730, 1010, 1010, 1.0, -9.05)
+        assert (wm.t1, wm.t2, wm.t2_star, wm.rho) == (1200, 57, 27, 0.77)
+        assert (gm.t1, gm.t2, gm.t2_star, gm.rho) == (1800, 49, 28, 0.86)
+        assert (csf.t1, csf.t2, csf.t2_star, csf.rho) == (3730, 1010, 1010, 1.0)
 
     def test_ordering_invariant(self):
         with pytest.raises(PhantomError):
-            TissueParams(name="x", t1=100, t2=50, t2_star=60, rho=0.5, chi=0.0)
+            TissueParams(name="x", t1=100, t2=50, t2_star=60, rho=0.5)
 
     def test_rho_bounds(self):
         with pytest.raises(PhantomError):
-            TissueParams(name="x", t1=100, t2=50, t2_star=40, rho=1.5, chi=0.0)
+            TissueParams(name="x", t1=100, t2=50, t2_star=40, rho=1.5)
 
 
 class TestLoadPhantom:
@@ -136,7 +136,7 @@ def test_synthetic_phantom_matches_meshgrid_loop(dims, spheres, supersample):
 
 class TestGreContrast:
     def _one_tissue(self, t1, t2s, rho):
-        tis = TissueParams(name="x", t1=t1, t2=t2s, t2_star=t2s, rho=rho, chi=0.0)
+        tis = TissueParams(name="x", t1=t1, t2=t2s, t2_star=t2s, rho=rho)
         return Phantom(dims=(2, 2, 2), voxel_size=(1, 1, 1), tissues=(tis,),
                        weights=np.ones((1, 2, 2, 2)))
 
@@ -186,6 +186,12 @@ class TestParadigm:
     def test_overflow(self):
         with pytest.raises(PhantomError):
             Paradigm(events=((90.0, 20.0, 1.0),), run_length=100.0)
+
+    @pytest.mark.parametrize("on, off", [(0.0, 0.0), (-1.0, 0.5)])
+    def test_blocks_that_never_advance_rejected(self, on, off):
+        # on + off <= 0 would never reach the end of the run
+        with pytest.raises(PhantomError, match="on > 0"):
+            Paradigm.blocks(on, off, 300.0)
 
 
 class TestBoldTimecourse:

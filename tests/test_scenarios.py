@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 import yaml
 
+from snakesim import cli
 from snakesim.cli import main as cli_main
-from snakesim.scenarios import ConfigError, RunConfig, preset, run_pipeline
+from snakesim.scenarios import ConfigError, RunConfig, RunManifest, preset, run_pipeline
+from snakesim.trajectories import gen_epi_3d, save_trajectory_file
 
 
 def _base_config(**overrides):
@@ -78,6 +80,94 @@ class TestRunConfig:
         a = RunConfig.from_dict(_base_config(seed=1))
         b = RunConfig.from_dict(_base_config(seed=2))
         assert a.hash() != b.hash()
+
+    @pytest.mark.parametrize("name", ["s1_epi", "s2_sos_static", "s2_sos_dynamic",
+                                      "s3_external"])
+    def test_every_nested_key_of_every_preset_is_required(self, name):
+        raw = preset(name, trajectory_path="traj.snkt").raw
+        nested = [(section, key) for section, value in raw.items()
+                  if isinstance(value, dict) for key in value]
+        assert len(nested) >= 25
+        for section, key in nested:
+            cfg = json.loads(json.dumps(raw))
+            del cfg[section][key]
+            with pytest.raises(ConfigError, match=f"{section}.*{key}"):
+                RunConfig.from_dict(cfg)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("trajectory", "af", 4.0), ("sequence", "dwell_time_us", 10.0),
+        ("paradigm", "amplitude", 1.0)])
+    def test_keys_no_code_reads_are_rejected(self, section, key, value):
+        cfg = _base_config()
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=f"unknown {section} keys: \\['{key}'\\]"):
+            RunConfig.from_dict(cfg)
+
+    def test_typed_objects_built_from_the_mapping(self):
+        cfg = _base_config()
+        cfg["recon"].update(method="cs", levels=3, strategy="warm")
+        cfg["noise"]["snr_i"] = 0
+        config = RunConfig.from_dict(cfg)
+        seq = cfg["sequence"]
+        assert (config.sequence.tr_shot, config.sequence.te, config.sequence.t_obs) == (
+            seq["tr_shot_ms"], seq["te_ms"], seq["t_obs_ms"])
+        assert config.paradigm.run_length == cfg["paradigm"]["run_length_s"]
+        assert np.isinf(config.noise.snr_i) and config.noise.seed == cfg["seed"]
+        basis, recon = config.cs
+        # dims 12 x 14 x 12 take one level only
+        assert (basis.levels, recon.strategy) == (1, "warm")
+        # the config keeps its own copy of the mapping it was built from
+        cfg["seed"] += 1
+        assert config.raw["seed"] == cfg["seed"] - 1
+
+
+_DELETE = object()
+
+
+def _edit(section, key, value):
+    def apply(cfg):
+        target = cfg if section is None else cfg[section]
+        if value is _DELETE:
+            del target[key]
+        else:
+            target[key] = value
+    return apply
+
+
+# Configs that used to fail with a traceback, or in a stage after the run
+# had started; each must now fail in from_dict, naming its section or key.
+_PROBES = {
+    "missing te_ms": (_edit("sequence", "te_ms", _DELETE), "sequence"),
+    "missing trajectory kind": (_edit("trajectory", "kind", _DELETE), "trajectory"),
+    "te_ms as a string": (_edit("sequence", "te_ms", "25"), "sequence.te_ms"),
+    "unknown phantom kind": (_edit("phantom", "kind", "blob"), "phantom.kind"),
+    "unknown trajectory kind": (_edit("trajectory", "kind", "rosette"), "trajectory.kind"),
+    "t_obs above tr_shot": (_edit("sequence", "t_obs_ms", 60.0), "sequence"),
+    "negative snr": (_edit("noise", "snr_i", -1), "noise"),
+    "unknown hrf": (_edit("bold", "hrf", "bogus"), "bold.hrf"),
+    "no coils": (_edit(None, "n_coils", 0), "n_coils"),
+    "two dims": (_edit(None, "dims", [8, 8]), "dims"),
+    "p_threshold above 1": (_edit("analysis", "p_threshold", 2), "analysis"),
+    "drift order above frames": (_edit("analysis", "drift_order", 30), "analysis"),
+    "zero on block": (_edit("paradigm", "block_on_s", 0), "paradigm"),
+    "zero run length": (_edit("paradigm", "run_length_s", 0), "paradigm"),
+    "no shots per frame": (_edit("trajectory", "n_shots_per_frame", 0), "trajectory"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_PROBES))
+def test_invalid_config_rejected_before_acquisition(probe, tmp_path, capsys):
+    edit, section = _PROBES[probe]
+    cfg = json.loads(json.dumps(_tiny_config().raw))
+    edit(cfg)
+    with pytest.raises(ConfigError, match=section):
+        RunConfig.from_dict(cfg)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "run"
+    assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert section.split(".")[0] in capsys.readouterr().err
+    assert not (out / "kspace.snkd").exists()
 
 
 class TestPresets:
@@ -191,6 +281,19 @@ class TestRunPipeline:
         disk = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert disk["failed_stage"] == "acquisition"
 
+    def test_external_plan_frame_count_must_match(self, tmp_path):
+        config = _tiny_config()
+        seq = config.sequence
+        path = tmp_path / "two_frames.snkt"
+        save_trajectory_file(path, gen_epi_3d((8, 8, 8), seq, n_frames=2), dwell_time_us=10.0)
+        cfg = json.loads(json.dumps(config.raw))
+        cfg["trajectory"].update(kind="external", path=str(path))
+        cfg["n_frames"] = 3
+        manifest = run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
+        assert manifest.failed_stage == "acquisition"
+        assert "2 frames" in manifest.error and "n_frames is 3" in manifest.error
+        assert not (tmp_path / "run" / "kspace.snkd").exists()
+
     def test_cs_method_runs(self, tmp_path):
         config = _tiny_config()
         cfg = json.loads(json.dumps(config.raw))
@@ -263,6 +366,24 @@ class TestCli:
         cfg_path.write_text(_tiny_config().to_yaml())
         assert cli_main(["run", str(cfg_path), "--scale", "0.5",
                          "--out", str(tmp_path / "run")]) == 2
+
+    @pytest.mark.parametrize("source", ["preset", "file"])
+    def test_run_builds_its_config_once(self, source, tmp_path, monkeypatch):
+        built, ran = [], []
+        from_dict = RunConfig.from_dict.__func__
+        monkeypatch.setattr(RunConfig, "from_dict", classmethod(
+            lambda cls, data: built.append(data) or from_dict(cls, data)))
+        monkeypatch.setattr(cli, "run_pipeline", lambda config, out, n_jobs: ran.append(
+            config) or RunManifest(config_hash="", version="", checksums={}, stage_seconds={}))
+        config = "s1_epi"
+        if source == "file":
+            config = str(tmp_path / "cfg.yaml")
+            (tmp_path / "cfg.yaml").write_text(preset("s1_epi", scale=0.2).to_yaml())
+            built.clear()
+        args = [config, "--seed", "7", "--trajectory", "plan.snkt", "--out", str(tmp_path)]
+        assert cli_main(["run", *args]) == 0
+        assert len(built) == 1
+        assert (ran[0].raw["seed"], ran[0].raw["trajectory"]["path"]) == (7, "plan.snkt")
 
     def test_metrics_missing_run_exit_2(self, tmp_path, capsys):
         assert cli_main(["metrics", str(tmp_path / "nope")]) == 2

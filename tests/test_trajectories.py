@@ -263,6 +263,18 @@ class TestPatternKey:
                 != Shot(points=np.zeros((5, 3)), times=times).pattern_key)
 
 
+    @pytest.mark.parametrize("times, match", [
+        (np.array([0.0, 1e-3, 1e-3]), "strictly increasing"),
+        (np.array([0.0, 2e-3, 1e-3]), "strictly increasing"),
+        (np.array([0.0, 1e-3]), "equal length")])
+    def test_bad_pattern_rejected_with_and_without_a_shared_key(self, times, match):
+        pts = np.zeros((3, 3))
+        with pytest.raises(TrajectoryError, match=match):
+            Shot(points=pts, times=times)
+        with pytest.raises(TrajectoryError, match=match):
+            trajectories.PatternKey(pts, times)
+
+
 class TestPlaneSharing:
     """Plan generators build one read-only points array per kz plane and
     share it between that plane's shots in every frame."""
@@ -303,6 +315,13 @@ class TestPlaneSharing:
         for s, shot in enumerate(plan.shots):
             assert shot.pattern_key is plan.shots[s % 22].pattern_key
             assert shot.pattern_key.points is shot.points
+
+    def test_times_checked_once_per_plane(self, monkeypatch):
+        diffs = []
+        diff = np.diff
+        monkeypatch.setattr(np, "diff", lambda a, *args: diffs.append(1) or diff(a, *args))
+        plan = self._plan("epi")
+        assert len(plan.shots) == 66 and len(diffs) == 22
 
     def test_shared_key_must_hold_the_shots_arrays(self):
         shot = self._plan("epi").shots[0]
