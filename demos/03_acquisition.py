@@ -55,15 +55,21 @@ with tempfile.TemporaryDirectory() as tmp:
                                     sink_path=sink, gm_index=1)
     print("dataset header:", {k: header[k] for k in
                               ("dims", "n_coils", "n_frames", "snr_i")})
-    print("k-space array (frames, coils, samples):", kdata.shape)
+    # Frames go to the sink as they complete, and the run returns the
+    # container's read-only memory map: complex64, read as it is indexed.
+    print("k-space map (frames, coils, samples):", kdata.shape, kdata.dtype)
     print("file size:", sink.stat().st_size, "bytes")
 
-    # The container reads back as the same array, quantized to complex64.
+    # Without a sink the run returns complex128; the container holds that
+    # array quantized to complex64.
     header2, kdata2 = read_dataset(sink)
+    _, full = run_acquisition(phantom, plan, coils, seq, bold=bold,
+                              model="basic", noise=noise, gm_index=1)
     print("frames on disk:", header2["n_frames"],
           "| shots/frame:", header2["n_shots_per_frame"],
           "| equal to the c64 run data:",
-          np.array_equal(kdata2, kdata.astype(np.complex64)))
+          np.array_equal(kdata2, full.astype(np.complex64)))
+    del kdata, kdata2  # release the maps before the directory is removed
 
 # Nyquist check without noise: gather each frame's samples onto the
 # Cartesian grid, inverse FFT, compare against the modulated phantom.

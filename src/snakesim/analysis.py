@@ -26,6 +26,9 @@ from scipy.special import ndtri, stdtr
 from .phantom import Paradigm, build_bold_timecourse
 
 Z_CAP = 38.0  # largest z before norm.sf underflows
+# voxels per chunk of the residual and variance sums: a (n_frames, CHUNK)
+# float64 temporary in place of one the size of the series
+CHUNK = 4096
 
 
 class AnalysisError(ValueError):
@@ -121,6 +124,21 @@ def _t_to_z(t, dof):
     return np.clip(np.nan_to_num(z, posinf=Z_CAP, neginf=-Z_CAP), -Z_CAP, Z_CAP)
 
 
+def _column_sums_of_squares(y, center):
+    """Per column of the (n, V) array y, the sum over rows of
+    (y - center(sl))**2, taken CHUNK columns at a time; ``center(sl)``
+    gives the (n, len) or (len,) values to subtract from ``y[:, sl]``.
+    Each chunk is summed over its rows as numpy sums the whole array, so
+    the result is bit-identical to the unchunked expression."""
+    out = np.empty(y.shape[1])
+    for lo in range(0, y.shape[1], CHUNK):
+        sl = slice(lo, lo + CHUNK)
+        d = y[:, sl] - center(sl)
+        np.multiply(d, d, out=d)
+        d.sum(axis=0, out=out[sl])
+    return out
+
+
 def glm_fit(series, design: DesignMatrix, mask=None) -> StatMap:
     """Voxel-wise OLS with a t test on the task column.
 
@@ -141,8 +159,7 @@ def glm_fit(series, design: DesignMatrix, mask=None) -> StatMap:
     x = design.matrix
     xtx_inv = np.linalg.inv(x.T @ x)
     beta = xtx_inv @ x.T @ y
-    resid = y - x @ beta
-    sigma2 = (resid ** 2).sum(axis=0) / dof
+    sigma2 = _column_sums_of_squares(y, lambda sl: x @ beta[:, sl]) / dof
     c = np.zeros(k)
     c[design.names.index("task")] = 1.0
     denom2 = sigma2 * float(c @ xtx_inv @ c)
@@ -301,8 +318,11 @@ def tsnr(series, roi=None):
     series = np.asarray(series, dtype=np.float64)
     if series.shape[0] < 2:
         raise AnalysisError("tSNR needs at least 2 frames")
+    n = len(series)
     mean = series.mean(axis=0)
-    std = series.std(axis=0, ddof=1)
+    # series.std(axis=0, ddof=1), without a second mean or a full-size temporary
+    var = _column_sums_of_squares(series.reshape(n, -1), lambda sl: mean.ravel()[sl]) / (n - 1)
+    std = np.sqrt(var).reshape(mean.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         tmap = np.where(std > 0, mean / std, np.inf)
     roi_mean = np.nan

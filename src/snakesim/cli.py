@@ -43,7 +43,8 @@ def _build_parser():
     pre.add_argument("--scale", type=float, default=1.0)
     pre.add_argument("--trajectory", default=None)
 
-    met = sub.add_parser("metrics", help="print the metrics of a finished run")
+    met = sub.add_parser("metrics", help="print the metrics of a finished run "
+                                          "and its peak RSS per stage")
     met.add_argument("run_dir")
 
     traj = sub.add_parser("traj", help="trajectory file tools")
@@ -96,7 +97,11 @@ def _cmd_metrics(args):
     path = Path(args.run_dir) / "metrics.json"
     if not path.is_file():
         raise ConfigError(f"no metrics.json under {args.run_dir}")
-    print(json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True))
+    report = json.loads(path.read_text())
+    manifest = Path(args.run_dir) / "manifest.json"
+    if manifest.is_file():
+        report["peak_rss_mb"] = json.loads(manifest.read_text()).get("peak_rss_mb", {})
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 

@@ -15,9 +15,11 @@ tissue, a base and a BOLD delta, and each shot combines their samples
 with its response value h_s. A k-point pattern that the plan repeats is
 transformed once per run and memoized; a shot of that pattern is then a
 lookup, an AXPY and the noise draw. Calibrated complex Gaussian noise is
-added per sample. :func:`run_acquisition` fills one complex128 array
-of shape (n_frames, n_coils, P), the layout of the dataset body, and
-writes it out when the run ends; streaming frames is not done yet.
+added per sample. :func:`run_acquisition` runs the plan frame by
+frame into one (n_coils, P) buffer, the layout of a frame of the dataset
+body. With a sink each finished frame is appended to it, so no
+run-sized array is held, and the run returns the dataset's memory map;
+without one the frames fill one complex128 (n_frames, n_coils, P) array.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import DatasetWriter
+from .io import DatasetWriter, read_dataset
 from .phantom import Phantom, SequenceParams, BoldSpec, gre_contrast, contrast_volume
 # modulated_state is not called here; perfbench/spans.py traces it under
 # this module's name, so it stays importable from here
@@ -438,18 +440,21 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     2 x patterns x L x P complex128 values (0.8 MB for a 22-plane EPI
     plan at 1080 samples and one coil). A pattern that occurs once is
     transformed as the single image B + h_s * D. So no shot costs more
-    transforms than rebuilding its state would. The first shot of every
-    pattern runs on the worker pool; the memo hits follow on the calling
-    thread.
+    transforms than rebuilding its state would. The plan runs frame by
+    frame: the shots of frame t that are the first of their pattern run
+    on the worker pool, then the frame's memo hits on the calling thread.
 
-    Shot i of frame t writes its (L, n_s) samples into
-    ``kdata[t, :, bounds[i]:bounds[i+1]]`` of one complex128 array of
-    shape (n_frames, n_coils, P), P the samples of one frame, which goes
-    to the sink when the last shot is done. Inputs that do not match the
-    phantom, or frames with unequal per-shot sample counts, raise
-    :class:`EngineError` before the sink is created. Returns
-    ``(header, kdata)``, which :func:`snakesim.io.read_dataset` reads
-    back with kdata quantized to complex64.
+    Shot i of frame t writes its (L, n_s) samples into columns
+    ``bounds[i]:bounds[i+1]`` of the frame's (n_coils, P) block, P the
+    samples of one frame. With ``sink_path`` that block is one buffer,
+    appended to the sink per (coil, shot) as soon as the frame is done,
+    and the run returns :func:`snakesim.io.read_dataset` of the sink:
+    ``(header, kdata)`` with kdata a read-only complex64 memory map of
+    shape (n_frames, n_coils, P), the bytes that were written. Without a
+    sink the blocks are the frames of one complex128 array of that shape,
+    returned as kdata. Inputs that do not match the phantom, or frames
+    with unequal per-shot sample counts, raise :class:`EngineError`
+    before the sink is created.
     """
     if model not in ("basic", "t2s"):
         raise EngineError(f"unknown model {model!r}")
@@ -475,28 +480,29 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     pattern = _pattern_numbers(plan.shots)
     repeated = np.bincount(pattern)[pattern] > 1
     # each pattern's first shot transforms; every other shot is a memo hit
-    leads = np.unique(pattern, return_index=True)[1].tolist()
-    hits = sorted(set(range(n_shots)).difference(leads))
+    is_lead = np.zeros(n_shots, dtype=bool)
+    is_lead[np.unique(pattern, return_index=True)[1]] = True
     memo = {}
     bounds = np.concatenate([[0], np.cumsum(counts)])
-    # full precision in memory; the sink quantizes to c64
-    kdata = np.empty((plan.n_frames, coils.n_coils, bounds[-1]), dtype=np.complex128)
+    # full precision in memory: one frame with a sink, which quantizes to
+    # c64 and is read back, and the whole run without one
+    kdata = np.empty((1 if sink_path else plan.n_frames, coils.n_coils, bounds[-1]),
+                     dtype=np.complex128)
 
     def acquire(volumes, shot, cache=None):
         if model == "basic":
             return acquire_shot_basic(volumes, coils, shot, cache=cache)
         return acquire_shot_t2s(volumes, t2s_s, coils, shot, cache=cache)
 
-    def compute_shot(s):
+    def compute_shot(s, out):
         shot = plan.shots[s]
         if repeated[s]:
             y = acquire(terms, shot, cache=memo)
             samples = y[0] + h[s] * y[1]
         else:
             samples = acquire(terms[..., 0, :, :, :] + h[s] * terms[..., 1, :, :, :], shot)
-        t, i = divmod(s, plan.shots_per_frame)
-        kdata[t, :, bounds[i]:bounds[i + 1]] = add_noise(samples, noise, energy,
-                                                         shot_index=s)
+        i = s % plan.shots_per_frame
+        out[:, bounds[i]:bounds[i + 1]] = add_noise(samples, noise, energy, shot_index=s)
 
     header = {
         "dims": list(plan.dims),
@@ -515,24 +521,31 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
 
     workers = _worker_count(n_jobs)
     writer = DatasetWriter(sink_path, header) if sink_path else None
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        if workers == 1:
-            for s in leads:
-                compute_shot(s)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(compute_shot, leads))
-        # memo hits hold the GIL for most of their time (the lookup, the
-        # AXPY and the noise draw of a few thousand samples), so threads
-        # would only contend for it: they run on this thread
-        for s in hits:
-            compute_shot(s)
-        if writer:
-            for frame in kdata:
-                for coil in frame:
+        for t in range(plan.n_frames):
+            out = kdata[0 if writer else t]
+            shots = np.arange(t * plan.shots_per_frame, (t + 1) * plan.shots_per_frame)
+            leads, hits = shots[is_lead[shots]].tolist(), shots[~is_lead[shots]].tolist()
+            if pool:
+                list(pool.map(compute_shot, leads, [out] * len(leads)))
+            else:
+                for s in leads:
+                    compute_shot(s, out)
+            # memo hits hold the GIL for most of their time (the lookup, the
+            # AXPY and the noise draw of a few thousand samples), so threads
+            # would only contend for it: they run on this thread
+            for s in hits:
+                compute_shot(s, out)
+            if writer:
+                for coil in out:
                     for lo, hi in zip(bounds[:-1], bounds[1:]):
                         writer.append(coil[lo:hi])
     finally:
+        if pool:
+            pool.shutdown()
         if writer:
             writer.close()
+    if writer:
+        return read_dataset(sink_path)
     return header, kdata

@@ -11,7 +11,8 @@ Three little-endian formats are defined here:
 * ``SNKD1`` -- a k-space dataset: magic, u32 length-prefixed canonical
   JSON header, then per frame, per coil, per shot, complex f32
   interleaved (re, im): one C-order complex64 array of shape
-  (n_frames, n_coils, P), P the samples of one frame.
+  (n_frames, n_coils, P), P the samples of one frame, written a frame
+  at a time and read back as a memory map.
 
 A minimal NIfTI-1 reader (little-endian float32 only) is provided for
 ingesting per-tissue fuzzy masks.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import shutil
 import struct
 from pathlib import Path
 
@@ -32,6 +34,8 @@ TRAJ_MAGIC = b"SNKT1"
 DATASET_MAGIC = b"SNKD1"
 # header keys read_dataset needs to shape the body
 _DATASET_KEYS = ("n_frames", "n_coils", "n_shots_per_frame", "samples_per_shot")
+# bytes per read when a partial dataset's body is copied
+_COPY_CHUNK = 1 << 20
 
 
 class FormatError(ValueError):
@@ -208,11 +212,15 @@ class DatasetWriter:
             return
         self._f.close()
         if self._written != self._expected:
-            # rewrite the file with a partial-file marker in the header
-            body = self.path.read_bytes()[9 + len(canonical_json(self.header).encode()):]
-            with open(self.path, "wb") as self._f:
+            # rewrite the file with a partial-file marker in the header: the
+            # body, up to a whole run, is copied in chunks to a sibling file
+            # that then replaces it
+            partial = self.path.with_name(self.path.name + ".partial")
+            with open(self.path, "rb") as src, open(partial, "wb") as self._f:
+                src.seek(9 + len(canonical_json(self.header).encode()))
                 self._write_header({**self.header, "partial": True})
-                self._f.write(body)
+                shutil.copyfileobj(src, self._f, _COPY_CHUNK)
+            os.replace(partial, self.path)
 
     def __enter__(self):
         return self
@@ -224,8 +232,9 @@ class DatasetWriter:
 def read_dataset(path):
     """Read an SNKD1 container.
 
-    Returns ``(header, kdata)``, kdata the body as one C-order complex64
-    array of shape (n_frames, n_coils, P), P = sum(samples_per_shot). A
+    Returns ``(header, kdata)``, kdata a read-only ``np.memmap`` of the
+    body: one C-order complex64 array of shape (n_frames, n_coils, P),
+    P = sum(samples_per_shot), read from the file as it is indexed. A
     bad magic, a partial marker, a missing header key, or a body shorter
     or longer than the header predicts raises :class:`FormatError`.
     """
@@ -251,5 +260,5 @@ def read_dataset(path):
         if have > need:
             raise FormatError(f"{path}: {have - need} bytes after the "
                               f"{need} body bytes the header predicts")
-        kdata = np.fromfile(f, dtype="<c8", count=need // 8)
-    return header, kdata.reshape(shape)
+        offset = f.tell()
+    return header, np.memmap(path, dtype="<c8", mode="r", offset=offset, shape=shape)

@@ -204,6 +204,12 @@ def load_phantom(volume_files, tissue_table):
                    tissues=tuple(tissue_table), weights=weights)
 
 
+def sphere_fits(center, radius, dims):
+    """Whether the sphere lies inside the volume, as :func:`synthetic_phantom`
+    requires of each of its spheres."""
+    return all(radius <= c <= n - radius for c, n in zip(center, dims))
+
+
 def synthetic_phantom(dims, spheres, tissues=None, voxel_size=(1.0, 1.0, 1.0),
                       supersample=4):
     """Deterministic fuzzy sphere phantom for desk-scale tests.
@@ -224,9 +230,7 @@ def synthetic_phantom(dims, spheres, tissues=None, voxel_size=(1.0, 1.0, 1.0),
     # subvoxel offsets for partial-volume estimation
     off = (np.arange(supersample) + 0.5) / supersample - 0.5
     for center, radius, ti in spheres:
-        cx, cy, cz = center
-        if not (radius <= cx <= dims[0] - radius and radius <= cy <= dims[1] - radius
-                and radius <= cz <= dims[2] - radius):
+        if not sphere_fits(center, radius, dims):
             raise PhantomError(f"sphere at {center} r={radius} does not fit in {dims}")
         # no subvoxel of a voxel more than radius + 1 from the center is inside
         box = tuple(slice(max(0, math.floor(c - radius - 1)),

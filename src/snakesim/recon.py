@@ -32,6 +32,11 @@ transform. A series
 builds one operator, and estimates its Lipschitz constant once, per
 run of consecutive frames that share a point set: once for a static
 plan, once per frame for a dynamic one.
+
+:func:`frame_estimates` yields a series one frame at a time and reads a
+frame's data only when it solves that frame, so a memory-mapped dataset
+is never loaded whole; :func:`reconstruct_series` and
+:func:`adjoint_series` collect it into one :class:`FrameSeries`.
 """
 
 from __future__ import annotations
@@ -71,8 +76,8 @@ class FrameEstimate:
     volume: np.ndarray
     objective_trace: list
     mu_used: float
-    n_iters: int               # POGM iterations run
-    converged: bool            # stopped because the relative change fell below tol
+    n_iters: int | None = None      # POGM iterations run; None for the adjoint
+    converged: bool | None = None   # stopped because the relative change fell below tol
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +361,19 @@ class FrameSeries:
         return np.abs(self.volumes)
 
 
-def reconstruct_series(kdata, plan, coils, basis: WaveletBasis,
-                       config: ReconConfig) -> FrameSeries:
-    """Reconstruct every frame of the (n_frames, n_coils, P) k-space
-    array ``kdata`` under the configured strategy.
+def frame_estimates(kdata, plan, coils, basis: WaveletBasis | None = None,
+                    config: ReconConfig | None = None, density_comp="none"):
+    """Yield the :class:`FrameEstimate` of every frame of the
+    (n_frames, n_coils, P) k-space array ``kdata``, in frame order.
 
-    cold: each frame solved independently from its adjoint init. warm:
-    frame t+1 starts from frame t's estimate. refined: a warm pass, then
-    every frame re-solved from the final warm-pass estimate. One
+    Without ``config`` each frame is the density-compensated adjoint.
+    With ``basis`` and ``config`` each is a CS solve under the configured
+    strategy. cold: each frame solved independently from its adjoint
+    init. warm: frame t+1 starts from frame t's estimate. refined: a warm
+    pass, then every frame re-solved from the final warm-pass estimate.
+    A frame's data is read from ``kdata`` when the frame is solved, and
+    no more than two frames' volumes are held at a time, so a
+    memory-mapped dataset is reconstructed in bounded memory. One
     FrameOperator and one Lipschitz estimate serve each run of
     consecutive frames with the same k-points.
     """
@@ -372,6 +382,11 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis,
     if n_frames < 1:
         raise ReconError("need at least one frame")
     operator_for = _frame_operators(plan, coils)
+    if config is None:
+        for t in range(n_frames):
+            yield FrameEstimate(adjoint_recon(kdata[t], operator_for(t),
+                                              density_comp=density_comp), [], 0.0)
+        return
 
     def solve(t, init):
         try:
@@ -379,42 +394,42 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis,
         except ReconError as e:
             raise ReconError(f"frame {t}: {e}") from e
 
-    estimates = []
-    if config.strategy == "cold":
+    init = None
+    if config.strategy == "refined":
+        # the warm pass yields nothing; its last estimate starts every frame
         for t in range(n_frames):
-            estimates.append(solve(t, None))
-    elif config.strategy == "warm":
-        prev = None
-        for t in range(n_frames):
-            est = solve(t, prev)
-            estimates.append(est)
-            prev = est.volume
-    else:  # refined: warm pass, then re-solve all frames from the last estimate
-        prev = None
-        for t in range(n_frames):
-            est = solve(t, prev)
-            prev = est.volume
-        final = prev
-        for t in range(n_frames):
-            estimates.append(solve(t, final))
+            init = solve(t, init).volume
+    for t in range(n_frames):
+        est = solve(t, init)
+        if config.strategy == "warm":
+            init = est.volume
+        yield est
+
+
+def _series(estimates, strategy, tr_vol) -> FrameSeries:
+    """The FrameSeries of the estimates of :func:`frame_estimates`."""
+    estimates = list(estimates)
+    solved = strategy != "adjoint"
     return FrameSeries(
         volumes=np.stack([e.volume for e in estimates]),
         mu_values=[e.mu_used for e in estimates],
         objective_traces=[e.objective_trace for e in estimates],
-        strategy=config.strategy,
-        tr_vol=plan.tr_vol,
-        n_iters=[e.n_iters for e in estimates],
-        converged=[e.converged for e in estimates],
+        strategy=strategy,
+        tr_vol=tr_vol,
+        n_iters=[e.n_iters for e in estimates] if solved else None,
+        converged=[e.converged for e in estimates] if solved else None,
     )
+
+
+def reconstruct_series(kdata, plan, coils, basis: WaveletBasis,
+                       config: ReconConfig) -> FrameSeries:
+    """Every frame of :func:`frame_estimates` under CS, as one series."""
+    return _series(frame_estimates(kdata, plan, coils, basis, config),
+                   config.strategy, plan.tr_vol)
 
 
 def adjoint_series(kdata, plan, coils, density_comp="none") -> FrameSeries:
     """Density-compensated adjoint reconstruction of every frame of the
-    (n_frames, n_coils, P) k-space array ``kdata``."""
-    _check_frame_count(kdata, plan)
-    operator_for = _frame_operators(plan, coils)
-    volumes = [adjoint_recon(kdata[t], operator_for(t), density_comp=density_comp)
-               for t in range(len(kdata))]
-    return FrameSeries(volumes=np.stack(volumes), mu_values=[0.0] * len(volumes),
-                       objective_traces=[[] for _ in volumes], strategy="adjoint",
-                       tr_vol=plan.tr_vol)
+    (n_frames, n_coils, P) k-space array ``kdata``, as one series."""
+    return _series(frame_estimates(kdata, plan, coils, density_comp=density_comp),
+                   "adjoint", plan.tr_vol)

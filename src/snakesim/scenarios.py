@@ -12,8 +12,9 @@ from __future__ import annotations
 import copy
 import csv
 import hashlib
+import resource
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,14 @@ from .analysis import (bacc, build_design, glm_fit, precision_recall, psnr,
                        ssim, threshold_detect, tsnr, MetricsReport)
 from .engine import EngineError, NoiseConfig, birdcage_coils, run_acquisition
 from .io import canonical_json, write_volume
-from .phantom import (BoldSpec, Paradigm, Phantom, PhantomError, SequenceParams,
-                      build_bold_timecourse, contrast_volume, default_tissues,
-                      ellipsoid_roi, gre_contrast, load_phantom,
-                      synthetic_phantom)
-from .recon import (ReconConfig, ReconError, WaveletBasis, adjoint_series,
-                    reconstruct_series)
+from .phantom import (TISSUE_7T, BoldSpec, Paradigm, Phantom, PhantomError,
+                      SequenceParams, build_bold_timecourse, contrast_volume,
+                      default_tissues, ellipsoid_roi, gre_contrast, load_phantom,
+                      sphere_fits, synthetic_phantom)
+from .recon import ReconConfig, ReconError, WaveletBasis, frame_estimates
+# the pipeline reconstructs through frame_estimates; perfbench/spans.py traces
+# these two under this module's name, so they stay importable from here
+from .recon import adjoint_series, reconstruct_series  # noqa: F401
 from .trajectories import (gen_epi_3d, gen_spiral, gen_stack_of_spirals,
                            load_trajectory_file)
 from .wavelets import WaveletError
@@ -86,6 +89,35 @@ def _check(section, data, keys):
                               f"got {type(value).__name__}")
 
 
+def _gm_sphere(cfg):
+    """(center, radius) of the synthetic phantom's GM sphere."""
+    dims = cfg["dims"]
+    return tuple(d / 2 for d in dims), cfg["phantom"]["gm_sphere_radius_frac"] * min(dims)
+
+
+def _check_phantom(cfg):
+    """Reject a phantom that :func:`_build_phantom` would refuse: a GM
+    sphere that does not fit ``dims``, or a tissue list with a name
+    outside ``TISSUE_7T``, without GM (the tissue the BOLD response
+    modulates) or of another length than the file list."""
+    spec = cfg["phantom"]
+    if spec["kind"] == "synthetic":
+        center, r = _gm_sphere(cfg)
+        if not sphere_fits(center, r, cfg["dims"]):
+            raise ConfigError(f"phantom.gm_sphere_radius_frac: the GM sphere of radius "
+                              f"{r:g} at {center} does not fit in {cfg['dims']}")
+        return
+    unknown = [t for t in spec["tissues"]
+               if not (isinstance(t, str) and t.upper() in TISSUE_7T)]
+    if unknown:
+        raise ConfigError(f"phantom.tissues: {unknown} not in {sorted(TISSUE_7T)}")
+    if "GM" not in [t.upper() for t in spec["tissues"]]:
+        raise ConfigError(f"phantom.tissues: {spec['tissues']} does not list GM")
+    if len(spec["files"]) != len(spec["tissues"]):
+        raise ConfigError(f"phantom: {len(spec['files'])} files for "
+                          f"{len(spec['tissues'])} tissues")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A checked run config: ``raw``, the mapping saved and hashed, and the typed objects
@@ -115,6 +147,10 @@ class RunConfig:
                 raise ConfigError(f"{key}: need at least 1, got {value}")
         if traj["kind"] == "external" and not traj["path"]:
             raise ConfigError("trajectory: the external kind requires a path")
+        if traj["kind"] == "epi3d" and traj["n_shots_per_frame"] > raw["dims"][2]:
+            raise ConfigError(f"trajectory.n_shots_per_frame: {traj['n_shots_per_frame']} "
+                              f"EPI planes > Nz = {raw['dims'][2]}")
+        _check_phantom(raw)
         if not (0 < analysis["p_threshold"] < 1
                 and 0 <= analysis["drift_order"] <= raw["n_frames"] - 2):
             raise ConfigError(f"analysis: need 0 < p_threshold < 1 and 0 <= drift_order "
@@ -233,15 +269,19 @@ def preset(name, scale=1.0, trajectory_path=None, seed=1234) -> RunConfig:
 
 
 def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of a file, read in 1 MB blocks: the dataset is run-sized."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
 
 
 def _build_phantom(cfg):
     dims = tuple(cfg["dims"])
     spec = cfg["phantom"]
     if spec["kind"] == "synthetic":
-        r = spec["gm_sphere_radius_frac"] * min(dims)
-        center = tuple(d / 2 for d in dims)
+        center, r = _gm_sphere(cfg)
         tissues = default_tissues(("WM", "GM"))
         voxel = tuple(cfg["voxel_size_mm"])
         # concentric construction: GM sphere inside a WM ball
@@ -291,6 +331,8 @@ class RunManifest:
     stage_seconds: dict
     failed_stage: str | None = None
     error: str | None = None
+    # the process's peak RSS at the end of each finished stage
+    peak_rss_mb: dict = field(default_factory=dict)
 
     def to_dict(self):
         return asdict(self)
@@ -299,6 +341,11 @@ class RunManifest:
 def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     """Acquisition -> reconstruction -> analysis, all artifacts persisted.
 
+    The k-space goes to ``kspace.snkd`` frame by frame, and each frame is
+    reconstructed from the file's memory map and written as its magnitude
+    when it is done, so the one run-sized array held is the
+    (n_frames, *dims) magnitude series the GLM needs. The manifest
+    records each finished stage's seconds and the peak RSS at its end.
     Any stage failure is recorded in the manifest with the stage name and
     downstream stages are skipped.
     """
@@ -308,6 +355,12 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     (out / "config.yaml").write_text(config.to_yaml())
     manifest = RunManifest(config_hash=config.hash(), version=__version__,
                            checksums={}, stage_seconds={})
+
+    def finish(stage, t0):
+        manifest.stage_seconds[stage] = time.monotonic() - t0
+        # ru_maxrss is in kB on Linux
+        manifest.peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
     stage = "acquisition"
     try:
         t0 = time.monotonic()
@@ -329,33 +382,37 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         write_volume(out / "reference.snkv", np.abs(reference),
                      voxel_size=phantom.voxel_size)
         write_volume(out / "roi.snkv", roi, voxel_size=phantom.voxel_size)
-        manifest.stage_seconds[stage] = time.monotonic() - t0
+        finish(stage, t0)
         manifest.checksums["kspace.snkd"] = _sha256(dataset_path)
         manifest.checksums["reference.snkv"] = _sha256(out / "reference.snkv")
 
         stage = "reconstruction"
         t0 = time.monotonic()
-        if config.cs is None:
-            series = adjoint_series(kdata, plan, coils,
-                                    density_comp=cfg["recon"]["density_comp"])
-        else:
-            series = reconstruct_series(kdata, plan, coils, *config.cs)
-        mags = series.magnitude()
-        for t in range(mags.shape[0]):
-            write_volume(out / f"frame_{t:04d}.snkv", mags[t],
-                         voxel_size=phantom.voxel_size)
+        # kdata maps kspace.snkd: each frame is read from the file as it is
+        # solved, and only its magnitude is kept
+        frames = frame_estimates(kdata, plan, coils, *(config.cs or ()),
+                                 density_comp=cfg["recon"]["density_comp"])
+        mags = np.empty((plan.n_frames, *phantom.dims))
+        solves = []
+        for t, est in enumerate(frames):
+            np.abs(est.volume, out=mags[t])
+            write_volume(out / f"frame_{t:04d}.snkv", mags[t], voxel_size=phantom.voxel_size)
+            solves.append((est.mu_used, est.objective_trace, est.n_iters, est.converged))
+        del kdata, frames
+        mu_values, traces, n_iters, converged = zip(*solves)
         index = {"n_frames": int(mags.shape[0]), "dims": list(phantom.dims),
-                 "tr_vol_s": plan.tr_vol, "strategy": series.strategy,
-                 "mu": [float(m) for m in series.mu_values],
+                 "tr_vol_s": plan.tr_vol,
+                 "strategy": "adjoint" if config.cs is None else config.cs[1].strategy,
+                 "mu": [float(m) for m in mu_values],
                  "objective_traces": "objective_traces.csv"}
-        if series.n_iters is not None:
-            index.update(n_iters=series.n_iters, converged=series.converged)
+        if config.cs is not None:
+            index.update(n_iters=list(n_iters), converged=list(converged))
         (out / "series_index.json").write_text(canonical_json(index))
         with open(out / "objective_traces.csv", "w", newline="") as f:
             writer = csv.writer(f)
-            for t, trace in enumerate(series.objective_traces):
+            for t, trace in enumerate(traces):
                 writer.writerow([t, *trace])
-        manifest.stage_seconds[stage] = time.monotonic() - t0
+        finish(stage, t0)
         manifest.checksums["series_index.json"] = _sha256(out / "series_index.json")
         manifest.checksums["frame_0000.snkv"] = _sha256(out / "frame_0000.snkv")
         manifest.checksums[f"frame_{mags.shape[0] - 1:04d}.snkv"] = \
@@ -386,7 +443,7 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
             writer.writerow(["recall", "precision"])
             for r, p in zip(pr["recall"], pr["precision"]):
                 writer.writerow([f"{r:.10g}", f"{p:.10g}"])
-        manifest.stage_seconds[stage] = time.monotonic() - t0
+        finish(stage, t0)
         manifest.checksums["metrics.json"] = _sha256(out / "metrics.json")
         manifest.checksums["zmap.snkv"] = _sha256(out / "zmap.snkv")
     except Exception as e:  # noqa: BLE001 - stage failure is a recorded outcome

@@ -5,6 +5,7 @@ import pytest
 from scipy import ndimage, stats
 
 from snakesim.analysis import (
+    CHUNK,
     Z_CAP,
     AnalysisError,
     DetectionResult,
@@ -363,3 +364,38 @@ class TestTsnr:
     def test_needs_two_frames(self):
         with pytest.raises(AnalysisError):
             tsnr(np.zeros((1, 2, 2, 2)))
+
+
+class TestChunkedSums:
+    """glm_fit and tsnr on a series wider than one CHUNK of voxels equal the
+    unchunked numpy expressions bit for bit."""
+
+    shape = (30, 3, 50, 2 * CHUNK // 150 + 7)
+
+    def _series(self):
+        rng = np.random.default_rng(31)
+        series = 10.0 + rng.standard_normal(self.shape)
+        assert np.prod(self.shape[1:]) > 2 * CHUNK
+        return series
+
+    def test_glm_fit(self):
+        series = self._series()
+        n = self.shape[0]
+        paradigm = Paradigm.blocks(on=10.0, off=10.0, run_length=n * 2.5)
+        design = build_design(paradigm, "double_gamma", n_frames=n, tr_vol=2.5)
+        x, k = design.matrix, design.n_regressors
+        y = series.reshape(n, -1)
+        xtx_inv = np.linalg.inv(x.T @ x)
+        beta = xtx_inv @ x.T @ y
+        sigma2 = ((y - x @ beta) ** 2).sum(axis=0) / (n - k)
+        t = np.clip(beta[0] / np.sqrt(sigma2 * xtx_inv[0, 0]), -Z_CAP, Z_CAP)
+        sm = glm_fit(series, design)
+        np.testing.assert_array_equal(sm.t.ravel().view(np.int64), t.view(np.int64))
+        np.testing.assert_array_equal(sm.z.ravel().view(np.int64),
+                                      _t_to_z(t, n - k).view(np.int64))
+
+    def test_tsnr(self):
+        series = self._series()
+        want = series.mean(axis=0) / series.std(axis=0, ddof=1)
+        tmap, _ = tsnr(series)
+        np.testing.assert_array_equal(tmap.view(np.int64), want.view(np.int64))

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -703,23 +704,49 @@ class TestAffineAcquisition:
     @pytest.mark.parametrize("model", ["basic", "t2s"])
     @pytest.mark.parametrize("kind", list(PLAN_PATHS))
     def test_dense_round_trip(self, kind, model, tmp_path):
-        """The run returns one (T, L, P) complex128 array, and the sink
-        reads back as that array quantized to complex64."""
+        """Without a sink the run returns one (T, L, P) complex128 array;
+        with one it returns the sink's complex64 memory map, which is that
+        array quantized to complex64."""
         seq = _seq()
         plan = _plan(kind, self.dims, seq)
         ph, bold = _bold_phantom(self.dims, plan)
         coils = birdcage_coils(self.dims, 2)
-        sink = tmp_path / "run.snkd"
-        header, kdata = run_acquisition(ph, plan, coils, seq, bold=bold, model=model,
-                                        noise=NoiseConfig(snr_i=100.0, seed=3),
-                                        sink_path=sink, gm_index=1, n_jobs=2)
+        args = (ph, plan, coils, seq)
+        kw = dict(bold=bold, model=model, noise=NoiseConfig(snr_i=100.0, seed=3),
+                  gm_index=1, n_jobs=2)
+        header, kdata = run_acquisition(*args, **kw)
         n_samples = sum(s.n_samples for s in plan.frame(0))
         assert kdata.shape == (plan.n_frames, 2, n_samples)
         assert kdata.dtype == np.complex128 and kdata.flags.c_contiguous
+        sink = tmp_path / "run.snkd"
+        sink_header, mapped = run_acquisition(*args, **kw, sink_path=sink)
         back_header, back = read_dataset(sink)
-        assert back_header == header
-        assert back.shape == kdata.shape and back.dtype == np.complex64
-        assert np.array_equal(back, kdata.astype(np.complex64))
+        assert sink_header == back_header == header
+        assert isinstance(mapped, np.memmap) and not mapped.flags.writeable
+        assert mapped.shape == kdata.shape and mapped.dtype == np.complex64
+        assert np.array_equal(mapped, back)
+        assert np.array_equal(mapped, kdata.astype(np.complex64))
+
+    def test_sink_run_holds_no_run_sized_array(self, tmp_path):
+        """With a sink the run holds one frame, not the (T, L, P) complex128
+        array, which dominates this plan's memory without one."""
+        dims, seq = (6, 6, 8), _seq()
+        plan = gen_epi_3d(dims, seq, n_frames=120)
+        ph, bold = _bold_phantom(dims, plan)
+        coils = birdcage_coils(dims, 2)
+        n_samples = sum(s.n_samples for s in plan.frame(0))
+        run_bytes = plan.n_frames * coils.n_coils * n_samples * 16
+
+        def peak(**kw):
+            tracemalloc.start()
+            try:
+                run_acquisition(ph, plan, coils, seq, bold=bold, gm_index=1, n_jobs=2, **kw)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() >= run_bytes
+        assert peak(sink_path=tmp_path / "run.snkd") < run_bytes / 4
 
     @pytest.mark.parametrize("kind", list(PLAN_PATHS))
     def test_pool_writes_equal_one_thread(self, kind):

@@ -180,6 +180,30 @@ def test_dataset_partial_marker(tmp_path):
         read_dataset(path)
 
 
+def test_dataset_partial_rewrite_keeps_body(tmp_path):
+    """The partial rewrite keeps every appended byte and leaves no other file."""
+    path = tmp_path / "p.snkd"
+    blocks = [np.arange(4) + 1j * k for k in range(3)]
+    with DatasetWriter(path, _header()) as w:
+        for block in blocks:
+            w.append(block)
+    raw = path.read_bytes()
+    hlen = struct.unpack_from("<I", raw, 5)[0]
+    assert raw[9 + hlen:] == np.concatenate(blocks).astype("<c8").tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["p.snkd"]
+
+
+def test_dataset_reads_as_read_only_memmap(tmp_path):
+    path = tmp_path / "m.snkd"
+    with DatasetWriter(path, _header()) as w:
+        for k in range(8):
+            w.append(np.full(4, k + 1j, dtype=np.complex64))
+    _, kdata = read_dataset(path)
+    assert isinstance(kdata, np.memmap) and not kdata.flags.writeable
+    assert kdata.dtype == np.complex64
+    assert np.array_equal(kdata.ravel(), np.repeat(np.arange(8) + 1j, 4))
+
+
 def test_dataset_header_round_trips_bit_exact(tmp_path):
     header = _header()
     path = tmp_path / "h.snkd"

@@ -8,7 +8,11 @@ import yaml
 
 from snakesim import cli
 from snakesim.cli import main as cli_main
-from snakesim.scenarios import ConfigError, RunConfig, RunManifest, preset, run_pipeline
+from snakesim.engine import birdcage_coils
+from snakesim.io import read_dataset, write_volume
+from snakesim.recon import adjoint_series, reconstruct_series
+from snakesim.scenarios import (ConfigError, RunConfig, RunManifest, _build_plan, preset,
+                                run_pipeline)
 from snakesim.trajectories import gen_epi_3d, save_trajectory_file
 
 
@@ -249,6 +253,10 @@ class TestRunPipeline:
         assert disk["config_hash"] == config.hash()
         assert set(disk["stage_seconds"]) == {"acquisition", "reconstruction",
                                               "analysis"}
+        assert set(disk["peak_rss_mb"]) == set(disk["stage_seconds"])
+        peaks = [disk["peak_rss_mb"][stage]
+                 for stage in ("acquisition", "reconstruction", "analysis")]
+        assert 0 < peaks[0] <= peaks[1] <= peaks[2]
         metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics) >= {"auc_pr", "bacc", "psnr_first", "ssim_last",
                                 "tsnr_roi_mean"}
@@ -293,6 +301,27 @@ class TestRunPipeline:
         assert manifest.failed_stage == "acquisition"
         assert "2 frames" in manifest.error and "n_frames is 3" in manifest.error
         assert not (tmp_path / "run" / "kspace.snkd").exists()
+
+    @pytest.mark.parametrize("method", ["adjoint", "cs"])
+    def test_frames_reproduced_from_the_dataset(self, method, tmp_path):
+        """The series functions on kspace.snkd write the pipeline's frames
+        byte for byte: the pipeline reconstructs from the file it wrote."""
+        cfg = json.loads(json.dumps(_tiny_config().raw))
+        cfg["recon"].update(method=method, strategy="warm", max_iters=3)
+        config = RunConfig.from_dict(cfg)
+        out = tmp_path / "run"
+        assert run_pipeline(config, out).failed_stage is None
+        plan = _build_plan(cfg, config.sequence)
+        coils = birdcage_coils(tuple(cfg["dims"]), cfg["n_coils"])
+        _, kdata = read_dataset(out / "kspace.snkd")
+        if method == "adjoint":
+            series = adjoint_series(kdata, plan, coils)
+        else:
+            series = reconstruct_series(kdata, plan, coils, *config.cs)
+        for t, mag in enumerate(series.magnitude()):
+            write_volume(tmp_path / "again.snkv", mag, voxel_size=cfg["voxel_size_mm"])
+            name = f"frame_{t:04d}.snkv"
+            assert (tmp_path / "again.snkv").read_bytes() == (out / name).read_bytes(), name
 
     def test_cs_method_runs(self, tmp_path):
         config = _tiny_config()
@@ -341,6 +370,7 @@ class TestCli:
         assert cli_main(["metrics", out]) == 0
         metrics = json.loads(capsys.readouterr().out)
         assert "bacc" in metrics
+        assert set(metrics["peak_rss_mb"]) == {"acquisition", "reconstruction", "analysis"}
 
     def test_run_stage_failure_exit_3(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(_tiny_config().raw))
@@ -359,6 +389,31 @@ class TestCli:
         out = tmp_path / "run"
         assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
         assert "wavelet" in capsys.readouterr().err
+        assert not (out / "kspace.snkd").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"phantom": {"kind": "files", "files": ["wm.snkv", "xx.snkv"],
+                      "tissues": ["WM", "XX"]}}, "XX"),
+        ({"phantom": {"kind": "files", "files": ["wm.snkv", "csf.snkv"],
+                      "tissues": ["WM", "CSF"]}}, "does not list GM"),
+        ({"phantom": {"kind": "files", "files": ["gm.snkv"],
+                      "tissues": ["WM", "GM"]}}, "1 files for 2 tissues"),
+        ({"phantom": {"kind": "synthetic", "gm_sphere_radius_frac": 0.8}}, "does not fit"),
+        ({"trajectory": {"n_shots_per_frame": 9}}, "9 EPI planes > Nz = 8")])
+    def test_run_unbuildable_phantom_or_plan_exit_2_before_acquisition(
+            self, change, message, tmp_path, capsys):
+        """Configs the phantom and plan builders would refuse exit 2 before
+        the dataset exists (the files are never opened)."""
+        cfg = json.loads(json.dumps(_tiny_config().raw))
+        for section, values in change.items():
+            cfg[section] = {**cfg[section], **values} if section != "phantom" else values
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict(cfg)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "run"
+        assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not (out / "kspace.snkd").exists()
 
     def test_run_scale_on_config_file_exit_2(self, tmp_path, capsys):
