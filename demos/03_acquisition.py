@@ -39,8 +39,7 @@ plan = gen_epi_3d(dims, seq, n_frames=4)
 coils = birdcage_coils(dims, 4)
 
 paradigm = Paradigm.blocks(on=20.0, off=20.0, run_length=300.0)
-shot_times = np.array([s.shot_time for s in plan.shots])
-h = build_bold_timecourse(paradigm, shot_times)
+h = build_bold_timecourse(paradigm, plan.shot_times)
 roi = (phantom.weights[1] >= 0.5).astype(float)
 bold = BoldSpec(roi=roi, delta_r2s=-1.0, h_tilde=h)
 

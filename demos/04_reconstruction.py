@@ -43,7 +43,7 @@ plan = gen_stack_of_spirals(spiral, dims[2], af=2.0, center_fraction=0.125,
                             dims=dims)
 coils = birdcage_coils(dims, 4)
 paradigm = Paradigm.blocks(on=20.0, off=20.0, run_length=300.0)
-h = build_bold_timecourse(paradigm, np.array([s.shot_time for s in plan.shots]))
+h = build_bold_timecourse(paradigm, plan.shot_times)
 bold = BoldSpec(roi=(phantom.weights[1] >= 0.5).astype(float),
                 delta_r2s=-1.0, h_tilde=h)
 _, kdata = run_acquisition(phantom, plan, coils, seq, bold=bold,

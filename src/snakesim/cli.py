@@ -108,8 +108,7 @@ def _cmd_metrics(args):
 def _cmd_traj_gen(args):
     dims = tuple(args.dims)
     seq = SequenceParams(tr_shot=args.tr_shot_ms, te=args.tr_shot_ms / 2,
-                         flip_angle=12.0, t_obs=args.t_obs_ms,
-                         dwell_time=args.dwell_us)
+                         flip_angle=12.0, t_obs=args.t_obs_ms)
     if args.kind == "epi3d":
         plan = gen_epi_3d(dims, seq)
     else:

@@ -12,12 +12,12 @@ trajectory.
 
 The BOLD model is affine in time, so a run transforms two images per
 tissue, a base and a BOLD delta, and each shot combines their samples
-with its response value h_s. A k-point pattern that the plan repeats is
-transformed once per run and memoized; a shot of that pattern is then a
-lookup, an AXPY and the noise draw. Calibrated complex Gaussian noise is
-added per sample. :func:`run_acquisition` runs the plan frame by
-frame into one (n_coils, P) buffer, the layout of a frame of the dataset
-body. With a sink each finished frame is appended to it, so no
+with its response value h_s. A k-point pattern that the plan repeats,
+as one Shot object, is transformed once per run and memoized; each
+repeat of it is then a lookup, an AXPY and the noise draw. Calibrated
+complex Gaussian noise is added per sample. :func:`run_acquisition`
+runs the plan frame by frame into one (n_coils, P) buffer, the layout
+of a frame of the dataset body. With a sink each finished frame is appended to it, so no
 run-sized array is held, and the run returns the dataset's memory map;
 without one the frames fill one complex128 (n_frames, n_coils, P) array.
 """
@@ -317,11 +317,12 @@ def add_noise(samples, noise: NoiseConfig, energy, shot_index=0):
 def _pattern_numbers(shots):
     """Each shot's pattern number, with patterns numbered in order of first use."""
     first = {}
-    return [first.setdefault(shot.pattern_key, len(first)) for shot in shots]
+    return [first.setdefault(shot, len(first)) for shot in shots]
 
 
 def _memoized(cache, shot, transform):
-    """transform(), memoized per k-point pattern when cache is a dict.
+    """transform(), memoized per Shot object (so per k-point pattern)
+    when cache is a dict.
 
     The stored array is read-only, and every caller of a pattern gets
     that one array. Concurrent first callers of a pattern may each
@@ -329,12 +330,11 @@ def _memoized(cache, shot, transform):
     """
     if cache is None:
         return transform()
-    key = shot.pattern_key
-    value = cache.get(key)
+    value = cache.get(shot)
     if value is None:
         value = transform()
         value.flags.writeable = False
-        value = cache.setdefault(key, value)
+        value = cache.setdefault(shot, value)
     return value
 
 

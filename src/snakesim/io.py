@@ -139,6 +139,8 @@ def write_trajectory(path, shots_points, dwell_time_us, tr_shot_ms):
     samples, ndims = shots[0].shape
     if ndims not in (2, 3):
         raise FormatError(f"n_dims must be 2 or 3, got {ndims}")
+    if not dwell_time_us > 0:
+        raise FormatError(f"dwell time must be positive, got {dwell_time_us}")
     for i, p in enumerate(shots):
         if p.shape != (samples, ndims):
             raise FormatError(f"shot {i} shape {p.shape} != {(samples, ndims)}")

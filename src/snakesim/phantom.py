@@ -98,29 +98,22 @@ class Phantom:
 
 @dataclass(frozen=True)
 class SequenceParams:
-    """GRE sequence parameters. Times in ms, dwell time in us."""
+    """GRE sequence parameters. Times in ms."""
 
     tr_shot: float
     te: float
     flip_angle: float
     t_obs: float
-    dwell_time: float = 10.0
 
     def __post_init__(self):
         if not (0 < self.te < self.tr_shot):
             raise PhantomError(f"need 0 < TE < TR_shot, got TE={self.te}, TR={self.tr_shot}")
         if not (0 < self.t_obs <= self.tr_shot):
             raise PhantomError(f"need 0 < T_obs <= TR_shot, got {self.t_obs}, {self.tr_shot}")
-        if self.dwell_time <= 0:
-            raise PhantomError("dwell time must be positive")
 
     @property
     def tr_shot_s(self):
         return self.tr_shot * 1e-3
-
-    @property
-    def te_s(self):
-        return self.te * 1e-3
 
     @property
     def t_obs_s(self):

@@ -30,8 +30,8 @@ the wavelet basis is orthonormal, so they are the coefficients of the
 new iterate, and an iteration costs one wavelet forward and one inverse
 transform. A series
 builds one operator, and estimates its Lipschitz constant once, per
-run of consecutive frames that share a point set: once for a static
-plan, once per frame for a dynamic one.
+run of consecutive frames that are the same Shot objects: once for a
+static plan, once per frame for a dynamic one.
 
 :func:`frame_estimates` yields a series one frame at a time and reads a
 frame's data only when it solves that frame, so a memory-mapped dataset
@@ -84,11 +84,6 @@ class FrameEstimate:
 # Frame operator
 
 
-def _frame_points(frame_shots):
-    """The (P, 3) k-points of a frame's shots, in acquisition order."""
-    return np.concatenate([np.atleast_2d(s.points) for s in frame_shots])
-
-
 class FrameOperator:
     """Unitary-scaled multi-coil Fourier operator for one frame.
 
@@ -96,7 +91,8 @@ class FrameOperator:
     """
 
     def __init__(self, frame_shots, dims, coils: CoilProfile):
-        self.points = _frame_points(frame_shots)
+        # the (P, 3) k-points of the frame's shots, in acquisition order
+        self.points = np.concatenate([np.atleast_2d(s.points) for s in frame_shots])
         self.dims = tuple(dims)
         self.coils = coils
         self._conj_maps = np.conj(coils.maps)
@@ -334,14 +330,14 @@ def _check_frame_count(kdata, plan):
 
 def _frame_operators(plan, coils):
     """``operator_for(t)``: the FrameOperator of frame t, kept while
-    consecutive requests share k-points (every frame of a static plan),
-    so such frames also share its Lipschitz bound."""
-    operator = None
+    consecutive requests are the same Shot objects (every frame of a
+    static plan), so such frames also share its Lipschitz bound."""
+    shots = operator = None
 
     def operator_for(t):
-        nonlocal operator
-        shots = plan.frame(t)
-        if operator is None or not np.array_equal(_frame_points(shots), operator.points):
+        nonlocal shots, operator
+        if plan.frame(t) != shots:
+            shots = plan.frame(t)
             operator = FrameOperator(shots, plan.dims, coils)
         return operator
     return operator_for

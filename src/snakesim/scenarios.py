@@ -368,9 +368,11 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         phantom, gm_index = _build_phantom(cfg)
         plan = _build_plan(cfg, seq)
         coils = birdcage_coils(phantom.dims, cfg["n_coils"])
-        shot_times = np.array([s.shot_time for s in plan.shots])
-        h = build_bold_timecourse(config.paradigm, shot_times, hrf=cfg["bold"]["hrf"])
+        h = build_bold_timecourse(config.paradigm, plan.shot_times, hrf=cfg["bold"]["hrf"])
         roi = ellipsoid_roi(phantom, gm_index)
+        if not (roi >= 0.5).any():
+            raise ConfigError("empty ROI: no GM voxel of weight >= 0.5 lies in the "
+                              "activation ellipsoid")
         bold = BoldSpec(roi=roi, delta_r2s=cfg["bold"]["delta_r2s_hz"], h_tilde=h)
         dataset_path = out / "kspace.snkd"
         header, kdata = run_acquisition(

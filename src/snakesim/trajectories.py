@@ -10,7 +10,7 @@ immutable once built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,62 +22,28 @@ class TrajectoryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Shot:
-    """One readout: k-space points with per-sample times (s).
+    """One readout: k-space points with per-sample times (s), checked
+    once per object: equal lengths and strictly increasing times.
 
-    ``pattern_key`` is built from the shot's own arrays unless a key over
-    those same arrays is passed in. Plan generators pass one key per kz
-    plane to that plane's shots in every frame, so a plan hashes and
-    checks the arrays of each plane once.
+    Shots hash and compare by identity. A plan that repeats a k-point
+    pattern repeats its Shot object, so the engine and the
+    reconstruction find the repeats without reading any points.
     """
 
     points: np.ndarray       # (n_samples, ndims)
     times: np.ndarray        # (n_samples,), echo-centered
-    shot_time: float = 0.0   # absolute start time within the run (s)
-    pattern_key: PatternKey | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        key = self.pattern_key
-        if key is None:
-            object.__setattr__(self, "pattern_key", PatternKey(self.points, self.times))
-        elif key.points is not self.points or key.times is not self.times:
-            raise TrajectoryError("pattern_key must hold the shot's own points and times")
+        if len(self.points) != len(self.times):
+            raise TrajectoryError("points and times must have equal length")
+        if np.any(np.diff(self.times) <= 0):
+            raise TrajectoryError("sample times must be strictly increasing")
 
     @property
     def n_samples(self):
         return len(self.points)
-
-
-class PatternKey:
-    """Dict key of a k-point pattern, equal for shots whose points (shape
-    and bytes) and times (bytes) are equal. The hash of those bytes is
-    computed once, and the key holds no copy of them; shots that share a
-    key share its hash and compare by identity. The pattern is checked
-    here, once per key: equal lengths and strictly increasing times."""
-
-    __slots__ = ("points", "times", "_hash")
-
-    def __init__(self, points, times):
-        if len(points) != len(times):
-            raise TrajectoryError("points and times must have equal length")
-        if np.any(np.diff(times) <= 0):
-            raise TrajectoryError("sample times must be strictly increasing")
-        self.points, self.times = points, times
-        self._hash = hash((points.shape, points.tobytes(), times.tobytes()))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if not isinstance(other, PatternKey):
-            return NotImplemented
-        # keys over the same arrays compare without reading the bytes
-        if self.points is other.points and self.times is other.times:
-            return True
-        return (self.points.shape == other.points.shape
-                and self.points.tobytes() == other.points.tobytes()
-                and self.times.tobytes() == other.times.tobytes())
 
 
 @dataclass(frozen=True)
@@ -87,8 +53,6 @@ class SamplingPlan:
     tr_shot: float               # s
     kind: str                    # epi3d | stack_of_spirals | external
     dims: tuple
-    dynamic: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.shots) % self.shots_per_frame != 0:
@@ -100,6 +64,11 @@ class SamplingPlan:
     @property
     def n_frames(self):
         return len(self.shots) // self.shots_per_frame
+
+    @property
+    def shot_times(self):
+        """Each shot's start time within the run (s)."""
+        return np.arange(len(self.shots)) * self.tr_shot
 
     @property
     def tr_vol(self):
@@ -120,17 +89,13 @@ def _check_bounds(points, dims):
             )
 
 
-def _plane_pattern(xy, kz, times):
-    """Pattern key of the read-only (n, 3) points of the 2D pattern ``xy``
-    on plane ``kz`` with sample ``times``, built once per plane and shared
-    by that plane's shots in every frame."""
+def _plane_shot(xy, kz, times):
+    """The Shot of the 2D pattern ``xy`` on plane ``kz`` with sample
+    ``times``, with read-only (n, 3) points; a plan builds one per plane
+    and repeats it in every frame that acquires the plane."""
     pts = np.column_stack([xy, np.full(len(xy), float(kz))])
     pts.flags.writeable = False
-    return PatternKey(pts, times)
-
-
-def _plane_shot(key, shot_time):
-    return Shot(points=key.points, times=key.times, shot_time=shot_time, pattern_key=key)
+    return Shot(points=pts, times=times)
 
 
 def _echo_centered_times(n_samples, t_obs_s):
@@ -171,14 +136,8 @@ def gen_epi_3d(dims, seq: SequenceParams, n_planes_per_volume=None,
         plane[row * nx: (row + 1) * nx, 0] = xs
         plane[row * nx: (row + 1) * nx, 1] = ky[row]
     times = _echo_centered_times(ny * nx, seq.t_obs_s)
-    planes = [_plane_pattern(plane, kz, times) for kz in kz_sel]
-
-    shots = []
-    for t in range(n_frames):
-        for i, key in enumerate(planes):
-            idx = t * n_planes_per_volume + i
-            shots.append(_plane_shot(key, idx * seq.tr_shot_s))
-    return SamplingPlan(shots=tuple(shots), shots_per_frame=n_planes_per_volume,
+    planes = [_plane_shot(plane, kz, times) for kz in kz_sel]
+    return SamplingPlan(shots=tuple(planes * n_frames), shots_per_frame=n_planes_per_volume,
                         tr_shot=seq.tr_shot_s, kind="epi3d", dims=tuple(dims))
 
 
@@ -251,14 +210,14 @@ def gen_stack_of_spirals(spiral, nz, af=1.0, center_fraction=0.1,
     rng = np.random.default_rng(seed)
     shots = []
     times = _echo_centered_times(len(spiral), t_obs_s)
-    planes = {kz: _plane_pattern(spiral, kz, times) for kz in all_kz}
+    planes = {kz: _plane_shot(spiral, kz, times) for kz in all_kz}
     n_per_frame = n_center + n_outer
     if n_outer:
         stride_idx = np.round(np.linspace(0, len(outer_kz) - 1, n_outer)).astype(int)
         static_outer = outer_kz[stride_idx]
     else:
         static_outer = outer_kz[:0]
-    for t in range(n_frames):
+    for _ in range(n_frames):
         if dynamic and n_outer:
             sel_outer = rng.choice(outer_kz, size=n_outer, replace=False)
         else:
@@ -266,14 +225,11 @@ def gen_stack_of_spirals(spiral, nz, af=1.0, center_fraction=0.1,
         # center-out acquisition order within the frame
         frame_kz = np.concatenate([center_kz, sel_outer])
         frame_kz = frame_kz[np.argsort(np.abs(frame_kz), kind="stable")]
-        for i, kz in enumerate(frame_kz):
-            idx = t * n_per_frame + i
-            shots.append(_plane_shot(planes[kz], idx * tr_shot_s))
+        shots.extend(planes[kz] for kz in frame_kz)
     if dims is None:
         dims = (nz, nz, nz)
     return SamplingPlan(shots=tuple(shots), shots_per_frame=n_per_frame,
-                        tr_shot=tr_shot_s, kind="stack_of_spirals",
-                        dims=tuple(dims), dynamic=dynamic, seed=seed)
+                        tr_shot=tr_shot_s, kind="stack_of_spirals", dims=tuple(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +242,24 @@ def save_trajectory_file(path, plan: SamplingPlan, dwell_time_us):
 
 
 def load_trajectory_file(path, dims, shots_per_frame=None) -> SamplingPlan:
-    """Load an SNKT1 trajectory into a plan; timing from the dwell header."""
+    """Load an SNKT1 trajectory into a plan; timing from the dwell header.
+
+    Shots whose (3D) points are bit-equal become one Shot, repeated in
+    the plan; every shot of a file has the same sample count and so the
+    same times.
+    """
     shots_pts, dwell_us, tr_ms = io.read_trajectory(path)
     tr_shot_s = tr_ms * 1e-3
-    shots = []
-    for i, pts in enumerate(shots_pts):
+    distinct, shots = {}, []
+    for pts in shots_pts:
         if pts.shape[1] == 2:
             pts = np.column_stack([pts, np.zeros(len(pts))])
-        _check_bounds(pts, dims)
-        t_obs_s = len(pts) * dwell_us * 1e-6
-        shots.append(Shot(points=pts,
-                          times=_echo_centered_times(len(pts), t_obs_s),
-                          shot_time=i * tr_shot_s))
+        key = pts.tobytes()
+        if key not in distinct:
+            _check_bounds(pts, dims)
+            t_obs_s = len(pts) * dwell_us * 1e-6
+            distinct[key] = Shot(points=pts, times=_echo_centered_times(len(pts), t_obs_s))
+        shots.append(distinct[key])
     if shots_per_frame is None:
         shots_per_frame = len(shots)
     return SamplingPlan(shots=tuple(shots), shots_per_frame=shots_per_frame,

@@ -34,8 +34,7 @@ def _criterion(num, desc, ok):
 
 
 def _seq(t_obs=25.0, te=25.0):
-    return SequenceParams(tr_shot=50.0, te=te, flip_angle=12.0, t_obs=t_obs,
-                          dwell_time=10.0)
+    return SequenceParams(tr_shot=50.0, te=te, flip_angle=12.0, t_obs=t_obs)
 
 
 def _gm_phantom(dims):
@@ -311,8 +310,7 @@ def test_criterion_11_strategy_ordering():
     coils = birdcage_coils(dims, 2)
     paradigm = Paradigm.blocks(on=20.0, off=20.0,
                                run_length=n_frames * plan.tr_vol + 1.0)
-    shot_times = np.array([s.shot_time for s in plan.shots])
-    h = build_bold_timecourse(paradigm, shot_times, hrf="double_gamma")
+    h = build_bold_timecourse(paradigm, plan.shot_times, hrf="double_gamma")
     roi = (phantom.weights[gm_index] >= 0.5).astype(np.float64)
     bold = BoldSpec(roi=roi, delta_r2s=-1.0, h_tilde=h)
     _, frames = run_acquisition(phantom, plan, coils, seq, bold=bold,

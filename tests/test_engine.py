@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import snakesim.engine as engine
-import snakesim.trajectories as trajectories
 from snakesim.engine import (NDFT, PHASE_TABLE_LIMIT, CoilProfile, EngineError,
                              NoiseConfig, acquire_shot_basic,
                              acquire_shot_t2s, add_noise, birdcage_coils,
@@ -18,7 +17,8 @@ from snakesim.phantom import (BoldSpec, Phantom, SequenceParams, default_tissues
                               gre_contrast, contrast_volume, modulated_state,
                               synthetic_phantom)
 from snakesim.trajectories import (SamplingPlan, Shot, gen_epi_3d, gen_spiral,
-                                   gen_stack_of_spirals)
+                                   gen_stack_of_spirals, load_trajectory_file,
+                                   save_trajectory_file)
 
 
 def _seq(**kw):
@@ -568,14 +568,13 @@ class TestRunAcquisition:
 
 def _off_grid_plan(dims, seq):
     """External plan over 3 frames of 2 shots with off-grid 3D points:
-    pattern A in every frame, B in frames 0 and 2, C once in frame 1."""
+    Shot A in every frame, B in frames 0 and 2, C once in frame 1."""
     rng = np.random.default_rng(21)
     half = np.array(dims) / 2
-    a, b, c = (rng.uniform(-half, half - 0.5, (12, 3)) for _ in range(3))
     times = (np.arange(12) - 5.5) * seq.t_obs_s / 12
-    shots = [Shot(points=p, times=times, shot_time=i * seq.tr_shot_s)
-             for i, p in enumerate([a, b, a, c, a, b])]
-    return SamplingPlan(shots=tuple(shots), shots_per_frame=2, tr_shot=seq.tr_shot_s,
+    a, b, c = (Shot(points=rng.uniform(-half, half - 0.5, (12, 3)), times=times)
+               for _ in range(3))
+    return SamplingPlan(shots=(a, b, a, c, a, b), shots_per_frame=2, tr_shot=seq.tr_shot_s,
                         kind="external", dims=tuple(dims))
 
 
@@ -608,7 +607,7 @@ def _bold_phantom(dims, plan):
 
 
 def _pattern_counts(plan):
-    counts = Counter(s.pattern_key for s in plan.shots)
+    counts = Counter(plan.shots)
     return sum(c > 1 for c in counts.values()), sum(c == 1 for c in counts.values())
 
 
@@ -658,7 +657,7 @@ class TestAffineAcquisition:
         plan = gen_epi_3d(dims, seq, n_frames=3) if kind == "epi22" else _plan(kind, dims, seq)
         ph, bold = _bold_phantom(dims, plan)
         coils = birdcage_coils(dims, 2)
-        calls = {"shot": 0, "append": 0, "ndft": 0, "key": 0}
+        calls = {"shot": 0, "append": 0, "ndft": 0}
         lock = threading.Lock()
 
         def counting(name, fn):
@@ -677,14 +676,7 @@ class TestAffineAcquisition:
         shot_fn = "acquire_shot_basic" if model == "basic" else "acquire_shot_t2s"
         monkeypatch.setattr(engine, shot_fn, counting("shot", getattr(engine, shot_fn)))
         monkeypatch.setattr(DatasetWriter, "append", counting("append", DatasetWriter.append))
-        class CountingKey(trajectories.PatternKey):
-            def __init__(self, *args):
-                with lock:
-                    calls["key"] += 1
-                super().__init__(*args)
-
         monkeypatch.setattr(engine, "NDFT", CountingNDFT)
-        monkeypatch.setattr(trajectories, "PatternKey", CountingKey)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -696,10 +688,25 @@ class TestAffineAcquisition:
         assert calls["shot"] == len(plan.shots)
         assert calls["append"] == len(plan.shots) * coils.n_coils
         assert calls["ndft"] == repeated + once
-        # the plan's shots carry their pattern keys; the run builds none
-        assert calls["key"] == 0
         if kind == "epi22":
             assert (repeated, once) == (22, 0)
+
+    def test_loaded_plan_repeats_the_saved_plans_shots(self, tmp_path):
+        """A 3-frame EPI plan saved to SNKT1 loads as its 22 plane Shots
+        repeated, and acquires the same k-space as the plan it came from."""
+        seq, dims = _seq(), (6, 6, 22)
+        plan = gen_epi_3d(dims, seq, n_frames=3)
+        path = tmp_path / "epi.snkt"
+        save_trajectory_file(path, plan, dwell_time_us=10.0)
+        back = load_trajectory_file(path, dims, shots_per_frame=22)
+        assert len(back.shots) == 66 and len(set(back.shots)) == 22
+        ph, bold = _bold_phantom(dims, plan)
+        coils = birdcage_coils(dims, 2)
+        kw = dict(bold=bold, model="basic", noise=NoiseConfig(snr_i=100.0, seed=3),
+                  gm_index=1)
+        _, want = run_acquisition(ph, plan, coils, seq, **kw)
+        _, got = run_acquisition(ph, back, coils, seq, **kw)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("model", ["basic", "t2s"])
     @pytest.mark.parametrize("kind", list(PLAN_PATHS))
@@ -774,9 +781,8 @@ class TestAffineAcquisition:
         seq = _seq()
         rng = np.random.default_rng(23)
         shots = tuple(Shot(points=rng.uniform(-2, 1.9, (n, 3)),
-                           times=(np.arange(n) - n / 2) * 1e-4,
-                           shot_time=i * seq.tr_shot_s)
-                      for i, n in enumerate([12, 10]))
+                           times=(np.arange(n) - n / 2) * 1e-4)
+                      for n in [12, 10])
         plan = SamplingPlan(shots=shots, shots_per_frame=1, tr_shot=seq.tr_shot_s,
                             kind="external", dims=self.dims)
         ph, bold = _bold_phantom(self.dims, plan)

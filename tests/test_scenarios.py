@@ -302,6 +302,17 @@ class TestRunPipeline:
         assert "2 frames" in manifest.error and "n_frames is 3" in manifest.error
         assert not (tmp_path / "run" / "kspace.snkd").exists()
 
+    @pytest.mark.parametrize("frac", [0.0, -0.2, 0.1])
+    def test_empty_roi_fails_before_the_sink(self, frac, tmp_path):
+        """A GM sphere too small for any ROI voxel to reach weight 0.5 fails
+        the acquisition stage before any k-space is written, not analysis."""
+        cfg = json.loads(json.dumps(_tiny_config().raw))
+        cfg["phantom"]["gm_sphere_radius_frac"] = frac
+        manifest = run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
+        assert manifest.failed_stage == "acquisition"
+        assert "ROI" in manifest.error
+        assert not (tmp_path / "run" / "kspace.snkd").exists()
+
     @pytest.mark.parametrize("method", ["adjoint", "cs"])
     def test_frames_reproduced_from_the_dataset(self, method, tmp_path):
         """The series functions on kspace.snkd write the pipeline's frames
@@ -357,6 +368,13 @@ class TestCli:
         assert info["ndims"] == 3
         assert info["n_shots"] >= 1
         assert info["dwell_time_us"] == 10.0
+
+    def test_traj_gen_non_positive_dwell_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "epi.snkt"
+        assert cli_main(["traj", "gen", str(path), "--kind", "epi3d",
+                         "--dims", "8", "8", "8", "--dwell-us", "0"]) == 2
+        assert "dwell time" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_traj_inspect_missing_exit_2(self, tmp_path, capsys):
         assert cli_main(["traj", "inspect", str(tmp_path / "none.snkt")]) == 2

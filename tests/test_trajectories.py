@@ -155,9 +155,9 @@ class TestExternal:
         save_trajectory_file(path, plan, dwell_time_us=10.0)
         back = load_trajectory_file(path, (4, 4, 4))
         assert len(back.shots) == len(plan.shots)
-        for a, b in zip(plan.shots, back.shots):
+        for s, (a, b) in enumerate(zip(plan.shots, back.shots)):
             np.testing.assert_allclose(a.points, b.points, atol=1e-6)
-            assert a.shot_time == pytest.approx(b.shot_time)
+            assert plan.shot_times[s] == pytest.approx(back.shot_times[s])
 
     def test_48_shot_plan(self, tmp_path):
         pts = [np.random.default_rng(i).uniform(-4, 3.9, (32, 3))
@@ -191,9 +191,8 @@ class TestExternal:
 class TestFramePartition:
     def _plan(self, n_shots, per_frame):
         shots = tuple(
-            Shot(points=np.zeros((2, 3)), times=np.array([-1e-3, 1e-3]),
-                 shot_time=i * 0.05)
-            for i in range(n_shots))
+            Shot(points=np.zeros((2, 3)), times=np.array([-1e-3, 1e-3]))
+            for _ in range(n_shots))
         return SamplingPlan(shots=shots, shots_per_frame=per_frame,
                             tr_shot=0.05, kind="external", dims=(4, 4, 4))
 
@@ -215,7 +214,7 @@ class TestFramePartition:
         plan = self._plan(20, 5)
         assert plan.n_frames == 4
         for t in range(plan.n_frames):
-            assert plan.frame(t)[0].shot_time == pytest.approx(t * 5 * 0.05)
+            assert plan.shot_times[t * 5] == pytest.approx(t * 5 * 0.05)
 
 
 class TestShotInvariants:
@@ -240,44 +239,67 @@ class TestShotInvariants:
         assert a_path.read_bytes() == b_path.read_bytes()
 
 
-class TestPatternKey:
-    def test_equal_exactly_when_points_and_times_are(self):
+class TestShotIdentity:
+    """A Shot is its k-point pattern: shots compare and hash by identity,
+    and a plan repeats a pattern by repeating its Shot object."""
+
+    def test_equal_arrays_are_distinct_shots(self):
+        from snakesim.engine import _pattern_numbers
         rng = np.random.default_rng(3)
         pts, times = rng.uniform(-2, 2, (5, 3)), np.linspace(-1e-3, 1e-3, 5)
         a = Shot(points=pts, times=times)
-        b = Shot(points=pts.copy(), times=times.copy(), shot_time=0.5)
-        assert a.pattern_key is a.pattern_key  # built once per shot
-        assert a.pattern_key == b.pattern_key
-        assert hash(a.pattern_key) == hash(b.pattern_key)
-        assert {a.pattern_key: 1}.get(b.pattern_key) == 1
-        moved = pts.copy()
-        moved[2, 1] = np.nextafter(moved[2, 1], 9.0)
-        zero_sign = np.zeros((5, 3))
-        zero_sign[0, 0] = -0.0
-        for other in (Shot(points=moved, times=times),
-                      Shot(points=pts, times=times + 1e-9),
-                      Shot(points=pts[:, :2].copy(), times=times)):
-            assert other.pattern_key != a.pattern_key
-        # the bytes decide, as the engine's memo needs bit-equal points
-        assert (Shot(points=zero_sign, times=times).pattern_key
-                != Shot(points=np.zeros((5, 3)), times=times).pattern_key)
-
+        b = Shot(points=pts.copy(), times=times.copy())
+        assert a == a and a != b
+        assert {a: 1}.get(b) is None
+        shifted = Shot(points=pts, times=times + 1e-9)
+        assert _pattern_numbers([a, b, shifted, a, b]) == [0, 1, 2, 0, 1]
 
     @pytest.mark.parametrize("times, match", [
         (np.array([0.0, 1e-3, 1e-3]), "strictly increasing"),
         (np.array([0.0, 2e-3, 1e-3]), "strictly increasing"),
         (np.array([0.0, 1e-3]), "equal length")])
-    def test_bad_pattern_rejected_with_and_without_a_shared_key(self, times, match):
-        pts = np.zeros((3, 3))
+    def test_bad_pattern_rejected(self, times, match):
         with pytest.raises(TrajectoryError, match=match):
-            Shot(points=pts, times=times)
-        with pytest.raises(TrajectoryError, match=match):
-            trajectories.PatternKey(pts, times)
+            Shot(points=np.zeros((3, 3)), times=times)
+
+    def test_loader_merges_only_bit_equal_shots(self, tmp_path):
+        """One Shot per distinct points byte string: an f32 nextafter move
+        and -0.0 against 0.0 keep shots apart, as the engine's memo needs
+        bit-equal points; a file of another dwell time gives other times."""
+        from snakesim.engine import _pattern_numbers
+        pts = np.random.default_rng(3).uniform(-2, 2, (5, 3)).astype(np.float32)
+        moved = pts.copy()
+        moved[2, 1] = np.nextafter(moved[2, 1], np.float32(9.0))
+        zero_sign = np.zeros((5, 3), dtype=np.float32)
+        zero_sign[0, 0] = -0.0
+        path = tmp_path / "bits.snkt"
+        write_trajectory(path, [pts, pts.copy(), moved, zero_sign, np.zeros((5, 3)), pts],
+                         dwell_time_us=10.0, tr_shot_ms=50.0)
+        plan = load_trajectory_file(path, (4, 4, 4))
+        assert _pattern_numbers(plan.shots) == [0, 0, 1, 2, 3, 0]
+        assert plan.shots[0] is plan.shots[1] is plan.shots[5]
+        np.testing.assert_array_equal(plan.shots[2].points, moved)
+        assert np.signbit(plan.shots[3].points[0, 0])
+        write_trajectory(path, [pts], dwell_time_us=10.5, tr_shot_ms=50.0)
+        shifted = load_trajectory_file(path, (4, 4, 4)).shots[0]
+        assert shifted.points.tobytes() == plan.shots[0].points.tobytes()
+        assert not np.array_equal(shifted.times, plan.shots[0].times)
+        assert _pattern_numbers([plan.shots[0], shifted]) == [0, 1]
+
+    def test_bounds_checked_once_per_distinct_shot(self, tmp_path, monkeypatch):
+        checked = []
+        check = trajectories._check_bounds
+        monkeypatch.setattr(trajectories, "_check_bounds",
+                            lambda pts, dims: checked.append(1) or check(pts, dims))
+        path = tmp_path / "epi.snkt"
+        save_trajectory_file(path, gen_epi_3d((4, 4, 4), _seq(), n_frames=3), 10.0)
+        plan = load_trajectory_file(path, (4, 4, 4), shots_per_frame=4)
+        assert len(plan.shots) == 12 and len(checked) == 4
 
 
-class TestPlaneSharing:
-    """Plan generators build one read-only points array per kz plane and
-    share it between that plane's shots in every frame."""
+class TestPlaneShots:
+    """Plan generators build one read-only Shot per kz plane and repeat it
+    in every frame that acquires the plane."""
 
     @staticmethod
     def _plan(kind):
@@ -288,33 +310,18 @@ class TestPlaneSharing:
                                     seed=5, dims=(8, 8, 8))
 
     @pytest.mark.parametrize("kind", ["epi", "sos_dynamic"])
-    def test_one_read_only_array_per_plane(self, kind):
+    def test_one_read_only_shot_per_plane(self, kind):
         plan = self._plan(kind)
         by_plane, frames_of = {}, {}
         for s, shot in enumerate(plan.shots):
             kz = float(shot.points[0, 2])
-            assert by_plane.setdefault(kz, shot.points) is shot.points
+            assert by_plane.setdefault(kz, shot) is shot
             frames_of.setdefault(kz, set()).add(s // plan.shots_per_frame)
             assert not shot.points.flags.writeable
         assert any(len(f) > 1 for f in frames_of.values())
-        assert len({id(shot.points) for shot in plan.shots}) == len(by_plane)
+        assert len(set(plan.shots)) == len(by_plane)
         with pytest.raises(ValueError):
             plan.shots[0].points[0, 0] = 1.0
-
-    def test_22_plane_3_frame_plan_hashes_22_times(self, monkeypatch):
-        hashed = []
-
-        class CountingKey(trajectories.PatternKey):
-            def __init__(self, points, times):
-                hashed.append(id(points))
-                super().__init__(points, times)
-
-        monkeypatch.setattr(trajectories, "PatternKey", CountingKey)
-        plan = self._plan("epi")
-        assert len(plan.shots) == 66 and len(hashed) == 22
-        for s, shot in enumerate(plan.shots):
-            assert shot.pattern_key is plan.shots[s % 22].pattern_key
-            assert shot.pattern_key.points is shot.points
 
     def test_times_checked_once_per_plane(self, monkeypatch):
         diffs = []
@@ -323,13 +330,16 @@ class TestPlaneSharing:
         plan = self._plan("epi")
         assert len(plan.shots) == 66 and len(diffs) == 22
 
-    def test_shared_key_must_hold_the_shots_arrays(self):
-        shot = self._plan("epi").shots[0]
-        with pytest.raises(TrajectoryError, match="pattern_key"):
-            Shot(points=shot.points.copy(), times=shot.times,
-                 pattern_key=shot.pattern_key)
-
     def test_22_planes_give_22_patterns(self):
         from snakesim.engine import _pattern_numbers
         plan = self._plan("epi")
         assert _pattern_numbers(plan.shots) == list(range(22)) * 3
+        for s, shot in enumerate(plan.shots):
+            assert shot is plan.shots[s % 22]
+
+    @pytest.mark.parametrize("kind", ["epi", "sos_dynamic"])
+    def test_shot_times_are_shot_index_times_tr(self, kind):
+        plan = self._plan(kind)
+        assert plan.shot_times.shape == (len(plan.shots),)
+        for s in range(len(plan.shots)):
+            assert plan.shot_times[s] == s * plan.tr_shot
