@@ -52,8 +52,10 @@ _, kdata = run_acquisition(phantom, plan, coils, seq, bold=bold,
 reference = np.abs(contrast_volume(phantom, gre_contrast(phantom, seq)))
 
 # Adjoint baseline: density-compensated conjugate-transpose reconstruction.
-adj = adjoint_series(kdata, plan, coils, density_comp="radial")
-print(f"adjoint     PSNR {psnr(adj.magnitude()[0], reference):6.2f} dB")
+# The series functions are generators that solve a frame when it is asked
+# for, so next() reconstructs frame 0 alone.
+adj = next(adjoint_series(kdata, plan, coils, density_comp="radial"))
+print(f"adjoint     PSNR {psnr(np.abs(adj.volume), reference):6.2f} dB")
 
 # CS with the three strategies. Cold solves every frame from the adjoint
 # image; warm chains the previous frame's estimate; refined adds a second
@@ -62,8 +64,7 @@ basis = WaveletBasis("haar", 2)
 for strategy in ("cold", "warm", "refined"):
     cfg = ReconConfig(strategy=strategy, max_iters=40, tol=1e-7,
                       mu_mode="sure")
-    series = reconstruct_series(kdata, plan, coils, basis, cfg)
-    quality = psnr(series.magnitude()[0], reference)
-    iters = len(series.objective_traces[0]) - 1
+    first = next(reconstruct_series(kdata, plan, coils, basis, cfg))
+    quality = psnr(np.abs(first.volume), reference)
     print(f"cs/{strategy:<8} PSNR {quality:6.2f} dB | "
-          f"mu_0 = {series.mu_values[0]:.4f} | {iters} iterations (frame 0)")
+          f"mu_0 = {first.mu_used:.4f} | {first.n_iters} iterations (frame 0)")

@@ -14,8 +14,8 @@ from .engine import (NDFT, CoilProfile, NoiseConfig, birdcage_coils,
                      centered_fft, centered_ifft, phantom_energy, add_noise,
                      acquire_shot_basic, acquire_shot_t2s, run_acquisition,
                      EngineError)
-from .wavelets import WaveletBasis, WaveletCoeffs, soft_threshold, WaveletError
-from .recon import (ReconConfig, FrameEstimate, FrameSeries, FrameOperator,
+from .wavelets import WaveletBasis, finest_detail, soft_threshold, WaveletError
+from .recon import (ReconConfig, FrameEstimate, FrameOperator,
                     adjoint_recon, radial_density_weights, sure_threshold,
                     sure_threshold_coeffs, cs_solve, reconstruct_series,
                     adjoint_series, ReconError)

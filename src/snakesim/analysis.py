@@ -162,19 +162,21 @@ def glm_fit(series, design: DesignMatrix, mask=None) -> StatMap:
     sigma2 = _column_sums_of_squares(y, lambda sl: x @ beta[:, sl]) / dof
     c = np.zeros(k)
     c[design.names.index("task")] = 1.0
+    effect = c @ beta
     denom2 = sigma2 * float(c @ xtx_inv @ c)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (c @ beta) / np.sqrt(denom2)
+        t = effect / np.sqrt(denom2)
     exact = denom2 <= 1e-30
-    t[exact & (np.abs(c @ beta) > 1e-12)] = np.sign((c @ beta)[exact & (np.abs(c @ beta) > 1e-12)]) * Z_CAP
-    t[exact & (np.abs(c @ beta) <= 1e-12)] = 0.0
+    signed = exact & (np.abs(effect) > 1e-12)
+    t[signed] = np.sign(effect[signed]) * Z_CAP
+    t[exact & (np.abs(effect) <= 1e-12)] = 0.0
     t = np.clip(t, -Z_CAP, Z_CAP)
     z = _t_to_z(t, dof)
     if mask is not None:
         flat = mask.ravel()
         t = np.where(flat, t, 0.0)
         z = np.where(flat, z, 0.0)
-    return StatMap(beta=(c @ beta).reshape(dims), t=t.reshape(dims),
+    return StatMap(beta=effect.reshape(dims), t=t.reshape(dims),
                    z=z.reshape(dims), dof=dof)
 
 

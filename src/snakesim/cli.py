@@ -13,14 +13,14 @@ from pathlib import Path
 
 import yaml
 
-from .io import FormatError, canonical_json, read_trajectory
-from .phantom import PhantomError, SequenceParams
+from .io import canonical_json, read_trajectory
+from .phantom import SequenceParams
 from .scenarios import ConfigError, RunConfig, preset, run_pipeline
-from .trajectories import (TrajectoryError, gen_epi_3d, gen_spiral,
-                           gen_stack_of_spirals, save_trajectory_file)
+from .trajectories import (gen_epi_3d, gen_spiral, gen_stack_of_spirals,
+                           save_trajectory_file)
 
-_VALIDATION_ERRORS = (ConfigError, FormatError, TrajectoryError, PhantomError,
-                      FileNotFoundError, ValueError)
+# every project error (ConfigError, FormatError, ...) subclasses ValueError
+_VALIDATION_ERRORS = (ValueError, FileNotFoundError)
 
 
 def _build_parser():

@@ -134,7 +134,7 @@ def load_volume_file(path):
 def write_trajectory(path, shots_points, dwell_time_us, tr_shot_ms):
     """Write shot coordinate arrays (each samples x ndims) to SNKT1."""
     shots = [np.asarray(p, dtype=np.float64) for p in shots_points]
-    if not shots:
+    if not shots or len(shots[0]) == 0:
         raise FormatError("cannot write an empty trajectory")
     samples, ndims = shots[0].shape
     if ndims not in (2, 3):
@@ -162,6 +162,8 @@ def read_trajectory(path):
     if raw[:5] != TRAJ_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:5]!r}")
     n_shots, samples, ndims, dwell_us, tr_ms = struct.unpack_from("<IIBff", raw, 5)
+    if n_shots == 0 or samples == 0:
+        raise FormatError(f"{path}: empty trajectory ({n_shots} shots of {samples} samples)")
     if ndims not in (2, 3):
         raise FormatError(f"{path}: n_dims must be 2 or 3, got {ndims}")
     offset = 5 + struct.calcsize("<IIBff")

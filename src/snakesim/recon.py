@@ -28,15 +28,14 @@ gradient, so an iteration costs one op and one adj_op. It also takes
 the objective's l1 term from the thresholded coefficients of the prox:
 the wavelet basis is orthonormal, so they are the coefficients of the
 new iterate, and an iteration costs one wavelet forward and one inverse
-transform. A series
-builds one operator, and estimates its Lipschitz constant once, per
-run of consecutive frames that are the same Shot objects: once for a
-static plan, once per frame for a dynamic one.
+transform. A series builds one operator, and estimates its Lipschitz
+constant once, per run of consecutive frames that are the same Shot
+objects: once for a static plan, once per frame for a dynamic one.
 
-:func:`frame_estimates` yields a series one frame at a time and reads a
-frame's data only when it solves that frame, so a memory-mapped dataset
-is never loaded whole; :func:`reconstruct_series` and
-:func:`adjoint_series` collect it into one :class:`FrameSeries`.
+:func:`adjoint_series` yields each frame's adjoint and
+:func:`reconstruct_series` each frame's CS solve, one frame at a time:
+a frame's data is read only when that frame is solved, so a
+memory-mapped dataset is never loaded whole.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .engine import NDFT, CoilProfile
-from .wavelets import WaveletBasis, soft_threshold
+from .wavelets import WaveletBasis, finest_detail, soft_threshold
 
 
 class ReconError(ValueError):
@@ -232,8 +231,7 @@ def sure_threshold(volume, basis: WaveletBasis):
     volume = np.asarray(volume)
     if not np.all(np.isfinite(volume)):
         raise ReconError("volume contains non-finite values")
-    coeffs = basis.forward(volume)
-    alpha = coeffs.finest_detail.ravel()
+    alpha = finest_detail(basis.forward(volume)).ravel()
     mu_norm, sigma = sure_threshold_coeffs(alpha)
     return mu_norm * sigma
 
@@ -279,7 +277,7 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
     def prox(z, gamma):
         """(x, Psi x): Psi is orthonormal, so the thresholded coefficients
         are the coefficients of their inverse transform."""
-        coeffs = basis.forward(z).map(lambda c: soft_threshold(c, gamma * mu))
+        coeffs = soft_threshold(basis.forward(z), gamma * mu)
         return basis.inverse(coeffs), coeffs
 
     x = init.astype(np.complex128)
@@ -326,6 +324,8 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
 def _check_frame_count(kdata, plan):
     if len(kdata) != plan.n_frames:
         raise ReconError(f"k-space holds {len(kdata)} frames, the plan {plan.n_frames}")
+    if len(kdata) < 1:
+        raise ReconError("need at least one frame")
 
 
 def _frame_operators(plan, coils):
@@ -343,46 +343,33 @@ def _frame_operators(plan, coils):
     return operator_for
 
 
-@dataclass
-class FrameSeries:
-    volumes: np.ndarray        # (n_frames, *dims) complex
-    mu_values: list
-    objective_traces: list
-    strategy: str
-    tr_vol: float = 0.0
-    n_iters: list | None = None      # per frame, for solver reconstructions
-    converged: list | None = None
-
-    def magnitude(self):
-        return np.abs(self.volumes)
+def adjoint_series(kdata, plan, coils, density_comp="none"):
+    """Yield the density-compensated adjoint :class:`FrameEstimate` of
+    every frame of the (n_frames, n_coils, P) k-space array ``kdata``,
+    in frame order, reading each frame's data when it is reconstructed."""
+    _check_frame_count(kdata, plan)
+    operator_for = _frame_operators(plan, coils)
+    for t in range(len(kdata)):
+        yield FrameEstimate(adjoint_recon(kdata[t], operator_for(t),
+                                          density_comp=density_comp), [], 0.0)
 
 
-def frame_estimates(kdata, plan, coils, basis: WaveletBasis | None = None,
-                    config: ReconConfig | None = None, density_comp="none"):
-    """Yield the :class:`FrameEstimate` of every frame of the
-    (n_frames, n_coils, P) k-space array ``kdata``, in frame order.
+def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconConfig):
+    """Yield the CS :class:`FrameEstimate` of every frame of the
+    (n_frames, n_coils, P) k-space array ``kdata``, in frame order,
+    under the configured strategy.
 
-    Without ``config`` each frame is the density-compensated adjoint.
-    With ``basis`` and ``config`` each is a CS solve under the configured
-    strategy. cold: each frame solved independently from its adjoint
-    init. warm: frame t+1 starts from frame t's estimate. refined: a warm
-    pass, then every frame re-solved from the final warm-pass estimate.
-    A frame's data is read from ``kdata`` when the frame is solved, and
-    no more than two frames' volumes are held at a time, so a
-    memory-mapped dataset is reconstructed in bounded memory. One
-    FrameOperator and one Lipschitz estimate serve each run of
-    consecutive frames with the same k-points.
+    cold: each frame solved independently from its adjoint init. warm:
+    frame t+1 starts from frame t's estimate. refined: a warm pass, then
+    every frame re-solved from the final warm-pass estimate. A frame's
+    data is read from ``kdata`` when the frame is solved, and no more
+    than two frames' volumes are held at a time, so a memory-mapped
+    dataset is reconstructed in bounded memory. One FrameOperator and
+    one Lipschitz estimate serve each run of consecutive frames with the
+    same k-points.
     """
     _check_frame_count(kdata, plan)
-    n_frames = len(kdata)
-    if n_frames < 1:
-        raise ReconError("need at least one frame")
     operator_for = _frame_operators(plan, coils)
-    if config is None:
-        for t in range(n_frames):
-            yield FrameEstimate(adjoint_recon(kdata[t], operator_for(t),
-                                              density_comp=density_comp), [], 0.0)
-        return
 
     def solve(t, init):
         try:
@@ -393,39 +380,10 @@ def frame_estimates(kdata, plan, coils, basis: WaveletBasis | None = None,
     init = None
     if config.strategy == "refined":
         # the warm pass yields nothing; its last estimate starts every frame
-        for t in range(n_frames):
+        for t in range(len(kdata)):
             init = solve(t, init).volume
-    for t in range(n_frames):
+    for t in range(len(kdata)):
         est = solve(t, init)
         if config.strategy == "warm":
             init = est.volume
         yield est
-
-
-def _series(estimates, strategy, tr_vol) -> FrameSeries:
-    """The FrameSeries of the estimates of :func:`frame_estimates`."""
-    estimates = list(estimates)
-    solved = strategy != "adjoint"
-    return FrameSeries(
-        volumes=np.stack([e.volume for e in estimates]),
-        mu_values=[e.mu_used for e in estimates],
-        objective_traces=[e.objective_trace for e in estimates],
-        strategy=strategy,
-        tr_vol=tr_vol,
-        n_iters=[e.n_iters for e in estimates] if solved else None,
-        converged=[e.converged for e in estimates] if solved else None,
-    )
-
-
-def reconstruct_series(kdata, plan, coils, basis: WaveletBasis,
-                       config: ReconConfig) -> FrameSeries:
-    """Every frame of :func:`frame_estimates` under CS, as one series."""
-    return _series(frame_estimates(kdata, plan, coils, basis, config),
-                   config.strategy, plan.tr_vol)
-
-
-def adjoint_series(kdata, plan, coils, density_comp="none") -> FrameSeries:
-    """Density-compensated adjoint reconstruction of every frame of the
-    (n_frames, n_coils, P) k-space array ``kdata``, as one series."""
-    return _series(frame_estimates(kdata, plan, coils, density_comp=density_comp),
-                   "adjoint", plan.tr_vol)

@@ -29,10 +29,8 @@ from .phantom import (TISSUE_7T, BoldSpec, Paradigm, Phantom, PhantomError,
                       SequenceParams, build_bold_timecourse, contrast_volume,
                       default_tissues, ellipsoid_roi, gre_contrast, load_phantom,
                       sphere_fits, synthetic_phantom)
-from .recon import ReconConfig, ReconError, WaveletBasis, frame_estimates
-# the pipeline reconstructs through frame_estimates; perfbench/spans.py traces
-# these two under this module's name, so they stay importable from here
-from .recon import adjoint_series, reconstruct_series  # noqa: F401
+from .recon import (ReconConfig, ReconError, WaveletBasis, adjoint_series,
+                    reconstruct_series)
 from .trajectories import (gen_epi_3d, gen_spiral, gen_stack_of_spirals,
                            load_trajectory_file)
 from .wavelets import WaveletError
@@ -392,8 +390,10 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         t0 = time.monotonic()
         # kdata maps kspace.snkd: each frame is read from the file as it is
         # solved, and only its magnitude is kept
-        frames = frame_estimates(kdata, plan, coils, *(config.cs or ()),
-                                 density_comp=cfg["recon"]["density_comp"])
+        if config.cs is None:
+            frames = adjoint_series(kdata, plan, coils, cfg["recon"]["density_comp"])
+        else:
+            frames = reconstruct_series(kdata, plan, coils, *config.cs)
         mags = np.empty((plan.n_frames, *phantom.dims))
         solves = []
         for t, est in enumerate(frames):

@@ -12,17 +12,16 @@ z to the leading block of each level, finest first; ``inverse``
 applies their transposes, coarsest first. The matrices are built from
 the taps once per block shape and cached on the basis.
 
-Coefficient layout: a :class:`WaveletCoeffs` is one dense array of the
-volume's shape in Mallat layout. The coarsest approximation is its
-leading block; each level's seven detail subbands, keyed by their axis
-code (e.g. ``"ddd"`` is high-pass along every axis), fill the rest of
-that level's leading block. ``approx``, ``details`` and
-``finest_detail`` are views into it.
+Coefficient layout: ``forward`` returns one dense array of the
+volume's shape in Mallat layout, and ``inverse`` takes one. The
+coarsest approximation is its leading block of shape dims / 2^levels;
+at each level the seven detail subbands, named by their axis code
+(e.g. ``"ddd"`` is high-pass along every axis), fill the rest of that
+level's leading block of shape dims / 2^(level-1). :func:`finest_detail`
+is a view of the finest ``"ddd"`` subband; it depends only on the shape.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +43,6 @@ _SYM8 = np.array([
 ])
 
 FAMILIES = {"haar": _HAAR, "symlet8": _SYM8}
-
-_SUBBAND_ORDER = ("aad", "ada", "add", "daa", "dad", "dda", "ddd")
 
 
 def _filters(family):
@@ -84,43 +81,9 @@ def _half(shape, level):
     return tuple(n >> level for n in shape)
 
 
-@dataclass
-class WaveletCoeffs:
-    """Multilevel 3D coefficients in one dense array, in Mallat layout.
-
-    ``data`` has the volume's shape. The coarsest approximation is its
-    leading block of shape dims / 2^levels; at each level, the detail
-    subbands fill the rest of that level's leading block of shape
-    dims / 2^(level-1), in its low ("a") or high ("d") half per axis.
-    """
-
-    data: np.ndarray
-    levels: int
-
-    @property
-    def approx(self):
-        """View of the coarsest approximation block."""
-        return self.data[_band("aaa", _half(self.data.shape, self.levels))]
-
-    @property
-    def details(self):
-        """Coarsest-first list of {code: view} for the seven detail subbands."""
-        return [{code: self.data[_band(code, _half(self.data.shape, level))]
-                 for code in _SUBBAND_ORDER}
-                for level in range(self.levels, 0, -1)]
-
-    @property
-    def finest_detail(self):
-        """View of the highest-detail (high-pass on all axes) finest subband."""
-        return self.data[_band("ddd", _half(self.data.shape, 1))]
-
-    def ravel(self):
-        """Every coefficient, in the C order of ``data``."""
-        return self.data.ravel()
-
-    def map(self, fn):
-        """fn applied to the whole coefficient array in one call."""
-        return WaveletCoeffs(data=fn(self.data), levels=self.levels)
+def finest_detail(coeffs):
+    """View of the finest high-pass-on-every-axis ("ddd") subband of ``coeffs``."""
+    return coeffs[_band("ddd", _half(coeffs.shape, 1))]
 
 
 class WaveletBasis:
@@ -171,7 +134,8 @@ class WaveletBasis:
         r = (wx @ r.reshape(nx, -1)).reshape(nx, ny, -1)
         return r.view(block.dtype)
 
-    def forward(self, volume) -> WaveletCoeffs:
+    def forward(self, volume):
+        """The volume's coefficients, one array of its shape in Mallat layout."""
         volume = np.asarray(volume)
         if volume.ndim != 3:
             raise WaveletError("expected a 3D volume")
@@ -180,11 +144,12 @@ class WaveletBasis:
         for level in range(1, self.levels):
             sl = _band("aaa", _half(out.shape, level))
             out[sl] = self._apply(out[sl], inverse=False)
-        return WaveletCoeffs(data=out, levels=self.levels)
+        return out
 
-    def inverse(self, coeffs: WaveletCoeffs):
-        out = np.array(coeffs.data, dtype=np.result_type(coeffs.data, np.float64))
-        for level in range(coeffs.levels - 1, 0, -1):
+    def inverse(self, coeffs):
+        """The volume of a Mallat-layout array; ``coeffs`` is left as it is."""
+        out = np.array(coeffs, dtype=np.result_type(coeffs, np.float64))
+        for level in range(self.levels - 1, 0, -1):
             sl = _band("aaa", _half(out.shape, level))
             out[sl] = self._apply(out[sl], inverse=True)
         return self._apply(out, inverse=True)

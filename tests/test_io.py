@@ -5,10 +5,12 @@ import struct
 import numpy as np
 import pytest
 
-from snakesim.io import (DatasetWriter, FormatError, canonical_json,
+from snakesim.cli import main as cli_main
+from snakesim.io import (TRAJ_MAGIC, DatasetWriter, FormatError, canonical_json,
                          load_volume_file, read_dataset, read_nifti,
                          read_trajectory, read_volume, write_trajectory,
                          write_volume)
+from snakesim.trajectories import load_trajectory_file
 
 
 def test_canonical_json_sorted_and_compact():
@@ -104,6 +106,22 @@ def test_trajectory_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(FormatError):
         read_trajectory(path)
+
+
+@pytest.mark.parametrize("n_shots,samples", [(0, 16), (2, 0)])
+def test_trajectory_empty_refused(tmp_path, capsys, n_shots, samples):
+    """A header of zero shots or zero samples is a format error for the
+    reader, the plan loader and ``snake traj inspect``."""
+    path = tmp_path / "empty.snkt"
+    path.write_bytes(TRAJ_MAGIC + struct.pack("<IIBff", n_shots, samples, 3, 10.0, 50.0))
+    with pytest.raises(FormatError, match="empty trajectory"):
+        read_trajectory(path)
+    with pytest.raises(FormatError, match="empty trajectory"):
+        load_trajectory_file(path, (8, 8, 8))
+    assert cli_main(["traj", "inspect", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(FormatError, match="empty trajectory"):
+        write_trajectory(path, [np.zeros((samples, 3))] * n_shots, 10.0, 50.0)
 
 
 def _header(n_frames=2, n_coils=2, n_shots=2, samples=4):

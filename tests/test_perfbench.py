@@ -15,3 +15,34 @@ import spans  # noqa: E402
 def test_tracer_target_resolves_to_a_callable(name):
     owner, attr = spans._resolve(name)
     assert callable(getattr(owner, attr, None)), name
+
+
+# Traced names that no pipeline run calls under the name the tracer wraps
+NEVER_FIRED = {
+    # imported into the engine only so the tracer can wrap it (ROADMAP item 5)
+    "snakesim.engine.modulated_state",
+    # the engine binds the name at import; child.py reads the dataset after the run
+    "snakesim.io.read_dataset",
+    # only a run on an external trajectory file loads one
+    "snakesim.scenarios.load_trajectory_file",
+}
+
+
+def test_every_traced_name_fires_in_a_pipeline_run(monkeypatch, tmp_path):
+    """A name that resolves but that the pipeline never calls by it leaves a
+    span, and the metrics built on it, that stay empty."""
+    import workloads
+    from snakesim import scenarios
+
+    for name in spans.TARGETS:
+        # saved first so the tracer's wrappers are undone after the test
+        monkeypatch.setattr(*spans._resolve(name), getattr(*spans._resolve(name)))
+    tracer = spans.Tracer()
+    tracer.install()
+    for workload in ("tiny_epi", "tiny_cs_refined"):
+        # looked up on the module, as child.py does, so the wrapper runs
+        config = scenarios.RunConfig.from_dict(workloads.make_config(workload, 1234))
+        manifest = scenarios.run_pipeline(config, tmp_path / workload)
+        assert manifest.failed_stage is None, manifest.error
+    fired = {span[1] for span in tracer.spans}
+    assert set(spans.TARGETS) - fired == NEVER_FIRED

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -179,7 +181,7 @@ class TestSolver:
         grid = _gather_grid(frame, plan, plan.dims)
         backproj = centered_ifft(grid)
         coeffs = basis.forward(backproj)
-        oracle = basis.inverse(coeffs.map(lambda c: soft_threshold(c, mu)))
+        oracle = basis.inverse(soft_threshold(coeffs, mu))
         np.testing.assert_allclose(est.volume, oracle,
                                    atol=1e-6 * np.abs(oracle).max())
 
@@ -222,7 +224,7 @@ class TestSolver:
         basis = WaveletBasis("haar", 1)
         z = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
         mu = 0.3
-        p = basis.inverse(basis.forward(z).map(lambda c: soft_threshold(c, mu)))
+        p = basis.inverse(soft_threshold(basis.forward(z), mu))
         rz = basis.forward(z).ravel()
         rp = basis.forward(p).ravel()
         resid = rz - rp
@@ -281,12 +283,12 @@ class TestSeries:
         for strategy in ("cold", "warm", "refined"):
             cfg = ReconConfig(strategy=strategy, max_iters=10, tol=1e-12,
                               mu_mode="fixed", mu_value=0.01)
-            out[strategy] = reconstruct_series(frames, plan, coils, basis, cfg)
-        np.testing.assert_array_equal(out["cold"].volumes, out["warm"].volumes)
+            [out[strategy]] = reconstruct_series(frames, plan, coils, basis, cfg)
+        np.testing.assert_array_equal(out["cold"].volume, out["warm"].volume)
         # the refined pass re-solves from the warm estimate, so its final
         # objective can only match or improve on the single-pass result
-        assert (min(out["refined"].objective_traces[0])
-                <= min(out["cold"].objective_traces[0]) + 1e-12)
+        assert (min(out["refined"].objective_trace)
+                <= min(out["cold"].objective_trace) + 1e-12)
 
     def test_noise_free_full_cartesian_recovery(self):
         rng = np.random.default_rng(7)
@@ -300,25 +302,43 @@ class TestSeries:
         for strategy in ("cold", "warm", "refined"):
             cfg = ReconConfig(strategy=strategy, max_iters=100, tol=1e-12,
                               mu_mode="fixed", mu_value=0.0)
-            series = reconstruct_series(frames, plan, coils, basis, cfg)
+            volumes = np.stack([e.volume for e in
+                                reconstruct_series(frames, plan, coils, basis, cfg)])
             for t in range(2):
-                np.testing.assert_allclose(series.volumes[t], vol,
+                np.testing.assert_allclose(volumes[t], vol,
                                            atol=1e-5 * np.abs(vol).max())
 
     @pytest.mark.parametrize("n_data", [1, 3])
     @pytest.mark.parametrize("series_fn", ["adjoint", "reconstruct"])
-    def test_frame_count_must_match_plan(self, series_fn, n_data):
+    def test_frame_count_must_match_plan(self, counted, series_fn, n_data):
+        plan, coils, kdata = self._epi_dataset(n_data)
+        with pytest.raises(ReconError, match=f"{n_data} frames, the plan 2"):
+            list(self._series(series_fn, kdata, plan, coils))
+        # refused on the first frame request, before any operator is built
+        assert counted["builds"] == 0
+
+    @pytest.mark.parametrize("series_fn", ["adjoint", "reconstruct"])
+    def test_zero_frames_refused(self, counted, series_fn):
+        plan, coils, kdata = self._epi_dataset(0)
+        with pytest.raises(ReconError, match="at least one frame"):
+            list(self._series(series_fn, kdata, replace(plan, shots=()), coils))
+        assert counted["builds"] == 0
+
+    @staticmethod
+    def _epi_dataset(n_data):
+        """A two-frame EPI plan, its coils and zero k-space for n_data frames."""
         dims = (8, 8, 8)
         plan = gen_epi_3d(dims, _seq(), n_frames=2)
-        coils = birdcage_coils(dims, 1)
         kdata = np.zeros((n_data, 1, sum(s.n_samples for s in plan.frame(0))),
                          dtype=np.complex128)
-        with pytest.raises(ReconError, match=f"{n_data} frames, the plan 2"):
-            if series_fn == "adjoint":
-                adjoint_series(kdata, plan, coils)
-            else:
-                reconstruct_series(kdata, plan, coils, WaveletBasis("haar", 1),
-                                   ReconConfig(strategy="cold", max_iters=2))
+        return plan, birdcage_coils(dims, 1), kdata
+
+    @staticmethod
+    def _series(series_fn, kdata, plan, coils):
+        if series_fn == "adjoint":
+            return adjoint_series(kdata, plan, coils)
+        return reconstruct_series(kdata, plan, coils, WaveletBasis("haar", 1),
+                                  ReconConfig(strategy="cold", max_iters=2))
 
     def test_refined_second_pass_init_is_final_warm_estimate(self, monkeypatch):
         frames, plan, coils = self._tiny_dataset(n_frames=3)
@@ -333,7 +353,7 @@ class TestSeries:
         monkeypatch.setattr(recon_mod, "cs_solve", spy)
         cfg = ReconConfig(strategy="refined", max_iters=5, tol=1e-12,
                           mu_mode="fixed", mu_value=0.01)
-        series = reconstruct_series(frames, plan, coils, basis, cfg)
+        list(reconstruct_series(frames, plan, coils, basis, cfg))
         assert len(calls) == 6  # warm pass + refined pass
         # second-pass inits are all the warm pass's final (frame 3) output
         final_warm = calls[3]
@@ -341,8 +361,8 @@ class TestSeries:
             np.testing.assert_array_equal(init, final_warm)
         warm_cfg = ReconConfig(strategy="warm", max_iters=5, tol=1e-12,
                                mu_mode="fixed", mu_value=0.01)
-        warm = reconstruct_series(frames, plan, coils, basis, warm_cfg)
-        np.testing.assert_array_equal(final_warm, warm.volumes[-1])
+        *_, warm_last = reconstruct_series(frames, plan, coils, basis, warm_cfg)
+        np.testing.assert_array_equal(final_warm, warm_last.volume)
 
     def test_frame_error_carries_index(self):
         frames, plan, coils = self._tiny_dataset(n_frames=2)
@@ -350,7 +370,7 @@ class TestSeries:
         basis = WaveletBasis("haar", 1)
         cfg = ReconConfig(max_iters=5, mu_mode="fixed", mu_value=0.0)
         with pytest.raises(ReconError, match="frame 1"):
-            reconstruct_series(frames, plan, coils, basis, cfg)
+            list(reconstruct_series(frames, plan, coils, basis, cfg))
 
     def test_cs_solve_one_op_per_iteration(self, counted):
         frames, plan, coils = self._tiny_dataset(n_frames=1)
@@ -424,17 +444,17 @@ class TestSeries:
         frames, plan, coils = self._tiny_dataset(n_frames=3)
         cfg = ReconConfig(strategy="refined", max_iters=4, tol=1e-14,
                           mu_mode="fixed", mu_value=0.01)
-        series = reconstruct_series(frames, plan, coils, WaveletBasis("haar", 1), cfg)
-        assert series.n_iters == [len(t) - 1 for t in series.objective_traces] == [4] * 3
-        assert series.converged == [False] * 3
-        assert adjoint_series(frames, plan, coils).n_iters is None
+        ests = list(reconstruct_series(frames, plan, coils, WaveletBasis("haar", 1), cfg))
+        assert [e.n_iters for e in ests] == [len(e.objective_trace) - 1 for e in ests] == [4] * 3
+        assert [e.converged for e in ests] == [False] * 3
+        assert [e.n_iters for e in adjoint_series(frames, plan, coils)] == [None] * 3
 
     @pytest.mark.parametrize("strategy", ["cold", "refined"])
     def test_static_plan_builds_one_operator(self, counted, strategy):
         frames, plan, coils = self._tiny_dataset(n_frames=3, dynamic=False)
         cfg = ReconConfig(strategy=strategy, max_iters=3, tol=1e-14,
                           mu_mode="fixed", mu_value=0.01)
-        reconstruct_series(frames, plan, coils, WaveletBasis("haar", 1), cfg)
+        list(reconstruct_series(frames, plan, coils, WaveletBasis("haar", 1), cfg))
         assert counted["builds"] == 1
         assert counted["lipschitz"] == 1
 
@@ -442,7 +462,7 @@ class TestSeries:
         frames, plan, coils = self._tiny_dataset(n_frames=3)
         cfg = ReconConfig(strategy="warm", max_iters=3, tol=1e-14,
                           mu_mode="fixed", mu_value=0.01)
-        reconstruct_series(frames, plan, coils, WaveletBasis("haar", 1), cfg)
+        list(reconstruct_series(frames, plan, coils, WaveletBasis("haar", 1), cfg))
         assert counted["builds"] == 3
         assert counted["lipschitz"] == 3
 
@@ -450,10 +470,11 @@ class TestSeries:
         frames, plan, coils = self._tiny_dataset(n_frames=3, dynamic=False)
         basis = WaveletBasis("haar", 1)
         cfg = ReconConfig(max_iters=5, tol=1e-14, mu_mode="fixed", mu_value=0.01)
-        series = reconstruct_series(frames, plan, coils, basis, cfg)
+        volumes = np.stack([e.volume for e in reconstruct_series(frames, plan, coils,
+                                                                 basis, cfg)])
         for t in range(3):
             est = cs_solve(frames[t], _op(plan, coils, t), basis, cfg)
-            np.testing.assert_array_equal(series.volumes[t], est.volume)
+            np.testing.assert_array_equal(volumes[t], est.volume)
 
     def test_adjoint_series_shares_operator_on_static_plan(self, counted):
         rng = np.random.default_rng(8)
@@ -462,8 +483,8 @@ class TestSeries:
         coils = birdcage_coils(dims, 2)
         n = sum(s.n_samples for s in plan.frame(0))
         frames = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
-        series = adjoint_series(frames, plan, coils)
+        volumes = np.stack([e.volume for e in adjoint_series(frames, plan, coils)])
         assert counted["builds"] == 1
         for t in range(3):
             np.testing.assert_array_equal(
-                series.volumes[t], adjoint_recon(frames[t], _op(plan, coils, t)))
+                volumes[t], adjoint_recon(frames[t], _op(plan, coils, t)))

@@ -329,8 +329,9 @@ class TestRunPipeline:
             series = adjoint_series(kdata, plan, coils)
         else:
             series = reconstruct_series(kdata, plan, coils, *config.cs)
-        for t, mag in enumerate(series.magnitude()):
-            write_volume(tmp_path / "again.snkv", mag, voxel_size=cfg["voxel_size_mm"])
+        for t, est in enumerate(series):
+            write_volume(tmp_path / "again.snkv", np.abs(est.volume),
+                         voxel_size=cfg["voxel_size_mm"])
             name = f"frame_{t:04d}.snkv"
             assert (tmp_path / "again.snkv").read_bytes() == (out / name).read_bytes(), name
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from snakesim.wavelets import (_SUBBAND_ORDER, FAMILIES, WaveletBasis, WaveletError,
-                               _analysis_matrix, _filters, soft_threshold)
+from snakesim.wavelets import (FAMILIES, WaveletBasis, WaveletError, _analysis_matrix,
+                               _band, _filters, _half, finest_detail, soft_threshold)
+
+SUBBANDS = ("aad", "ada", "add", "daa", "dad", "dda", "ddd")
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +73,17 @@ def _ref_soft_threshold(x, mu):
     return out
 
 
+def _approx(coeffs, levels):
+    """The coarsest approximation block of a dense Mallat array."""
+    return coeffs[_band("aaa", _half(coeffs.shape, levels))]
+
+
+def _details(coeffs, levels):
+    """Coarsest-first [{code: block}] of a dense Mallat array's detail subbands."""
+    return [{code: coeffs[_band(code, _half(coeffs.shape, level))] for code in SUBBANDS}
+            for level in range(levels, 0, -1)]
+
+
 def _close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -113,10 +126,11 @@ def test_constant_volume_full_depth_single_coefficient():
     basis = WaveletBasis(family="haar", levels=3)
     x = np.full((8, 8, 8), 2.0)
     coeffs = basis.forward(x)
-    assert coeffs.approx.shape == (1, 1, 1)
+    approx = _approx(coeffs, 3)
+    assert approx.shape == (1, 1, 1)
     # Parseval: the lone approx coefficient carries all the energy
-    assert coeffs.approx[0, 0, 0] == pytest.approx(2.0 * np.sqrt(512), rel=1e-12)
-    for level in coeffs.details:
+    assert approx[0, 0, 0] == pytest.approx(2.0 * np.sqrt(512), rel=1e-12)
+    for level in _details(coeffs, 3):
         for arr in level.values():
             np.testing.assert_allclose(arr, 0.0, atol=1e-12)
 
@@ -129,8 +143,8 @@ def test_haar_impulse_hand_oracle():
     x[0, 0, 0] = 1.0
     coeffs = basis.forward(x)
     expected = 1.0 / (2.0 * np.sqrt(2.0))
-    assert abs(coeffs.approx[0, 0, 0]) == pytest.approx(expected, rel=1e-12)
-    for arr in coeffs.details[0].values():
+    assert abs(_approx(coeffs, 1)[0, 0, 0]) == pytest.approx(expected, rel=1e-12)
+    for arr in _details(coeffs, 1)[0].values():
         assert abs(arr[0, 0, 0]) == pytest.approx(expected, rel=1e-12)
         assert np.count_nonzero(np.abs(arr) > 1e-15) == 1
 
@@ -149,8 +163,8 @@ def test_unknown_family_rejected():
 def test_finest_detail_shape():
     basis = WaveletBasis(family="haar", levels=2)
     coeffs = basis.forward(np.zeros((16, 16, 16)))
-    assert coeffs.finest_detail.shape == (8, 8, 8)
-    assert coeffs.details[0]["ddd"].shape == (4, 4, 4)
+    assert finest_detail(coeffs).shape == (8, 8, 8)
+    assert _details(coeffs, 2)[0]["ddd"].shape == (4, 4, 4)
 
 
 def test_ravel_length_preserved():
@@ -174,11 +188,11 @@ def test_soft_threshold_complex_magnitude():
     assert out[1] == 0
 
 
-def test_map_applies_everywhere():
+def test_inverse_is_linear():
     basis = WaveletBasis(family="haar", levels=2)
     rng = np.random.default_rng(3)
     x = _random_volume(rng, (8, 8, 8))
-    doubled = basis.inverse(basis.forward(x).map(lambda c: 2 * c))
+    doubled = basis.inverse(2 * basis.forward(x))
     np.testing.assert_allclose(doubled, 2 * x, atol=1e-10)
 
 
@@ -216,18 +230,16 @@ def test_forward_matches_filter_bank(family, levels, dims):
     x = _random_volume(rng, dims, complex_=True)
     coeffs = WaveletBasis(family, levels).forward(x)
     approx, details = _ref_forward(x, family, levels)
-    assert coeffs.data.shape == dims
-    _close(coeffs.approx, approx)
-    assert len(coeffs.details) == levels
-    for got, want in zip(coeffs.details, details):
-        assert list(got) == list(_SUBBAND_ORDER)
-        for code in _SUBBAND_ORDER:
+    assert coeffs.shape == dims
+    _close(_approx(coeffs, levels), approx)
+    for got, want in zip(_details(coeffs, levels), details):
+        for code in SUBBANDS:
             _close(got[code], want[code])
-    _close(coeffs.finest_detail, details[-1]["ddd"])
+    _close(finest_detail(coeffs), details[-1]["ddd"])
     # real volumes take the real path
     real = WaveletBasis(family, levels).forward(x.real)
-    assert real.data.dtype == np.float64
-    _close(real.approx, _ref_forward(x.real, family, levels)[0])
+    assert real.dtype == np.float64
+    _close(_approx(real, levels), _ref_forward(x.real, family, levels)[0])
 
 
 @pytest.mark.parametrize("family", ["haar", "symlet8"])
@@ -237,25 +249,17 @@ def test_inverse_matches_filter_bank(family, levels, dims):
     synthesis of its blocks, and leaves the coefficients untouched."""
     rng = np.random.default_rng(7)
     basis = WaveletBasis(family, levels)
-    coeffs = basis.forward(np.zeros(dims, dtype=np.complex128))
-    coeffs.data[...] = _random_volume(rng, dims, complex_=True)
-    before = coeffs.data.copy()
-    want = _ref_inverse(coeffs.approx, coeffs.details, family)
+    coeffs = _random_volume(rng, dims, complex_=True)
+    before = coeffs.copy()
+    want = _ref_inverse(_approx(coeffs, levels), _details(coeffs, levels), family)
     _close(basis.inverse(coeffs), want)
-    assert np.array_equal(coeffs.data, before)
+    assert np.array_equal(coeffs, before)
 
 
-def test_map_and_ravel_act_on_the_dense_array():
+def test_finest_detail_is_a_view_of_the_dense_array():
     basis = WaveletBasis("haar", 2)
     coeffs = basis.forward(_random_volume(np.random.default_rng(8), (8, 8, 8)))
-    calls = []
-    mapped = coeffs.map(lambda c: calls.append(c.shape) or -c)
-    assert calls == [(8, 8, 8)]
-    assert np.array_equal(mapped.data, -coeffs.data)
-    assert np.array_equal(coeffs.ravel(), coeffs.data.ravel())
-    # the views share memory with the dense array
-    assert np.shares_memory(coeffs.approx, coeffs.data)
-    assert np.shares_memory(coeffs.details[0]["ada"], coeffs.data)
+    assert np.shares_memory(finest_detail(coeffs), coeffs)
 
 
 def test_soft_threshold_equals_masked_reference():
