@@ -54,9 +54,10 @@ with tempfile.TemporaryDirectory() as tmp:
                                     sink_path=sink, gm_index=1)
     print("dataset header:", {k: header[k] for k in
                               ("dims", "n_coils", "n_frames", "snr_i")})
-    # Frames go to the sink as they complete, and the run returns the
-    # container's read-only memory map: complex64, read as it is indexed.
-    print("k-space map (frames, coils, samples):", kdata.shape, kdata.dtype)
+    # Frames go to the sink as they complete, and the run returns a
+    # read-only reader of the container: kdata[t] reads frame t from the
+    # file as a complex64 (coils, samples) array.
+    print("k-space (frames, coils, samples):", kdata.shape, kdata.dtype)
     print("file size:", sink.stat().st_size, "bytes")
 
     # Without a sink the run returns complex128; the container holds that
@@ -68,7 +69,6 @@ with tempfile.TemporaryDirectory() as tmp:
           "| shots/frame:", header2["n_shots_per_frame"],
           "| equal to the c64 run data:",
           np.array_equal(kdata2, full.astype(np.complex64)))
-    del kdata, kdata2  # release the maps before the directory is removed
 
 # Nyquist check without noise: gather each frame's samples onto the
 # Cartesian grid, inverse FFT, compare against the modulated phantom.

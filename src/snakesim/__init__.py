@@ -20,7 +20,7 @@ from .recon import (ReconConfig, FrameEstimate, FrameOperator,
                     sure_threshold_coeffs, cs_solve, reconstruct_series,
                     adjoint_series, ReconError)
 from .analysis import (DesignMatrix, StatMap, DetectionResult, MetricsReport,
-                       build_design, glm_fit, threshold_detect,
+                       SeriesSums, build_design, glm_fit, threshold_detect,
                        precision_recall, bacc, psnr, ssim, tsnr,
                        AnalysisError)
 from .io import (write_volume, read_volume, read_nifti, load_volume_file,

@@ -2,7 +2,9 @@
 
 The GLM runs voxel-wise on magnitude volumes; the task regressor is the
 paradigm boxcar convolved with the HRF, sampled at frame midpoints, plus
-an intercept and optional Legendre drift columns. Detection statistics
+an intercept and optional Legendre drift columns. The GLM and tSNR are
+taken from :class:`SeriesSums`, running sums fed one frame at a time,
+so no (n_frames, voxels) array is held. Detection statistics
 are computed against the binarized ground-truth ROI inside a tissue
 analysis mask (background voxels would otherwise inflate the true
 negative counts for free).
@@ -26,9 +28,6 @@ from scipy.special import ndtri, stdtr
 from .phantom import Paradigm, build_bold_timecourse
 
 Z_CAP = 38.0  # largest z before norm.sf underflows
-# voxels per chunk of the residual and variance sums: a (n_frames, CHUNK)
-# float64 temporary in place of one the size of the series
-CHUNK = 4096
 
 
 class AnalysisError(ValueError):
@@ -124,42 +123,85 @@ def _t_to_z(t, dof):
     return np.clip(np.nan_to_num(z, posinf=Z_CAP, neginf=-Z_CAP), -Z_CAP, Z_CAP)
 
 
-def _column_sums_of_squares(y, center):
-    """Per column of the (n, V) array y, the sum over rows of
-    (y - center(sl))**2, taken CHUNK columns at a time; ``center(sl)``
-    gives the (n, len) or (len,) values to subtract from ``y[:, sl]``.
-    Each chunk is summed over its rows as numpy sums the whole array, so
-    the result is bit-identical to the unchunked expression."""
-    out = np.empty(y.shape[1])
-    for lo in range(0, y.shape[1], CHUNK):
-        sl = slice(lo, lo + CHUNK)
-        d = y[:, sl] - center(sl)
+class SeriesSums:
+    """Running sums of a (n_frames, *dims) magnitude series, fed one frame
+    at a time, from which :func:`glm_fit` takes the GLM and :func:`tsnr`
+    the tSNR without the series being held.
+
+    Frame t enters as D_t = y_t - y_0, its difference from the first
+    frame. The sums kept are sum D, sum D^2 and, with a design, X^T D
+    (X the design matrix), each one float64 value per voxel and
+    regressor. Taken on the shifted data they keep their accuracy where
+    sums of y and y^2 would cancel (Chan, Golub & LeVeque, Am. Stat.
+    1983); the design's intercept absorbs the shift. The first and last
+    frames are kept as ``first`` and ``last``.
+    """
+
+    def __init__(self, design: DesignMatrix | None = None):
+        if design is not None:
+            if design.n_frames <= design.n_regressors:
+                raise AnalysisError("non-positive degrees of freedom")
+            if "intercept" not in design.names:
+                raise AnalysisError("the design needs an intercept column")
+        self.design = design
+        self.n = 0
+        self.first = self.last = None
+
+    def add(self, frame):
+        """Feed the next frame of the series."""
+        y = np.array(frame, dtype=np.float64)
+        if self.design is not None and self.n == self.design.n_frames:
+            raise AnalysisError(f"series has more frames than the design's "
+                                f"{self.design.n_frames}")
+        if self.n == 0:
+            self.first = y
+            self.sum, self.sum_sq = np.zeros(y.size), np.zeros(y.size)
+            if self.design is not None:
+                self.xtd = np.zeros((self.design.n_regressors, y.size))
+        elif y.shape != self.first.shape:
+            raise AnalysisError(f"frame of shape {y.shape}, the first is {self.first.shape}")
+        d = (y - self.first).ravel()
+        self.sum += d
+        if self.design is not None:
+            for xtd, x in zip(self.xtd, self.design.matrix[self.n]):
+                xtd += x * d
         np.multiply(d, d, out=d)
-        d.sum(axis=0, out=out[sl])
-    return out
+        self.sum_sq += d
+        self.last = y
+        self.n += 1
+
+
+def _fed(series, design=None) -> SeriesSums:
+    """``series`` itself if it is a :class:`SeriesSums`, else a SeriesSums
+    under ``design`` fed every frame of the (n_frames, *dims) ``series``."""
+    if isinstance(series, SeriesSums):
+        return series
+    sums = SeriesSums(design)
+    for frame in np.asarray(series, dtype=np.float64):
+        sums.add(frame)
+    return sums
 
 
 def glm_fit(series, design: DesignMatrix, mask=None) -> StatMap:
     """Voxel-wise OLS with a t test on the task column.
 
-    series is (n_frames, *dims) magnitude data. Voxels with zero residual
+    series is (n_frames, *dims) magnitude data, or the :class:`SeriesSums`
+    it was fed to under ``design``. The residual sum of squares is
+    sum D^2 - beta . X^T D, clamped at 0. Voxels with zero residual
     variance get t = +-Z_CAP (exact fit) or 0 (constant data).
     """
-    series = np.asarray(series, dtype=np.float64)
-    if series.shape[0] != design.n_frames:
-        raise AnalysisError(
-            f"series has {series.shape[0]} frames, design {design.n_frames}"
-        )
-    dims = series.shape[1:]
-    n, k = design.matrix.shape
-    dof = n - k
-    if dof <= 0:
-        raise AnalysisError("non-positive degrees of freedom")
-    y = series.reshape(n, -1)
+    sums = _fed(series, design)
+    if sums.design is not design:
+        raise AnalysisError("the series sums were fed under another design")
     x = design.matrix
+    n, k = x.shape
+    if sums.n != n:
+        raise AnalysisError(f"series has {sums.n} frames, design {n}")
+    dof = n - k
     xtx_inv = np.linalg.inv(x.T @ x)
-    beta = xtx_inv @ x.T @ y
-    sigma2 = _column_sums_of_squares(y, lambda sl: x @ beta[:, sl]) / dof
+    beta = xtx_inv @ sums.xtd
+    rss = sums.sum_sq - np.einsum("kv,kv->v", beta, sums.xtd)
+    sigma2 = np.maximum(rss, 0.0) / dof
     c = np.zeros(k)
     c[design.names.index("task")] = 1.0
     effect = c @ beta
@@ -176,6 +218,7 @@ def glm_fit(series, design: DesignMatrix, mask=None) -> StatMap:
         flat = mask.ravel()
         t = np.where(flat, t, 0.0)
         z = np.where(flat, z, 0.0)
+    dims = sums.first.shape
     return StatMap(beta=effect.reshape(dims), t=t.reshape(dims),
                    z=z.reshape(dims), dof=dof)
 
@@ -314,16 +357,16 @@ def ssim(x, ref, window=7, k1=0.01, k2=0.03):
 def tsnr(series, roi=None):
     """Voxel-wise temporal mean / std (unbiased); flags zero-std voxels.
 
-    Returns ``(map, roi_mean)``; zero-variance voxels carry inf in the
-    map and are excluded from the ROI mean.
+    series is a (n_frames, *dims) array or the :class:`SeriesSums` it was
+    fed to. Returns ``(map, roi_mean)``; zero-variance voxels carry inf in
+    the map and are excluded from the ROI mean.
     """
-    series = np.asarray(series, dtype=np.float64)
-    if series.shape[0] < 2:
+    sums = _fed(series)
+    if sums.n < 2:
         raise AnalysisError("tSNR needs at least 2 frames")
-    n = len(series)
-    mean = series.mean(axis=0)
-    # series.std(axis=0, ddof=1), without a second mean or a full-size temporary
-    var = _column_sums_of_squares(series.reshape(n, -1), lambda sl: mean.ravel()[sl]) / (n - 1)
+    mean_d = sums.sum / sums.n
+    var = np.maximum(sums.sum_sq - sums.sum * mean_d, 0.0) / (sums.n - 1)
+    mean = (sums.first.ravel() + mean_d).reshape(sums.first.shape)
     std = np.sqrt(var).reshape(mean.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         tmap = np.where(std > 0, mean / std, np.inf)

@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .io import canonical_json, read_trajectory
@@ -125,8 +126,8 @@ def _cmd_traj_gen(args):
 
 def _cmd_traj_inspect(args):
     shots, dwell_us, tr_ms = read_trajectory(args.path)
-    pts = shots[0]
-    info = {"n_shots": len(shots), "samples_per_shot": int(pts.shape[0]),
+    pts = np.concatenate(shots)
+    info = {"n_shots": len(shots), "samples_per_shot": int(shots[0].shape[0]),
             "ndims": int(pts.shape[1]), "dwell_time_us": float(dwell_us),
             "tr_shot_ms": float(tr_ms),
             "kmin": [float(v) for v in pts.min(axis=0)],

@@ -18,8 +18,9 @@ repeat of it is then a lookup, an AXPY and the noise draw. Calibrated
 complex Gaussian noise is added per sample. :func:`run_acquisition`
 runs the plan frame by frame into one (n_coils, P) buffer, the layout
 of a frame of the dataset body. With a sink each finished frame is appended to it, so no
-run-sized array is held, and the run returns the dataset's memory map;
-without one the frames fill one complex128 (n_frames, n_coils, P) array.
+run-sized array is held, and the run returns a reader of the dataset
+that reads one frame per index; without one the frames fill one
+complex128 (n_frames, n_coils, P) array.
 """
 
 from __future__ import annotations
@@ -449,8 +450,9 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     samples of one frame. With ``sink_path`` that block is one buffer,
     appended to the sink per (coil, shot) as soon as the frame is done,
     and the run returns :func:`snakesim.io.read_dataset` of the sink:
-    ``(header, kdata)`` with kdata a read-only complex64 memory map of
-    shape (n_frames, n_coils, P), the bytes that were written. Without a
+    ``(header, kdata)`` with kdata a :class:`~snakesim.io.DatasetReader`
+    of the bytes that were written, whose ``kdata[t]`` reads frame t as
+    a complex64 (n_coils, P) array. Without a
     sink the blocks are the frames of one complex128 array of that shape,
     returned as kdata. Inputs that do not match the phantom, or frames
     with unequal per-shot sample counts, raise :class:`EngineError`

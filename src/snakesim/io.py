@@ -12,7 +12,7 @@ Three little-endian formats are defined here:
   JSON header, then per frame, per coil, per shot, complex f32
   interleaved (re, im): one C-order complex64 array of shape
   (n_frames, n_coils, P), P the samples of one frame, written a frame
-  at a time and read back as a memory map.
+  at a time and read back a frame at a time.
 
 A minimal NIfTI-1 reader (little-endian float32 only) is provided for
 ingesting per-tissue fuzzy masks.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import operator
 import os
 import shutil
 import struct
@@ -233,14 +234,53 @@ class DatasetWriter:
         self.close()
 
 
+class DatasetReader:
+    """The read-only body of an SNKD1 container, read from the file as it
+    is indexed.
+
+    ``reader[t]`` reads frame t, and only it, into a fresh complex64
+    (n_coils, P) array (``reader[t, ...]`` then indexes that frame), and
+    ``np.asarray(reader)`` reads the whole (n_frames, n_coils, P) body.
+    Each read opens the file, reads one byte range and closes it, so the
+    reader holds neither a file nor a memory map.
+    """
+
+    dtype = np.dtype(np.complex64)
+
+    def __init__(self, path, offset, shape):
+        self.path, self.offset, self.shape = Path(path), offset, shape
+
+    def __len__(self):
+        return self.shape[0]
+
+    def _read(self, start, count):
+        data = np.fromfile(self.path, dtype="<c8", count=count, offset=self.offset + 8 * start)
+        if data.size != count:
+            raise FormatError(f"{self.path}: body ends {count - data.size} samples early")
+        return data
+
+    def __getitem__(self, key):
+        t, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
+        t, n = operator.index(t), len(self)
+        if not -n <= t < n:
+            raise IndexError(f"frame {t} out of range for {n} frames")
+        size = self.shape[1] * self.shape[2]
+        return self._read(size * (t % n), size).reshape(self.shape[1:])[rest]
+
+    def __array__(self, dtype=None, copy=None):
+        data = self._read(0, int(np.prod(self.shape))).reshape(self.shape)
+        return data if dtype is None else data.astype(dtype, copy=False)
+
+
 def read_dataset(path):
     """Read an SNKD1 container.
 
-    Returns ``(header, kdata)``, kdata a read-only ``np.memmap`` of the
+    Returns ``(header, kdata)``, kdata a :class:`DatasetReader` of the
     body: one C-order complex64 array of shape (n_frames, n_coils, P),
-    P = sum(samples_per_shot), read from the file as it is indexed. A
-    bad magic, a partial marker, a missing header key, or a body shorter
-    or longer than the header predicts raises :class:`FormatError`.
+    P = sum(samples_per_shot), of which ``kdata[t]`` reads frame t from
+    the file. A bad magic, a partial marker, a missing header key, or a
+    body shorter or longer than the header predicts raises
+    :class:`FormatError`.
     """
     with open(path, "rb") as f:
         prefix = f.read(9)
@@ -265,4 +305,4 @@ def read_dataset(path):
             raise FormatError(f"{path}: {have - need} bytes after the "
                               f"{need} body bytes the header predicts")
         offset = f.tell()
-    return header, np.memmap(path, dtype="<c8", mode="r", offset=offset, shape=shape)
+    return header, DatasetReader(path, offset, shape)

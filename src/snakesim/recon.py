@@ -34,8 +34,8 @@ objects: once for a static plan, once per frame for a dynamic one.
 
 :func:`adjoint_series` yields each frame's adjoint and
 :func:`reconstruct_series` each frame's CS solve, one frame at a time:
-a frame's data is read only when that frame is solved, so a
-memory-mapped dataset is never loaded whole.
+a frame's data is read only when that frame is solved, so a dataset
+read from its file is never loaded whole.
 """
 
 from __future__ import annotations
@@ -363,8 +363,8 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconCon
     frame t+1 starts from frame t's estimate. refined: a warm pass, then
     every frame re-solved from the final warm-pass estimate. A frame's
     data is read from ``kdata`` when the frame is solved, and no more
-    than two frames' volumes are held at a time, so a memory-mapped
-    dataset is reconstructed in bounded memory. One FrameOperator and
+    than two frames' volumes are held at a time, so a dataset read from
+    its file is reconstructed in bounded memory. One FrameOperator and
     one Lipschitz estimate serve each run of consecutive frames with the
     same k-points.
     """

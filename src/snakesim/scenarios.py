@@ -22,7 +22,7 @@ import yaml
 
 from . import __version__
 from .analysis import (bacc, build_design, glm_fit, precision_recall, psnr,
-                       ssim, threshold_detect, tsnr, MetricsReport)
+                       ssim, threshold_detect, tsnr, MetricsReport, SeriesSums)
 from .engine import EngineError, NoiseConfig, birdcage_coils, run_acquisition
 from .io import canonical_json, write_volume
 from .phantom import (TISSUE_7T, BoldSpec, Paradigm, Phantom, PhantomError,
@@ -267,11 +267,13 @@ def preset(name, scale=1.0, trajectory_path=None, seed=1234) -> RunConfig:
 
 
 def _sha256(path):
-    """SHA-256 of a file, read in 1 MB blocks: the dataset is run-sized."""
+    """SHA-256 of a file, read in 256 kB blocks into one buffer: the
+    dataset is run-sized."""
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            h.update(block)
+    block = memoryview(bytearray(1 << 18))
+    with open(path, "rb", buffering=0) as f:
+        while n := f.readinto(block):
+            h.update(block[:n])
     return h.hexdigest()
 
 
@@ -339,11 +341,13 @@ class RunManifest:
 def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     """Acquisition -> reconstruction -> analysis, all artifacts persisted.
 
-    The k-space goes to ``kspace.snkd`` frame by frame, and each frame is
-    reconstructed from the file's memory map and written as its magnitude
-    when it is done, so the one run-sized array held is the
-    (n_frames, *dims) magnitude series the GLM needs. The manifest
-    records each finished stage's seconds and the peak RSS at its end.
+    The design matrix is built with the plan, so a degenerate paradigm
+    fails before any shot runs. The k-space goes to ``kspace.snkd`` frame
+    by frame; each frame is read back from the file, reconstructed,
+    written as its magnitude and fed to the :class:`SeriesSums` that the
+    GLM and tSNR are taken from, so no run-sized array is held. The
+    manifest records each finished stage's seconds and the peak RSS at
+    its end.
     Any stage failure is recorded in the manifest with the stage name and
     downstream stages are skipped.
     """
@@ -365,6 +369,8 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         seq = config.sequence
         phantom, gm_index = _build_phantom(cfg)
         plan = _build_plan(cfg, seq)
+        design = build_design(config.paradigm, cfg["bold"]["hrf"], plan.n_frames,
+                              plan.tr_vol, drift_order=cfg["analysis"]["drift_order"])
         coils = birdcage_coils(phantom.dims, cfg["n_coils"])
         h = build_bold_timecourse(config.paradigm, plan.shot_times, hrf=cfg["bold"]["hrf"])
         roi = ellipsoid_roi(phantom, gm_index)
@@ -388,21 +394,21 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
 
         stage = "reconstruction"
         t0 = time.monotonic()
-        # kdata maps kspace.snkd: each frame is read from the file as it is
-        # solved, and only its magnitude is kept
+        # kdata reads each frame from kspace.snkd as it is solved, and the
+        # frame's magnitude goes to the file and to the series sums
         if config.cs is None:
             frames = adjoint_series(kdata, plan, coils, cfg["recon"]["density_comp"])
         else:
             frames = reconstruct_series(kdata, plan, coils, *config.cs)
-        mags = np.empty((plan.n_frames, *phantom.dims))
+        sums = SeriesSums(design)
         solves = []
         for t, est in enumerate(frames):
-            np.abs(est.volume, out=mags[t])
-            write_volume(out / f"frame_{t:04d}.snkv", mags[t], voxel_size=phantom.voxel_size)
+            mag = np.abs(est.volume)
+            write_volume(out / f"frame_{t:04d}.snkv", mag, voxel_size=phantom.voxel_size)
+            sums.add(mag)
             solves.append((est.mu_used, est.objective_trace, est.n_iters, est.converged))
-        del kdata, frames
         mu_values, traces, n_iters, converged = zip(*solves)
-        index = {"n_frames": int(mags.shape[0]), "dims": list(phantom.dims),
+        index = {"n_frames": sums.n, "dims": list(phantom.dims),
                  "tr_vol_s": plan.tr_vol,
                  "strategy": "adjoint" if config.cs is None else config.cs[1].strategy,
                  "mu": [float(m) for m in mu_values],
@@ -417,26 +423,23 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         finish(stage, t0)
         manifest.checksums["series_index.json"] = _sha256(out / "series_index.json")
         manifest.checksums["frame_0000.snkv"] = _sha256(out / "frame_0000.snkv")
-        manifest.checksums[f"frame_{mags.shape[0] - 1:04d}.snkv"] = \
-            _sha256(out / f"frame_{mags.shape[0] - 1:04d}.snkv")
+        manifest.checksums[f"frame_{sums.n - 1:04d}.snkv"] = \
+            _sha256(out / f"frame_{sums.n - 1:04d}.snkv")
 
         stage = "analysis"
         t0 = time.monotonic()
-        design = build_design(config.paradigm, cfg["bold"]["hrf"], mags.shape[0],
-                              plan.tr_vol,
-                              drift_order=cfg["analysis"]["drift_order"])
         tissue_mask = phantom.weights.sum(axis=0) > 0.1
-        stat = glm_fit(mags, design, mask=tissue_mask)
+        stat = glm_fit(sums, design, mask=tissue_mask)
         det = threshold_detect(stat, cfg["analysis"]["p_threshold"], roi,
                                mask=tissue_mask)
         pr = precision_recall(stat, roi, mask=tissue_mask,
                               marker_p=cfg["analysis"]["p_threshold"])
         ref_mag = np.abs(reference)
-        tmap, tsnr_mean = tsnr(mags, roi=roi)
+        _, tsnr_mean = tsnr(sums, roi=roi)
         report = MetricsReport(
             auc_pr=pr["auc"], bacc=bacc(det),
-            psnr_first=psnr(mags[0], ref_mag), psnr_last=psnr(mags[-1], ref_mag),
-            ssim_first=ssim(mags[0], ref_mag), ssim_last=ssim(mags[-1], ref_mag),
+            psnr_first=psnr(sums.first, ref_mag), psnr_last=psnr(sums.last, ref_mag),
+            ssim_first=ssim(sums.first, ref_mag), ssim_last=ssim(sums.last, ref_mag),
             tsnr_roi_mean=tsnr_mean)
         (out / "metrics.json").write_text(canonical_json(report.to_dict()))
         write_volume(out / "zmap.snkv", stat.z, voxel_size=phantom.voxel_size)

@@ -5,10 +5,10 @@ import pytest
 from scipy import ndimage, stats
 
 from snakesim.analysis import (
-    CHUNK,
     Z_CAP,
     AnalysisError,
     DetectionResult,
+    SeriesSums,
     StatMap,
     bacc,
     build_design,
@@ -366,17 +366,55 @@ class TestTsnr:
             tsnr(np.zeros((1, 2, 2, 2)))
 
 
-class TestChunkedSums:
-    """glm_fit and tsnr on a series wider than one CHUNK of voxels equal the
-    unchunked numpy expressions bit for bit."""
+class TestSeriesSums:
+    def _design(self, n_frames=20):
+        paradigm = Paradigm.blocks(on=10.0, off=10.0, run_length=n_frames * 2.5)
+        return build_design(paradigm, "double_gamma", n_frames=n_frames, tr_vol=2.5)
 
-    shape = (30, 3, 50, 2 * CHUNK // 150 + 7)
+    def test_fed_frame_by_frame_equals_the_array_calls(self):
+        """Sums fed one frame at a time give the array calls' maps exactly
+        and keep the first and last frames."""
+        rng = np.random.default_rng(41)
+        design = self._design()
+        series = 5.0 + rng.standard_normal((design.n_frames, 4, 3, 2))
+        sums = SeriesSums(design)
+        for frame in series:
+            sums.add(frame)
+        assert sums.n == design.n_frames
+        np.testing.assert_array_equal(sums.first, series[0])
+        np.testing.assert_array_equal(sums.last, series[-1])
+        np.testing.assert_array_equal(glm_fit(sums, design).z, glm_fit(series, design).z)
+        np.testing.assert_array_equal(tsnr(sums)[0], tsnr(series)[0])
+
+    def test_mismatched_feed_rejected(self):
+        design = self._design()
+        sums = SeriesSums(design)
+        sums.add(np.ones((2, 2)))
+        with pytest.raises(AnalysisError, match="shape"):
+            sums.add(np.ones((2, 3)))
+        with pytest.raises(AnalysisError, match="1 frames, design 20"):
+            glm_fit(sums, design)
+        with pytest.raises(AnalysisError, match="another design"):
+            glm_fit(sums, self._design())
+        for _ in range(design.n_frames - 1):
+            sums.add(np.ones((2, 2)))
+        with pytest.raises(AnalysisError, match="more frames"):
+            sums.add(np.ones((2, 2)))
+        with pytest.raises(AnalysisError, match="another design"):
+            glm_fit(SeriesSums(), design)
+
+
+class TestChunkedSums:
+    """glm_fit and tsnr, which sum the series one frame at a time on data
+    shifted by the first frame, match the two-pass numpy expressions to
+    within fixed tolerances (measured: 1.8e-14 on t, 1.6e-14 on z and
+    6.0e-15 relative on tSNR)."""
+
+    shape = (30, 3, 50, 61)
 
     def _series(self):
         rng = np.random.default_rng(31)
-        series = 10.0 + rng.standard_normal(self.shape)
-        assert np.prod(self.shape[1:]) > 2 * CHUNK
-        return series
+        return 10.0 + rng.standard_normal(self.shape)
 
     def test_glm_fit(self):
         series = self._series()
@@ -390,12 +428,11 @@ class TestChunkedSums:
         sigma2 = ((y - x @ beta) ** 2).sum(axis=0) / (n - k)
         t = np.clip(beta[0] / np.sqrt(sigma2 * xtx_inv[0, 0]), -Z_CAP, Z_CAP)
         sm = glm_fit(series, design)
-        np.testing.assert_array_equal(sm.t.ravel().view(np.int64), t.view(np.int64))
-        np.testing.assert_array_equal(sm.z.ravel().view(np.int64),
-                                      _t_to_z(t, n - k).view(np.int64))
+        np.testing.assert_allclose(sm.t.ravel(), t, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sm.z.ravel(), _t_to_z(t, n - k), rtol=0, atol=1e-12)
 
     def test_tsnr(self):
         series = self._series()
         want = series.mean(axis=0) / series.std(axis=0, ddof=1)
         tmap, _ = tsnr(series)
-        np.testing.assert_array_equal(tmap.view(np.int64), want.view(np.int64))
+        np.testing.assert_allclose(tmap, want, rtol=1e-12, atol=0)

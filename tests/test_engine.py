@@ -712,8 +712,8 @@ class TestAffineAcquisition:
     @pytest.mark.parametrize("kind", list(PLAN_PATHS))
     def test_dense_round_trip(self, kind, model, tmp_path):
         """Without a sink the run returns one (T, L, P) complex128 array;
-        with one it returns the sink's complex64 memory map, which is that
-        array quantized to complex64."""
+        with one it returns a reader of the sink, whose frames are that
+        array's quantized to complex64."""
         seq = _seq()
         plan = _plan(kind, self.dims, seq)
         ph, bold = _bold_phantom(self.dims, plan)
@@ -729,10 +729,12 @@ class TestAffineAcquisition:
         sink_header, mapped = run_acquisition(*args, **kw, sink_path=sink)
         back_header, back = read_dataset(sink)
         assert sink_header == back_header == header
-        assert isinstance(mapped, np.memmap) and not mapped.flags.writeable
+        assert not isinstance(mapped, np.ndarray)
         assert mapped.shape == kdata.shape and mapped.dtype == np.complex64
         assert np.array_equal(mapped, back)
         assert np.array_equal(mapped, kdata.astype(np.complex64))
+        for t in range(plan.n_frames):
+            assert np.array_equal(mapped[t], kdata[t].astype(np.complex64))
 
     def test_sink_run_holds_no_run_sized_array(self, tmp_path):
         """With a sink the run holds one frame, not the (T, L, P) complex128

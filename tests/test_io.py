@@ -211,15 +211,31 @@ def test_dataset_partial_rewrite_keeps_body(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["p.snkd"]
 
 
-def test_dataset_reads_as_read_only_memmap(tmp_path):
+def test_dataset_reader_reads_one_frame_at_a_time(tmp_path):
+    """``kdata[t]`` reads frame t into a fresh complex64 (L, P) array, an
+    out-of-range t raises IndexError, ``np.asarray`` reads the whole body,
+    and the reader takes no assignment."""
     path = tmp_path / "m.snkd"
+    blocks = [np.full(4, k + 1j, dtype=np.complex64) for k in range(8)]
     with DatasetWriter(path, _header()) as w:
-        for k in range(8):
-            w.append(np.full(4, k + 1j, dtype=np.complex64))
+        for block in blocks:
+            w.append(block)
     _, kdata = read_dataset(path)
-    assert isinstance(kdata, np.memmap) and not kdata.flags.writeable
-    assert kdata.dtype == np.complex64
-    assert np.array_equal(kdata.ravel(), np.repeat(np.arange(8) + 1j, 4))
+    assert kdata.shape == (2, 2, 8) and kdata.dtype == np.complex64 and len(kdata) == 2
+    run = np.concatenate(blocks).reshape(2, 2, 8)
+    for t in (0, 1, -1):
+        frame = kdata[t]
+        assert type(frame) is np.ndarray and frame.dtype == np.complex64
+        assert frame.flags.writeable and frame.shape == (2, 8)
+        np.testing.assert_array_equal(frame, run[t])
+    for t in (2, -3):
+        with pytest.raises(IndexError):
+            kdata[t]
+    whole = np.asarray(kdata)
+    assert whole.dtype == np.complex64
+    np.testing.assert_array_equal(whole, run)
+    with pytest.raises(TypeError):
+        kdata[0] = 0
 
 
 def test_dataset_header_round_trips_bit_exact(tmp_path):

@@ -1,12 +1,14 @@
 """Tests for presets, config validation, pipeline orchestration and the CLI."""
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from snakesim import cli
+from snakesim import cli, scenarios
 from snakesim.cli import main as cli_main
 from snakesim.engine import birdcage_coils
 from snakesim.io import read_dataset, write_volume
@@ -313,6 +315,49 @@ class TestRunPipeline:
         assert "ROI" in manifest.error
         assert not (tmp_path / "run" / "kspace.snkd").exists()
 
+    def test_degenerate_paradigm_fails_before_the_sink(self, tmp_path):
+        """Blocks longer than the run leave the task regressor zero: the
+        design is built with the plan, so the run fails before any k-space
+        is written, not in analysis."""
+        cfg = json.loads(json.dumps(preset("s1_epi", scale=0.15).raw))
+        cfg["paradigm"].update(block_on_s=1000.0, block_off_s=1000.0)
+        manifest = run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
+        assert manifest.failed_stage == "acquisition"
+        assert "task regressor is identically zero" in manifest.error
+        assert not (tmp_path / "run" / "kspace.snkd").exists()
+
+    def test_pipeline_holds_no_run_sized_array(self, tmp_path, monkeypatch):
+        """Reconstruction and analysis hold no (n_frames, *dims) array: from
+        the start of reconstruction on, tracemalloc's peak stays below a
+        quarter of the float64 magnitude series, and the dataset that
+        acquisition returns reads its frames without a memory map."""
+        cfg = json.loads(json.dumps(_tiny_config().raw))
+        cfg["dims"] = [16, 16, 16]
+        cfg["n_frames"] = 400  # frames of 8 shots at 50 ms fill the 160 s run
+        cfg["paradigm"]["run_length_s"] = 160.0
+        datasets = []
+
+        def series(kdata, *args, **kwargs):
+            datasets.append(kdata)
+            tracemalloc.reset_peak()
+            return adjoint_series(kdata, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "adjoint_series", series)
+        tracemalloc.start()
+        try:
+            manifest = run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert manifest.failed_stage is None, manifest.error
+        assert peak < 400 * 16 ** 3 * 8 / 4
+        kdata, = datasets
+        assert not isinstance(kdata, np.memmap)
+        kdata[len(kdata) - 1]
+        maps = Path("/proc/self/maps")
+        if maps.exists():
+            assert "kspace.snkd" not in maps.read_text()
+
     @pytest.mark.parametrize("method", ["adjoint", "cs"])
     def test_frames_reproduced_from_the_dataset(self, method, tmp_path):
         """The series functions on kspace.snkd write the pipeline's frames
@@ -369,6 +414,17 @@ class TestCli:
         assert info["ndims"] == 3
         assert info["n_shots"] >= 1
         assert info["dwell_time_us"] == 10.0
+
+    def test_traj_inspect_ranges_over_every_shot(self, tmp_path, capsys):
+        """kmin/kmax span the whole trajectory: an 8^3 EPI file's planes
+        cover kz -4 to 3, not the first plane's kz alone."""
+        path = str(tmp_path / "epi.snkt")
+        assert cli_main(["traj", "gen", path, "--kind", "epi3d",
+                         "--dims", "8", "8", "8"]) == 0
+        capsys.readouterr()
+        assert cli_main(["traj", "inspect", path]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert (info["kmin"][2], info["kmax"][2]) == (-4.0, 3.0)
 
     def test_traj_gen_non_positive_dwell_exit_2(self, tmp_path, capsys):
         path = tmp_path / "epi.snkt"
