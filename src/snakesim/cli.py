@@ -37,7 +37,10 @@ def _build_parser():
     run.add_argument("--out", default="run_out")
     run.add_argument("--trajectory", default=None,
                      help="trajectory file for external presets")
-    run.add_argument("--jobs", type=int, default=None)
+    run.add_argument("--jobs", type=int, default=None,
+                     help="worker threads for acquisition and reconstruction "
+                          "(default 1; SNAKE_NJOBS, when set, takes precedence); "
+                          "results do not depend on it")
 
     pre = sub.add_parser("preset", help="print a preset config as YAML")
     pre.add_argument("name")

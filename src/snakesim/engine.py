@@ -2,22 +2,24 @@
 
 Samples are produced shot by shot from the current image state, either
 under the basic Fourier model (contrast frozen at TE) or the extended
-model with per-tissue T2* decay along the readout. Each shot's samples
-come from one :class:`NDFT` over the shot's k-points, applied to all
-coils at once, which is also the operator that reconstruction inverts.
-The NDFT takes one of three exact paths: the FFT when every point is on
-the grid (EPI), a per-kz-plane 2D DFT when every kz is an integer
-(stack-of-spirals), and separable phase tables for any other 3D
-trajectory.
+model with per-tissue T2* decay along the readout. Samples come from
+:class:`NDFT`, applied to all coils at once, which is also the operator
+that reconstruction inverts. The NDFT takes one of three exact paths:
+the FFT when every point is on the grid (EPI), a per-kz-plane 2D DFT
+when every kz is an integer (stack-of-spirals), and separable phase
+tables for any other 3D trajectory.
 
 The BOLD model is affine in time, so a run transforms two images per
 tissue, a base and a BOLD delta, and each shot combines their samples
-with its response value h_s. A k-point pattern that the plan repeats,
-as one Shot object, is transformed once per run and memoized; each
-repeat of it is then a lookup, an AXPY and the noise draw. Calibrated
-complex Gaussian noise is added per sample. :func:`run_acquisition`
-runs the plan frame by frame into one (n_coils, P) buffer, the layout
-of a frame of the dataset body. With a sink each finished frame is appended to it, so no
+with its response value h_s. The k-point patterns that the plan
+repeats, each as one Shot object, are transformed before the first
+frame, one NDFT per path on their joined points (one FFT per image and
+coil for an EPI plan), and memoized; each shot of them is then a
+lookup, an AXPY and the noise draw. A shot whose pattern occurs once is
+transformed on its own, on the worker pool. Calibrated complex Gaussian
+noise is added per sample. :func:`run_acquisition` runs the plan frame
+by frame into one (n_coils, P) buffer, the layout of a frame of the
+dataset body. With a sink each finished frame is appended to it, so no
 run-sized array is held, and the run returns a reader of the dataset
 that reads one frame per index; without one the frames fill one
 complex128 (n_frames, n_coils, P) array.
@@ -70,6 +72,15 @@ def _is_integer(k):
     return np.allclose(k, np.round(k), atol=1e-9, rtol=0)
 
 
+def _path(points, dims):
+    """The :class:`NDFT` path of (P, 3) points on a grid of ``dims``."""
+    if _is_integer(points):
+        k, half = np.round(points), np.array(dims) // 2
+        if ((k >= -half) & (k < np.array(dims) - half)).all():
+            return "fft"
+    return "stack" if _is_integer(points[:, 2]) else "general"
+
+
 class NDFT:
     """Exact unscaled non-uniform DFT at fixed 3D k-points.
 
@@ -83,8 +94,11 @@ class NDFT:
     The points select one of three exact paths, named by ``path``:
 
     - ``"fft"``, every point on the integer grid (Cartesian, EPI): the
-      centered FFT and a gather; the adjoint scatters (by assignment
-      unless a grid point repeats) and inverse-FFTs.
+      centered FFT is fftshift(fftn(ifftshift(v))), so point k is entry
+      k mod N (per axis) of fftn(ifftshift(v)). forward gathers there,
+      with no fftshift of the spectrum; adjoint scatters there (by
+      assignment unless a grid point repeats), inverse-FFTs with no
+      ifftshift of the grid, fftshifts and scales in place.
     - ``"stack"``, every kz an integer (stack-of-spirals and other
       stack-of-X plans): the points are grouped by kz plane, z is
       contracted once per plane with a (U, Nz) phase table, then an
@@ -104,17 +118,17 @@ class NDFT:
     def __init__(self, points, dims):
         self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         self.dims = tuple(dims)
-        self._grid_idx = self._on_grid()
-        if self._grid_idx is not None:
-            self.path = "fft"
-            flat = np.ravel_multi_index(self._grid_idx, self.dims)
+        self.path = _path(self.points, self.dims)
+        if self.path == "fft":
+            # point k is grid index k mod N of the ifftshifted grid on each axis
+            self._flat = np.ravel_multi_index(
+                tuple((np.round(self.points).astype(np.intp) % self.dims).T), self.dims)
             # the adjoint scatters by assignment unless a grid point repeats
-            self._distinct = np.unique(flat).size == flat.size
+            self._distinct = np.unique(self._flat).size == self._flat.size
             return
         n, (nx, ny, nz) = len(self.points), self.dims
         kz = self.points[:, 2]
-        if _is_integer(kz):
-            self.path = "stack"
+        if self.path == "stack":
             planes, plane_of = np.unique(np.round(kz), return_inverse=True)
             # tables are kept sorted by plane: row j is point _order[j] and
             # point i is row _rank[i]
@@ -128,7 +142,6 @@ class NDFT:
             self._chunks = [(g, slice(lo, hi))
                             for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
             return
-        self.path = "general"
         self._ex = _phase(self.points[:, 0], nx)
         self._ey, self._ez = _phase(self.points[:, 1], ny), _phase(kz, nz)
         self._table = None
@@ -138,14 +151,6 @@ class NDFT:
         else:
             step = max(1, PHASE_TABLE_LIMIT // (ny * nz))
         self._chunks = [(0, slice(lo, min(lo + step, n))) for lo in range(0, n, step)]
-
-    def _on_grid(self):
-        if not _is_integer(self.points):
-            return None
-        idx = (np.round(self.points) + np.array(self.dims) // 2).astype(np.intp)
-        if (idx < 0).any() or (idx >= np.array(self.dims)).any():
-            return None
-        return tuple(idx.T)
 
     def _rows(self, sl):
         """Rows ``sl`` of the (P, Ny) or combined (P, Ny*Nz) phase table."""
@@ -162,7 +167,7 @@ class NDFT:
         if self.path == "fft":
             # one 3D FFT per item: an FFT over the batch axis too saves
             # nothing and measured a few percent slower
-            out = np.stack([centered_fft(v)[self._grid_idx] for v in x])
+            out = np.stack([np.fft.fftn(np.fft.ifftshift(v)).ravel()[self._flat] for v in x])
             return out.reshape(*lead, n)
         if self.path == "stack":
             # (U, B*Nx, Ny): the volume contracted along z at each plane
@@ -185,12 +190,13 @@ class NDFT:
         if self.path == "fft":
             out = np.empty((batch, *self.dims), dtype=np.complex128)
             for b in range(batch):
-                grid = np.zeros(self.dims, dtype=np.complex128)
+                grid = np.zeros(np.prod(self.dims), dtype=np.complex128)
                 if self._distinct:
-                    grid[self._grid_idx] = y[b]
+                    grid[self._flat] = y[b]
                 else:
-                    np.add.at(grid, self._grid_idx, y[b])
-                out[b] = centered_ifft(grid) * np.prod(self.dims)
+                    np.add.at(grid, self._flat, y[b])
+                out[b] = np.fft.fftshift(np.fft.ifftn(grid.reshape(self.dims)))
+            out *= np.prod(self.dims)
             return out.reshape(*lead, *self.dims)
         yc = y.conj()
         if self.path == "stack":
@@ -305,7 +311,7 @@ def add_noise(samples, noise: NoiseConfig, energy, shot_index=0):
         rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_index, l)))
         # one draw of 2n is the same stream as two draws of n
         draw = rng.standard_normal(2 * n_samples)
-        white[l] = draw[:n_samples] + 1j * draw[n_samples:]
+        white[l].real, white[l].imag = draw[:n_samples], draw[n_samples:]
     if noise.chol is not None:
         white = noise.chol @ white
     return samples + scale * white
@@ -322,33 +328,39 @@ def _pattern_numbers(shots):
 
 
 def _memoized(cache, shot, transform):
-    """transform(), memoized per Shot object (so per k-point pattern)
-    when cache is a dict.
+    """``cache[shot]`` when cache is a dict that holds the Shot (see
+    :func:`_transform_patterns`), else transform()."""
+    value = None if cache is None else cache.get(shot)
+    return transform() if value is None else value
 
-    The stored array is read-only, and every caller of a pattern gets
-    that one array. Concurrent first callers of a pattern may each
-    transform, but ``setdefault`` keeps the first value stored.
-    """
-    if cache is None:
-        return transform()
-    value = cache.get(shot)
-    if value is None:
-        value = transform()
-        value.flags.writeable = False
-        value = cache.setdefault(shot, value)
-    return value
+
+def _basic_samples(mu_volume, coils: CoilProfile, points):
+    """(..., L, P) samples of the (..., Nx, Ny, Nz) mu_volume's coil images."""
+    return NDFT(points, mu_volume.shape[-3:]).forward(mu_volume[..., None, :, :, :] * coils.maps)
+
+
+def _t2s_samples(tissue_volumes, tissue_t2s_s, coils: CoilProfile, points, times):
+    """(..., L, P) samples of the (T, ..., Nx, Ny, Nz) tissue volumes'
+    coil images, tissue i decayed by exp(-times / T2*_i)."""
+    nufft = NDFT(points, tissue_volumes.shape[-3:])
+    out = np.zeros((*tissue_volumes.shape[1:-3], coils.n_coils, len(times)),
+                   dtype=np.complex128)
+    for i, t2s in enumerate(tissue_t2s_s):
+        decay = np.exp(-times / t2s) if np.isfinite(t2s) else np.ones(len(times))
+        out += decay * nufft.forward(tissue_volumes[i][..., None, :, :, :] * coils.maps)
+    return out
 
 
 def acquire_shot_basic(mu_volume, coils: CoilProfile, shot: Shot, cache=None):
     """Basic Fourier model: y_l = F{S_l * mu}[k] with contrast frozen at TE.
 
     Leading term axes of mu_volume are kept: (..., Nx, Ny, Nz) maps to
-    (..., L, P). ``cache``, a dict, memoizes the result per k-point
-    pattern; one dict must only ever see one mu_volume and coil set.
+    (..., L, P). ``cache``, a dict of read-only samples per Shot, gives
+    the samples of the Shots it holds; it must have been filled from the
+    same mu_volume and coil set.
     """
     mu_volume = np.asarray(mu_volume)
-    return _memoized(cache, shot, lambda: NDFT(shot.points, mu_volume.shape[-3:]).forward(
-        mu_volume[..., None, :, :, :] * coils.maps))
+    return _memoized(cache, shot, lambda: _basic_samples(mu_volume, coils, shot.points))
 
 
 def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Shot,
@@ -367,17 +379,31 @@ def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Sho
             f"{tissue_volumes.shape[0]} tissue volumes for "
             f"{len(tissue_t2s_s)} T2* values"
         )
+    return _memoized(cache, shot, lambda: _t2s_samples(tissue_volumes, tissue_t2s_s, coils,
+                                                       shot.points, shot.times))
 
-    def transform():
-        nufft = NDFT(shot.points, tissue_volumes.shape[-3:])
-        out = np.zeros((*tissue_volumes.shape[1:-3], coils.n_coils, shot.n_samples),
-                       dtype=np.complex128)
-        for i, t2s in enumerate(tissue_t2s_s):
-            decay = np.exp(-shot.times / t2s) if np.isfinite(t2s) else np.ones(shot.n_samples)
-            out += decay * nufft.forward(tissue_volumes[i][..., None, :, :, :] * coils.maps)
-        return out
 
-    return _memoized(cache, shot, transform)
+def _transform_patterns(patterns, dims, samples):
+    """{shot: its samples} for the distinct Shots ``patterns``, from one
+    ``samples(points, times)`` call per NDFT path on the patterns' joined
+    points, each pattern's samples a read-only view of its columns.
+
+    Each sample is the sum its pattern's own call would take, so the
+    views equal the per-pattern results (on the FFT path both gather from
+    one spectrum). A whole EPI plan then costs one FFT per volume.
+    """
+    groups = {}
+    for shot in patterns:
+        groups.setdefault(_path(shot.points, dims), []).append(shot)
+    memo = {}
+    for shots in groups.values():
+        y = samples(np.concatenate([s.points for s in shots]),
+                    np.concatenate([s.times for s in shots]))
+        y.flags.writeable = False
+        ends = np.cumsum([s.n_samples for s in shots])
+        for shot, hi in zip(shots, ends):
+            memo[shot] = y[..., hi - shot.n_samples:hi]
+    return memo
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +462,23 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     tissues apart and applies each one's decay after its transform.
 
     A k-point pattern that occurs in more than one shot has its term
-    samples Y (2, L, P) transformed once and memoized for the run, and
-    each of its shots is y = Y[0] + h_s * Y[1]. The memo holds
-    2 x patterns x L x P complex128 values (0.8 MB for a 22-plane EPI
-    plan at 1080 samples and one coil). A pattern that occurs once is
-    transformed as the single image B + h_s * D. So no shot costs more
-    transforms than rebuilding its state would. The plan runs frame by
-    frame: the shots of frame t that are the first of their pattern run
-    on the worker pool, then the frame's memo hits on the calling thread.
+    samples Y (2, L, P) transformed before the first frame and memoized
+    for the run, and each of its shots is y = Y[0] + h_s * Y[1]. The
+    repeated patterns are transformed together, one NDFT per path on
+    their joined points, so an on-grid plan costs one FFT per term
+    volume and coil. The memo holds 2 x patterns x L x P complex128
+    values (0.8 MB for a 22-plane EPI plan at 1080 samples and one
+    coil). A pattern that occurs once is transformed as the single image
+    B + h_s * D. So no shot costs more transforms than rebuilding its
+    state would. The plan runs frame by frame: the frame's once-only
+    shots run on the worker pool, then its memo hits on the calling
+    thread.
 
     Shot i of frame t writes its (L, n_s) samples into columns
     ``bounds[i]:bounds[i+1]`` of the frame's (n_coils, P) block, P the
     samples of one frame. With ``sink_path`` that block is one buffer,
-    appended to the sink per (coil, shot) as soon as the frame is done,
+    converted to complex64 once and appended to the sink per (coil,
+    shot) as soon as the frame is done,
     and the run returns :func:`snakesim.io.read_dataset` of the sink:
     ``(header, kdata)`` with kdata a :class:`~snakesim.io.DatasetReader`
     of the bytes that were written, whose ``kdata[t]`` reads frame t as
@@ -481,10 +511,6 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
         terms = terms.sum(axis=0)            # (2, *dims): B and D
     pattern = _pattern_numbers(plan.shots)
     repeated = np.bincount(pattern)[pattern] > 1
-    # each pattern's first shot transforms; every other shot is a memo hit
-    is_lead = np.zeros(n_shots, dtype=bool)
-    is_lead[np.unique(pattern, return_index=True)[1]] = True
-    memo = {}
     bounds = np.concatenate([[0], np.cumsum(counts)])
     # full precision in memory: one frame with a sink, which quantizes to
     # c64 and is read back, and the whole run without one
@@ -495,6 +521,11 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
         if model == "basic":
             return acquire_shot_basic(volumes, coils, shot, cache=cache)
         return acquire_shot_t2s(volumes, t2s_s, coils, shot, cache=cache)
+
+    def samples(points, times):
+        if model == "basic":
+            return _basic_samples(terms, coils, points)
+        return _t2s_samples(terms, t2s_s, coils, points, times)
 
     def compute_shot(s, out):
         shot = plan.shots[s]
@@ -521,6 +552,10 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
         "trajectory_kind": plan.kind,
     }
 
+    # every repeated pattern is transformed here, before the first frame,
+    # so each of its shots is a memo hit
+    memo = _transform_patterns(
+        list(dict.fromkeys(s for s, r in zip(plan.shots, repeated) if r)), plan.dims, samples)
     workers = _worker_count(n_jobs)
     writer = DatasetWriter(sink_path, header) if sink_path else None
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -528,11 +563,11 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
         for t in range(plan.n_frames):
             out = kdata[0 if writer else t]
             shots = np.arange(t * plan.shots_per_frame, (t + 1) * plan.shots_per_frame)
-            leads, hits = shots[is_lead[shots]].tolist(), shots[~is_lead[shots]].tolist()
+            once, hits = shots[~repeated[shots]].tolist(), shots[repeated[shots]].tolist()
             if pool:
-                list(pool.map(compute_shot, leads, [out] * len(leads)))
+                list(pool.map(compute_shot, once, [out] * len(once)))
             else:
-                for s in leads:
+                for s in once:
                     compute_shot(s, out)
             # memo hits hold the GIL for most of their time (the lookup, the
             # AXPY and the noise draw of a few thousand samples), so threads
@@ -540,7 +575,7 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
             for s in hits:
                 compute_shot(s, out)
             if writer:
-                for coil in out:
+                for coil in out.astype(np.complex64):
                     for lo, hi in zip(bounds[:-1], bounds[1:]):
                         writer.append(coil[lo:hi])
     finally:

@@ -53,14 +53,14 @@ def canonical_json(obj) -> str:
 
 
 def write_volume(path, data, voxel_size=(1.0, 1.0, 1.0)):
-    data = np.asarray(data, dtype=np.float32)
+    data = np.asarray(data, dtype="<f4")
     if data.ndim != 3:
         raise FormatError(f"SNKV1 stores 3D volumes, got ndim={data.ndim}")
     with open(path, "wb") as f:
         f.write(VOLUME_MAGIC)
         f.write(struct.pack("<3I", *data.shape))
         f.write(struct.pack("<3f", *voxel_size))
-        f.write(data.astype("<f4").tobytes(order="C"))
+        f.write(np.ascontiguousarray(data))
 
 
 def read_volume(path):
@@ -208,8 +208,7 @@ class DatasetWriter:
 
     def append(self, samples):
         """Append one (coil, shot) sample vector as interleaved complex f32."""
-        arr = np.asarray(samples, dtype=np.complex64)
-        self._f.write(arr.astype("<c8").tobytes())
+        self._f.write(np.ascontiguousarray(samples, dtype="<c8"))
         self._written += 1
 
     def close(self):

@@ -35,17 +35,25 @@ objects: once for a static plan, once per frame for a dynamic one.
 :func:`adjoint_series` yields each frame's adjoint and
 :func:`reconstruct_series` each frame's CS solve, one frame at a time:
 a frame's data is read only when that frame is solved, so a dataset
-read from its file is never loaded whole.
+read from its file is never loaded whole. Frames whose solve depends on
+no other frame (every adjoint frame, every cold frame and the second
+pass of refined) run on a pool of ``n_jobs`` threads, at most that many
+frames ahead of the consumer and yielded in frame order; warm frames
+run in order on the calling thread. Operators are built on the calling
+thread, and each estimates its Lipschitz bound once, under a lock, so
+the results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .engine import NDFT, CoilProfile
+from .engine import NDFT, CoilProfile, _worker_count
 from .wavelets import WaveletBasis, finest_detail, soft_threshold
 
 
@@ -97,6 +105,8 @@ class FrameOperator:
         self._conj_maps = np.conj(coils.maps)
         self._scale = 1.0 / np.sqrt(np.prod(dims))
         self._ndft = NDFT(self.points, self.dims)
+        self._lipschitz = None
+        self._lipschitz_lock = threading.Lock()
 
     @property
     def n_coils(self):
@@ -108,7 +118,9 @@ class FrameOperator:
     def adj_op(self, y):
         back = self._ndft.adjoint(y)
         back *= self._conj_maps
-        return back.sum(axis=0) * self._scale
+        out = back.sum(axis=0)
+        out *= self._scale
+        return out
 
     def lipschitz(self, n_iters=20, safety=1.05, seed=1234):
         """Spectral norm of A^H A by power iteration (with safety margin)."""
@@ -124,10 +136,14 @@ class FrameOperator:
             x /= value
         return float(value * safety)
 
-    @cached_property
+    @property
     def lipschitz_bound(self):
-        """:meth:`lipschitz` at its defaults, estimated once per operator."""
-        return self.lipschitz()
+        """:meth:`lipschitz` at its defaults, estimated once per operator:
+        a thread that asks while another estimates waits for its value."""
+        with self._lipschitz_lock:
+            if self._lipschitz is None:
+                self._lipschitz = self.lipschitz()
+            return self._lipschitz
 
 
 def _frame_data(y, operator: FrameOperator):
@@ -174,7 +190,9 @@ def adjoint_recon(y, operator: FrameOperator, density_comp="none"):
     m = np.prod(operator.dims)
     # adj_op carries 1/sqrt(M); one more 1/sqrt(M) makes the fully
     # sampled Cartesian case the inverse FFT of the data.
-    return operator.adj_op(y) / np.sqrt(m)
+    x = operator.adj_op(y)
+    x /= np.sqrt(m)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -343,47 +361,100 @@ def _frame_operators(plan, coils):
     return operator_for
 
 
-def adjoint_series(kdata, plan, coils, density_comp="none"):
+def _in_frame_order(solve, operator_for, n_frames, n_jobs):
+    """Yield ``solve(t, operator_for(t))`` for t = 0 .. n_frames - 1, in
+    order, for solves that depend on no other frame.
+
+    ``operator_for`` runs on the calling thread. With more than one
+    worker (:func:`snakesim.engine._worker_count` of ``n_jobs``) the
+    solves run on a thread pool of that many threads, and at most that
+    many frames are submitted and not yet yielded: frame t + workers is
+    submitted only when the consumer asks for frame t + 1, so each
+    thread's temporaries and results stay bounded. A solve's exception
+    is raised when its frame is due. Closing the generator cancels the
+    solves not started and waits for the running ones, so no pool thread
+    outlives it.
+    """
+    workers = _worker_count(n_jobs)
+    if workers == 1:
+        for t in range(n_frames):
+            yield solve(t, operator_for(t))
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    pending = deque()
+    try:
+        for t in range(n_frames):
+            if len(pending) == workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(solve, t, operator_for(t)))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _frame_error(t, fn, *args, **kwargs):
+    """fn(*args, **kwargs), a ReconError naming frame t."""
+    try:
+        return fn(*args, **kwargs)
+    except ReconError as e:
+        raise ReconError(f"frame {t}: {e}") from e
+
+
+def adjoint_series(kdata, plan, coils, density_comp="none", n_jobs=None):
     """Yield the density-compensated adjoint :class:`FrameEstimate` of
     every frame of the (n_frames, n_coils, P) k-space array ``kdata``,
-    in frame order, reading each frame's data when it is reconstructed."""
+    in frame order, reading each frame's data when it is reconstructed.
+    The frames are independent, so with ``n_jobs`` workers they run on a
+    thread pool (see :func:`_in_frame_order`); the result does not depend
+    on the worker count."""
     _check_frame_count(kdata, plan)
-    operator_for = _frame_operators(plan, coils)
-    for t in range(len(kdata)):
-        yield FrameEstimate(adjoint_recon(kdata[t], operator_for(t),
+
+    def adjoint(t, operator):
+        return FrameEstimate(_frame_error(t, adjoint_recon, kdata[t], operator,
                                           density_comp=density_comp), [], 0.0)
+    yield from _in_frame_order(adjoint, _frame_operators(plan, coils), len(kdata), n_jobs)
 
 
-def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconConfig):
+def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconConfig,
+                       n_jobs=None):
     """Yield the CS :class:`FrameEstimate` of every frame of the
     (n_frames, n_coils, P) k-space array ``kdata``, in frame order,
     under the configured strategy.
 
     cold: each frame solved independently from its adjoint init. warm:
     frame t+1 starts from frame t's estimate. refined: a warm pass, then
-    every frame re-solved from the final warm-pass estimate. A frame's
-    data is read from ``kdata`` when the frame is solved, and no more
-    than two frames' volumes are held at a time, so a dataset read from
-    its file is reconstructed in bounded memory. One FrameOperator and
-    one Lipschitz estimate serve each run of consecutive frames with the
-    same k-points.
+    every frame re-solved from the final warm-pass estimate. The warm
+    frames run in order on the calling thread; cold frames and the
+    refined second pass depend on no other frame, so with ``n_jobs``
+    workers they run on a thread pool (see :func:`_in_frame_order`), and
+    the result does not depend on the worker count. A frame's data is
+    read from ``kdata`` when the frame is solved, and no more than the
+    volumes of two frames plus one per worker are held at a time, so a
+    dataset read from its file is reconstructed in bounded memory. One
+    FrameOperator and one Lipschitz estimate serve each run of
+    consecutive frames with the same k-points.
     """
     _check_frame_count(kdata, plan)
     operator_for = _frame_operators(plan, coils)
 
-    def solve(t, init):
-        try:
-            return cs_solve(kdata[t], operator_for(t), basis, config, init=init)
-        except ReconError as e:
-            raise ReconError(f"frame {t}: {e}") from e
+    def solve(t, operator, init):
+        return _frame_error(t, cs_solve, kdata[t], operator, basis, config, init=init)
 
+    def warm_pass():
+        init = None
+        for t in range(len(kdata)):
+            est = solve(t, operator_for(t), init)
+            init = est.volume
+            yield est
+
+    if config.strategy == "warm":
+        yield from warm_pass()
+        return
     init = None
     if config.strategy == "refined":
         # the warm pass yields nothing; its last estimate starts every frame
-        for t in range(len(kdata)):
-            init = solve(t, init).volume
-    for t in range(len(kdata)):
-        est = solve(t, init)
-        if config.strategy == "warm":
+        for est in warm_pass():
             init = est.volume
-        yield est
+    yield from _in_frame_order(lambda t, operator: solve(t, operator, init), operator_for,
+                               len(kdata), n_jobs)

@@ -9,6 +9,7 @@ checksums so a repeated run can be verified bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import hashlib
@@ -397,16 +398,19 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         # kdata reads each frame from kspace.snkd as it is solved, and the
         # frame's magnitude goes to the file and to the series sums
         if config.cs is None:
-            frames = adjoint_series(kdata, plan, coils, cfg["recon"]["density_comp"])
+            frames = adjoint_series(kdata, plan, coils, cfg["recon"]["density_comp"],
+                                    n_jobs=n_jobs)
         else:
-            frames = reconstruct_series(kdata, plan, coils, *config.cs)
+            frames = reconstruct_series(kdata, plan, coils, *config.cs, n_jobs=n_jobs)
         sums = SeriesSums(design)
         solves = []
-        for t, est in enumerate(frames):
-            mag = np.abs(est.volume)
-            write_volume(out / f"frame_{t:04d}.snkv", mag, voxel_size=phantom.voxel_size)
-            sums.add(mag)
-            solves.append((est.mu_used, est.objective_trace, est.n_iters, est.converged))
+        # closing the series on a failure here stops its worker threads
+        with contextlib.closing(frames):
+            for t, est in enumerate(frames):
+                mag = np.abs(est.volume)
+                write_volume(out / f"frame_{t:04d}.snkv", mag, voxel_size=phantom.voxel_size)
+                sums.add(mag)
+                solves.append((est.mu_used, est.objective_trace, est.n_iters, est.converged))
         mu_values, traces, n_iters, converged = zip(*solves)
         index = {"n_frames": sums.n, "dims": list(phantom.dims),
                  "tr_vol_s": plan.tr_vol,

@@ -122,6 +122,31 @@ class TestNdft:
         assert np.vdot(y, op.forward(vol)) == pytest.approx(np.vdot(op.adjoint(y), vol),
                                                             rel=1e-10)
 
+    @pytest.mark.parametrize("dims", [(5, 7, 9), (6, 8, 4)])
+    @pytest.mark.parametrize("points", ["distinct", "repeated"])
+    def test_fft_path_is_the_centered_fft_bit_for_bit(self, dims, points):
+        """On a batch of coils, forward equals centered_fft(v)[idx] and
+        adjoint equals the centered_ifft of the scattered grid times M,
+        bit for bit, on odd and even dims and with a repeated grid point."""
+        rng = np.random.default_rng(19)
+        n = int(np.prod(dims))
+        flat = rng.permutation(n)[:n // 3]
+        if points == "repeated":
+            flat = np.concatenate([flat, flat[[0, 2, 2]]])
+        idx = np.unravel_index(flat, dims)
+        pts = (np.stack(idx, axis=1) - np.array(dims) // 2).astype(np.float64)
+        op = NDFT(pts, dims)
+        assert op.path == "fft" and op._distinct == (points == "distinct")
+        vols = np.stack([_random_volume(rng, dims) for _ in range(3)])
+        assert np.array_equal(op.forward(vols), np.stack([centered_fft(v)[idx] for v in vols]))
+        y = rng.standard_normal((3, len(pts))) + 1j * rng.standard_normal((3, len(pts)))
+        want = []
+        for b in range(3):
+            grid = np.zeros(dims, dtype=np.complex128)
+            np.add.at(grid, idx, y[b])
+            want.append(centered_ifft(grid) * np.prod(dims))
+        assert np.array_equal(op.adjoint(y), np.stack(want))
+
     def test_fast_path_matches_ndft(self):
         rng = np.random.default_rng(5)
         vol = _random_volume(rng, (4, 4, 4))
@@ -646,17 +671,21 @@ class TestAffineAcquisition:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("model", ["basic", "t2s"])
-    @pytest.mark.parametrize("kind", ["epi22", "sos_dynamic"])
+    @pytest.mark.parametrize("kind", ["epi22", "sos_static", "sos_dynamic", "external"])
     def test_one_call_per_shot_one_transform_per_pattern(self, kind, model, workers,
                                                          monkeypatch, tmp_path):
         """Shot calls = plan shots, appends = shots x coils, NDFT builds =
-        repeated patterns + once-only shots, at any worker count (with a
-        short switch interval, so threads interleave often)."""
+        one per NDFT path among the repeated patterns (they are transformed
+        together before the first frame) + one per once-only shot, at any
+        worker count (with a short switch interval, so threads interleave
+        often)."""
         seq = _seq()
         dims = (6, 6, 22) if kind == "epi22" else self.dims
         plan = gen_epi_3d(dims, seq, n_frames=3) if kind == "epi22" else _plan(kind, dims, seq)
         ph, bold = _bold_phantom(dims, plan)
         coils = birdcage_coils(dims, 2)
+        repeated, once = _pattern_counts(plan)
+        paths = {NDFT(s.points, dims).path for s, n in Counter(plan.shots).items() if n > 1}
         calls = {"shot": 0, "append": 0, "ndft": 0}
         lock = threading.Lock()
 
@@ -684,12 +713,11 @@ class TestAffineAcquisition:
                             sink_path=tmp_path / "run.snkd", n_jobs=workers)
         finally:
             sys.setswitchinterval(interval)
-        repeated, once = _pattern_counts(plan)
         assert calls["shot"] == len(plan.shots)
         assert calls["append"] == len(plan.shots) * coils.n_coils
-        assert calls["ndft"] == repeated + once
+        assert calls["ndft"] == len(paths) + once
         if kind == "epi22":
-            assert (repeated, once) == (22, 0)
+            assert (repeated, once, paths) == (22, 0, {"fft"})
 
     def test_loaded_plan_repeats_the_saved_plans_shots(self, tmp_path):
         """A 3-frame EPI plan saved to SNKT1 loads as its 22 plane Shots

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -236,24 +239,30 @@ class TestSolver:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of FrameOperator builds and op/adj_op/lipschitz calls in recon."""
+    """Counts of FrameOperator builds and op/adj_op/lipschitz calls in
+    recon, from any thread."""
     counts = {"builds": 0, "op": 0, "adj_op": 0, "lipschitz": 0}
+    lock = threading.Lock()
+
+    def count(name):
+        with lock:
+            counts[name] += 1
 
     class CountingOperator(FrameOperator):
         def __init__(self, *args, **kwargs):
-            counts["builds"] += 1
+            count("builds")
             super().__init__(*args, **kwargs)
 
         def op(self, x):
-            counts["op"] += 1
+            count("op")
             return super().op(x)
 
         def adj_op(self, y):
-            counts["adj_op"] += 1
+            count("adj_op")
             return super().adj_op(y)
 
         def lipschitz(self, *args, **kwargs):
-            counts["lipschitz"] += 1
+            count("lipschitz")
             return super().lipschitz(*args, **kwargs)
 
     monkeypatch.setattr(recon_mod, "FrameOperator", CountingOperator)
@@ -264,7 +273,8 @@ LIPSCHITZ_ITERS = 20  # FrameOperator.lipschitz default
 
 
 class TestSeries:
-    def _tiny_dataset(self, n_frames=3, seed=6, dynamic=True):
+    @staticmethod
+    def _tiny_dataset(n_frames=3, seed=6, dynamic=True):
         rng = np.random.default_rng(seed)
         dims = (8, 8, 8)
         sp = gen_spiral((8, 8), 16)
@@ -488,3 +498,108 @@ class TestSeries:
         for t in range(3):
             np.testing.assert_array_equal(
                 volumes[t], adjoint_recon(frames[t], _op(plan, coils, t)))
+
+
+class _FrameReads:
+    """A (n_frames, L, P) array that records, for every frame read, its
+    index minus the number of frames the consumer has received."""
+
+    def __init__(self, frames, bad_frame=None):
+        self.frames, self.bad_frame = frames, bad_frame
+        self.received, self.ahead = 0, []
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self.frames)
+
+    def __getitem__(self, t):
+        with self._lock:
+            self.ahead.append(t - self.received)
+        if t == self.bad_frame:
+            return self.frames[t][:, 1:]  # one sample short: a ReconError
+        return self.frames[t]
+
+
+def _pool_threads():
+    return {th for th in threading.enumerate() if th.name.startswith("ThreadPoolExecutor")}
+
+
+class TestFrameWorkers:
+    """Independent frames on a thread pool: results, Lipschitz estimates,
+    read-ahead, errors and thread lifetime at any worker count."""
+
+    @pytest.fixture(autouse=True)
+    def _short_switch_interval(self, monkeypatch):
+        monkeypatch.delenv("SNAKE_NJOBS", raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _series(kind, kdata, plan, coils, n_jobs, max_iters=3):
+        if kind == "adjoint":
+            return adjoint_series(kdata, plan, coils, n_jobs=n_jobs)
+        cfg = ReconConfig(strategy=kind, max_iters=max_iters, tol=1e-14, mu_mode="sure")
+        return reconstruct_series(kdata, plan, coils, WaveletBasis("haar", 1), cfg,
+                                  n_jobs=n_jobs)
+
+    @pytest.mark.parametrize("kind", ["adjoint", "cold", "refined"])
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_frames_identical_at_any_worker_count(self, kind, dynamic):
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=5, dynamic=dynamic)
+        want = [e.volume for e in self._series(kind, frames, plan, coils, 1)]
+        for n_jobs in (2, 4):
+            got = [e.volume for e in self._series(kind, frames, plan, coils, n_jobs)]
+            assert len(got) == 5
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("kind, dynamic, estimates", [
+        ("cold", False, 1), ("refined", False, 1),
+        # the warm pass and the second pass each build one operator per frame
+        ("refined", True, 8)])
+    def test_one_lipschitz_estimate_per_operator(self, counted, n_jobs, kind, dynamic,
+                                                 estimates):
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=4, dynamic=dynamic)
+        list(self._series(kind, frames, plan, coils, n_jobs))
+        assert counted["builds"] == counted["lipschitz"] == estimates
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["adjoint", "cold"])
+    def test_reads_at_most_workers_frames_ahead(self, kind, n_jobs):
+        """At most n_jobs frames are read and not yet received: the one the
+        consumer waits for and n_jobs - 1 after it."""
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=8, dynamic=False)
+        kdata = _FrameReads(frames)
+        for t, _ in enumerate(self._series(kind, kdata, plan, coils, n_jobs)):
+            time.sleep(0.002)  # a slow consumer, so the pool could run far ahead
+            kdata.received = t + 1
+        assert len(kdata.ahead) == 8
+        assert max(kdata.ahead) <= n_jobs - 1
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("kind", ["adjoint", "cold", "refined"])
+    def test_frame_error_names_the_frame_and_stops_the_pool(self, kind, n_jobs):
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=6, dynamic=False)
+        before = _pool_threads()
+        got = []
+        with pytest.raises(ReconError, match=r"^frame 3: k-space data of shape"):
+            for est in self._series(kind, _FrameReads(frames, bad_frame=3), plan, coils,
+                                    n_jobs):
+                got.append(est)
+        # refined stops in its warm pass, before any frame is yielded
+        assert len(got) == (0 if kind == "refined" else 3)
+        assert _pool_threads() <= before
+
+    def test_closing_the_series_stops_its_threads(self):
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=8, dynamic=True)
+        before = _pool_threads()
+        series = self._series("cold", frames, plan, coils, 2, max_iters=20)
+        next(series)
+        assert _pool_threads() - before
+        series.close()
+        assert _pool_threads() <= before

@@ -1,6 +1,9 @@
 """Tests for presets, config validation, pipeline orchestration and the CLI."""
 
+import inspect
 import json
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -357,6 +360,62 @@ class TestRunPipeline:
         maps = Path("/proc/self/maps")
         if maps.exists():
             assert "kspace.snkd" not in maps.read_text()
+
+    @staticmethod
+    def _sos_dynamic_config(strategy):
+        """A small dynamic stack-of-spirals CS config: one operator per frame."""
+        cfg = json.loads(json.dumps(preset("s2_sos_dynamic", scale=0.15).raw))
+        cfg["n_frames"] = 6
+        cfg["paradigm"].update(block_on_s=0.2, block_off_s=0.2, run_length_s=6 * 0.35)
+        cfg["recon"].update(strategy=strategy, max_iters=4)
+        return RunConfig.from_dict(cfg)
+
+    @pytest.mark.parametrize("method", ["adjoint", "cold", "refined"])
+    def test_artifacts_identical_at_any_worker_count(self, method, tmp_path, monkeypatch):
+        """Every artifact but the manifest is byte-identical at n_jobs 1, 2
+        and 4, with a short switch interval so threads interleave often."""
+        monkeypatch.delenv("SNAKE_NJOBS", raising=False)
+        config = _tiny_config() if method == "adjoint" else self._sos_dynamic_config(method)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n_jobs in (1, 2, 4):
+                manifest = run_pipeline(config, tmp_path / str(n_jobs), n_jobs=n_jobs)
+                assert manifest.failed_stage is None, manifest.error
+        finally:
+            sys.setswitchinterval(interval)
+        names = sorted(p.name for p in (tmp_path / "1").iterdir() if p.name != "manifest.json")
+        assert "frame_0005.snkv" in names
+        for n_jobs in (2, 4):
+            for name in names:
+                assert ((tmp_path / str(n_jobs) / name).read_bytes()
+                        == (tmp_path / "1" / name).read_bytes()), (n_jobs, name)
+
+    def test_failed_consumer_closes_the_series(self, tmp_path, monkeypatch):
+        """A reconstruction-stage failure after the series started closes
+        the series generator, so none of its pool threads outlive the run."""
+        monkeypatch.delenv("SNAKE_NJOBS", raising=False)
+        series = []
+
+        def keep(*args, **kwargs):
+            series.append(reconstruct_series(*args, **kwargs))
+            return series[-1]
+
+        def failing_write(path, *args, **kwargs):
+            if Path(path).name == "frame_0002.snkv":
+                raise OSError("disk full")
+            return write_volume(path, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "reconstruct_series", keep)
+        monkeypatch.setattr(scenarios, "write_volume", failing_write)
+        before = {th for th in threading.enumerate()
+                  if th.name.startswith("ThreadPoolExecutor")}
+        manifest = run_pipeline(self._sos_dynamic_config("cold"), tmp_path / "run", n_jobs=2)
+        assert manifest.failed_stage == "reconstruction"
+        assert manifest.error == "OSError: disk full"
+        assert inspect.getgeneratorstate(series[0]) == inspect.GEN_CLOSED
+        assert {th for th in threading.enumerate()
+                if th.name.startswith("ThreadPoolExecutor")} <= before
 
     @pytest.mark.parametrize("method", ["adjoint", "cs"])
     def test_frames_reproduced_from_the_dataset(self, method, tmp_path):
