@@ -9,21 +9,23 @@ are computed against the binarized ground-truth ROI inside a tissue
 analysis mask (background voxels would otherwise inflate the true
 negative counts for free).
 
-Only ``scipy.special`` is imported: t maps to z through the Student t
-CDF ``stdtr`` and the inverse normal CDF ``ndtri``, the same calls
-``scipy.stats.t.sf`` and ``scipy.stats.norm.isf`` make, so z and the
-detection thresholds are bit-identical to those. SSIM's local means are
+No scipy is imported. t maps to z through the upper tail of Student's
+t, a regularized incomplete beta function evaluated by its continued
+fraction, and the inverse normal CDF, a numpy port of the Cephes
+``ndtri`` that ``scipy.special.ndtri`` and ``scipy.stats.norm.isf``
+use: z agrees with ``scipy.stats`` to 1e-12 max(1, |z|), and the
+inverse normal CDF with ``ndtri`` to 4 ulp. SSIM's local means are
 wrapped box means, taken as one product with a circulant averaging
 matrix per axis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.special import ndtri, stdtr
 
 from .phantom import Paradigm, build_bold_timecourse
 
@@ -104,10 +106,149 @@ def build_design(paradigm: Paradigm, hrf, n_frames, tr_vol, drift_order=1) -> De
     return DesignMatrix(matrix=x, names=names)
 
 
+# Cephes ndtri's rational approximations, highest power first; the Q
+# chains carry the leading 1 that Cephes' p1evl leaves implicit.
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+             1.39312609387279679503E1, -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2): the central range ends this far from 0 and 1
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _polevl(x, coefs):
+    """Horner's rule, highest power first, in Cephes' order of operations."""
+    ans = coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0):
+    """x with standard normal CDF y0: Cephes ``ndtri``, the code behind
+    ``scipy.special.ndtri``, ported to numpy with its branches and
+    operation order. 0 and 1 give -inf and inf; outside [0, 1] and NaN
+    give NaN."""
+    y0 = np.asarray(y0, dtype=np.float64)
+    x = np.full(y0.shape, np.nan)
+    x[y0 == 0.0] = -np.inf
+    x[y0 == 1.0] = np.inf
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    centre = y > _EXP_M2
+    yc = y[centre] - 0.5
+    y2 = yc * yc
+    x[centre] = (yc + yc * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))) * _SQRT_2PI
+    tail = (y > 0.0) & ~centre
+    r = np.sqrt(-2.0 * np.log(y[tail]))
+    u = 1.0 / r
+    near = r < 8.0  # y > exp(-32)
+    x1 = np.where(near, u * _polevl(u, _NDTRI_P1) / _polevl(u, _NDTRI_Q1),
+                  u * _polevl(u, _NDTRI_P2) / _polevl(u, _NDTRI_Q2))
+    xt = r - np.log(r) / r - x1
+    x[tail] = np.where(upper[tail], xt, -xt)
+    return x[()]
+
+
 def _norm_isf(q):
     """``scipy.stats.norm.isf(q)``: the z with upper tail probability q.
     Adding 0.0 turns the -0.0 at q = 0.5 into 0.0, as scipy.stats does."""
-    return -ndtri(q) + 0.0
+    return -_ndtri(q) + 0.0
+
+
+_CF_EPS = 1e-15        # relative change of the last factor that ends the fraction
+_CF_TINY = 1e-300      # stands in for a zero denominator (modified Lentz)
+_CF_MAX_ITERS = 10_000  # 64 steps suffice at dof 1000; the count grows as sqrt(dof)
+
+
+def _beta_cf(a, b, x):
+    """Continued fraction cf of the regularized incomplete beta function,
+    I_x(a, b) = x^a (1 - x)^b cf / (a B(a, b)), for scalars a, b and an
+    array x of values in (0, (a + 1) / (a + b + 2)), where it converges
+    in O(sqrt(max(a, b))) steps.
+
+    Evaluated by the modified Lentz method (Numerical Recipes, 3rd ed.,
+    section 6.4). Only the entries not yet converged are iterated, so
+    each entry's value depends on its x alone.
+    """
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    cf = np.empty_like(x)
+    todo = np.arange(x.size)
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    d[np.abs(d) < _CF_TINY] = _CF_TINY
+    d = 1.0 / d
+    h = d.copy()
+    m = 0
+    while todo.size:
+        m += 1
+        if m > _CF_MAX_ITERS:
+            raise AnalysisError(f"incomplete beta I_x({a}, {b}) did not converge "
+                                f"in {_CF_MAX_ITERS} steps")
+        m2 = 2 * m
+        for coef in (m * (b - m) / ((qam + m2) * (a + m2)),
+                     -(a + m) * (qab + m) / ((a + m2) * (qap + m2))):
+            aa = coef * x
+            d *= aa
+            d += 1.0
+            d[np.abs(d) < _CF_TINY] = _CF_TINY
+            np.divide(aa, c, out=c)
+            c += 1.0
+            c[np.abs(c) < _CF_TINY] = _CF_TINY
+            np.reciprocal(d, out=d)
+            delta = d * c
+            h *= delta
+        delta -= 1.0
+        done = np.abs(delta, out=delta) < _CF_EPS
+        if done.any():
+            cf[todo[done]] = h[done]
+            keep = ~done
+            todo, x, c, d, h = todo[keep], x[keep], c[keep], d[keep], h[keep]
+    return cf
+
+
+def _t_upper_tail(t, dof):
+    """P(T > t) for t >= 0 under Student's t with dof degrees of freedom:
+    0.5 I_x(dof / 2, 1 / 2) at x = dof / (dof + t^2), or from the
+    complement 0.5 (1 - I_(1 - x)(1 / 2, dof / 2)) where the fraction for
+    I_x converges slowly. 1 - x is formed as t^2 / (dof + t^2), without
+    cancellation. Before any step of the fraction, NaN stays NaN, t whose
+    t^2 underflows give 0.5, and t whose t^2 overflows (glm_fit's t never
+    does) or whose tail underflows give 0.
+    """
+    a, b = dof / 2.0, 0.5
+    with np.errstate(over="ignore"):
+        t2 = t * t
+    with np.errstate(invalid="ignore"):  # inf / inf where t^2 = inf
+        x = dof / (dof + t2)
+        y = t2 / (dof + t2)
+    p = np.full(t.shape, np.nan)
+    p[y == 0.0] = 0.5
+    p[x == 0.0] = 0.0
+    live = (x > 0.0) & (y > 0.0)
+    x, y = x[live], y[live]
+    ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    front = np.exp(a * np.log(x) + b * np.log(y) - ln_beta)
+    tail = np.zeros(x.shape)
+    direct = (x < (a + 1.0) / (a + b + 2.0)) & (front > 0.0)
+    tail[direct] = 0.5 * front[direct] * _beta_cf(a, b, x[direct]) / a
+    flip = x >= (a + 1.0) / (a + b + 2.0)
+    tail[flip] = 0.5 - 0.5 * front[flip] * _beta_cf(b, a, y[flip]) / b
+    p[live] = tail
+    return p
 
 
 def _t_to_z(t, dof):
@@ -115,10 +256,11 @@ def _t_to_z(t, dof):
     of freedom, capped at +-Z_CAP (NaN -> 0).
 
     The upper tail of |t| is mapped and the sign put back, so both tails
-    keep full precision: ``stdtr(dof, -|t|)`` is
-    ``scipy.stats.t.sf(|t|, dof)``.
+    keep full precision: z agrees with ``scipy.stats.norm.isf(
+    scipy.stats.t.sf(t, dof))`` to 1e-12 max(1, |z|).
     """
-    z = _norm_isf(stdtr(dof, -np.abs(t)))
+    t = np.asarray(t, dtype=np.float64)
+    z = _norm_isf(_t_upper_tail(np.abs(t), dof))
     z = np.where(t >= 0, z, -z)
     return np.clip(np.nan_to_num(z, posinf=Z_CAP, neginf=-Z_CAP), -Z_CAP, Z_CAP)
 
@@ -188,7 +330,8 @@ def glm_fit(series, design: DesignMatrix, mask=None) -> StatMap:
     series is (n_frames, *dims) magnitude data, or the :class:`SeriesSums`
     it was fed to under ``design``. The residual sum of squares is
     sum D^2 - beta . X^T D, clamped at 0. Voxels with zero residual
-    variance get t = +-Z_CAP (exact fit) or 0 (constant data).
+    variance get t = +-Z_CAP (exact fit) or 0 (constant data). Voxels
+    outside ``mask`` get t = z = 0, and only those inside are mapped to z.
     """
     sums = _fed(series, design)
     if sums.design is not design:
@@ -213,11 +356,14 @@ def glm_fit(series, design: DesignMatrix, mask=None) -> StatMap:
     t[signed] = np.sign(effect[signed]) * Z_CAP
     t[exact & (np.abs(effect) <= 1e-12)] = 0.0
     t = np.clip(t, -Z_CAP, Z_CAP)
-    z = _t_to_z(t, dof)
-    if mask is not None:
-        flat = mask.ravel()
+    if mask is None:
+        z = _t_to_z(t, dof)
+    else:
+        # t maps to z voxel by voxel, so only the voxels kept are mapped
+        flat = np.asarray(mask, dtype=bool).ravel()
         t = np.where(flat, t, 0.0)
-        z = np.where(flat, z, 0.0)
+        z = np.zeros_like(t)
+        z[flat] = _t_to_z(t[flat], dof)
     dims = sums.first.shape
     return StatMap(beta=effect.reshape(dims), t=t.reshape(dims),
                    z=z.reshape(dims), dof=dof)

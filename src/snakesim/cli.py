@@ -39,7 +39,7 @@ def _build_parser():
                      help="trajectory file for external presets")
     run.add_argument("--jobs", type=int, default=None,
                      help="worker threads for acquisition and reconstruction "
-                          "(default 1; SNAKE_NJOBS, when set, takes precedence); "
+                          "(default SNAKE_NJOBS, or 1 when it is unset); "
                           "results do not depend on it")
 
     pre = sub.add_parser("preset", help="print a preset config as YAML")

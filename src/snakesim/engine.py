@@ -32,6 +32,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy 2 imports these on first use; every run uses both, so they are
+# imported with the package and a run's first shot does not pay for them
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .io import DatasetWriter, read_dataset
 from .phantom import Phantom, SequenceParams, BoldSpec, gre_contrast, contrast_volume
@@ -123,8 +127,10 @@ class NDFT:
             # point k is grid index k mod N of the ifftshifted grid on each axis
             self._flat = np.ravel_multi_index(
                 tuple((np.round(self.points).astype(np.intp) % self.dims).T), self.dims)
-            # the adjoint scatters by assignment unless a grid point repeats
-            self._distinct = np.unique(self._flat).size == self._flat.size
+            # the adjoint scatters by assignment unless a grid point repeats;
+            # sorted here because np.unique imports numpy.ma on first use
+            flat = np.sort(self._flat)
+            self._distinct = not np.any(flat[1:] == flat[:-1])
             return
         n, (nx, ny, nz) = len(self.points), self.dims
         kz = self.points[:, 2]
@@ -411,10 +417,11 @@ def _transform_patterns(patterns, dims, samples):
 
 
 def _worker_count(n_jobs=None):
-    env = os.environ.get("SNAKE_NJOBS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, n_jobs or 1)
+    """Worker threads for ``n_jobs``: an explicit count wins, and None
+    takes ``SNAKE_NJOBS`` (1 when unset); at least 1."""
+    if n_jobs is None:
+        n_jobs = int(os.environ.get("SNAKE_NJOBS", 1))
+    return max(1, n_jobs)
 
 
 def _check_run_inputs(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .io import load_volume_file
 
@@ -299,7 +298,7 @@ def hrf_kernel(t, kind="double_gamma"):
     tp = t[pos]
 
     def gpdf(x, shape):
-        return x ** (shape - 1) * np.exp(-x) / gamma_fn(shape)
+        return x ** (shape - 1) * np.exp(-x) / math.gamma(shape)
 
     if kind == "double_gamma":
         out[pos] = gpdf(tp, 6.0) - gpdf(tp, 16.0) / 6.0

@@ -28,9 +28,10 @@ gradient, so an iteration costs one op and one adj_op. It also takes
 the objective's l1 term from the thresholded coefficients of the prox:
 the wavelet basis is orthonormal, so they are the coefficients of the
 new iterate, and an iteration costs one wavelet forward and one inverse
-transform. A series builds one operator, and estimates its Lipschitz
-constant once, per run of consecutive frames that are the same Shot
-objects: once for a static plan, once per frame for a dynamic one.
+transform. A series builds one operator per run of consecutive frames
+that are the same Shot objects, and estimates the Lipschitz constant
+once per distinct frame: once for a static plan, once per frame for a
+dynamic one, also when refined solves each frame twice.
 
 :func:`adjoint_series` yields each frame's adjoint and
 :func:`reconstruct_series` each frame's CS solve, one frame at a time:
@@ -40,8 +41,8 @@ no other frame (every adjoint frame, every cold frame and the second
 pass of refined) run on a pool of ``n_jobs`` threads, at most that many
 frames ahead of the consumer and yielded in frame order; warm frames
 run in order on the calling thread. Operators are built on the calling
-thread, and each estimates its Lipschitz bound once, under a lock, so
-the results do not depend on the worker count.
+thread, and each distinct frame's Lipschitz bound is estimated once,
+under a lock, so the results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -95,9 +96,12 @@ class FrameOperator:
     """Unitary-scaled multi-coil Fourier operator for one frame.
 
     op(x)[l] = NDFT(S_l * x) / sqrt(M); adj_op is its exact adjoint.
+    ``bound``, when given, is a :class:`LipschitzBound` shared with other
+    operators on the same shots and coils, so that one estimate serves
+    them all.
     """
 
-    def __init__(self, frame_shots, dims, coils: CoilProfile):
+    def __init__(self, frame_shots, dims, coils: CoilProfile, bound=None):
         # the (P, 3) k-points of the frame's shots, in acquisition order
         self.points = np.concatenate([np.atleast_2d(s.points) for s in frame_shots])
         self.dims = tuple(dims)
@@ -105,8 +109,7 @@ class FrameOperator:
         self._conj_maps = np.conj(coils.maps)
         self._scale = 1.0 / np.sqrt(np.prod(dims))
         self._ndft = NDFT(self.points, self.dims)
-        self._lipschitz = None
-        self._lipschitz_lock = threading.Lock()
+        self._bound = LipschitzBound() if bound is None else bound
 
     @property
     def n_coils(self):
@@ -138,12 +141,25 @@ class FrameOperator:
 
     @property
     def lipschitz_bound(self):
-        """:meth:`lipschitz` at its defaults, estimated once per operator:
-        a thread that asks while another estimates waits for its value."""
-        with self._lipschitz_lock:
-            if self._lipschitz is None:
-                self._lipschitz = self.lipschitz()
-            return self._lipschitz
+        """:meth:`lipschitz` at its defaults, estimated once per
+        :class:`LipschitzBound`: a thread that asks while another
+        estimates waits for its value."""
+        return self._bound.get(self.lipschitz)
+
+
+class LipschitzBound:
+    """One Lipschitz bound, estimated by the first caller of :meth:`get`
+    and kept; holds a float, not the operator that estimated it."""
+
+    def __init__(self):
+        self._value = None
+        self._lock = threading.Lock()
+
+    def get(self, estimate):
+        with self._lock:
+            if self._value is None:
+                self._value = estimate()
+            return self._value
 
 
 def _frame_data(y, operator: FrameOperator):
@@ -267,7 +283,8 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
     wavelet domain. Momentum restarts on objective increase; iteration
     stops at max_iters or when the relative objective change drops below
     config.tol. The operator's Lipschitz bound is estimated once per
-    operator, so frames that share an operator share it.
+    :class:`LipschitzBound`, which a series shares among the operators
+    of each distinct frame.
     """
     dims = operator.dims
     y = _frame_data(y, operator) / np.sqrt(np.prod(dims))
@@ -349,14 +366,23 @@ def _check_frame_count(kdata, plan):
 def _frame_operators(plan, coils):
     """``operator_for(t)``: the FrameOperator of frame t, kept while
     consecutive requests are the same Shot objects (every frame of a
-    static plan), so such frames also share its Lipschitz bound."""
+    static plan), so such frames also share its Lipschitz bound.
+
+    Every operator on one frame's Shot tuple shares one
+    :class:`LipschitzBound`, so a frame whose shots come again (refined's
+    second pass, a dynamic plan that repeats a frame) is estimated once,
+    at any worker count. The bound is deterministic, so sharing it
+    changes no result.
+    """
     shots = operator = None
+    bounds = {}  # a frame's Shot tuple -> its LipschitzBound
 
     def operator_for(t):
         nonlocal shots, operator
         if plan.frame(t) != shots:
             shots = plan.frame(t)
-            operator = FrameOperator(shots, plan.dims, coils)
+            operator = FrameOperator(shots, plan.dims, coils,
+                                     bounds.setdefault(shots, LipschitzBound()))
         return operator
     return operator_for
 
@@ -432,8 +458,8 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconCon
     read from ``kdata`` when the frame is solved, and no more than the
     volumes of two frames plus one per worker are held at a time, so a
     dataset read from its file is reconstructed in bounded memory. One
-    FrameOperator and one Lipschitz estimate serve each run of
-    consecutive frames with the same k-points.
+    FrameOperator serves each run of consecutive frames with the same
+    k-points, and one Lipschitz estimate each distinct frame.
     """
     _check_frame_count(kdata, plan)
     operator_for = _frame_operators(plan, coils)

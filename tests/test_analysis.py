@@ -1,8 +1,9 @@
 """Tests for the GLM detection and image-quality metrics."""
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import ndimage, stats
+from scipy import ndimage, special, stats
 
 from snakesim.analysis import (
     Z_CAP,
@@ -19,7 +20,7 @@ from snakesim.analysis import (
     threshold_detect,
     tsnr,
 )
-from snakesim.analysis import _box_mean, _norm_isf, _t_to_z
+from snakesim.analysis import _box_mean, _norm_isf, _t_to_z, _t_upper_tail
 from snakesim.phantom import Paradigm
 
 
@@ -117,13 +118,38 @@ class TestGlmFit:
 
     @pytest.mark.parametrize("dof", [1, 2, 3, 5, 7, 20, 133, 1000])
     def test_t_to_z_is_the_scipy_stats_expression(self, dof):
-        t = np.concatenate([np.linspace(-Z_CAP, Z_CAP, 120_001),
-                            [0.0, -0.0, np.nan, 1e-300, -1e-300]])
+        grid = np.linspace(-Z_CAP, Z_CAP, 120_001)
+        edge = np.array([0.0, -0.0, np.nan, 1e-300, -1e-300, np.inf, -np.inf])
+        t = np.concatenate([grid, edge])
         want = np.where(t >= 0, stats.norm.isf(stats.t.sf(t, dof)),
                         -stats.norm.isf(stats.t.sf(-t, dof)))
         want = np.clip(np.nan_to_num(want, posinf=Z_CAP, neginf=-Z_CAP), -Z_CAP, Z_CAP)
+        got = _t_to_z(t, dof)
+        # the worst case measured is 5.0e-13 max(1, |z|), at dof 1000
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
         # compared as bits, so the sign of every zero counts too
-        np.testing.assert_array_equal(_t_to_z(t, dof).view(np.int64), want.view(np.int64))
+        exact = np.arange(t.size) >= grid.size
+        exact |= np.abs(want) == Z_CAP
+        np.testing.assert_array_equal(got[exact].view(np.int64), want[exact].view(np.int64))
+        assert np.all(np.diff(got[:grid.size]) >= 0)
+
+    @pytest.mark.parametrize("dof, t", [
+        (1, 1e-8), (1, 1e10), (2, 1e150), (3, 100.0), (5, 2.0),
+        (20, Z_CAP), (133, 0.001), (133, Z_CAP), (1000, 1.7), (1000, Z_CAP)])
+    def test_t_upper_tail_against_mpmath(self, dof, t):
+        """P(T > t) = I_x(dof / 2, 1 / 2) / 2 at 50 digits; the lgamma
+        expression for ln B(a, b) costs most of the error at dof 1000."""
+        mpmath.mp.dps = 50
+        x = mpmath.mpf(dof) / (dof + mpmath.mpf(t) ** 2)
+        want = mpmath.betainc(mpmath.mpf(dof) / 2, 0.5, 0, x, regularized=True) / 2
+        got = _t_upper_tail(np.array([t]), dof)[0]
+        assert abs(got - want) <= 5e-12 * want
+
+    def test_t_to_z_of_a_masked_subset_is_the_subset_of_t_to_z(self):
+        rng = np.random.default_rng(9)
+        t = rng.standard_normal(5000) * 3
+        keep = rng.random(5000) < 0.3
+        assert np.array_equal(_t_to_z(t[keep], 40), _t_to_z(t, 40)[keep])
 
     def test_mask_zeroes_outside(self):
         rng = np.random.default_rng(5)
@@ -133,6 +159,10 @@ class TestGlmFit:
         mask[0, 0, 0] = True
         sm = glm_fit(series, design, mask=mask)
         assert np.all(sm.z[~mask] == 0.0)
+        # only the voxels kept are mapped to z, to the same values
+        full = glm_fit(series, design)
+        assert np.array_equal(sm.z[mask], full.z[mask])
+        assert np.array_equal(sm.t[mask], full.t[mask])
 
 
 class TestThresholdDetect:
@@ -162,6 +192,23 @@ class TestThresholdDetect:
         with pytest.raises(AnalysisError):
             threshold_detect(_statmap(np.zeros((2, 2, 2))), 1.5, np.ones((2, 2, 2)))
 
+
+    def test_norm_isf_within_4_ulp_of_scipy_ndtri(self):
+        q = np.logspace(-320, np.log10(0.5), 200_001)
+        got, want = _norm_isf(q), -special.ndtri(q) + 0.0
+        # both are >= 0 here, so their bit patterns order like their values
+        assert np.max(np.abs(got.view(np.int64) - want.view(np.int64))) <= 4
+        edge = np.array([0.0, 1.0, np.nan, -0.5, 1.5, 1e-320, 1 - 1e-16])
+        np.testing.assert_array_equal(_norm_isf(edge), -special.ndtri(edge) + 0.0)
+
+    @pytest.mark.parametrize("q", [1e-320, 1e-300, 1e-200, 1e-100, 1e-50, 1e-20,
+                                   1e-14, 1e-5, 0.1, 0.3, 0.7, 0.9999])
+    def test_norm_isf_tails_against_mpmath(self, q):
+        mpmath.mp.dps = 50
+        # solved in log space, where the tail keeps its scale
+        want = mpmath.findroot(lambda z: mpmath.log(mpmath.ncdf(-z) / q),
+                               mpmath.sqrt(-2 * mpmath.log(q)) if q < 0.1 else 0)
+        assert abs(_norm_isf(q) - want) <= 2 * np.spacing(abs(float(want)))
 
     @pytest.mark.parametrize("p", [0.5, 0.05, 0.01, 0.001, 1e-6, 1e-12, 0.999])
     def test_threshold_is_norm_isf(self, p):

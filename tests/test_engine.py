@@ -11,7 +11,7 @@ from snakesim.engine import (NDFT, PHASE_TABLE_LIMIT, CoilProfile, EngineError,
                              NoiseConfig, acquire_shot_basic,
                              acquire_shot_t2s, add_noise, birdcage_coils,
                              centered_fft, centered_ifft, phantom_energy,
-                             run_acquisition)
+                             run_acquisition, _worker_count)
 from snakesim.io import DatasetWriter, read_dataset
 from snakesim.phantom import (BoldSpec, Phantom, SequenceParams, default_tissues,
                               gre_contrast, contrast_volume, modulated_state,
@@ -583,6 +583,14 @@ class TestRunAcquisition:
         monkeypatch.setenv("SNAKE_NJOBS", "4")
         run_acquisition(ph, plan, coils, seq, noise=noise, sink_path=b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_explicit_worker_count_wins_over_snake_njobs(self, monkeypatch):
+        """``snake run --jobs 1`` gets one worker although SNAKE_NJOBS is set;
+        SNAKE_NJOBS is the default when no count is given."""
+        monkeypatch.setenv("SNAKE_NJOBS", "2")
+        assert [_worker_count(n) for n in (1, 4, None, 0)] == [1, 4, 2, 1]
+        monkeypatch.delenv("SNAKE_NJOBS")
+        assert [_worker_count(n) for n in (None, 3)] == [1, 3]
 
     def test_t2s_model_runs(self):
         ph, seq, plan, coils = self._setup()

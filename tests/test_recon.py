@@ -474,7 +474,9 @@ class TestSeries:
                           mu_mode="fixed", mu_value=0.01)
         list(reconstruct_series(frames, plan, coils, WaveletBasis("haar", 1), cfg))
         assert counted["builds"] == 3
-        assert counted["lipschitz"] == 3
+        # frame 2 is frame 0's Shot objects again, so it shares frame 0's bound
+        assert plan.frame(2) == plan.frame(0)
+        assert counted["lipschitz"] == 2
 
     def test_shared_operator_matches_fresh_solves(self):
         frames, plan, coils = self._tiny_dataset(n_frames=3, dynamic=False)
@@ -558,15 +560,35 @@ class TestFrameWorkers:
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
-    @pytest.mark.parametrize("kind, dynamic, estimates", [
-        ("cold", False, 1), ("refined", False, 1),
-        # the warm pass and the second pass each build one operator per frame
-        ("refined", True, 8)])
-    def test_one_lipschitz_estimate_per_operator(self, counted, n_jobs, kind, dynamic,
-                                                 estimates):
-        frames, plan, coils = TestSeries._tiny_dataset(n_frames=4, dynamic=dynamic)
+    @pytest.mark.parametrize("kind, dynamic, seed, builds, estimates", [
+        ("cold", False, 6, 1, 1), ("refined", False, 6, 1, 1),
+        # four distinct frames; the warm pass and the second pass each
+        # build one operator per frame
+        ("cold", True, 8, 4, 4), ("refined", True, 8, 8, 4),
+        # frame 2 is frame 0's Shot objects again
+        ("cold", True, 6, 4, 3), ("refined", True, 6, 8, 3)])
+    def test_one_lipschitz_estimate_per_distinct_frame(self, counted, n_jobs, kind,
+                                                       dynamic, seed, builds, estimates):
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=4, seed=seed,
+                                                       dynamic=dynamic)
+        assert len({plan.frame(t) for t in range(4)}) == estimates
         list(self._series(kind, frames, plan, coils, n_jobs))
-        assert counted["builds"] == counted["lipschitz"] == estimates
+        assert counted["builds"] == builds
+        assert counted["lipschitz"] == estimates
+
+    def test_refined_second_pass_matches_fresh_operators(self):
+        """The second pass reuses each frame's bound from the warm pass and
+        gives the volumes of solves on freshly built operators."""
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=4, dynamic=True)
+        basis = WaveletBasis("haar", 1)
+        cfg = ReconConfig(strategy="refined", max_iters=3, tol=1e-14, mu_mode="sure")
+        got = [e.volume for e in reconstruct_series(frames, plan, coils, basis, cfg)]
+        init = None
+        for t in range(4):
+            init = cs_solve(frames[t], _op(plan, coils, t), basis, cfg, init=init).volume
+        for t in range(4):
+            want = cs_solve(frames[t], _op(plan, coils, t), basis, cfg, init=init).volume
+            assert np.array_equal(got[t], want)
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["adjoint", "cold"])
