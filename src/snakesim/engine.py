@@ -2,12 +2,14 @@
 
 Samples are produced shot by shot from the current image state, either
 under the basic Fourier model (contrast frozen at TE) or the extended
-model with per-tissue T2* decay along the readout. Samples come from
-:class:`NDFT`, applied to all coils at once, which is also the operator
-that reconstruction inverts. The NDFT takes one of three exact paths:
-the FFT when every point is on the grid (EPI), a per-kz-plane 2D DFT
-when every kz is an integer (stack-of-spirals), and separable phase
-tables for any other 3D trajectory.
+model with per-tissue T2* decay along the readout, of which the basic
+model is the case of one tissue with infinite T2*: both take their
+samples from one function, through :class:`NDFT`, applied to all coils
+at once, which is also the operator that reconstruction inverts. The
+NDFT takes one of three exact paths: the FFT when every point is on the
+grid (EPI), a per-kz-plane 2D DFT when every kz is an integer
+(stack-of-spirals), and separable phase tables for any other 3D
+trajectory.
 
 The BOLD model is affine in time, so a run transforms two images per
 tissue, a base and a BOLD delta, and each shot combines their samples
@@ -16,13 +18,13 @@ repeats, each as one Shot object, are transformed before the first
 frame, one NDFT per path on their joined points (one FFT per image and
 coil for an EPI plan), and memoized; each shot of them is then a
 lookup, an AXPY and the noise draw. A shot whose pattern occurs once is
-transformed on its own, on the worker pool. Calibrated complex Gaussian
-noise is added per sample. :func:`run_acquisition` runs the plan frame
-by frame into one (n_coils, P) buffer, the layout of a frame of the
-dataset body. With a sink each finished frame is appended to it, so no
-run-sized array is held, and the run returns a reader of the dataset
-that reads one frame per index; without one the frames fill one
-complex128 (n_frames, n_coils, P) array.
+transformed on its own, on a pool of ``n_jobs`` threads. Calibrated
+complex Gaussian noise is added per sample. :func:`run_acquisition`
+runs the plan frame by frame into one (n_coils, P) buffer, the layout
+of a frame of the dataset body. With a sink each finished frame is
+appended to it, so no run-sized array is held, and the run returns a
+reader of the dataset that reads one frame per index; without one the
+frames fill one complex128 (n_frames, n_coils, P) array.
 """
 
 from __future__ import annotations
@@ -333,28 +335,27 @@ def _pattern_numbers(shots):
     return [first.setdefault(shot, len(first)) for shot in shots]
 
 
-def _memoized(cache, shot, transform):
-    """``cache[shot]`` when cache is a dict that holds the Shot (see
-    :func:`_transform_patterns`), else transform()."""
-    value = None if cache is None else cache.get(shot)
-    return transform() if value is None else value
-
-
-def _basic_samples(mu_volume, coils: CoilProfile, points):
-    """(..., L, P) samples of the (..., Nx, Ny, Nz) mu_volume's coil images."""
-    return NDFT(points, mu_volume.shape[-3:]).forward(mu_volume[..., None, :, :, :] * coils.maps)
-
-
-def _t2s_samples(tissue_volumes, tissue_t2s_s, coils: CoilProfile, points, times):
+def _samples(tissue_volumes, tissue_t2s_s, coils: CoilProfile, points, times):
     """(..., L, P) samples of the (T, ..., Nx, Ny, Nz) tissue volumes'
-    coil images, tissue i decayed by exp(-times / T2*_i)."""
+    coil images, tissue i decayed by exp(-times / T2*_i); an infinite
+    T2* has no decay."""
     nufft = NDFT(points, tissue_volumes.shape[-3:])
-    out = np.zeros((*tissue_volumes.shape[1:-3], coils.n_coils, len(times)),
-                   dtype=np.complex128)
-    for i, t2s in enumerate(tissue_t2s_s):
-        decay = np.exp(-times / t2s) if np.isfinite(t2s) else np.ones(len(times))
-        out += decay * nufft.forward(tissue_volumes[i][..., None, :, :, :] * coils.maps)
+    out = None
+    for volume, t2s in zip(tissue_volumes, tissue_t2s_s):
+        y = nufft.forward(volume[..., None, :, :, :] * coils.maps)
+        if np.isfinite(t2s):
+            y *= np.exp(-times / t2s)
+        out = y if out is None else out + y
     return out
+
+
+def _shot_samples(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Shot, cache):
+    """``cache[shot]`` when cache is a dict that holds the Shot (see
+    :func:`_transform_patterns`), else the Shot's :func:`_samples`."""
+    value = None if cache is None else cache.get(shot)
+    if value is None:
+        value = _samples(tissue_volumes, tissue_t2s_s, coils, shot.points, shot.times)
+    return value
 
 
 def acquire_shot_basic(mu_volume, coils: CoilProfile, shot: Shot, cache=None):
@@ -365,8 +366,7 @@ def acquire_shot_basic(mu_volume, coils: CoilProfile, shot: Shot, cache=None):
     the samples of the Shots it holds; it must have been filled from the
     same mu_volume and coil set.
     """
-    mu_volume = np.asarray(mu_volume)
-    return _memoized(cache, shot, lambda: _basic_samples(mu_volume, coils, shot.points))
+    return _shot_samples(np.asarray(mu_volume)[None], [np.inf], coils, shot, cache)
 
 
 def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Shot,
@@ -385,14 +385,13 @@ def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Sho
             f"{tissue_volumes.shape[0]} tissue volumes for "
             f"{len(tissue_t2s_s)} T2* values"
         )
-    return _memoized(cache, shot, lambda: _t2s_samples(tissue_volumes, tissue_t2s_s, coils,
-                                                       shot.points, shot.times))
+    return _shot_samples(tissue_volumes, tissue_t2s_s, coils, shot, cache)
 
 
-def _transform_patterns(patterns, dims, samples):
+def _transform_patterns(patterns, tissue_volumes, tissue_t2s_s, coils: CoilProfile):
     """{shot: its samples} for the distinct Shots ``patterns``, from one
-    ``samples(points, times)`` call per NDFT path on the patterns' joined
-    points, each pattern's samples a read-only view of its columns.
+    :func:`_samples` call per NDFT path on the patterns' joined points,
+    each pattern's samples a read-only view of its columns.
 
     Each sample is the sum its pattern's own call would take, so the
     views equal the per-pattern results (on the FFT path both gather from
@@ -400,11 +399,12 @@ def _transform_patterns(patterns, dims, samples):
     """
     groups = {}
     for shot in patterns:
-        groups.setdefault(_path(shot.points, dims), []).append(shot)
+        groups.setdefault(_path(shot.points, tissue_volumes.shape[-3:]), []).append(shot)
     memo = {}
     for shots in groups.values():
-        y = samples(np.concatenate([s.points for s in shots]),
-                    np.concatenate([s.times for s in shots]))
+        y = _samples(tissue_volumes, tissue_t2s_s, coils,
+                     np.concatenate([s.points for s in shots]),
+                     np.concatenate([s.times for s in shots]))
         y.flags.writeable = False
         ends = np.cumsum([s.n_samples for s in shots])
         for shot, hi in zip(shots, ends):
@@ -515,7 +515,8 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
         h = np.asarray(bold.h_tilde, dtype=np.float64)
     terms = np.stack([base, delta], axis=1)  # (T, 2, *dims)
     if model == "basic":
-        terms = terms.sum(axis=0)            # (2, *dims): B and D
+        # one term of infinite T2*: (1, 2, *dims), B and D
+        terms, t2s_s = terms.sum(axis=0, keepdims=True), [np.inf]
     pattern = _pattern_numbers(plan.shots)
     repeated = np.bincount(pattern)[pattern] > 1
     bounds = np.concatenate([[0], np.cumsum(counts)])
@@ -526,13 +527,8 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
 
     def acquire(volumes, shot, cache=None):
         if model == "basic":
-            return acquire_shot_basic(volumes, coils, shot, cache=cache)
+            return acquire_shot_basic(volumes[0], coils, shot, cache=cache)
         return acquire_shot_t2s(volumes, t2s_s, coils, shot, cache=cache)
-
-    def samples(points, times):
-        if model == "basic":
-            return _basic_samples(terms, coils, points)
-        return _t2s_samples(terms, t2s_s, coils, points, times)
 
     def compute_shot(s, out):
         shot = plan.shots[s]
@@ -540,7 +536,7 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
             y = acquire(terms, shot, cache=memo)
             samples = y[0] + h[s] * y[1]
         else:
-            samples = acquire(terms[..., 0, :, :, :] + h[s] * terms[..., 1, :, :, :], shot)
+            samples = acquire(terms[:, 0] + h[s] * terms[:, 1], shot)
         i = s % plan.shots_per_frame
         out[:, bounds[i]:bounds[i + 1]] = add_noise(samples, noise, energy, shot_index=s)
 
@@ -562,20 +558,15 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     # every repeated pattern is transformed here, before the first frame,
     # so each of its shots is a memo hit
     memo = _transform_patterns(
-        list(dict.fromkeys(s for s, r in zip(plan.shots, repeated) if r)), plan.dims, samples)
-    workers = _worker_count(n_jobs)
+        list(dict.fromkeys(s for s, r in zip(plan.shots, repeated) if r)), terms, t2s_s, coils)
     writer = DatasetWriter(sink_path, header) if sink_path else None
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = ThreadPoolExecutor(max_workers=_worker_count(n_jobs))
     try:
         for t in range(plan.n_frames):
             out = kdata[0 if writer else t]
             shots = np.arange(t * plan.shots_per_frame, (t + 1) * plan.shots_per_frame)
             once, hits = shots[~repeated[shots]].tolist(), shots[repeated[shots]].tolist()
-            if pool:
-                list(pool.map(compute_shot, once, [out] * len(once)))
-            else:
-                for s in once:
-                    compute_shot(s, out)
+            list(pool.map(compute_shot, once, [out] * len(once)))
             # memo hits hold the GIL for most of their time (the lookup, the
             # AXPY and the noise draw of a few thousand samples), so threads
             # would only contend for it: they run on this thread
@@ -586,8 +577,7 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
                     for lo, hi in zip(bounds[:-1], bounds[1:]):
                         writer.append(coil[lo:hi])
     finally:
-        if pool:
-            pool.shutdown()
+        pool.shutdown()
         if writer:
             writer.close()
     if writer:

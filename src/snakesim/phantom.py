@@ -138,13 +138,13 @@ class Paradigm:
             last = onset
 
     @classmethod
-    def blocks(cls, on: float, off: float, run_length: float, start="off"):
-        """Alternating unit-amplitude on/off blocks over the run, e.g. 20s-on / 20s-off."""
+    def blocks(cls, on: float, off: float, run_length: float):
+        """Alternating unit-amplitude off/on blocks over the run, e.g. 20s-off / 20s-on."""
         if not (on > 0 and off >= 0 and run_length > 0):
             raise PhantomError(f"need on > 0, off >= 0 and run_length > 0 s, "
                                f"got {on}, {off}, {run_length}")
         events = []
-        t = off if start == "off" else 0.0
+        t = off
         while t < run_length:
             events.append((t, min(on, run_length - t), 1.0))
             t += on + off

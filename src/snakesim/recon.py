@@ -40,14 +40,14 @@ read from its file is never loaded whole. Frames whose solve depends on
 no other frame (every adjoint frame, every cold frame and the second
 pass of refined) run on a pool of ``n_jobs`` threads, at most that many
 frames ahead of the consumer and yielded in frame order; warm frames
-run in order on the calling thread. Operators are built on the calling
-thread, and each distinct frame's Lipschitz bound is estimated once,
-under a lock, so the results do not depend on the worker count.
+run in order on the calling thread. Pool threads only solve: operators
+are built, and each distinct frame's Lipschitz bound estimated once, on
+the calling thread, so the results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -96,12 +96,9 @@ class FrameOperator:
     """Unitary-scaled multi-coil Fourier operator for one frame.
 
     op(x)[l] = NDFT(S_l * x) / sqrt(M); adj_op is its exact adjoint.
-    ``bound``, when given, is a :class:`LipschitzBound` shared with other
-    operators on the same shots and coils, so that one estimate serves
-    them all.
     """
 
-    def __init__(self, frame_shots, dims, coils: CoilProfile, bound=None):
+    def __init__(self, frame_shots, dims, coils: CoilProfile):
         # the (P, 3) k-points of the frame's shots, in acquisition order
         self.points = np.concatenate([np.atleast_2d(s.points) for s in frame_shots])
         self.dims = tuple(dims)
@@ -109,7 +106,6 @@ class FrameOperator:
         self._conj_maps = np.conj(coils.maps)
         self._scale = 1.0 / np.sqrt(np.prod(dims))
         self._ndft = NDFT(self.points, self.dims)
-        self._bound = LipschitzBound() if bound is None else bound
 
     @property
     def n_coils(self):
@@ -139,27 +135,10 @@ class FrameOperator:
             x /= value
         return float(value * safety)
 
-    @property
+    @functools.cached_property
     def lipschitz_bound(self):
-        """:meth:`lipschitz` at its defaults, estimated once per
-        :class:`LipschitzBound`: a thread that asks while another
-        estimates waits for its value."""
-        return self._bound.get(self.lipschitz)
-
-
-class LipschitzBound:
-    """One Lipschitz bound, estimated by the first caller of :meth:`get`
-    and kept; holds a float, not the operator that estimated it."""
-
-    def __init__(self):
-        self._value = None
-        self._lock = threading.Lock()
-
-    def get(self, estimate):
-        with self._lock:
-            if self._value is None:
-                self._value = estimate()
-            return self._value
+        """:meth:`lipschitz` at its defaults, estimated on first use unless set."""
+        return self.lipschitz()
 
 
 def _frame_data(y, operator: FrameOperator):
@@ -282,9 +261,8 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
     The prox of the l1 term is exact soft-thresholding in the orthonormal
     wavelet domain. Momentum restarts on objective increase; iteration
     stops at max_iters or when the relative objective change drops below
-    config.tol. The operator's Lipschitz bound is estimated once per
-    :class:`LipschitzBound`, which a series shares among the operators
-    of each distinct frame.
+    config.tol. The step is 1 / ``operator.lipschitz_bound``, estimated
+    here unless the operator already holds it.
     """
     dims = operator.dims
     y = _frame_data(y, operator) / np.sqrt(np.prod(dims))
@@ -363,26 +341,27 @@ def _check_frame_count(kdata, plan):
         raise ReconError("need at least one frame")
 
 
-def _frame_operators(plan, coils):
+def _frame_operators(plan, coils, estimate=False):
     """``operator_for(t)``: the FrameOperator of frame t, kept while
     consecutive requests are the same Shot objects (every frame of a
-    static plan), so such frames also share its Lipschitz bound.
-
-    Every operator on one frame's Shot tuple shares one
-    :class:`LipschitzBound`, so a frame whose shots come again (refined's
-    second pass, a dynamic plan that repeats a frame) is estimated once,
-    at any worker count. The bound is deterministic, so sharing it
-    changes no result.
+    static plan). With ``estimate`` its Lipschitz bound is set here, on
+    the calling thread, and estimated once per Shot tuple: a frame whose
+    shots come again (refined's second pass, a dynamic plan that repeats
+    a frame) reuses it, which changes no result as the bound is
+    deterministic.
     """
     shots = operator = None
-    bounds = {}  # a frame's Shot tuple -> its LipschitzBound
+    bounds = {}  # a frame's Shot tuple -> its Lipschitz bound
 
     def operator_for(t):
         nonlocal shots, operator
         if plan.frame(t) != shots:
             shots = plan.frame(t)
-            operator = FrameOperator(shots, plan.dims, coils,
-                                     bounds.setdefault(shots, LipschitzBound()))
+            operator = FrameOperator(shots, plan.dims, coils)
+            if estimate:
+                if shots not in bounds:
+                    bounds[shots] = operator.lipschitz()
+                operator.lipschitz_bound = bounds[shots]
         return operator
     return operator_for
 
@@ -391,21 +370,16 @@ def _in_frame_order(solve, operator_for, n_frames, n_jobs):
     """Yield ``solve(t, operator_for(t))`` for t = 0 .. n_frames - 1, in
     order, for solves that depend on no other frame.
 
-    ``operator_for`` runs on the calling thread. With more than one
-    worker (:func:`snakesim.engine._worker_count` of ``n_jobs``) the
-    solves run on a thread pool of that many threads, and at most that
-    many frames are submitted and not yet yielded: frame t + workers is
-    submitted only when the consumer asks for frame t + 1, so each
-    thread's temporaries and results stay bounded. A solve's exception
-    is raised when its frame is due. Closing the generator cancels the
-    solves not started and waits for the running ones, so no pool thread
-    outlives it.
+    ``operator_for`` runs on the calling thread and the solves on a
+    thread pool of :func:`snakesim.engine._worker_count` of ``n_jobs``
+    threads. At most that many frames are submitted and not yet yielded:
+    frame t + workers is submitted only when the consumer asks for frame
+    t + 1, so each thread's temporaries and results stay bounded. A
+    solve's exception is raised when its frame is due. Closing the
+    generator cancels the solves not started and waits for the running
+    ones, so no pool thread outlives it.
     """
     workers = _worker_count(n_jobs)
-    if workers == 1:
-        for t in range(n_frames):
-            yield solve(t, operator_for(t))
-        return
     pool = ThreadPoolExecutor(max_workers=workers)
     pending = deque()
     try:
@@ -459,10 +433,11 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconCon
     volumes of two frames plus one per worker are held at a time, so a
     dataset read from its file is reconstructed in bounded memory. One
     FrameOperator serves each run of consecutive frames with the same
-    k-points, and one Lipschitz estimate each distinct frame.
+    k-points, and one Lipschitz estimate, made on the calling thread,
+    each distinct frame.
     """
     _check_frame_count(kdata, plan)
-    operator_for = _frame_operators(plan, coils)
+    operator_for = _frame_operators(plan, coils, estimate=True)
 
     def solve(t, operator, init):
         return _frame_error(t, cs_solve, kdata[t], operator, basis, config, init=init)

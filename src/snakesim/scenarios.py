@@ -2,9 +2,9 @@
 
 A run is described by a strict YAML-compatible mapping, checked and
 built into typed objects before any compute. All randomness flows from
-one root seed, split per stage. Every stage output is persisted so
-stages can be re-run or inspected independently; the manifest records
-checksums so a repeated run can be verified bit-identical.
+one root seed, split per stage. Every stage writes its outputs to the
+run directory and the manifest the SHA-256 of the main ones, but no
+stage re-runs alone and no command verifies a run (ROADMAP item 10).
 """
 
 from __future__ import annotations

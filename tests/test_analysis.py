@@ -145,6 +145,25 @@ class TestGlmFit:
         got = _t_upper_tail(np.array([t]), dof)[0]
         assert abs(got - want) <= 5e-12 * want
 
+    @pytest.mark.parametrize("dof", [1, 2, 3, 7, 20, 133, 225, 1000, 10_000])
+    def test_t_upper_tail_on_a_t_grid_against_mpmath(self, dof):
+        """P(T > t) on 200 t from 1e-3 to 37 within 1e-13 relative of its
+        30-digit value, or within 2 eps times the tail's condition number
+        in t, t f(t) / P(T > t), where that is larger: past t = 30 at
+        dof 10^4 it exceeds 1000, and half an ulp of t moves the tail by
+        more than 1e-13 (measured there: 1.6e-13 on a 2000-point grid)."""
+        mpmath.mp.dps = 30
+        ts = np.geomspace(1e-3, 37.0, 200)
+        got = _t_upper_tail(ts, dof)
+        nu = mpmath.mpf(dof)
+        norm = mpmath.gamma((nu + 1) / 2) / (mpmath.sqrt(nu * mpmath.pi) * mpmath.gamma(nu / 2))
+        for t, g in zip(ts, got):
+            t_mp = mpmath.mpf(t)
+            want = mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + t_mp ** 2), regularized=True) / 2
+            cond = t_mp * norm * (1 + t_mp ** 2 / nu) ** (-(nu + 1) / 2) / want
+            tol = max(1e-13, 2 * np.finfo(float).eps * float(cond))
+            assert abs(g - want) <= tol * want, (t, float(abs(g - want) / want))
+
     def test_t_to_z_of_a_masked_subset_is_the_subset_of_t_to_z(self):
         rng = np.random.default_rng(9)
         t = rng.standard_normal(5000) * 3

@@ -377,6 +377,25 @@ class TestAcquireT2s:
             y_basic = acquire_shot_basic(tissue_vols.sum(axis=0), coils, shot)
             np.testing.assert_allclose(y_ext, y_basic, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("path", ["fft", "stack", "general"])
+    def test_one_tissue_of_infinite_t2s_is_basic_to_the_bit(self, path):
+        """Both models take their samples from one function: the basic
+        model is the t2s model on one tissue of infinite T2*."""
+        rng = np.random.default_rng(37)
+        dims = (4, 6, 4)
+        if path == "fft":
+            pts = rng.integers(-2, 2, (15, 3)).astype(np.float64)
+        elif path == "stack":
+            pts = _planes(rng, [0, 1, -2], 5, dims)
+        else:
+            pts = rng.uniform(-2, 1.9, (15, 3))
+        assert NDFT(pts, dims).path == path
+        shot, coils = _unit_shot(pts), birdcage_coils(dims, 3)
+        # a leading term axis, as run_acquisition passes its (B, D) pair
+        v = _random_volume(rng, (2, *dims))
+        assert np.array_equal(acquire_shot_t2s(v[None], [np.inf], coils, shot),
+                              acquire_shot_basic(v, coils, shot))
+
     def test_echo_center_sample_matches_basic(self):
         rng = np.random.default_rng(11)
         vol = rng.uniform(0, 1, size=(1, 4, 4, 4)).astype(np.complex128)

@@ -19,7 +19,7 @@ def test_tracer_target_resolves_to_a_callable(name):
 
 # Traced names that no pipeline run calls under the name the tracer wraps
 NEVER_FIRED = {
-    # imported into the engine only so the tracer can wrap it (ROADMAP item 5)
+    # imported into the engine only so the tracer can wrap it (ROADMAP item 11)
     "snakesim.engine.modulated_state",
     # the engine binds the name at import; child.py reads the dataset after the run
     "snakesim.io.read_dataset",

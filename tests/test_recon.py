@@ -576,6 +576,25 @@ class TestFrameWorkers:
         assert counted["builds"] == builds
         assert counted["lipschitz"] == estimates
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("kind", ["cold", "warm", "refined"])
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_lipschitz_estimates_run_on_the_consuming_thread(self, monkeypatch, kind,
+                                                             dynamic, n_jobs):
+        """Pool threads only solve: every Lipschitz estimate of a series
+        runs on the thread that iterates the series."""
+        threads = []
+        lipschitz = FrameOperator.lipschitz
+
+        def spy(self, *args, **kwargs):
+            threads.append(threading.current_thread())
+            return lipschitz(self, *args, **kwargs)
+
+        monkeypatch.setattr(FrameOperator, "lipschitz", spy)
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=4, dynamic=dynamic)
+        list(self._series(kind, frames, plan, coils, n_jobs))
+        assert threads and all(th is threading.current_thread() for th in threads)
+
     def test_refined_second_pass_matches_fresh_operators(self):
         """The second pass reuses each frame's bound from the warm pass and
         gives the volumes of solves on freshly built operators."""
