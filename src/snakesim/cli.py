@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import yaml
 
+from .engine import _worker_count
 from .io import canonical_json, read_trajectory
 from .phantom import SequenceParams
 from .scenarios import ConfigError, RunConfig, preset, run_pipeline
@@ -22,6 +24,9 @@ from .trajectories import (gen_epi_3d, gen_spiral, gen_stack_of_spirals,
 
 # every project error (ConfigError, FormatError, ...) subclasses ValueError
 _VALIDATION_ERRORS = (ValueError, FileNotFoundError)
+
+# the variables that set the thread count of numpy's BLAS
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _build_parser():
@@ -85,6 +90,11 @@ def _cmd_run(args):
             if args.trajectory and isinstance(data.get("trajectory"), dict):
                 data["trajectory"]["path"] = args.trajectory
         config = RunConfig.from_dict(data)
+    workers = _worker_count(args.jobs)
+    if workers > 1 and not any(name in os.environ for name in _BLAS_THREADS):
+        print(f"warning: {workers} worker threads and no BLAS thread count set: "
+              "set OPENBLAS_NUM_THREADS=1 so the workers' BLAS calls do not "
+              "oversubscribe the cores (README, Quick start)", file=sys.stderr)
     manifest = run_pipeline(config, args.out, n_jobs=args.jobs)
     print(canonical_json(manifest.to_dict()))
     return 3 if manifest.failed_stage else 0

@@ -104,7 +104,9 @@ class NDFT:
       k mod N (per axis) of fftn(ifftshift(v)). forward gathers there,
       with no fftshift of the spectrum; adjoint scatters there (by
       assignment unless a grid point repeats), inverse-FFTs with no
-      ifftshift of the grid, fftshifts and scales in place.
+      ifftshift of the grid, fftshifts and scales in place. The adjoint
+      runs in the data's precision: complex64 or float32 y gives a
+      complex64 volume, any other y a complex128 one.
     - ``"stack"``, every kz an integer (stack-of-spirals and other
       stack-of-X plans): the points are grouped by kz plane, z is
       contracted once per plane with a (U, Nz) phase table, then an
@@ -118,7 +120,8 @@ class NDFT:
 
     Both non-FFT paths contract x last in forward and first in adjoint,
     and the adjoint uses the forward tables as conj(conj(y) E), so no
-    conjugated copy of a per-point table is made.
+    conjugated copy of a per-point table is made. Their tables are
+    complex128, and so is their adjoint, whatever the precision of y.
     """
 
     def __init__(self, points, dims):
@@ -191,22 +194,27 @@ class NDFT:
         return out.reshape(*lead, n)
 
     def adjoint(self, y):
-        y = np.asarray(y, dtype=np.complex128)
+        y = np.asarray(y)
         lead = y.shape[:-1]
         y = y.reshape(-1, len(self.points))
         batch, (nx, ny, nz) = len(y), self.dims
         if self.path == "fft":
-            out = np.empty((batch, *self.dims), dtype=np.complex128)
+            # in y's precision: complex64 (or float32) data is scattered,
+            # inverse-FFTed (numpy >= 2 keeps complex64 through numpy.fft)
+            # and scaled in complex64, anything else in complex128
+            dtype = np.result_type(y.dtype, np.complex64)
+            out = np.empty((batch, *self.dims), dtype=dtype)
             for b in range(batch):
-                grid = np.zeros(np.prod(self.dims), dtype=np.complex128)
+                grid = np.zeros(np.prod(self.dims), dtype=dtype)
                 if self._distinct:
                     grid[self._flat] = y[b]
                 else:
                     np.add.at(grid, self._flat, y[b])
                 out[b] = np.fft.fftshift(np.fft.ifftn(grid.reshape(self.dims)))
-            out *= np.prod(self.dims)
+            # a Python int scales in out's precision
+            out *= int(np.prod(self.dims))
             return out.reshape(*lead, *self.dims)
-        yc = y.conj()
+        yc = y.astype(np.complex128, copy=False).conj()
         if self.path == "stack":
             yc = yc[:, self._order]
             acc = np.zeros((len(self._eplane), batch * nx, ny), dtype=np.complex128)

@@ -23,6 +23,14 @@ A frame's input is the pair (y, operator): y = kdata[t], the frame's
 :class:`FrameOperator` of the frame's shots. Both routes reject y unless
 its shape is (operator.n_coils, len(operator.points)).
 
+The adjoint route computes in the precision of its data: a complex64
+frame, as a dataset file holds it, gives a complex64 volume, whose
+magnitude is the float32 array a frame file stores; complex128 data
+gives a complex128 volume. On the FFT path the scatter, inverse FFT,
+coil combination and scalings all run in that precision; the other two
+paths keep complex128 phase tables and round the volume once. The CS
+route converts its data to complex128 and solves in complex128.
+
 The solver reuses each objective evaluation's residual for the next
 gradient, so an iteration costs one op and one adj_op. It also takes
 the objective's l1 term from the thresholded coefficients of the prox:
@@ -104,7 +112,8 @@ class FrameOperator:
         self.dims = tuple(dims)
         self.coils = coils
         self._conj_maps = np.conj(coils.maps)
-        self._scale = 1.0 / np.sqrt(np.prod(dims))
+        # a Python float scales in the precision of the array it scales
+        self._scale = float(1.0 / np.sqrt(np.prod(dims)))
         self._ndft = NDFT(self.points, self.dims)
 
     @property
@@ -116,7 +125,8 @@ class FrameOperator:
 
     def adj_op(self, y):
         back = self._ndft.adjoint(y)
-        back *= self._conj_maps
+        # in back's precision: a complex64 adjoint takes the maps rounded
+        np.multiply(back, self._conj_maps, out=back, dtype=back.dtype)
         out = back.sum(axis=0)
         out *= self._scale
         return out
@@ -141,9 +151,12 @@ class FrameOperator:
         return self.lipschitz()
 
 
-def _frame_data(y, operator: FrameOperator):
-    """y as complex128, if it holds one sample per coil and operator point."""
-    y = np.asarray(y, dtype=np.complex128)
+def _frame_data(y, operator: FrameOperator, dtype=None):
+    """y as a complex ``dtype`` array, if it holds one sample per coil and
+    operator point. Without ``dtype`` the precision is y's: complex64 for
+    complex64 (or float32) data, complex128 for any other."""
+    y = np.asarray(y)
+    y = y.astype(dtype or np.result_type(y.dtype, np.complex64), copy=False)
     want = (operator.n_coils, len(operator.points))
     if y.shape != want:
         raise ReconError(f"k-space data of shape {y.shape} for an operator of "
@@ -176,18 +189,28 @@ def radial_density_weights(points):
 
 def adjoint_recon(y, operator: FrameOperator, density_comp="none"):
     """Coil-combined adjoint x = sum_l conj(S_l) NDFT^H(w * y_l) / M of
-    the (L, P) frame data y at ``operator.points``."""
+    the (L, P) frame data y at ``operator.points``.
+
+    x has y's precision: complex64 data (what :func:`snakesim.io.read_dataset`
+    returns) or float32 data gives a complex64 volume, any other data a
+    complex128 one.
+    On the ``fft`` path the whole adjoint runs in that precision; the
+    ``stack`` and ``general`` paths compute in complex128 and round x
+    once at the end.
+    """
     y = _frame_data(y, operator)
     if density_comp == "radial":
-        y = y * radial_density_weights(operator.points)
+        y = y * radial_density_weights(operator.points).astype(y.real.dtype)
     elif density_comp != "none":
         raise ReconError(f"unknown density compensation {density_comp!r}")
     m = np.prod(operator.dims)
     # adj_op carries 1/sqrt(M); one more 1/sqrt(M) makes the fully
-    # sampled Cartesian case the inverse FFT of the data.
+    # sampled Cartesian case the inverse FFT of the data. numpy divides a
+    # complex array by a real s as its product with 1/s, so the product
+    # gives the values of x / sqrt(M) without the slower division loop.
     x = operator.adj_op(y)
-    x /= np.sqrt(m)
-    return x
+    x *= 1.0 / float(np.sqrt(m))
+    return x.astype(y.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +288,7 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
     here unless the operator already holds it.
     """
     dims = operator.dims
-    y = _frame_data(y, operator) / np.sqrt(np.prod(dims))
+    y = _frame_data(y, operator, np.complex128) / np.sqrt(np.prod(dims))
 
     if init is None:
         init = operator.adj_op(y)

@@ -339,6 +339,31 @@ class RunManifest:
         return asdict(self)
 
 
+def _analyse(out, sums, design, phantom, roi, reference, p_threshold):
+    """The analysis stage: the GLM of the frames fed to ``sums`` under
+    ``design``, detection at ``p_threshold`` against ``roi`` and the image
+    metrics against ``reference``, written to ``metrics.json``,
+    ``zmap.snkv`` and ``pr_curve.csv`` under ``out``."""
+    tissue_mask = phantom.weights.sum(axis=0) > 0.1
+    stat = glm_fit(sums, design, mask=tissue_mask)
+    det = threshold_detect(stat, p_threshold, roi, mask=tissue_mask)
+    pr = precision_recall(stat, roi, mask=tissue_mask, marker_p=p_threshold)
+    ref_mag = np.abs(reference)
+    _, tsnr_mean = tsnr(sums, roi=roi)
+    report = MetricsReport(
+        auc_pr=pr["auc"], bacc=bacc(det),
+        psnr_first=psnr(sums.first, ref_mag), psnr_last=psnr(sums.last, ref_mag),
+        ssim_first=ssim(sums.first, ref_mag), ssim_last=ssim(sums.last, ref_mag),
+        tsnr_roi_mean=tsnr_mean)
+    (out / "metrics.json").write_text(canonical_json(report.to_dict()))
+    write_volume(out / "zmap.snkv", stat.z, voxel_size=phantom.voxel_size)
+    with open(out / "pr_curve.csv", "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["recall", "precision"])
+        for r, p in zip(pr["recall"], pr["precision"]):
+            writer.writerow([f"{r:.10g}", f"{p:.10g}"])
+
+
 def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     """Acquisition -> reconstruction -> analysis, all artifacts persisted.
 
@@ -346,7 +371,10 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     fails before any shot runs. The k-space goes to ``kspace.snkd`` frame
     by frame; each frame is read back from the file, reconstructed,
     written as its magnitude and fed to the :class:`SeriesSums` that the
-    GLM and tSNR are taken from, so no run-sized array is held. The
+    GLM and tSNR are taken from, so no run-sized array is held. An
+    adjoint frame's magnitude is float32, so the sums hold exactly the
+    values of the ``frame_*.snkv`` files, and the analysis fed from the
+    files reproduces ``zmap.snkv`` and ``metrics.json``. The
     manifest records each finished stage's seconds and the peak RSS at
     its end.
     Any stage failure is recorded in the manifest with the stage name and
@@ -432,26 +460,7 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
 
         stage = "analysis"
         t0 = time.monotonic()
-        tissue_mask = phantom.weights.sum(axis=0) > 0.1
-        stat = glm_fit(sums, design, mask=tissue_mask)
-        det = threshold_detect(stat, cfg["analysis"]["p_threshold"], roi,
-                               mask=tissue_mask)
-        pr = precision_recall(stat, roi, mask=tissue_mask,
-                              marker_p=cfg["analysis"]["p_threshold"])
-        ref_mag = np.abs(reference)
-        _, tsnr_mean = tsnr(sums, roi=roi)
-        report = MetricsReport(
-            auc_pr=pr["auc"], bacc=bacc(det),
-            psnr_first=psnr(sums.first, ref_mag), psnr_last=psnr(sums.last, ref_mag),
-            ssim_first=ssim(sums.first, ref_mag), ssim_last=ssim(sums.last, ref_mag),
-            tsnr_roi_mean=tsnr_mean)
-        (out / "metrics.json").write_text(canonical_json(report.to_dict()))
-        write_volume(out / "zmap.snkv", stat.z, voxel_size=phantom.voxel_size)
-        with open(out / "pr_curve.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["recall", "precision"])
-            for r, p in zip(pr["recall"], pr["precision"]):
-                writer.writerow([f"{r:.10g}", f"{p:.10g}"])
+        _analyse(out, sums, design, phantom, roi, reference, cfg["analysis"]["p_threshold"])
         finish(stage, t0)
         manifest.checksums["metrics.json"] = _sha256(out / "metrics.json")
         manifest.checksums["zmap.snkv"] = _sha256(out / "zmap.snkv")

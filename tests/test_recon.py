@@ -157,6 +157,64 @@ class TestDensityWeights:
         assert radial_density_weights(pts).sum() == pytest.approx(33.0)
 
 
+class TestAdjointPrecision:
+    """The adjoint runs in the data's precision: complex64 data, as a
+    dataset file holds it, gives a complex64 volume on every NDFT path."""
+
+    DIMS = (12, 10, 8)
+
+    def _case(self, path, n_coils, seed=0):
+        """(operator, complex128 data) of one frame on ``path``."""
+        from snakesim.trajectories import Shot
+        rng = np.random.default_rng(seed)
+        if path == "fft":
+            shots = gen_epi_3d(self.DIMS, _seq(), n_planes_per_volume=5).frame(0)
+        elif path == "stack":
+            shots = gen_stack_of_spirals(gen_spiral(self.DIMS[:2], 32), self.DIMS[2], af=2.0,
+                                         center_fraction=0.3, dims=self.DIMS).frame(0)
+        else:
+            shots = (Shot(points=rng.uniform(-5, 4.9, (200, 3)),
+                          times=np.linspace(1e-4, 2e-2, 200)),)
+        op = FrameOperator(shots, self.DIMS, birdcage_coils(self.DIMS, n_coils))
+        assert op._ndft.path == path
+        vol = rng.standard_normal(self.DIMS) + 1j * rng.standard_normal(self.DIMS)
+        return op, op.op(vol) * np.sqrt(np.prod(self.DIMS))
+
+    @pytest.mark.parametrize("density_comp", ["none", "radial"])
+    @pytest.mark.parametrize("n_coils", [1, 8])
+    @pytest.mark.parametrize("path", ["fft", "stack", "general"])
+    def test_complex64_data_gives_a_complex64_volume(self, path, n_coils, density_comp):
+        """The complex64 volume lies within 4 float32 eps of the peak of
+        the complex128 adjoint of the same data. Measured over 20 seeds:
+        at most 2.1e-7 on the fft path, which runs in complex64 throughout,
+        and 5.7e-8 on the stack and general paths, which round once at the
+        end. Storing the k-space as complex64 already moves the complex128
+        adjoint by up to 3.4e-8 of its peak on these cases."""
+        op, y = self._case(path, n_coils)
+        y64 = y.astype(np.complex64)
+        x64 = adjoint_recon(y64, op, density_comp)
+        x = adjoint_recon(y64.astype(np.complex128), op, density_comp)
+        assert x64.dtype == np.complex64 and x.dtype == np.complex128
+        assert adjoint_recon(y.real, op, density_comp).dtype == np.complex128
+        err = np.abs(x64 - x).max() / np.abs(x).max()
+        assert 0 < err <= 4 * np.finfo(np.float32).eps
+
+    def test_series_of_a_dataset_is_complex64(self, tmp_path):
+        """adjoint_series on a dataset read from its file yields complex64
+        volumes, each the adjoint_recon of its frame."""
+        from snakesim.engine import run_acquisition
+        from snakesim.io import read_dataset
+        dims = (8, 8, 8)
+        plan = gen_epi_3d(dims, _seq(), n_planes_per_volume=4, n_frames=3)
+        phantom = synthetic_phantom(dims, [((4, 4, 4), 2, 1)])
+        coils = birdcage_coils(dims, 2)
+        run_acquisition(phantom, plan, coils, _seq(), sink_path=tmp_path / "k.snkd")
+        _, kdata = read_dataset(tmp_path / "k.snkd")
+        for t, est in enumerate(adjoint_series(kdata, plan, coils, n_jobs=2)):
+            assert est.volume.dtype == np.complex64
+            np.testing.assert_array_equal(est.volume, adjoint_recon(kdata[t], _op(plan, coils, t)))
+
+
 class TestSolver:
     def _cartesian_setup(self, dims=(8, 8, 8), seed=2):
         rng = np.random.default_rng(seed)

@@ -12,9 +12,10 @@ import pytest
 import yaml
 
 from snakesim import cli, scenarios
+from snakesim.analysis import SeriesSums
 from snakesim.cli import main as cli_main
 from snakesim.engine import birdcage_coils
-from snakesim.io import read_dataset, write_volume
+from snakesim.io import read_dataset, read_volume, write_volume
 from snakesim.recon import adjoint_series, reconstruct_series
 from snakesim.scenarios import (ConfigError, RunConfig, RunManifest, _build_plan, preset,
                                 run_pipeline)
@@ -439,6 +440,26 @@ class TestRunPipeline:
             name = f"frame_{t:04d}.snkv"
             assert (tmp_path / "again.snkv").read_bytes() == (out / name).read_bytes(), name
 
+    def test_analysis_reruns_from_the_frame_files(self, tmp_path, monkeypatch):
+        """The frame_*.snkv files of an adjoint run, fed to a fresh
+        SeriesSums under the run's design, reproduce zmap.snkv and
+        metrics.json byte for byte: the GLM sums the frames as written."""
+        inputs = []
+        analyse = scenarios._analyse
+        monkeypatch.setattr(scenarios, "_analyse", lambda out, sums, *rest: (
+            inputs.append(rest), analyse(out, sums, *rest)))
+        out = tmp_path / "run"
+        assert run_pipeline(_tiny_config(), out).failed_stage is None
+        (design, *rest), = inputs
+        sums = SeriesSums(design)
+        for path in sorted(out.glob("frame_*.snkv")):
+            sums.add(read_volume(path)[0])
+        assert sums.n == 25
+        (tmp_path / "again").mkdir()
+        analyse(tmp_path / "again", sums, design, *rest)
+        for name in ("zmap.snkv", "metrics.json", "pr_curve.csv"):
+            assert (tmp_path / "again" / name).read_bytes() == (out / name).read_bytes(), name
+
     def test_cs_method_runs(self, tmp_path):
         config = _tiny_config()
         cfg = json.loads(json.dumps(config.raw))
@@ -573,6 +594,42 @@ class TestCli:
         assert cli_main(["run", *args]) == 0
         assert len(built) == 1
         assert (ran[0].raw["seed"], ran[0].raw["trajectory"]["path"]) == (7, "plan.snkt")
+
+    @pytest.mark.parametrize("jobs, njobs_env, blas_env, warns", [
+        (["--jobs", "2"], None, None, True),
+        ([], "2", None, True),
+        (["--jobs", "2"], None, "OMP_NUM_THREADS", False),
+        (["--jobs", "1"], "2", None, False),
+        ([], None, None, False)])
+    def test_run_warns_about_unpinned_blas(self, jobs, njobs_env, blas_env, warns,
+                                           tmp_path, monkeypatch, capsys):
+        """More than one worker with no BLAS thread count set: one line
+        to stderr that points to the README's advice."""
+        for name in cli._BLAS_THREADS:
+            monkeypatch.delenv(name, raising=False)
+        if blas_env:
+            monkeypatch.setenv(blas_env, "1")
+        if njobs_env:
+            monkeypatch.setenv("SNAKE_NJOBS", njobs_env)
+        else:
+            monkeypatch.delenv("SNAKE_NJOBS", raising=False)
+        monkeypatch.setattr(cli, "run_pipeline", lambda config, out, n_jobs: RunManifest(
+            config_hash="", version="", checksums={}, stage_seconds={}))
+        assert cli_main(["run", "s1_epi", *jobs, "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        if warns:
+            assert err.count("\n") == 1
+            assert "OPENBLAS_NUM_THREADS=1" in err and "README" in err
+        else:
+            assert err == ""
+
+    def test_pipeline_is_silent_about_blas(self, tmp_path, monkeypatch, capsys):
+        """Only the CLI warns: run_pipeline with two workers and no BLAS
+        thread count set prints nothing."""
+        for name in cli._BLAS_THREADS:
+            monkeypatch.delenv(name, raising=False)
+        assert run_pipeline(_tiny_config(), tmp_path / "run", n_jobs=2).failed_stage is None
+        assert capsys.readouterr() == ("", "")
 
     def test_metrics_missing_run_exit_2(self, tmp_path, capsys):
         assert cli_main(["metrics", str(tmp_path / "nope")]) == 2
