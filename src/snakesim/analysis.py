@@ -392,12 +392,11 @@ def threshold_detect(statmap: StatMap, p, roi, mask=None) -> DetectionResult:
                            p_threshold=p)
 
 
-def precision_recall(statmap: StatMap, roi, mask=None, marker_p=0.001):
+def precision_recall(statmap: StatMap, roi, mask=None):
     """Precision/recall curve over all z thresholds plus trapezoid AUC.
 
     The curve is anchored at (recall 0, precision 1) and (recall 1,
-    precision = prevalence); a marker point at the z value for marker_p
-    is recorded alongside.
+    precision = prevalence).
     """
     truth = np.asarray(roi) >= 0.5
     if mask is None:
@@ -421,13 +420,7 @@ def precision_recall(statmap: StatMap, roi, mask=None, marker_p=0.001):
     recall = np.concatenate([[0.0], recall, [1.0]])
     precision = np.concatenate([[1.0], precision, [prevalence]])
     auc = float(np.trapezoid(precision, recall))
-    z_marker = _norm_isf(marker_p)
-    marker_tp = int(np.sum(labels & (scores > z_marker)))
-    marker_pred = int(np.sum(scores > z_marker))
-    marker = (marker_tp / n_pos,
-              marker_tp / marker_pred if marker_pred else 1.0)
-    return {"recall": recall, "precision": precision, "auc": auc,
-            "marker": marker, "marker_p": marker_p}
+    return {"recall": recall, "precision": precision, "auc": auc}
 
 
 def bacc(detection: DetectionResult) -> float:

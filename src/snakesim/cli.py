@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .engine import _worker_count
 from .io import canonical_json, read_trajectory
 from .phantom import SequenceParams
+from .recon import _worker_count
 from .scenarios import ConfigError, RunConfig, preset, run_pipeline
 from .trajectories import (gen_epi_3d, gen_spiral, gen_stack_of_spirals,
                            save_trajectory_file)
@@ -43,7 +43,7 @@ def _build_parser():
     run.add_argument("--trajectory", default=None,
                      help="trajectory file for external presets")
     run.add_argument("--jobs", type=int, default=None,
-                     help="worker threads for acquisition and reconstruction "
+                     help="worker threads for reconstruction frames "
                           "(default SNAKE_NJOBS, or 1 when it is unset); "
                           "results do not depend on it")
 

@@ -18,9 +18,9 @@ repeats, each as one Shot object, are transformed before the first
 frame, one NDFT per path on their joined points (one FFT per image and
 coil for an EPI plan), and memoized; each shot of them is then a
 lookup, an AXPY and the noise draw. A shot whose pattern occurs once is
-transformed on its own, on a pool of ``n_jobs`` threads. Calibrated
-complex Gaussian noise is added per sample. :func:`run_acquisition`
-runs the plan frame by frame into one (n_coils, P) buffer, the layout
+transformed on its own. Calibrated complex Gaussian noise is added per
+sample. :func:`run_acquisition` runs the plan shot by shot, in plan
+order on the calling thread, into one (n_coils, P) buffer, the layout
 of a frame of the dataset body. With a sink each finished frame is
 appended to it, so no run-sized array is held, and the run returns a
 reader of the dataset that reads one frame per index; without one the
@@ -29,8 +29,7 @@ frames fill one complex128 (n_frames, n_coils, P) array.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,8 +313,8 @@ def add_noise(samples, noise: NoiseConfig, energy, shot_index=0):
 
     Per time point the L-vector has covariance (E / SNR_i) * Sigma; real
     and imaginary parts carry half the variance each. The stream is
-    keyed by (seed, shot index, coil) so worker scheduling cannot change
-    the draw.
+    keyed by (seed, shot index, coil), so a shot's draw depends on no
+    other shot.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     if np.isinf(noise.snr_i):
@@ -335,12 +334,6 @@ def add_noise(samples, noise: NoiseConfig, energy, shot_index=0):
 
 # ---------------------------------------------------------------------------
 # Shot acquisition
-
-
-def _pattern_numbers(shots):
-    """Each shot's pattern number, with patterns numbered in order of first use."""
-    first = {}
-    return [first.setdefault(shot, len(first)) for shot in shots]
 
 
 def _samples(tissue_volumes, tissue_t2s_s, coils: CoilProfile, points, times):
@@ -424,14 +417,6 @@ def _transform_patterns(patterns, tissue_volumes, tissue_t2s_s, coils: CoilProfi
 # Full acquisition run
 
 
-def _worker_count(n_jobs=None):
-    """Worker threads for ``n_jobs``: an explicit count wins, and None
-    takes ``SNAKE_NJOBS`` (1 when unset); at least 1."""
-    if n_jobs is None:
-        n_jobs = int(os.environ.get("SNAKE_NJOBS", 1))
-    return max(1, n_jobs)
-
-
 def _check_run_inputs(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
                       bold: BoldSpec | None, gm_index):
     """Reject mismatched inputs before any shot runs or the sink opens;
@@ -464,7 +449,7 @@ def _check_run_inputs(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
 def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
                     seq: SequenceParams, bold: BoldSpec | None = None,
                     model="basic", noise: NoiseConfig | None = None,
-                    sink_path=None, gm_index=None, n_jobs=None):
+                    sink_path=None, gm_index=None):
     """Acquire every shot of the plan in order and write it to the sink.
 
     The BOLD state is affine in time: tissue i at shot s is
@@ -485,9 +470,7 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     values (0.8 MB for a 22-plane EPI plan at 1080 samples and one
     coil). A pattern that occurs once is transformed as the single image
     B + h_s * D. So no shot costs more transforms than rebuilding its
-    state would. The plan runs frame by frame: the frame's once-only
-    shots run on the worker pool, then its memo hits on the calling
-    thread.
+    state would. Every shot runs in plan order on the calling thread.
 
     Shot i of frame t writes its (L, n_s) samples into columns
     ``bounds[i]:bounds[i+1]`` of the frame's (n_coils, P) block, P the
@@ -525,8 +508,6 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     if model == "basic":
         # one term of infinite T2*: (1, 2, *dims), B and D
         terms, t2s_s = terms.sum(axis=0, keepdims=True), [np.inf]
-    pattern = _pattern_numbers(plan.shots)
-    repeated = np.bincount(pattern)[pattern] > 1
     bounds = np.concatenate([[0], np.cumsum(counts)])
     # full precision in memory: one frame with a sink, which quantizes to
     # c64 and is read back, and the whole run without one
@@ -537,16 +518,6 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
         if model == "basic":
             return acquire_shot_basic(volumes[0], coils, shot, cache=cache)
         return acquire_shot_t2s(volumes, t2s_s, coils, shot, cache=cache)
-
-    def compute_shot(s, out):
-        shot = plan.shots[s]
-        if repeated[s]:
-            y = acquire(terms, shot, cache=memo)
-            samples = y[0] + h[s] * y[1]
-        else:
-            samples = acquire(terms[:, 0] + h[s] * terms[:, 1], shot)
-        i = s % plan.shots_per_frame
-        out[:, bounds[i]:bounds[i + 1]] = add_noise(samples, noise, energy, shot_index=s)
 
     header = {
         "dims": list(plan.dims),
@@ -565,27 +536,24 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
 
     # every repeated pattern is transformed here, before the first frame,
     # so each of its shots is a memo hit
-    memo = _transform_patterns(
-        list(dict.fromkeys(s for s, r in zip(plan.shots, repeated) if r)), terms, t2s_s, coils)
+    memo = _transform_patterns([shot for shot, n in Counter(plan.shots).items() if n > 1],
+                               terms, t2s_s, coils)
     writer = DatasetWriter(sink_path, header) if sink_path else None
-    pool = ThreadPoolExecutor(max_workers=_worker_count(n_jobs))
     try:
-        for t in range(plan.n_frames):
+        for s, shot in enumerate(plan.shots):
+            t, i = divmod(s, plan.shots_per_frame)
             out = kdata[0 if writer else t]
-            shots = np.arange(t * plan.shots_per_frame, (t + 1) * plan.shots_per_frame)
-            once, hits = shots[~repeated[shots]].tolist(), shots[repeated[shots]].tolist()
-            list(pool.map(compute_shot, once, [out] * len(once)))
-            # memo hits hold the GIL for most of their time (the lookup, the
-            # AXPY and the noise draw of a few thousand samples), so threads
-            # would only contend for it: they run on this thread
-            for s in hits:
-                compute_shot(s, out)
-            if writer:
+            if shot in memo:
+                y = acquire(terms, shot, cache=memo)
+                samples = y[0] + h[s] * y[1]
+            else:
+                samples = acquire(terms[:, 0] + h[s] * terms[:, 1], shot)
+            out[:, bounds[i]:bounds[i + 1]] = add_noise(samples, noise, energy, shot_index=s)
+            if writer and i == plan.shots_per_frame - 1:
                 for coil in out.astype(np.complex64):
                     for lo, hi in zip(bounds[:-1], bounds[1:]):
                         writer.append(coil[lo:hi])
     finally:
-        pool.shutdown()
         if writer:
             writer.close()
     if writer:

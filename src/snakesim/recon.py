@@ -56,13 +56,14 @@ the calling thread, so the results do not depend on the worker count.
 from __future__ import annotations
 
 import functools
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import NDFT, CoilProfile, _worker_count
+from .engine import NDFT, CoilProfile
 from .wavelets import WaveletBasis, finest_detail, soft_threshold
 
 
@@ -389,18 +390,26 @@ def _frame_operators(plan, coils, estimate=False):
     return operator_for
 
 
+def _worker_count(n_jobs=None):
+    """Worker threads for ``n_jobs``: an explicit count wins, and None
+    takes ``SNAKE_NJOBS`` (1 when unset); at least 1."""
+    if n_jobs is None:
+        n_jobs = int(os.environ.get("SNAKE_NJOBS", 1))
+    return max(1, n_jobs)
+
+
 def _in_frame_order(solve, operator_for, n_frames, n_jobs):
     """Yield ``solve(t, operator_for(t))`` for t = 0 .. n_frames - 1, in
     order, for solves that depend on no other frame.
 
     ``operator_for`` runs on the calling thread and the solves on a
-    thread pool of :func:`snakesim.engine._worker_count` of ``n_jobs``
-    threads. At most that many frames are submitted and not yet yielded:
-    frame t + workers is submitted only when the consumer asks for frame
-    t + 1, so each thread's temporaries and results stay bounded. A
-    solve's exception is raised when its frame is due. Closing the
-    generator cancels the solves not started and waits for the running
-    ones, so no pool thread outlives it.
+    thread pool of :func:`_worker_count` of ``n_jobs`` threads. At most
+    that many frames are submitted and not yet yielded: frame t + workers
+    is submitted only when the consumer asks for frame t + 1, so each
+    thread's temporaries and results stay bounded. A solve's exception
+    is raised when its frame is due. Closing the generator cancels the
+    solves not started and waits for the running ones, so no pool thread
+    outlives it.
     """
     workers = _worker_count(n_jobs)
     pool = ThreadPoolExecutor(max_workers=workers)

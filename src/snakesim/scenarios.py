@@ -347,7 +347,7 @@ def _analyse(out, sums, design, phantom, roi, reference, p_threshold):
     tissue_mask = phantom.weights.sum(axis=0) > 0.1
     stat = glm_fit(sums, design, mask=tissue_mask)
     det = threshold_detect(stat, p_threshold, roi, mask=tissue_mask)
-    pr = precision_recall(stat, roi, mask=tissue_mask, marker_p=p_threshold)
+    pr = precision_recall(stat, roi, mask=tissue_mask)
     ref_mag = np.abs(reference)
     _, tsnr_mean = tsnr(sums, roi=roi)
     report = MetricsReport(
@@ -370,13 +370,14 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     The design matrix is built with the plan, so a degenerate paradigm
     fails before any shot runs. The k-space goes to ``kspace.snkd`` frame
     by frame; each frame is read back from the file, reconstructed,
-    written as its magnitude and fed to the :class:`SeriesSums` that the
-    GLM and tSNR are taken from, so no run-sized array is held. An
-    adjoint frame's magnitude is float32, so the sums hold exactly the
-    values of the ``frame_*.snkv`` files, and the analysis fed from the
-    files reproduces ``zmap.snkv`` and ``metrics.json``. The
-    manifest records each finished stage's seconds and the peak RSS at
-    its end.
+    and its float32 magnitude written and fed to the :class:`SeriesSums`
+    that the GLM and tSNR are taken from, so no run-sized array is held.
+    On both routes the sums hold exactly the values of the
+    ``frame_*.snkv`` files, and the analysis fed from the files
+    reproduces ``zmap.snkv`` and ``metrics.json``. ``n_jobs`` sizes the
+    reconstruction's frame pool; acquisition runs on the calling thread.
+    The manifest records each finished stage's seconds and the peak RSS
+    at its end.
     Any stage failure is recorded in the manifest with the stage name and
     downstream stages are skipped.
     """
@@ -410,8 +411,7 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         dataset_path = out / "kspace.snkd"
         header, kdata = run_acquisition(
             phantom, plan, coils, seq, bold=bold, model=cfg["model"],
-            noise=config.noise, sink_path=dataset_path, gm_index=gm_index,
-            n_jobs=n_jobs)
+            noise=config.noise, sink_path=dataset_path, gm_index=gm_index)
         mu = gre_contrast(phantom, seq)
         reference = contrast_volume(phantom, mu)
         write_volume(out / "reference.snkv", np.abs(reference),
@@ -435,7 +435,8 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         # closing the series on a failure here stops its worker threads
         with contextlib.closing(frames):
             for t, est in enumerate(frames):
-                mag = np.abs(est.volume)
+                # float32 on both routes: the analysis sees what the file holds
+                mag = np.abs(est.volume).astype(np.float32, copy=False)
                 write_volume(out / f"frame_{t:04d}.snkv", mag, voxel_size=phantom.voxel_size)
                 sums.add(mag)
                 solves.append((est.mu_used, est.objective_trace, est.n_iters, est.converged))

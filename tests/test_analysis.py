@@ -237,8 +237,6 @@ class TestThresholdDetect:
         z = np.array([z_p, np.nextafter(z_p, np.inf)])
         det = threshold_detect(_statmap(z), p, np.ones(2))
         assert det.positive.tolist() == [False, True]
-        marker = precision_recall(_statmap(z), np.array([1.0, 1.0]), marker_p=p)["marker"]
-        assert marker[0] == 0.5
 
 
 class TestPrecisionRecall:
@@ -281,15 +279,6 @@ class TestPrecisionRecall:
     def test_empty_roi_rejected(self):
         with pytest.raises(AnalysisError, match="ROI"):
             precision_recall(_statmap(np.zeros(8)), np.zeros(8))
-
-    def test_marker_point(self):
-        z = np.array([4.0, 4.0, 0.0, 0.0])
-        roi = np.array([1.0, 0.0, 1.0, 0.0])
-        out = precision_recall(_statmap(z), roi, marker_p=0.001)
-        recall_m, precision_m = out["marker"]
-        assert recall_m == pytest.approx(0.5)
-        assert precision_m == pytest.approx(0.5)
-        assert out["marker_p"] == 0.001
 
 
 class TestBacc:

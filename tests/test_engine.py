@@ -1,4 +1,4 @@
-import sys
+import inspect
 import threading
 import tracemalloc
 from collections import Counter
@@ -11,7 +11,7 @@ from snakesim.engine import (NDFT, PHASE_TABLE_LIMIT, CoilProfile, EngineError,
                              NoiseConfig, acquire_shot_basic,
                              acquire_shot_t2s, add_noise, birdcage_coils,
                              centered_fft, centered_ifft, phantom_energy,
-                             run_acquisition, _worker_count)
+                             run_acquisition)
 from snakesim.io import DatasetWriter, read_dataset
 from snakesim.phantom import (BoldSpec, Phantom, SequenceParams, default_tissues,
                               gre_contrast, contrast_volume, modulated_state,
@@ -594,6 +594,8 @@ class TestRunAcquisition:
         assert a.read_bytes() == b.read_bytes()
 
     def test_worker_count_invariance(self, tmp_path, monkeypatch):
+        """SNAKE_NJOBS sizes only the reconstruction's pool: the acquired
+        dataset is the same bytes at any worker count."""
         ph, seq, plan, coils = self._setup()
         noise = NoiseConfig(snr_i=100.0, seed=7)
         a, b = tmp_path / "a.snkd", tmp_path / "b.snkd"
@@ -602,14 +604,6 @@ class TestRunAcquisition:
         monkeypatch.setenv("SNAKE_NJOBS", "4")
         run_acquisition(ph, plan, coils, seq, noise=noise, sink_path=b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_explicit_worker_count_wins_over_snake_njobs(self, monkeypatch):
-        """``snake run --jobs 1`` gets one worker although SNAKE_NJOBS is set;
-        SNAKE_NJOBS is the default when no count is given."""
-        monkeypatch.setenv("SNAKE_NJOBS", "2")
-        assert [_worker_count(n) for n in (1, 4, None, 0)] == [1, 4, 2, 1]
-        monkeypatch.delenv("SNAKE_NJOBS")
-        assert [_worker_count(n) for n in (None, 3)] == [1, 3]
 
     def test_t2s_model_runs(self):
         ph, seq, plan, coils = self._setup()
@@ -703,9 +697,9 @@ class TestAffineAcquisition:
                                                          monkeypatch, tmp_path):
         """Shot calls = plan shots, appends = shots x coils, NDFT builds =
         one per NDFT path among the repeated patterns (they are transformed
-        together before the first frame) + one per once-only shot, at any
-        worker count (with a short switch interval, so threads interleave
-        often)."""
+        together before the first frame) + one per once-only shot, whatever
+        worker count SNAKE_NJOBS sets for the run."""
+        monkeypatch.setenv("SNAKE_NJOBS", str(workers))
         seq = _seq()
         dims = (6, 6, 22) if kind == "epi22" else self.dims
         plan = gen_epi_3d(dims, seq, n_frames=3) if kind == "epi22" else _plan(kind, dims, seq)
@@ -714,32 +708,24 @@ class TestAffineAcquisition:
         repeated, once = _pattern_counts(plan)
         paths = {NDFT(s.points, dims).path for s, n in Counter(plan.shots).items() if n > 1}
         calls = {"shot": 0, "append": 0, "ndft": 0}
-        lock = threading.Lock()
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
-                with lock:
-                    calls[name] += 1
+                calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
         class CountingNDFT(NDFT):
             def __init__(self, *args, **kwargs):
-                with lock:
-                    calls["ndft"] += 1
+                calls["ndft"] += 1
                 super().__init__(*args, **kwargs)
 
         shot_fn = "acquire_shot_basic" if model == "basic" else "acquire_shot_t2s"
         monkeypatch.setattr(engine, shot_fn, counting("shot", getattr(engine, shot_fn)))
         monkeypatch.setattr(DatasetWriter, "append", counting("append", DatasetWriter.append))
         monkeypatch.setattr(engine, "NDFT", CountingNDFT)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            run_acquisition(ph, plan, coils, seq, bold=bold, model=model, gm_index=1,
-                            sink_path=tmp_path / "run.snkd", n_jobs=workers)
-        finally:
-            sys.setswitchinterval(interval)
+        run_acquisition(ph, plan, coils, seq, bold=bold, model=model, gm_index=1,
+                        sink_path=tmp_path / "run.snkd")
         assert calls["shot"] == len(plan.shots)
         assert calls["append"] == len(plan.shots) * coils.n_coils
         assert calls["ndft"] == len(paths) + once
@@ -775,7 +761,7 @@ class TestAffineAcquisition:
         coils = birdcage_coils(self.dims, 2)
         args = (ph, plan, coils, seq)
         kw = dict(bold=bold, model=model, noise=NoiseConfig(snr_i=100.0, seed=3),
-                  gm_index=1, n_jobs=2)
+                  gm_index=1)
         header, kdata = run_acquisition(*args, **kw)
         n_samples = sum(s.n_samples for s in plan.frame(0))
         assert kdata.shape == (plan.n_frames, 2, n_samples)
@@ -804,7 +790,7 @@ class TestAffineAcquisition:
         def peak(**kw):
             tracemalloc.start()
             try:
-                run_acquisition(ph, plan, coils, seq, bold=bold, gm_index=1, n_jobs=2, **kw)
+                run_acquisition(ph, plan, coils, seq, bold=bold, gm_index=1, **kw)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -812,25 +798,26 @@ class TestAffineAcquisition:
         assert peak() >= run_bytes
         assert peak(sink_path=tmp_path / "run.snkd") < run_bytes / 4
 
+    @pytest.mark.parametrize("model", ["basic", "t2s"])
     @pytest.mark.parametrize("kind", list(PLAN_PATHS))
-    def test_pool_writes_equal_one_thread(self, kind):
-        """Pool threads fill disjoint slices of one array: at 4 workers and
-        a short switch interval the array equals the 1-worker array."""
+    def test_runs_on_the_calling_thread(self, kind, model, monkeypatch, tmp_path):
+        """No plan starts a thread, not even the dynamic and external ones,
+        whose once-only shots are each transformed on their own, with
+        SNAKE_NJOBS asking for 4 workers; the run takes no worker count."""
+        monkeypatch.setenv("SNAKE_NJOBS", "4")
         seq = _seq()
         plan = _plan(kind, self.dims, seq)
+        assert (_pattern_counts(plan)[1] > 0) == (kind in ("sos_dynamic", "external"))
         ph, bold = _bold_phantom(self.dims, plan)
-        coils = birdcage_coils(self.dims, 2)
-        args = (ph, plan, coils, seq)
-        kw = dict(bold=bold, model="t2s", noise=NoiseConfig(snr_i=100.0, seed=5),
-                  gm_index=1)
-        one = run_acquisition(*args, **kw, n_jobs=1)[1]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            four = run_acquisition(*args, **kw, n_jobs=4)[1]
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(one, four)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        run_acquisition(ph, plan, birdcage_coils(self.dims, 2), seq, bold=bold,
+                        model=model, noise=NoiseConfig(snr_i=100.0, seed=5), gm_index=1,
+                        sink_path=tmp_path / "run.snkd")
+        assert started == []
+        assert "n_jobs" not in inspect.signature(run_acquisition).parameters
 
     def test_ragged_plan_rejected_before_sink(self, tmp_path):
         """A frame whose per-shot sample counts differ from frame 0's
@@ -874,5 +861,5 @@ class TestAffineAcquisition:
         sink = tmp_path / "run.snkd"
         with pytest.raises(EngineError):
             run_acquisition(ph, plan, coils, seq, bold=bold, gm_index=gm_index,
-                            sink_path=sink, n_jobs=2)
+                            sink_path=sink)
         assert not sink.exists()

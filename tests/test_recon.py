@@ -13,7 +13,7 @@ from snakesim.phantom import (SequenceParams, contrast_volume, gre_contrast,
 from snakesim.recon import (FrameOperator, ReconConfig, ReconError,
                             adjoint_recon, adjoint_series, cs_solve,
                             radial_density_weights, reconstruct_series,
-                            sure_threshold)
+                            sure_threshold, _worker_count)
 from snakesim.trajectories import gen_epi_3d, gen_spiral, gen_stack_of_spirals
 from snakesim.wavelets import WaveletBasis, soft_threshold
 
@@ -605,6 +605,14 @@ class TestFrameWorkers:
         cfg = ReconConfig(strategy=kind, max_iters=max_iters, tol=1e-14, mu_mode="sure")
         return reconstruct_series(kdata, plan, coils, WaveletBasis("haar", 1), cfg,
                                   n_jobs=n_jobs)
+
+    def test_explicit_worker_count_wins_over_snake_njobs(self, monkeypatch):
+        """``snake run --jobs 1`` gets one worker although SNAKE_NJOBS is set;
+        SNAKE_NJOBS is the default when no count is given."""
+        monkeypatch.setenv("SNAKE_NJOBS", "2")
+        assert [_worker_count(n) for n in (1, 4, None, 0)] == [1, 4, 2, 1]
+        monkeypatch.delenv("SNAKE_NJOBS")
+        assert [_worker_count(n) for n in (None, 3)] == [1, 3]
 
     @pytest.mark.parametrize("kind", ["adjoint", "cold", "refined"])
     @pytest.mark.parametrize("dynamic", [False, True])

@@ -440,16 +440,19 @@ class TestRunPipeline:
             name = f"frame_{t:04d}.snkv"
             assert (tmp_path / "again.snkv").read_bytes() == (out / name).read_bytes(), name
 
-    def test_analysis_reruns_from_the_frame_files(self, tmp_path, monkeypatch):
-        """The frame_*.snkv files of an adjoint run, fed to a fresh
-        SeriesSums under the run's design, reproduce zmap.snkv and
-        metrics.json byte for byte: the GLM sums the frames as written."""
+    @pytest.mark.parametrize("method", ["adjoint", "cs"])
+    def test_analysis_reruns_from_the_frame_files(self, method, tmp_path, monkeypatch):
+        """The frame_*.snkv files of a run, fed to a fresh SeriesSums under
+        the run's design, reproduce zmap.snkv and metrics.json byte for
+        byte on both routes: the GLM sums the frames as written."""
         inputs = []
         analyse = scenarios._analyse
         monkeypatch.setattr(scenarios, "_analyse", lambda out, sums, *rest: (
             inputs.append(rest), analyse(out, sums, *rest)))
+        cfg = json.loads(json.dumps(_tiny_config().raw))
+        cfg["recon"].update(method=method, max_iters=3)
         out = tmp_path / "run"
-        assert run_pipeline(_tiny_config(), out).failed_stage is None
+        assert run_pipeline(RunConfig.from_dict(cfg), out).failed_stage is None
         (design, *rest), = inputs
         sums = SeriesSums(design)
         for path in sorted(out.glob("frame_*.snkv")):
