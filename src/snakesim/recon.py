@@ -23,13 +23,14 @@ A frame's input is the pair (y, operator): y = kdata[t], the frame's
 :class:`FrameOperator` of the frame's shots. Both routes reject y unless
 its shape is (operator.n_coils, len(operator.points)).
 
-The adjoint route computes in the precision of its data: a complex64
-frame, as a dataset file holds it, gives a complex64 volume, whose
-magnitude is the float32 array a frame file stores; complex128 data
-gives a complex128 volume. On the FFT path the scatter, inverse FFT,
-coil combination and scalings all run in that precision; the other two
-paths keep complex128 phase tables and round the volume once. The CS
-route converts its data to complex128 and solves in complex128.
+Both routes compute in the precision of their data: a complex64 frame,
+as a dataset file holds it, gives a complex64 volume, whose magnitude
+is the float32 array a frame file stores; complex128 data gives a
+complex128 volume. Every NDFT path, the coil products, the CS iterates,
+the Lipschitz estimate and the wavelet coefficients run in that
+precision (a series rounds the coil maps once); the CS objective and
+its stopping test sum in float64, and a pipeline run's ``tol`` is held
+at or above :data:`COMPLEX64_TOL_FLOOR`.
 
 The solver reuses each objective evaluation's residual for the next
 gradient, so an iteration costs one op and one adj_op. It also takes
@@ -56,6 +57,7 @@ the calling thread, so the results do not depend on the worker count.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -69,6 +71,16 @@ from .wavelets import WaveletBasis, finest_detail, soft_threshold
 
 class ReconError(ValueError):
     pass
+
+
+# The smallest relative objective change that a complex64 solve resolves,
+# the floor of a pipeline run's ``tol`` (a dataset file holds complex64).
+# On the three SoS benchmark configs at seed 1234, solved for 1000
+# iterations, the complex64 relative change missed the complex128 one at
+# the same iterate by up to 6.8e-8, 7.7e-7 and 3.2e-7 wherever the latter
+# was below 1e-5: the residual op(x) - y cancels, and its complex64
+# rounding is about eps * |y| per sample.
+COMPLEX64_TOL_FLOOR = 1e-6
 
 
 @dataclass
@@ -104,7 +116,11 @@ class FrameEstimate:
 class FrameOperator:
     """Unitary-scaled multi-coil Fourier operator for one frame.
 
-    op(x)[l] = NDFT(S_l * x) / sqrt(M); adj_op is its exact adjoint.
+    op(x)[l] = NDFT(S_l * x) / sqrt(M); adj_op is its exact adjoint. Both
+    compute in the precision of their input, as the NDFT does: complex64
+    for complex64 (or float32) input, complex128 for any other, with the
+    coil maps rounded to it if they are complex128. The Lipschitz
+    estimate runs in the precision of the coil maps.
     """
 
     def __init__(self, frame_shots, dims, coils: CoilProfile):
@@ -112,7 +128,6 @@ class FrameOperator:
         self.points = np.concatenate([np.atleast_2d(s.points) for s in frame_shots])
         self.dims = tuple(dims)
         self.coils = coils
-        self._conj_maps = np.conj(coils.maps)
         # a Python float scales in the precision of the array it scales
         self._scale = float(1.0 / np.sqrt(np.prod(dims)))
         self._ndft = NDFT(self.points, self.dims)
@@ -122,20 +137,28 @@ class FrameOperator:
         return self.coils.n_coils
 
     def op(self, x):
-        return self._ndft.forward(self.coils.maps * x) * self._scale
+        x = np.asarray(x)
+        coil_images = np.multiply(self.coils.maps, x,
+                                  dtype=np.result_type(x.dtype, np.complex64))
+        return self._ndft.forward(coil_images) * self._scale
 
     def adj_op(self, y):
         back = self._ndft.adjoint(y)
-        # in back's precision: a complex64 adjoint takes the maps rounded
-        np.multiply(back, self._conj_maps, out=back, dtype=back.dtype)
+        # sum_l conj(S_l) back_l as conj(sum_l S_l conj(back_l)), in place
+        # and in back's precision, so no conjugated copy of the maps is made
+        np.conj(back, out=back)
+        np.multiply(back, self.coils.maps, out=back, dtype=back.dtype)
         out = back.sum(axis=0)
+        np.conj(out, out=out)
         out *= self._scale
         return out
 
     def lipschitz(self, n_iters=20, safety=1.05, seed=1234):
-        """Spectral norm of A^H A by power iteration (with safety margin)."""
+        """Spectral norm of A^H A by power iteration (with safety margin),
+        in the precision of the coil maps."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(self.dims) + 1j * rng.standard_normal(self.dims)
+        x = x.astype(np.result_type(self.coils.maps, np.complex64), copy=False)
         x /= np.linalg.norm(x)
         value = 1.0
         for _ in range(n_iters):
@@ -144,7 +167,7 @@ class FrameOperator:
             if value == 0:
                 return safety
             x /= value
-        return float(value * safety)
+        return float(value) * safety
 
     @functools.cached_property
     def lipschitz_bound(self):
@@ -152,12 +175,12 @@ class FrameOperator:
         return self.lipschitz()
 
 
-def _frame_data(y, operator: FrameOperator, dtype=None):
-    """y as a complex ``dtype`` array, if it holds one sample per coil and
-    operator point. Without ``dtype`` the precision is y's: complex64 for
-    complex64 (or float32) data, complex128 for any other."""
+def _frame_data(y, operator: FrameOperator):
+    """y as a complex array in its precision (complex64 for complex64 or
+    float32 data, complex128 for any other), if it holds one sample per
+    coil and operator point."""
     y = np.asarray(y)
-    y = y.astype(dtype or np.result_type(y.dtype, np.complex64), copy=False)
+    y = y.astype(np.result_type(y.dtype, np.complex64), copy=False)
     want = (operator.n_coils, len(operator.points))
     if y.shape != want:
         raise ReconError(f"k-space data of shape {y.shape} for an operator of "
@@ -192,12 +215,9 @@ def adjoint_recon(y, operator: FrameOperator, density_comp="none"):
     """Coil-combined adjoint x = sum_l conj(S_l) NDFT^H(w * y_l) / M of
     the (L, P) frame data y at ``operator.points``.
 
-    x has y's precision: complex64 data (what :func:`snakesim.io.read_dataset`
-    returns) or float32 data gives a complex64 volume, any other data a
-    complex128 one.
-    On the ``fft`` path the whole adjoint runs in that precision; the
-    ``stack`` and ``general`` paths compute in complex128 and round x
-    once at the end.
+    x is computed in y's precision: complex64 data (what
+    :func:`snakesim.io.read_dataset` returns) or float32 data gives a
+    complex64 volume, any other data a complex128 one.
     """
     y = _frame_data(y, operator)
     if density_comp == "radial":
@@ -211,7 +231,7 @@ def adjoint_recon(y, operator: FrameOperator, density_comp="none"):
     # gives the values of x / sqrt(M) without the slower division loop.
     x = operator.adj_op(y)
     x *= 1.0 / float(np.sqrt(m))
-    return x.astype(y.dtype, copy=False)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +307,15 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
     stops at max_iters or when the relative objective change drops below
     config.tol. The step is 1 / ``operator.lipschitz_bound``, estimated
     here unless the operator already holds it.
+
+    The solve runs in the precision of y: complex64 data, as a dataset
+    file holds it, gives complex64 iterates, operator products, wavelet
+    coefficients and volume; any other data complex128. Every scalar
+    that scales an array is a Python float, which keeps the array's
+    precision, and the objective sums in float64.
     """
     dims = operator.dims
-    y = _frame_data(y, operator, np.complex128) / np.sqrt(np.prod(dims))
+    y = _frame_data(y, operator) / float(np.sqrt(np.prod(dims)))
 
     if init is None:
         init = operator.adj_op(y)
@@ -300,6 +326,7 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
             mu = config.mu_value
         else:
             mu = sure_threshold(np.abs(init), basis)
+    mu = float(mu)
 
     step = 1.0 / operator.lipschitz_bound
 
@@ -307,8 +334,8 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
         """(objective, residual) at x, whose wavelet coefficients are
         coeffs; the residual feeds the next gradient."""
         resid = operator.op(x) - y
-        fidelity = 0.5 * float(np.sum(np.abs(resid) ** 2))
-        penalty = mu * float(np.sum(np.abs(coeffs.ravel())))
+        fidelity = 0.5 * float(np.sum(np.abs(resid) ** 2, dtype=np.float64))
+        penalty = mu * float(np.sum(np.abs(coeffs.ravel()), dtype=np.float64))
         return fidelity + penalty, resid
 
     def prox(z, gamma):
@@ -317,7 +344,7 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
         coeffs = soft_threshold(basis.forward(z), gamma * mu)
         return basis.inverse(coeffs), coeffs
 
-    x = init.astype(np.complex128)
+    x = init.astype(y.dtype)
     w_prev = x.copy()
     z = x.copy()
     theta = 1.0
@@ -328,7 +355,7 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
     converged = False
     for k in range(config.max_iters):
         w = x - step * operator.adj_op(resid)
-        theta_new = (1 + np.sqrt(1 + 4 * theta ** 2)) / 2
+        theta_new = (1 + math.sqrt(1 + 4 * theta ** 2)) / 2
         gamma = step * (2 * theta + theta_new - 1) / theta_new
         z_new = (w
                  + (theta - 1) / theta_new * (w - w_prev)
@@ -350,7 +377,7 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
         if rel_change < config.tol:
             converged = True
             break
-    return FrameEstimate(volume=best_x, objective_trace=trace, mu_used=float(mu),
+    return FrameEstimate(volume=best_x, objective_trace=trace, mu_used=mu,
                          n_iters=len(trace) - 1, converged=converged)
 
 
@@ -365,15 +392,20 @@ def _check_frame_count(kdata, plan):
         raise ReconError("need at least one frame")
 
 
-def _frame_operators(plan, coils, estimate=False):
+def _frame_operators(plan, coils, kdata, estimate=False):
     """``operator_for(t)``: the FrameOperator of frame t, kept while
     consecutive requests are the same Shot objects (every frame of a
-    static plan). With ``estimate`` its Lipschitz bound is set here, on
-    the calling thread, and estimated once per Shot tuple: a frame whose
-    shots come again (refined's second pass, a dynamic plan that repeats
-    a frame) reuses it, which changes no result as the bound is
-    deterministic.
+    static plan). Its coil maps are in the precision of ``kdata``,
+    rounded once here when the data is complex64 (a frame source with no
+    ``dtype`` keeps them as they are). With ``estimate`` its
+    Lipschitz bound, in that precision, is set here, on the calling
+    thread, and estimated once per Shot tuple: a frame whose shots come
+    again (refined's second pass, a dynamic plan that repeats a frame)
+    reuses it, which changes no result as the bound is deterministic.
     """
+    dtype = np.result_type(getattr(kdata, "dtype", coils.maps.dtype), np.complex64)
+    if coils.maps.dtype != dtype:
+        coils = CoilProfile(maps=coils.maps.astype(dtype))
     shots = operator = None
     bounds = {}  # a frame's Shot tuple -> its Lipschitz bound
 
@@ -445,7 +477,8 @@ def adjoint_series(kdata, plan, coils, density_comp="none", n_jobs=None):
     def adjoint(t, operator):
         return FrameEstimate(_frame_error(t, adjoint_recon, kdata[t], operator,
                                           density_comp=density_comp), [], 0.0)
-    yield from _in_frame_order(adjoint, _frame_operators(plan, coils), len(kdata), n_jobs)
+    yield from _in_frame_order(adjoint, _frame_operators(plan, coils, kdata), len(kdata),
+                               n_jobs)
 
 
 def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconConfig,
@@ -469,7 +502,7 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconCon
     each distinct frame.
     """
     _check_frame_count(kdata, plan)
-    operator_for = _frame_operators(plan, coils, estimate=True)
+    operator_for = _frame_operators(plan, coils, kdata, estimate=True)
 
     def solve(t, operator, init):
         return _frame_error(t, cs_solve, kdata[t], operator, basis, config, init=init)

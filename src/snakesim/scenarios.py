@@ -30,8 +30,8 @@ from .phantom import (TISSUE_7T, BoldSpec, Paradigm, Phantom, PhantomError,
                       SequenceParams, build_bold_timecourse, contrast_volume,
                       default_tissues, ellipsoid_roi, gre_contrast, load_phantom,
                       sphere_fits, synthetic_phantom)
-from .recon import (ReconConfig, ReconError, WaveletBasis, adjoint_series,
-                    reconstruct_series)
+from .recon import (COMPLEX64_TOL_FLOOR, ReconConfig, ReconError, WaveletBasis,
+                    adjoint_series, reconstruct_series)
 from .trajectories import (gen_epi_3d, gen_spiral, gen_stack_of_spirals,
                            load_trajectory_file)
 from .wavelets import WaveletError
@@ -165,6 +165,11 @@ class RunConfig:
             noise = NoiseConfig(snr_i=float(raw["noise"]["snr_i"] or np.inf), seed=raw["seed"])
             section, cs = "recon", None
             if recon["method"] == "cs":
+                if recon["tol"] < COMPLEX64_TOL_FLOOR:
+                    raise ConfigError(
+                        f"recon.tol: {recon['tol']:g} is below {COMPLEX64_TOL_FLOOR:g}, the "
+                        f"smallest relative objective change a complex64 solve resolves (CS "
+                        f"solves the dataset's complex64 frames)")
                 # the deepest level up to ``levels`` the grid supports (wavelets
                 # reject dims not divisible by 2^levels)
                 levels = recon["levels"]

@@ -10,7 +10,9 @@ is an orthogonal (n, n) matrix, the n/2 low-pass rows stacked on the
 n/2 high-pass rows. ``forward`` applies these matrices along x, y and
 z to the leading block of each level, finest first; ``inverse``
 applies their transposes, coarsest first. The matrices are built from
-the taps once per block shape and cached on the basis.
+the taps once per block shape and cached on the basis. A float32 or
+complex64 volume is transformed with float32 matrices and its
+coefficients keep its dtype; any other is transformed in float64.
 
 Coefficient layout: ``forward`` returns one dense array of the
 volume's shape in Mallat layout, and ``inverse`` takes one. The
@@ -70,6 +72,12 @@ def _analysis_matrix(n, lo, hi):
     return w
 
 
+def _precision(a):
+    """The dtype a transform of ``a`` computes in: float32 and complex64
+    arrays keep theirs, anything else is float64 or complex128."""
+    return np.result_type(a, np.float32)
+
+
 def _band(code, half):
     """Slices of the subband ``code`` of a level whose blocks are ``half``."""
     return tuple(slice(0, h) if c == "a" else slice(h, 2 * h)
@@ -105,30 +113,35 @@ class WaveletBasis:
                     f"pad to a multiple of {2 ** self.levels} first"
                 )
 
-    def _level_matrices(self, shape, parts):
-        """(W_x, W_y, W_z kron I_parts) for a level block of ``shape``.
+    def _level_matrices(self, shape, parts, real):
+        """(W_x, W_y, W_z kron I_parts) for a level block of ``shape``, in
+        the float dtype ``real``.
 
         ``parts`` is 2 for complex blocks, which are transformed as their
-        float64 view: x and y act on whole rows of that view, and the
+        real view: x and y act on whole rows of that view, and the
         Kronecker factor keeps real and imaginary parts apart along z.
-        Built once per block shape and kind, then cached on the basis.
+        Built once per block shape, kind and precision, then cached on the
+        basis.
         """
-        key = (shape, parts)
+        key = (shape, parts, real)
         mats = self._matrices.get(key)
         if mats is None:
-            wx, wy, wz = (_analysis_matrix(n, self.lo, self.hi) for n in shape)
-            mats = self._matrices.setdefault(key, (wx, wy, np.kron(wz, np.eye(parts))))
+            wx, wy, wz = (_analysis_matrix(n, self.lo, self.hi).astype(real, copy=False)
+                          for n in shape)
+            mats = self._matrices.setdefault(
+                key, (wx, wy, np.kron(wz, np.eye(parts, dtype=real))))
         return mats
 
     def _apply(self, block, inverse):
         """One level along x, y and z of a block (transposed matrices when
-        ``inverse``), as a new array."""
-        block = np.ascontiguousarray(block, dtype=np.result_type(block, np.float64))
+        ``inverse``), as a new array in the block's precision."""
+        block = np.ascontiguousarray(block, dtype=_precision(block))
         nx, ny, _ = block.shape
-        wx, wy, wz = self._level_matrices(block.shape, block.itemsize // 8)
+        real = np.finfo(block.dtype).dtype
+        wx, wy, wz = self._level_matrices(block.shape, block.itemsize // real.itemsize, real)
         if inverse:
             wx, wy, wz = wx.T, wy.T, wz.T
-        r = block.view(np.float64)
+        r = block.view(real)
         r = (r.reshape(nx * ny, -1) @ wz.T).reshape(nx, ny, -1)
         r = wy @ r
         r = (wx @ r.reshape(nx, -1)).reshape(nx, ny, -1)
@@ -148,7 +161,7 @@ class WaveletBasis:
 
     def inverse(self, coeffs):
         """The volume of a Mallat-layout array; ``coeffs`` is left as it is."""
-        out = np.array(coeffs, dtype=np.result_type(coeffs, np.float64))
+        out = np.array(coeffs, dtype=_precision(coeffs))
         for level in range(self.levels - 1, 0, -1):
             sl = _band("aaa", _half(out.shape, level))
             out[sl] = self._apply(out[sl], inverse=True)

@@ -282,6 +282,62 @@ class TestNdftBatch:
                 np.testing.assert_allclose(adj[i, j], op.adjoint(y[i, j]), rtol=1e-12)
 
 
+class TestNdftPrecision:
+    """The stack and general paths compute in their input's precision."""
+
+    dims = (4, 6, 4)
+
+    def _op(self, path, rng):
+        pts = (_planes(rng, [0, 1, -2], 5, self.dims) if path == "stack"
+               else rng.uniform(-2, 1.9, (15, 3)))
+        op = NDFT(pts, self.dims)
+        assert op.path == path
+        return op
+
+    @pytest.mark.parametrize("path", ["stack", "general"])
+    def test_dtype_follows_the_input(self, path):
+        rng = np.random.default_rng(36)
+        op = self._op(path, rng)
+        x, y = _random_volume(rng, self.dims), rng.standard_normal(15) + 0j
+        for dtype, want in ((np.complex64, np.complex64), (np.float32, np.complex64),
+                            (np.complex128, np.complex128), (np.float64, np.complex128)):
+            assert op.forward(x.real.astype(dtype)).dtype == want
+            assert op.adjoint(y.real.astype(dtype)).dtype == want
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("path", ["stack", "general", "general-chunked"])
+    def test_complex64_matches_complex128(self, path, seed, monkeypatch):
+        """forward and adjoint of complex64 input lie within 4 float32 eps
+        of the peak of the complex128 result on the same values (at most
+        2.3e-7 over seeds 0-19), and the adjoint identity holds within one
+        eps of ||y|| ||A x|| (at most 4.6e-8)."""
+        if path == "general-chunked":
+            # 100 elements of a (P, 6*4) table: chunks of 4 points
+            monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 100)
+            path = "general"
+        rng = np.random.default_rng(seed)
+        op = self._op(path, rng)
+        x = _random_volume(rng, (3, *self.dims)).astype(np.complex64)
+        y = (rng.standard_normal((3, 15)) + 1j * rng.standard_normal((3, 15))).astype(np.complex64)
+        eps = np.finfo(np.float32).eps
+        fwd, adj = op.forward(x), op.adjoint(y)
+        for got, want in ((fwd, op.forward(x.astype(np.complex128))),
+                          (adj, op.adjoint(y.astype(np.complex128)))):
+            assert np.abs(got - want).max() <= 4 * eps * np.abs(want).max()
+        lhs = np.vdot(y.astype(np.complex128), fwd.astype(np.complex128))
+        rhs = np.vdot(adj.astype(np.complex128), x.astype(np.complex128))
+        assert abs(lhs - rhs) <= eps * np.linalg.norm(y) * np.linalg.norm(fwd)
+
+    @pytest.mark.parametrize("path", ["stack", "general"])
+    def test_tables_only_in_the_precisions_used(self, path):
+        rng = np.random.default_rng(37)
+        op = self._op(path, rng)
+        op.adjoint(op.forward(_random_volume(rng, self.dims).astype(np.complex64)))
+        assert list(op._tables) == [np.complex64]
+        op.forward(_random_volume(rng, self.dims))
+        assert sorted(map(str, op._tables)) == ["complex128", "complex64"]
+
+
 def _unit_shot(points, t_obs=0.025):
     n = len(points)
     dt = t_obs / n

@@ -16,7 +16,7 @@ from snakesim.analysis import SeriesSums
 from snakesim.cli import main as cli_main
 from snakesim.engine import birdcage_coils
 from snakesim.io import read_dataset, read_volume, write_volume
-from snakesim.recon import adjoint_series, reconstruct_series
+from snakesim.recon import COMPLEX64_TOL_FLOOR, adjoint_series, reconstruct_series
 from snakesim.scenarios import (ConfigError, RunConfig, RunManifest, _build_plan, preset,
                                 run_pipeline)
 from snakesim.trajectories import gen_epi_3d, save_trajectory_file
@@ -129,6 +129,17 @@ class TestRunConfig:
         # the config keeps its own copy of the mapping it was built from
         cfg["seed"] += 1
         assert config.raw["seed"] == cfg["seed"] - 1
+
+    def test_cs_tol_below_the_complex64_floor_rejected(self):
+        cfg = _base_config()
+        cfg["recon"].update(method="cs", tol=COMPLEX64_TOL_FLOOR / 10)
+        with pytest.raises(ConfigError, match=f"recon.tol: .* below {COMPLEX64_TOL_FLOOR:g}"):
+            RunConfig.from_dict(cfg)
+        cfg["recon"]["tol"] = COMPLEX64_TOL_FLOOR
+        assert RunConfig.from_dict(cfg).cs[1].tol == COMPLEX64_TOL_FLOOR
+        # the adjoint route does not read tol
+        cfg["recon"].update(method="adjoint", tol=COMPLEX64_TOL_FLOOR / 10)
+        assert RunConfig.from_dict(cfg).cs is None
 
 
 _DELETE = object()
