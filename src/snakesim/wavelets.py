@@ -72,12 +72,6 @@ def _analysis_matrix(n, lo, hi):
     return w
 
 
-def _precision(a):
-    """The dtype a transform of ``a`` computes in: float32 and complex64
-    arrays keep theirs, anything else is float64 or complex128."""
-    return np.result_type(a, np.float32)
-
-
 def _band(code, half):
     """Slices of the subband ``code`` of a level whose blocks are ``half``."""
     return tuple(slice(0, h) if c == "a" else slice(h, 2 * h)
@@ -135,7 +129,7 @@ class WaveletBasis:
     def _apply(self, block, inverse):
         """One level along x, y and z of a block (transposed matrices when
         ``inverse``), as a new array in the block's precision."""
-        block = np.ascontiguousarray(block, dtype=_precision(block))
+        block = np.ascontiguousarray(block, dtype=np.result_type(block, np.float32))
         nx, ny, _ = block.shape
         real = np.finfo(block.dtype).dtype
         wx, wy, wz = self._level_matrices(block.shape, block.itemsize // real.itemsize, real)
@@ -161,7 +155,7 @@ class WaveletBasis:
 
     def inverse(self, coeffs):
         """The volume of a Mallat-layout array; ``coeffs`` is left as it is."""
-        out = np.array(coeffs, dtype=_precision(coeffs))
+        out = np.array(coeffs, dtype=np.result_type(coeffs, np.float32))
         for level in range(self.levels - 1, 0, -1):
             sl = _band("aaa", _half(out.shape, level))
             out[sl] = self._apply(out[sl], inverse=True)
