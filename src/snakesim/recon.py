@@ -14,9 +14,10 @@ and the k-space data is divided by sqrt(M) on entry, so in the fully
 sampled orthonormal case the least-squares solution is the inverse FFT
 of the raw data. The NDFT runs all coils in one call on one of three
 exact paths, chosen from the frame's points: the FFT for Cartesian
-frames (every point on the grid), a per-kz-plane 2D DFT for
-stack-of-X frames (every kz an integer), and separable phase tables
-for any other 3D trajectory.
+frames (every point on the grid), for stack-of-X frames (every kz an
+integer) a z contraction per plane and one 2D DFT per block of planes
+that share their in-plane points (a stack-of-spirals frame is one
+block), and separable phase tables for any other 3D trajectory.
 
 A frame's input is the pair (y, operator): y = kdata[t], the frame's
 (L, P) block of the run's (n_frames, n_coils, P) k-space array, and the
@@ -396,8 +397,9 @@ def _frame_operators(plan, coils, kdata, estimate=False):
     """``operator_for(t)``: the FrameOperator of frame t, kept while
     consecutive requests are the same Shot objects (every frame of a
     static plan). Its coil maps are in the precision of ``kdata``,
-    rounded once here when the data is complex64 (a frame source with no
-    ``dtype`` keeps them as they are). With ``estimate`` its
+    rounded once here when the data is complex64 and they are not (a
+    frame source with no ``dtype`` keeps them as they are; a pipeline run
+    passes maps it has already rounded). With ``estimate`` its
     Lipschitz bound, in that precision, is set here, on the calling
     thread, and estimated once per Shot tuple: a frame whose shots come
     again (refined's second pass, a dynamic plan that repeats a frame)

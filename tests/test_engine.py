@@ -197,6 +197,22 @@ def _planes(rng, kz_values, n_per_plane, dims):
         for kz in kz_values])
 
 
+def _product(rng, kz_values, n, dims):
+    """One set of n off-grid (kx, ky) points on every given integer kz
+    plane, in its own order on each plane, the points shuffled: a
+    Kronecker product of the planes and the set."""
+    xy = _planes(rng, [0], n, dims)[:, :2]
+    pts = np.concatenate([np.column_stack([xy[rng.permutation(n)], np.full(n, float(kz))])
+                          for kz in kz_values])
+    return pts[rng.permutation(len(pts))]
+
+
+def _oracle_matrix(points, dims):
+    """The brute-force (P, M) NDFT matrix E, one _ndft_oracle column per voxel."""
+    m = int(np.prod(dims))
+    return np.stack([_ndft_oracle(e.reshape(dims), points) for e in np.eye(m)], axis=1)
+
+
 class TestNdftStack:
     """The stack-of-X path: every kz an integer, kx/ky anywhere."""
 
@@ -244,6 +260,35 @@ class TestNdftStack:
         np.testing.assert_array_equal(op.forward(vol), whole.forward(vol))
         np.testing.assert_array_equal(op.adjoint(y), whole.adjoint(y))
 
+    def test_product_table_limit_chunks(self, monkeypatch):
+        # a product stack's combined (Q, Nx*Ny) table is rebuilt per call
+        # in chunks of in-plane points when it passes the limit
+        rng = np.random.default_rng(38)
+        vol = _random_volume(rng, self.dims)
+        y = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+        pts = _product(rng, [0, -1, 1], 7, self.dims)
+        whole = NDFT(pts, self.dims)
+        monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 10)
+        op = NDFT(pts, self.dims)
+        block, = op._blocks
+        assert block.chunks == [slice(q, q + 1) for q in range(7)]
+        np.testing.assert_allclose(op.forward(vol), _ndft_oracle(vol, pts), rtol=1e-10)
+        for got, want in ((op.forward(vol), whole.forward(vol)),
+                          (op.adjoint(y), whole.adjoint(y))):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_combined_tables_kept_within_one_limit(self, monkeypatch):
+        """Two blocks of two planes whose tables each fit the limit, but
+        not both: the first is kept and the second rebuilt per call."""
+        rng = np.random.default_rng(39)
+        vol = _random_volume(rng, self.dims)
+        a, b = _product(rng, [0, 2], 5, self.dims), _product(rng, [-1, 1], 5, self.dims)
+        pts = np.concatenate([a, b])
+        monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 5 * 4 * 6 + 10)
+        op = NDFT(pts, self.dims)
+        assert [blk.chunks for blk in op._blocks] == [None, [slice(0, 5)]]
+        np.testing.assert_allclose(op.forward(vol), _ndft_oracle(vol, pts), rtol=1e-10)
+
     def test_adjoint_identity(self):
         rng = np.random.default_rng(34)
         vol = _random_volume(rng, self.dims)
@@ -254,10 +299,66 @@ class TestNdftStack:
                                                            rel=1e-10)
 
 
+class TestNdftStackBlocks:
+    """Stack-path blocks against the brute-force matrix E: forward is E x
+    and adjoint E^H y, in complex128 and in complex64."""
+
+    dims = (4, 6, 3)
+
+    def _points(self, case, rng):
+        """The case's points and its blocks' (planes, whether every grid
+        entry holds one point, whether the combined table is rebuilt)."""
+        if case == "mixed":
+            # sets a, b, a on three planes: a block of two and one of one
+            a, b = _product(rng, [0], 6, self.dims), _product(rng, [0], 5, self.dims)
+            pts = np.concatenate([a - [0, 0, 1], b, a + [0, 0, 1]])
+            return pts[rng.permutation(len(pts))], [(2, True, False), (1, False, False)]
+        pts = _product(rng, [-1, 0, 2], 6, self.dims)
+        if case == "repeated":
+            return np.concatenate([pts, pts[[0, 3, 3]]]), [(3, False, False)]
+        return pts, [(3, True, case == "chunked")]
+
+    @pytest.mark.parametrize("case", ["product", "mixed", "repeated", "chunked"])
+    def test_matches_the_oracle_matrix(self, case, monkeypatch):
+        """complex128 results lie within 1e-10 and complex64 results within
+        4 float32 eps (at most 2.3 over seeds 40-49) of the peak of E x
+        and E^H y; a repeated point's samples add up in the adjoint. A
+        combined table past PHASE_TABLE_LIMIT, rebuilt per call in chunks
+        of two in-plane points, gives the kept table's result within
+        1e-12."""
+        rng = np.random.default_rng(40)
+        pts, blocks = self._points(case, rng)
+        whole = NDFT(pts, self.dims)
+        if case == "chunked":
+            # 6 in-plane points of 4*6 elements each: chunks of 2 points
+            monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 50)
+        op = NDFT(pts, self.dims)
+        assert op.path == "stack"
+        assert [(blk.planes.stop - blk.planes.start, blk.entries is not None,
+                 blk.chunks is not None) for blk in op._blocks] == blocks
+        matrix = _oracle_matrix(pts, self.dims)
+        x = _random_volume(rng, (2, *self.dims))
+        y = rng.standard_normal((2, len(pts))) + 1j * rng.standard_normal((2, len(pts)))
+        for dtype, tol in ((np.complex128, 1e-10),
+                           (np.complex64, 4 * np.finfo(np.float32).eps)):
+            xd, yd = x.astype(dtype), y.astype(dtype)
+            fwd, adj = op.forward(xd), op.adjoint(yd)
+            assert fwd.dtype == dtype and adj.dtype == dtype
+            want_fwd = xd.reshape(2, -1).astype(np.complex128) @ matrix.T
+            want_adj = (yd.astype(np.complex128) @ matrix.conj()).reshape(adj.shape)
+            assert np.abs(fwd - want_fwd).max() <= tol * np.abs(want_fwd).max()
+            assert np.abs(adj - want_adj).max() <= tol * np.abs(want_adj).max()
+        if case == "chunked":
+            for got, want in ((op.forward(x), whole.forward(x)),
+                              (op.adjoint(y), whole.adjoint(y))):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestNdftBatch:
     dims = (4, 6, 4)
 
-    @pytest.mark.parametrize("path", ["fft", "stack", "general", "general-chunked"])
+    @pytest.mark.parametrize("path", ["fft", "stack", "stack-product", "general",
+                                      "general-chunked"])
     def test_batch_equals_per_slice_loop(self, path, monkeypatch):
         rng = np.random.default_rng(35)
         if path == "general-chunked":
@@ -268,6 +369,8 @@ class TestNdftBatch:
             pts = rng.integers(-2, 2, (15, 3)).astype(np.float64)
         elif path == "stack":
             pts = _planes(rng, [0, 1, -2], 5, self.dims)
+        elif path == "stack-product":
+            pts, path = _product(rng, [0, 1, -2], 5, self.dims), "stack"
         else:
             pts = rng.uniform(-2, 1.9, (15, 3))
         op = NDFT(pts, self.dims)
@@ -288,13 +391,17 @@ class TestNdftPrecision:
     dims = (4, 6, 4)
 
     def _op(self, path, rng):
-        pts = (_planes(rng, [0, 1, -2], 5, self.dims) if path == "stack"
-               else rng.uniform(-2, 1.9, (15, 3)))
+        if path == "stack":
+            pts = _planes(rng, [0, 1, -2], 5, self.dims)
+        elif path == "stack-product":
+            pts = _product(rng, [0, 1, -2], 5, self.dims)
+        else:
+            pts = rng.uniform(-2, 1.9, (15, 3))
         op = NDFT(pts, self.dims)
-        assert op.path == path
+        assert op.path == path.partition("-")[0]
         return op
 
-    @pytest.mark.parametrize("path", ["stack", "general"])
+    @pytest.mark.parametrize("path", ["stack", "stack-product", "general"])
     def test_dtype_follows_the_input(self, path):
         rng = np.random.default_rng(36)
         op = self._op(path, rng)
@@ -305,7 +412,7 @@ class TestNdftPrecision:
             assert op.adjoint(y.real.astype(dtype)).dtype == want
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("path", ["stack", "general", "general-chunked"])
+    @pytest.mark.parametrize("path", ["stack", "stack-product", "general", "general-chunked"])
     def test_complex64_matches_complex128(self, path, seed, monkeypatch):
         """forward and adjoint of complex64 input lie within 4 float32 eps
         of the peak of the complex128 result on the same values (at most
@@ -328,7 +435,7 @@ class TestNdftPrecision:
         rhs = np.vdot(adj.astype(np.complex128), x.astype(np.complex128))
         assert abs(lhs - rhs) <= eps * np.linalg.norm(y) * np.linalg.norm(fwd)
 
-    @pytest.mark.parametrize("path", ["stack", "general"])
+    @pytest.mark.parametrize("path", ["stack", "stack-product", "general"])
     def test_tables_only_in_the_precisions_used(self, path):
         rng = np.random.default_rng(37)
         op = self._op(path, rng)

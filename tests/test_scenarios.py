@@ -5,6 +5,7 @@ import json
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +373,33 @@ class TestRunPipeline:
         maps = Path("/proc/self/maps")
         if maps.exists():
             assert "kspace.snkd" not in maps.read_text()
+
+    @pytest.mark.parametrize("method", ["adjoint", "cs"])
+    def test_reconstruction_holds_only_complex64_maps(self, method, tmp_path, monkeypatch):
+        """Once acquisition ends, the pipeline rounds the coil maps to the
+        dataset's complex64 and releases acquisition's complex128 maps:
+        the series gets complex64 maps, and a weak reference to the
+        complex128 ones is dead when reconstruction starts."""
+        acquired, seen = [], []
+
+        def coils(*args):
+            profile = birdcage_coils(*args)
+            acquired.append(weakref.ref(profile.maps))
+            return profile
+
+        name = "adjoint_series" if method == "adjoint" else "reconstruct_series"
+        series = getattr(scenarios, name)
+
+        def spy(kdata, plan, coils, *args, **kwargs):
+            seen.append((coils.maps.dtype, acquired[0]()))
+            return series(kdata, plan, coils, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "birdcage_coils", coils)
+        monkeypatch.setattr(scenarios, name, spy)
+        config = _tiny_config() if method == "adjoint" else self._sos_dynamic_config("cold")
+        manifest = run_pipeline(config, tmp_path / "run")
+        assert manifest.failed_stage is None, manifest.error
+        assert seen == [(np.complex64, None)]
 
     @staticmethod
     def _sos_dynamic_config(strategy):
