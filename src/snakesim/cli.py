@@ -44,8 +44,7 @@ def _build_parser():
                      help="trajectory file for external presets")
     run.add_argument("--jobs", type=int, default=None,
                      help="worker threads for reconstruction frames "
-                          "(default SNAKE_NJOBS, or 1 when it is unset); "
-                          "results do not depend on it")
+                          "(default 1); results do not depend on it")
 
     pre = sub.add_parser("preset", help="print a preset config as YAML")
     pre.add_argument("name")

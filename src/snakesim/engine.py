@@ -6,11 +6,11 @@ model with per-tissue T2* decay along the readout, of which the basic
 model is the case of one tissue with infinite T2*: both take their
 samples from one function, through :class:`NDFT`, applied to all coils
 at once, which is also the operator that reconstruction inverts. The
-NDFT takes one of three exact paths: the FFT when every point is on the
-grid (EPI), a z contraction per kz plane and then one 2D DFT per block
-of planes that share their in-plane points when every kz is an integer
-(stack-of-spirals, whose planes all carry one spiral), and separable
-phase tables for any other 3D trajectory.
+NDFT takes one of three exact paths, one formula each: the FFT when
+every point is on the grid (EPI), a Kronecker product of a z table and
+one in-plane table when the points are one in-plane set on each of
+their integer kz planes (stack-of-spirals, whose planes all carry one
+spiral), and separable phase tables for any other 3D trajectory.
 
 The BOLD model is affine in time, so a run transforms two images per
 tissue, a base and a BOLD delta, and each shot combines their samples
@@ -91,75 +91,32 @@ def _is_integer(k):
     return np.allclose(k, np.round(k), atol=1e-9, rtol=0)
 
 
+def _kronecker(points):
+    """(kz planes, in-plane points, flat) when the integer-kz points are a
+    Kronecker product: each of Q in-plane points (kx, ky) on each of U kz
+    planes, once, in any order; None for any other set. The planes and
+    the in-plane points (as complex numbers, so -0.0 equals 0.0) are in
+    np.unique order, and point j is entry flat[j] of the row-major (U, Q)
+    grid."""
+    planes, plane_of = np.unique(np.round(points[:, 2]), return_inverse=True)
+    xy, xy_of = np.unique(points[:, 0] + 1j * points[:, 1], return_inverse=True)
+    flat = plane_of * len(xy) + xy_of
+    # U*Q points, no two at one grid entry (counted: np.unique of
+    # integers imports numpy.ma on first use, 20 ms)
+    if len(flat) != len(planes) * len(xy) or not (np.bincount(flat) == 1).all():
+        return None
+    return planes, xy, flat
+
+
 def _path(points, dims):
     """The :class:`NDFT` path of (P, 3) points on a grid of ``dims``."""
     if _is_integer(points):
         k, half = np.round(points), np.array(dims) // 2
         if ((k >= -half) & (k < np.array(dims) - half)).all():
             return "fft"
-    return "stack" if _is_integer(points[:, 2]) else "general"
-
-
-@dataclass(frozen=True)
-class _Block:
-    """kz planes that carry one set of in-plane points, on the stack path.
-
-    The planes are rows ``planes`` of the operator's z table and its
-    points are the operator's points ``idx``. A block of U > 1 planes
-    has Q distinct in-plane points (kx, ky) ``k``, and point ``idx[j]``
-    is entry ``flat[j]`` of its row-major (U, Q) grid. ``entries`` is
-    the operator point at each grid entry when every entry holds one
-    point, and None when a point repeats. ``chunks`` are the in-plane
-    point slices in which its combined (Q, Nx*Ny) table is rebuilt per
-    call, and None when the table is kept. A one-plane block has no
-    grid: ``k`` are the (kx, ky) of its points in ``idx`` order, and the
-    other fields are None.
-    """
-    planes: slice
-    k: tuple
-    idx: np.ndarray
-    flat: np.ndarray | None = None
-    entries: np.ndarray | None = None
-    chunks: list | None = None
-
-
-def _stack_blocks(points, dims):
-    """(kz of each z table row, the :class:`_Block` list) of stack-path
-    points: the planes grouped by the set of their in-plane points, in
-    order of their first plane, each block's planes consecutive rows."""
-    nx, ny, _ = dims
-    planes, plane_of = np.unique(np.round(points[:, 2]), return_inverse=True)
-    # an in-plane point as one complex number, so -0.0 equals 0.0
-    xy, xy_of = np.unique(points[:, 0] + 1j * points[:, 1], return_inverse=True)
-    order = np.lexsort((xy_of, plane_of))
-    bounds = np.searchsorted(plane_of[order], np.arange(len(planes) + 1))
-    groups = {}  # a plane's sorted distinct in-plane ids -> its planes
-    for u, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        ids = xy_of[order[lo:hi]]
-        ids = ids[np.concatenate([[True], ids[1:] != ids[:-1]])]
-        groups.setdefault(ids.tobytes(), (ids, []))[1].append(u)
-    row = np.empty(len(planes), dtype=np.intp)  # a plane's row in its block
-    kz, blocks, budget = [], [], PHASE_TABLE_LIMIT
-    for ids, us in groups.values():
-        row[us] = np.arange(len(us))
-        rows = slice(len(kz), len(kz) + len(us))
-        kz.extend(planes[us])
-        idx = np.flatnonzero(np.isin(plane_of, us))
-        if len(us) == 1:
-            blocks.append(_Block(rows, (points[idx, 0], points[idx, 1]), idx))
-            continue
-        flat = row[plane_of[idx]] * len(ids) + np.searchsorted(ids, xy_of[idx])
-        # every plane holds each of the Q points, so U*Q points fill the grid
-        entries = idx[np.argsort(flat)] if len(idx) == len(us) * len(ids) else None
-        # combined tables are kept while the operator's total fits the limit
-        chunks = None
-        if len(ids) * nx * ny <= budget:
-            budget -= len(ids) * nx * ny
-        else:
-            chunks = _row_chunks(len(ids), nx * ny, PHASE_TABLE_LIMIT)
-        blocks.append(_Block(rows, (xy[ids].real, xy[ids].imag), idx, flat, entries,
-                             chunks))
-    return np.array(kz), blocks
+    if _is_integer(points[:, 2]) and _kronecker(points) is not None:
+        return "stack"
+    return "general"
 
 
 class NDFT:
@@ -182,39 +139,32 @@ class NDFT:
       ifftshift of the grid, fftshifts and scales in place. The adjoint
       runs in the data's precision: complex64 or float32 y gives a
       complex64 volume, any other y a complex128 one.
-    - ``"stack"``, every kz an integer (stack-of-spirals and other
-      stack-of-X plans): the kz planes are grouped into blocks, a block
-      being the planes that carry one set of in-plane (kx, ky) points
-      (compared as a set), so that its U planes and Q in-plane points
-      form a Kronecker product and each of its points is one entry of a
-      (U, Q) grid. Every stack the package makes (one spiral on every
-      plane) is one block. One GEMM with the (planes, Nz) z table
-      contracts z at every plane for the whole batch. A block of U > 1
-      planes then takes all its planes and batch items through one GEMM
-      with its combined (Q, Nx*Ny) table and gathers its points from
-      the grid: Nx*Ny*Nz*U + Nx*Ny*U*Q MACs per item, as many as a 2D
-      DFT per plane when no point repeats. A block of one plane has no
-      plane to share a combined table with: kept, the table would take
-      Nx*Ny*Q elements, and built per call it costs as much as the
-      GEMM it serves. So it takes a separable 2D DFT on its points, a
-      GEMM with their (P, Ny) table and a sum over x with their (P, Nx)
-      table, which holds P*(Nx+Ny) elements. Combined tables are kept
-      while the operator's total stays within PHASE_TABLE_LIMIT
-      elements; a block past it rebuilds its table per call in chunks
-      of in-plane points of at most that size.
+    - ``"stack"``, a Kronecker product of U integer kz planes and Q
+      in-plane (kx, ky) points: each in-plane point on each plane, once,
+      in any order, so that each point is one entry of a (U, Q) grid.
+      Every stack the package makes (one spiral on every plane) is one.
+      One GEMM with the (U, Nz) z table contracts z at every plane for
+      the whole batch, one GEMM with the combined (Q, Nx*Ny) in-plane
+      table takes all planes and batch items to the grid, and forward
+      gathers each point from its entry: Nx*Ny*Nz*U + Nx*Ny*U*Q MACs per
+      item. The combined table is built once when it has at most
+      PHASE_TABLE_LIMIT elements and otherwise rebuilt per call in
+      chunks of in-plane points of at most that size. Integer-kz points
+      that are no such product (planes with different in-plane sets, as
+      a spiral rotated per plane, or a repeated point) take the general
+      path.
     - ``"general"``, any other points (3D trajectories): a (P, Nx)
       table and a combined (P, Ny*Nz) table. The combined table is built
       once when it has at most PHASE_TABLE_LIMIT elements and otherwise
       rebuilt per call in chunks of that size.
 
     The adjoints of both non-FFT paths use the forward tables as
-    conj(conj(y) E), so no conjugated copy of a table is made; a stack
-    block's adjoint gathers y into its grid when every entry holds one
-    point and adds repeats otherwise. They compute in the precision of
-    their input, as the FFT path's adjoint does: complex64 or float32
-    input gives complex64 tables, products and output, any other input
-    complex128. The tables of a precision are built when it is first
-    called for and then kept.
+    conj(conj(y) E), so no conjugated copy of a table is made; the stack
+    adjoint gathers y into its grid by the inverse of the forward's
+    gather. They compute in the precision of their input, as the FFT
+    path's adjoint does: complex64 or float32 input gives complex64
+    tables, products and output, any other input complex128. The tables
+    of a precision are built when it is first called for and then kept.
     """
 
     def __init__(self, points, dims):
@@ -222,6 +172,7 @@ class NDFT:
         self.dims = tuple(dims)
         self.path = _path(self.points, self.dims)
         self._tables = {}
+        nx, ny, nz = self.dims
         if self.path == "fft":
             # point k is grid index k mod N of the ifftshifted grid on each axis
             self._flat = np.ravel_multi_index(
@@ -231,22 +182,22 @@ class NDFT:
             flat = np.sort(self._flat)
             self._distinct = not np.any(flat[1:] == flat[:-1])
         elif self.path == "stack":
-            self._kz, self._blocks = _stack_blocks(self.points, self.dims)
+            # point j is entry _flat[j] of the (U, Q) grid, which holds
+            # point _entries[i] at entry i
+            self._kz, xy, self._flat = _kronecker(self.points)
+            self._xy, self._entries = (xy.real, xy.imag), np.argsort(self._flat)
+            self._chunks = _row_chunks(len(xy), nx * ny, PHASE_TABLE_LIMIT)
         else:
-            _, ny, nz = self.dims
             self._chunks = _row_chunks(len(self.points), ny * nz, PHASE_TABLE_LIMIT)
 
     def _tables_in(self, dtype):
-        """The phase tables in complex ``dtype``, built on first use, so an
-        operator holds tables only in the precisions it was called in.
-
-        On the stack path: the (planes, Nz) z table and per block its
-        (x, y, combined) tables: a kept combined (Q, Nx*Ny) table alone,
-        or else the x and y tables, from which a one-plane block computes
-        and a block past the limit rebuilds its combined table. On the
-        general path: the (P, Nx) x table, the y and z tables and the
-        kept combined (P, Ny*Nz) table, None when it is rebuilt per
-        chunk."""
+        """The phase tables (x, y, z, combined) in complex ``dtype``, built
+        on first use, so an operator holds tables only in the precisions
+        it was called in. The stack path's x and y tables are of its Q
+        in-plane points, its z table of its U planes and its combined
+        (Q, Nx*Ny) table of x and y; the general path's are of its P
+        points, its combined (P, Ny*Nz) table of y and z. The combined
+        table is None when it is rebuilt per chunk."""
         tables = self._tables.get(dtype)
         if tables is not None:
             return tables
@@ -256,19 +207,13 @@ class NDFT:
             return _phase(k, n).astype(dtype, copy=False)
 
         if self.path == "stack":
-            per_block = []
-            for block in self._blocks:
-                ex, ey = phase(block.k[0], nx), phase(block.k[1], ny)
-                if block.flat is not None and block.chunks is None:
-                    per_block.append((None, None, _rows(ex, ey, slice(0, len(ex)))))
-                else:
-                    per_block.append((ex, ey, None))
-            tables = (phase(self._kz, nz), per_block)
+            ex, ey, ez = phase(self._xy[0], nx), phase(self._xy[1], ny), phase(self._kz, nz)
+            pair = ex, ey
         else:
             ex, ey, ez = (phase(k, n) for k, n in zip(self.points.T, self.dims))
-            rows = _rows(ey, ez, self._chunks[0]) if len(self._chunks) == 1 else None
-            tables = (ex, ey, ez, rows)
-        return self._tables.setdefault(dtype, tables)
+            pair = ey, ez
+        rows = _rows(*pair, self._chunks[0]) if len(self._chunks) == 1 else None
+        return self._tables.setdefault(dtype, (ex, ey, ez, rows))
 
     def forward(self, x):
         x = np.asarray(x)
@@ -281,10 +226,18 @@ class NDFT:
             out = np.stack([np.fft.fftn(np.fft.ifftshift(v)).ravel()[self._flat] for v in x])
             return out.reshape(*lead, n)
         dtype = np.result_type(x.dtype, np.complex64)
-        if self.path == "stack":
-            out = self._stack_forward(x, dtype)
-            return out.reshape(*lead, n)
         ex, ey, ez, rows = self._tables_in(dtype)
+        if self.path == "stack":
+            # (U*B, Nx*Ny): every item contracted along z at each plane
+            planes = (ez @ x.reshape(-1, nz).T).reshape(-1, nx * ny)
+            # (U*B, Nx*Ny) @ (Nx*Ny, Q), as (B, U*Q), at each point's entry
+            if rows is not None:
+                grid = planes @ rows.T
+            else:
+                grid = np.concatenate([planes @ _rows(ex, ey, sl).T for sl in self._chunks],
+                                      axis=1)
+            grid = grid.reshape(-1, batch, grid.shape[1]).transpose(1, 0, 2)
+            return np.take(grid.reshape(batch, -1), self._flat, axis=1).reshape(*lead, n)
         vols = x.reshape(batch * nx, ny * nz)
         out = np.empty((batch, n), dtype=dtype)
         for sl in self._chunks:
@@ -292,34 +245,6 @@ class NDFT:
             tmp = (vols @ table.T).reshape(batch, nx, -1)
             out[:, sl] = np.einsum("px,bxp->bp", ex[sl], tmp)
         return out.reshape(*lead, n)
-
-    def _stack_forward(self, x, dtype):
-        """forward on the stack path of the (B, Nx, Ny, Nz) batch x."""
-        batch, (nx, ny, nz) = len(x), self.dims
-        ez, per_block = self._tables_in(dtype)
-        # (U, B*Nx*Ny): every item contracted along z at each plane
-        vols = ez @ x.reshape(-1, nz).T
-        out = None if len(self._blocks) == 1 else np.empty((batch, len(self.points)), dtype)
-        for block, (ex, ey, table) in zip(self._blocks, per_block):
-            if block.flat is None:
-                # (B, Nx, P) on the plane's points, then their x sums
-                tmp = (vols[block.planes.start].reshape(-1, ny) @ ey.T).reshape(batch, nx, -1)
-                part = np.einsum("px,bxp->bp", ex, tmp)
-            else:
-                # (U*B, Nx*Ny) @ (Nx*Ny, Q), as (B, U*Q), at each point's entry
-                planes = vols[block.planes].reshape(-1, nx * ny)
-                if table is not None:
-                    grid = planes @ table.T
-                else:
-                    grid = np.empty((len(planes), len(ex)), dtype)
-                    for sl in block.chunks:
-                        grid[:, sl] = planes @ _rows(ex, ey, sl).T
-                grid = grid.reshape(-1, batch, grid.shape[1]).transpose(1, 0, 2)
-                part = np.take(grid.reshape(batch, -1), block.flat, axis=1)
-            if out is None:
-                return part
-            out[:, block.idx] = part
-        return out
 
     def adjoint(self, y):
         y = np.asarray(y)
@@ -344,49 +269,30 @@ class NDFT:
             out *= int(np.prod(self.dims))
             return out.reshape(*lead, *self.dims)
         yc = y.astype(dtype, copy=False).conj()
+        ex, ey, ez, rows = self._tables_in(dtype)
         if self.path == "stack":
-            acc = self._stack_adjoint(yc)
+            # (U*B, Q) @ (Q, Nx*Ny) on the grid of y
+            u = len(ez)
+            grid = np.take(yc, self._entries, axis=1).reshape(batch, u, -1)
+            grid = grid.transpose(1, 0, 2).reshape(u * batch, -1)
+            if rows is not None:
+                planes = grid @ rows
+            else:
+                planes = sum(grid[:, sl] @ _rows(ex, ey, sl) for sl in self._chunks)
+            # (B*Nx*Ny, U) @ (U, Nz) takes every plane back along z, on a
+            # contiguous copy of the transposed planes. The transposed
+            # product (ez.T @ planes).T made this adjoint 0.133 against
+            # 0.149 ms, but its strided volume slowed FrameOperator.adj_op's
+            # coil sum to 0.269 against 0.193 ms (complex64, 16x18x16, 8
+            # coils, 4 planes of 64 points; 2-core Xeon, one BLAS thread)
+            acc = np.ascontiguousarray(planes.reshape(u, -1).T) @ ez
         else:
-            ex, ey, ez, rows = self._tables_in(dtype)
             acc = np.zeros((batch * nx, ny * nz), dtype=dtype)
             for sl in self._chunks:
                 table = rows if rows is not None else _rows(ey, ez, sl)
                 acc += (yc[:, None, sl] * ex[sl].T).reshape(batch * nx, -1) @ table
         np.conj(acc, out=acc)
         return acc.reshape(*lead, *self.dims)
-
-    def _stack_adjoint(self, yc):
-        """conj of the stack-path adjoint of y, from yc = conj(y), (B, P)."""
-        batch, (nx, ny, nz) = len(yc), self.dims
-        ez, per_block = self._tables_in(yc.dtype)
-        # (U, B*Nx*Ny): each plane's row is written by its block's GEMM
-        planes = np.empty((len(ez), batch * nx * ny), dtype=yc.dtype)
-        for block, (ex, ey, table) in zip(self._blocks, per_block):
-            if block.flat is None:
-                part = yc if len(self._blocks) == 1 else yc[:, block.idx]
-                rows = planes[block.planes.start].reshape(batch * nx, ny)
-                np.matmul((part[:, None, :] * ex.T).reshape(batch * nx, -1), ey, out=rows)
-                continue
-            u = block.planes.stop - block.planes.start
-            if block.entries is not None:
-                grid = np.take(yc, block.entries, axis=1)
-            else:
-                grid = np.zeros((batch, u * len(block.k[0])), dtype=yc.dtype)
-                np.add.at(grid, (slice(None), block.flat), yc[:, block.idx])
-            # (U*B, Q) @ (Q, Nx*Ny)
-            grid = grid.reshape(batch, u, -1).transpose(1, 0, 2).reshape(u * batch, -1)
-            rows = planes[block.planes].reshape(u * batch, nx * ny)
-            if table is not None:
-                np.matmul(grid, table, out=rows)
-            else:
-                rows[...] = sum(grid[:, sl] @ _rows(ex, ey, sl) for sl in block.chunks)
-        # (B*Nx*Ny, U) @ (U, Nz) takes every plane back along z, on a
-        # contiguous copy of the transposed planes. The transposed product
-        # (ez.T @ planes).T made this adjoint 0.133 against 0.149 ms, but
-        # its strided volume slowed FrameOperator.adj_op's coil sum to
-        # 0.269 against 0.193 ms (complex64, 16x18x16, 8 coils, 4 planes
-        # of 64 points; 2-core Xeon, one BLAS thread)
-        return np.ascontiguousarray(planes.T) @ ez
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +524,10 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     (``gm_index``, or all when None, as in
     :func:`snakesim.phantom.modulated_state`) and d_i = 0 otherwise, and
     h_s = ``bold.h_tilde[s]`` (0 without BOLD). The basic model
-    transforms B = sum b_i and D = sum d_i; the t2s model keeps the
-    tissues apart and applies each one's decay after its transform.
+    transforms B = sum b_i and D = sum d_i as one tissue of infinite
+    T2*; the t2s model keeps the tissues apart and applies each one's
+    decay after its transform. Both take every shot's samples from
+    :func:`acquire_shot_t2s`.
 
     A k-point pattern that occurs in more than one shot has its term
     samples Y (2, L, P) transformed before the first frame and memoized
@@ -666,18 +574,14 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
         h = np.asarray(bold.h_tilde, dtype=np.float64)
     terms = np.stack([base, delta], axis=1)  # (T, 2, *dims)
     if model == "basic":
-        # one term of infinite T2*: (1, 2, *dims), B and D
+        # one tissue of infinite T2*, as acquire_shot_basic takes it:
+        # (1, 2, *dims), B and D
         terms, t2s_s = terms.sum(axis=0, keepdims=True), [np.inf]
     bounds = np.concatenate([[0], np.cumsum(counts)])
     # full precision in memory: one frame with a sink, which quantizes to
     # c64 and is read back, and the whole run without one
     kdata = np.empty((1 if sink_path else plan.n_frames, coils.n_coils, bounds[-1]),
                      dtype=np.complex128)
-
-    def acquire(volumes, shot, cache=None):
-        if model == "basic":
-            return acquire_shot_basic(volumes[0], coils, shot, cache=cache)
-        return acquire_shot_t2s(volumes, t2s_s, coils, shot, cache=cache)
 
     header = {
         "dims": list(plan.dims),
@@ -704,10 +608,10 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
             t, i = divmod(s, plan.shots_per_frame)
             out = kdata[0 if writer else t]
             if shot in memo:
-                y = acquire(terms, shot, cache=memo)
+                y = acquire_shot_t2s(terms, t2s_s, coils, shot, cache=memo)
                 samples = y[0] + h[s] * y[1]
             else:
-                samples = acquire(terms[:, 0] + h[s] * terms[:, 1], shot)
+                samples = acquire_shot_t2s(terms[:, 0] + h[s] * terms[:, 1], t2s_s, coils, shot)
             out[:, bounds[i]:bounds[i + 1]] = add_noise(samples, noise, energy, shot_index=s)
             if writer and i == plan.shots_per_frame - 1:
                 for coil in out.astype(np.complex64):

@@ -13,11 +13,11 @@ data) with the coil maps and a unitary scale: forward is NDFT / sqrt(M)
 and the k-space data is divided by sqrt(M) on entry, so in the fully
 sampled orthonormal case the least-squares solution is the inverse FFT
 of the raw data. The NDFT runs all coils in one call on one of three
-exact paths, chosen from the frame's points: the FFT for Cartesian
-frames (every point on the grid), for stack-of-X frames (every kz an
-integer) a z contraction per plane and one 2D DFT per block of planes
-that share their in-plane points (a stack-of-spirals frame is one
-block), and separable phase tables for any other 3D trajectory.
+exact paths, one formula each, chosen from the frame's points: the FFT
+for Cartesian frames (every point on the grid), a Kronecker product of
+a z table and one in-plane table for stack-of-spirals frames (one
+in-plane point set on each of their integer kz planes), and separable
+phase tables for any other 3D trajectory.
 
 A frame's input is the pair (y, operator): y = kdata[t], the frame's
 (L, P) block of the run's (n_frames, n_coils, P) k-space array, and the
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -425,11 +424,8 @@ def _frame_operators(plan, coils, kdata, estimate=False):
 
 
 def _worker_count(n_jobs=None):
-    """Worker threads for ``n_jobs``: an explicit count wins, and None
-    takes ``SNAKE_NJOBS`` (1 when unset); at least 1."""
-    if n_jobs is None:
-        n_jobs = int(os.environ.get("SNAKE_NJOBS", 1))
-    return max(1, n_jobs)
+    """Worker threads for ``n_jobs``: 1 when it is None, at least 1."""
+    return max(1, n_jobs or 1)
 
 
 def _in_frame_order(solve, operator_for, n_frames, n_jobs):

@@ -372,13 +372,12 @@ def _determinism_config():
     return RunConfig.from_dict(cfg)
 
 
-def test_criterion_13_determinism(tmp_path, monkeypatch):
+def test_criterion_13_determinism(tmp_path):
     """Same seed, different worker counts: bit-identical artifacts."""
     digests = {}
     for workers in (1, 4):
-        monkeypatch.setenv("SNAKE_NJOBS", str(workers))
         out = tmp_path / f"w{workers}"
-        manifest = run_pipeline(_determinism_config(), out)
+        manifest = run_pipeline(_determinism_config(), out, n_jobs=workers)
         assert manifest.failed_stage is None, manifest.error
         files = sorted(p.name for p in out.iterdir()
                        if p.suffix in (".snkd", ".snkv", ".json", ".csv")

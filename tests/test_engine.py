@@ -229,9 +229,9 @@ class TestNdftStack:
     def test_multi_kz_frame_off_grid_xy(self):
         rng = np.random.default_rng(31)
         vol = _random_volume(rng, self.dims)
-        # interleaved planes, one repeated out-of-range kz and one on-grid point
-        pts = _planes(rng, [0, -2, 1, 0, 3], 5, self.dims)[rng.permutation(25)]
-        pts = np.vstack([pts, [[1.0, -2.0, -1.0]]])
+        # shuffled planes, one out-of-range kz and one on-grid in-plane point
+        pts = _product(rng, [0, -2, 1, 3], 5, self.dims)
+        pts[pts[:, 0] == pts[0, 0], :2] = [1.0, -2.0]
         op = NDFT(pts, self.dims)
         assert op.path == "stack"
         np.testing.assert_allclose(op.forward(vol), _ndft_oracle(vol, pts), rtol=1e-10)
@@ -245,21 +245,6 @@ class TestNdftStack:
         assert op.path == "general"
         np.testing.assert_allclose(op.forward(vol), _ndft_oracle(vol, pts), rtol=1e-10)
 
-    def test_no_table_limit_needed(self, monkeypatch):
-        # the stack path keeps only (P, Nx) and (P, Ny) tables, so a limit
-        # that would chunk the general path below one row changes nothing
-        rng = np.random.default_rng(33)
-        vol = _random_volume(rng, self.dims)
-        y = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-        pts = _planes(rng, [0, -1, 1], 7, self.dims)
-        whole = NDFT(pts, self.dims)
-        monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 10)
-        op = NDFT(pts, self.dims)
-        assert op.path == "stack"
-        np.testing.assert_allclose(op.forward(vol), _ndft_oracle(vol, pts), rtol=1e-10)
-        np.testing.assert_array_equal(op.forward(vol), whole.forward(vol))
-        np.testing.assert_array_equal(op.adjoint(y), whole.adjoint(y))
-
     def test_product_table_limit_chunks(self, monkeypatch):
         # a product stack's combined (Q, Nx*Ny) table is rebuilt per call
         # in chunks of in-plane points when it passes the limit
@@ -270,72 +255,74 @@ class TestNdftStack:
         whole = NDFT(pts, self.dims)
         monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 10)
         op = NDFT(pts, self.dims)
-        block, = op._blocks
-        assert block.chunks == [slice(q, q + 1) for q in range(7)]
+        assert op.path == "stack" and len(whole._chunks) == 1
+        assert op._chunks == [slice(q, q + 1) for q in range(7)]
         np.testing.assert_allclose(op.forward(vol), _ndft_oracle(vol, pts), rtol=1e-10)
         for got, want in ((op.forward(vol), whole.forward(vol)),
                           (op.adjoint(y), whole.adjoint(y))):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_combined_tables_kept_within_one_limit(self, monkeypatch):
-        """Two blocks of two planes whose tables each fit the limit, but
-        not both: the first is kept and the second rebuilt per call."""
-        rng = np.random.default_rng(39)
-        vol = _random_volume(rng, self.dims)
-        a, b = _product(rng, [0, 2], 5, self.dims), _product(rng, [-1, 1], 5, self.dims)
-        pts = np.concatenate([a, b])
-        monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 5 * 4 * 6 + 10)
-        op = NDFT(pts, self.dims)
-        assert [blk.chunks for blk in op._blocks] == [None, [slice(0, 5)]]
-        np.testing.assert_allclose(op.forward(vol), _ndft_oracle(vol, pts), rtol=1e-10)
-
     def test_adjoint_identity(self):
         rng = np.random.default_rng(34)
         vol = _random_volume(rng, self.dims)
-        pts = _planes(rng, [2, -1, 0], 6, self.dims)
+        pts = _product(rng, [2, -1, 0], 6, self.dims)
         y = rng.standard_normal(18) + 1j * rng.standard_normal(18)
         op = NDFT(pts, self.dims)
+        assert op.path == "stack"
         assert np.vdot(y, op.forward(vol)) == pytest.approx(np.vdot(op.adjoint(y), vol),
                                                            rel=1e-10)
 
 
-class TestNdftStackBlocks:
-    """Stack-path blocks against the brute-force matrix E: forward is E x
-    and adjoint E^H y, in complex128 and in complex64."""
+def _rotated(rng, kz_values, n, dims):
+    """One set of n off-grid (kx, ky) points, rotated by a different angle
+    on each given integer kz plane: a stack that is no Kronecker product."""
+    xy = _planes(rng, [0], n, dims)[:, :2]
+    out = []
+    for u, kz in enumerate(kz_values):
+        c, s = np.cos(0.4 * u), np.sin(0.4 * u)
+        out.append(np.column_stack([xy @ np.array([[c, s], [-s, c]]), np.full(n, float(kz))]))
+    return np.concatenate(out)
+
+
+class TestNdftStackOracle:
+    """Integer-kz point sets against the brute-force matrix E: forward is
+    E x and adjoint E^H y, in complex128 and in complex64. A Kronecker
+    product takes the stack path; any other set the general path."""
 
     dims = (4, 6, 3)
 
     def _points(self, case, rng):
-        """The case's points and its blocks' (planes, whether every grid
-        entry holds one point, whether the combined table is rebuilt)."""
+        """The case's points and the path they take."""
         if case == "mixed":
-            # sets a, b, a on three planes: a block of two and one of one
+            # sets a, b, a on three planes
             a, b = _product(rng, [0], 6, self.dims), _product(rng, [0], 5, self.dims)
             pts = np.concatenate([a - [0, 0, 1], b, a + [0, 0, 1]])
-            return pts[rng.permutation(len(pts))], [(2, True, False), (1, False, False)]
+            return pts[rng.permutation(len(pts))], "general"
+        if case == "rotated":
+            return _rotated(rng, [-1, 0, 2], 6, self.dims), "general"
         pts = _product(rng, [-1, 0, 2], 6, self.dims)
         if case == "repeated":
-            return np.concatenate([pts, pts[[0, 3, 3]]]), [(3, False, False)]
-        return pts, [(3, True, case == "chunked")]
+            return np.concatenate([pts, pts[[0, 3, 3]]]), "general"
+        return pts, "stack"
 
-    @pytest.mark.parametrize("case", ["product", "mixed", "repeated", "chunked"])
+    @pytest.mark.parametrize("case", ["product", "mixed", "rotated", "repeated", "chunked"])
     def test_matches_the_oracle_matrix(self, case, monkeypatch):
         """complex128 results lie within 1e-10 and complex64 results within
         4 float32 eps (at most 2.3 over seeds 40-49) of the peak of E x
-        and E^H y; a repeated point's samples add up in the adjoint. A
-        combined table past PHASE_TABLE_LIMIT, rebuilt per call in chunks
-        of two in-plane points, gives the kept table's result within
-        1e-12."""
+        and E^H y; a repeated point's samples add up in the adjoint. The
+        product's points are shuffled. A combined table past
+        PHASE_TABLE_LIMIT, rebuilt per call in chunks of two in-plane
+        points, gives the kept table's result within 1e-12."""
         rng = np.random.default_rng(40)
-        pts, blocks = self._points(case, rng)
+        pts, path = self._points(case, rng)
         whole = NDFT(pts, self.dims)
         if case == "chunked":
             # 6 in-plane points of 4*6 elements each: chunks of 2 points
             monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 50)
         op = NDFT(pts, self.dims)
-        assert op.path == "stack"
-        assert [(blk.planes.stop - blk.planes.start, blk.entries is not None,
-                 blk.chunks is not None) for blk in op._blocks] == blocks
+        assert op.path == path
+        if path == "stack":
+            assert len(op._chunks) == (3 if case == "chunked" else 1)
         matrix = _oracle_matrix(pts, self.dims)
         x = _random_volume(rng, (2, *self.dims))
         y = rng.standard_normal((2, len(pts))) + 1j * rng.standard_normal((2, len(pts)))
@@ -368,7 +355,8 @@ class TestNdftBatch:
         if path == "fft":
             pts = rng.integers(-2, 2, (15, 3)).astype(np.float64)
         elif path == "stack":
-            pts = _planes(rng, [0, 1, -2], 5, self.dims)
+            # one plane of 15 points, as a once-only plane shot: U = 1
+            pts = _planes(rng, [1], 15, self.dims)
         elif path == "stack-product":
             pts, path = _product(rng, [0, 1, -2], 5, self.dims), "stack"
         else:
@@ -392,7 +380,8 @@ class TestNdftPrecision:
 
     def _op(self, path, rng):
         if path == "stack":
-            pts = _planes(rng, [0, 1, -2], 5, self.dims)
+            # one plane of 15 points, as a once-only plane shot: U = 1
+            pts = _planes(rng, [1], 15, self.dims)
         elif path == "stack-product":
             pts = _product(rng, [0, 1, -2], 5, self.dims)
         else:
@@ -549,7 +538,7 @@ class TestAcquireT2s:
         if path == "fft":
             pts = rng.integers(-2, 2, (15, 3)).astype(np.float64)
         elif path == "stack":
-            pts = _planes(rng, [0, 1, -2], 5, dims)
+            pts = _product(rng, [0, 1, -2], 5, dims)
         else:
             pts = rng.uniform(-2, 1.9, (15, 3))
         assert NDFT(pts, dims).path == path
@@ -756,18 +745,6 @@ class TestRunAcquisition:
         run_acquisition(ph, plan, coils, seq, noise=noise, sink_path=b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_count_invariance(self, tmp_path, monkeypatch):
-        """SNAKE_NJOBS sizes only the reconstruction's pool: the acquired
-        dataset is the same bytes at any worker count."""
-        ph, seq, plan, coils = self._setup()
-        noise = NoiseConfig(snr_i=100.0, seed=7)
-        a, b = tmp_path / "a.snkd", tmp_path / "b.snkd"
-        monkeypatch.setenv("SNAKE_NJOBS", "1")
-        run_acquisition(ph, plan, coils, seq, noise=noise, sink_path=a)
-        monkeypatch.setenv("SNAKE_NJOBS", "4")
-        run_acquisition(ph, plan, coils, seq, noise=noise, sink_path=b)
-        assert a.read_bytes() == b.read_bytes()
-
     def test_t2s_model_runs(self):
         ph, seq, plan, coils = self._setup()
         header, frames = run_acquisition(ph, plan, coils, seq, model="t2s")
@@ -853,16 +830,15 @@ class TestAffineAcquisition:
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("model", ["basic", "t2s"])
     @pytest.mark.parametrize("kind", ["epi22", "sos_static", "sos_dynamic", "external"])
-    def test_one_call_per_shot_one_transform_per_pattern(self, kind, model, workers,
-                                                         monkeypatch, tmp_path):
-        """Shot calls = plan shots, appends = shots x coils, NDFT builds =
-        one per NDFT path among the repeated patterns (they are transformed
-        together before the first frame) + one per once-only shot, whatever
-        worker count SNAKE_NJOBS sets for the run."""
-        monkeypatch.setenv("SNAKE_NJOBS", str(workers))
+    def test_one_call_per_shot_one_transform_per_pattern(self, kind, model, monkeypatch,
+                                                         tmp_path):
+        """Shot calls = plan shots, all to acquire_shot_t2s (the basic model
+        is its one tissue of infinite T2*), appends = shots x coils, NDFT
+        builds = one per NDFT path among the repeated patterns (they are
+        transformed together before the first frame) + one per once-only
+        shot."""
         seq = _seq()
         dims = (6, 6, 22) if kind == "epi22" else self.dims
         plan = gen_epi_3d(dims, seq, n_frames=3) if kind == "epi22" else _plan(kind, dims, seq)
@@ -883,8 +859,8 @@ class TestAffineAcquisition:
                 calls["ndft"] += 1
                 super().__init__(*args, **kwargs)
 
-        shot_fn = "acquire_shot_basic" if model == "basic" else "acquire_shot_t2s"
-        monkeypatch.setattr(engine, shot_fn, counting("shot", getattr(engine, shot_fn)))
+        monkeypatch.setattr(engine, "acquire_shot_t2s",
+                            counting("shot", engine.acquire_shot_t2s))
         monkeypatch.setattr(DatasetWriter, "append", counting("append", DatasetWriter.append))
         monkeypatch.setattr(engine, "NDFT", CountingNDFT)
         run_acquisition(ph, plan, coils, seq, bold=bold, model=model, gm_index=1,
@@ -965,9 +941,8 @@ class TestAffineAcquisition:
     @pytest.mark.parametrize("kind", list(PLAN_PATHS))
     def test_runs_on_the_calling_thread(self, kind, model, monkeypatch, tmp_path):
         """No plan starts a thread, not even the dynamic and external ones,
-        whose once-only shots are each transformed on their own, with
-        SNAKE_NJOBS asking for 4 workers; the run takes no worker count."""
-        monkeypatch.setenv("SNAKE_NJOBS", "4")
+        whose once-only shots are each transformed on their own; the run
+        takes no worker count."""
         seq = _seq()
         plan = _plan(kind, self.dims, seq)
         assert (_pattern_counts(plan)[1] > 0) == (kind in ("sos_dynamic", "external"))

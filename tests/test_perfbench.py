@@ -25,6 +25,9 @@ NEVER_FIRED = {
     "snakesim.io.read_dataset",
     # only a run on an external trajectory file loads one
     "snakesim.scenarios.load_trajectory_file",
+    # run_acquisition takes both models through acquire_shot_t2s, so the
+    # engine.shot metrics, which sum both names, count every shot
+    "snakesim.engine.acquire_shot_basic",
 }
 
 

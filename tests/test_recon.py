@@ -700,8 +700,7 @@ class TestFrameWorkers:
     read-ahead, errors and thread lifetime at any worker count."""
 
     @pytest.fixture(autouse=True)
-    def _short_switch_interval(self, monkeypatch):
-        monkeypatch.delenv("SNAKE_NJOBS", raising=False)
+    def _short_switch_interval(self):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -717,13 +716,11 @@ class TestFrameWorkers:
         return reconstruct_series(kdata, plan, coils, WaveletBasis("haar", 1), cfg,
                                   n_jobs=n_jobs)
 
-    def test_explicit_worker_count_wins_over_snake_njobs(self, monkeypatch):
-        """``snake run --jobs 1`` gets one worker although SNAKE_NJOBS is set;
-        SNAKE_NJOBS is the default when no count is given."""
+    def test_worker_count_is_n_jobs_or_one(self, monkeypatch):
+        """The worker count is ``n_jobs``, at least 1, and 1 when none is
+        given; no environment variable sets it."""
         monkeypatch.setenv("SNAKE_NJOBS", "2")
-        assert [_worker_count(n) for n in (1, 4, None, 0)] == [1, 4, 2, 1]
-        monkeypatch.delenv("SNAKE_NJOBS")
-        assert [_worker_count(n) for n in (None, 3)] == [1, 3]
+        assert [_worker_count(n) for n in (1, 4, None, 0)] == [1, 4, 1, 1]
 
     @pytest.mark.parametrize("kind", ["adjoint", "cold", "refined"])
     @pytest.mark.parametrize("dynamic", [False, True])

@@ -6,16 +6,17 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from snakesim import cli, scenarios
+from snakesim import cli, engine, recon, scenarios
 from snakesim.analysis import SeriesSums
 from snakesim.cli import main as cli_main
-from snakesim.engine import birdcage_coils
+from snakesim.engine import NDFT, birdcage_coils
 from snakesim.io import read_dataset, read_volume, write_volume
 from snakesim.recon import COMPLEX64_TOL_FLOOR, adjoint_series, reconstruct_series
 from snakesim.scenarios import (ConfigError, RunConfig, RunManifest, _build_plan, preset,
@@ -410,11 +411,42 @@ class TestRunPipeline:
         cfg["recon"].update(strategy=strategy, max_iters=4)
         return RunConfig.from_dict(cfg)
 
+    @pytest.mark.parametrize("model", ["basic", "t2s"])
+    @pytest.mark.parametrize("name", ["s2_sos_static", "s2_sos_dynamic"])
+    def test_every_sos_operator_takes_the_stack_path(self, name, model, tmp_path,
+                                                     monkeypatch):
+        """Every NDFT a stack-of-spirals run builds is one Kronecker
+        product: acquisition's joined repeated planes, each of its
+        once-only plane shots and every frame operator of the CS series."""
+        built = {"engine": [], "recon": []}
+
+        def spy(paths):
+            class Spy(NDFT):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    paths.append(self.path)
+            return Spy
+
+        monkeypatch.setattr(engine, "NDFT", spy(built["engine"]))
+        monkeypatch.setattr(recon, "NDFT", spy(built["recon"]))
+        cfg = json.loads(json.dumps(preset(name, scale=0.15).raw))
+        cfg["n_frames"], cfg["model"] = 6, model
+        cfg["paradigm"].update(block_on_s=0.2, block_off_s=0.2, run_length_s=6 * 0.35)
+        cfg["recon"].update(max_iters=2)
+        config = RunConfig.from_dict(cfg)
+        assert run_pipeline(config, tmp_path / "run").failed_stage is None
+        plan = _build_plan(cfg, config.sequence)
+        once = sum(n == 1 for n in Counter(plan.shots).values())
+        # the series builds one operator per run of equal consecutive frames
+        runs = 1 + sum(plan.frame(t) != plan.frame(t - 1) for t in range(1, 6))
+        assert (once > 0, runs > 1) == (name == "s2_sos_dynamic",) * 2
+        assert built["engine"] == ["stack"] * (1 + once)
+        assert built["recon"] == ["stack"] * runs
+
     @pytest.mark.parametrize("method", ["adjoint", "cold", "refined"])
-    def test_artifacts_identical_at_any_worker_count(self, method, tmp_path, monkeypatch):
+    def test_artifacts_identical_at_any_worker_count(self, method, tmp_path):
         """Every artifact but the manifest is byte-identical at n_jobs 1, 2
         and 4, with a short switch interval so threads interleave often."""
-        monkeypatch.delenv("SNAKE_NJOBS", raising=False)
         config = _tiny_config() if method == "adjoint" else self._sos_dynamic_config(method)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -434,7 +466,6 @@ class TestRunPipeline:
     def test_failed_consumer_closes_the_series(self, tmp_path, monkeypatch):
         """A reconstruction-stage failure after the series started closes
         the series generator, so none of its pool threads outlive the run."""
-        monkeypatch.delenv("SNAKE_NJOBS", raising=False)
         series = []
 
         def keep(*args, **kwargs):
@@ -639,14 +670,15 @@ class TestCli:
 
     @pytest.mark.parametrize("jobs, njobs_env, blas_env, warns", [
         (["--jobs", "2"], None, None, True),
-        ([], "2", None, True),
+        ([], "2", None, False),
         (["--jobs", "2"], None, "OMP_NUM_THREADS", False),
         (["--jobs", "1"], "2", None, False),
         ([], None, None, False)])
     def test_run_warns_about_unpinned_blas(self, jobs, njobs_env, blas_env, warns,
                                            tmp_path, monkeypatch, capsys):
         """More than one worker with no BLAS thread count set: one line
-        to stderr that points to the README's advice."""
+        to stderr that points to the README's advice. SNAKE_NJOBS asks
+        for no worker."""
         for name in cli._BLAS_THREADS:
             monkeypatch.delenv(name, raising=False)
         if blas_env:
