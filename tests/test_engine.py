@@ -272,6 +272,94 @@ class TestNdftStack:
         assert np.vdot(y, op.forward(vol)) == pytest.approx(np.vdot(op.adjoint(y), vol),
                                                            rel=1e-10)
 
+    def _detection_points(self, case, rng):
+        """The case's points, the path they take and, on the stack path,
+        their (U, Q) grid size."""
+        if case == "sorted":
+            xy = _planes(rng, [0], 5, self.dims)[:, :2]
+            pts = np.concatenate([np.column_stack([xy, np.full(5, float(kz))])
+                                  for kz in (-1, 0, 2)])
+            return pts, "stack", (3, 5)
+        if case == "shuffled":
+            return _product(rng, [-1, 0, 2], 5, self.dims), "stack", (3, 5)
+        if case == "one-plane":
+            return _planes(rng, [1], 7, self.dims), "stack", (1, 7)
+        if case == "one-point":
+            return _product(rng, [0, -1, 2, 1], 1, self.dims), "stack", (4, 1)
+        if case == "signed-zero":
+            # (0, 0.5) written as (-0.0, 0.5) on one plane and kz -0.0 for 0
+            pts = _product(rng, [-1, 0, 2], 4, self.dims)
+            pts[pts[:, 0] == pts[0, 0], :2] = [0.0, 0.5]
+            pts[(pts[:, 0] == 0.0) & (pts[:, 2] == 2), 0] = -0.0
+            pts[pts[:, 2] == 0, 2] = -0.0
+            return pts, "stack", (3, 4)
+        if case == "integer-xy":
+            # every in-plane point on the grid, the planes out of its range
+            xy = np.array([[-2.0, 1.0], [0.0, -3.0], [1.0, 2.0]])
+            pts = np.concatenate([np.column_stack([xy, np.full(3, float(kz))])
+                                  for kz in (-3, 2, 5)])
+            return pts, "stack", (3, 3)
+        if case == "on-grid":
+            xy = np.array([[-2.0, 1.0], [0.0, -3.0], [1.0, 2.0]])
+            pts = np.concatenate([np.column_stack([xy, np.full(3, float(kz))])
+                                  for kz in (-2, 0, 1)])
+            return pts, "fft", None
+        pts = _product(rng, [-1, 0, 2], 5, self.dims)
+        if case == "missing":
+            return pts[1:], "general", None
+        if case == "repeated":
+            return np.concatenate([pts, pts[[4]]]), "general", None
+        if case == "mixed":
+            return np.concatenate([pts[pts[:, 2] != 2],
+                                   _planes(rng, [2], 5, self.dims)]), "general", None
+        if case == "rotated":
+            return _rotated(rng, [-1, 0, 2], 5, self.dims), "general", None
+        assert case == "non-integer-kz"
+        pts[7, 2] += 0.25
+        return pts, "general", None
+
+    @pytest.mark.parametrize("case", ["sorted", "shuffled", "one-plane", "one-point",
+                                      "signed-zero", "integer-xy", "on-grid", "missing",
+                                      "repeated", "mixed", "rotated", "non-integer-kz"])
+    def test_path_and_grid_of_integer_kz_sets(self, case):
+        """A Kronecker product of U planes and Q in-plane points, each
+        point once in any order, takes the stack path, with point j at
+        entry flat[j] of the row-major (U, Q) grid and each entry held
+        once; any other set takes the fft or general path. Every set's
+        forward matches the brute-force sum."""
+        rng = np.random.default_rng(42)
+        pts, path, grid = self._detection_points(case, rng)
+        op = NDFT(pts, self.dims)
+        assert op.path == path
+        if path == "stack":
+            planes, xy, flat = engine._kronecker(pts)
+            assert (len(planes), len(xy)) == grid
+            q = len(xy)
+            np.testing.assert_array_equal(planes[flat // q], pts[:, 2])
+            np.testing.assert_array_equal(xy[flat % q], pts[:, 0] + 1j * pts[:, 1])
+            np.testing.assert_array_equal(np.bincount(flat, minlength=grid[0] * q), 1)
+        elif path == "general" and case != "non-integer-kz":
+            assert engine._kronecker(pts) is None
+        vol = _random_volume(rng, self.dims)
+        np.testing.assert_allclose(op.forward(vol), _ndft_oracle(vol, pts), rtol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_point_order_permutes_samples_bit_for_bit(self, dtype):
+        """Shuffling a product's points shuffles its forward samples the
+        same way, and the adjoint of the shuffled samples is the same
+        volume, bit for bit: the grid is in np.unique order whatever the
+        points' order."""
+        rng = np.random.default_rng(43)
+        pts = _product(rng, [0, -1, 2], 6, self.dims)
+        perm = rng.permutation(len(pts))
+        op, shuffled = NDFT(pts, self.dims), NDFT(pts[perm], self.dims)
+        assert op.path == shuffled.path == "stack"
+        x = _random_volume(rng, (2, *self.dims)).astype(dtype)
+        y = (rng.standard_normal((2, len(pts)))
+             + 1j * rng.standard_normal((2, len(pts)))).astype(dtype)
+        np.testing.assert_array_equal(shuffled.forward(x), op.forward(x)[:, perm])
+        np.testing.assert_array_equal(shuffled.adjoint(y[:, perm]), op.adjoint(y))
+
 
 def _rotated(rng, kz_values, n, dims):
     """One set of n off-grid (kx, ky) points, rotated by a different angle
@@ -344,20 +432,23 @@ class TestNdftStackOracle:
 class TestNdftBatch:
     dims = (4, 6, 4)
 
-    @pytest.mark.parametrize("path", ["fft", "stack", "stack-product", "general",
-                                      "general-chunked"])
+    @pytest.mark.parametrize("path", ["fft", "stack", "stack-product", "stack-chunked",
+                                      "general", "general-chunked"])
     def test_batch_equals_per_slice_loop(self, path, monkeypatch):
         rng = np.random.default_rng(35)
         if path == "general-chunked":
             # 100 elements of a (P, 6*4) table: chunks of 4 points
             monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 100)
             path = "general"
+        elif path == "stack-chunked":
+            # 50 elements of a (Q, 4*6) table: chunks of 2, 2 and 1 points
+            monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 50)
         if path == "fft":
             pts = rng.integers(-2, 2, (15, 3)).astype(np.float64)
         elif path == "stack":
             # one plane of 15 points, as a once-only plane shot: U = 1
             pts = _planes(rng, [1], 15, self.dims)
-        elif path == "stack-product":
+        elif path.startswith("stack-"):
             pts, path = _product(rng, [0, 1, -2], 5, self.dims), "stack"
         else:
             pts = rng.uniform(-2, 1.9, (15, 3))
@@ -382,16 +473,27 @@ class TestNdftPrecision:
         if path == "stack":
             # one plane of 15 points, as a once-only plane shot: U = 1
             pts = _planes(rng, [1], 15, self.dims)
-        elif path == "stack-product":
+        elif path in ("stack-product", "stack-chunked"):
             pts = _product(rng, [0, 1, -2], 5, self.dims)
         else:
             pts = rng.uniform(-2, 1.9, (15, 3))
         op = NDFT(pts, self.dims)
         assert op.path == path.partition("-")[0]
+        assert (len(op._chunks) > 1) == path.endswith("-chunked")
         return op
 
-    @pytest.mark.parametrize("path", ["stack", "stack-product", "general"])
-    def test_dtype_follows_the_input(self, path):
+    @staticmethod
+    def _limit(path, monkeypatch):
+        if path == "general-chunked":
+            # 100 elements of a (P, 6*4) table: chunks of 4 points
+            monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 100)
+        elif path == "stack-chunked":
+            # 50 elements of a (Q, 4*6) table: chunks of 2, 2 and 1 points
+            monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 50)
+
+    @pytest.mark.parametrize("path", ["stack", "stack-product", "stack-chunked", "general"])
+    def test_dtype_follows_the_input(self, path, monkeypatch):
+        self._limit(path, monkeypatch)
         rng = np.random.default_rng(36)
         op = self._op(path, rng)
         x, y = _random_volume(rng, self.dims), rng.standard_normal(15) + 0j
@@ -401,16 +503,14 @@ class TestNdftPrecision:
             assert op.adjoint(y.real.astype(dtype)).dtype == want
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("path", ["stack", "stack-product", "general", "general-chunked"])
+    @pytest.mark.parametrize("path", ["stack", "stack-product", "stack-chunked", "general",
+                                      "general-chunked"])
     def test_complex64_matches_complex128(self, path, seed, monkeypatch):
         """forward and adjoint of complex64 input lie within 4 float32 eps
         of the peak of the complex128 result on the same values (at most
         2.3e-7 over seeds 0-19), and the adjoint identity holds within one
         eps of ||y|| ||A x|| (at most 4.6e-8)."""
-        if path == "general-chunked":
-            # 100 elements of a (P, 6*4) table: chunks of 4 points
-            monkeypatch.setattr("snakesim.engine.PHASE_TABLE_LIMIT", 100)
-            path = "general"
+        self._limit(path, monkeypatch)
         rng = np.random.default_rng(seed)
         op = self._op(path, rng)
         x = _random_volume(rng, (3, *self.dims)).astype(np.complex64)
@@ -424,8 +524,9 @@ class TestNdftPrecision:
         rhs = np.vdot(adj.astype(np.complex128), x.astype(np.complex128))
         assert abs(lhs - rhs) <= eps * np.linalg.norm(y) * np.linalg.norm(fwd)
 
-    @pytest.mark.parametrize("path", ["stack", "stack-product", "general"])
-    def test_tables_only_in_the_precisions_used(self, path):
+    @pytest.mark.parametrize("path", ["stack", "stack-product", "stack-chunked", "general"])
+    def test_tables_only_in_the_precisions_used(self, path, monkeypatch):
+        self._limit(path, monkeypatch)
         rng = np.random.default_rng(37)
         op = self._op(path, rng)
         op.adjoint(op.forward(_random_volume(rng, self.dims).astype(np.complex64)))
