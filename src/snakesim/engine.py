@@ -4,28 +4,30 @@ Samples are produced shot by shot from the current image state, either
 under the basic Fourier model (contrast frozen at TE) or the extended
 model with per-tissue T2* decay along the readout, of which the basic
 model is the case of one tissue with infinite T2*: both take their
-samples from one function, through :class:`NDFT`, applied to all coils
-at once, which is also the operator that reconstruction inverts. The
-NDFT takes one of three exact paths, one formula each: the FFT when
-every point is on the grid (EPI), a Kronecker product of a z table and
-one in-plane table when the points are one in-plane set on each of
-their integer kz planes (stack-of-spirals, whose planes all carry one
-spiral), and separable phase tables for any other 3D trajectory.
+samples from one shot function, :func:`acquire_shot_t2s`, through
+:class:`NDFT`, applied to all coils at once, which is also the operator
+that reconstruction inverts. The NDFT takes one of three exact paths,
+one formula each: the FFT when every point is on the grid (EPI), a
+Kronecker product of a z table and one in-plane table when the points
+are one in-plane set on each of their integer kz planes
+(stack-of-spirals, whose planes all carry one spiral), and separable
+phase tables for any other 3D trajectory.
 
 The BOLD model is affine in time, so a run transforms two images per
 tissue, a base and a BOLD delta, and each shot combines their samples
 with its response value h_s. The k-point patterns that the plan
 repeats, each as one Shot object, are transformed before the first
-frame, one NDFT per path on their joined points (one FFT per image and
-coil for an EPI plan), and memoized; each shot of them is then a
-lookup, an AXPY and the noise draw. A shot whose pattern occurs once is
+frame, one NDFT on their joined points (one FFT per image and coil for
+an EPI plan), and memoized; each shot of them is then a lookup, an
+AXPY and the noise draw. A shot whose pattern occurs once is
 transformed on its own. Calibrated complex Gaussian noise is added per
 sample. :func:`run_acquisition` runs the plan shot by shot, in plan
 order on the calling thread, into one (n_coils, P) buffer, the layout
 of a frame of the dataset body. With a sink each finished frame is
-appended to it, so no run-sized array is held, and the run returns a
-reader of the dataset that reads one frame per index; without one the
-frames fill one complex128 (n_frames, n_coils, P) array.
+appended to it, so no run-sized array is held, the dataset takes its
+name only once complete, and the run returns a reader of the dataset
+that reads one frame per index; without one the frames fill one
+complex128 (n_frames, n_coils, P) array.
 """
 
 from __future__ import annotations
@@ -92,12 +94,14 @@ def _is_integer(k):
 
 
 def _kronecker(points):
-    """(kz planes, in-plane points, flat) when the integer-kz points are a
-    Kronecker product: each of Q in-plane points (kx, ky) on each of U kz
+    """(kz planes, in-plane points, flat) when the points are a Kronecker
+    product: each of Q in-plane points (kx, ky) on each of U integer kz
     planes, once, in any order; None for any other set. The planes and
     the in-plane points (as complex numbers, so -0.0 equals 0.0) are in
     np.unique order, and point j is entry flat[j] of the row-major (U, Q)
     grid."""
+    if not _is_integer(points[:, 2]):
+        return None
     planes, plane_of = np.unique(np.round(points[:, 2]), return_inverse=True)
     xy, xy_of = np.unique(points[:, 0] + 1j * points[:, 1], return_inverse=True)
     flat = plane_of * len(xy) + xy_of
@@ -106,17 +110,6 @@ def _kronecker(points):
     if len(flat) != len(planes) * len(xy) or not (np.bincount(flat) == 1).all():
         return None
     return planes, xy, flat
-
-
-def _path(points, dims):
-    """The :class:`NDFT` path of (P, 3) points on a grid of ``dims``."""
-    if _is_integer(points):
-        k, half = np.round(points), np.array(dims) // 2
-        if ((k >= -half) & (k < np.array(dims) - half)).all():
-            return "fft"
-    if _is_integer(points[:, 2]) and _kronecker(points) is not None:
-        return "stack"
-    return "general"
 
 
 class NDFT:
@@ -170,24 +163,27 @@ class NDFT:
     def __init__(self, points, dims):
         self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         self.dims = tuple(dims)
-        self.path = _path(self.points, self.dims)
         self._tables = {}
         nx, ny, nz = self.dims
-        if self.path == "fft":
+        k, half = np.round(self.points), np.array(self.dims) // 2
+        if _is_integer(self.points) and ((k >= -half) & (k < self.dims - half)).all():
+            self.path = "fft"
             # point k is grid index k mod N of the ifftshifted grid on each axis
             self._flat = np.ravel_multi_index(
-                tuple((np.round(self.points).astype(np.intp) % self.dims).T), self.dims)
+                tuple((k.astype(np.intp) % self.dims).T), self.dims)
             # the adjoint scatters by assignment unless a grid point repeats;
             # sorted here because np.unique imports numpy.ma on first use
             flat = np.sort(self._flat)
             self._distinct = not np.any(flat[1:] == flat[:-1])
-        elif self.path == "stack":
+        elif (stack := _kronecker(self.points)) is not None:
+            self.path = "stack"
             # point j is entry _flat[j] of the (U, Q) grid, which holds
             # point _entries[i] at entry i
-            self._kz, xy, self._flat = _kronecker(self.points)
+            self._kz, xy, self._flat = stack
             self._xy, self._entries = (xy.real, xy.imag), np.argsort(self._flat)
             self._chunks = _row_chunks(len(xy), nx * ny, PHASE_TABLE_LIMIT)
         else:
+            self.path = "general"
             self._chunks = _row_chunks(len(self.points), ny * nz, PHASE_TABLE_LIMIT)
 
     def _tables_in(self, dtype):
@@ -416,67 +412,60 @@ def _samples(tissue_volumes, tissue_t2s_s, coils: CoilProfile, points, times):
     return out
 
 
-def _shot_samples(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Shot, cache):
-    """``cache[shot]`` when cache is a dict that holds the Shot (see
-    :func:`_transform_patterns`), else the Shot's :func:`_samples`."""
-    value = None if cache is None else cache.get(shot)
-    if value is None:
-        value = _samples(tissue_volumes, tissue_t2s_s, coils, shot.points, shot.times)
-    return value
-
-
-def acquire_shot_basic(mu_volume, coils: CoilProfile, shot: Shot, cache=None):
-    """Basic Fourier model: y_l = F{S_l * mu}[k] with contrast frozen at TE.
-
-    Leading term axes of mu_volume are kept: (..., Nx, Ny, Nz) maps to
-    (..., L, P). ``cache``, a dict of read-only samples per Shot, gives
-    the samples of the Shots it holds; it must have been filled from the
-    same mu_volume and coil set.
-    """
-    return _shot_samples(np.asarray(mu_volume)[None], [np.inf], coils, shot, cache)
-
-
 def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Shot,
                      cache=None):
     """Extended model: per-tissue T2* decay along the echo-centered readout.
 
     tissue_volumes are mu_i * w_i at t_ref = TE; the sample at time t_n
     (relative to the echo center) carries exp(-t_n / T2*_i), so the echo
-    center sample matches the basic model exactly. Term axes after the
-    tissue axis are kept: (T, ..., Nx, Ny, Nz) maps to (..., L, P).
-    ``cache`` is as for :func:`acquire_shot_basic`.
+    center sample matches the basic model exactly, and an infinite T2*
+    has no decay. Term axes after the tissue axis are kept:
+    (T, ..., Nx, Ny, Nz) maps to (..., L, P). ``cache``, a dict of
+    read-only samples per Shot (see :func:`_transform_patterns`), gives
+    the samples of the Shots it holds; it must have been filled from the
+    same volumes, T2* values and coil set.
     """
+    if cache and shot in cache:
+        return cache[shot]
     tissue_volumes = np.asarray(tissue_volumes)
     if tissue_volumes.shape[0] != len(tissue_t2s_s):
         raise EngineError(
             f"{tissue_volumes.shape[0]} tissue volumes for "
             f"{len(tissue_t2s_s)} T2* values"
         )
-    return _shot_samples(tissue_volumes, tissue_t2s_s, coils, shot, cache)
+    return _samples(tissue_volumes, tissue_t2s_s, coils, shot.points, shot.times)
+
+
+def acquire_shot_basic(mu_volume, coils: CoilProfile, shot: Shot):
+    """Basic Fourier model: y_l = F{S_l * mu}[k] with contrast frozen at TE,
+    the extended model of one tissue with infinite T2*.
+
+    Leading term axes of mu_volume are kept: (..., Nx, Ny, Nz) maps to
+    (..., L, P).
+    """
+    return acquire_shot_t2s(np.asarray(mu_volume)[None], [np.inf], coils, shot)
 
 
 def _transform_patterns(patterns, tissue_volumes, tissue_t2s_s, coils: CoilProfile):
     """{shot: its samples} for the distinct Shots ``patterns``, from one
-    :func:`_samples` call per NDFT path on the patterns' joined points,
-    each pattern's samples a read-only view of its columns.
+    :func:`_samples` call on the patterns' joined points, each pattern's
+    samples a read-only view of its columns.
 
     Each sample is the sum its pattern's own call would take, so the
     views equal the per-pattern results (on the FFT path both gather from
-    one spectrum). A whole EPI plan then costs one FFT per volume.
+    one spectrum). The joined points take one NDFT path: every preset
+    repeats patterns of one path only, and a plan that mixes on-grid and
+    off-grid patterns takes the general path for all of them. A whole
+    EPI plan then costs one FFT per volume.
     """
-    groups = {}
-    for shot in patterns:
-        groups.setdefault(_path(shot.points, tissue_volumes.shape[-3:]), []).append(shot)
-    memo = {}
-    for shots in groups.values():
-        y = _samples(tissue_volumes, tissue_t2s_s, coils,
-                     np.concatenate([s.points for s in shots]),
-                     np.concatenate([s.times for s in shots]))
-        y.flags.writeable = False
-        ends = np.cumsum([s.n_samples for s in shots])
-        for shot, hi in zip(shots, ends):
-            memo[shot] = y[..., hi - shot.n_samples:hi]
-    return memo
+    if not patterns:
+        return {}
+    y = _samples(tissue_volumes, tissue_t2s_s, coils,
+                 np.concatenate([s.points for s in patterns]),
+                 np.concatenate([s.times for s in patterns]))
+    y.flags.writeable = False
+    ends = np.cumsum([s.n_samples for s in patterns])
+    return {shot: y[..., hi - shot.n_samples:hi] for shot, hi in zip(patterns, ends)}
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +473,7 @@ def _transform_patterns(patterns, tissue_volumes, tissue_t2s_s, coils: CoilProfi
 
 
 def _check_run_inputs(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
-                      bold: BoldSpec | None, gm_index):
+                      bold: BoldSpec | None, noise: NoiseConfig, gm_index):
     """Reject mismatched inputs before any shot runs or the sink opens;
     return the per-shot sample counts, which every frame must share."""
     dims = tuple(phantom.dims)
@@ -493,6 +482,9 @@ def _check_run_inputs(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     if coils.maps.shape[1:] != dims:
         raise EngineError(f"coil map dims {coils.maps.shape[1:]} differ from "
                           f"phantom dims {dims}")
+    if noise.sigma is not None and np.shape(noise.sigma) != (coils.n_coils,) * 2:
+        raise EngineError(f"coil covariance has shape {np.shape(noise.sigma)}, the "
+                          f"{coils.n_coils} coils need {(coils.n_coils,) * 2}")
     if gm_index is not None and not 0 <= gm_index < phantom.n_tissues:
         raise EngineError(f"gm_index {gm_index} is not one of the "
                           f"{phantom.n_tissues} tissues")
@@ -532,11 +524,10 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     A k-point pattern that occurs in more than one shot has its term
     samples Y (2, L, P) transformed before the first frame and memoized
     for the run, and each of its shots is y = Y[0] + h_s * Y[1]. The
-    repeated patterns are transformed together, one NDFT per path on
-    their joined points, so an on-grid plan costs one FFT per term
-    volume and coil. The memo holds 2 x patterns x L x P complex128
-    values (0.8 MB for a 22-plane EPI plan at 1080 samples and one
-    coil). A pattern that occurs once is transformed as the single image
+    repeated patterns are transformed together, one NDFT on their joined
+    points, so an on-grid plan costs one FFT per term volume and coil.
+    The memo holds 2 x patterns x L x P complex128 values (0.8 MB for a
+    22-plane EPI plan at 1080 samples and one coil). A pattern that occurs once is transformed as the single image
     B + h_s * D. So no shot costs more transforms than rebuilding its
     state would. Every shot runs in plan order on the calling thread.
 
@@ -544,20 +535,23 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     ``bounds[i]:bounds[i+1]`` of the frame's (n_coils, P) block, P the
     samples of one frame. With ``sink_path`` that block is one buffer,
     converted to complex64 once and appended to the sink per (coil,
-    shot) as soon as the frame is done,
-    and the run returns :func:`snakesim.io.read_dataset` of the sink:
-    ``(header, kdata)`` with kdata a :class:`~snakesim.io.DatasetReader`
-    of the bytes that were written, whose ``kdata[t]`` reads frame t as
-    a complex64 (n_coils, P) array. Without a
-    sink the blocks are the frames of one complex128 array of that shape,
-    returned as kdata. Inputs that do not match the phantom, or frames
-    with unequal per-shot sample counts, raise :class:`EngineError`
-    before the sink is created.
+    shot) as soon as the frame is done, and the run returns
+    :func:`snakesim.io.read_dataset` of the sink: ``(header, kdata)``
+    with kdata a :class:`~snakesim.io.DatasetReader` of the bytes that
+    were written, whose ``kdata[t]`` reads frame t as a complex64
+    (n_coils, P) array. The sink is a
+    :class:`~snakesim.io.DatasetWriter`, so a dataset exists at
+    ``sink_path`` only once every frame is written, and a run that fails
+    leaves ``<sink_path>.partial``. Without a sink the blocks are the
+    frames of one complex128 array of that shape, returned as kdata.
+    Inputs that do not match the phantom or each other, or frames with
+    unequal per-shot sample counts, raise :class:`EngineError` before
+    the sink is created.
     """
     if model not in ("basic", "t2s"):
         raise EngineError(f"unknown model {model!r}")
-    counts = _check_run_inputs(phantom, plan, coils, bold, gm_index)
     noise = noise or NoiseConfig()
+    counts = _check_run_inputs(phantom, plan, coils, bold, noise, gm_index)
     mu = gre_contrast(phantom, seq)
     baseline = contrast_volume(phantom, mu)
     energy = phantom_energy(baseline)

@@ -12,7 +12,8 @@ Three little-endian formats are defined here:
   JSON header, then per frame, per coil, per shot, complex f32
   interleaved (re, im): one C-order complex64 array of shape
   (n_frames, n_coils, P), P the samples of one frame, written a frame
-  at a time and read back a frame at a time.
+  at a time under ``<name>.partial``, which takes the dataset's name
+  only once complete, and read back a frame at a time.
 
 A minimal NIfTI-1 reader (little-endian float32 only) is provided for
 ingesting per-tissue fuzzy masks.
@@ -24,7 +25,6 @@ import gzip
 import json
 import operator
 import os
-import shutil
 import struct
 from pathlib import Path
 
@@ -35,8 +35,6 @@ TRAJ_MAGIC = b"SNKT1"
 DATASET_MAGIC = b"SNKD1"
 # header keys read_dataset needs to shape the body
 _DATASET_KEYS = ("n_frames", "n_coils", "n_shots_per_frame", "samples_per_shot")
-# bytes per read when a partial dataset's body is copied
-_COPY_CHUNK = 1 << 20
 
 
 class FormatError(ValueError):
@@ -186,25 +184,24 @@ def read_trajectory(path):
 class DatasetWriter:
     """Streaming writer for the SNKD1 container.
 
-    Appends shot sample blocks in plan order. The header is written
-    up-front; if the writer is closed before all expected shots were
-    appended, the header is rewritten with a ``partial`` marker.
+    Opening removes any dataset already at ``path`` and starts
+    ``<path>.partial`` with the header. Shot sample blocks are appended
+    to it in plan order, and a close after every expected block renames
+    it to ``path``. So a dataset exists at ``path`` only when complete,
+    and a writer closed early leaves ``<path>.partial`` with the header
+    and every appended byte.
     """
 
     def __init__(self, path, header: dict):
         self.path = Path(path)
-        self.header = dict(header)
+        self._partial = self.path.with_name(self.path.name + ".partial")
         self._expected = int(header["n_frames"]) * int(header["n_coils"]) \
             * int(header["n_shots_per_frame"])
         self._written = 0
-        self._f = open(self.path, "wb")
-        self._write_header(self.header)
-
-    def _write_header(self, header):
+        self.path.unlink(missing_ok=True)
+        self._f = open(self._partial, "wb")
         blob = canonical_json(header).encode()
-        self._f.write(DATASET_MAGIC)
-        self._f.write(struct.pack("<I", len(blob)))
-        self._f.write(blob)
+        self._f.write(DATASET_MAGIC + struct.pack("<I", len(blob)) + blob)
 
     def append(self, samples):
         """Append one (coil, shot) sample vector as interleaved complex f32."""
@@ -215,16 +212,8 @@ class DatasetWriter:
         if self._f.closed:
             return
         self._f.close()
-        if self._written != self._expected:
-            # rewrite the file with a partial-file marker in the header: the
-            # body, up to a whole run, is copied in chunks to a sibling file
-            # that then replaces it
-            partial = self.path.with_name(self.path.name + ".partial")
-            with open(self.path, "rb") as src, open(partial, "wb") as self._f:
-                src.seek(9 + len(canonical_json(self.header).encode()))
-                self._write_header({**self.header, "partial": True})
-                shutil.copyfileobj(src, self._f, _COPY_CHUNK)
-            os.replace(partial, self.path)
+        if self._written == self._expected:
+            os.replace(self._partial, self.path)
 
     def __enter__(self):
         return self
@@ -277,8 +266,9 @@ def read_dataset(path):
     Returns ``(header, kdata)``, kdata a :class:`DatasetReader` of the
     body: one C-order complex64 array of shape (n_frames, n_coils, P),
     P = sum(samples_per_shot), of which ``kdata[t]`` reads frame t from
-    the file. A bad magic, a partial marker, a missing header key, or a
-    body shorter or longer than the header predicts raises
+    the file. A bad magic, a missing header key, a body shorter or longer
+    than the header predicts, or the ``partial`` marker with which
+    earlier versions closed an incomplete dataset raises
     :class:`FormatError`.
     """
     with open(path, "rb") as f:

@@ -238,6 +238,16 @@ def adjoint_recon(y, operator: FrameOperator, density_comp="none"):
 # SURE threshold selection
 
 
+def _median(a):
+    """``np.median`` of a 1-D float array, bit for bit: the mean of the
+    middle entry or entries of a partition, or NaN when its last entry,
+    where NaNs sort, is one. numpy's own NaN check probes ``np.ma``,
+    whose import costs about 19 ms on a run's first median."""
+    n = a.size
+    part = np.partition(a, sorted({(n - 1) // 2, n // 2, n - 1}))
+    return part[-1] if np.isnan(part[-1]) else np.mean(part[(n - 1) // 2:n // 2 + 1])
+
+
 def sure_threshold_coeffs(alpha):
     """Threshold selection on a detail-coefficient vector.
 
@@ -257,7 +267,7 @@ def sure_threshold_coeffs(alpha):
     # deviations are taken on the coefficients themselves; complex inputs
     # fall back to magnitudes since their median is not defined
     mad_base = np.abs(alpha) if np.iscomplexobj(alpha) else alpha.astype(np.float64)
-    mad = np.median(np.abs(mad_base - np.median(mad_base)))
+    mad = _median(np.abs(mad_base - _median(mad_base)))
     sigma = mad * 0.675
     alpha = np.abs(alpha).astype(np.float64)
     if sigma == 0:

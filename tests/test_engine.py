@@ -236,6 +236,19 @@ class TestNdftStack:
         assert op.path == "stack"
         np.testing.assert_allclose(op.forward(vol), _ndft_oracle(vol, pts), rtol=1e-10)
 
+    def test_stack_is_detected_once(self, monkeypatch):
+        """A stack NDFT keeps the grid of its one Kronecker-product test."""
+        calls = []
+
+        def counting(points):
+            calls.append(len(points))
+            return kronecker(points)
+
+        kronecker = engine._kronecker
+        monkeypatch.setattr(engine, "_kronecker", counting)
+        pts = _product(np.random.default_rng(33), [-1, 0, 2], 5, self.dims)
+        assert NDFT(pts, self.dims).path == "stack" and calls == [15]
+
     def test_one_non_integer_kz_takes_general_path(self):
         rng = np.random.default_rng(32)
         vol = _random_volume(rng, self.dims)
@@ -937,16 +950,14 @@ class TestAffineAcquisition:
                                                          tmp_path):
         """Shot calls = plan shots, all to acquire_shot_t2s (the basic model
         is its one tissue of infinite T2*), appends = shots x coils, NDFT
-        builds = one per NDFT path among the repeated patterns (they are
-        transformed together before the first frame) + one per once-only
-        shot."""
+        builds = one for the repeated patterns (they are transformed
+        together before the first frame) + one per once-only shot."""
         seq = _seq()
         dims = (6, 6, 22) if kind == "epi22" else self.dims
         plan = gen_epi_3d(dims, seq, n_frames=3) if kind == "epi22" else _plan(kind, dims, seq)
         ph, bold = _bold_phantom(dims, plan)
         coils = birdcage_coils(dims, 2)
         repeated, once = _pattern_counts(plan)
-        paths = {NDFT(s.points, dims).path for s, n in Counter(plan.shots).items() if n > 1}
         calls = {"shot": 0, "append": 0, "ndft": 0}
 
         def counting(name, fn):
@@ -968,9 +979,46 @@ class TestAffineAcquisition:
                         sink_path=tmp_path / "run.snkd")
         assert calls["shot"] == len(plan.shots)
         assert calls["append"] == len(plan.shots) * coils.n_coils
-        assert calls["ndft"] == len(paths) + once
+        assert calls["ndft"] == (repeated > 0) + once
         if kind == "epi22":
-            assert (repeated, once, paths) == (22, 0, {"fft"})
+            assert (repeated, once) == (22, 0)
+
+    def test_patterns_of_two_paths_share_one_transform(self, monkeypatch):
+        """An external plan that repeats an on-grid and an off-grid pattern
+        has both transformed by one general-path NDFT on their joined
+        points, and each memo view equals its pattern's own transform
+        (the on-grid one by the FFT path)."""
+        seq = _seq()
+        rng = np.random.default_rng(25)
+        dims, half = self.dims, np.array(self.dims) // 2
+        times = (np.arange(12) - 5.5) * seq.t_obs_s / 12
+        grid = Shot(points=rng.integers(-half, np.array(dims) - half, (12, 3)).astype(float),
+                    times=times)
+        off = Shot(points=rng.uniform(-half, half - 0.5, (12, 3)), times=times)
+        plan = SamplingPlan(shots=(grid, off, off, grid), shots_per_frame=2,
+                            tr_shot=seq.tr_shot_s, kind="external", dims=dims)
+        assert [NDFT(s.points, dims).path for s in (grid, off)] == ["fft", "general"]
+        # two tissues of finite T2*, each with a base and a delta term
+        vols = _random_volume(rng, (2, 2, *dims))
+        t2s_s = [0.03, 0.05]
+        coils = birdcage_coils(dims, 2)
+        paths = []
+
+        class Spy(NDFT):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                paths.append(self.path)
+
+        monkeypatch.setattr(engine, "NDFT", Spy)
+        patterns = [shot for shot, n in Counter(plan.shots).items() if n > 1]
+        memo = engine._transform_patterns(patterns, vols, t2s_s, coils)
+        assert paths == ["general"] and list(memo) == [grid, off]
+        for shot in patterns:
+            want = engine._samples(vols, t2s_s, coils, shot.points, shot.times)
+            assert not memo[shot].flags.writeable
+            np.testing.assert_allclose(memo[shot], want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+        assert paths == ["general", "fft", "general"]
 
     def test_loaded_plan_repeats_the_saved_plans_shots(self, tmp_path):
         """A 3-frame EPI plan saved to SNKT1 loads as its 22 plane Shots
@@ -1076,14 +1124,17 @@ class TestAffineAcquisition:
         assert not sink.exists()
 
     @pytest.mark.parametrize("bad", ["h_short", "roi_shape", "gm_index_high",
-                                     "gm_index_negative", "plan_dims", "coil_dims"])
+                                     "gm_index_negative", "plan_dims", "coil_dims",
+                                     "covariance_shape"])
     def test_bad_inputs_rejected_before_sink(self, bad, tmp_path):
         seq = _seq()
         plan = gen_epi_3d(self.dims, seq, n_frames=2)
         ph, bold = _bold_phantom(self.dims, plan)
         coils = birdcage_coils(self.dims, 2)
-        gm_index = 1
-        if bad == "h_short":
+        gm_index, noise, match = 1, None, None
+        if bad == "covariance_shape":
+            noise, match = NoiseConfig(snr_i=50.0, sigma=np.eye(3)), r"\(3, 3\).*\(2, 2\)"
+        elif bad == "h_short":
             bold = BoldSpec(roi=bold.roi, delta_r2s=-2.0, h_tilde=bold.h_tilde[:-1])
         elif bad == "roi_shape":
             bold = BoldSpec(roi=bold.roi[:-1], delta_r2s=-2.0, h_tilde=bold.h_tilde)
@@ -1098,7 +1149,7 @@ class TestAffineAcquisition:
         else:
             coils = birdcage_coils((6, 6, 7), 2)
         sink = tmp_path / "run.snkd"
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match=match):
             run_acquisition(ph, plan, coils, seq, bold=bold, gm_index=gm_index,
-                            sink_path=sink)
-        assert not sink.exists()
+                            noise=noise, sink_path=sink)
+        assert list(tmp_path.iterdir()) == []

@@ -185,30 +185,49 @@ def test_dataset_missing_header_key_rejected(tmp_path, key):
         read_dataset(path)
 
 
-def test_dataset_partial_marker(tmp_path):
+def test_dataset_closed_early_stays_partial(tmp_path):
+    """A writer closed before every expected block leaves ``<path>.partial``,
+    holding the header and every appended byte, and nothing at ``path``."""
     path = tmp_path / "p.snkd"
-    w = DatasetWriter(path, _header())
-    w.append(np.zeros(4, dtype=np.complex64))
-    w.close()
-    raw = path.read_bytes()
-    hlen = struct.unpack_from("<I", raw, 5)[0]
-    header = json.loads(raw[9:9 + hlen])
-    assert header["partial"] is True
-    with pytest.raises(FormatError, match="partial"):
-        read_dataset(path)
-
-
-def test_dataset_partial_rewrite_keeps_body(tmp_path):
-    """The partial rewrite keeps every appended byte and leaves no other file."""
-    path = tmp_path / "p.snkd"
+    header = _header()
     blocks = [np.arange(4) + 1j * k for k in range(3)]
-    with DatasetWriter(path, _header()) as w:
+    with DatasetWriter(path, header) as w:
         for block in blocks:
             w.append(block)
-    raw = path.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.snkd.partial"]
+    raw = (tmp_path / "p.snkd.partial").read_bytes()
     hlen = struct.unpack_from("<I", raw, 5)[0]
+    assert raw[:5] == b"SNKD1" and json.loads(raw[9:9 + hlen]) == header
     assert raw[9 + hlen:] == np.concatenate(blocks).astype("<c8").tobytes()
-    assert [p.name for p in tmp_path.iterdir()] == ["p.snkd"]
+
+
+def test_dataset_complete_leaves_only_path(tmp_path):
+    path = tmp_path / "c.snkd"
+    _full_dataset(path, _header())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.snkd"]
+    assert read_dataset(path)[1].shape == (2, 2, 8)
+
+
+def test_dataset_writer_removes_existing_dataset(tmp_path):
+    """Opening a writer over a dataset removes it, so a run that then
+    fails leaves no earlier run's dataset under the name."""
+    path = tmp_path / "o.snkd"
+    _full_dataset(path, _header())
+    w = DatasetWriter(path, _header())
+    assert not path.exists()
+    w.close()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.snkd.partial"]
+
+
+def test_dataset_marked_partial_refused(tmp_path):
+    """A dataset that an earlier version closed incomplete carries a
+    ``partial`` marker in its header and is refused."""
+    header = {**_header(), "partial": True}
+    path = tmp_path / "m.snkd"
+    blob = canonical_json(header).encode()
+    path.write_bytes(b"SNKD1" + struct.pack("<I", len(blob)) + blob + bytes(8 * 2 * 2 * 8))
+    with pytest.raises(FormatError, match="partial"):
+        read_dataset(path)
 
 
 def test_dataset_reader_reads_one_frame_at_a_time(tmp_path):

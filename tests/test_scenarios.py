@@ -308,6 +308,26 @@ class TestRunPipeline:
         disk = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert disk["failed_stage"] == "acquisition"
 
+    def test_failed_acquisition_leaves_no_dataset(self, tmp_path, monkeypatch):
+        """An acquisition that raises after the sink opened, here at shot 3
+        of a rerun into a finished run's directory, leaves only
+        ``kspace.snkd.partial``: neither the new run's incomplete dataset
+        nor the finished run's stays under the name a later stage reads."""
+        config = _tiny_config()
+        assert run_pipeline(config, tmp_path / "run").failed_stage is None
+        add_noise = engine.add_noise
+
+        def failing(samples, noise, energy, shot_index=0):
+            if shot_index == 3:
+                raise RuntimeError("shot 3")
+            return add_noise(samples, noise, energy, shot_index=shot_index)
+
+        monkeypatch.setattr(engine, "add_noise", failing)
+        manifest = run_pipeline(config, tmp_path / "run")
+        assert manifest.failed_stage == "acquisition" and "shot 3" in manifest.error
+        assert not (tmp_path / "run" / "kspace.snkd").exists()
+        assert (tmp_path / "run" / "kspace.snkd.partial").exists()
+
     def test_external_plan_frame_count_must_match(self, tmp_path):
         config = _tiny_config()
         seq = config.sequence
@@ -411,13 +431,12 @@ class TestRunPipeline:
         cfg["recon"].update(strategy=strategy, max_iters=4)
         return RunConfig.from_dict(cfg)
 
-    @pytest.mark.parametrize("model", ["basic", "t2s"])
-    @pytest.mark.parametrize("name", ["s2_sos_static", "s2_sos_dynamic"])
-    def test_every_sos_operator_takes_the_stack_path(self, name, model, tmp_path,
-                                                     monkeypatch):
-        """Every NDFT a stack-of-spirals run builds is one Kronecker
-        product: acquisition's joined repeated planes, each of its
-        once-only plane shots and every frame operator of the CS series."""
+    @staticmethod
+    def _ndft_paths(name, model, tmp_path, monkeypatch):
+        """Run a six-frame ``name`` preset at scale 0.15 under ``model`` and
+        return the paths of the NDFTs that acquisition and reconstruction
+        built, the plan's once-only patterns and its runs of equal
+        consecutive frames, of which the series builds one operator each."""
         built = {"engine": [], "recon": []}
 
         def spy(paths):
@@ -437,11 +456,32 @@ class TestRunPipeline:
         assert run_pipeline(config, tmp_path / "run").failed_stage is None
         plan = _build_plan(cfg, config.sequence)
         once = sum(n == 1 for n in Counter(plan.shots).values())
-        # the series builds one operator per run of equal consecutive frames
         runs = 1 + sum(plan.frame(t) != plan.frame(t - 1) for t in range(1, 6))
+        return built, once, runs
+
+    @pytest.mark.parametrize("model", ["basic", "t2s"])
+    @pytest.mark.parametrize("name", ["s2_sos_static", "s2_sos_dynamic"])
+    def test_every_sos_operator_takes_the_stack_path(self, name, model, tmp_path,
+                                                     monkeypatch):
+        """Every NDFT a stack-of-spirals run builds is one Kronecker
+        product: acquisition's joined repeated planes, each of its
+        once-only plane shots and every frame operator of the CS series."""
+        built, once, runs = self._ndft_paths(name, model, tmp_path, monkeypatch)
         assert (once > 0, runs > 1) == (name == "s2_sos_dynamic",) * 2
         assert built["engine"] == ["stack"] * (1 + once)
         assert built["recon"] == ["stack"] * runs
+
+    @pytest.mark.parametrize("model", ["basic", "t2s"])
+    def test_every_epi_operator_takes_the_fft_path(self, model, tmp_path, monkeypatch):
+        """An EPI run repeats every pattern, all on the grid, so acquisition
+        builds one FFT-path NDFT on their joined points and the adjoint
+        series one per run of equal frames. With the stack-of-spirals
+        runs above, every shipped preset that plans its own trajectory
+        repeats patterns of one path only, which is what lets the engine
+        transform all of them in one NDFT."""
+        built, once, runs = self._ndft_paths("s1_epi", model, tmp_path, monkeypatch)
+        assert (once, runs) == (0, 1)
+        assert built["engine"] == ["fft"] and built["recon"] == ["fft"]
 
     @pytest.mark.parametrize("method", ["adjoint", "cold", "refined"])
     def test_artifacts_identical_at_any_worker_count(self, method, tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from snakesim.recon import ReconError, sure_threshold, sure_threshold_coeffs
+from snakesim.recon import ReconError, _median, sure_threshold, sure_threshold_coeffs
 from snakesim.wavelets import WaveletBasis, finest_detail
 
 
@@ -30,6 +30,26 @@ def _sure_oracle(alpha):
         if risk < best_risk:
             best_risk, best_w = risk, w
     return min(best_w, universal), sigma
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["normal", "magnitude", "ties", "signed-zeros", "nan"])
+def test_median_is_numpys_bit_for_bit(dtype, kind):
+    """The private median equals np.median in value, bits and dtype, on
+    odd and even n, with ties, with -0.0 beside 0.0 and on NaN input."""
+    rng = np.random.default_rng(7)
+    for n in [2, 3, 4, 5, 64, 127, 1000, 31949, 31950]:
+        a = rng.standard_normal(n).astype(dtype)
+        if kind == "magnitude":
+            a = np.abs(a)
+        elif kind == "ties":
+            a = np.round(a)
+        elif kind == "signed-zeros":
+            a[::2], a[1::3] = -0.0, 0.0
+        elif kind == "nan":
+            a[rng.integers(n)] = np.nan
+        got, want = _median(a), np.median(a)
+        assert type(got) is type(want) and got.tobytes() == want.tobytes(), n
 
 
 class TestSureThresholdCoeffs:
