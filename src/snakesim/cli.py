@@ -1,7 +1,9 @@
 """Command line entry points.
 
 Exit codes: 0 success, 2 validation error (bad config, bad file, bad
-arguments), 3 pipeline stage failure.
+arguments) or a file that cannot be read or written (any OSError, as a
+missing file or an ``--out`` that is a regular file), printed as
+``error: ...`` with no traceback, 3 pipeline stage failure.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from .scenarios import ConfigError, RunConfig, preset, run_pipeline
 from .trajectories import (gen_epi_3d, gen_spiral, gen_stack_of_spirals,
                            save_trajectory_file)
 
-# every project error (ConfigError, FormatError, ...) subclasses ValueError
-_VALIDATION_ERRORS = (ValueError, FileNotFoundError)
+# every project error (ConfigError, FormatError, ...) subclasses ValueError;
+# OSError covers FileNotFoundError, FileExistsError and the like
+_VALIDATION_ERRORS = (ValueError, OSError)
 
 # the variables that set the thread count of numpy's BLAS
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

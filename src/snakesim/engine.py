@@ -32,6 +32,7 @@ complex128 (n_frames, n_coils, P) array.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -127,8 +128,8 @@ class NDFT:
     - ``"fft"``, every point on the integer grid (Cartesian, EPI): the
       centered FFT is fftshift(fftn(ifftshift(v))), so point k is entry
       k mod N (per axis) of fftn(ifftshift(v)). forward gathers there,
-      with no fftshift of the spectrum; adjoint scatters there (by
-      assignment unless a grid point repeats), inverse-FFTs with no
+      with no fftshift of the spectrum; adjoint adds each sample there
+      (np.add.at, so repeated grid points sum), inverse-FFTs with no
       ifftshift of the grid, fftshifts and scales in place. The adjoint
       runs in the data's precision: complex64 or float32 y gives a
       complex64 volume, any other y a complex128 one.
@@ -140,18 +141,16 @@ class NDFT:
       the whole batch, one GEMM with the combined (Q, Nx*Ny) in-plane
       table takes all planes and batch items to the grid, and forward
       gathers each point from its entry: Nx*Ny*Nz*U + Nx*Ny*U*Q MACs per
-      item. The combined table is built once when it has at most
-      PHASE_TABLE_LIMIT elements and otherwise rebuilt per call in
-      chunks of in-plane points of at most that size. Integer-kz points
-      that are no such product (planes with different in-plane sets, as
-      a spiral rotated per plane, or a repeated point) take the general
-      path.
+      item. Integer-kz points that are no such product (planes with
+      different in-plane sets, as a spiral rotated per plane, or a
+      repeated point) take the general path.
     - ``"general"``, any other points (3D trajectories): a (P, Nx)
-      table and a combined (P, Ny*Nz) table. The combined table is built
-      once when it has at most PHASE_TABLE_LIMIT elements and otherwise
-      rebuilt per call in chunks of that size.
+      table and a combined (P, Ny*Nz) table.
 
-    The adjoints of both non-FFT paths use the forward tables as
+    Both non-FFT paths run one loop over the rows of their combined
+    table: one chunk, built once, when it has at most PHASE_TABLE_LIMIT
+    elements, else chunks of rows (in-plane points or points) of at most
+    that size, rebuilt per call. Their adjoints use the forward tables as
     conj(conj(y) E), so no conjugated copy of a table is made; the stack
     adjoint gathers y into its grid by the inverse of the forward's
     gather. They compute in the precision of their input, as the FFT
@@ -171,10 +170,6 @@ class NDFT:
             # point k is grid index k mod N of the ifftshifted grid on each axis
             self._flat = np.ravel_multi_index(
                 tuple((k.astype(np.intp) % self.dims).T), self.dims)
-            # the adjoint scatters by assignment unless a grid point repeats;
-            # sorted here because np.unique imports numpy.ma on first use
-            flat = np.sort(self._flat)
-            self._distinct = not np.any(flat[1:] == flat[:-1])
         elif (stack := _kronecker(self.points)) is not None:
             self.path = "stack"
             # point j is entry _flat[j] of the (U, Q) grid, which holds
@@ -187,13 +182,13 @@ class NDFT:
             self._chunks = _row_chunks(len(self.points), ny * nz, PHASE_TABLE_LIMIT)
 
     def _tables_in(self, dtype):
-        """The phase tables (x, y, z, combined) in complex ``dtype``, built
-        on first use, so an operator holds tables only in the precisions
-        it was called in. The stack path's x and y tables are of its Q
-        in-plane points, its z table of its U planes and its combined
-        (Q, Nx*Ny) table of x and y; the general path's are of its P
-        points, its combined (P, Ny*Nz) table of y and z. The combined
-        table is None when it is rebuilt per chunk."""
+        """The phase tables (x, z, combined) in complex ``dtype``, built on
+        first use, so an operator holds tables only in the precisions it
+        was called in: the stack path's of its Q in-plane points, its U
+        planes and (Q, Nx*Ny) of x and y, the general path's of its P
+        points and (P, Ny*Nz) of y and z. ``combined(sl)`` is rows ``sl``
+        of the combined table: the table kept here when it is one chunk,
+        else those rows rebuilt per call."""
         tables = self._tables.get(dtype)
         if tables is not None:
             return tables
@@ -208,8 +203,9 @@ class NDFT:
         else:
             ex, ey, ez = (phase(k, n) for k, n in zip(self.points.T, self.dims))
             pair = ey, ez
-        rows = _rows(*pair, self._chunks[0]) if len(self._chunks) == 1 else None
-        return self._tables.setdefault(dtype, (ex, ey, ez, rows))
+        whole = _rows(*pair, self._chunks[0]) if len(self._chunks) == 1 else None
+        combined = functools.partial(_rows, *pair) if whole is None else lambda sl: whole
+        return self._tables.setdefault(dtype, (ex, ez, combined))
 
     def forward(self, x):
         x = np.asarray(x)
@@ -222,23 +218,18 @@ class NDFT:
             out = np.stack([np.fft.fftn(np.fft.ifftshift(v)).ravel()[self._flat] for v in x])
             return out.reshape(*lead, n)
         dtype = np.result_type(x.dtype, np.complex64)
-        ex, ey, ez, rows = self._tables_in(dtype)
+        ex, ez, combined = self._tables_in(dtype)
         if self.path == "stack":
             # (U*B, Nx*Ny): every item contracted along z at each plane
             planes = (ez @ x.reshape(-1, nz).T).reshape(-1, nx * ny)
             # (U*B, Nx*Ny) @ (Nx*Ny, Q), as (B, U*Q), at each point's entry
-            if rows is not None:
-                grid = planes @ rows.T
-            else:
-                grid = np.concatenate([planes @ _rows(ex, ey, sl).T for sl in self._chunks],
-                                      axis=1)
+            grid = np.concatenate([planes @ combined(sl).T for sl in self._chunks], axis=1)
             grid = grid.reshape(-1, batch, grid.shape[1]).transpose(1, 0, 2)
             return np.take(grid.reshape(batch, -1), self._flat, axis=1).reshape(*lead, n)
         vols = x.reshape(batch * nx, ny * nz)
         out = np.empty((batch, n), dtype=dtype)
         for sl in self._chunks:
-            table = rows if rows is not None else _rows(ey, ez, sl)
-            tmp = (vols @ table.T).reshape(batch, nx, -1)
+            tmp = (vols @ combined(sl).T).reshape(batch, nx, -1)
             out[:, sl] = np.einsum("px,bxp->bp", ex[sl], tmp)
         return out.reshape(*lead, n)
 
@@ -256,25 +247,21 @@ class NDFT:
             out = np.empty((batch, *self.dims), dtype=dtype)
             for b in range(batch):
                 grid = np.zeros(np.prod(self.dims), dtype=dtype)
-                if self._distinct:
-                    grid[self._flat] = y[b]
-                else:
-                    np.add.at(grid, self._flat, y[b])
+                np.add.at(grid, self._flat, y[b])
                 out[b] = np.fft.fftshift(np.fft.ifftn(grid.reshape(self.dims)))
             # a Python int scales in out's precision
             out *= int(np.prod(self.dims))
             return out.reshape(*lead, *self.dims)
         yc = y.astype(dtype, copy=False).conj()
-        ex, ey, ez, rows = self._tables_in(dtype)
+        ex, ez, combined = self._tables_in(dtype)
         if self.path == "stack":
-            # (U*B, Q) @ (Q, Nx*Ny) on the grid of y
+            # (U*B, Q) @ (Q, Nx*Ny) on the grid of y, the chunks' products
+            # added left to right (sum's 0 + would make -0.0 into +0.0)
             u = len(ez)
             grid = np.take(yc, self._entries, axis=1).reshape(batch, u, -1)
             grid = grid.transpose(1, 0, 2).reshape(u * batch, -1)
-            if rows is not None:
-                planes = grid @ rows
-            else:
-                planes = sum(grid[:, sl] @ _rows(ex, ey, sl) for sl in self._chunks)
+            planes = functools.reduce(np.add, (grid[:, sl] @ combined(sl)
+                                               for sl in self._chunks))
             # (B*Nx*Ny, U) @ (U, Nz) takes every plane back along z, on a
             # contiguous copy of the transposed planes. The transposed
             # product (ez.T @ planes).T made this adjoint 0.133 against
@@ -285,8 +272,7 @@ class NDFT:
         else:
             acc = np.zeros((batch * nx, ny * nz), dtype=dtype)
             for sl in self._chunks:
-                table = rows if rows is not None else _rows(ey, ez, sl)
-                acc += (yc[:, None, sl] * ex[sl].T).reshape(batch * nx, -1) @ table
+                acc += (yc[:, None, sl] * ex[sl].T).reshape(batch * nx, -1) @ combined(sl)
         np.conj(acc, out=acc)
         return acc.reshape(*lead, *self.dims)
 

@@ -1,6 +1,8 @@
 """Binary container formats and volume ingestion.
 
-Three little-endian formats are defined here:
+Three little-endian formats are defined here, each read with one check
+of its magic and fixed fields, so a file too short to hold them raises
+:class:`FormatError`:
 
 * ``SNKV1`` -- a flat float32 volume: magic, dims (3 x u32), voxel size
   (3 x f32), then row-major (C-order) f32 data.
@@ -46,6 +48,16 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _fields(path, head, magic, fmt):
+    """The struct ``fmt`` fields after ``magic`` at the start of ``head``, bytes
+    of file ``path``; :class:`FormatError` if the magic differs or they do not fit."""
+    if head[:len(magic)] != magic:
+        raise FormatError(f"{path}: bad magic {head[:len(magic)]!r}")
+    if len(head) < (need := len(magic) + struct.calcsize(fmt)):
+        raise FormatError(f"{path}: truncated header ({len(head)} bytes, need {need})")
+    return struct.unpack_from(fmt, head, len(magic))
+
+
 # ---------------------------------------------------------------------------
 # SNKV1 volumes
 
@@ -62,18 +74,15 @@ def write_volume(path, data, voxel_size=(1.0, 1.0, 1.0)):
 
 
 def read_volume(path):
-    """Read an SNKV1 volume. Returns ``(data, voxel_size)``."""
+    """Read an SNKV1 volume. Returns ``(data, voxel_size)``. A bad magic,
+    or a file shorter than its header or than the body the dims predict,
+    raises :class:`FormatError`."""
     raw = Path(path).read_bytes()
-    if raw[:5] != VOLUME_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:5]!r}")
-    dims = struct.unpack_from("<3I", raw, 5)
-    voxel_size = struct.unpack_from("<3f", raw, 17)
-    n = int(np.prod(dims))
-    body = raw[29:]
-    if len(body) < 4 * n:
-        raise FormatError(f"{path}: truncated body ({len(body)} bytes, need {4 * n})")
-    data = np.frombuffer(body[: 4 * n], dtype="<f4").reshape(dims)
-    return np.ascontiguousarray(data), voxel_size
+    fields = _fields(path, raw, VOLUME_MAGIC, "<3I3f")
+    dims, voxel_size, n = fields[:3], fields[3:], int(np.prod(fields[:3]))
+    if len(raw) - 29 < 4 * n:
+        raise FormatError(f"{path}: truncated body ({len(raw) - 29} bytes, need {4 * n})")
+    return np.frombuffer(raw, "<f4", n, 29).reshape(dims), voxel_size
 
 
 # ---------------------------------------------------------------------------
@@ -155,26 +164,22 @@ def read_trajectory(path):
     """Read an SNKT1 file.
 
     Returns ``(shots, dwell_time_us, tr_shot_ms)`` where shots is a list
-    of (samples, ndims) float arrays.
+    of (samples, ndims) float64 arrays, the row views of one (n_shots,
+    samples, ndims) array. A bad magic, a file shorter than its header or
+    than the body the header predicts, an empty trajectory or an n_dims
+    other than 2 or 3 raises :class:`FormatError`.
     """
     raw = Path(path).read_bytes()
-    if raw[:5] != TRAJ_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:5]!r}")
-    n_shots, samples, ndims, dwell_us, tr_ms = struct.unpack_from("<IIBff", raw, 5)
+    n_shots, samples, ndims, dwell_us, tr_ms = _fields(path, raw, TRAJ_MAGIC, "<IIBff")
     if n_shots == 0 or samples == 0:
         raise FormatError(f"{path}: empty trajectory ({n_shots} shots of {samples} samples)")
     if ndims not in (2, 3):
         raise FormatError(f"{path}: n_dims must be 2 or 3, got {ndims}")
-    offset = 5 + struct.calcsize("<IIBff")
-    per_shot = samples * ndims * 4
-    if len(raw) - offset < n_shots * per_shot:
-        raise FormatError(f"{path}: truncated body, expected {n_shots * per_shot} bytes")
-    shots = []
-    for s in range(n_shots):
-        block = raw[offset + s * per_shot: offset + (s + 1) * per_shot]
-        pts = np.frombuffer(block, dtype="<f4").reshape(samples, ndims).astype(np.float64)
-        shots.append(pts)
-    return shots, float(dwell_us), float(tr_ms)
+    offset, count = 5 + struct.calcsize("<IIBff"), n_shots * samples * ndims
+    if len(raw) - offset < 4 * count:
+        raise FormatError(f"{path}: truncated body, expected {4 * count} bytes")
+    points = np.frombuffer(raw, "<f4", count, offset).reshape(n_shots, samples, ndims)
+    return list(points.astype(np.float64)), float(dwell_us), float(tr_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +271,20 @@ def read_dataset(path):
     Returns ``(header, kdata)``, kdata a :class:`DatasetReader` of the
     body: one C-order complex64 array of shape (n_frames, n_coils, P),
     P = sum(samples_per_shot), of which ``kdata[t]`` reads frame t from
-    the file. A bad magic, a missing header key, a body shorter or longer
-    than the header predicts, or the ``partial`` marker with which
-    earlier versions closed an incomplete dataset raises
+    the file. A bad magic, a file shorter than its header length field,
+    a header that is not a UTF-8 JSON object or lacks a key, a body
+    shorter or longer than the header predicts, or the ``partial`` marker
+    with which earlier versions closed an incomplete dataset raises
     :class:`FormatError`.
     """
     with open(path, "rb") as f:
-        prefix = f.read(9)
-        if prefix[:5] != DATASET_MAGIC or len(prefix) < 9:
-            raise FormatError(f"{path}: bad magic {prefix[:5]!r}")
-        header = json.loads(f.read(struct.unpack_from("<I", prefix, 5)[0]).decode())
+        (length,) = _fields(path, f.read(9), DATASET_MAGIC, "<I")
+        try:
+            header = json.loads(f.read(length).decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{path}: header is not UTF-8 JSON: {e}") from None
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: header is not a JSON object")
         if header.get("partial"):
             raise FormatError(f"{path}: dataset is marked partial")
         missing = [k for k in _DATASET_KEYS if k not in header]

@@ -224,13 +224,11 @@ def adjoint_recon(y, operator: FrameOperator, density_comp="none"):
         y = y * radial_density_weights(operator.points).astype(y.real.dtype)
     elif density_comp != "none":
         raise ReconError(f"unknown density compensation {density_comp!r}")
-    m = np.prod(operator.dims)
-    # adj_op carries 1/sqrt(M); one more 1/sqrt(M) makes the fully
-    # sampled Cartesian case the inverse FFT of the data. numpy divides a
-    # complex array by a real s as its product with 1/s, so the product
-    # gives the values of x / sqrt(M) without the slower division loop.
+    # adj_op carries 1/sqrt(M); the operator's scale once more makes the
+    # fully sampled Cartesian case the inverse FFT of the data. numpy's
+    # complex x / s is x * (1 / s) in a slower loop, so this is x / sqrt(M).
     x = operator.adj_op(y)
-    x *= 1.0 / float(np.sqrt(m))
+    x *= operator._scale
     return x
 
 

@@ -369,6 +369,13 @@ def _analyse(out, sums, design, phantom, roi, reference, p_threshold):
             writer.writerow([f"{r:.10g}", f"{p:.10g}"])
 
 
+# glob patterns of every file run_pipeline writes in its output directory;
+# a run removes these first, so no earlier run's output stays beside its own
+_RUN_FILES = ("config.yaml", "manifest.json", "kspace.snkd", "kspace.snkd.partial",
+              "reference.snkv", "roi.snkv", "frame_*.snkv", "series_index.json",
+              "objective_traces.csv", "metrics.json", "zmap.snkv", "pr_curve.csv")
+
+
 def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     """Acquisition -> reconstruction -> analysis, all artifacts persisted.
 
@@ -387,11 +394,16 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     The manifest records each finished stage's seconds and the peak RSS
     at its end.
     Any stage failure is recorded in the manifest with the stage name and
-    downstream stages are skipped.
+    downstream stages are skipped. Before the first stage the files of
+    ``_RUN_FILES`` are removed from ``out_dir``, and no others, so the
+    directory holds no output of an earlier run beside this one's.
     """
     cfg = config.raw
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for pattern in _RUN_FILES:
+        for stale in out.glob(pattern):
+            stale.unlink()
     (out / "config.yaml").write_text(config.to_yaml())
     manifest = RunManifest(config_hash=config.hash(), version=__version__,
                            checksums={}, stage_seconds={})

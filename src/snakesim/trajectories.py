@@ -258,7 +258,9 @@ def load_trajectory_file(path, dims, shots_per_frame=None) -> SamplingPlan:
         if key not in distinct:
             _check_bounds(pts, dims)
             t_obs_s = len(pts) * dwell_us * 1e-6
-            distinct[key] = Shot(points=pts, times=_echo_centered_times(len(pts), t_obs_s))
+            # copied: a 3D shot is a row of the file's whole point array,
+            # which a view would keep alive for the plan's lifetime
+            distinct[key] = Shot(points=pts.copy(), times=_echo_centered_times(len(pts), t_obs_s))
         shots.append(distinct[key])
     if shots_per_frame is None:
         shots_per_frame = len(shots)

@@ -105,7 +105,7 @@ class TestNdft:
     @pytest.mark.parametrize("points", ["distinct", "repeated"])
     def test_adjoint_on_grid_matches_oracle(self, points):
         """The FFT-path adjoint equals E^H y for the brute-force matrix E,
-        scattering by assignment for distinct points and adding repeats."""
+        for distinct points and with repeats added."""
         rng = np.random.default_rng(18)
         dims = (4, 4, 4)
         grid = np.stack(np.meshgrid(*[np.arange(-2, 2)] * 3, indexing="ij"), -1).reshape(-1, 3)
@@ -113,7 +113,7 @@ class TestNdft:
         if points == "repeated":
             pts = np.concatenate([pts, pts[[0, 3, 3]]])
         op = NDFT(pts, dims)
-        assert op.path == "fft" and op._distinct == (points == "distinct")
+        assert op.path == "fft"
         matrix = np.stack([_ndft_oracle(e.reshape(dims), pts) for e in np.eye(64)], axis=1)
         y = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
         np.testing.assert_allclose(op.adjoint(y).ravel(), matrix.conj().T @ y,
@@ -136,7 +136,7 @@ class TestNdft:
         idx = np.unravel_index(flat, dims)
         pts = (np.stack(idx, axis=1) - np.array(dims) // 2).astype(np.float64)
         op = NDFT(pts, dims)
-        assert op.path == "fft" and op._distinct == (points == "distinct")
+        assert op.path == "fft"
         vols = np.stack([_random_volume(rng, dims) for _ in range(3)])
         assert np.array_equal(op.forward(vols), np.stack([centered_fft(v)[idx] for v in vols]))
         y = rng.standard_normal((3, len(pts))) + 1j * rng.standard_normal((3, len(pts)))

@@ -124,6 +124,55 @@ def test_trajectory_empty_refused(tmp_path, capsys, n_shots, samples):
         write_trajectory(path, [np.zeros((samples, 3))] * n_shots, 10.0, 50.0)
 
 
+@pytest.mark.parametrize("ndims", [2, 3])
+def test_trajectory_shots_are_the_written_points_bit_for_bit(tmp_path, ndims):
+    """Each shot read back is the written float32 coordinates as float64,
+    exactly, in shot order."""
+    rng = np.random.default_rng(4)
+    shots = [rng.uniform(-4, 3.9, size=(6, ndims)).astype(np.float32).astype(np.float64)
+             for _ in range(3)]
+    path = tmp_path / "t.snkt"
+    write_trajectory(path, shots, 10.0, 50.0)
+    back, _, _ = read_trajectory(path)
+    assert len(back) == 3
+    for orig, got in zip(shots, back):
+        assert got.dtype == np.float64 and np.array_equal(got, orig)
+
+
+def _short_files():
+    """(format, length) for every length of an SNKV1, SNKT1 and SNKD1 file
+    from 0 up to one byte short of its magic and fixed header fields."""
+    return [(kind, n) for kind, need in (("volume", 29), ("trajectory", 22), ("dataset", 9))
+            for n in range(need)]
+
+
+@pytest.mark.parametrize("kind, length", _short_files())
+def test_header_shorter_than_its_fields_refused(tmp_path, kind, length):
+    path = tmp_path / "f"
+    if kind == "volume":
+        write_volume(path, np.zeros((2, 2, 2), dtype=np.float32))
+        read = read_volume
+    elif kind == "trajectory":
+        write_trajectory(path, [np.zeros((4, 3))], 10.0, 50.0)
+        read = read_trajectory
+    else:
+        _full_dataset(path, _header())
+        read = read_dataset
+    path.write_bytes(path.read_bytes()[:length])
+    with pytest.raises(FormatError, match="bad magic" if length < 5 else "truncated header"):
+        read(path)
+
+
+@pytest.mark.parametrize("blob, message", [(b'{"n_frames": 2', "not UTF-8 JSON"),
+                                           (b'{"n_frames": "\xff"}', "not UTF-8 JSON"),
+                                           (b"[1, 2]", "not a JSON object")])
+def test_dataset_header_not_a_json_object_refused(tmp_path, blob, message):
+    path = tmp_path / "j.snkd"
+    path.write_bytes(b"SNKD1" + struct.pack("<I", len(blob)) + blob)
+    with pytest.raises(FormatError, match=message):
+        read_dataset(path)
+
+
 def _header(n_frames=2, n_coils=2, n_shots=2, samples=4):
     return {"n_frames": n_frames, "n_coils": n_coils,
             "n_shots_per_frame": n_shots, "samples_per_shot": samples}

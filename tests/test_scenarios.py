@@ -312,9 +312,16 @@ class TestRunPipeline:
         """An acquisition that raises after the sink opened, here at shot 3
         of a rerun into a finished run's directory, leaves only
         ``kspace.snkd.partial``: neither the new run's incomplete dataset
-        nor the finished run's stays under the name a later stage reads."""
+        nor the finished run's stays under the name a later stage reads,
+        and no other output of the finished run stays either. A file that
+        no run writes is kept."""
         config = _tiny_config()
-        assert run_pipeline(config, tmp_path / "run").failed_stage is None
+        out = tmp_path / "run"
+        assert run_pipeline(config, out).failed_stage is None
+        # the finished run wrote every output but the partial dataset
+        assert all(any(out.glob(pattern)) for pattern in scenarios._RUN_FILES
+                   if pattern != "kspace.snkd.partial")
+        (out / "notes.txt").write_text("kept")
         add_noise = engine.add_noise
 
         def failing(samples, noise, energy, shot_index=0):
@@ -325,8 +332,9 @@ class TestRunPipeline:
         monkeypatch.setattr(engine, "add_noise", failing)
         manifest = run_pipeline(config, tmp_path / "run")
         assert manifest.failed_stage == "acquisition" and "shot 3" in manifest.error
-        assert not (tmp_path / "run" / "kspace.snkd").exists()
-        assert (tmp_path / "run" / "kspace.snkd.partial").exists()
+        assert not (out / "kspace.snkd").exists()
+        assert sorted(f.name for f in out.iterdir()) == [
+            "config.yaml", "kspace.snkd.partial", "manifest.json", "notes.txt"]
 
     def test_external_plan_frame_count_must_match(self, tmp_path):
         config = _tiny_config()
@@ -628,6 +636,28 @@ class TestCli:
 
     def test_traj_inspect_missing_exit_2(self, tmp_path, capsys):
         assert cli_main(["traj", "inspect", str(tmp_path / "none.snkt")]) == 2
+
+    def test_traj_inspect_truncated_header_exit_2(self, tmp_path, capsys):
+        """A 7-byte SNKT1 file, magic and two bytes of its n_shots field,
+        is a bad file: exit 2 with one error line, no traceback."""
+        path = tmp_path / "short.snkt"
+        path.write_bytes(b"SNKT1\x01\x00")
+        assert cli_main(["traj", "inspect", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "truncated header" in err
+        assert "Traceback" not in err
+
+    def test_run_out_is_a_regular_file_exit_2(self, tmp_path, capsys):
+        """``--out`` naming an existing regular file exits 2 with an error
+        line (the directory cannot be made), before any stage runs."""
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(_tiny_config().to_yaml())
+        assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert out.read_text() == "not a directory"
 
     def test_run_config_file_and_metrics(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

@@ -170,6 +170,16 @@ class TestExternal:
         assert plan.shots_per_frame == 48
         assert plan.tr_vol == pytest.approx(2.4)
 
+    def test_shots_hold_their_own_points(self, tmp_path):
+        """A loaded 3D shot owns its points: the plan keeps its distinct
+        shots alive, not every point of the file."""
+        pts = [np.full((4, 3), float(i % 2)) for i in range(6)]
+        path = tmp_path / "two.snkt"
+        write_trajectory(path, pts, dwell_time_us=10.0, tr_shot_ms=50.0)
+        plan = load_trajectory_file(path, (8, 8, 8))
+        assert len(set(plan.shots)) == 2
+        assert all(shot.points.base is None for shot in plan.shots)
+
     def test_out_of_range_rejected(self, tmp_path):
         bad = np.zeros((4, 3))
         bad[2, 0] = 2.0  # == N/2 for N=4, outside the half-open range
