@@ -157,6 +157,16 @@ class NDFT:
     path's adjoint does: complex64 or float32 input gives complex64
     tables, products and output, any other input complex128. The tables
     of a precision are built when it is first called for and then kept.
+
+    Given coil maps S (L, Nx, Ny, Nz), forward takes volumes x
+    (..., Nx, Ny, Nz) to the samples of every S_l * x, (..., L, P), and
+    adjoint takes (..., L, P) to the coil-combined sum_l conj(S_l)
+    adjoint(y_l), (..., Nx, Ny, Nz). They hold one volume's L coil images
+    at a time. On the stack path forward contracts each volume's images
+    along z and takes every volume to the grid in one in-plane GEMM, and
+    adjoint takes one volume at a time to its planes, back along z and
+    through its coil sum, with no conjugation pass over its coil images.
+    Each volume's result equals its own call's bit for bit.
     """
 
     def __init__(self, points, dims):
@@ -207,11 +217,25 @@ class NDFT:
         combined = functools.partial(_rows, *pair) if whole is None else lambda sl: whole
         return self._tables.setdefault(dtype, (ex, ez, combined))
 
-    def forward(self, x):
+    def forward(self, x, maps=None):
+        """The samples of x, (..., Nx, Ny, Nz) to (..., P); with coil maps
+        (L, Nx, Ny, Nz), those of maps * x per volume, (..., L, P)."""
         x = np.asarray(x)
-        lead, n = x.shape[:-3], len(self.points)
+        n, (nx, ny, nz) = len(self.points), self.dims
+        if maps is not None:
+            dtype = np.result_type(x.dtype, np.complex64)
+            vols, lead = x.reshape(-1, *self.dims), (*x.shape[:-3], len(maps))
+            if self.path != "stack":
+                return np.stack([self.forward(np.multiply(maps, v, dtype=dtype))
+                                 for v in vols]).reshape(*lead, n)
+            # one volume's coil images at a time, contracted along z
+            ez = self._tables_in(dtype)[1]
+            planes = np.concatenate([ez @ np.multiply(maps, v, dtype=dtype).reshape(-1, nz).T
+                                     for v in vols], axis=1)
+            return self._stack_forward(planes, len(vols) * len(maps), dtype).reshape(*lead, n)
+        lead = x.shape[:-3]
         x = x.reshape(-1, *self.dims)
-        batch, (nx, ny, nz) = len(x), self.dims
+        batch = len(x)
         if self.path == "fft":
             # one 3D FFT per item: an FFT over the batch axis too saves
             # nothing and measured a few percent slower
@@ -220,12 +244,8 @@ class NDFT:
         dtype = np.result_type(x.dtype, np.complex64)
         ex, ez, combined = self._tables_in(dtype)
         if self.path == "stack":
-            # (U*B, Nx*Ny): every item contracted along z at each plane
-            planes = (ez @ x.reshape(-1, nz).T).reshape(-1, nx * ny)
-            # (U*B, Nx*Ny) @ (Nx*Ny, Q), as (B, U*Q), at each point's entry
-            grid = np.concatenate([planes @ combined(sl).T for sl in self._chunks], axis=1)
-            grid = grid.reshape(-1, batch, grid.shape[1]).transpose(1, 0, 2)
-            return np.take(grid.reshape(batch, -1), self._flat, axis=1).reshape(*lead, n)
+            # (U, B*Nx*Ny): every item contracted along z at each plane
+            return self._stack_forward(ez @ x.reshape(-1, nz).T, batch, dtype).reshape(*lead, n)
         vols = x.reshape(batch * nx, ny * nz)
         out = np.empty((batch, n), dtype=dtype)
         for sl in self._chunks:
@@ -233,14 +253,51 @@ class NDFT:
             out[:, sl] = np.einsum("px,bxp->bp", ex[sl], tmp)
         return out.reshape(*lead, n)
 
-    def adjoint(self, y):
+    def _stack_forward(self, planes, batch, dtype):
+        """The (B, P) samples of B items from their (U, B*Nx*Ny) planes."""
+        combined = self._tables_in(dtype)[2]
+        planes = planes.reshape(-1, self.dims[0] * self.dims[1])
+        # (U*B, Nx*Ny) @ (Nx*Ny, Q), as (B, U*Q), at each point's entry
+        grid = np.concatenate([planes @ combined(sl).T for sl in self._chunks], axis=1)
+        grid = grid.reshape(-1, batch, grid.shape[1]).transpose(1, 0, 2)
+        return np.take(grid.reshape(batch, -1), self._flat, axis=1)
+
+    def adjoint(self, y, maps=None):
+        """The adjoint of y, (..., P) to (..., Nx, Ny, Nz); with coil maps
+        (L, Nx, Ny, Nz), sum_l conj(maps_l) adjoint(y_l) per volume,
+        (..., L, P) to (..., Nx, Ny, Nz)."""
         y = np.asarray(y)
-        lead = y.shape[:-1]
-        y = y.reshape(-1, len(self.points))
-        batch, (nx, ny, nz) = len(y), self.dims
         # in y's precision: complex64 (or float32) data is transformed in
         # complex64, anything else in complex128
         dtype = np.result_type(y.dtype, np.complex64)
+        if maps is not None:
+            ys = y.reshape(-1, *y.shape[-2:])
+            if self.path == "stack":
+                # the grid of every volume's samples at once, then each
+                # volume's conjugated adjoint, left unconjugated
+                ez, rows = self._tables_in(dtype)[1], len(maps) * len(self._kz)
+                grid = self._stack_grid(ys.reshape(-1, len(self.points)), dtype)
+                backs = (self._stack_planes(grid[i * rows:(i + 1) * rows], dtype) @ ez
+                         for i in range(len(ys)))
+            else:
+                # map, unlike a generator, keeps no volume between calls
+                backs = map(lambda back: np.conj(back, out=back), map(self.adjoint, ys))
+            # sum_l conj(S_l) back_l as conj(sum_l S_l conj(back_l)), in
+            # place in back's precision, so no conjugated copy of the maps
+            # is made
+            out = None
+            for i in range(len(ys)):
+                back = next(backs)
+                if out is None:
+                    # made once the first adjoint's temporaries are freed
+                    out = np.empty((len(ys), *self.dims), dtype=dtype)
+                self._coil_sum(back, maps, out=out[i])
+                del back  # not held while the next volume's images are made
+            np.conj(out, out=out)
+            return out.reshape(*y.shape[:-2], *self.dims)
+        lead = y.shape[:-1]
+        y = y.reshape(-1, len(self.points))
+        batch, (nx, ny, nz) = len(y), self.dims
         if self.path == "fft":
             # scattered, inverse-FFTed (numpy >= 2 keeps complex64 through
             # numpy.fft) and scaled in that precision
@@ -252,29 +309,45 @@ class NDFT:
             # a Python int scales in out's precision
             out *= int(np.prod(self.dims))
             return out.reshape(*lead, *self.dims)
-        yc = y.astype(dtype, copy=False).conj()
         ex, ez, combined = self._tables_in(dtype)
         if self.path == "stack":
-            # (U*B, Q) @ (Q, Nx*Ny) on the grid of y, the chunks' products
-            # added left to right (sum's 0 + would make -0.0 into +0.0)
-            u = len(ez)
-            grid = np.take(yc, self._entries, axis=1).reshape(batch, u, -1)
-            grid = grid.transpose(1, 0, 2).reshape(u * batch, -1)
-            planes = functools.reduce(np.add, (grid[:, sl] @ combined(sl)
-                                               for sl in self._chunks))
-            # (B*Nx*Ny, U) @ (U, Nz) takes every plane back along z, on a
-            # contiguous copy of the transposed planes. The transposed
-            # product (ez.T @ planes).T made this adjoint 0.133 against
-            # 0.149 ms, but its strided volume slowed FrameOperator.adj_op's
-            # coil sum to 0.269 against 0.193 ms (complex64, 16x18x16, 8
-            # coils, 4 planes of 64 points; 2-core Xeon, one BLAS thread)
-            acc = np.ascontiguousarray(planes.reshape(u, -1).T) @ ez
+            acc = self._stack_planes(self._stack_grid(y, dtype), dtype) @ ez
         else:
+            yc = y.astype(dtype, copy=False).conj()
             acc = np.zeros((batch * nx, ny * nz), dtype=dtype)
             for sl in self._chunks:
                 acc += (yc[:, None, sl] * ex[sl].T).reshape(batch * nx, -1) @ combined(sl)
         np.conj(acc, out=acc)
         return acc.reshape(*lead, *self.dims)
+
+    def _coil_sum(self, back, maps, out=None):
+        """sum_l S_l back_l, with back overwritten."""
+        back = back.reshape(len(maps), *self.dims)
+        np.multiply(back, maps, out=back, dtype=back.dtype)
+        return back.sum(axis=0, out=out)
+
+    def _stack_grid(self, y, dtype):
+        """The conjugated (B, P) samples y on their (B*U, Q) grid, whose row
+        b*U + u holds plane u of item b."""
+        yc = y.astype(dtype, copy=False).conj()
+        return np.take(yc, self._entries, axis=1).reshape(len(y) * len(self._kz), -1)
+
+    def _stack_planes(self, grid, dtype):
+        """The (B*Nx*Ny, U) planes of B items' (B*U, Q) grid, whose product
+        with the z table is the conjugated adjoint."""
+        combined = self._tables_in(dtype)[2]
+        # (B*U, Q) @ (Q, Nx*Ny), the chunks' products added left to right
+        # (sum's 0 + would make -0.0 into +0.0)
+        planes = functools.reduce(np.add, (grid[:, sl] @ combined(sl) for sl in self._chunks))
+        # a contiguous copy of the transposed planes, for (B*Nx*Ny, U) @
+        # (U, Nz). The transposed product (ez.T @ planes).T made the adjoint
+        # 0.133 against 0.149 ms, but its strided volume slowed
+        # FrameOperator.adj_op's coil sum to 0.269 against 0.193 ms
+        # (complex64, 16x18x16, 8 coils, 4 planes of 64 points; 2-core
+        # Xeon, one BLAS thread)
+        u = len(self._kz)
+        return np.ascontiguousarray(
+            planes.reshape(-1, u, planes.shape[1]).transpose(0, 2, 1)).reshape(-1, u)
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,11 @@ class DatasetReader:
         return data if dtype is None else data.astype(dtype, copy=False)
 
 
+def _is_count(value):
+    """Whether a JSON value is a non-negative int (a JSON true is not)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def read_dataset(path):
     """Read an SNKD1 container.
 
@@ -272,10 +277,12 @@ def read_dataset(path):
     body: one C-order complex64 array of shape (n_frames, n_coils, P),
     P = sum(samples_per_shot), of which ``kdata[t]`` reads frame t from
     the file. A bad magic, a file shorter than its header length field,
-    a header that is not a UTF-8 JSON object or lacks a key, a body
-    shorter or longer than the header predicts, or the ``partial`` marker
-    with which earlier versions closed an incomplete dataset raises
-    :class:`FormatError`.
+    a header that is not a UTF-8 JSON object, lacks a key or holds a
+    count (``n_frames``, ``n_coils``, ``n_shots_per_frame``,
+    ``samples_per_shot`` or an entry of its list) that is not a
+    non-negative int, a body shorter or longer than the header predicts,
+    or the ``partial`` marker with which earlier versions closed an
+    incomplete dataset raises :class:`FormatError`.
     """
     with open(path, "rb") as f:
         (length,) = _fields(path, f.read(9), DATASET_MAGIC, "<I")
@@ -290,6 +297,12 @@ def read_dataset(path):
         missing = [k for k in _DATASET_KEYS if k not in header]
         if missing:
             raise FormatError(f"{path}: header lacks {', '.join(missing)}")
+        for key in _DATASET_KEYS:
+            value = header[key]
+            if not (_is_count(value) or key == "samples_per_shot" and isinstance(value, list)
+                    and all(map(_is_count, value))):
+                raise FormatError(f"{path}: header {key} is {value!r}, not a non-negative int"
+                                  + " or a list of them" * (key == "samples_per_shot"))
         counts = header["samples_per_shot"]
         if isinstance(counts, int):
             counts = [counts] * header["n_shots_per_frame"]

@@ -38,21 +38,30 @@ gradient, so an iteration costs one op and one adj_op. It also takes
 the objective's l1 term from the thresholded coefficients of the prox:
 the wavelet basis is orthonormal, so they are the coefficients of the
 new iterate, and an iteration costs one wavelet forward and one inverse
-transform. A series builds one operator per run of consecutive frames
-that are the same Shot objects, and estimates the Lipschitz constant
-once per distinct frame: once for a static plan, once per frame for a
-dynamic one, also when refined solves each frame twice.
+transform. :func:`cs_solve` also solves a batch of frames of one
+operator in lockstep: the operator, the wavelet transforms, the soft
+threshold and the POGM updates each take the batch's leading frame axis
+in one call, while every frame keeps its own scalars and stopping, so
+each frame's estimate is its lone solve's bit for bit. A series builds
+one operator per run of consecutive frames that are the same Shot
+objects, and estimates the Lipschitz constant once per distinct frame:
+once for a static plan, once per frame for a dynamic one, also when
+refined solves each frame twice.
 
 :func:`adjoint_series` yields each frame's adjoint and
-:func:`reconstruct_series` each frame's CS solve, one frame at a time:
-a frame's data is read only when that frame is solved, so a dataset
-read from its file is never loaded whole. Frames whose solve depends on
-no other frame (every adjoint frame, every cold frame and the second
-pass of refined) run on a pool of ``n_jobs`` threads, at most that many
-frames ahead of the consumer and yielded in frame order; warm frames
-run in order on the calling thread. Pool threads only solve: operators
-are built, and each distinct frame's Lipschitz bound estimated once, on
-the calling thread, so the results do not depend on the worker count.
+:func:`reconstruct_series` each frame's CS solve, in frame order: a
+frame's data is read only when its batch is solved, so a dataset read
+from its file is never loaded whole. Work that depends on no other
+frame runs on a pool of ``n_jobs`` threads, at most that many tasks
+ahead of the consumer: each adjoint frame is a task, and the cold
+frames and the second pass of refined of a static plan (every frame the
+same Shot tuple) are solved in batches of at most :data:`BATCH_BYTES`
+of coil images, each batch a task; any other plan's frames are a task
+each. Warm frames run one at a time on the calling thread. Pool threads
+only solve: operators are built, and each distinct frame's Lipschitz
+bound estimated once, on the calling thread, and the batches follow
+from the plan and the frame size alone, so the results do not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -70,7 +79,12 @@ from .wavelets import WaveletBasis, finest_detail, soft_threshold
 
 
 class ReconError(ValueError):
-    pass
+    """A reconstruction input or solve that failed; ``frame``, if not None,
+    is the index of the frame it concerns (in a series, or in a batch)."""
+
+    def __init__(self, reason, frame=None):
+        super().__init__(reason if frame is None else f"frame {frame}: {reason}")
+        self.reason, self.frame = reason, frame
 
 
 # The smallest relative objective change that a complex64 solve resolves,
@@ -81,6 +95,17 @@ class ReconError(ValueError):
 # was below 1e-5: the residual op(x) - y cancels, and its complex64
 # rounding is about eps * |y| per sample.
 COMPLEX64_TOL_FLOOR = 1e-6
+
+# Frames of a static plan that depend on no other frame are solved in
+# batches of the most frames whose coil images (frames x coils x
+# voxels, in the data's precision) fit in this many bytes, and at least
+# one: 3 frames at 16x18x16 with 8 complex64 coils, 1 at s2@1. The size
+# follows from the frame's alone, so no result depends on the worker count.
+# Measured at 2, 3 and 5 frames a batch at 16x18x16 only (wall time falls
+# and peak RSS rises with the size); frames too large for two in the
+# budget are solved one at a time, as before batching, and no measurement
+# has tested the budget at such sizes.
+BATCH_BYTES = 1 << 20
 
 
 @dataclass
@@ -117,6 +142,9 @@ class FrameOperator:
     """Unitary-scaled multi-coil Fourier operator for one frame.
 
     op(x)[l] = NDFT(S_l * x) / sqrt(M); adj_op is its exact adjoint. Both
+    take leading frame axes, (F, Nx, Ny, Nz) to (F, L, P) and back, in
+    one call of the NDFT with the coil maps, which holds one frame's coil
+    images at a time; each frame equals its own call bit for bit. Both
     compute in the precision of their input, as the NDFT does: complex64
     for complex64 (or float32) input, complex128 for any other, with the
     coil maps rounded to it if they are complex128. The Lipschitz
@@ -137,19 +165,12 @@ class FrameOperator:
         return self.coils.n_coils
 
     def op(self, x):
-        x = np.asarray(x)
-        coil_images = np.multiply(self.coils.maps, x,
-                                  dtype=np.result_type(x.dtype, np.complex64))
-        return self._ndft.forward(coil_images) * self._scale
+        out = self._ndft.forward(x, self.coils.maps)
+        out *= self._scale
+        return out
 
     def adj_op(self, y):
-        back = self._ndft.adjoint(y)
-        # sum_l conj(S_l) back_l as conj(sum_l S_l conj(back_l)), in place
-        # and in back's precision, so no conjugated copy of the maps is made
-        np.conj(back, out=back)
-        np.multiply(back, self.coils.maps, out=back, dtype=back.dtype)
-        out = back.sum(axis=0)
-        np.conj(out, out=out)
+        out = self._ndft.adjoint(y, self.coils.maps)
         out *= self._scale
         return out
 
@@ -175,14 +196,14 @@ class FrameOperator:
         return self.lipschitz()
 
 
-def _frame_data(y, operator: FrameOperator):
+def _frame_data(y, operator: FrameOperator, batch=False):
     """y as a complex array in its precision (complex64 for complex64 or
     float32 data, complex128 for any other), if it holds one sample per
-    coil and operator point."""
+    coil and operator point: (L, P) for a frame, (F, L, P) with ``batch``."""
     y = np.asarray(y)
     y = y.astype(np.result_type(y.dtype, np.complex64), copy=False)
     want = (operator.n_coils, len(operator.points))
-    if y.shape != want:
+    if y.shape[int(batch):] != want:
         raise ReconError(f"k-space data of shape {y.shape} for an operator of "
                          f"{want[0]} coils and {want[1]} points")
     return y
@@ -306,9 +327,10 @@ def sure_threshold(volume, basis: WaveletBasis):
 
 
 def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfig,
-             init=None, mu=None) -> FrameEstimate:
+             init=None, mu=None):
     """Solve 0.5 sum_l ||A_l x - y_l||^2 + mu ||Psi x||_1 with POGM, where
-    A is ``operator`` and y the (L, P) frame data at its points.
+    A is ``operator`` and y the (L, P) frame data at its points; a
+    :class:`FrameEstimate`.
 
     The prox of the l1 term is exact soft-thresholding in the orthonormal
     wavelet domain. Momentum restarts on objective increase; iteration
@@ -316,77 +338,158 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
     config.tol. The step is 1 / ``operator.lipschitz_bound``, estimated
     here unless the operator already holds it.
 
+    A (F, L, P) batch of frames at the operator's points gives a list of
+    F estimates. The frames are solved in lockstep, each step one call
+    on (F, ...) arrays, and each frame keeps its own mu, momentum,
+    restarts, best iterate, objective trace, divergence check and tol
+    stop; a frame that stops leaves the batch, so its estimate is its own
+    solve's bit for bit. A frame that fails (its SURE threshold meets
+    non-finite values, or its solve diverges) leaves the batch with every
+    later frame, and the list ends after the estimates of the frames
+    before it with its :class:`ReconError`, which names its index in the
+    batch; a lone frame raises it. ``init`` is one volume for every frame
+    or one per frame, and ``mu`` one value for every frame or one per
+    frame.
+
     The solve runs in the precision of y: complex64 data, as a dataset
     file holds it, gives complex64 iterates, operator products, wavelet
     coefficients and volume; any other data complex128. Every scalar
-    that scales an array is a Python float, which keeps the array's
-    precision, and the objective sums in float64.
+    that scales an array is a Python float, or a per-frame column of the
+    array's precision, which keeps it, and the objective sums in float64.
     """
     dims = operator.dims
-    y = _frame_data(y, operator) / float(np.sqrt(np.prod(dims)))
-
+    batched = np.ndim(y) == 3
+    y = _frame_data(y, operator, batched) / float(np.sqrt(np.prod(dims)))
+    y = y.reshape(-1, *y.shape[-2:])
+    n = len(y)
     if init is None:
-        init = operator.adj_op(y)
-    elif init.shape != dims:
+        x = operator.adj_op(y)
+    elif init.shape != dims and (not batched or init.shape != (n, *dims)):
         raise ReconError(f"init shape {init.shape} != {dims}")
-    if mu is None:
-        if config.mu_mode == "fixed":
-            mu = config.mu_value
-        else:
-            mu = sure_threshold(np.abs(init), basis)
-    mu = float(mu)
-
+    else:
+        x = np.empty((n, *dims), dtype=y.dtype)
+        x[...] = init
+    # the batch index of the first frame that failed, and why
+    failed, reason = n, None
+    if mu is None and config.mu_mode == "fixed":
+        mu = config.mu_value
+    elif mu is None:
+        mu = []
+        for v in np.abs(x if init is None else np.reshape(init, (-1, *dims))):
+            try:
+                mu.append(sure_threshold(v, basis))
+            except ReconError as e:
+                # one shared init fails every frame
+                failed, reason = len(mu), e.reason
+                break
+    mu = [float(m) for m in (np.broadcast_to(mu, n) if reason is None else mu)]
+    x, y = x[:failed], y[:failed]
     step = 1.0 / operator.lipschitz_bound
 
-    def objective(x, coeffs):
-        """(objective, residual) at x, whose wavelet coefficients are
-        coeffs; the residual feeds the next gradient."""
-        resid = operator.op(x) - y
-        fidelity = 0.5 * float(np.sum(np.abs(resid) ** 2, dtype=np.float64))
-        penalty = mu * float(np.sum(np.abs(coeffs.ravel()), dtype=np.float64))
-        return fidelity + penalty, resid
+    def column(values, dtype=y.dtype):
+        """One value per frame, as an (F, 1, 1, 1) array of dtype."""
+        return np.array(values, dtype=dtype).reshape(-1, 1, 1, 1)
+
+    def l1(coeffs):
+        return [float(np.sum(c.ravel(), dtype=np.float64)) for c in np.abs(coeffs)]
 
     def prox(z, gamma):
-        """(x, Psi x): Psi is orthonormal, so the thresholded coefficients
-        are the coefficients of their inverse transform."""
-        coeffs = soft_threshold(basis.forward(z), gamma * mu)
-        return basis.inverse(coeffs), coeffs
+        """(x, ||Psi x||_1 per frame): Psi is orthonormal, so the thresholded
+        coefficients are the coefficients of their inverse transform."""
+        coeffs = soft_threshold(basis.forward(z),
+                                column([g * m for g, m in zip(gamma, mu)], y.real.dtype))
+        return basis.inverse(coeffs), l1(coeffs)
 
-    x = init.astype(y.dtype)
-    w_prev = x.copy()
-    z = x.copy()
-    theta = 1.0
-    gamma_prev = step
-    obj, resid = objective(x, basis.forward(x))
-    trace = [obj]
-    best_x, best_obj = x, obj
-    converged = False
+    def objective(x, norms):
+        """(objective per frame, residual) at x, whose coefficients have the
+        l1 norms ``norms``; the residual feeds the next gradient."""
+        resid = operator.op(x)
+        resid -= y
+        fidelity = np.abs(resid)
+        fidelity **= 2
+        return [0.5 * float(np.sum(f, dtype=np.float64)) + m * norm
+                for f, m, norm in zip(fidelity, mu, norms)], resid
+
+    def momentum(w, w_prev, x, z, theta, theta_new, gamma_prev):
+        """z = w + (theta - 1) / theta_new (w - w_prev) + theta / theta_new
+        (w - x) + step (theta - 1) / (gamma_prev theta_new) (z - x), summed
+        left to right, in z; w_prev is overwritten."""
+        s = np.subtract(w, w_prev, out=w_prev)
+        np.multiply(column([(t - 1) / tn for t, tn in zip(theta, theta_new)]), s, out=s)
+        np.add(w, s, out=s)
+        d = np.subtract(w, x)
+        np.multiply(column([t / tn for t, tn in zip(theta, theta_new)]), d, out=d)
+        np.add(s, d, out=s)
+        np.subtract(z, x, out=z)
+        np.multiply(column([step * (t - 1) / (g * tn)
+                            for t, tn, g in zip(theta, theta_new, gamma_prev)]), z, out=z)
+        np.add(s, z, out=z)
+
+    frames = list(range(failed))    # the batch index of each frame still solved
+    estimates = [None] * n
+
+    def finish(i, converged):
+        trace = traces[frames[i]]
+        estimates[frames[i]] = FrameEstimate(volume=best[i].copy(), objective_trace=trace,
+                                             mu_used=mu[i], n_iters=len(trace) - 1,
+                                             converged=converged)
+
+    if frames:
+        w_prev, z = x.copy(), x.copy()
+        theta, gamma_prev = [1.0] * len(frames), [step] * len(frames)
+        objs, resid = objective(x, l1(basis.forward(x)))
+        traces = [[obj] for obj in objs]
+        # each frame's best iterate: a row of the current iterate while it
+        # is the best, else a copy, so no earlier iterate of the batch
+        # stays alive
+        best, best_objs = list(x), objs
     for k in range(config.max_iters):
-        w = x - step * operator.adj_op(resid)
-        theta_new = (1 + math.sqrt(1 + 4 * theta ** 2)) / 2
-        gamma = step * (2 * theta + theta_new - 1) / theta_new
-        z_new = (w
-                 + (theta - 1) / theta_new * (w - w_prev)
-                 + theta / theta_new * (w - x)
-                 + step * (theta - 1) / (gamma_prev * theta_new) * (z - x))
-        x_new, coeffs = prox(z_new, gamma)
-        obj, resid = objective(x_new, coeffs)
-        if not np.isfinite(obj) or obj > 10 * max(trace[0], 1e-300):
-            raise ReconError(f"solver diverged at iteration {k} (objective {obj:.3e})")
-        if obj > trace[-1]:
-            # adaptive restart: drop momentum
-            theta_new = 1.0
-        rel_change = abs(trace[-1] - obj) / max(abs(trace[-1]), 1e-300)
-        x, w_prev, z = x_new, w, z_new
-        theta, gamma_prev = theta_new, gamma
-        trace.append(obj)
-        if obj < best_obj:
-            best_x, best_obj = x, obj
-        if rel_change < config.tol:
-            converged = True
+        if not frames:
             break
-    return FrameEstimate(volume=best_x, objective_trace=trace, mu_used=mu,
-                         n_iters=len(trace) - 1, converged=converged)
+        w = operator.adj_op(resid)
+        np.multiply(step, w, out=w)
+        np.subtract(x, w, out=w)
+        theta_new = [(1 + math.sqrt(1 + 4 * t ** 2)) / 2 for t in theta]
+        gamma = [step * (2 * t + tn - 1) / tn for t, tn in zip(theta, theta_new)]
+        momentum(w, w_prev, x, z, theta, theta_new, gamma_prev)
+        w_prev = w
+        x, norms = prox(z, gamma)
+        objs, resid = objective(x, norms)
+        stopped, alive = [], len(frames)
+        for i, obj in enumerate(objs):
+            trace = traces[frames[i]]
+            if not np.isfinite(obj) or obj > 10 * max(trace[0], 1e-300):
+                # this frame and every later one leave the batch unsolved
+                failed, alive = frames[i], i
+                reason = f"solver diverged at iteration {k} (objective {obj:.3e})"
+                break
+            if obj > trace[-1]:
+                # adaptive restart: drop momentum
+                theta_new[i] = 1.0
+            rel_change = abs(trace[-1] - obj) / max(abs(trace[-1]), 1e-300)
+            trace.append(obj)
+            if obj < best_objs[i]:
+                best[i], best_objs[i] = x[i], obj
+            elif best[i].base is not None:
+                best[i] = best[i].copy()
+            if rel_change < config.tol:
+                stopped.append(i)
+        theta, gamma_prev = theta_new, gamma
+        for i in stopped:
+            finish(i, converged=True)
+        keep = [i for i in range(alive) if i not in stopped]
+        if len(keep) < len(frames):
+            x, w_prev, z, resid, y = (a[keep] for a in (x, w_prev, z, resid, y))
+            best = [x[j] if best[i].base is not None else best[i] for j, i in enumerate(keep)]
+            frames, theta, gamma_prev, mu, best_objs = (
+                [v[i] for i in keep] for v in (frames, theta, gamma_prev, mu, best_objs))
+    for i in range(len(frames)):
+        finish(i, converged=False)
+    if not batched:
+        if reason is not None:
+            raise ReconError(reason)
+        return estimates[0]
+    return estimates[:failed] + ([ReconError(reason, failed)] if reason is not None else [])
 
 
 # ---------------------------------------------------------------------------
@@ -436,31 +539,65 @@ def _worker_count(n_jobs=None):
     return max(1, n_jobs or 1)
 
 
-def _in_frame_order(solve, operator_for, n_frames, n_jobs):
-    """Yield ``solve(t, operator_for(t))`` for t = 0 .. n_frames - 1, in
-    order, for solves that depend on no other frame.
+def _batch_size(operator: FrameOperator):
+    """The most frames whose coil images fit :data:`BATCH_BYTES`, at least
+    one: the size of a batch of frames on ``operator``."""
+    frame_bytes = operator.n_coils * math.prod(operator.dims) * operator.coils.maps.itemsize
+    return max(1, BATCH_BYTES // frame_bytes)
 
-    ``operator_for`` runs on the calling thread and the solves on a
-    thread pool of :func:`_worker_count` of ``n_jobs`` threads. At most
-    that many frames are submitted and not yet yielded: frame t + workers
-    is submitted only when the consumer asks for frame t + 1, so each
-    thread's temporaries and results stay bounded. A solve's exception
-    is raised when its frame is due. Closing the generator cancels the
-    solves not started and waits for the running ones, so no pool thread
-    outlives it.
+
+def _batches(plan, operator_for):
+    """``(frames, operator)`` for every frame of ``plan``, in order, run on
+    the calling thread: ranges of :func:`_batch_size` frames of a static
+    plan (every frame the same Shot tuple), and single frames of any other
+    plan, whose repeated frames are incidental. The batches depend only on
+    the plan and the frame size, not on the worker count."""
+    static = all(plan.frame(t) == plan.frame(0) for t in range(plan.n_frames))
+    t = 0
+    while t < plan.n_frames:
+        operator = operator_for(t)
+        size = _batch_size(operator) if static else 1
+        yield range(t, min(t + size, plan.n_frames)), operator
+        t += size
+
+
+def _in_frame_order(solve, batches, n_jobs):
+    """Yield the results of ``solve(frames, operator)`` for every
+    ``(frames, operator)`` of ``batches``, frame by frame and in order,
+    for solves that depend on no other batch.
+
+    ``batches`` is iterated on the calling thread and the solves run on
+    a thread pool of :func:`_worker_count` of ``n_jobs`` threads. At most
+    that many batches are submitted and not yet yielded: batch b +
+    workers is submitted only when the consumer asks for the frame after
+    batch b, so each thread's temporaries and results stay bounded. A
+    solve returns one result per frame, or the results of the frames
+    before one that failed followed by that frame's exception; an
+    exception, returned or raised, is raised when its frame is due.
+    Closing the generator cancels the solves not started and waits for
+    the running ones, so no pool thread outlives it.
     """
     workers = _worker_count(n_jobs)
     pool = ThreadPoolExecutor(max_workers=workers)
     pending = deque()
+
     try:
-        for t in range(n_frames):
+        for frames, operator in batches:
             if len(pending) == workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(solve, t, operator_for(t)))
+                yield from _raising(pending.popleft().result())
+            pending.append(pool.submit(solve, frames, operator))
         while pending:
-            yield pending.popleft().result()
+            yield from _raising(pending.popleft().result())
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _raising(results):
+    """Yield the results, raising an exception among them when it is due."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+        yield result
 
 
 def _frame_error(t, fn, *args, **kwargs):
@@ -468,23 +605,25 @@ def _frame_error(t, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except ReconError as e:
-        raise ReconError(f"frame {t}: {e}") from e
+        raise ReconError(e.reason, t) from e
 
 
 def adjoint_series(kdata, plan, coils, density_comp="none", n_jobs=None):
     """Yield the density-compensated adjoint :class:`FrameEstimate` of
     every frame of the (n_frames, n_coils, P) k-space array ``kdata``,
     in frame order, reading each frame's data when it is reconstructed.
-    The frames are independent, so with ``n_jobs`` workers they run on a
-    thread pool (see :func:`_in_frame_order`); the result does not depend
-    on the worker count."""
+    The frames are independent, so with ``n_jobs`` workers they run one
+    frame a task on a thread pool (see :func:`_in_frame_order`); the
+    result does not depend on the worker count."""
     _check_frame_count(kdata, plan)
 
-    def adjoint(t, operator):
-        return FrameEstimate(_frame_error(t, adjoint_recon, kdata[t], operator,
-                                          density_comp=density_comp), [], 0.0)
-    yield from _in_frame_order(adjoint, _frame_operators(plan, coils, kdata), len(kdata),
-                               n_jobs)
+    def adjoint(frames, operator):
+        [t] = frames
+        return [FrameEstimate(_frame_error(t, adjoint_recon, kdata[t], operator,
+                                           density_comp=density_comp), [], 0.0)]
+    operator_for = _frame_operators(plan, coils, kdata)
+    yield from _in_frame_order(
+        adjoint, ((range(t, t + 1), operator_for(t)) for t in range(len(kdata))), n_jobs)
 
 
 def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconConfig,
@@ -496,27 +635,50 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconCon
     cold: each frame solved independently from its adjoint init. warm:
     frame t+1 starts from frame t's estimate. refined: a warm pass, then
     every frame re-solved from the final warm-pass estimate. The warm
-    frames run in order on the calling thread; cold frames and the
-    refined second pass depend on no other frame, so with ``n_jobs``
-    workers they run on a thread pool (see :func:`_in_frame_order`), and
-    the result does not depend on the worker count. A frame's data is
-    read from ``kdata`` when the frame is solved, and no more than the
-    volumes of two frames plus one per worker are held at a time, so a
-    dataset read from its file is reconstructed in bounded memory. One
-    FrameOperator serves each run of consecutive frames with the same
-    k-points, and one Lipschitz estimate, made on the calling thread,
-    each distinct frame.
+    frames run one at a time, in order, on the calling thread. Cold
+    frames and the refined second pass depend on no other frame: those of
+    a static plan are solved in batches of :func:`_batch_size` frames, any
+    other plan's one at a time (see :func:`_batches`), each batch one
+    :func:`cs_solve` call, and with ``n_jobs`` workers the batches run on
+    a thread pool (see :func:`_in_frame_order`). A frame's estimate is
+    its lone solve's bit for bit, and the batches do not depend on the
+    worker count, so neither does the result. A frame that fails raises
+    its ReconError when it is due, after the frames before it, as lone
+    solves in frame order would. A batch's data is read
+    from ``kdata`` when the batch is solved, a frame at a time, and no
+    more than the volumes of two frames plus one batch per worker are
+    held at a time, so a dataset read from its file is reconstructed in
+    bounded memory. One FrameOperator serves each run of consecutive
+    frames with the same k-points, and one Lipschitz estimate, made on
+    the calling thread, each distinct frame.
     """
     _check_frame_count(kdata, plan)
     operator_for = _frame_operators(plan, coils, kdata, estimate=True)
 
-    def solve(t, operator, init):
-        return _frame_error(t, cs_solve, kdata[t], operator, basis, config, init=init)
+    def solve(frames, operator, init=None):
+        """The estimates of the frames, or of those before the first that
+        fails (its data is refused, or its solve fails), followed by its
+        ReconError, which names its frame."""
+        ys, refused = [], []
+        for t in frames:
+            try:
+                ys.append(_frame_error(t, _frame_data, kdata[t], operator))
+            except ReconError as e:
+                if not ys:
+                    raise
+                refused.append(e)
+                break
+        results = _frame_error(frames[0], cs_solve, np.stack(ys), operator, basis, config,
+                               init=init)
+        *done, last = results
+        if isinstance(last, ReconError):
+            return [*done, ReconError(last.reason, frames[last.frame])]
+        return [*results, *refused]
 
     def warm_pass():
         init = None
         for t in range(len(kdata)):
-            est = solve(t, operator_for(t), init)
+            [est] = _raising(solve(range(t, t + 1), operator_for(t), init))
             init = est.volume
             yield est
 
@@ -528,5 +690,5 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconCon
         # the warm pass yields nothing; its last estimate starts every frame
         for est in warm_pass():
             init = est.volume
-    yield from _in_frame_order(lambda t, operator: solve(t, operator, init), operator_for,
-                               len(kdata), n_jobs)
+    yield from _in_frame_order(functools.partial(solve, init=init),
+                               _batches(plan, operator_for), n_jobs)

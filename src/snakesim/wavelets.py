@@ -13,6 +13,9 @@ applies their transposes, coarsest first. The matrices are built from
 the taps once per block shape and cached on the basis. A float32 or
 complex64 volume is transformed with float32 matrices and its
 coefficients keep its dtype; any other is transformed in float64.
+Both transforms take a stack of volumes along leading axes (the frames
+of a batch) and transform each volume with matrix products of a lone
+volume's shapes, so each equals its own transform bit for bit.
 
 Coefficient layout: ``forward`` returns one dense array of the
 volume's shape in Mallat layout, and ``inverse`` takes one. The
@@ -127,46 +130,60 @@ class WaveletBasis:
         return mats
 
     def _apply(self, block, inverse):
-        """One level along x, y and z of a block (transposed matrices when
-        ``inverse``), as a new array in the block's precision."""
+        """One level along x, y and z of a block, or of each block of a
+        stack of them (transposed matrices when ``inverse``), as a new
+        array in the block's precision. Each block of a stack goes through
+        matrix products of a lone block's shapes, so it equals the lone
+        block's transform bit for bit."""
         block = np.ascontiguousarray(block, dtype=np.result_type(block, np.float32))
-        nx, ny, _ = block.shape
+        *lead, nx, ny, _ = block.shape
         real = np.finfo(block.dtype).dtype
-        wx, wy, wz = self._level_matrices(block.shape, block.itemsize // real.itemsize, real)
+        wx, wy, wz = self._level_matrices(block.shape[-3:], block.itemsize // real.itemsize,
+                                          real)
         if inverse:
             wx, wy, wz = wx.T, wy.T, wz.T
         r = block.view(real)
-        r = (r.reshape(nx * ny, -1) @ wz.T).reshape(nx, ny, -1)
-        r = wy @ r
-        r = (wx @ r.reshape(nx, -1)).reshape(nx, ny, -1)
+        k = r.shape[-1]
+        r = r.reshape(*lead, nx * ny, k) @ wz.T
+        r = wy @ r.reshape(*lead, nx, ny, k)
+        r = (wx @ r.reshape(*lead, nx, ny * k)).reshape(*lead, nx, ny, k)
         return r.view(block.dtype)
 
     def forward(self, volume):
-        """The volume's coefficients, one array of its shape in Mallat layout."""
+        """The volume's coefficients, one array of its shape in Mallat
+        layout; a stack of volumes (leading axes, e.g. frames) gives the
+        stack of their coefficients."""
         volume = np.asarray(volume)
-        if volume.ndim != 3:
-            raise WaveletError("expected a 3D volume")
-        self._check_dims(volume.shape)
+        if volume.ndim < 3:
+            raise WaveletError("expected a 3D volume or a stack of them")
+        self._check_dims(volume.shape[-3:])
         out = self._apply(volume, inverse=False)
         for level in range(1, self.levels):
-            sl = _band("aaa", _half(out.shape, level))
+            sl = (..., *_band("aaa", _half(out.shape[-3:], level)))
             out[sl] = self._apply(out[sl], inverse=False)
         return out
 
     def inverse(self, coeffs):
-        """The volume of a Mallat-layout array; ``coeffs`` is left as it is."""
-        out = np.array(coeffs, dtype=np.result_type(coeffs, np.float32))
+        """The volume of a Mallat-layout array, or the stack of volumes of a
+        stack of them; ``coeffs`` is left as it is."""
+        # a copy only when coarser levels are transformed in place
+        out = np.array(coeffs, dtype=np.result_type(coeffs, np.float32),
+                       copy=True if self.levels > 1 else None)
         for level in range(self.levels - 1, 0, -1):
-            sl = _band("aaa", _half(out.shape, level))
+            sl = (..., *_band("aaa", _half(out.shape[-3:], level)))
             out[sl] = self._apply(out[sl], inverse=True)
         return self._apply(out, inverse=True)
 
 
 def soft_threshold(x, mu):
-    """Complex soft-thresholding: shrink magnitudes by mu."""
+    """Complex soft-thresholding: shrink magnitudes by mu, which broadcasts
+    against x (one value per frame of a stack of (F, Nx, Ny, Nz) frames
+    is an (F, 1, 1, 1) array)."""
     mag = np.abs(x)
-    scale = np.maximum(mag - mu, 0.0)
     nz = mag > 0
-    # (x / mag) * scale where mag > 0 and 0 elsewhere, in that order
+    # (x / mag) * max(mag - mu, 0) where mag > 0 and 0 elsewhere, in that
+    # order; the shrunk magnitude takes mag's place
     out = np.divide(x, mag, out=np.zeros_like(x), where=nz)
-    return np.multiply(out, scale, out=out, where=nz)
+    mag -= mu
+    np.maximum(mag, 0.0, out=mag)
+    return np.multiply(out, mag, out=out, where=nz)

@@ -234,6 +234,36 @@ def test_dataset_missing_header_key_rejected(tmp_path, key):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("value", ["2", -1, 2.0, True, None, [2]])
+@pytest.mark.parametrize("key", ["n_frames", "n_coils", "n_shots_per_frame",
+                                 "samples_per_shot"])
+def test_dataset_count_not_a_non_negative_int_rejected(tmp_path, key, value):
+    """Each count the body is shaped from must be a non-negative int (or,
+    for samples_per_shot, a list of them): anything else raises one
+    FormatError naming the key, before the body is sized."""
+    header = _header()
+    path = tmp_path / "c.snkd"
+    body = _full_dataset(path, header)[9 + len(canonical_json(header)):]
+    if key == "samples_per_shot" and value == [2]:
+        value = [4, -1]
+    header[key] = value
+    blob = canonical_json(header).encode()
+    path.write_bytes(b"SNKD1" + struct.pack("<I", len(blob)) + blob + body)
+    with pytest.raises(FormatError, match=f"header {key} is {value!r}".replace("[", r"\[")):
+        read_dataset(path)
+
+
+def test_dataset_samples_per_shot_list_accepted(tmp_path):
+    """samples_per_shot may list each shot's samples."""
+    header = _header()
+    path = tmp_path / "l.snkd"
+    body = _full_dataset(path, header)[9 + len(canonical_json(header)):]
+    header["samples_per_shot"] = [4, 4]
+    blob = canonical_json(header).encode()
+    path.write_bytes(b"SNKD1" + struct.pack("<I", len(blob)) + blob + body)
+    assert read_dataset(path)[1].shape == (2, 2, 8)
+
+
 def test_dataset_closed_early_stays_partial(tmp_path):
     """A writer closed before every expected block leaves ``<path>.partial``,
     holding the header and every appended byte, and nothing at ``path``."""

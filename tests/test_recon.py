@@ -116,6 +116,10 @@ class TestAdjointRecon:
         frame = np.zeros((1, 3 * len(plan.frame(0))), dtype=np.complex128)
         with pytest.raises(ReconError):
             adjoint_recon(frame, _op(plan, coils))
+        # a batch of well-shaped frames is for cs_solve only
+        op = _op(plan, coils)
+        with pytest.raises(ReconError, match=r"shape \(2, 1, "):
+            adjoint_recon(np.zeros((2, 1, len(op.points)), dtype=np.complex128), op)
 
     def test_coil_count_mismatch_rejected(self):
         """1-coil data against a 2-coil operator: neither route broadcasts
@@ -671,6 +675,191 @@ class TestSeries:
                 volumes[t], adjoint_recon(frames[t], _op(plan, coils, t)))
 
 
+class TestFrameBatches:
+    """A batch of frames of one operator: the operator, the wavelet
+    transforms, the soft threshold and cs_solve on its leading frame axis
+    equal the calls on each frame, bit for bit, and the series splits a
+    run of frames into batches by the frame size alone."""
+
+    @staticmethod
+    def _operator(kind, dims, n_coils, dtype):
+        """A FrameOperator on the ``kind`` NDFT path, its maps in dtype."""
+        rng = np.random.default_rng(4)
+        if kind == "stack":
+            plan = gen_stack_of_spirals(gen_spiral(dims[:2], 64), dims[2], af=4.0,
+                                        center_fraction=0.25, dims=dims)
+            shots = plan.frame(0)
+        elif kind == "fft":
+            shots = gen_epi_3d(dims, _seq()).frame(0)
+        else:
+            from snakesim.trajectories import Shot
+            shots = [Shot(points=rng.uniform(-4, 3.9, (40, 3)), times=np.linspace(0, 1e-3, 40))
+                     for _ in range(2)]
+        maps = birdcage_coils(dims, n_coils).maps.astype(dtype)
+        op = FrameOperator(shots, dims, recon_mod.CoilProfile(maps=maps))
+        assert op._ndft.path == kind
+        return op
+
+    @staticmethod
+    def _volumes(n, dims, dtype, seed=5):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((n, *dims))
+                + 1j * rng.standard_normal((n, *dims))).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("kind, dims, n_coils", [
+        ("stack", (8, 8, 8), 2), ("fft", (8, 8, 8), 2), ("general", (8, 8, 8), 2),
+        ("stack", (16, 18, 16), 8)])
+    def test_operator_on_a_batch_equals_each_frame(self, kind, dims, n_coils, dtype):
+        op = self._operator(kind, dims, n_coils, dtype)
+        x = self._volumes(3, dims, dtype)
+        y = op.op(x)
+        back = op.adj_op(y)
+        assert y.shape == (3, n_coils, len(op.points)) and back.shape == (3, *dims)
+        assert y.dtype == back.dtype == dtype
+        for t in range(3):
+            assert op.op(x[t]).tobytes() == y[t].tobytes()
+            assert op.adj_op(y[t]).tobytes() == back[t].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("family", ["haar", "symlet8"])
+    @pytest.mark.parametrize("dims, levels", [((8, 8, 8), 2), ((16, 18, 16), 1)])
+    def test_wavelets_and_threshold_on_a_batch_equal_each_frame(self, dims, levels,
+                                                                family, dtype):
+        """forward, inverse and soft_threshold with one threshold per frame,
+        an (F, 1, 1, 1) column as cs_solve passes it, equal to each frame's
+        call with its Python float."""
+        basis = WaveletBasis(family, levels)
+        x = self._volumes(3, dims, dtype)
+        coeffs = basis.forward(x)
+        back = basis.inverse(coeffs)
+        mus = [0.05, 0.5, 1.5]
+        shrunk = soft_threshold(coeffs, np.array(mus, dtype=x.real.dtype).reshape(-1, 1, 1, 1))
+        assert coeffs.dtype == back.dtype == shrunk.dtype == dtype
+        for t in range(3):
+            assert basis.forward(x[t]).tobytes() == coeffs[t].tobytes()
+            assert basis.inverse(coeffs[t]).tobytes() == back[t].tobytes()
+            assert soft_threshold(coeffs[t], mus[t]).tobytes() == shrunk[t].tobytes()
+
+    @staticmethod
+    def _distinct_frames(n_frames=4):
+        """A static plan whose frames hold different data: each frame of
+        TestSeries' dataset scaled and with its own noise."""
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=n_frames, dynamic=False)
+        rng = np.random.default_rng(11)
+        noise = rng.standard_normal(frames.shape) + 1j * rng.standard_normal(frames.shape)
+        scale = np.linspace(0.5, 2.0, n_frames)[:, None, None]
+        return frames * scale + 0.05 * np.abs(frames).max() * noise, plan, coils
+
+    @pytest.mark.parametrize("mu_mode", ["fixed", "sure"])
+    def test_batch_solve_equals_each_frame_solve(self, mu_mode):
+        """Frames that stop on tol at different iterations, and at max_iters,
+        leave the batch with their own solve's estimate, bit for bit; so do
+        frames started from one shared init."""
+        frames, plan, coils = self._distinct_frames()
+        op, basis = _op(plan, coils), WaveletBasis("haar", 1)
+        cfg = ReconConfig(max_iters=40, tol=1e-3, mu_mode=mu_mode, mu_value=0.01)
+        init = op.adj_op(frames[0]) / np.sqrt(np.prod(plan.dims))
+        for kwargs in ({}, {"init": init}):
+            batch = cs_solve(frames, op, basis, cfg, **kwargs)
+            lone = [cs_solve(frames[t], _op(plan, coils), basis, cfg, **kwargs)
+                    for t in range(len(frames))]
+            if not kwargs:
+                assert len({e.n_iters for e in lone}) > 1
+                assert {e.converged for e in lone} == {False, True}
+            for got, want in zip(batch, lone):
+                assert got.volume.tobytes() == want.volume.tobytes()
+                assert got.volume.base is None
+                assert (got.objective_trace, got.mu_used, got.n_iters, got.converged) == \
+                    (want.objective_trace, want.mu_used, want.n_iters, want.converged)
+
+    def test_diverging_frame_in_a_batch_is_named(self, monkeypatch):
+        """A batch gives the estimates of the frames before the first that
+        fails, then that frame's ReconError naming its index in the batch;
+        the series (batches of frames 0-1, 2-3 and 4) yields those frames
+        and raises it naming the frame's index in the run, as lone solves
+        in frame order do."""
+        monkeypatch.setattr(recon_mod, "BATCH_BYTES", 2 * 2 * 8 ** 3 * 16)
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=5, dynamic=False)
+        frames[3, 0, 0] = np.nan
+        basis = WaveletBasis("haar", 1)
+        cfg = ReconConfig(max_iters=5, mu_mode="fixed", mu_value=0.0)
+        *done, error = cs_solve(frames[1:], _op(plan, coils), basis, cfg)
+        assert str(error) == "frame 2: solver diverged at iteration 0 (objective nan)"
+        for t, est in enumerate(done, start=1):
+            want = cs_solve(frames[t], _op(plan, coils), basis, cfg)
+            assert est.volume.tobytes() == want.volume.tobytes()
+        for config, message in ((cfg, "solver diverged at iteration 0"),
+                                (replace(cfg, mu_mode="sure"), "volume contains non-finite")):
+            series = reconstruct_series(frames, plan, coils, basis, config)
+            got = [next(series) for _ in range(3)]
+            with pytest.raises(ReconError, match=f"^frame 3: {message}"):
+                next(series)
+            for t, est in enumerate(got):
+                want = cs_solve(frames[t], _op(plan, coils), basis, config)
+                assert est.volume.tobytes() == want.volume.tobytes()
+        *done, error = cs_solve(frames[1:], _op(plan, coils), basis, replace(cfg, mu_mode="sure"))
+        assert len(done) == 2 and str(error).startswith("frame 2: volume contains non-finite")
+        # a warm frame is a batch of one on the calling thread
+        warm = reconstruct_series(frames, plan, coils, basis, replace(cfg, strategy="warm"))
+        assert len([next(warm) for _ in range(3)]) == 3
+        with pytest.raises(ReconError, match="^frame 3: solver diverged at iteration 0"):
+            next(warm)
+
+    def test_first_failing_frame_is_reported(self):
+        """Frame 1 diverges at iteration 1 and frame 2 at iteration 0 (a
+        step three times too long, and a NaN sample): the batch reports
+        frame 1, after frame 0's estimate, as lone solves in frame order
+        would."""
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=3, dynamic=False)
+        frames[0] = 0
+        frames[2, 0, 0] = np.nan
+        op, basis = _op(plan, coils), WaveletBasis("haar", 1)
+        op.lipschitz_bound = op.lipschitz() / 3
+        cfg = ReconConfig(max_iters=20, mu_mode="fixed", mu_value=0.0)
+        for t, iteration in ((1, 1), (2, 0)):
+            with pytest.raises(ReconError, match=f"^solver diverged at iteration {iteration} "):
+                cs_solve(frames[t], op, basis, cfg)
+        est, error = cs_solve(frames, op, basis, cfg)
+        assert est.volume.tobytes() == cs_solve(frames[0], op, basis, cfg).volume.tobytes()
+        assert str(error).startswith("frame 1: solver diverged at iteration 1 ")
+
+    def test_batch_size_follows_from_the_frame_size(self):
+        """The most frames whose coil images fit BATCH_BYTES, at least one:
+        3 at 16x18x16 with 8 complex64 coils, 1 at s2@1 (60x71x60)."""
+        from types import SimpleNamespace
+
+        def size(dims, n_coils, dtype):
+            maps = SimpleNamespace(itemsize=np.dtype(dtype).itemsize)
+            return recon_mod._batch_size(SimpleNamespace(
+                n_coils=n_coils, dims=dims, coils=SimpleNamespace(maps=maps)))
+        assert size((16, 18, 16), 8, np.complex64) == 3
+        assert size((16, 18, 16), 8, np.complex128) == 1
+        assert size((60, 71, 60), 8, np.complex64) == 1
+        assert size((8, 8, 8), 2, np.complex128) == recon_mod.BATCH_BYTES // 16384
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_batches_split_runs_of_one_operator(self, dynamic, monkeypatch):
+        """A static plan's 10 frames at 3 frames a batch are 3, 3, 3 and 1
+        frames; a dynamic plan's frames are batches of one, also one that
+        repeats the frame before it."""
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=10, dynamic=dynamic)
+        if dynamic:
+            # frame 5 is frame 4's Shot objects: consecutive frames that
+            # share one operator, which a static plan's batching would join
+            shots = list(plan.shots)
+            shots[5 * plan.shots_per_frame:6 * plan.shots_per_frame] = plan.frame(4)
+            plan = replace(plan, shots=tuple(shots))
+        monkeypatch.setattr(recon_mod, "BATCH_BYTES", 3 * 2 * 8 ** 3 * 16)
+        operator_for = recon_mod._frame_operators(plan, coils, frames)
+        batches = list(recon_mod._batches(plan, operator_for))
+        assert [list(f) for f, _ in batches] == (
+            [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]] if not dynamic else [[t] for t in range(10)])
+        # one operator serves a static plan, and frames 4 and 5 of the other
+        assert (batches[4][1] is batches[5][1]) if dynamic else \
+            len({id(op) for _, op in batches}) == 1
+
+
 class _FrameReads:
     """A (n_frames, L, P) array that records, for every frame read, its
     index minus the number of frames the consumer has received."""
@@ -785,16 +974,27 @@ class TestFrameWorkers:
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["adjoint", "cold"])
-    def test_reads_at_most_workers_frames_ahead(self, kind, n_jobs):
-        """At most n_jobs frames are read and not yet received: the one the
-        consumer waits for and n_jobs - 1 after it."""
+    def test_reads_at_most_workers_frames_ahead(self, kind, n_jobs, monkeypatch):
+        """At most n_jobs tasks are read and not yet received: the one the
+        consumer waits for and n_jobs - 1 after it. A task is one adjoint
+        frame, or one batch of cold frames, here 3, 3 and 2 of the 8, so
+        the frames read ahead are at most those of the n_jobs largest
+        consecutive batches, less one."""
         frames, plan, coils = TestSeries._tiny_dataset(n_frames=8, dynamic=False)
+        # three frames' coil images: 2 coils of 8^3 complex128 voxels each
+        monkeypatch.setattr(recon_mod, "BATCH_BYTES", 3 * 2 * 8 ** 3 * 16)
+        sizes = [len(f) for f, _ in recon_mod._batches(
+            plan, recon_mod._frame_operators(plan, coils, frames))]
+        assert sizes == [3, 3, 2]
+        if kind == "adjoint":
+            sizes = [1] * 8  # each adjoint frame is a task
+        bound = max(sum(sizes[i:i + n_jobs]) for i in range(len(sizes))) - 1
         kdata = _FrameReads(frames)
         for t, _ in enumerate(self._series(kind, kdata, plan, coils, n_jobs)):
             time.sleep(0.002)  # a slow consumer, so the pool could run far ahead
             kdata.received = t + 1
         assert len(kdata.ahead) == 8
-        assert max(kdata.ahead) <= n_jobs - 1
+        assert max(kdata.ahead) <= bound
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("kind", ["adjoint", "cold", "refined"])

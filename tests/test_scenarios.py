@@ -431,9 +431,10 @@ class TestRunPipeline:
         assert seen == [(np.complex64, None)]
 
     @staticmethod
-    def _sos_dynamic_config(strategy):
-        """A small dynamic stack-of-spirals CS config: one operator per frame."""
-        cfg = json.loads(json.dumps(preset("s2_sos_dynamic", scale=0.15).raw))
+    def _sos_dynamic_config(strategy, name="s2_sos_dynamic"):
+        """A small stack-of-spirals CS config, by default the dynamic one:
+        one operator per frame."""
+        cfg = json.loads(json.dumps(preset(name, scale=0.15).raw))
         cfg["n_frames"] = 6
         cfg["paradigm"].update(block_on_s=0.2, block_off_s=0.2, run_length_s=6 * 0.35)
         cfg["recon"].update(strategy=strategy, max_iters=4)
@@ -491,11 +492,24 @@ class TestRunPipeline:
         assert (once, runs) == (0, 1)
         assert built["engine"] == ["fft"] and built["recon"] == ["fft"]
 
-    @pytest.mark.parametrize("method", ["adjoint", "cold", "refined"])
-    def test_artifacts_identical_at_any_worker_count(self, method, tmp_path):
+    @pytest.mark.parametrize("method", ["adjoint", "cold", "refined", "static_cold"])
+    def test_artifacts_identical_at_any_worker_count(self, method, tmp_path, monkeypatch):
         """Every artifact but the manifest is byte-identical at n_jobs 1, 2
-        and 4, with a short switch interval so threads interleave often."""
-        config = _tiny_config() if method == "adjoint" else self._sos_dynamic_config(method)
+        and 4, with a short switch interval so threads interleave often.
+        The static cold run solves its six frames in three batches of two
+        (a budget of two frames' coil images), spread over the workers."""
+        if method == "adjoint":
+            config = _tiny_config()
+        elif method == "static_cold":
+            config = self._sos_dynamic_config("cold", name="s2_sos_static")
+            dims, n_coils = config.raw["dims"], config.raw["n_coils"]
+            monkeypatch.setattr(recon, "BATCH_BYTES", 2 * n_coils * int(np.prod(dims)) * 8)
+            solve, batches = recon.cs_solve, []
+            monkeypatch.setattr(recon, "cs_solve",
+                                lambda y, *args, **kwargs: batches.append(len(y))
+                                or solve(y, *args, **kwargs))
+        else:
+            config = self._sos_dynamic_config(method)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -506,6 +520,8 @@ class TestRunPipeline:
             sys.setswitchinterval(interval)
         names = sorted(p.name for p in (tmp_path / "1").iterdir() if p.name != "manifest.json")
         assert "frame_0005.snkv" in names
+        if method == "static_cold":
+            assert batches == [2] * 9
         for n_jobs in (2, 4):
             for name in names:
                 assert ((tmp_path / str(n_jobs) / name).read_bytes()
