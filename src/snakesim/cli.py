@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +55,9 @@ def _build_parser():
     pre.add_argument("--scale", type=float, default=1.0)
     pre.add_argument("--trajectory", default=None)
 
-    met = sub.add_parser("metrics", help="print the metrics of a finished run "
-                                          "and its peak RSS per stage")
+    met = sub.add_parser("metrics", help="print the metrics of a finished run, "
+                                          "its peak RSS per stage and, for CS, its "
+                                          "frames per solver stop and restarts")
     met.add_argument("run_dir")
 
     traj = sub.add_parser("traj", help="trajectory file tools")
@@ -117,6 +119,11 @@ def _cmd_metrics(args):
     manifest = Path(args.run_dir) / "manifest.json"
     if manifest.is_file():
         report["peak_rss_mb"] = json.loads(manifest.read_text()).get("peak_rss_mb", {})
+    index = Path(args.run_dir) / "series_index.json"
+    index = json.loads(index.read_text()) if index.is_file() else {}
+    if "stop" in index:  # a CS run: how its frames' solves ended
+        report["solver"] = {"frames_by_stop": dict(Counter(index["stop"])),
+                            "restarts": sum(index["restarts"])}
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

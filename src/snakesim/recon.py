@@ -61,7 +61,9 @@ each. Warm frames run one at a time on the calling thread. Pool threads
 only solve: operators are built, and each distinct frame's Lipschitz
 bound estimated once, on the calling thread, and the batches follow
 from the plan and the frame size alone, so the results do not depend on
-the worker count.
+the worker count. A frame that fails gives a :class:`FrameEstimate` with
+its reason and no volume, which a series raises, as a ReconError naming
+the frame, when the frame is due.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from .wavelets import WaveletBasis, finest_detail, soft_threshold
 
 class ReconError(ValueError):
     """A reconstruction input or solve that failed; ``frame``, if not None,
-    is the index of the frame it concerns (in a series, or in a batch)."""
+    is the index in its series of the frame it concerns."""
 
     def __init__(self, reason, frame=None):
         super().__init__(reason if frame is None else f"frame {frame}: {reason}")
@@ -127,11 +129,22 @@ class ReconConfig:
 
 @dataclass
 class FrameEstimate:
-    volume: np.ndarray
+    """One frame's result. ``stop`` says how a CS solve ended: "tol",
+    "max_iters", or a failure, which leaves no volume and gives its
+    ``reason``: "diverged", "sure" (a SURE threshold met non-finite
+    values) or "refused" (data of the wrong shape)."""
+    volume: np.ndarray | None
     objective_trace: list
     mu_used: float
     n_iters: int | None = None      # POGM iterations run; None for the adjoint
-    converged: bool | None = None   # stopped because the relative change fell below tol
+    stop: str | None = None
+    restarts: int = 0               # adaptive restarts: iterations whose objective rose
+    final_rel_change: float | None = None  # relative objective change of the last iteration
+    reason: str | None = None       # why a failed frame failed
+
+    @property
+    def converged(self):
+        return self.stop == "tol"
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +209,14 @@ class FrameOperator:
         return self.lipschitz()
 
 
-def _frame_data(y, operator: FrameOperator, batch=False):
+def _frame_data(y, operator: FrameOperator):
     """y as a complex array in its precision (complex64 for complex64 or
-    float32 data, complex128 for any other), if it holds one sample per
-    coil and operator point: (L, P) for a frame, (F, L, P) with ``batch``."""
+    float32 data, complex128 for any other), if it is one frame's (L, P)
+    data: one sample per coil and operator point."""
     y = np.asarray(y)
     y = y.astype(np.result_type(y.dtype, np.complex64), copy=False)
     want = (operator.n_coils, len(operator.points))
-    if y.shape[int(batch):] != want:
+    if y.shape != want:
         raise ReconError(f"k-space data of shape {y.shape} for an operator of "
                          f"{want[0]} coils and {want[1]} points")
     return y
@@ -329,27 +342,27 @@ def sure_threshold(volume, basis: WaveletBasis):
 def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfig,
              init=None, mu=None):
     """Solve 0.5 sum_l ||A_l x - y_l||^2 + mu ||Psi x||_1 with POGM, where
-    A is ``operator`` and y the (L, P) frame data at its points; a
-    :class:`FrameEstimate`.
+    A is ``operator`` and y the (L, P) frame data at its points; the
+    frame's :class:`FrameEstimate`.
 
     The prox of the l1 term is exact soft-thresholding in the orthonormal
-    wavelet domain. Momentum restarts on objective increase; iteration
-    stops at max_iters or when the relative objective change drops below
-    config.tol. The step is 1 / ``operator.lipschitz_bound``, estimated
-    here unless the operator already holds it.
+    wavelet domain. Momentum restarts on objective increase (POGM's
+    adaptive restart); iteration stops at max_iters or when the relative
+    objective change drops below config.tol. The step is 1 /
+    ``operator.lipschitz_bound``, estimated here unless the operator
+    already holds it. A frame that fails (its data has the wrong shape,
+    its SURE threshold meets non-finite values, or its solve diverges)
+    gives an estimate with no volume and the reason; only argument
+    errors, such as an ``init`` of the wrong shape, raise.
 
-    A (F, L, P) batch of frames at the operator's points gives a list of
-    F estimates. The frames are solved in lockstep, each step one call
-    on (F, ...) arrays, and each frame keeps its own mu, momentum,
-    restarts, best iterate, objective trace, divergence check and tol
-    stop; a frame that stops leaves the batch, so its estimate is its own
-    solve's bit for bit. A frame that fails (its SURE threshold meets
-    non-finite values, or its solve diverges) leaves the batch with every
-    later frame, and the list ends after the estimates of the frames
-    before it with its :class:`ReconError`, which names its index in the
-    batch; a lone frame raises it. ``init`` is one volume for every frame
-    or one per frame, and ``mu`` one value for every frame or one per
-    frame.
+    A batch of frames at the operator's points, a list of F (L, P) frames
+    or an (F, L, P) array, gives a list of F estimates. The frames are
+    solved in lockstep, each step one call on (F, ...) arrays, and each
+    frame keeps its own mu, momentum, restarts, best iterate, objective
+    trace and stop; a frame that stops, or fails, leaves the batch, so
+    its estimate is its own solve's bit for bit. ``init`` is one volume
+    for every frame or one per frame, and ``mu`` one value for every
+    frame or one per frame.
 
     The solve runs in the precision of y: complex64 data, as a dataset
     file holds it, gives complex64 iterates, operator products, wavelet
@@ -358,32 +371,38 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
     array's precision, which keeps it, and the objective sums in float64.
     """
     dims = operator.dims
-    batched = np.ndim(y) == 3
-    y = _frame_data(y, operator, batched) / float(np.sqrt(np.prod(dims)))
-    y = y.reshape(-1, *y.shape[-2:])
-    n = len(y)
+    batched = isinstance(y, list) or np.ndim(y) == 3
+    n = len(y) if batched else 1
+    if init is not None and init.shape != dims and (not batched or init.shape != (n, *dims)):
+        raise ReconError(f"init shape {init.shape} != {dims}")
+    estimates, ys = [None] * n, []
+    for i, frame in enumerate(y if batched else [y]):
+        try:
+            ys.append(_frame_data(frame, operator))
+        except ReconError as e:
+            estimates[i] = FrameEstimate(None, [], math.nan, stop="refused", reason=e.reason)
+    frames = [i for i in range(n) if estimates[i] is None]  # batch index of each frame solved
+    if not frames:
+        return estimates if batched else estimates[0]
+    y = np.stack(ys) / float(np.sqrt(np.prod(dims)))
     if init is None:
         x = operator.adj_op(y)
-    elif init.shape != dims and (not batched or init.shape != (n, *dims)):
-        raise ReconError(f"init shape {init.shape} != {dims}")
     else:
-        x = np.empty((n, *dims), dtype=y.dtype)
-        x[...] = init
-    # the batch index of the first frame that failed, and why
-    failed, reason = n, None
+        x = np.empty((len(frames), *dims), dtype=y.dtype)
+        x[...] = init if init.shape == dims else init[frames]
+    ends = {}  # row -> (stop, reason) of each frame that leaves the batch
     if mu is None and config.mu_mode == "fixed":
         mu = config.mu_value
-    elif mu is None:
+    if mu is not None:
+        mu = [float(m) for m in np.broadcast_to(mu, n)[frames]]
+    else:
         mu = []
-        for v in np.abs(x if init is None else np.reshape(init, (-1, *dims))):
+        for i, v in enumerate(np.abs(x)):
             try:
-                mu.append(sure_threshold(v, basis))
+                mu.append(float(sure_threshold(v, basis)))
             except ReconError as e:
-                # one shared init fails every frame
-                failed, reason = len(mu), e.reason
-                break
-    mu = [float(m) for m in (np.broadcast_to(mu, n) if reason is None else mu)]
-    x, y = x[:failed], y[:failed]
+                mu.append(math.nan)
+                ends[i] = "sure", e.reason
     step = 1.0 / operator.lipschitz_bound
 
     def column(values, dtype=y.dtype):
@@ -425,26 +444,34 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
                             for t, tn, g in zip(theta, theta_new, gamma_prev)]), z, out=z)
         np.add(s, z, out=z)
 
-    frames = list(range(failed))    # the batch index of each frame still solved
-    estimates = [None] * n
+    def finish(i, stop, reason=None):
+        trace = traces[i]
+        estimates[frames[i]] = FrameEstimate(
+            volume=None if reason else best[i].copy(), objective_trace=trace, mu_used=mu[i],
+            n_iters=len(trace) - 1, stop=stop, restarts=restarts[i],
+            final_rel_change=changes[i], reason=reason)
 
-    def finish(i, converged):
-        trace = traces[frames[i]]
-        estimates[frames[i]] = FrameEstimate(volume=best[i].copy(), objective_trace=trace,
-                                             mu_used=mu[i], n_iters=len(trace) - 1,
-                                             converged=converged)
-
-    if frames:
-        w_prev, z = x.copy(), x.copy()
-        theta, gamma_prev = [1.0] * len(frames), [step] * len(frames)
-        objs, resid = objective(x, l1(basis.forward(x)))
-        traces = [[obj] for obj in objs]
-        # each frame's best iterate: a row of the current iterate while it
-        # is the best, else a copy, so no earlier iterate of the batch
-        # stays alive
-        best, best_objs = list(x), objs
-    for k in range(config.max_iters):
-        if not frames:
+    w_prev, z = x.copy(), x.copy()
+    theta, gamma_prev = [1.0] * len(frames), [step] * len(frames)
+    objs, resid = objective(x, l1(basis.forward(x)))
+    traces = [[obj] for obj in objs]
+    restarts, changes = [0] * len(frames), [None] * len(frames)
+    # each frame's best iterate: a row of the current iterate while it is
+    # the best, else a copy, so no earlier iterate of the batch stays alive
+    best, best_objs = list(x), objs
+    for k in range(config.max_iters + 1):
+        # the frames that stopped or failed at the last step, or whose SURE
+        # threshold failed before the first, leave the batch
+        if ends:
+            for i, (stop, reason) in ends.items():
+                finish(i, stop, reason)
+            keep = [i for i in range(len(frames)) if i not in ends]
+            x, w_prev, z, resid, y = (a[keep] for a in (x, w_prev, z, resid, y))
+            best = [x[j] if best[i].base is not None else best[i] for j, i in enumerate(keep)]
+            frames, theta, gamma_prev, mu, best_objs, traces, restarts, changes = (
+                [v[i] for i in keep]
+                for v in (frames, theta, gamma_prev, mu, best_objs, traces, restarts, changes))
+        if not frames or k == config.max_iters:
             break
         w = operator.adj_op(resid)
         np.multiply(step, w, out=w)
@@ -455,41 +482,28 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
         w_prev = w
         x, norms = prox(z, gamma)
         objs, resid = objective(x, norms)
-        stopped, alive = [], len(frames)
+        ends = {}
         for i, obj in enumerate(objs):
-            trace = traces[frames[i]]
+            trace = traces[i]
             if not np.isfinite(obj) or obj > 10 * max(trace[0], 1e-300):
-                # this frame and every later one leave the batch unsolved
-                failed, alive = frames[i], i
-                reason = f"solver diverged at iteration {k} (objective {obj:.3e})"
-                break
+                ends[i] = "diverged", f"solver diverged at iteration {k} (objective {obj:.3e})"
+                continue
             if obj > trace[-1]:
                 # adaptive restart: drop momentum
                 theta_new[i] = 1.0
-            rel_change = abs(trace[-1] - obj) / max(abs(trace[-1]), 1e-300)
+                restarts[i] += 1
+            changes[i] = abs(trace[-1] - obj) / max(abs(trace[-1]), 1e-300)
             trace.append(obj)
             if obj < best_objs[i]:
                 best[i], best_objs[i] = x[i], obj
             elif best[i].base is not None:
                 best[i] = best[i].copy()
-            if rel_change < config.tol:
-                stopped.append(i)
+            if changes[i] < config.tol:
+                ends[i] = "tol", None
         theta, gamma_prev = theta_new, gamma
-        for i in stopped:
-            finish(i, converged=True)
-        keep = [i for i in range(alive) if i not in stopped]
-        if len(keep) < len(frames):
-            x, w_prev, z, resid, y = (a[keep] for a in (x, w_prev, z, resid, y))
-            best = [x[j] if best[i].base is not None else best[i] for j, i in enumerate(keep)]
-            frames, theta, gamma_prev, mu, best_objs = (
-                [v[i] for i in keep] for v in (frames, theta, gamma_prev, mu, best_objs))
     for i in range(len(frames)):
-        finish(i, converged=False)
-    if not batched:
-        if reason is not None:
-            raise ReconError(reason)
-        return estimates[0]
-    return estimates[:failed] + ([ReconError(reason, failed)] if reason is not None else [])
+        finish(i, "max_iters")
+    return estimates if batched else estimates[0]
 
 
 # ---------------------------------------------------------------------------
@@ -562,50 +576,46 @@ def _batches(plan, operator_for):
 
 
 def _in_frame_order(solve, batches, n_jobs):
-    """Yield the results of ``solve(frames, operator)`` for every
-    ``(frames, operator)`` of ``batches``, frame by frame and in order,
-    for solves that depend on no other batch.
+    """Yield the estimates of ``solve(frames, operator)`` for every
+    ``(frames, operator)`` of ``batches``, frame by frame and in order
+    (see :func:`_succeeded`), for solves that depend on no other batch.
 
     ``batches`` is iterated on the calling thread and the solves run on
     a thread pool of :func:`_worker_count` of ``n_jobs`` threads. At most
     that many batches are submitted and not yet yielded: batch b +
     workers is submitted only when the consumer asks for the frame after
     batch b, so each thread's temporaries and results stay bounded. A
-    solve returns one result per frame, or the results of the frames
-    before one that failed followed by that frame's exception; an
-    exception, returned or raised, is raised when its frame is due.
-    Closing the generator cancels the solves not started and waits for
-    the running ones, so no pool thread outlives it.
+    solve returns one estimate per frame; an exception it raises is
+    raised when its batch is due. Closing the generator cancels the
+    solves not started and waits for the running ones, so no pool thread
+    outlives it.
     """
     workers = _worker_count(n_jobs)
     pool = ThreadPoolExecutor(max_workers=workers)
-    pending = deque()
+    pending = deque()   # (frames, future) of each batch submitted and not yielded
+
+    def due():
+        frames, future = pending.popleft()
+        return _succeeded(frames, future.result())
 
     try:
         for frames, operator in batches:
             if len(pending) == workers:
-                yield from _raising(pending.popleft().result())
-            pending.append(pool.submit(solve, frames, operator))
+                yield from due()
+            pending.append((frames, pool.submit(solve, frames, operator)))
         while pending:
-            yield from _raising(pending.popleft().result())
+            yield from due()
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _raising(results):
-    """Yield the results, raising an exception among them when it is due."""
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-        yield result
-
-
-def _frame_error(t, fn, *args, **kwargs):
-    """fn(*args, **kwargs), a ReconError naming frame t."""
-    try:
-        return fn(*args, **kwargs)
-    except ReconError as e:
-        raise ReconError(e.reason, t) from e
+def _succeeded(frames, estimates):
+    """Yield the estimates of the frames in order, raising the ReconError
+    of the first that failed, which names its frame, when it is due."""
+    for t, est in zip(frames, estimates):
+        if est.volume is None:
+            raise ReconError(est.reason, t)
+        yield est
 
 
 def adjoint_series(kdata, plan, coils, density_comp="none", n_jobs=None):
@@ -614,13 +624,17 @@ def adjoint_series(kdata, plan, coils, density_comp="none", n_jobs=None):
     in frame order, reading each frame's data when it is reconstructed.
     The frames are independent, so with ``n_jobs`` workers they run one
     frame a task on a thread pool (see :func:`_in_frame_order`); the
-    result does not depend on the worker count."""
+    result does not depend on the worker count. A frame whose data is
+    refused raises its ReconError when it is due."""
     _check_frame_count(kdata, plan)
 
     def adjoint(frames, operator):
         [t] = frames
-        return [FrameEstimate(_frame_error(t, adjoint_recon, kdata[t], operator,
-                                           density_comp=density_comp), [], 0.0)]
+        try:
+            y = _frame_data(kdata[t], operator)
+        except ReconError as e:
+            return [FrameEstimate(None, [], math.nan, stop="refused", reason=e.reason)]
+        return [FrameEstimate(adjoint_recon(y, operator, density_comp), [], 0.0)]
     operator_for = _frame_operators(plan, coils, kdata)
     yield from _in_frame_order(
         adjoint, ((range(t, t + 1), operator_for(t)) for t in range(len(kdata))), n_jobs)
@@ -642,9 +656,9 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconCon
     :func:`cs_solve` call, and with ``n_jobs`` workers the batches run on
     a thread pool (see :func:`_in_frame_order`). A frame's estimate is
     its lone solve's bit for bit, and the batches do not depend on the
-    worker count, so neither does the result. A frame that fails raises
-    its ReconError when it is due, after the frames before it, as lone
-    solves in frame order would. A batch's data is read
+    worker count, so neither does the result. The first frame that fails
+    raises its ReconError when it is due, after the frames before it, as
+    lone solves in frame order would. A batch's data is read
     from ``kdata`` when the batch is solved, a frame at a time, and no
     more than the volumes of two frames plus one batch per worker are
     held at a time, so a dataset read from its file is reconstructed in
@@ -655,32 +669,12 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconCon
     _check_frame_count(kdata, plan)
     operator_for = _frame_operators(plan, coils, kdata, estimate=True)
 
-    def solve(frames, operator, init=None):
-        """The estimates of the frames, or of those before the first that
-        fails (its data is refused, or its solve fails), followed by its
-        ReconError, which names its frame."""
-        ys, refused = [], []
-        for t in frames:
-            try:
-                ys.append(_frame_error(t, _frame_data, kdata[t], operator))
-            except ReconError as e:
-                if not ys:
-                    raise
-                refused.append(e)
-                break
-        results = _frame_error(frames[0], cs_solve, np.stack(ys), operator, basis, config,
-                               init=init)
-        *done, last = results
-        if isinstance(last, ReconError):
-            return [*done, ReconError(last.reason, frames[last.frame])]
-        return [*results, *refused]
-
     def warm_pass():
         init = None
         for t in range(len(kdata)):
-            [est] = _raising(solve(range(t, t + 1), operator_for(t), init))
+            est = cs_solve(kdata[t], operator_for(t), basis, config, init=init)
+            yield from _succeeded([t], [est])
             init = est.volume
-            yield est
 
     if config.strategy == "warm":
         yield from warm_pass()
@@ -690,5 +684,7 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconCon
         # the warm pass yields nothing; its last estimate starts every frame
         for est in warm_pass():
             init = est.volume
-    yield from _in_frame_order(functools.partial(solve, init=init),
-                               _batches(plan, operator_for), n_jobs)
+
+    def solve(frames, operator):
+        return cs_solve([kdata[t] for t in frames], operator, basis, config, init=init)
+    yield from _in_frame_order(solve, _batches(plan, operator_for), n_jobs)

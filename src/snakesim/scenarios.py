@@ -15,7 +15,7 @@ import csv
 import hashlib
 import resource
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +144,8 @@ class RunConfig:
                            ("trajectory.n_shots_per_frame", traj["n_shots_per_frame"])):
             if value < 1:
                 raise ConfigError(f"{key}: need at least 1, got {value}")
+        if raw["seed"] < 0:
+            raise ConfigError(f"seed: need a non-negative integer, got {raw['seed']}")
         if traj["kind"] == "external" and not traj["path"]:
             raise ConfigError("trajectory: the external kind requires a path")
         if traj["kind"] == "epi3d" and traj["n_shots_per_frame"] > raw["dims"][2]:
@@ -455,7 +457,7 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         else:
             frames = reconstruct_series(kdata, plan, coils, *config.cs, n_jobs=n_jobs)
         sums = SeriesSums(design)
-        solves = []
+        estimates = []
         # closing the series on a failure here stops its worker threads
         with contextlib.closing(frames):
             for t, est in enumerate(frames):
@@ -463,20 +465,22 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
                 mag = np.abs(est.volume).astype(np.float32, copy=False)
                 write_volume(out / f"frame_{t:04d}.snkv", mag, voxel_size=phantom.voxel_size)
                 sums.add(mag)
-                solves.append((est.mu_used, est.objective_trace, est.n_iters, est.converged))
-        mu_values, traces, n_iters, converged = zip(*solves)
+                # the record without its volume: the run holds one frame at a time
+                estimates.append(replace(est, volume=None))
         index = {"n_frames": sums.n, "dims": list(phantom.dims),
                  "tr_vol_s": plan.tr_vol,
                  "strategy": "adjoint" if config.cs is None else config.cs[1].strategy,
-                 "mu": [float(m) for m in mu_values],
+                 "mu": [float(est.mu_used) for est in estimates],
                  "objective_traces": "objective_traces.csv"}
         if config.cs is not None:
-            index.update(n_iters=list(n_iters), converged=list(converged))
+            # how each frame's solve ended (see recon.FrameEstimate)
+            index.update({key: [getattr(est, key) for est in estimates] for key in
+                          ("n_iters", "stop", "restarts", "final_rel_change")})
         (out / "series_index.json").write_text(canonical_json(index))
         with open(out / "objective_traces.csv", "w", newline="") as f:
             writer = csv.writer(f)
-            for t, trace in enumerate(traces):
-                writer.writerow([t, *trace])
+            for t, est in enumerate(estimates):
+                writer.writerow([t, *est.objective_trace])
         finish(stage, t0)
         manifest.checksums["series_index.json"] = _sha256(out / "series_index.json")
         manifest.checksums["frame_0000.snkv"] = _sha256(out / "frame_0000.snkv")

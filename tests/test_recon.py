@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -134,9 +135,9 @@ class TestAdjointRecon:
         with pytest.raises(ReconError, match="2 coils"):
             adjoint_recon(frame, op)
         cfg = ReconConfig(max_iters=5, mu_mode="fixed", mu_value=0.01)
-        with pytest.raises(ReconError, match="2 coils"):
-            cs_solve(frame, op, WaveletBasis("haar", 1), cfg,
-                     init=np.zeros(dims, dtype=np.complex128))
+        est = cs_solve(frame, op, WaveletBasis("haar", 1), cfg,
+                       init=np.zeros(dims, dtype=np.complex128))
+        assert est.volume is None and est.stop == "refused" and "2 coils" in est.reason
 
 
 class TestDensityWeights:
@@ -622,6 +623,25 @@ class TestSeries:
         capped = cs_solve(*args, ReconConfig(max_iters=3, tol=1e-14, mu_mode="fixed",
                                              mu_value=0.01))
         assert not capped.converged and capped.n_iters == 3
+        assert (loose.stop, capped.stop) == ("tol", "max_iters")
+        # the final relative change is the last step of the objective trace
+        assert loose.final_rel_change == rel[-1]
+        *_, before, last = capped.objective_trace
+        assert capped.final_rel_change == abs(before - last) / abs(before)
+
+    def test_restarts_count_the_rises_of_the_objective(self):
+        """A step 1.1 times too long makes the objective rise without
+        diverging: each rise is one adaptive restart. The step 1 / L of
+        the same solve gives none."""
+        frames, plan, coils = self._tiny_dataset(n_frames=1)
+        cfg = ReconConfig(max_iters=60, tol=1e-8, mu_mode="fixed", mu_value=0.01)
+        op = _op(plan, coils)
+        assert cs_solve(frames[0], op, WaveletBasis("haar", 1), cfg).restarts == 0
+        op.lipschitz_bound = op.lipschitz() / 1.1
+        est = cs_solve(frames[0], op, WaveletBasis("haar", 1), cfg)
+        trace = est.objective_trace
+        assert est.stop == "max_iters" and est.volume is not None
+        assert est.restarts == sum(b > a for a, b in zip(trace, trace[1:])) > 0
 
     def test_series_carries_telemetry(self):
         frames, plan, coils = self._tiny_dataset(n_frames=3)
@@ -774,55 +794,83 @@ class TestFrameBatches:
                     (want.objective_trace, want.mu_used, want.n_iters, want.converged)
 
     def test_diverging_frame_in_a_batch_is_named(self, monkeypatch):
-        """A batch gives the estimates of the frames before the first that
-        fails, then that frame's ReconError naming its index in the batch;
-        the series (batches of frames 0-1, 2-3 and 4) yields those frames
-        and raises it naming the frame's index in the run, as lone solves
-        in frame order do."""
+        """A frame that fails leaves its batch with its failed estimate, and
+        the others are their lone solves'; the series (batches of frames
+        0-1, 2-3 and 4) yields the frames before it and raises its
+        ReconError naming its index in the run, as lone solves in frame
+        order do."""
         monkeypatch.setattr(recon_mod, "BATCH_BYTES", 2 * 2 * 8 ** 3 * 16)
         frames, plan, coils = TestSeries._tiny_dataset(n_frames=5, dynamic=False)
         frames[3, 0, 0] = np.nan
         basis = WaveletBasis("haar", 1)
         cfg = ReconConfig(max_iters=5, mu_mode="fixed", mu_value=0.0)
-        *done, error = cs_solve(frames[1:], _op(plan, coils), basis, cfg)
-        assert str(error) == "frame 2: solver diverged at iteration 0 (objective nan)"
-        for t, est in enumerate(done, start=1):
-            want = cs_solve(frames[t], _op(plan, coils), basis, cfg)
-            assert est.volume.tobytes() == want.volume.tobytes()
-        for config, message in ((cfg, "solver diverged at iteration 0"),
-                                (replace(cfg, mu_mode="sure"), "volume contains non-finite")):
+        for config, stop, message in (
+                (cfg, "diverged", "solver diverged at iteration 0 (objective nan)"),
+                (replace(cfg, mu_mode="sure"), "sure", "volume contains non-finite values")):
+            batch = cs_solve(frames[1:], _op(plan, coils), basis, config)
+            assert (batch[2].volume, batch[2].stop, batch[2].reason) == (None, stop, message)
+            for t in (1, 2, 4):
+                want = cs_solve(frames[t], _op(plan, coils), basis, config)
+                assert batch[t - 1].volume.tobytes() == want.volume.tobytes()
             series = reconstruct_series(frames, plan, coils, basis, config)
             got = [next(series) for _ in range(3)]
-            with pytest.raises(ReconError, match=f"^frame 3: {message}"):
+            with pytest.raises(ReconError, match=f"^frame 3: {re.escape(message)}$"):
                 next(series)
             for t, est in enumerate(got):
                 want = cs_solve(frames[t], _op(plan, coils), basis, config)
                 assert est.volume.tobytes() == want.volume.tobytes()
-        *done, error = cs_solve(frames[1:], _op(plan, coils), basis, replace(cfg, mu_mode="sure"))
-        assert len(done) == 2 and str(error).startswith("frame 2: volume contains non-finite")
         # a warm frame is a batch of one on the calling thread
         warm = reconstruct_series(frames, plan, coils, basis, replace(cfg, strategy="warm"))
         assert len([next(warm) for _ in range(3)]) == 3
         with pytest.raises(ReconError, match="^frame 3: solver diverged at iteration 0"):
             next(warm)
 
-    def test_first_failing_frame_is_reported(self):
+    def test_first_failing_frame_is_reported(self, monkeypatch):
         """Frame 1 diverges at iteration 1 and frame 2 at iteration 0 (a
-        step three times too long, and a NaN sample): the batch reports
-        frame 1, after frame 0's estimate, as lone solves in frame order
-        would."""
+        step three times too long, and a NaN sample): the batch gives each
+        frame its lone solve's estimate, and the series reports frame 1,
+        after frame 0, as lone solves in frame order would."""
         frames, plan, coils = TestSeries._tiny_dataset(n_frames=3, dynamic=False)
         frames[0] = 0
         frames[2, 0, 0] = np.nan
+        lipschitz = FrameOperator.lipschitz
+        monkeypatch.setattr(FrameOperator, "lipschitz", lambda self: lipschitz(self) / 3)
         op, basis = _op(plan, coils), WaveletBasis("haar", 1)
-        op.lipschitz_bound = op.lipschitz() / 3
         cfg = ReconConfig(max_iters=20, mu_mode="fixed", mu_value=0.0)
+        batch = cs_solve(frames, op, basis, cfg)
+        assert batch[0].volume.tobytes() == cs_solve(frames[0], op, basis, cfg).volume.tobytes()
         for t, iteration in ((1, 1), (2, 0)):
-            with pytest.raises(ReconError, match=f"^solver diverged at iteration {iteration} "):
-                cs_solve(frames[t], op, basis, cfg)
-        est, error = cs_solve(frames, op, basis, cfg)
-        assert est.volume.tobytes() == cs_solve(frames[0], op, basis, cfg).volume.tobytes()
-        assert str(error).startswith("frame 1: solver diverged at iteration 1 ")
+            for est in (cs_solve(frames[t], op, basis, cfg), batch[t]):
+                assert (est.volume, est.stop, est.n_iters) == (None, "diverged", iteration)
+                assert est.reason.startswith(f"solver diverged at iteration {iteration} ")
+        series = reconstruct_series(frames, plan, coils, basis, cfg)
+        assert next(series).volume.tobytes() == batch[0].volume.tobytes()
+        with pytest.raises(ReconError, match="^frame 1: solver diverged at iteration 1 "):
+            next(series)
+
+    @pytest.mark.parametrize("failure", ["refused", "diverged"])
+    def test_a_failed_frame_leaves_the_others_their_lone_solves(self, failure):
+        """Frame 1 of a batch of four is refused (one sample short) or
+        diverges (a NaN sample): its estimate says so and holds no volume,
+        and every other frame's estimate, telemetry included, is its lone
+        solve's bit for bit."""
+        frames, plan, coils = self._distinct_frames()
+        op, basis = _op(plan, coils), WaveletBasis("haar", 1)
+        cfg = ReconConfig(max_iters=40, tol=1e-3, mu_mode="sure")
+        batch = list(frames)
+        if failure == "refused":
+            batch[1] = frames[1][:, 1:]
+        else:
+            batch[1] = frames[1].copy()
+            batch[1][0, 0] = np.nan
+            cfg = replace(cfg, mu_mode="fixed", mu_value=0.01)
+        got = cs_solve(batch, op, basis, cfg)
+        assert (got[1].volume, got[1].stop) == (None, failure)
+        assert got[1].reason == cs_solve(batch[1], op, basis, cfg).reason
+        for t in (0, 2, 3):
+            want = cs_solve(frames[t], _op(plan, coils), basis, cfg)
+            assert got[t].volume.tobytes() == want.volume.tobytes()
+            assert {**vars(got[t]), "volume": None} == {**vars(want), "volume": None}
 
     def test_batch_size_follows_from_the_frame_size(self):
         """The most frames whose coil images fit BATCH_BYTES, at least one:

@@ -88,6 +88,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="path"):
             RunConfig.from_dict(cfg)
 
+    def test_negative_seed_rejected(self):
+        """The seed keys the noise draws, which take non-negative integers
+        only: a negative one is refused before any compute."""
+        with pytest.raises(ConfigError, match="seed: need a non-negative integer, got -1"):
+            RunConfig.from_dict(_base_config(seed=-1))
+        assert RunConfig.from_dict(_base_config(seed=0)).noise.seed == 0
+
     def test_hash_changes_with_content(self):
         a = RunConfig.from_dict(_base_config(seed=1))
         b = RunConfig.from_dict(_base_config(seed=2))
@@ -282,7 +289,7 @@ class TestRunPipeline:
         # the adjoint recon runs no solver, so it reports no solver telemetry
         index = json.loads((out / "series_index.json").read_text())
         assert config.raw["recon"]["method"] == "adjoint"
-        assert "n_iters" not in index and "converged" not in index
+        assert not {"n_iters", "stop", "restarts", "final_rel_change"} & set(index)
 
     def test_deterministic_artifacts(self, tmp_path):
         a = run_pipeline(_tiny_config(), tmp_path / "a")
@@ -608,7 +615,13 @@ class TestRunPipeline:
         assert index["n_frames"] == 25
         assert len(index["mu"]) == 25
         assert index["n_iters"] == [3] * 25
-        assert index["converged"] == [False] * 25
+        assert index["stop"] == ["max_iters"] * 25
+        assert "converged" not in index
+        # a restart is an objective rise, and the last change the last step
+        with open(tmp_path / "run" / "objective_traces.csv") as f:
+            traces = [[float(v) for v in line.split(",")[1:]] for line in f]
+        assert index["restarts"] == [sum(b > a for a, b in zip(t, t[1:])) for t in traces]
+        assert index["final_rel_change"] == [abs(t[-1] - t[-2]) / abs(t[-2]) for t in traces]
 
 
 class TestCli:
@@ -685,6 +698,30 @@ class TestCli:
         metrics = json.loads(capsys.readouterr().out)
         assert "bacc" in metrics
         assert set(metrics["peak_rss_mb"]) == {"acquisition", "reconstruction", "analysis"}
+
+    def test_metrics_reports_the_solver_stops_of_a_cs_run(self, tmp_path, capsys):
+        """A CS run's metrics count its frames per solver stop and its
+        restarts, from series_index.json; an adjoint run reports none."""
+        cfg = json.loads(json.dumps(_tiny_config().raw))
+        runs = {}
+        for method in ("adjoint", "cs"):
+            cfg["recon"].update(method=method, max_iters=3)
+            runs[method] = str(tmp_path / method)
+            assert run_pipeline(RunConfig.from_dict(cfg), runs[method]).failed_stage is None
+        assert cli_main(["metrics", runs["cs"]]) == 0
+        solver = json.loads(capsys.readouterr().out)["solver"]
+        index = json.loads((tmp_path / "cs" / "series_index.json").read_text())
+        assert solver == {"frames_by_stop": {"max_iters": 25},
+                          "restarts": sum(index["restarts"])}
+        assert cli_main(["metrics", runs["adjoint"]]) == 0
+        assert "solver" not in json.loads(capsys.readouterr().out)
+
+    def test_run_negative_seed_exit_2_before_acquisition(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli_main(["run", "s1_epi", "--scale", "0.15", "--seed", "-1",
+                         "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_stage_failure_exit_3(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(_tiny_config().raw))
