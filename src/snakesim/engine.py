@@ -5,11 +5,12 @@ under the basic Fourier model (contrast frozen at TE) or the extended
 model with per-tissue T2* decay along the readout, of which the basic
 model is the case of one tissue with infinite T2*: both take their
 samples from one shot function, :func:`acquire_shot_t2s`, through
-:class:`NDFT`, applied to all coils at once, which is also the operator
-that reconstruction inverts. The NDFT takes one of three exact paths,
-one formula each: the FFT when every point is on the grid (EPI), a
-Kronecker product of a z table and one in-plane table when the points
-are one in-plane set on each of their integer kz planes
+:class:`NDFT`, the operator that reconstruction inverts, called as
+reconstruction calls it: volumes and coil maps in, coil samples out,
+one volume's coil images held at a time. The NDFT takes one of three
+exact paths, one formula each: the FFT when every point is on the grid
+(EPI), a Kronecker product of a z table and one in-plane table when
+the points are one in-plane set on each of their integer kz planes
 (stack-of-spirals, whose planes all carry one spiral), and separable
 phase tables for any other 3D trajectory.
 
@@ -114,14 +115,20 @@ def _kronecker(points):
 
 
 class NDFT:
-    """Exact unscaled non-uniform DFT at fixed 3D k-points.
+    """Exact unscaled non-uniform DFT of coil images at fixed 3D k-points.
 
-    forward: y[n] = sum_m x[r_m] exp(-2i pi k_n . r_m) with voxel
+    With coil maps S (L, Nx, Ny, Nz), forward takes volumes x
+    (..., Nx, Ny, Nz) to the samples of their coil images, (..., L, P):
+    y_l[n] = sum_m S_l[r_m] x[r_m] exp(-2i pi k_n . r_m) with voxel
     coordinates r_m = (m - N//2)/N per axis, so the DC sample equals the
-    volume sum and on-grid sampling coincides with the centered FFT.
-    adjoint is its exact adjoint. Both take leading batch axes (coils,
-    tissues): forward maps (..., Nx, Ny, Nz) to (..., P) and adjoint
-    (..., P) to (..., Nx, Ny, Nz).
+    image sum and on-grid sampling coincides with the centered FFT.
+    adjoint is its exact adjoint, (..., L, P) to the coil-combined
+    sum_l conj(S_l) E^H y_l, (..., Nx, Ny, Nz), E the transform of one
+    image. This is the one call form: acquisition passes its coil
+    profile's maps and reconstruction its own, and one unit coil gives
+    the transform of a bare image. Both make one volume's L coil images
+    at a time, inside that volume's call, and hold no other volume's;
+    each volume's result equals its own call's bit for bit.
 
     The points select one of three exact paths, named by ``path``:
 
@@ -130,43 +137,37 @@ class NDFT:
       k mod N (per axis) of fftn(ifftshift(v)). forward gathers there,
       with no fftshift of the spectrum; adjoint adds each sample there
       (np.add.at, so repeated grid points sum), inverse-FFTs with no
-      ifftshift of the grid, fftshifts and scales in place. The adjoint
-      runs in the data's precision: complex64 or float32 y gives a
-      complex64 volume, any other y a complex128 one.
+      ifftshift of the grid, fftshifts and scales in place.
     - ``"stack"``, a Kronecker product of U integer kz planes and Q
       in-plane (kx, ky) points: each in-plane point on each plane, once,
       in any order, so that each point is one entry of a (U, Q) grid.
       Every stack the package makes (one spiral on every plane) is one.
-      One GEMM with the (U, Nz) z table contracts z at every plane for
-      the whole batch, one GEMM with the combined (Q, Nx*Ny) in-plane
-      table takes all planes and batch items to the grid, and forward
-      gathers each point from its entry: Nx*Ny*Nz*U + Nx*Ny*U*Q MACs per
-      item. Integer-kz points that are no such product (planes with
-      different in-plane sets, as a spiral rotated per plane, or a
-      repeated point) take the general path.
+      forward contracts each volume's coil images along z at every
+      plane, one GEMM with the (U, Nz) z table, then takes all planes of
+      every volume and coil to the grid in one GEMM with the combined
+      (Q, Nx*Ny) in-plane table and gathers each point from its entry:
+      Nx*Ny*Nz*U + Nx*Ny*U*Q MACs per image. adjoint gathers y into its
+      grid by the inverse of that gather. Integer-kz points that are no
+      such product (planes with different in-plane sets, as a spiral
+      rotated per plane, or a repeated point) take the general path.
     - ``"general"``, any other points (3D trajectories): a (P, Nx)
       table and a combined (P, Ny*Nz) table.
 
     Both non-FFT paths run one loop over the rows of their combined
     table: one chunk, built once, when it has at most PHASE_TABLE_LIMIT
     elements, else chunks of rows (in-plane points or points) of at most
-    that size, rebuilt per call. Their adjoints use the forward tables as
-    conj(conj(y) E), so no conjugated copy of a table is made; the stack
-    adjoint gathers y into its grid by the inverse of the forward's
-    gather. They compute in the precision of their input, as the FFT
-    path's adjoint does: complex64 or float32 input gives complex64
-    tables, products and output, any other input complex128. The tables
-    of a precision are built when it is first called for and then kept.
+    that size, rebuilt per call. Every path computes in the precision of
+    its input: complex64 or float32 input gives complex64 tables,
+    products and output, any other input complex128. The tables of a
+    precision are built when it is first called for and then kept.
 
-    Given coil maps S (L, Nx, Ny, Nz), forward takes volumes x
-    (..., Nx, Ny, Nz) to the samples of every S_l * x, (..., L, P), and
-    adjoint takes (..., L, P) to the coil-combined sum_l conj(S_l)
-    adjoint(y_l), (..., Nx, Ny, Nz). They hold one volume's L coil images
-    at a time. On the stack path forward contracts each volume's images
-    along z and takes every volume to the grid in one in-plane GEMM, and
-    adjoint takes one volume at a time to its planes, back along z and
-    through its coil sum, with no conjugation pass over its coil images.
-    Each volume's result equals its own call's bit for bit.
+    Each path has one per-volume adjoint kernel, which returns the
+    conjugated adjoint conj(E^H y_l) of each coil: the FFT path
+    conjugates its scaled images in place, and the non-FFT paths take it
+    from the forward tables as conj(y) E, so no conjugated copy of a
+    table is made. The coil sum is then one form on every path,
+    conj(sum_l S_l conj(E^H y_l)), taken in place in the data's
+    precision, so no conjugated copy of the maps is made either.
     """
 
     def __init__(self, points, dims):
@@ -217,137 +218,113 @@ class NDFT:
         combined = functools.partial(_rows, *pair) if whole is None else lambda sl: whole
         return self._tables.setdefault(dtype, (ex, ez, combined))
 
-    def forward(self, x, maps=None):
-        """The samples of x, (..., Nx, Ny, Nz) to (..., P); with coil maps
-        (L, Nx, Ny, Nz), those of maps * x per volume, (..., L, P)."""
+    def forward(self, x, maps):
+        """The samples of the coil images maps_l * x of each volume x,
+        (..., Nx, Ny, Nz) to (..., L, P), for coil maps (L, Nx, Ny, Nz)."""
         x = np.asarray(x)
-        n, (nx, ny, nz) = len(self.points), self.dims
-        if maps is not None:
-            dtype = np.result_type(x.dtype, np.complex64)
-            vols, lead = x.reshape(-1, *self.dims), (*x.shape[:-3], len(maps))
-            if self.path != "stack":
-                return np.stack([self.forward(np.multiply(maps, v, dtype=dtype))
-                                 for v in vols]).reshape(*lead, n)
-            # one volume's coil images at a time, contracted along z
-            ez = self._tables_in(dtype)[1]
-            planes = np.concatenate([ez @ np.multiply(maps, v, dtype=dtype).reshape(-1, nz).T
-                                     for v in vols], axis=1)
-            return self._stack_forward(planes, len(vols) * len(maps), dtype).reshape(*lead, n)
-        lead = x.shape[:-3]
-        x = x.reshape(-1, *self.dims)
-        batch = len(x)
-        if self.path == "fft":
-            # one 3D FFT per item: an FFT over the batch axis too saves
-            # nothing and measured a few percent slower
-            out = np.stack([np.fft.fftn(np.fft.ifftshift(v)).ravel()[self._flat] for v in x])
-            return out.reshape(*lead, n)
         dtype = np.result_type(x.dtype, np.complex64)
-        ex, ez, combined = self._tables_in(dtype)
-        if self.path == "stack":
-            # (U, B*Nx*Ny): every item contracted along z at each plane
-            return self._stack_forward(ez @ x.reshape(-1, nz).T, batch, dtype).reshape(*lead, n)
-        vols = x.reshape(batch * nx, ny * nz)
-        out = np.empty((batch, n), dtype=dtype)
-        for sl in self._chunks:
-            tmp = (vols @ combined(sl).T).reshape(batch, nx, -1)
-            out[:, sl] = np.einsum("px,bxp->bp", ex[sl], tmp)
-        return out.reshape(*lead, n)
+        vols, shape = x.reshape(-1, *self.dims), (*x.shape[:-3], len(maps), len(self.points))
 
-    def _stack_forward(self, planes, batch, dtype):
-        """The (B, P) samples of B items from their (U, B*Nx*Ny) planes."""
-        combined = self._tables_in(dtype)[2]
-        planes = planes.reshape(-1, self.dims[0] * self.dims[1])
+        def images(v):
+            # made inside each volume's call, which frees them on return
+            return np.multiply(maps, v, dtype=dtype)
+
+        if self.path != "stack":
+            kernel = self._fft_forward if self.path == "fft" else self._general_forward
+            return np.stack([kernel(images(v)) for v in vols]).reshape(shape)
+        (nx, ny, nz), batch = self.dims, len(vols) * len(maps)
+        ez, combined = self._tables_in(dtype)[1:]
+        # (U, B*Nx*Ny): each volume's coil images contracted along z at each plane
+        planes = np.concatenate([ez @ images(v).reshape(-1, nz).T for v in vols], axis=1)
+        planes = planes.reshape(-1, nx * ny)
         # (U*B, Nx*Ny) @ (Nx*Ny, Q), as (B, U*Q), at each point's entry
         grid = np.concatenate([planes @ combined(sl).T for sl in self._chunks], axis=1)
         grid = grid.reshape(-1, batch, grid.shape[1]).transpose(1, 0, 2)
-        return np.take(grid.reshape(batch, -1), self._flat, axis=1)
+        return np.take(grid.reshape(batch, -1), self._flat, axis=1).reshape(shape)
 
-    def adjoint(self, y, maps=None):
-        """The adjoint of y, (..., P) to (..., Nx, Ny, Nz); with coil maps
-        (L, Nx, Ny, Nz), sum_l conj(maps_l) adjoint(y_l) per volume,
-        (..., L, P) to (..., Nx, Ny, Nz)."""
+    def adjoint(self, y, maps):
+        """The coil-combined adjoint sum_l conj(maps_l) E^H y_l of each
+        volume's coil samples, (..., L, P) to (..., Nx, Ny, Nz), for coil
+        maps (L, Nx, Ny, Nz)."""
         y = np.asarray(y)
         # in y's precision: complex64 (or float32) data is transformed in
         # complex64, anything else in complex128
         dtype = np.result_type(y.dtype, np.complex64)
-        if maps is not None:
-            ys = y.reshape(-1, *y.shape[-2:])
-            if self.path == "stack":
-                # the grid of every volume's samples at once, then each
-                # volume's conjugated adjoint, left unconjugated
-                ez, rows = self._tables_in(dtype)[1], len(maps) * len(self._kz)
-                grid = self._stack_grid(ys.reshape(-1, len(self.points)), dtype)
-                backs = (self._stack_planes(grid[i * rows:(i + 1) * rows], dtype) @ ez
-                         for i in range(len(ys)))
-            else:
-                # map, unlike a generator, keeps no volume between calls
-                backs = map(lambda back: np.conj(back, out=back), map(self.adjoint, ys))
-            # sum_l conj(S_l) back_l as conj(sum_l S_l conj(back_l)), in
-            # place in back's precision, so no conjugated copy of the maps
-            # is made
-            out = None
-            for i in range(len(ys)):
-                back = next(backs)
-                if out is None:
-                    # made once the first adjoint's temporaries are freed
-                    out = np.empty((len(ys), *self.dims), dtype=dtype)
-                self._coil_sum(back, maps, out=out[i])
-                del back  # not held while the next volume's images are made
-            np.conj(out, out=out)
-            return out.reshape(*y.shape[:-2], *self.dims)
-        lead = y.shape[:-1]
-        y = y.reshape(-1, len(self.points))
-        batch, (nx, ny, nz) = len(y), self.dims
-        if self.path == "fft":
-            # scattered, inverse-FFTed (numpy >= 2 keeps complex64 through
-            # numpy.fft) and scaled in that precision
-            out = np.empty((batch, *self.dims), dtype=dtype)
-            for b in range(batch):
-                grid = np.zeros(np.prod(self.dims), dtype=dtype)
-                np.add.at(grid, self._flat, y[b])
-                out[b] = np.fft.fftshift(np.fft.ifftn(grid.reshape(self.dims)))
-            # a Python int scales in out's precision
-            out *= int(np.prod(self.dims))
-            return out.reshape(*lead, *self.dims)
-        ex, ez, combined = self._tables_in(dtype)
-        if self.path == "stack":
-            acc = self._stack_planes(self._stack_grid(y, dtype), dtype) @ ez
-        else:
-            yc = y.astype(dtype, copy=False).conj()
-            acc = np.zeros((batch * nx, ny * nz), dtype=dtype)
-            for sl in self._chunks:
-                acc += (yc[:, None, sl] * ex[sl].T).reshape(batch * nx, -1) @ combined(sl)
-        np.conj(acc, out=acc)
-        return acc.reshape(*lead, *self.dims)
+        kernel = {"fft": self._fft_adjoint, "stack": self._stack_adjoint,
+                  "general": self._general_adjoint}[self.path]
+        ys = y.reshape(-1, *y.shape[-2:])
+        out = None
+        for i, samples in enumerate(ys):
+            back = kernel(samples, dtype).reshape(len(maps), *self.dims)
+            if out is None:
+                # made once the first adjoint's temporaries are freed
+                out = np.empty((len(ys), *self.dims), dtype=dtype)
+            # sum_l S_l back_l, with back overwritten
+            np.multiply(back, maps, out=back, dtype=dtype)
+            back.sum(axis=0, out=out[i])
+            del back  # not held while the next volume's adjoint is made
+        np.conj(out, out=out)
+        return out.reshape(*y.shape[:-2], *self.dims)
 
-    def _coil_sum(self, back, maps, out=None):
-        """sum_l S_l back_l, with back overwritten."""
-        back = back.reshape(len(maps), *self.dims)
-        np.multiply(back, maps, out=back, dtype=back.dtype)
-        return back.sum(axis=0, out=out)
+    def _fft_forward(self, images):
+        """The (L, P) samples of L coil images."""
+        # one 3D FFT per image: an FFT over the coil axis too saves
+        # nothing and measured a few percent slower
+        return np.stack([np.fft.fftn(np.fft.ifftshift(im)).ravel()[self._flat] for im in images])
 
-    def _stack_grid(self, y, dtype):
-        """The conjugated (B, P) samples y on their (B*U, Q) grid, whose row
-        b*U + u holds plane u of item b."""
+    def _fft_adjoint(self, y, dtype):
+        """conj(E^H y_l) of L coils' samples, (L, Nx, Ny, Nz): scattered,
+        inverse-FFTed (numpy >= 2 keeps complex64 through numpy.fft),
+        scaled and conjugated in ``dtype``."""
+        out = np.empty((len(y), *self.dims), dtype=dtype)
+        for l, samples in enumerate(y):
+            grid = np.zeros(np.prod(self.dims), dtype=dtype)
+            np.add.at(grid, self._flat, samples)
+            out[l] = np.fft.fftshift(np.fft.ifftn(grid.reshape(self.dims)))
+        # a Python int scales in out's precision
+        out *= int(np.prod(self.dims))
+        return np.conj(out, out=out)
+
+    def _general_forward(self, images):
+        """The (L, P) samples of L coil images."""
+        ex, _, combined = self._tables_in(images.dtype)
+        n, nx = len(images), self.dims[0]
+        rows = images.reshape(n * nx, -1)
+        out = np.empty((n, len(self.points)), dtype=images.dtype)
+        for sl in self._chunks:
+            tmp = (rows @ combined(sl).T).reshape(n, nx, -1)
+            out[:, sl] = np.einsum("px,bxp->bp", ex[sl], tmp)
+        return out
+
+    def _general_adjoint(self, y, dtype):
+        """conj(E^H y_l) of L coils' samples, (L*Nx, Ny*Nz)."""
+        ex, _, combined = self._tables_in(dtype)
+        n, (nx, ny, nz) = len(y), self.dims
         yc = y.astype(dtype, copy=False).conj()
-        return np.take(yc, self._entries, axis=1).reshape(len(y) * len(self._kz), -1)
+        acc = np.zeros((n * nx, ny * nz), dtype=dtype)
+        for sl in self._chunks:
+            acc += (yc[:, None, sl] * ex[sl].T).reshape(n * nx, -1) @ combined(sl)
+        return acc
 
-    def _stack_planes(self, grid, dtype):
-        """The (B*Nx*Ny, U) planes of B items' (B*U, Q) grid, whose product
-        with the z table is the conjugated adjoint."""
-        combined = self._tables_in(dtype)[2]
-        # (B*U, Q) @ (Q, Nx*Ny), the chunks' products added left to right
+    def _stack_adjoint(self, y, dtype):
+        """conj(E^H y_l) of L coils' samples, (L*Nx*Ny, Nz)."""
+        _, ez, combined = self._tables_in(dtype)
+        u = len(self._kz)
+        # the conjugated samples on their (L*U, Q) grid, whose row l*U + u
+        # holds plane u of coil l
+        grid = np.take(y.astype(dtype, copy=False).conj(), self._entries, axis=1)
+        grid = grid.reshape(len(y) * u, -1)
+        # (L*U, Q) @ (Q, Nx*Ny), the chunks' products added left to right
         # (sum's 0 + would make -0.0 into +0.0)
         planes = functools.reduce(np.add, (grid[:, sl] @ combined(sl) for sl in self._chunks))
-        # a contiguous copy of the transposed planes, for (B*Nx*Ny, U) @
+        # a contiguous copy of the transposed planes, for (L*Nx*Ny, U) @
         # (U, Nz). The transposed product (ez.T @ planes).T made the adjoint
         # 0.133 against 0.149 ms, but its strided volume slowed
         # FrameOperator.adj_op's coil sum to 0.269 against 0.193 ms
         # (complex64, 16x18x16, 8 coils, 4 planes of 64 points; 2-core
         # Xeon, one BLAS thread)
-        u = len(self._kz)
-        return np.ascontiguousarray(
-            planes.reshape(-1, u, planes.shape[1]).transpose(0, 2, 1)).reshape(-1, u)
+        planes = np.ascontiguousarray(planes.reshape(-1, u, planes.shape[1]).transpose(0, 2, 1))
+        return planes.reshape(-1, u) @ ez
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +437,12 @@ def add_noise(samples, noise: NoiseConfig, energy, shot_index=0):
 def _samples(tissue_volumes, tissue_t2s_s, coils: CoilProfile, points, times):
     """(..., L, P) samples of the (T, ..., Nx, Ny, Nz) tissue volumes'
     coil images, tissue i decayed by exp(-times / T2*_i); an infinite
-    T2* has no decay."""
+    T2* has no decay. Each tissue's volumes go to ``NDFT.forward`` with
+    the coil maps, which holds one volume's coil images at a time."""
     nufft = NDFT(points, tissue_volumes.shape[-3:])
     out = None
     for volume, t2s in zip(tissue_volumes, tissue_t2s_s):
-        y = nufft.forward(volume[..., None, :, :, :] * coils.maps)
+        y = nufft.forward(volume, coils.maps)
         if np.isfinite(t2s):
             y *= np.exp(-times / t2s)
         out = y if out is None else out + y
@@ -479,10 +457,11 @@ def acquire_shot_t2s(tissue_volumes, tissue_t2s_s, coils: CoilProfile, shot: Sho
     (relative to the echo center) carries exp(-t_n / T2*_i), so the echo
     center sample matches the basic model exactly, and an infinite T2*
     has no decay. Term axes after the tissue axis are kept:
-    (T, ..., Nx, Ny, Nz) maps to (..., L, P). ``cache``, a dict of
-    read-only samples per Shot (see :func:`_transform_patterns`), gives
-    the samples of the Shots it holds; it must have been filled from the
-    same volumes, T2* values and coil set.
+    (T, ..., Nx, Ny, Nz) maps to (..., L, P), each term volume's coil
+    images made in turn, as reconstruction makes a frame's. ``cache``, a
+    dict of read-only samples per Shot (see :func:`_transform_patterns`),
+    gives the samples of the Shots it holds; it must have been filled
+    from the same volumes, T2* values and coil set.
     """
     if cache and shot in cache:
         return cache[shot]

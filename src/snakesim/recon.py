@@ -156,12 +156,13 @@ class FrameOperator:
 
     op(x)[l] = NDFT(S_l * x) / sqrt(M); adj_op is its exact adjoint. Both
     take leading frame axes, (F, Nx, Ny, Nz) to (F, L, P) and back, in
-    one call of the NDFT with the coil maps, which holds one frame's coil
-    images at a time; each frame equals its own call bit for bit. Both
-    compute in the precision of their input, as the NDFT does: complex64
-    for complex64 (or float32) input, complex128 for any other, with the
-    coil maps rounded to it if they are complex128. The Lipschitz
-    estimate runs in the precision of the coil maps.
+    one call of the NDFT with the coil maps, the call form acquisition
+    uses too, which holds one frame's coil images at a time; each frame
+    equals its own call bit for bit. Both compute in the precision of
+    their input, as the NDFT does: complex64 for complex64 (or float32)
+    input, complex128 for any other, with the coil maps rounded to it if
+    they are complex128. The Lipschitz estimate runs in the precision of
+    the coil maps.
     """
 
     def __init__(self, frame_shots, dims, coils: CoilProfile):
@@ -340,7 +341,7 @@ def sure_threshold(volume, basis: WaveletBasis):
 
 
 def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfig,
-             init=None, mu=None):
+             init=None):
     """Solve 0.5 sum_l ||A_l x - y_l||^2 + mu ||Psi x||_1 with POGM, where
     A is ``operator`` and y the (L, P) frame data at its points; the
     frame's :class:`FrameEstimate`.
@@ -360,9 +361,10 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
     solved in lockstep, each step one call on (F, ...) arrays, and each
     frame keeps its own mu, momentum, restarts, best iterate, objective
     trace and stop; a frame that stops, or fails, leaves the batch, so
-    its estimate is its own solve's bit for bit. ``init`` is one volume
-    for every frame or one per frame, and ``mu`` one value for every
-    frame or one per frame.
+    its estimate is its own solve's bit for bit. ``init``, when given, is
+    one volume that starts every frame; without it each frame starts from
+    its adjoint. Each frame's mu is ``config.mu_value`` under the fixed
+    ``mu_mode``, else the SURE threshold of the magnitude of its start.
 
     The solve runs in the precision of y: complex64 data, as a dataset
     file holds it, gives complex64 iterates, operator products, wavelet
@@ -373,7 +375,7 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
     dims = operator.dims
     batched = isinstance(y, list) or np.ndim(y) == 3
     n = len(y) if batched else 1
-    if init is not None and init.shape != dims and (not batched or init.shape != (n, *dims)):
+    if init is not None and init.shape != dims:
         raise ReconError(f"init shape {init.shape} != {dims}")
     estimates, ys = [None] * n, []
     for i, frame in enumerate(y if batched else [y]):
@@ -389,12 +391,10 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
         x = operator.adj_op(y)
     else:
         x = np.empty((len(frames), *dims), dtype=y.dtype)
-        x[...] = init if init.shape == dims else init[frames]
+        x[...] = init
     ends = {}  # row -> (stop, reason) of each frame that leaves the batch
-    if mu is None and config.mu_mode == "fixed":
-        mu = config.mu_value
-    if mu is not None:
-        mu = [float(m) for m in np.broadcast_to(mu, n)[frames]]
+    if config.mu_mode == "fixed":
+        mu = [float(config.mu_value)] * len(frames)
     else:
         mu = []
         for i, v in enumerate(np.abs(x)):

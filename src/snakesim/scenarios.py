@@ -13,6 +13,7 @@ import contextlib
 import copy
 import csv
 import hashlib
+import math
 import resource
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -151,6 +152,18 @@ class RunConfig:
         if traj["kind"] == "epi3d" and traj["n_shots_per_frame"] > raw["dims"][2]:
             raise ConfigError(f"trajectory.n_shots_per_frame: {traj['n_shots_per_frame']} "
                               f"EPI planes > Nz = {raw['dims'][2]}")
+        if traj["kind"] == "stack_of_spirals":
+            # what gen_spiral and gen_stack_of_spirals would refuse
+            n, nz, fraction = traj["n_shots_per_frame"], raw["dims"][2], traj["center_fraction"]
+            if traj["spiral_samples"] < 2:
+                raise ConfigError(f"trajectory.spiral_samples: a spiral needs at least 2 "
+                                  f"samples, got {traj['spiral_samples']}")
+            if not 0 < fraction < 1:
+                raise ConfigError(f"trajectory.center_fraction: need 0 < center_fraction "
+                                  f"< 1, got {fraction}")
+            if not (n_center := math.ceil(fraction * nz)) <= n <= nz:
+                raise ConfigError(f"trajectory.n_shots_per_frame: {n} planes, need at least "
+                                  f"the {n_center} center planes and at most Nz = {nz}")
         _check_phantom(raw)
         if not (0 < analysis["p_threshold"] < 1
                 and 0 <= analysis["drift_order"] <= raw["n_frames"] - 2):

@@ -530,9 +530,9 @@ class TestSeries:
         calls = []
         real_cs_solve = recon_mod.cs_solve
 
-        def spy(y, operator, basis_, config, init=None, mu=None):
+        def spy(y, operator, basis_, config, init=None):
             calls.append(None if init is None else init.copy())
-            return real_cs_solve(y, operator, basis_, config, init=init, mu=mu)
+            return real_cs_solve(y, operator, basis_, config, init=init)
 
         monkeypatch.setattr(recon_mod, "cs_solve", spy)
         cfg = ReconConfig(strategy="refined", max_iters=5, tol=1e-12,

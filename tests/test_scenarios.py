@@ -767,6 +767,30 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (out / "kspace.snkd").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("center_fraction", 1.5, "trajectory.center_fraction: need 0 < center_fraction < 1"),
+        ("spiral_samples", 1, "trajectory.spiral_samples: a spiral needs at least 2"),
+        ("center_fraction", 0.5, "trajectory.n_shots_per_frame: 2 planes, need at least "
+                                 "the 4 center planes"),
+        ("n_shots_per_frame", 9, "trajectory.n_shots_per_frame: 9 planes, need at least "
+                                 "the 1 center planes and at most Nz = 8")])
+    def test_run_unbuildable_stack_exit_2_before_the_run_dir(self, key, value, message,
+                                                             tmp_path, capsys):
+        """Stack-of-spirals values the plan builder would refuse, on
+        s2_sos_static at scale 0.15 (dims 8x10x8, 2 planes a frame), fail
+        in from_dict, naming the key: snake run exits 2 and makes no run
+        directory, where the run used to fail in its acquisition stage."""
+        cfg = json.loads(json.dumps(preset("s2_sos_static", scale=0.15).raw))
+        cfg["trajectory"][key] = value
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict(cfg)
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "run"
+        assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_scale_on_config_file_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(_tiny_config().to_yaml())
