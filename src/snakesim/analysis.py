@@ -172,6 +172,7 @@ def _norm_isf(q):
 _CF_EPS = 1e-15        # relative change of the last factor that ends the fraction
 _CF_TINY = 1e-300      # stands in for a zero denominator (modified Lentz)
 _CF_MAX_ITERS = 10_000  # 51 steps suffice at dof 1000 and 55 at dof 10^4
+_Z_BLOCK = 4096        # masked voxels that glm_fit maps from t to z at a time
 
 
 def _beta_cf(a, b, x, y):
@@ -364,11 +365,13 @@ def glm_fit(series, design: DesignMatrix, mask=None) -> StatMap:
     t[signed] = np.sign(effect[signed]) * Z_CAP
     t[exact & (np.abs(effect) <= 1e-12)] = 0.0
     t = np.clip(t, -Z_CAP, Z_CAP)
-    # t maps to z voxel by voxel, so only the voxels kept are mapped
+    # t maps to z voxel by voxel: only the voxels kept, a block at a time
     flat = np.ones(t.shape, bool) if mask is None else np.asarray(mask, dtype=bool).ravel()
     t = np.where(flat, t, 0.0)
     z = np.zeros_like(t)
-    z[flat] = _t_to_z(t[flat], dof)
+    kept = np.flatnonzero(flat)
+    for block in np.split(kept, range(_Z_BLOCK, kept.size, _Z_BLOCK)):
+        z[block] = _t_to_z(t[block], dof)
     dims = sums.first.shape
     return StatMap(beta=effect.reshape(dims), t=t.reshape(dims),
                    z=z.reshape(dims), dof=dof)
@@ -490,12 +493,18 @@ def ssim(x, ref, window=7, k1=0.01, k2=0.03):
     np.multiply(x, x, out=fields[2])
     fields[2] += ref * ref
     np.multiply(x, ref, out=fields[3])
+    del x, ref
     mu_x, mu_r, sq, xr = _box_mean(fields, window)
+    del fields
+    # num and den in place, each element's operations in the order of
+    # (2 mu_xr + c1) (2 (xr - mu_xr) + c2) and (mu_sq + c1) (sq - mu_sq + c2)
     mu_xr = mu_x * mu_r
-    mu_sq = mu_x ** 2 + mu_r ** 2
-    num = (2 * mu_xr + c1) * (2 * (xr - mu_xr) + c2)
-    den = (mu_sq + c1) * (sq - mu_sq + c2)
-    return float(np.mean(num / den))
+    num = np.add(np.multiply(2, np.subtract(xr, mu_xr, out=xr), out=xr), c2, out=xr)
+    num *= np.add(np.multiply(2, mu_xr, out=mu_xr), c1, out=mu_xr)
+    mu_sq = np.add(np.square(mu_x, out=mu_x), np.square(mu_r, out=mu_r), out=mu_x)
+    den = np.add(np.subtract(sq, mu_sq, out=sq), c2, out=sq)
+    den *= np.add(mu_sq, c1, out=mu_sq)
+    return float(np.mean(np.divide(num, den, out=num)))
 
 
 def tsnr(series, roi=None):

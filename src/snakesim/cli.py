@@ -47,8 +47,8 @@ def _build_parser():
     run.add_argument("--trajectory", default=None,
                      help="trajectory file for external presets")
     run.add_argument("--jobs", type=int, default=None,
-                     help="worker threads for reconstruction frames, or batches of "
-                          "them (default 1); results do not depend on it")
+                     help="worker threads for frames too large to batch (default 1); "
+                          "results do not depend on it")
 
     pre = sub.add_parser("preset", help="print a preset config as YAML")
     pre.add_argument("name")

@@ -388,6 +388,8 @@ class NoiseConfig:
     def __post_init__(self):
         if not (self.snr_i > 0):
             raise EngineError("snr_i must be positive (or inf)")
+        if type(self.seed) is bool or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise EngineError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.sigma is not None:
             s = np.asarray(self.sigma)
             if not np.allclose(s, s.conj().T, atol=1e-12):

@@ -52,18 +52,18 @@ refined solves each frame twice.
 :func:`reconstruct_series` each frame's CS solve, in frame order: a
 frame's data is read only when its batch is solved, so a dataset read
 from its file is never loaded whole. Work that depends on no other
-frame runs on a pool of ``n_jobs`` threads, at most that many tasks
-ahead of the consumer: each adjoint frame is a task, and the cold
-frames and the second pass of refined of a static plan (every frame the
-same Shot tuple) are solved in batches of at most :data:`BATCH_BYTES`
-of coil images, each batch a task; any other plan's frames are a task
-each. Warm frames run one at a time on the calling thread. Pool threads
-only solve: operators are built, and each distinct frame's Lipschitz
-bound estimated once, on the calling thread, and the batches follow
-from the plan and the frame size alone, so the results do not depend on
-the worker count. A frame that fails gives a :class:`FrameEstimate` with
-its reason and no volume, which a series raises, as a ReconError naming
-the frame, when the frame is due.
+frame is a task: each adjoint frame, and the cold frames and the second
+pass of refined, in batches of at most :data:`BATCH_BYTES` of coil
+images for a static plan (every frame the same Shot tuple), one at a
+time for any other. Tasks run on the calling thread when two frames fit
+that budget, else on a pool of ``n_jobs`` threads (see
+:func:`_in_frame_order`). Warm frames run one at a time on the calling
+thread. Pool threads only solve: operators are built, and each distinct
+frame's Lipschitz bound estimated once, on the calling thread, and the
+batches follow from the plan and the frame size alone, so the results
+do not depend on the worker count. A frame that fails gives a
+:class:`FrameEstimate` with its reason and no volume, which a series
+raises, as a ReconError naming the frame, when the frame is due.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ COMPLEX64_TOL_FLOOR = 1e-6
 # follows from the frame's alone, so no result depends on the worker count.
 # Measured at 2, 3 and 5 frames a batch at 16x18x16 only (wall time falls
 # and peak RSS rises with the size); frames too large for two in the
-# budget are solved one at a time, as before batching, and no measurement
-# has tested the budget at such sizes.
+# budget are solved one at a time, and they alone on the frame pool (see
+# _in_frame_order); no benchmark workload has such frames.
 BATCH_BYTES = 1 << 20
 
 
@@ -580,15 +580,21 @@ def _in_frame_order(solve, batches, n_jobs):
     ``(frames, operator)`` of ``batches``, frame by frame and in order
     (see :func:`_succeeded`), for solves that depend on no other batch.
 
-    ``batches`` is iterated on the calling thread and the solves run on
-    a thread pool of :func:`_worker_count` of ``n_jobs`` threads. At most
-    that many batches are submitted and not yet yielded: batch b +
-    workers is submitted only when the consumer asks for the frame after
-    batch b, so each thread's temporaries and results stay bounded. A
-    solve returns one estimate per frame; an exception it raises is
-    raised when its batch is due. Closing the generator cancels the
-    solves not started and waits for the running ones, so no pool thread
-    outlives it.
+    ``batches`` is iterated on the calling thread. With one worker, or
+    when two frames fit :data:`BATCH_BYTES`, each batch is solved there
+    too, when its first frame is due, and no thread starts (the pool
+    starts threads on submit): on the benchmark's frames two threads
+    saved no time over one (POGM's short numpy calls serialise on the
+    GIL) and cost 1.2-2.3 MB of peak RSS. Larger frames are solved on a
+    pool of :func:`_worker_count` of ``n_jobs`` threads, which earns at
+    60x72x60 with 8 coils (1.8-2.6 s at two workers, 2.5-3.3 s at one).
+    At most that many batches are submitted and not yet yielded: batch b
+    + workers is submitted only when the consumer asks for the frame
+    after batch b, so each thread's temporaries and results stay
+    bounded. A solve returns one estimate per frame; an exception it
+    raises is raised when its batch is due. Closing the generator
+    cancels the solves not started and waits for the running ones, so no
+    pool thread outlives it.
     """
     workers = _worker_count(n_jobs)
     pool = ThreadPoolExecutor(max_workers=workers)
@@ -600,6 +606,9 @@ def _in_frame_order(solve, batches, n_jobs):
 
     try:
         for frames, operator in batches:
+            if not pending and (workers == 1 or _batch_size(operator) > 1):
+                yield from _succeeded(frames, solve(frames, operator))
+                continue
             if len(pending) == workers:
                 yield from due()
             pending.append((frames, pool.submit(solve, frames, operator)))
@@ -622,8 +631,8 @@ def adjoint_series(kdata, plan, coils, density_comp="none", n_jobs=None):
     """Yield the density-compensated adjoint :class:`FrameEstimate` of
     every frame of the (n_frames, n_coils, P) k-space array ``kdata``,
     in frame order, reading each frame's data when it is reconstructed.
-    The frames are independent, so with ``n_jobs`` workers they run one
-    frame a task on a thread pool (see :func:`_in_frame_order`); the
+    The frames are independent, a task each, run on the calling thread
+    or on a pool of ``n_jobs`` threads (see :func:`_in_frame_order`); the
     result does not depend on the worker count. A frame whose data is
     refused raises its ReconError when it is due."""
     _check_frame_count(kdata, plan)
@@ -653,8 +662,8 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconCon
     frames and the refined second pass depend on no other frame: those of
     a static plan are solved in batches of :func:`_batch_size` frames, any
     other plan's one at a time (see :func:`_batches`), each batch one
-    :func:`cs_solve` call, and with ``n_jobs`` workers the batches run on
-    a thread pool (see :func:`_in_frame_order`). A frame's estimate is
+    :func:`cs_solve` call, run on the calling thread or on a pool of
+    ``n_jobs`` threads (see :func:`_in_frame_order`). A frame's estimate is
     its lone solve's bit for bit, and the batches do not depend on the
     worker count, so neither does the result. The first frame that fails
     raises its ReconError when it is due, after the frames before it, as

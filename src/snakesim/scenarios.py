@@ -404,8 +404,8 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     reproduces ``zmap.snkv`` and ``metrics.json``. Once acquisition ends
     the coil maps are rounded to the dataset's complex64 and the
     complex128 maps released, so reconstruction holds one copy of them.
-    ``n_jobs`` sizes the reconstruction's frame pool; acquisition runs
-    on the calling thread.
+    ``n_jobs`` sizes the reconstruction's pool for frames too large to
+    batch; smaller frames and acquisition run on the calling thread.
     The manifest records each finished stage's seconds and the peak RSS
     at its end.
     Any stage failure is recorded in the manifest with the stage name and

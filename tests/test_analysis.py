@@ -1,5 +1,7 @@
 """Tests for the GLM detection and image-quality metrics."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -22,6 +24,16 @@ from snakesim.analysis import (
 )
 from snakesim.analysis import _box_mean, _norm_isf, _t_to_z, _t_upper_tail
 from snakesim.phantom import Paradigm
+
+
+def _peak_bytes(fn):
+    """The peak of the memory that numpy and Python allocate during fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _statmap(z):
@@ -387,6 +399,27 @@ class TestSsim:
         with pytest.raises(AnalysisError):
             ssim(np.zeros((4, 4, 4)), np.zeros((4, 4, 5)))
 
+    def test_equals_the_expression_with_fresh_temporaries(self):
+        """Formed in place, num and den keep each element's operations and
+        their order: the mean equals the plain expression's bit for bit."""
+        rng = np.random.default_rng(5)
+        ref = rng.random((12, 10, 14)) + 0.5
+        x = np.abs(ref + 0.1 * rng.standard_normal(ref.shape))
+        c1, c2 = (0.01 * ref.max()) ** 2, (0.03 * ref.max()) ** 2
+        mu_x, mu_r, sq, xr = _box_mean(np.stack([x, ref, x * x + ref * ref, x * ref]), 7)
+        mu_xr, mu_sq = mu_x * mu_r, mu_x ** 2 + mu_r ** 2
+        num = (2 * mu_xr + c1) * (2 * (xr - mu_xr) + c2)
+        den = (mu_sq + c1) * (sq - mu_sq + c2)
+        assert ssim(x, ref) == float(np.mean(num / den))
+
+    def test_peak_memory(self):
+        """ssim holds at most 10 float64 volumes at a time (8.1 measured):
+        its inputs are released once the four fields are formed, the fields
+        once their box means are, and num and den overwrite the means."""
+        rng = np.random.default_rng(2)
+        x, ref = (rng.random((30, 36, 30)).astype(np.float32) for _ in range(2))
+        assert _peak_bytes(lambda: ssim(x, ref)) <= 10 * 8 * x.size
+
 
 class TestTsnr:
     def test_constant_series_flagged_inf(self):
@@ -486,6 +519,23 @@ class TestChunkedSums:
         sm = glm_fit(series, design)
         np.testing.assert_allclose(sm.t.ravel(), t, rtol=0, atol=1e-12)
         np.testing.assert_allclose(sm.z.ravel(), _t_to_z(t, n - k), rtol=0, atol=1e-12)
+
+    def test_glm_fit_peak_does_not_grow_with_the_mask(self):
+        """t maps to z a block of masked voxels at a time, so a mask of all
+        voxels costs glm_fit's peak at most the index of the kept voxels
+        and one float64 volume more than a mask of an eighth of them."""
+        dims, n = (48, 48, 48), 12
+        paradigm = Paradigm.blocks(on=10.0, off=10.0, run_length=n * 2.5)
+        design = build_design(paradigm, "double_gamma", n_frames=n, tr_vol=2.5)
+        sums = SeriesSums(design)
+        rng = np.random.default_rng(3)
+        for _ in range(n):
+            sums.add(10.0 + rng.standard_normal(dims))
+        eighth = np.zeros(dims, bool)
+        eighth[:6] = True
+        peaks = [_peak_bytes(lambda: glm_fit(sums, design, mask=mask))
+                 for mask in (eighth, np.ones(dims, bool))]
+        assert peaks[1] <= peaks[0] + 2 * 8 * np.prod(dims)
 
     def test_tsnr(self):
         series = self._series()

@@ -1160,6 +1160,21 @@ class TestAffineAcquisition:
                             gm_index=1, sink_path=sink)
         assert not sink.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_bad_noise_seed_rejected_before_sink(self, seed, tmp_path):
+        """A noise seed that is not a non-negative integer is refused when
+        the NoiseConfig is made, so no run opens its sink; numpy integers
+        are seeds too."""
+        seq = _seq()
+        plan = gen_epi_3d(self.dims, seq, n_frames=2)
+        ph, bold = _bold_phantom(self.dims, plan)
+        sink = tmp_path / "run.snkd"
+        with pytest.raises(EngineError, match="seed must be a non-negative integer"):
+            run_acquisition(ph, plan, birdcage_coils(self.dims, 2), seq, bold=bold, gm_index=1,
+                            noise=NoiseConfig(snr_i=10.0, seed=seed), sink_path=sink)
+        assert list(tmp_path.iterdir()) == []
+        assert NoiseConfig(snr_i=10.0, seed=np.int64(3)).seed == 3
+
     @pytest.mark.parametrize("bad", ["h_short", "roi_shape", "gm_index_high",
                                      "gm_index_negative", "plan_dims", "coil_dims",
                                      "covariance_shape"])

@@ -3,6 +3,7 @@ callables by dotted name, so a renamed or moved callable would leave a
 name it cannot wrap; every name it lists must resolve to a callable."""
 
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,26 @@ def test_every_traced_name_fires_in_a_pipeline_run(monkeypatch, tmp_path):
         assert manifest.failed_stage is None, manifest.error
     fired = {span[1] for span in tracer.spans}
     assert set(spans.TARGETS) - fired == NEVER_FIRED
+
+
+def test_tiny_cs_refined_spans_nest_on_the_main_thread(monkeypatch, tmp_path):
+    """At one worker every span of tiny_cs_refined is opened on the main
+    thread and ends no later than its parent. A span opened on another
+    thread is attributed to the main thread's innermost open span, which it
+    can outlast; the self-test's bound on summed self time then breaks."""
+    import workloads
+    from snakesim import scenarios
+
+    for name in spans.TARGETS:
+        monkeypatch.setattr(*spans._resolve(name), getattr(*spans._resolve(name)))
+    tracer = spans.Tracer()
+    threads, stack = set(), tracer._stack
+    tracer._stack = lambda: threads.add(threading.current_thread()) or stack()
+    tracer.install()
+    config = scenarios.RunConfig.from_dict(workloads.make_config("tiny_cs_refined", 7))
+    manifest = scenarios.run_pipeline(config, tmp_path / "run", n_jobs=1)
+    assert manifest.failed_stage is None, manifest.error
+    assert threads == {threading.main_thread()}
+    ends = {sid: end for sid, _name, _start, end, _parent in tracer.spans}
+    assert all(end <= ends[parent] for _sid, _name, _start, end, parent in tracer.spans
+               if parent is not None)

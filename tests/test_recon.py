@@ -932,9 +932,20 @@ def _pool_threads():
     return {th for th in threading.enumerate() if th.name.startswith("ThreadPoolExecutor")}
 
 
+# one byte short of one frame's coil images (2 coils of 8^3 complex128
+# voxels, the frames of TestSeries._tiny_dataset): every frame is over the
+# budget, so its series runs on the pool at more than one worker
+OVER_BUDGET = 2 * 8 ** 3 * 16 - 1
+
+
 class TestFrameWorkers:
     """Independent frames on a thread pool: results, Lipschitz estimates,
-    read-ahead, errors and thread lifetime at any worker count."""
+    read-ahead, errors and thread lifetime at any worker count, on frames
+    forced over the batch budget so the pool runs."""
+
+    @pytest.fixture(autouse=True)
+    def _over_budget(self, monkeypatch):
+        monkeypatch.setattr(recon_mod, "BATCH_BYTES", OVER_BUDGET)
 
     @pytest.fixture(autouse=True)
     def _short_switch_interval(self):
@@ -1022,20 +1033,15 @@ class TestFrameWorkers:
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["adjoint", "cold"])
-    def test_reads_at_most_workers_frames_ahead(self, kind, n_jobs, monkeypatch):
+    def test_reads_at_most_workers_frames_ahead(self, kind, n_jobs):
         """At most n_jobs tasks are read and not yet received: the one the
-        consumer waits for and n_jobs - 1 after it. A task is one adjoint
-        frame, or one batch of cold frames, here 3, 3 and 2 of the 8, so
-        the frames read ahead are at most those of the n_jobs largest
-        consecutive batches, less one."""
+        consumer waits for and n_jobs - 1 after it. Over the budget a task
+        is one frame, adjoint or cold, so at most n_jobs - 1 frames are
+        read ahead."""
         frames, plan, coils = TestSeries._tiny_dataset(n_frames=8, dynamic=False)
-        # three frames' coil images: 2 coils of 8^3 complex128 voxels each
-        monkeypatch.setattr(recon_mod, "BATCH_BYTES", 3 * 2 * 8 ** 3 * 16)
         sizes = [len(f) for f, _ in recon_mod._batches(
             plan, recon_mod._frame_operators(plan, coils, frames))]
-        assert sizes == [3, 3, 2]
-        if kind == "adjoint":
-            sizes = [1] * 8  # each adjoint frame is a task
+        assert sizes == [1] * 8
         bound = max(sum(sizes[i:i + n_jobs]) for i in range(len(sizes))) - 1
         kdata = _FrameReads(frames)
         for t, _ in enumerate(self._series(kind, kdata, plan, coils, n_jobs)):
@@ -1043,6 +1049,26 @@ class TestFrameWorkers:
             kdata.received = t + 1
         assert len(kdata.ahead) == 8
         assert max(kdata.ahead) <= bound
+
+    @pytest.mark.parametrize("n_jobs", [1, 3])
+    @pytest.mark.parametrize("kind", ["adjoint", "cold"])
+    def test_batches_on_the_calling_thread_read_one_batch_ahead(self, kind, n_jobs,
+                                                               monkeypatch):
+        """Where three frames fit the budget the tasks run on the calling
+        thread, one at a time at any worker count: each adjoint frame, or
+        each batch of cold frames, here 3, 3 and 2 of the 8, so at most a
+        batch's frames less one are read ahead."""
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=8, dynamic=False)
+        # three frames' coil images: 2 coils of 8^3 complex128 voxels each
+        monkeypatch.setattr(recon_mod, "BATCH_BYTES", 3 * 2 * 8 ** 3 * 16)
+        sizes = [len(f) for f, _ in recon_mod._batches(
+            plan, recon_mod._frame_operators(plan, coils, frames))]
+        assert sizes == [3, 3, 2]
+        kdata = _FrameReads(frames)
+        for t, _ in enumerate(self._series(kind, kdata, plan, coils, n_jobs)):
+            kdata.received = t + 1
+        assert len(kdata.ahead) == 8
+        assert max(kdata.ahead) == (0 if kind == "adjoint" else 2)
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("kind", ["adjoint", "cold", "refined"])

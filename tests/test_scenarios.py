@@ -251,6 +251,15 @@ class TestPresets:
             preset("s1_epi", scale=0.0)
 
 
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The threads started while the test runs, in order."""
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    return started
+
+
 def _tiny_config(seed=1234, **overrides):
     """A fast end-to-end configuration: 8^3 grid, short run, few frames."""
     cfg = preset("s1_epi", scale=0.2).raw
@@ -499,12 +508,22 @@ class TestRunPipeline:
         assert (once, runs) == (0, 1)
         assert built["engine"] == ["fft"] and built["recon"] == ["fft"]
 
+    @staticmethod
+    def _over_budget(config, monkeypatch):
+        """Set recon.BATCH_BYTES one byte short of one frame's complex64
+        coil images under ``config``, so its series runs on the pool."""
+        dims, n_coils = config.raw["dims"], config.raw["n_coils"]
+        monkeypatch.setattr(recon, "BATCH_BYTES", n_coils * int(np.prod(dims)) * 8 - 1)
+
     @pytest.mark.parametrize("method", ["adjoint", "cold", "refined", "static_cold"])
-    def test_artifacts_identical_at_any_worker_count(self, method, tmp_path, monkeypatch):
+    def test_artifacts_identical_at_any_worker_count(self, method, tmp_path, monkeypatch,
+                                                     started_threads):
         """Every artifact but the manifest is byte-identical at n_jobs 1, 2
         and 4, with a short switch interval so threads interleave often.
-        The static cold run solves its six frames in three batches of two
-        (a budget of two frames' coil images), spread over the workers."""
+        The adjoint, cold and refined runs have frames forced over the
+        batch budget, so they run on the pool at 2 and 4 workers. The
+        static cold run solves its six frames in three batches of two (a
+        budget of two frames' coil images), on the calling thread."""
         if method == "adjoint":
             config = _tiny_config()
         elif method == "static_cold":
@@ -517,26 +536,52 @@ class TestRunPipeline:
                                 or solve(y, *args, **kwargs))
         else:
             config = self._sos_dynamic_config(method)
+        if method != "static_cold":
+            self._over_budget(config, monkeypatch)
+        started = {}  # threads started by the run at each worker count
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for n_jobs in (1, 2, 4):
+                before = len(started_threads)
                 manifest = run_pipeline(config, tmp_path / str(n_jobs), n_jobs=n_jobs)
                 assert manifest.failed_stage is None, manifest.error
+                started[n_jobs] = len(started_threads) - before
         finally:
             sys.setswitchinterval(interval)
         names = sorted(p.name for p in (tmp_path / "1").iterdir() if p.name != "manifest.json")
         assert "frame_0005.snkv" in names
         if method == "static_cold":
             assert batches == [2] * 9
+            assert started_threads == []
+        else:
+            assert started[1] == 0 and started[2] > 0 and started[4] > 0
         for n_jobs in (2, 4):
             for name in names:
                 assert ((tmp_path / str(n_jobs) / name).read_bytes()
                         == (tmp_path / "1" / name).read_bytes()), (n_jobs, name)
 
-    def test_failed_consumer_closes_the_series(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name, scale, method", [
+        ("s1_epi", 0.5, "adjoint"), ("s2_sos_static", 0.25, "cs"), ("s2_sos_dynamic", 0.25, "cs")])
+    def test_desk_scale_series_start_no_thread(self, name, scale, method, tmp_path,
+                                               started_threads):
+        """At the benchmark's frame sizes at least two frames fit the batch
+        budget, so an adjoint series and a cold CS series at two workers
+        run on the calling thread: the run starts no thread."""
+        cfg = json.loads(json.dumps(preset(name, scale=scale).raw))
+        tr_vol_s = cfg["trajectory"]["n_shots_per_frame"] * cfg["sequence"]["tr_shot_ms"] * 1e-3
+        cfg["n_frames"] = 6
+        cfg["paradigm"].update(block_on_s=2 * tr_vol_s, block_off_s=2 * tr_vol_s,
+                               run_length_s=6 * tr_vol_s)
+        cfg["recon"].update(method=method, strategy="cold", max_iters=2)
+        manifest = run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run", n_jobs=2)
+        assert manifest.failed_stage is None, manifest.error
+        assert started_threads == []
+
+    def test_failed_consumer_closes_the_series(self, tmp_path, monkeypatch, started_threads):
         """A reconstruction-stage failure after the series started closes
-        the series generator, so none of its pool threads outlive the run."""
+        the series generator, so none of its pool threads outlive the run:
+        its frames are forced over the batch budget, so the pool runs."""
         series = []
 
         def keep(*args, **kwargs):
@@ -550,9 +595,12 @@ class TestRunPipeline:
 
         monkeypatch.setattr(scenarios, "reconstruct_series", keep)
         monkeypatch.setattr(scenarios, "write_volume", failing_write)
+        config = self._sos_dynamic_config("cold")
+        self._over_budget(config, monkeypatch)
         before = {th for th in threading.enumerate()
                   if th.name.startswith("ThreadPoolExecutor")}
-        manifest = run_pipeline(self._sos_dynamic_config("cold"), tmp_path / "run", n_jobs=2)
+        manifest = run_pipeline(config, tmp_path / "run", n_jobs=2)
+        assert started_threads
         assert manifest.failed_stage == "reconstruction"
         assert manifest.error == "OSError: disk full"
         assert inspect.getgeneratorstate(series[0]) == inspect.GEN_CLOSED
