@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from .phantom import Paradigm, build_bold_timecourse
 
@@ -83,6 +82,17 @@ class MetricsReport:
                 for k, v in self.__dict__.items()}
 
 
+def _legendre(x, order):
+    """P_order at the 1-D ``x`` by the Clenshaw loop of numpy 2.4's
+    ``legendre.legval``, so bit for bit its value, without importing
+    numpy.polynomial (0.9 MB of RSS)."""
+    c = np.eye(order + 1)[order][:, None]
+    c0, c1 = (c[0], 0) if order == 0 else (c[-2], c[-1])
+    for nd in range(order, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 def build_design(paradigm: Paradigm, hrf, n_frames, tr_vol, drift_order=1) -> DesignMatrix:
     """Task regressor + intercept + Legendre drifts up to drift_order."""
     if n_frames < drift_order + 2:
@@ -93,9 +103,7 @@ def build_design(paradigm: Paradigm, hrf, n_frames, tr_vol, drift_order=1) -> De
     names = ["task"]
     u = np.linspace(-1, 1, n_frames)
     for order in range(drift_order + 1):
-        coef = np.zeros(order + 1)
-        coef[order] = 1.0
-        columns.append(legendre.legval(u, coef))
+        columns.append(_legendre(u, order))
         names.append("intercept" if order == 0 else f"drift{order}")
     x = np.column_stack(columns)
     if np.linalg.matrix_rank(x) < x.shape[1]:
@@ -341,6 +349,8 @@ def glm_fit(series, design: DesignMatrix, mask=None) -> StatMap:
     sum D^2 - beta . X^T D, clamped at 0. Voxels with zero residual
     variance get t = +-Z_CAP (exact fit) or 0 (constant data). Voxels
     outside ``mask`` get t = z = 0, and only those inside are mapped to z.
+    beta is dropped once the effect and the RSS are formed, and sigma^2
+    and t are formed in place in the RSS's volume.
     """
     sums = _fed(series, design)
     if sums.design is not design:
@@ -351,23 +361,26 @@ def glm_fit(series, design: DesignMatrix, mask=None) -> StatMap:
         raise AnalysisError(f"series has {sums.n} frames, design {n}")
     dof = n - k
     xtx_inv = np.linalg.inv(x.T @ x)
-    beta = xtx_inv @ sums.xtd
-    rss = sums.sum_sq - np.einsum("kv,kv->v", beta, sums.xtd)
-    sigma2 = np.maximum(rss, 0.0) / dof
     c = np.zeros(k)
     c[design.names.index("task")] = 1.0
+    beta = xtx_inv @ sums.xtd
     effect = c @ beta
-    denom2 = sigma2 * float(c @ xtx_inv @ c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = effect / np.sqrt(denom2)
+    rss = np.einsum("kv,kv->v", beta, sums.xtd)
+    del beta
+    np.subtract(sums.sum_sq, rss, out=rss)
+    denom2 = np.maximum(rss, 0.0, out=rss)
+    denom2 /= dof
+    denom2 *= float(c @ xtx_inv @ c)
     exact = denom2 <= 1e-30
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.divide(effect, np.sqrt(denom2, out=denom2), out=denom2)
     signed = exact & (np.abs(effect) > 1e-12)
     t[signed] = np.sign(effect[signed]) * Z_CAP
     t[exact & (np.abs(effect) <= 1e-12)] = 0.0
-    t = np.clip(t, -Z_CAP, Z_CAP)
+    np.clip(t, -Z_CAP, Z_CAP, out=t)
     # t maps to z voxel by voxel: only the voxels kept, a block at a time
     flat = np.ones(t.shape, bool) if mask is None else np.asarray(mask, dtype=bool).ravel()
-    t = np.where(flat, t, 0.0)
+    t[~flat] = 0.0
     z = np.zeros_like(t)
     kept = np.flatnonzero(flat)
     for block in np.split(kept, range(_Z_BLOCK, kept.size, _Z_BLOCK)):

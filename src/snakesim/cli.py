@@ -82,6 +82,8 @@ def _build_parser():
 
 
 def _cmd_run(args):
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     seed = {} if args.seed is None else {"seed": args.seed}
     if not Path(args.config).is_file():
         config = preset(args.config, scale=args.scale, trajectory_path=args.trajectory, **seed)

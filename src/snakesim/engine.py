@@ -91,8 +91,26 @@ def _row_chunks(n, width, budget):
 
 
 def _is_integer(k):
-    """Whether every k-space coordinate is within 1e-9 of an integer."""
-    return np.allclose(k, np.round(k), atol=1e-9, rtol=0)
+    """Whether every coordinate of the 1-D ``k`` is within 1e-9 of an integer."""
+    d = np.round(k)
+    d -= k
+    return bool((np.abs(d, out=d) <= 1e-9).all())
+
+
+def _grid_index(points, dims):
+    """Each point's flat index k mod N (per axis) in the ifftshifted grid
+    if every point is an integer in [-N//2, N - N//2), else None; made
+    one axis at a time, so no (P, 3) temporary is made."""
+    flat = np.zeros(len(points), dtype=np.intp)
+    for k, n in zip(points.T, dims):
+        if not _is_integer(k):
+            return None
+        k = np.round(k)
+        if not ((k >= -(n // 2)).all() and (k < n - n // 2).all()):
+            return None
+        flat *= n
+        flat += np.mod(k, n, out=k).astype(np.intp)
+    return flat
 
 
 def _kronecker(points):
@@ -134,10 +152,11 @@ class NDFT:
 
     - ``"fft"``, every point on the integer grid (Cartesian, EPI): the
       centered FFT is fftshift(fftn(ifftshift(v))), so point k is entry
-      k mod N (per axis) of fftn(ifftshift(v)). forward gathers there,
-      with no fftshift of the spectrum; adjoint adds each sample there
-      (np.add.at, so repeated grid points sum), inverse-FFTs with no
-      ifftshift of the grid, fftshifts and scales in place.
+      k mod N (per axis) of fftn(ifftshift(v)), found one axis at a
+      time. forward FFTs each ifftshifted coil image in place and gathers
+      there, with no fftshift of the spectrum; adjoint adds each sample
+      there (np.add.at, so repeated grid points sum), inverse-FFTs in
+      place with no ifftshift of the grid, fftshifts and scales in place.
     - ``"stack"``, a Kronecker product of U integer kz planes and Q
       in-plane (kx, ky) points: each in-plane point on each plane, once,
       in any order, so that each point is one entry of a (U, Q) grid.
@@ -175,12 +194,8 @@ class NDFT:
         self.dims = tuple(dims)
         self._tables = {}
         nx, ny, nz = self.dims
-        k, half = np.round(self.points), np.array(self.dims) // 2
-        if _is_integer(self.points) and ((k >= -half) & (k < self.dims - half)).all():
-            self.path = "fft"
-            # point k is grid index k mod N of the ifftshifted grid on each axis
-            self._flat = np.ravel_multi_index(
-                tuple((k.astype(np.intp) % self.dims).T), self.dims)
+        if (flat := _grid_index(self.points, self.dims)) is not None:
+            self.path, self._flat = "fft", flat
         elif (stack := _kronecker(self.points)) is not None:
             self.path = "stack"
             # point j is entry _flat[j] of the (U, Q) grid, which holds
@@ -231,7 +246,10 @@ class NDFT:
 
         if self.path != "stack":
             kernel = self._fft_forward if self.path == "fft" else self._general_forward
-            return np.stack([kernel(images(v)) for v in vols]).reshape(shape)
+            out = np.empty((len(vols), *shape[-2:]), dtype=dtype)
+            for v, samples in zip(vols, out):
+                kernel(images(v), samples)
+            return out.reshape(shape)
         (nx, ny, nz), batch = self.dims, len(vols) * len(maps)
         ez, combined = self._tables_in(dtype)[1:]
         # (U, B*Nx*Ny): each volume's coil images contracted along z at each plane
@@ -266,11 +284,13 @@ class NDFT:
         np.conj(out, out=out)
         return out.reshape(*y.shape[:-2], *self.dims)
 
-    def _fft_forward(self, images):
-        """The (L, P) samples of L coil images."""
-        # one 3D FFT per image: an FFT over the coil axis too saves
-        # nothing and measured a few percent slower
-        return np.stack([np.fft.fftn(np.fft.ifftshift(im)).ravel()[self._flat] for im in images])
+    def _fft_forward(self, images, out):
+        """The (L, P) samples of L coil images, written to ``out``."""
+        # one 3D FFT per image (over the coil axis too measured a few
+        # percent slower); take's default mode would buffer ``out``
+        for im, samples in zip(images, out):
+            a = np.fft.ifftshift(im)
+            np.take(np.fft.fftn(a, out=a).ravel(), self._flat, out=samples, mode="clip")
 
     def _fft_adjoint(self, y, dtype):
         """conj(E^H y_l) of L coils' samples, (L, Nx, Ny, Nz): scattered,
@@ -278,23 +298,21 @@ class NDFT:
         scaled and conjugated in ``dtype``."""
         out = np.empty((len(y), *self.dims), dtype=dtype)
         for l, samples in enumerate(y):
-            grid = np.zeros(np.prod(self.dims), dtype=dtype)
-            np.add.at(grid, self._flat, samples)
-            out[l] = np.fft.fftshift(np.fft.ifftn(grid.reshape(self.dims)))
+            grid = np.zeros(self.dims, dtype=dtype)
+            np.add.at(grid.reshape(-1), self._flat, samples)
+            out[l] = np.fft.fftshift(np.fft.ifftn(grid, out=grid))
         # a Python int scales in out's precision
         out *= int(np.prod(self.dims))
         return np.conj(out, out=out)
 
-    def _general_forward(self, images):
-        """The (L, P) samples of L coil images."""
+    def _general_forward(self, images, out):
+        """The (L, P) samples of L coil images, written to ``out``."""
         ex, _, combined = self._tables_in(images.dtype)
         n, nx = len(images), self.dims[0]
         rows = images.reshape(n * nx, -1)
-        out = np.empty((n, len(self.points)), dtype=images.dtype)
         for sl in self._chunks:
             tmp = (rows @ combined(sl).T).reshape(n, nx, -1)
             out[:, sl] = np.einsum("px,bxp->bp", ex[sl], tmp)
-        return out
 
     def _general_adjoint(self, y, dtype):
         """conj(E^H y_l) of L coils' samples, (L*Nx, Ny*Nz)."""
@@ -555,7 +573,8 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     d_i = -(TE * 1e-3) * dR2* * roi * b_i for the modulated tissues
     (``gm_index``, or all when None, as in
     :func:`snakesim.phantom.modulated_state`) and d_i = 0 otherwise, and
-    h_s = ``bold.h_tilde[s]`` (0 without BOLD). The basic model
+    h_s = ``bold.h_tilde[s]`` (0 without BOLD), each formed in its slot
+    of one (T, 2, *dims) array, of which no other copy is held. The basic model
     transforms B = sum b_i and D = sum d_i as one tissue of infinite
     T2*; the t2s model keeps the tissues apart and applies each one's
     decay after its transform. Both take every shot's samples from
@@ -567,7 +586,8 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     repeated patterns are transformed together, one NDFT on their joined
     points, so an on-grid plan costs one FFT per term volume and coil.
     The memo holds 2 x patterns x L x P complex128 values (0.8 MB for a
-    22-plane EPI plan at 1080 samples and one coil). A pattern that occurs once is transformed as the single image
+    22-plane EPI plan at 1080 samples and one coil). A pattern that
+    occurs once is transformed as the single image
     B + h_s * D. So no shot costs more transforms than rebuilding its
     state would. Every shot runs in plan order on the calling thread.
 
@@ -593,20 +613,19 @@ def run_acquisition(phantom: Phantom, plan: SamplingPlan, coils: CoilProfile,
     noise = noise or NoiseConfig()
     counts = _check_run_inputs(phantom, plan, coils, bold, noise, gm_index)
     mu = gre_contrast(phantom, seq)
-    baseline = contrast_volume(phantom, mu)
-    energy = phantom_energy(baseline)
+    energy = phantom_energy(contrast_volume(phantom, mu))
     t2s_s = np.array([t.t2_star * 1e-3 for t in phantom.tissues])
     n_shots = len(plan.shots)
 
-    base = mu[:, None, None, None] * phantom.weights
-    delta = np.zeros_like(base)
+    terms = np.zeros((phantom.n_tissues, 2, *phantom.dims))
+    np.multiply(mu[:, None, None, None], phantom.weights, out=terms[:, 0])
     h = np.zeros(n_shots)
     if bold is not None:
-        gain = -(seq.te * 1e-3) * bold.delta_r2s * bold.roi
+        gain = -(seq.te * 1e-3) * bold.delta_r2s
         for i in range(phantom.n_tissues) if gm_index is None else [gm_index]:
-            delta[i] = gain * base[i]
+            np.multiply(bold.roi, gain, out=terms[i, 1])
+            terms[i, 1] *= terms[i, 0]
         h = np.asarray(bold.h_tilde, dtype=np.float64)
-    terms = np.stack([base, delta], axis=1)  # (T, 2, *dims)
     if model == "basic":
         # one tissue of infinite T2*, as acquire_shot_basic takes it:
         # (1, 2, *dims), B and D

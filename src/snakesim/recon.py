@@ -71,7 +71,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -582,8 +581,9 @@ def _in_frame_order(solve, batches, n_jobs):
 
     ``batches`` is iterated on the calling thread. With one worker, or
     when two frames fit :data:`BATCH_BYTES`, each batch is solved there
-    too, when its first frame is due, and no thread starts (the pool
-    starts threads on submit): on the benchmark's frames two threads
+    too, when its first frame is due, and no thread starts: the pool is
+    made, and ``concurrent.futures`` imported (about 0.6 MB of RSS), at the
+    first submit. On the benchmark's frames two threads
     saved no time over one (POGM's short numpy calls serialise on the
     GIL) and cost 1.2-2.3 MB of peak RSS. Larger frames are solved on a
     pool of :func:`_worker_count` of ``n_jobs`` threads, which earns at
@@ -597,7 +597,7 @@ def _in_frame_order(solve, batches, n_jobs):
     pool thread outlives it.
     """
     workers = _worker_count(n_jobs)
-    pool = ThreadPoolExecutor(max_workers=workers)
+    pool = None
     pending = deque()   # (frames, future) of each batch submitted and not yielded
 
     def due():
@@ -611,11 +611,15 @@ def _in_frame_order(solve, batches, n_jobs):
                 continue
             if len(pending) == workers:
                 yield from due()
+            if pool is None:
+                from concurrent.futures import ThreadPoolExecutor
+                pool = ThreadPoolExecutor(max_workers=workers)
             pending.append((frames, pool.submit(solve, frames, operator)))
         while pending:
             yield from due()
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _succeeded(frames, estimates):

@@ -363,18 +363,18 @@ def _analyse(out, sums, design, phantom, roi, reference, p_threshold):
     """The analysis stage: the GLM of the frames fed to ``sums`` under
     ``design``, detection at ``p_threshold`` against ``roi`` and the image
     metrics against ``reference``, written to ``metrics.json``,
-    ``zmap.snkv`` and ``pr_curve.csv`` under ``out``."""
+    ``zmap.snkv`` and ``pr_curve.csv`` under ``out``. The image metrics
+    come first, so ssim's working set is not held beside the GLM's."""
+    ref_mag = np.abs(reference)
+    image = dict(psnr_first=psnr(sums.first, ref_mag), psnr_last=psnr(sums.last, ref_mag),
+                 ssim_first=ssim(sums.first, ref_mag), ssim_last=ssim(sums.last, ref_mag))
+    del ref_mag
     tissue_mask = phantom.weights.sum(axis=0) > 0.1
     stat = glm_fit(sums, design, mask=tissue_mask)
     det = threshold_detect(stat, p_threshold, roi, mask=tissue_mask)
     pr = precision_recall(stat, roi, mask=tissue_mask)
-    ref_mag = np.abs(reference)
     _, tsnr_mean = tsnr(sums, roi=roi)
-    report = MetricsReport(
-        auc_pr=pr["auc"], bacc=bacc(det),
-        psnr_first=psnr(sums.first, ref_mag), psnr_last=psnr(sums.last, ref_mag),
-        ssim_first=ssim(sums.first, ref_mag), ssim_last=ssim(sums.last, ref_mag),
-        tsnr_roi_mean=tsnr_mean)
+    report = MetricsReport(auc_pr=pr["auc"], bacc=bacc(det), tsnr_roi_mean=tsnr_mean, **image)
     (out / "metrics.json").write_text(canonical_json(report.to_dict()))
     write_volume(out / "zmap.snkv", stat.z, voxel_size=phantom.voxel_size)
     with open(out / "pr_curve.csv", "w", newline="") as f:

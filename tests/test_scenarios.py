@@ -771,6 +771,14 @@ class TestCli:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_run_jobs_below_one_exit_2_before_the_run_dir(self, jobs, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli_main(["run", "s1_epi", "--scale", "0.15", "--jobs", jobs,
+                         "--out", str(out)]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_stage_failure_exit_3(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(_tiny_config().raw))
         cfg["trajectory"]["kind"] = "external"
