@@ -22,7 +22,7 @@ matrix per axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +37,35 @@ class AnalysisError(ValueError):
 
 @dataclass
 class DesignMatrix:
+    """The design ``matrix`` X with its column ``names`` and the inverse of
+    its Gram matrix X^T X, which :func:`glm_fit` reads. A design whose
+    Gram matrix the inverse shows singular is refused: ``inv`` raises, the
+    inverse is not finite, or the 1-norm condition number cond times the
+    float64 eps reaches 1e-3. cond eps bounds the relative error of the
+    computed inverse (to a factor of the size), so a design past it has an
+    inverse with fewer than three correct digits. The limit is stricter
+    than ``matrix_rank``'s on X, which accepts cond(X) up to 1 / (n eps),
+    where cond(X^T X) = cond(X)^2 leaves no correct digit, and needs no
+    SVD."""
+
     matrix: np.ndarray     # (n_frames, n_regressors)
     names: list
+    xtx_inv: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        x = self.matrix
+        gram = x.T @ x
+        try:
+            inv = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:
+            inv = None
+        if inv is None or not np.isfinite(inv).all() or not (
+                np.linalg.norm(gram, 1) * np.linalg.norm(inv, 1) * np.finfo(float).eps < 1e-3):
+            if "task" in self.names and not np.any(x[:, self.names.index("task")]):
+                raise AnalysisError("task regressor is identically zero "
+                                    "(collinear with the intercept)")
+            raise AnalysisError("design matrix is rank deficient")
+        self.xtx_inv = inv
 
     @property
     def n_frames(self):
@@ -94,7 +121,8 @@ def _legendre(x, order):
 
 
 def build_design(paradigm: Paradigm, hrf, n_frames, tr_vol, drift_order=1) -> DesignMatrix:
-    """Task regressor + intercept + Legendre drifts up to drift_order."""
+    """Task regressor + intercept + Legendre drifts up to drift_order; a
+    design whose Gram matrix is singular is refused (see DesignMatrix)."""
     if n_frames < drift_order + 2:
         raise AnalysisError(f"{n_frames} frames too few for drift order {drift_order}")
     mid = (np.arange(n_frames) + 0.5) * tr_vol
@@ -105,13 +133,7 @@ def build_design(paradigm: Paradigm, hrf, n_frames, tr_vol, drift_order=1) -> De
     for order in range(drift_order + 1):
         columns.append(_legendre(u, order))
         names.append("intercept" if order == 0 else f"drift{order}")
-    x = np.column_stack(columns)
-    if np.linalg.matrix_rank(x) < x.shape[1]:
-        if not np.any(task):
-            raise AnalysisError("task regressor is identically zero "
-                                "(collinear with the intercept)")
-        raise AnalysisError("design matrix is rank deficient")
-    return DesignMatrix(matrix=x, names=names)
+    return DesignMatrix(matrix=np.column_stack(columns), names=names)
 
 
 # Cephes ndtri's rational approximations, highest power first; the Q
@@ -355,12 +377,11 @@ def glm_fit(series, design: DesignMatrix, mask=None) -> StatMap:
     sums = _fed(series, design)
     if sums.design is not design:
         raise AnalysisError("the series sums were fed under another design")
-    x = design.matrix
-    n, k = x.shape
+    n, k = design.matrix.shape
     if sums.n != n:
         raise AnalysisError(f"series has {sums.n} frames, design {n}")
     dof = n - k
-    xtx_inv = np.linalg.inv(x.T @ x)
+    xtx_inv = design.xtx_inv
     c = np.zeros(k)
     c[design.names.index("task")] = 1.0
     beta = xtx_inv @ sums.xtd
@@ -499,16 +520,17 @@ def ssim(x, ref, window=7, k1=0.01, k2=0.03):
     drange = ref.max()
     c1 = (k1 * drange) ** 2
     c2 = (k2 * drange) ** 2
-    # local means of x, ref, x^2 + ref^2 and x * ref: the two variances
-    # enter only through their sum
-    fields = np.empty((4, *x.shape))
-    fields[0], fields[1] = x, ref
-    np.multiply(x, x, out=fields[2])
-    fields[2] += ref * ref
-    np.multiply(x, ref, out=fields[3])
-    del x, ref
-    mu_x, mu_r, sq, xr = _box_mean(fields, window)
-    del fields
+    # local means of x * ref, x^2 + ref^2, x and ref (the two variances
+    # enter only through their sum), one field at a time; x and ref become
+    # their own means, so at most five volumes are held
+    xr = _box_mean(np.multiply(x, ref)[None], window)[0]
+    sq = np.multiply(x, x)
+    sq += ref * ref
+    sq = _box_mean(sq[None], window)[0]
+    mu_x = _box_mean(x[None], window)[0]
+    del x
+    mu_r = _box_mean(ref[None], window)[0]
+    del ref
     # num and den in place, each element's operations in the order of
     # (2 mu_xr + c1) (2 (xr - mu_xr) + c2) and (mu_sq + c1) (sq - mu_sq + c2)
     mu_xr = mu_x * mu_r
@@ -525,17 +547,27 @@ def tsnr(series, roi=None):
 
     series is a (n_frames, *dims) array or the :class:`SeriesSums` it was
     fed to. Returns ``(map, roi_mean)``; zero-variance voxels carry inf in
-    the map and are excluded from the ROI mean.
+    the map and are excluded from the ROI mean. The map is formed in place
+    in the volumes of the mean and the std, so tsnr holds two float64
+    volumes and a mask.
     """
     sums = _fed(series)
     if sums.n < 2:
         raise AnalysisError("tSNR needs at least 2 frames")
+    # in place in two volumes, each element's operations in the order of
+    # mean = first + sum / n and std = sqrt(max(sum_sq - sum mean_d, 0) / (n - 1))
     mean_d = sums.sum / sums.n
-    var = np.maximum(sums.sum_sq - sums.sum * mean_d, 0.0) / (sums.n - 1)
-    mean = (sums.first.ravel() + mean_d).reshape(sums.first.shape)
-    std = np.sqrt(var).reshape(mean.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tmap = np.where(std > 0, mean / std, np.inf)
+    std = np.multiply(sums.sum, mean_d)
+    np.subtract(sums.sum_sq, std, out=std)
+    np.maximum(std, 0.0, out=std)
+    std /= sums.n - 1
+    np.sqrt(std, out=std)
+    tmap = np.add(sums.first.ravel(), mean_d, out=mean_d)
+    positive = std > 0
+    np.divide(tmap, std, out=tmap, where=positive)
+    del std
+    tmap[np.logical_not(positive, out=positive)] = np.inf
+    tmap = tmap.reshape(sums.first.shape)
     roi_mean = np.nan
     if roi is not None:
         sel = (np.asarray(roi) >= 0.5) & np.isfinite(tmap)

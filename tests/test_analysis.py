@@ -10,6 +10,7 @@ from scipy import ndimage, special, stats
 from snakesim.analysis import (
     Z_CAP,
     AnalysisError,
+    DesignMatrix,
     DetectionResult,
     SeriesSums,
     StatMap,
@@ -63,6 +64,43 @@ class TestBuildDesign:
         paradigm = Paradigm(events=(), run_length=100.0)
         with pytest.raises(AnalysisError, match="collinear"):
             build_design(paradigm, "double_gamma", n_frames=40, tr_vol=2.5)
+
+    @staticmethod
+    def _design(task):
+        u = np.linspace(-1, 1, task.size)
+        return DesignMatrix(matrix=np.column_stack([task, np.ones(task.size), u]),
+                            names=["task", "intercept", "drift1"])
+
+    @pytest.mark.parametrize("value", [0.7, 1.0, 3.3])
+    def test_constant_task_rejected_as_rank_deficient(self, value):
+        """A constant task column is the intercept times a number: inv
+        raises, or the Gram matrix's condition number is past the limit."""
+        with pytest.raises(AnalysisError, match="rank deficient"):
+            self._design(np.full(40, value))
+
+    def test_task_near_a_drift_column_rejected(self):
+        """A task within 1e-12 of the drift column leaves X^T X with no
+        correct digit in its inverse; matrix_rank on X still counts 3."""
+        u = np.linspace(-1, 1, 40)
+        task = u + 1e-12 * np.random.default_rng(0).standard_normal(u.size)
+        x = np.column_stack([task, np.ones(u.size), u])
+        assert np.linalg.matrix_rank(x) == 3
+        with pytest.raises(AnalysisError, match="rank deficient"):
+            self._design(task)
+
+    def test_non_finite_design_rejected(self):
+        task = np.sin(np.arange(40.0))
+        task[3] = np.nan
+        with pytest.raises(AnalysisError, match="rank deficient"):
+            self._design(task)
+
+    def test_gram_inverse_is_the_inverse_glm_fit_took(self):
+        """The design holds inv(X^T X) by the expression glm_fit used to
+        form itself, so the statistics are the same bits."""
+        paradigm = Paradigm.blocks(on=20.0, off=20.0, run_length=300.0)
+        design = build_design(paradigm, "double_gamma", n_frames=136, tr_vol=2.2)
+        x = design.matrix
+        assert design.xtx_inv.tobytes() == np.linalg.inv(x.T @ x).tobytes()
 
     def test_drift_order_zero_two_columns(self):
         paradigm = Paradigm.blocks(on=20.0, off=20.0, run_length=120.0)
@@ -424,12 +462,20 @@ class TestSsim:
         assert ssim(x, ref) == float(np.mean(num / den))
 
     def test_peak_memory(self):
-        """ssim holds at most 10 float64 volumes at a time (8.1 measured):
-        its inputs are released once the four fields are formed, the fields
-        once their box means are, and num and den overwrite the means."""
+        """ssim holds at most 6 float64 volumes at a time (5.1 measured, 8.1
+        with the four fields' means taken in one call): the means are taken
+        one field at a time, x and ref become their own means, and num and
+        den overwrite the means."""
         rng = np.random.default_rng(2)
         x, ref = (rng.random((30, 36, 30)).astype(np.float32) for _ in range(2))
-        assert _peak_bytes(lambda: ssim(x, ref)) <= 10 * 8 * x.size
+        assert _peak_bytes(lambda: ssim(x, ref)) <= 6 * 8 * x.size
+
+    def test_box_means_one_field_at_a_time_equal_the_batched_call(self):
+        rng = np.random.default_rng(6)
+        fields = rng.random((4, 12, 10, 14))
+        batched = _box_mean(fields.copy(), 7)
+        for field, mean in zip(fields, batched):
+            assert _box_mean(field[None].copy(), 7)[0].tobytes() == mean.tobytes()
 
 
 class TestTsnr:
@@ -464,6 +510,39 @@ class TestTsnr:
     def test_needs_two_frames(self):
         with pytest.raises(AnalysisError):
             tsnr(np.zeros((1, 2, 2, 2)))
+
+    def test_equals_the_expression_with_fresh_temporaries(self):
+        """Formed in place, the map keeps each element's operations and
+        their order: it equals the plain expression bit for bit."""
+        rng = np.random.default_rng(14)
+        series = 20.0 + rng.standard_normal((9, 6, 7, 5)).astype(np.float32)
+        series[:, 0, 0, 0] = 3.0  # zero variance: inf
+        sums = SeriesSums()
+        for frame in series:
+            sums.add(frame)
+        mean_d = sums.sum / sums.n
+        var = np.maximum(sums.sum_sq - sums.sum * mean_d, 0.0) / (sums.n - 1)
+        mean = (sums.first.ravel() + mean_d).reshape(sums.first.shape)
+        std = np.sqrt(var).reshape(mean.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.where(std > 0, mean / std, np.inf)
+        roi = rng.random(series.shape[1:])
+        tmap, roi_mean = tsnr(sums, roi=roi)
+        assert tmap.tobytes() == want.tobytes()
+        assert np.isinf(tmap[0, 0, 0])
+        assert roi_mean == float(want[(roi >= 0.5) & np.isfinite(want)].mean())
+
+    def test_peak_memory(self):
+        """tsnr holds at most 3 float64 volumes (2.1 measured, 6.1 before):
+        the mean, the std and a mask, the map formed in the mean's volume."""
+        dims = (30, 36, 30)
+        rng = np.random.default_rng(15)
+        sums = SeriesSums()
+        for _ in range(4):
+            sums.add(10.0 + rng.standard_normal(dims).astype(np.float32))
+        roi = np.zeros(dims)
+        roi[10:20, 10:20, 10:20] = 1.0
+        assert _peak_bytes(lambda: tsnr(sums, roi=roi)) <= 3 * 8 * np.prod(dims)
 
 
 class TestSeriesSums:

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from snakesim import cli, engine, recon, scenarios
-from snakesim.analysis import SeriesSums
+from snakesim.analysis import SeriesSums, build_design
 from snakesim.cli import main as cli_main
 from snakesim.engine import NDFT, birdcage_coils
 from snakesim.io import read_dataset, read_volume, write_volume
@@ -200,6 +200,14 @@ def test_invalid_config_rejected_before_acquisition(probe, tmp_path, capsys):
     assert not (out / "kspace.snkd").exists()
 
 
+def _assert_design_accepted(config):
+    cfg = config.raw
+    tr_vol = cfg["trajectory"]["n_shots_per_frame"] * config.sequence.tr_shot_s
+    design = build_design(config.paradigm, cfg["bold"]["hrf"], cfg["n_frames"], tr_vol,
+                          drift_order=cfg["analysis"]["drift_order"])
+    assert np.isfinite(design.xtx_inv).all()
+
+
 class TestPresets:
     def test_s1_full_scale_parameters(self):
         cfg = preset("s1_epi").raw
@@ -241,6 +249,20 @@ class TestPresets:
                                2 * round(60 * 0.25 / 2)]
         assert all(d % 2 == 0 for d in cfg["dims"])
         assert cfg["trajectory"]["n_shots_per_frame"] == round(44 * 0.25)
+
+    @pytest.mark.parametrize("name", sorted(scenarios._PRESETS))
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.25, 0.15, 0.1])
+    def test_preset_design_accepted(self, name, scale):
+        """Every preset's design passes the Gram matrix check (cond(X^T X)
+        measured 10-15, the limit 4.5e12)."""
+        _assert_design_accepted(preset(name, scale, trajectory_path="plan.snkt"))
+
+    @pytest.mark.parametrize("workload", ["epi_acq", "sos_static_cs", "sos_dynamic_t2s_warm",
+                                          "tiny_epi", "tiny_cs_refined"])
+    def test_benchmark_design_accepted(self, workload):
+        sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        _assert_design_accepted(RunConfig.from_dict(workloads.make_config(workload, 1234)))
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
