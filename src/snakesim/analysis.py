@@ -315,7 +315,9 @@ class SeriesSums:
     regressor. Taken on the shifted data they keep their accuracy where
     sums of y and y^2 would cancel (Chan, Golub & LeVeque, Am. Stat.
     1983); the design's intercept absorbs the shift. The first and last
-    frames are kept as ``first`` and ``last``.
+    frames are kept as ``first`` and ``last`` in the frame's float dtype
+    (float32 from the pipeline), to which every frame is cast exactly; D_t
+    is formed in float64, so the sums are those of the float64 frames.
     """
 
     def __init__(self, design: DesignMatrix | None = None):
@@ -330,7 +332,8 @@ class SeriesSums:
 
     def add(self, frame):
         """Feed the next frame of the series."""
-        y = np.array(frame, dtype=np.float64)
+        frame = np.asarray(frame)
+        y = np.array(frame, dtype=np.promote_types(frame.dtype, np.float32))
         if self.design is not None and self.n == self.design.n_frames:
             raise AnalysisError(f"series has more frames than the design's "
                                 f"{self.design.n_frames}")
@@ -341,7 +344,7 @@ class SeriesSums:
                 self.xtd = np.zeros((self.design.n_regressors, y.size))
         elif y.shape != self.first.shape:
             raise AnalysisError(f"frame of shape {y.shape}, the first is {self.first.shape}")
-        d = (y - self.first).ravel()
+        d = np.subtract(y, self.first, dtype=np.float64).ravel()
         self.sum += d
         if self.design is not None:
             for xtd, x in zip(self.xtd, self.design.matrix[self.n]):

@@ -13,6 +13,7 @@ dimensionless.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -309,6 +310,29 @@ def hrf_kernel(t, kind="double_gamma"):
     return out
 
 
+def _response_grid(paradigm: Paradigm, dt):
+    """The times at which :func:`bold_response` is sampled: the run and the
+    HRF's 32 s tail, every dt seconds."""
+    return np.arange(0.0, paradigm.run_length + 32.0 + dt, dt)
+
+
+@functools.lru_cache(maxsize=1)
+def bold_response(paradigm: Paradigm, hrf, dt):
+    """The paradigm's event train convolved with the HRF on
+    :func:`_response_grid`, read-only. A run samples one response twice,
+    at frame mid-times for the design and at shot times for the BOLD
+    modulation, so the last one is kept and the convolution runs once; the
+    run clears it (``bold_response.cache_clear()``) once both are taken."""
+    grid = _response_grid(paradigm, dt)
+    boxcar = np.zeros_like(grid)
+    for onset, duration, amp in paradigm.events:
+        boxcar[(grid >= onset) & (grid < onset + duration)] += amp
+    kernel = hrf_kernel(np.arange(0.0, 32.0 + dt, dt), kind=hrf)
+    response = np.convolve(boxcar, kernel)[: grid.size] * dt
+    response.flags.writeable = False
+    return response
+
+
 def build_bold_timecourse(paradigm: Paradigm, shot_times, hrf="double_gamma",
                           dt=0.01):
     """Convolve the event train with the HRF and sample at shot times.
@@ -322,13 +346,7 @@ def build_bold_timecourse(paradigm: Paradigm, shot_times, hrf="double_gamma",
         raise PhantomError("shot times must lie within [0, run_length]")
     if not paradigm.events:
         return np.zeros_like(shot_times)
-    grid = np.arange(0.0, paradigm.run_length + 32.0 + dt, dt)
-    boxcar = np.zeros_like(grid)
-    for onset, duration, amp in paradigm.events:
-        boxcar[(grid >= onset) & (grid < onset + duration)] += amp
-    kernel = hrf_kernel(np.arange(0.0, 32.0 + dt, dt), kind=hrf)
-    response = np.convolve(boxcar, kernel)[: grid.size] * dt
-    h = np.interp(shot_times, grid, response)
+    h = np.interp(shot_times, _response_grid(paradigm, dt), bold_response(paradigm, hrf, dt))
     peak = np.abs(h).max()
     if peak > 0:
         h = h / peak

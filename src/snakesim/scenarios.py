@@ -28,7 +28,7 @@ from .analysis import (bacc, build_design, glm_fit, precision_recall, psnr,
 from .engine import CoilProfile, EngineError, NoiseConfig, birdcage_coils, run_acquisition
 from .io import canonical_json, write_volume
 from .phantom import (TISSUE_7T, BoldSpec, Paradigm, Phantom, PhantomError,
-                      SequenceParams, build_bold_timecourse, contrast_volume,
+                      SequenceParams, bold_response, build_bold_timecourse, contrast_volume,
                       default_tissues, ellipsoid_roi, gre_contrast, load_phantom,
                       sphere_fits, synthetic_phantom)
 from .recon import (COMPLEX64_TOL_FLOOR, ReconConfig, ReconError, WaveletBasis,
@@ -298,6 +298,18 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _peak_rss_mb():
+    """This process's peak resident set in MB: ``VmHWM`` from
+    /proc/self/status, else ``ru_maxrss`` (kB on Linux). On Linux
+    ``ru_maxrss`` keeps the high-water of the process that spawned this
+    one across exec, so it can read the parent's peak."""
+    try:
+        with open("/proc/self/status") as f:
+            return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _build_phantom(cfg):
     dims = tuple(cfg["dims"])
     spec = cfg["phantom"]
@@ -407,8 +419,8 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     complex128 maps released, so reconstruction holds one copy of them.
     ``n_jobs`` sizes the reconstruction's pool for frames too large to
     batch; smaller frames and acquisition run on the calling thread.
-    The manifest records each finished stage's seconds and the peak RSS
-    at its end.
+    The manifest records each finished stage's seconds and the process's
+    peak RSS at its end.
     Any stage failure is recorded in the manifest with the stage name and
     downstream stages are skipped. Before the first stage the files of
     ``_RUN_FILES`` are removed from ``out_dir``, and no others, so the
@@ -426,8 +438,7 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
 
     def finish(stage, t0):
         manifest.stage_seconds[stage] = time.monotonic() - t0
-        # ru_maxrss is in kB on Linux
-        manifest.peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        manifest.peak_rss_mb[stage] = _peak_rss_mb()
 
     stage = "acquisition"
     try:
@@ -437,8 +448,10 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         plan = _build_plan(cfg, seq)
         design = build_design(config.paradigm, cfg["bold"]["hrf"], plan.n_frames,
                               plan.tr_vol, drift_order=cfg["analysis"]["drift_order"])
-        coils = birdcage_coils(phantom.dims, cfg["n_coils"])
         h = build_bold_timecourse(config.paradigm, plan.shot_times, hrf=cfg["bold"]["hrf"])
+        # both sampled the one response, which the run does not hold
+        bold_response.cache_clear()
+        coils = birdcage_coils(phantom.dims, cfg["n_coils"])
         roi = ellipsoid_roi(phantom, gm_index)
         if not (roi >= 0.5).any():
             raise ConfigError("empty ROI: no GM voxel of weight >= 0.5 lies in the "

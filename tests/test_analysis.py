@@ -565,6 +565,30 @@ class TestSeriesSums:
         np.testing.assert_array_equal(glm_fit(sums, design).z, glm_fit(series, design).z)
         np.testing.assert_array_equal(tsnr(sums)[0], tsnr(series)[0])
 
+    def test_float32_frames_give_the_sums_of_their_float64_copies(self):
+        """first and last stay float32, and D_t is formed in float64 from
+        them: the GLM, tSNR, PSNR and SSIM equal those of the float64
+        copies bit for bit."""
+        rng = np.random.default_rng(42)
+        design = self._design()
+        series = (5.0 + rng.standard_normal((design.n_frames, 8, 9, 7))).astype(np.float32)
+        sums32, sums64 = SeriesSums(design), SeriesSums(design)
+        for frame in series:
+            sums32.add(frame)
+            sums64.add(frame.astype(np.float64))
+        assert sums32.first.dtype == sums32.last.dtype == np.float32
+        assert sums64.first.dtype == np.float64
+        for name in ("sum", "sum_sq", "xtd"):
+            assert getattr(sums32, name).tobytes() == getattr(sums64, name).tobytes()
+        assert glm_fit(sums32, design).z.tobytes() == glm_fit(sums64, design).z.tobytes()
+        roi = rng.random(series.shape[1:])
+        assert tsnr(sums32, roi)[0].tobytes() == tsnr(sums64, roi)[0].tobytes()
+        assert tsnr(sums32, roi)[1] == tsnr(sums64, roi)[1]
+        ref = 5.0 + rng.random(series.shape[1:])
+        for a, b in ((sums32.first, sums64.first), (sums32.last, sums64.last)):
+            assert psnr(a, ref) == psnr(b, ref)
+            assert ssim(a, ref) == ssim(b, ref)
+
     def test_mismatched_feed_rejected(self):
         design = self._design()
         sums = SeriesSums(design)

@@ -195,6 +195,29 @@ class TestParadigm:
 
 
 class TestBoldTimecourse:
+    def test_one_response_sampled_twice_equals_separate_calls(self):
+        """The design's task column and the shot-wise h_tilde sample one
+        cached response; each equals its call on a fresh convolution bit for
+        bit, and the cached response is read-only."""
+        from snakesim import phantom
+        from snakesim.analysis import build_design
+        par = Paradigm.blocks(on=20.0, off=20.0, run_length=300.0)
+        shots = np.arange(6000) * 0.05
+
+        def fresh(fn):
+            phantom.bold_response.cache_clear()
+            return fn()
+
+        task = fresh(lambda: build_design(par, "double_gamma", 136, 2.2).matrix[:, 0])
+        h = fresh(lambda: build_bold_timecourse(par, shots))
+        phantom.bold_response.cache_clear()
+        shared_task = build_design(par, "double_gamma", 136, 2.2).matrix[:, 0]
+        shared_h = build_bold_timecourse(par, shots)
+        assert phantom.bold_response.cache_info().hits == 1
+        assert shared_task.tobytes() == task.tobytes()
+        assert shared_h.tobytes() == h.tobytes()
+        assert not phantom.bold_response(par, "double_gamma", 0.01).flags.writeable
+
     def test_empty_paradigm_zero(self):
         par = Paradigm(events=(), run_length=100.0)
         h = build_bold_timecourse(par, np.linspace(0, 100, 50))

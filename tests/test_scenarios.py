@@ -2,6 +2,8 @@
 
 import inspect
 import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -768,6 +770,36 @@ class TestCli:
         metrics = json.loads(capsys.readouterr().out)
         assert "bacc" in metrics
         assert set(metrics["peak_rss_mb"]) == {"acquisition", "reconstruction", "analysis"}
+
+    def test_one_bold_convolution_per_run_and_none_held(self, monkeypatch, tmp_path):
+        """The design and the BOLD modulation sample one response, and the
+        run does not keep it."""
+        from snakesim import phantom
+        kernels = []
+        monkeypatch.setattr(phantom, "hrf_kernel",
+                            lambda *a, _k=phantom.hrf_kernel, **kw: kernels.append(1) or _k(*a, **kw))
+        phantom.bold_response.cache_clear()
+        assert run_pipeline(_tiny_config(), tmp_path / "run").failed_stage is None
+        assert len(kernels) == 1
+        assert phantom.bold_response.cache_info().currsize == 0
+
+    def test_stage_peaks_belong_to_the_run_process(self, tmp_path):
+        """A run started from a process that has touched a large buffer
+        records its own peaks: on Linux ru_maxrss would read the spawning
+        process's high-water, which the buffer puts above 128 MB."""
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(_tiny_config().to_yaml())
+        buffer = np.ones(128 << 20, np.uint8)
+        src = str(Path(scenarios.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from snakesim.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "run", str(cfg_path), "--out", str(tmp_path / "run")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+        del buffer
+        assert proc.returncode == 0, proc.stderr
+        peaks = json.loads((tmp_path / "run" / "manifest.json").read_text())["peak_rss_mb"]
+        assert set(peaks) == {"acquisition", "reconstruction", "analysis"}
+        assert all(0 < peak < 128 for peak in peaks.values()), peaks
 
     def test_metrics_reports_the_solver_stops_of_a_cs_run(self, tmp_path, capsys):
         """A CS run's metrics count its frames per solver stop and its
