@@ -379,15 +379,15 @@ def _analyse(out, sums, design, phantom, roi, reference, p_threshold):
     and the tSNR come first, so neither working set is held beside the
     GLM's statistic maps."""
     ref_mag = np.abs(reference)
-    quality = dict(psnr_first=psnr(sums.first, ref_mag), psnr_last=psnr(sums.last, ref_mag),
+    image = dict(psnr_first=psnr(sums.first, ref_mag), psnr_last=psnr(sums.last, ref_mag),
                  ssim_first=ssim(sums.first, ref_mag), ssim_last=ssim(sums.last, ref_mag))
     del ref_mag
-    _, quality["tsnr_roi_mean"] = tsnr(sums, roi=roi)
+    _, tsnr_mean = tsnr(sums, roi=roi)
     tissue_mask = phantom.weights.sum(axis=0) > 0.1
     stat = glm_fit(sums, design, mask=tissue_mask)
     det = threshold_detect(stat, p_threshold, roi, mask=tissue_mask)
     pr = precision_recall(stat, roi, mask=tissue_mask)
-    report = MetricsReport(auc_pr=pr["auc"], bacc=bacc(det), **quality)
+    report = MetricsReport(auc_pr=pr["auc"], bacc=bacc(det), tsnr_roi_mean=tsnr_mean, **image)
     (out / "metrics.json").write_text(canonical_json(report.to_dict()))
     write_volume(out / "zmap.snkv", stat.z, voxel_size=phantom.voxel_size)
     with open(out / "pr_curve.csv", "w", newline="") as f:

@@ -203,13 +203,10 @@ class TestBoldTimecourse:
         from snakesim.analysis import build_design
         par = Paradigm.blocks(on=20.0, off=20.0, run_length=300.0)
         shots = np.arange(6000) * 0.05
-
-        def fresh(fn):
-            phantom.bold_response.cache_clear()
-            return fn()
-
-        task = fresh(lambda: build_design(par, "double_gamma", 136, 2.2).matrix[:, 0])
-        h = fresh(lambda: build_bold_timecourse(par, shots))
+        phantom.bold_response.cache_clear()
+        task = build_design(par, "double_gamma", 136, 2.2).matrix[:, 0]
+        phantom.bold_response.cache_clear()
+        h = build_bold_timecourse(par, shots)
         phantom.bold_response.cache_clear()
         shared_task = build_design(par, "double_gamma", 136, 2.2).matrix[:, 0]
         shared_h = build_bold_timecourse(par, shots)

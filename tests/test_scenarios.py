@@ -298,6 +298,18 @@ def _tiny_config(seed=1234, **overrides):
 
 
 class TestRunPipeline:
+    def test_one_bold_convolution_per_run_and_none_held(self, monkeypatch, tmp_path):
+        """The design and the BOLD modulation sample one response, and the
+        run does not keep it."""
+        from snakesim import phantom
+        kernels = []
+        monkeypatch.setattr(phantom, "hrf_kernel",
+                            lambda *a, _k=phantom.hrf_kernel, **kw: kernels.append(1) or _k(*a, **kw))
+        phantom.bold_response.cache_clear()
+        assert run_pipeline(_tiny_config(), tmp_path / "run").failed_stage is None
+        assert len(kernels) == 1
+        assert phantom.bold_response.cache_info().currsize == 0
+
     def test_artifacts_and_manifest(self, tmp_path):
         config = _tiny_config()
         manifest = run_pipeline(config, tmp_path / "run")
@@ -770,18 +782,6 @@ class TestCli:
         metrics = json.loads(capsys.readouterr().out)
         assert "bacc" in metrics
         assert set(metrics["peak_rss_mb"]) == {"acquisition", "reconstruction", "analysis"}
-
-    def test_one_bold_convolution_per_run_and_none_held(self, monkeypatch, tmp_path):
-        """The design and the BOLD modulation sample one response, and the
-        run does not keep it."""
-        from snakesim import phantom
-        kernels = []
-        monkeypatch.setattr(phantom, "hrf_kernel",
-                            lambda *a, _k=phantom.hrf_kernel, **kw: kernels.append(1) or _k(*a, **kw))
-        phantom.bold_response.cache_clear()
-        assert run_pipeline(_tiny_config(), tmp_path / "run").failed_stage is None
-        assert len(kernels) == 1
-        assert phantom.bold_response.cache_info().currsize == 0
 
     def test_stage_peaks_belong_to_the_run_process(self, tmp_path):
         """A run started from a process that has touched a large buffer
