@@ -363,7 +363,7 @@ def _fed(series, design=None) -> SeriesSums:
     if isinstance(series, SeriesSums):
         return series
     sums = SeriesSums(design)
-    for frame in np.asarray(series, dtype=np.float64):
+    for frame in np.asarray(series):
         sums.add(frame)
     return sums
 
