@@ -20,7 +20,6 @@ import yaml
 
 from .io import canonical_json, read_trajectory
 from .phantom import SequenceParams
-from .recon import _worker_count
 from .scenarios import ConfigError, RunConfig, preset, run_pipeline
 from .trajectories import (gen_epi_3d, gen_spiral, gen_stack_of_spirals,
                            save_trajectory_file)
@@ -96,7 +95,7 @@ def _cmd_run(args):
             if args.trajectory and isinstance(data.get("trajectory"), dict):
                 data["trajectory"]["path"] = args.trajectory
         config = RunConfig.from_dict(data)
-    workers = _worker_count(args.jobs)
+    workers = args.jobs or 1
     if workers > 1 and not any(name in os.environ for name in _BLAS_THREADS):
         print(f"warning: {workers} worker threads and no BLAS thread count set: "
               "set OPENBLAS_NUM_THREADS=1 so the workers' BLAS calls do not "

@@ -58,6 +58,16 @@ def _fields(path, head, magic, fmt):
     return struct.unpack_from(fmt, head, len(magic))
 
 
+def _check_body(path, have, need):
+    """:class:`FormatError` unless the body of file ``path``, ``have`` bytes,
+    is the ``need`` bytes its header predicts."""
+    if have < need:
+        raise FormatError(f"{path}: truncated body ({have} bytes, the header predicts {need})")
+    if have > need:
+        raise FormatError(f"{path}: {have - need} bytes after the {need} body bytes "
+                          "the header predicts")
+
+
 # ---------------------------------------------------------------------------
 # SNKV1 volumes
 
@@ -75,13 +85,12 @@ def write_volume(path, data, voxel_size=(1.0, 1.0, 1.0)):
 
 def read_volume(path):
     """Read an SNKV1 volume. Returns ``(data, voxel_size)``. A bad magic,
-    or a file shorter than its header or than the body the dims predict,
-    raises :class:`FormatError`."""
+    a file shorter than its header, or a body shorter or longer than the
+    dims predict raises :class:`FormatError`."""
     raw = Path(path).read_bytes()
     fields = _fields(path, raw, VOLUME_MAGIC, "<3I3f")
     dims, voxel_size, n = fields[:3], fields[3:], int(np.prod(fields[:3]))
-    if len(raw) - 29 < 4 * n:
-        raise FormatError(f"{path}: truncated body ({len(raw) - 29} bytes, need {4 * n})")
+    _check_body(path, len(raw) - 29, 4 * n)
     return np.frombuffer(raw, "<f4", n, 29).reshape(dims), voxel_size
 
 
@@ -94,7 +103,9 @@ _NIFTI_FLOAT32 = 16
 def read_nifti(path):
     """Read a little-endian float32 NIfTI-1 volume (.nii or .nii.gz).
 
-    Returns ``(data, voxel_size)`` with data as a 3D float32 array.
+    Returns ``(data, voxel_size)`` with data as a 3D float32 array. A
+    header whose sizes past the third are not all 1, a file of more than
+    one volume, raises :class:`FormatError`.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
@@ -111,6 +122,8 @@ def read_nifti(path):
         dim = struct.unpack_from("<8h", header, 40)
         if dim[0] < 3:
             raise FormatError(f"{path}: expected a 3D volume, ndim={dim[0]}")
+        if any(n > 1 for n in dim[4:dim[0] + 1]):
+            raise FormatError(f"{path}: holds more than one volume, dims {dim[1:dim[0] + 1]}")
         datatype = struct.unpack_from("<h", header, 70)[0]
         if datatype != _NIFTI_FLOAT32:
             raise FormatError(f"{path}: only float32 NIfTI supported (datatype={datatype})")
@@ -165,9 +178,9 @@ def read_trajectory(path):
 
     Returns ``(shots, dwell_time_us, tr_shot_ms)`` where shots is a list
     of (samples, ndims) float64 arrays, the row views of one (n_shots,
-    samples, ndims) array. A bad magic, a file shorter than its header or
-    than the body the header predicts, an empty trajectory or an n_dims
-    other than 2 or 3 raises :class:`FormatError`.
+    samples, ndims) array. A bad magic, a file shorter than its header, a
+    body shorter or longer than the header predicts, an empty trajectory
+    or an n_dims other than 2 or 3 raises :class:`FormatError`.
     """
     raw = Path(path).read_bytes()
     n_shots, samples, ndims, dwell_us, tr_ms = _fields(path, raw, TRAJ_MAGIC, "<IIBff")
@@ -176,8 +189,7 @@ def read_trajectory(path):
     if ndims not in (2, 3):
         raise FormatError(f"{path}: n_dims must be 2 or 3, got {ndims}")
     offset, count = 5 + struct.calcsize("<IIBff"), n_shots * samples * ndims
-    if len(raw) - offset < 4 * count:
-        raise FormatError(f"{path}: truncated body, expected {4 * count} bytes")
+    _check_body(path, len(raw) - offset, 4 * count)
     points = np.frombuffer(raw, "<f4", count, offset).reshape(n_shots, samples, ndims)
     return list(points.astype(np.float64)), float(dwell_us), float(tr_ms)
 
@@ -307,13 +319,6 @@ def read_dataset(path):
         if isinstance(counts, int):
             counts = [counts] * header["n_shots_per_frame"]
         shape = (header["n_frames"], header["n_coils"], sum(counts))
-        need = 8 * int(np.prod(shape))
-        have = os.fstat(f.fileno()).st_size - f.tell()
-        if have < need:
-            raise FormatError(f"{path}: truncated frame data ({have} body bytes, "
-                              f"the header predicts {need})")
-        if have > need:
-            raise FormatError(f"{path}: {have - need} bytes after the "
-                              f"{need} body bytes the header predicts")
+        _check_body(path, os.fstat(f.fileno()).st_size - f.tell(), 8 * int(np.prod(shape)))
         offset = f.tell()
     return header, DatasetReader(path, offset, shape)

@@ -338,13 +338,14 @@ def build_bold_timecourse(paradigm: Paradigm, shot_times, hrf="double_gamma",
     """Convolve the event train with the HRF and sample at shot times.
 
     The result is rescaled so its maximum over the sampled points is 1;
-    an all-zero paradigm yields all zeros (no rescale).
+    an all-zero paradigm yields all zeros (no rescale), and no shot
+    times an empty array.
     """
     shot_times = np.asarray(shot_times, dtype=np.float64)
     if shot_times.size and (shot_times.min() < -1e-9
                             or shot_times.max() > paradigm.run_length + 1e-9):
         raise PhantomError("shot times must lie within [0, run_length]")
-    if not paradigm.events:
+    if not (paradigm.events and shot_times.size):
         return np.zeros_like(shot_times)
     h = np.interp(shot_times, _response_grid(paradigm, dt), bold_response(paradigm, hrf, dt))
     peak = np.abs(h).max()

@@ -187,25 +187,26 @@ class FrameOperator:
         out *= self._scale
         return out
 
-    def lipschitz(self, n_iters=20, safety=1.05, seed=1234):
-        """Spectral norm of A^H A by power iteration (with safety margin),
+    def lipschitz(self):
+        """Spectral norm of A^H A by 20 power iterations from a standard
+        normal start drawn with seed 1234, times a safety margin of 1.05,
         in the precision of the coil maps."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(1234)
         x = rng.standard_normal(self.dims) + 1j * rng.standard_normal(self.dims)
         x = x.astype(np.result_type(self.coils.maps, np.complex64), copy=False)
         x /= np.linalg.norm(x)
         value = 1.0
-        for _ in range(n_iters):
+        for _ in range(20):
             x = self.adj_op(self.op(x))
             value = np.linalg.norm(x)
             if value == 0:
-                return safety
+                return 1.05
             x /= value
-        return float(value) * safety
+        return float(value) * 1.05
 
     @functools.cached_property
     def lipschitz_bound(self):
-        """:meth:`lipschitz` at its defaults, estimated on first use unless set."""
+        """:meth:`lipschitz`, estimated on first use unless set."""
         return self.lipschitz()
 
 
@@ -509,28 +510,37 @@ def cs_solve(y, operator: FrameOperator, basis: WaveletBasis, config: ReconConfi
 # Series strategies
 
 
-def _check_frame_count(kdata, plan):
-    if len(kdata) != plan.n_frames:
-        raise ReconError(f"k-space holds {len(kdata)} frames, the plan {plan.n_frames}")
-    if len(kdata) < 1:
-        raise ReconError("need at least one frame")
+def _series_setup(kdata, plan, coils, n_jobs, estimate=False):
+    """What every frame of a series shares, decided once, before its first
+    frame: ``(operator_for, batch, workers)``.
 
-
-def _frame_operators(plan, coils, kdata, estimate=False):
-    """``operator_for(t)``: the FrameOperator of frame t, kept while
+    ``operator_for(t)`` is the FrameOperator of frame t, kept while
     consecutive requests are the same Shot objects (every frame of a
     static plan). Its coil maps are in the precision of ``kdata``,
     rounded once here when the data is complex64 and they are not (a
     frame source with no ``dtype`` keeps them as they are; a pipeline run
     passes maps it has already rounded). With ``estimate`` its
-    Lipschitz bound, in that precision, is set here, on the calling
-    thread, and estimated once per Shot tuple: a frame whose shots come
-    again (refined's second pass, a dynamic plan that repeats a frame)
-    reuses it, which changes no result as the bound is deterministic.
+    Lipschitz bound, in that precision, is set on the calling thread,
+    and estimated once per Shot tuple: a frame whose shots come again
+    (refined's second pass, a dynamic plan that repeats a frame) reuses
+    it, which changes no result as the bound is deterministic.
+
+    ``batch`` is the most frames whose coil images (coils x voxels in
+    that precision) fit :data:`BATCH_BYTES`, at least one, for a static
+    plan (every frame the same Shot tuple), and 1 for any other plan,
+    whose repeated frames are incidental. ``workers`` is 1 when two
+    frames fit the budget, else ``n_jobs``, and 1 when that is None.
+    Both follow from the plan and the frame size alone.
     """
+    if len(kdata) != plan.n_frames:
+        raise ReconError(f"k-space holds {len(kdata)} frames, the plan {plan.n_frames}")
+    if len(kdata) < 1:
+        raise ReconError("need at least one frame")
     dtype = np.result_type(getattr(kdata, "dtype", coils.maps.dtype), np.complex64)
     if coils.maps.dtype != dtype:
         coils = CoilProfile(maps=coils.maps.astype(dtype))
+    fit = BATCH_BYTES // (coils.n_coils * math.prod(plan.dims) * coils.maps.itemsize)
+    static = all(plan.frame(t) == plan.frame(0) for t in range(plan.n_frames))
     shots = operator = None
     bounds = {}  # a frame's Shot tuple -> its Lipschitz bound
 
@@ -544,59 +554,38 @@ def _frame_operators(plan, coils, kdata, estimate=False):
                     bounds[shots] = operator.lipschitz()
                 operator.lipschitz_bound = bounds[shots]
         return operator
-    return operator_for
+    return operator_for, max(1, fit) if static else 1, 1 if fit >= 2 else max(1, n_jobs or 1)
 
 
-def _worker_count(n_jobs=None):
-    """Worker threads for ``n_jobs``: 1 when it is None, at least 1."""
-    return max(1, n_jobs or 1)
+def _batches(plan, operator_for, size):
+    """``(frames, operator)`` for every frame of ``plan``, in order, in runs
+    of ``size`` frames, run on the calling thread."""
+    for t in range(0, plan.n_frames, size):
+        yield range(t, min(t + size, plan.n_frames)), operator_for(t)
 
 
-def _batch_size(operator: FrameOperator):
-    """The most frames whose coil images fit :data:`BATCH_BYTES`, at least
-    one: the size of a batch of frames on ``operator``."""
-    frame_bytes = operator.n_coils * math.prod(operator.dims) * operator.coils.maps.itemsize
-    return max(1, BATCH_BYTES // frame_bytes)
-
-
-def _batches(plan, operator_for):
-    """``(frames, operator)`` for every frame of ``plan``, in order, run on
-    the calling thread: ranges of :func:`_batch_size` frames of a static
-    plan (every frame the same Shot tuple), and single frames of any other
-    plan, whose repeated frames are incidental. The batches depend only on
-    the plan and the frame size, not on the worker count."""
-    static = all(plan.frame(t) == plan.frame(0) for t in range(plan.n_frames))
-    t = 0
-    while t < plan.n_frames:
-        operator = operator_for(t)
-        size = _batch_size(operator) if static else 1
-        yield range(t, min(t + size, plan.n_frames)), operator
-        t += size
-
-
-def _in_frame_order(solve, batches, n_jobs):
+def _in_frame_order(solve, batches, workers):
     """Yield the estimates of ``solve(frames, operator)`` for every
     ``(frames, operator)`` of ``batches``, frame by frame and in order
     (see :func:`_succeeded`), for solves that depend on no other batch.
 
-    ``batches`` is iterated on the calling thread. With one worker, or
-    when two frames fit :data:`BATCH_BYTES`, each batch is solved there
-    too, when its first frame is due, and no thread starts: the pool is
-    made, and ``concurrent.futures`` imported (about 0.6 MB of RSS), at the
-    first submit. On the benchmark's frames two threads
-    saved no time over one (POGM's short numpy calls serialise on the
-    GIL) and cost 1.2-2.3 MB of peak RSS. Larger frames are solved on a
-    pool of :func:`_worker_count` of ``n_jobs`` threads, which earns at
-    60x72x60 with 8 coils (1.8-2.6 s at two workers, 2.5-3.3 s at one).
-    At most that many batches are submitted and not yet yielded: batch b
-    + workers is submitted only when the consumer asks for the frame
-    after batch b, so each thread's temporaries and results stay
+    ``batches`` is iterated on the calling thread. With one worker each
+    batch is solved there too, when its first frame is due, and no thread
+    starts: the pool is made, and ``concurrent.futures`` imported (about
+    0.6 MB of RSS), at the first submit. A series has one worker when two
+    of its frames fit :data:`BATCH_BYTES` (see :func:`_series_setup`): on
+    the benchmark's frames two threads saved no time over one (POGM's
+    short numpy calls serialise on the GIL) and cost 1.2-2.3 MB of peak
+    RSS. Larger frames are solved on a pool of ``workers`` threads, which
+    earns at 60x72x60 with 8 coils (1.8-2.6 s at two workers, 2.5-3.3 s
+    at one). At most that many batches are submitted and not yet yielded:
+    batch b + workers is submitted only when the consumer asks for the
+    frame after batch b, so each thread's temporaries and results stay
     bounded. A solve returns one estimate per frame; an exception it
     raises is raised when its batch is due. Closing the generator
     cancels the solves not started and waits for the running ones, so no
     pool thread outlives it.
     """
-    workers = _worker_count(n_jobs)
     pool = None
     pending = deque()   # (frames, future) of each batch submitted and not yielded
 
@@ -606,7 +595,7 @@ def _in_frame_order(solve, batches, n_jobs):
 
     try:
         for frames, operator in batches:
-            if not pending and (workers == 1 or _batch_size(operator) > 1):
+            if workers == 1:
                 yield from _succeeded(frames, solve(frames, operator))
                 continue
             if len(pending) == workers:
@@ -639,7 +628,7 @@ def adjoint_series(kdata, plan, coils, density_comp="none", n_jobs=None):
     or on a pool of ``n_jobs`` threads (see :func:`_in_frame_order`); the
     result does not depend on the worker count. A frame whose data is
     refused raises its ReconError when it is due."""
-    _check_frame_count(kdata, plan)
+    operator_for, _, workers = _series_setup(kdata, plan, coils, n_jobs)
 
     def adjoint(frames, operator):
         [t] = frames
@@ -648,9 +637,7 @@ def adjoint_series(kdata, plan, coils, density_comp="none", n_jobs=None):
         except ReconError as e:
             return [FrameEstimate(None, [], math.nan, stop="refused", reason=e.reason)]
         return [FrameEstimate(adjoint_recon(y, operator, density_comp), [], 0.0)]
-    operator_for = _frame_operators(plan, coils, kdata)
-    yield from _in_frame_order(
-        adjoint, ((range(t, t + 1), operator_for(t)) for t in range(len(kdata))), n_jobs)
+    yield from _in_frame_order(adjoint, _batches(plan, operator_for, 1), workers)
 
 
 def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconConfig,
@@ -664,10 +651,10 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconCon
     every frame re-solved from the final warm-pass estimate. The warm
     frames run one at a time, in order, on the calling thread. Cold
     frames and the refined second pass depend on no other frame: those of
-    a static plan are solved in batches of :func:`_batch_size` frames, any
-    other plan's one at a time (see :func:`_batches`), each batch one
-    :func:`cs_solve` call, run on the calling thread or on a pool of
-    ``n_jobs`` threads (see :func:`_in_frame_order`). A frame's estimate is
+    a static plan are solved in batches, any other plan's one at a time
+    (see :func:`_series_setup`), each batch one :func:`cs_solve` call,
+    run on the calling thread or on a pool of ``n_jobs`` threads (see
+    :func:`_in_frame_order`). A frame's estimate is
     its lone solve's bit for bit, and the batches do not depend on the
     worker count, so neither does the result. The first frame that fails
     raises its ReconError when it is due, after the frames before it, as
@@ -679,8 +666,7 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconCon
     frames with the same k-points, and one Lipschitz estimate, made on
     the calling thread, each distinct frame.
     """
-    _check_frame_count(kdata, plan)
-    operator_for = _frame_operators(plan, coils, kdata, estimate=True)
+    operator_for, batch, workers = _series_setup(kdata, plan, coils, n_jobs, estimate=True)
 
     def warm_pass():
         init = None
@@ -700,4 +686,4 @@ def reconstruct_series(kdata, plan, coils, basis: WaveletBasis, config: ReconCon
 
     def solve(frames, operator):
         return cs_solve([kdata[t] for t in frames], operator, basis, config, init=init)
-    yield from _in_frame_order(solve, _batches(plan, operator_for), n_jobs)
+    yield from _in_frame_order(solve, _batches(plan, operator_for, batch), workers)

@@ -55,6 +55,8 @@ class SamplingPlan:
     dims: tuple
 
     def __post_init__(self):
+        if self.shots_per_frame < 1:
+            raise TrajectoryError(f"need at least one shot a frame, got {self.shots_per_frame}")
         if len(self.shots) % self.shots_per_frame != 0:
             raise TrajectoryError(
                 f"{len(self.shots)} shots do not divide into whole frames "

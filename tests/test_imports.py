@@ -1,4 +1,5 @@
-"""Every import in the package's modules is used, and neither importing
+"""Every import in the package's modules is used, none takes a sibling
+module's private name, and neither importing
 the package nor running its pipeline loads any module of scipy, nor
 running it numpy.ma, concurrent.futures or numpy.polynomial.
 
@@ -54,6 +55,30 @@ def test_checker_flags_unused_and_honours_noqa():
               "def f():\n"
               "    return dumps(pi)\n")
     assert unused_imports(source) == [(2, "os")]
+
+
+def private_sibling_imports(source):
+    """[(line, name)] of the ``_``-names, dunders aside, that ``source``
+    imports from a sibling module (``from .<module> import _name``)."""
+    return sorted((node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.endswith("__"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_sibling_imports(module):
+    assert private_sibling_imports((PACKAGE / module).read_text()) == []
+
+
+def test_checker_flags_private_sibling_imports():
+    source = ("from . import __version__\n"
+              "from .recon import (ReconConfig,\n"
+              "                    _worker_count)\n"
+              "from os import _exit\n"
+              "def f():\n"
+              "    from .io import _fields\n")
+    assert private_sibling_imports(source) == [(2, "_worker_count"), (6, "_fields")]
 
 
 NO_SCIPY = """

@@ -43,12 +43,21 @@ def test_volume_truncated(tmp_path):
         read_volume(path)
 
 
+def test_volume_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "v.snkv"
+    write_volume(path, np.zeros((2, 2, 2), dtype=np.float32))
+    path.write_bytes(path.read_bytes() + bytes(16))
+    with pytest.raises(FormatError, match="16 bytes after the 32 body bytes"):
+        read_volume(path)
+
+
 def _write_nifti(path, data, voxel=(2.0, 2.0, 2.0), gz=False):
-    """Minimal NIfTI-1 writer used only as a test oracle."""
+    """Minimal NIfTI-1 writer used only as a test oracle; a 4D array's
+    header has dim[0] = 4 and its fourth size."""
     header = bytearray(348)
     struct.pack_into("<i", header, 0, 348)
-    dims = data.shape
-    struct.pack_into("<8h", header, 40, 3, dims[0], dims[1], dims[2], 1, 1, 1, 1)
+    dims = data.shape + (1,) * (4 - data.ndim)
+    struct.pack_into("<8h", header, 40, data.ndim, *dims, 1, 1, 1)
     struct.pack_into("<h", header, 70, 16)  # float32
     struct.pack_into("<h", header, 72, 32)  # bitpix
     struct.pack_into("<8f", header, 76, 0.0, voxel[0], voxel[1], voxel[2], 0, 0, 0, 0)
@@ -71,6 +80,17 @@ def test_nifti_read(tmp_path):
     assert vs == pytest.approx((1.5, 2.0, 2.5))
 
 
+def test_nifti_of_more_than_one_volume_rejected(tmp_path):
+    """A 2x2x2x3 file is refused; a 4D header whose fourth size is 1
+    reads as its one volume."""
+    path = tmp_path / "t.nii"
+    _write_nifti(path, np.zeros((2, 2, 2, 3), dtype=np.float32))
+    with pytest.raises(FormatError, match="more than one volume"):
+        read_nifti(path)
+    _write_nifti(path, np.ones((2, 2, 2, 1), dtype=np.float32))
+    np.testing.assert_array_equal(read_nifti(path)[0], np.ones((2, 2, 2)))
+
+
 def test_nifti_gz_via_dispatch(tmp_path):
     data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
     path = tmp_path / "t.nii.gz"
@@ -90,6 +110,14 @@ def test_trajectory_round_trip(tmp_path):
     assert len(back) == 5
     for orig, got in zip(shots, back):
         np.testing.assert_allclose(got, orig, atol=1e-6)
+
+
+def test_trajectory_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "t.snkt"
+    write_trajectory(path, [np.zeros((8, 3))], 10.0, 50.0)
+    path.write_bytes(path.read_bytes() + bytes(12))
+    with pytest.raises(FormatError, match="12 bytes after the 96 body bytes"):
+        read_trajectory(path)
 
 
 def test_trajectory_2d_supported(tmp_path):

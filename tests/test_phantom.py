@@ -220,6 +220,11 @@ class TestBoldTimecourse:
         h = build_bold_timecourse(par, np.linspace(0, 100, 50))
         assert not np.any(h)
 
+    def test_no_shot_times_give_an_empty_timecourse(self):
+        par = Paradigm.blocks(20.0, 20.0, 300.0)
+        h = build_bold_timecourse(par, [])
+        assert h.shape == (0,) and h.dtype == np.float64
+
     def test_impulse_proportional_to_kernel(self):
         par = Paradigm(events=((0.0, 0.05, 1.0),), run_length=60.0)
         times = np.linspace(0, 59, 200)

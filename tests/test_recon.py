@@ -14,7 +14,7 @@ from snakesim.phantom import (SequenceParams, contrast_volume, gre_contrast,
 from snakesim.recon import (FrameOperator, ReconConfig, ReconError,
                             adjoint_recon, adjoint_series, cs_solve,
                             radial_density_weights, reconstruct_series,
-                            sure_threshold, _worker_count)
+                            sure_threshold)
 from snakesim.trajectories import gen_epi_3d, gen_spiral, gen_stack_of_spirals
 from snakesim.wavelets import WaveletBasis, soft_threshold
 
@@ -878,9 +878,9 @@ class TestFrameBatches:
         from types import SimpleNamespace
 
         def size(dims, n_coils, dtype):
-            maps = SimpleNamespace(itemsize=np.dtype(dtype).itemsize)
-            return recon_mod._batch_size(SimpleNamespace(
-                n_coils=n_coils, dims=dims, coils=SimpleNamespace(maps=maps)))
+            coils = SimpleNamespace(maps=np.zeros(0, dtype), n_coils=n_coils)
+            plan = SimpleNamespace(n_frames=1, dims=dims, frame=lambda t: ())
+            return recon_mod._series_setup(np.zeros((1, 0, 0), dtype), plan, coils, None)[1]
         assert size((16, 18, 16), 8, np.complex64) == 3
         assert size((16, 18, 16), 8, np.complex128) == 1
         assert size((60, 71, 60), 8, np.complex64) == 1
@@ -899,8 +899,8 @@ class TestFrameBatches:
             shots[5 * plan.shots_per_frame:6 * plan.shots_per_frame] = plan.frame(4)
             plan = replace(plan, shots=tuple(shots))
         monkeypatch.setattr(recon_mod, "BATCH_BYTES", 3 * 2 * 8 ** 3 * 16)
-        operator_for = recon_mod._frame_operators(plan, coils, frames)
-        batches = list(recon_mod._batches(plan, operator_for))
+        batches = list(recon_mod._batches(plan, *recon_mod._series_setup(
+            frames, plan, coils, None)[:2]))
         assert [list(f) for f, _ in batches] == (
             [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]] if not dynamic else [[t] for t in range(10)])
         # one operator serves a static plan, and frames 4 and 5 of the other
@@ -965,10 +965,12 @@ class TestFrameWorkers:
                                   n_jobs=n_jobs)
 
     def test_worker_count_is_n_jobs_or_one(self, monkeypatch):
-        """The worker count is ``n_jobs``, at least 1, and 1 when none is
-        given; no environment variable sets it."""
+        """Over the budget the worker count is ``n_jobs``, at least 1, and
+        1 when none is given; no environment variable sets it."""
         monkeypatch.setenv("SNAKE_NJOBS", "2")
-        assert [_worker_count(n) for n in (1, 4, None, 0)] == [1, 4, 1, 1]
+        frames, plan, coils = TestSeries._tiny_dataset(n_frames=2, dynamic=False)
+        assert [recon_mod._series_setup(frames, plan, coils, n)[2]
+                for n in (1, 4, None, 0)] == [1, 4, 1, 1]
 
     @pytest.mark.parametrize("kind", ["adjoint", "cold", "refined"])
     @pytest.mark.parametrize("dynamic", [False, True])
@@ -1040,7 +1042,7 @@ class TestFrameWorkers:
         read ahead."""
         frames, plan, coils = TestSeries._tiny_dataset(n_frames=8, dynamic=False)
         sizes = [len(f) for f, _ in recon_mod._batches(
-            plan, recon_mod._frame_operators(plan, coils, frames))]
+            plan, *recon_mod._series_setup(frames, plan, coils, None)[:2])]
         assert sizes == [1] * 8
         bound = max(sum(sizes[i:i + n_jobs]) for i in range(len(sizes))) - 1
         kdata = _FrameReads(frames)
@@ -1062,7 +1064,7 @@ class TestFrameWorkers:
         # three frames' coil images: 2 coils of 8^3 complex128 voxels each
         monkeypatch.setattr(recon_mod, "BATCH_BYTES", 3 * 2 * 8 ** 3 * 16)
         sizes = [len(f) for f, _ in recon_mod._batches(
-            plan, recon_mod._frame_operators(plan, coils, frames))]
+            plan, *recon_mod._series_setup(frames, plan, coils, None)[:2])]
         assert sizes == [3, 3, 2]
         kdata = _FrameReads(frames)
         for t, _ in enumerate(self._series(kind, kdata, plan, coils, n_jobs)):

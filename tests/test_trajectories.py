@@ -51,6 +51,10 @@ class TestEpi3d:
         with pytest.raises(TrajectoryError):
             gen_epi_3d((4, 0, 4), _seq())
 
+    def test_zero_planes_a_volume_rejected(self):
+        with pytest.raises(TrajectoryError, match="at least one shot a frame, got 0"):
+            gen_epi_3d((4, 4, 4), _seq(), n_planes_per_volume=0)
+
     def test_each_point_once_per_frame(self):
         plan = gen_epi_3d((4, 6, 4), _seq(), n_frames=2)
         frame_pts = [tuple(p) for s in plan.frame(1) for p in s.points]
