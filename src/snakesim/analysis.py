@@ -516,25 +516,25 @@ def _box_mean(a, window):
     return out
 
 
-def ssim(x, ref, window=7, k1=0.01, k2=0.03):
-    """Mean local SSIM with a uniform cubic window; range = max|ref|."""
+def ssim(x, ref):
+    """Mean local SSIM over wrapped 7^3-voxel cubes; K1 = 0.01, K2 = 0.03, range = max|ref|."""
     x = np.abs(np.asarray(x, dtype=np.float64))
     ref = np.abs(np.asarray(ref, dtype=np.float64))
     if x.shape != ref.shape:
         raise AnalysisError(f"shape mismatch {x.shape} vs {ref.shape}")
     drange = ref.max()
-    c1 = (k1 * drange) ** 2
-    c2 = (k2 * drange) ** 2
+    c1 = (0.01 * drange) ** 2
+    c2 = (0.03 * drange) ** 2
     # local means of x * ref, x^2 + ref^2, x and ref (the two variances
     # enter only through their sum), one field at a time; x and ref become
     # their own means, so at most five volumes are held
-    xr = _box_mean(np.multiply(x, ref)[None], window)[0]
+    xr = _box_mean(np.multiply(x, ref)[None], 7)[0]
     sq = np.multiply(x, x)
     sq += ref * ref
-    sq = _box_mean(sq[None], window)[0]
-    mu_x = _box_mean(x[None], window)[0]
+    sq = _box_mean(sq[None], 7)[0]
+    mu_x = _box_mean(x[None], 7)[0]
     del x
-    mu_r = _box_mean(ref[None], window)[0]
+    mu_r = _box_mean(ref[None], 7)[0]
     del ref
     # num and den in place, each element's operations in the order of
     # (2 mu_xr + c1) (2 (xr - mu_xr) + c2) and (mu_sq + c1) (sq - mu_sq + c2)

@@ -23,6 +23,8 @@ import numpy as np
 from .io import load_volume_file
 
 WEIGHT_SUM_EPS = 1e-6
+_SUPERSAMPLE = 4  # subvoxels per axis of synthetic_phantom's coverage count
+_BOLD_DT = 0.01  # s, the step of the grid the BOLD response is convolved on
 
 #: Tissue relaxation parameters at 7T (times in ms, rho dimensionless).
 TISSUE_7T = {
@@ -198,18 +200,17 @@ def load_phantom(volume_files, tissue_table):
 
 
 def sphere_fits(center, radius, dims):
-    """Whether the sphere lies inside the volume, as :func:`synthetic_phantom`
-    requires of each of its spheres."""
-    return all(radius <= c <= n - radius for c, n in zip(center, dims))
+    """Whether the sphere has a positive radius and lies inside the volume,
+    as :func:`synthetic_phantom` requires of each of its spheres."""
+    return radius > 0 and all(radius <= c <= n - radius for c, n in zip(center, dims))
 
 
-def synthetic_phantom(dims, spheres, tissues=None, voxel_size=(1.0, 1.0, 1.0),
-                      supersample=4):
+def synthetic_phantom(dims, spheres, tissues=None, voxel_size=(1.0, 1.0, 1.0)):
     """Deterministic fuzzy sphere phantom for desk-scale tests.
 
     Each sphere is (center, radius, tissue_index). Edge voxels get
-    fractional weights from subvoxel coverage; overlapping spheres of the
-    same tissue combine by per-voxel max so the sum invariant holds.
+    fractional weights from 4^3-subvoxel coverage; overlapping spheres of
+    the same tissue combine by per-voxel max so the sum invariant holds.
 
     Coverage is counted inside each sphere's bounding box, from per-axis
     squared subvoxel distances summed into one preallocated buffer, so no
@@ -221,7 +222,7 @@ def synthetic_phantom(dims, spheres, tissues=None, voxel_size=(1.0, 1.0, 1.0),
         warnings.warn("empty sphere list: phantom is identically zero")
     weights = np.zeros((len(tissues), *dims))
     # subvoxel offsets for partial-volume estimation
-    off = (np.arange(supersample) + 0.5) / supersample - 0.5
+    off = (np.arange(_SUPERSAMPLE) + 0.5) / _SUPERSAMPLE - 0.5
     for center, radius, ti in spheres:
         if not sphere_fits(center, radius, dims):
             raise PhantomError(f"sphere at {center} r={radius} does not fit in {dims}")
@@ -229,7 +230,7 @@ def synthetic_phantom(dims, spheres, tissues=None, voxel_size=(1.0, 1.0, 1.0),
         box = tuple(slice(max(0, math.floor(c - radius - 1)),
                           min(n, math.ceil(c + radius + 1) + 1))
                     for c, n in zip(center, dims))
-        # squared distances per axis, (supersample, box length) each; the
+        # squared distances per axis, (_SUPERSAMPLE, box length) each; the
         # loop sums them as (x^2 + y^2) + z^2, the order that fixes which
         # subvoxels on the sphere's surface count as inside
         sx, sy, sz = (((np.arange(b.start, b.stop, dtype=np.float64) + off[:, None]) - c) ** 2
@@ -246,7 +247,7 @@ def synthetic_phantom(dims, spheres, tissues=None, voxel_size=(1.0, 1.0, 1.0),
                     np.add(dxy2, dz2, out=d2)
                     np.less_equal(d2, r2, out=inside)
                     frac += inside
-        frac /= supersample ** 3
+        frac /= _SUPERSAMPLE ** 3
         np.maximum(weights[ti][box], frac, out=weights[ti][box])
     # distinct tissues may still overlap at edges; rescale offending voxels
     total = weights.sum(axis=0)
@@ -310,31 +311,30 @@ def hrf_kernel(t, kind="double_gamma"):
     return out
 
 
-def _response_grid(paradigm: Paradigm, dt):
+def _response_grid(paradigm: Paradigm):
     """The times at which :func:`bold_response` is sampled: the run and the
-    HRF's 32 s tail, every dt seconds."""
-    return np.arange(0.0, paradigm.run_length + 32.0 + dt, dt)
+    HRF's 32 s tail, every ``_BOLD_DT`` seconds."""
+    return np.arange(0.0, paradigm.run_length + 32.0 + _BOLD_DT, _BOLD_DT)
 
 
 @functools.lru_cache(maxsize=1)
-def bold_response(paradigm: Paradigm, hrf, dt):
+def bold_response(paradigm: Paradigm, hrf):
     """The paradigm's event train convolved with the HRF on
     :func:`_response_grid`, read-only. A run samples one response twice,
     at frame mid-times for the design and at shot times for the BOLD
     modulation, so the last one is kept and the convolution runs once; the
     run clears it (``bold_response.cache_clear()``) once both are taken."""
-    grid = _response_grid(paradigm, dt)
+    grid = _response_grid(paradigm)
     boxcar = np.zeros_like(grid)
     for onset, duration, amp in paradigm.events:
         boxcar[(grid >= onset) & (grid < onset + duration)] += amp
-    kernel = hrf_kernel(np.arange(0.0, 32.0 + dt, dt), kind=hrf)
-    response = np.convolve(boxcar, kernel)[: grid.size] * dt
+    kernel = hrf_kernel(np.arange(0.0, 32.0 + _BOLD_DT, _BOLD_DT), kind=hrf)
+    response = np.convolve(boxcar, kernel)[: grid.size] * _BOLD_DT
     response.flags.writeable = False
     return response
 
 
-def build_bold_timecourse(paradigm: Paradigm, shot_times, hrf="double_gamma",
-                          dt=0.01):
+def build_bold_timecourse(paradigm: Paradigm, shot_times, hrf="double_gamma"):
     """Convolve the event train with the HRF and sample at shot times.
 
     The result is rescaled so its maximum over the sampled points is 1;
@@ -347,7 +347,7 @@ def build_bold_timecourse(paradigm: Paradigm, shot_times, hrf="double_gamma",
         raise PhantomError("shot times must lie within [0, run_length]")
     if not (paradigm.events and shot_times.size):
         return np.zeros_like(shot_times)
-    h = np.interp(shot_times, _response_grid(paradigm, dt), bold_response(paradigm, hrf, dt))
+    h = np.interp(shot_times, _response_grid(paradigm), bold_response(paradigm, hrf))
     peak = np.abs(h).max()
     if peak > 0:
         h = h / peak
@@ -384,17 +384,13 @@ def modulated_state(phantom: Phantom, mu, bold: BoldSpec | None,
     return vols
 
 
-def ellipsoid_roi(phantom: Phantom, gm_index: int, center=None, axes=None):
-    """Fuzzy GM mask intersected with an axis-aligned ellipsoid.
-
-    Defaults place the ellipsoid in the posterior third of the volume
-    (second axis) with semi-axes of a quarter of each dimension.
-    """
+def ellipsoid_roi(phantom: Phantom, gm_index: int):
+    """Fuzzy GM mask intersected with an axis-aligned ellipsoid in the
+    posterior third of the volume (second axis), with semi-axes of a
+    quarter of each dimension."""
     dims = np.array(phantom.dims, dtype=np.float64)
-    if center is None:
-        center = (dims[0] / 2, dims[1] / 6, dims[2] / 2)
-    if axes is None:
-        axes = tuple(dims / 4)
+    center = (dims[0] / 2, dims[1] / 6, dims[2] / 2)
+    axes = tuple(dims / 4)
     grids = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in phantom.dims],
                         indexing="ij", sparse=True)
     dist = sum(((g - c) / a) ** 2 for g, c, a in zip(grids, center, axes))

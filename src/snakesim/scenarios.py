@@ -97,9 +97,9 @@ def _gm_sphere(cfg):
 
 def _check_phantom(cfg):
     """Reject a phantom that :func:`_build_phantom` would refuse: a GM
-    sphere that does not fit ``dims``, or a tissue list with a name
-    outside ``TISSUE_7T``, without GM (the tissue the BOLD response
-    modulates) or of another length than the file list."""
+    sphere that does not fit ``dims`` or has no positive radius, or a
+    tissue list with a name outside ``TISSUE_7T``, without GM (the tissue
+    the BOLD response modulates) or of another length than the file list."""
     spec = cfg["phantom"]
     if spec["kind"] == "synthetic":
         center, r = _gm_sphere(cfg)
@@ -197,11 +197,6 @@ class RunConfig:
         except (PhantomError, EngineError, ReconError, WaveletError) as e:
             raise ConfigError(f"{section}: {e}") from e
         return cls(raw, sequence, paradigm, noise, cs)
-
-    @classmethod
-    def from_yaml(cls, path) -> "RunConfig":
-        with open(path) as f:
-            return cls.from_dict(yaml.safe_load(f))
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.raw, sort_keys=True)
@@ -408,7 +403,8 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     """Acquisition -> reconstruction -> analysis, all artifacts persisted.
 
     The design matrix is built with the plan, so a degenerate paradigm
-    fails before any shot runs. The k-space goes to ``kspace.snkd`` frame
+    fails before any shot runs, as does a CS grid that the wavelet basis
+    cannot split. The k-space goes to ``kspace.snkd`` frame
     by frame; each frame is read back from the file, reconstructed,
     and its float32 magnitude written and fed to the :class:`SeriesSums`
     that the GLM and tSNR are taken from, so no run-sized array is held.
@@ -443,6 +439,12 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     stage = "acquisition"
     try:
         t0 = time.monotonic()
+        if config.cs is not None:
+            # not in from_dict, which builds every preset at scale 1 (ROADMAP item 2)
+            try:
+                config.cs[0].check_dims(cfg["dims"])
+            except WaveletError as e:
+                raise ConfigError(f"recon: {e}") from e
         seq = config.sequence
         phantom, gm_index = _build_phantom(cfg)
         plan = _build_plan(cfg, seq)

@@ -147,17 +147,17 @@ def gen_epi_3d(dims, seq: SequenceParams, n_planes_per_volume=None,
 # Spirals
 
 
-def gen_spiral(dims_xy, n_samples, n_turns=4.0, in_out=True, k_max=None):
+def gen_spiral(dims_xy, n_samples, n_turns=4.0, in_out=True):
     """Archimedean spiral sample points (2D, cycles/FOV).
 
     in_out readouts traverse the reversed, point-symmetric half first,
     pass through k=0 at the temporal center, then spiral out; the radius
-    grows linearly to k_max.
+    grows linearly to k_max = (min(dims_xy) - 1) / 2, the largest that
+    keeps every sample inside the grid's band.
     """
     if n_samples < 2:
         raise TrajectoryError("a spiral needs at least 2 samples")
-    if k_max is None:
-        k_max = (min(dims_xy) - 1) / 2
+    k_max = (min(dims_xy) - 1) / 2
     theta_max = 2 * np.pi * n_turns
     if in_out:
         s = -1.0 + 2.0 * np.arange(n_samples) / (n_samples - 1)

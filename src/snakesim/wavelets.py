@@ -102,7 +102,8 @@ class WaveletBasis:
         self.lo, self.hi = _filters(family)
         self._matrices = {}
 
-    def _check_dims(self, dims):
+    def check_dims(self, dims):
+        """Raise :class:`WaveletError` unless 2^levels divides every axis of ``dims``."""
         for n in dims:
             if n % (2 ** self.levels) != 0:
                 raise WaveletError(
@@ -156,7 +157,7 @@ class WaveletBasis:
         volume = np.asarray(volume)
         if volume.ndim < 3:
             raise WaveletError("expected a 3D volume or a stack of them")
-        self._check_dims(volume.shape[-3:])
+        self.check_dims(volume.shape[-3:])
         out = self._apply(volume, inverse=False)
         for level in range(1, self.levels):
             sl = (..., *_band("aaa", _half(out.shape[-3:], level)))

@@ -121,7 +121,8 @@ def _meshgrid_phantom_weights(dims, spheres, n_tissues=3, supersample=4):
     return weights
 
 
-@pytest.mark.parametrize("supersample", [1, 4])
+# the oracle counts synthetic_phantom's 4 subvoxels per axis
+@pytest.mark.parametrize("supersample", [4])
 @pytest.mark.parametrize("dims, spheres", [
     ((15, 17, 13), [((7.5, 8.5, 6.5), 5.0, 0), ((7, 8, 6), 3.3, 1),
                     ((4.2, 5.1, 4.0), 2.7, 2), ((10.9, 11.6, 8.8), 2.2, 1)]),
@@ -129,7 +130,7 @@ def _meshgrid_phantom_weights(dims, spheres, n_tissues=3, supersample=4):
     ((11, 11, 11), [((5.5, 5.5, 5.5), 5.5, 0)]),
 ])
 def test_synthetic_phantom_matches_meshgrid_loop(dims, spheres, supersample):
-    got = synthetic_phantom(dims, spheres, supersample=supersample).weights
+    got = synthetic_phantom(dims, spheres).weights
     want = _meshgrid_phantom_weights(dims, spheres, supersample=supersample)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -213,7 +214,7 @@ class TestBoldTimecourse:
         assert phantom.bold_response.cache_info().hits == 1
         assert shared_task.tobytes() == task.tobytes()
         assert shared_h.tobytes() == h.tobytes()
-        assert not phantom.bold_response(par, "double_gamma", 0.01).flags.writeable
+        assert not phantom.bold_response(par, "double_gamma").flags.writeable
 
     def test_empty_paradigm_zero(self):
         par = Paradigm(events=(), run_length=100.0)
@@ -233,6 +234,17 @@ class TestBoldTimecourse:
         k = k / k.max()
         np.testing.assert_allclose(h, k, atol=2e-2)
         assert h.max() == pytest.approx(1.0, abs=1e-9)
+
+    def test_single_gamma_kernel_closed_form(self):
+        """The single-gamma kernel is t^5 e^-t / 5! on [0, 32] s, zero
+        outside, with its peak at 5 s."""
+        t = np.round(np.arange(-200, 4001) * 0.01, 2)
+        k = hrf_kernel(t, "single_gamma")
+        inside = (t >= 0) & (t <= 32)
+        np.testing.assert_allclose(k[inside], t[inside] ** 5 * np.exp(-t[inside]) / 120,
+                                   rtol=1e-12, atol=0)
+        assert not k[~inside].any()
+        assert t[np.argmax(k)] == 5.0
 
     def test_block_train_against_dense_oracle(self):
         # independent oracle: straightforward dense convolution at a

@@ -38,7 +38,7 @@ class TestRunConfig:
         config = preset("s1_epi", scale=0.2)
         path = tmp_path / "cfg.yaml"
         path.write_text(config.to_yaml())
-        again = RunConfig.from_yaml(path)
+        again = RunConfig.from_dict(yaml.safe_load(path.read_text()))
         assert again.raw == config.raw
         assert again.hash() == config.hash()
 
@@ -401,16 +401,61 @@ class TestRunPipeline:
         assert "2 frames" in manifest.error and "n_frames is 3" in manifest.error
         assert not (tmp_path / "run" / "kspace.snkd").exists()
 
-    @pytest.mark.parametrize("frac", [0.0, -0.2, 0.1])
+    @pytest.mark.parametrize("frac", [0.1])
     def test_empty_roi_fails_before_the_sink(self, frac, tmp_path):
         """A GM sphere too small for any ROI voxel to reach weight 0.5 fails
-        the acquisition stage before any k-space is written, not analysis."""
+        the acquisition stage before any k-space is written, not analysis.
+        A sphere of no positive radius fails in from_dict."""
         cfg = json.loads(json.dumps(_tiny_config().raw))
         cfg["phantom"]["gm_sphere_radius_frac"] = frac
         manifest = run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
         assert manifest.failed_stage == "acquisition"
         assert "ROI" in manifest.error
         assert not (tmp_path / "run" / "kspace.snkd").exists()
+
+    def test_cs_grid_the_basis_cannot_split_fails_before_the_first_shot(self, tmp_path,
+                                                                       monkeypatch):
+        """s2_sos_static at scale 1 passes from_dict with its levels lowered
+        to 1, but 71 does not halve: the acquisition stage refuses it,
+        naming the dims, before any shot runs or any k-space is written."""
+        def no_shot(*args, **kwargs):
+            raise AssertionError("a shot ran")
+
+        monkeypatch.setattr(scenarios, "run_acquisition", no_shot)
+        manifest = run_pipeline(preset("s2_sos_static"), tmp_path / "run")
+        assert manifest.failed_stage == "acquisition"
+        assert manifest.error.startswith("ConfigError: recon: dims (60, 71, 60) not divisible")
+        assert not (tmp_path / "run" / "kspace.snkd").exists()
+
+    def test_files_phantom_runs_end_to_end(self, tmp_path):
+        """A ``files`` phantom, WM and GM volumes of the synthetic 8^3
+        phantom written as SNKV1, runs every stage."""
+        cfg = json.loads(json.dumps(_tiny_config().raw))
+        weights = scenarios._build_phantom(cfg)[0].weights
+        files = []
+        for name, volume in zip(("wm", "gm"), weights):
+            files.append(str(tmp_path / f"{name}.snkv"))
+            write_volume(files[-1], volume, voxel_size=cfg["voxel_size_mm"])
+        cfg["phantom"] = {"kind": "files", "files": files, "tissues": ["WM", "GM"]}
+        manifest = run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
+        assert manifest.failed_stage is None, manifest.error
+        metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert all(np.isfinite(v) for v in metrics.values())
+
+    def test_external_plan_runs_end_to_end(self, tmp_path):
+        """An external plan, the SNKT1 file of the 8^3 config's own EPI
+        plan, runs every stage."""
+        config = _tiny_config()
+        cfg = json.loads(json.dumps(config.raw))
+        path = tmp_path / "epi.snkt"
+        plan = gen_epi_3d((8, 8, 8), config.sequence, n_planes_per_volume=8,
+                          n_frames=cfg["n_frames"])
+        save_trajectory_file(path, plan, dwell_time_us=10.0)
+        cfg["trajectory"].update(kind="external", path=str(path))
+        manifest = run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
+        assert manifest.failed_stage is None, manifest.error
+        metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert all(np.isfinite(v) for v in metrics.values())
 
     def test_degenerate_paradigm_fails_before_the_sink(self, tmp_path):
         """Blocks longer than the run leave the task regressor zero: the
@@ -729,6 +774,18 @@ class TestCli:
         assert info["n_shots"] >= 1
         assert info["dwell_time_us"] == 10.0
 
+    def test_traj_gen_stack_of_spirals_and_inspect(self, tmp_path, capsys):
+        """A stack-of-spirals file, 16 planes at af 4 of a 16^3 grid, is
+        written and inspected; its points stay inside the grid's band."""
+        path = str(tmp_path / "sos.snkt")
+        assert cli_main(["traj", "gen", path, "--kind", "stack_of_spirals",
+                         "--dims", "16", "16", "16"]) == 0
+        capsys.readouterr()
+        assert cli_main(["traj", "inspect", path]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert (info["n_shots"], info["samples_per_shot"], info["ndims"]) == (4, 256, 3)
+        assert all(-8 <= lo and hi < 8 for lo, hi in zip(info["kmin"], info["kmax"]))
+
     def test_traj_inspect_ranges_over_every_shot(self, tmp_path, capsys):
         """kmin/kmax span the whole trajectory: an 8^3 EPI file's planes
         cover kz -4 to 3, not the first plane's kz alone."""
@@ -860,11 +917,15 @@ class TestCli:
         ({"phantom": {"kind": "files", "files": ["gm.snkv"],
                       "tissues": ["WM", "GM"]}}, "1 files for 2 tissues"),
         ({"phantom": {"kind": "synthetic", "gm_sphere_radius_frac": 0.8}}, "does not fit"),
-        ({"trajectory": {"n_shots_per_frame": 9}}, "9 EPI planes > Nz = 8")])
+        ({"trajectory": {"n_shots_per_frame": 9}}, "9 EPI planes > Nz = 8"),
+        pytest.param({"phantom": {"kind": "synthetic", "gm_sphere_radius_frac": 0.0}},
+                     "radius 0 at", id="gm_radius_0"),
+        pytest.param({"phantom": {"kind": "synthetic", "gm_sphere_radius_frac": -0.2}},
+                     "radius -1.6 at", id="gm_radius_negative")])
     def test_run_unbuildable_phantom_or_plan_exit_2_before_acquisition(
             self, change, message, tmp_path, capsys):
         """Configs the phantom and plan builders would refuse exit 2 before
-        the dataset exists (the files are never opened)."""
+        the run directory exists (the files are never opened)."""
         cfg = json.loads(json.dumps(_tiny_config().raw))
         for section, values in change.items():
             cfg[section] = {**cfg[section], **values} if section != "phantom" else values
@@ -875,7 +936,7 @@ class TestCli:
         out = tmp_path / "run"
         assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
-        assert not (out / "kspace.snkd").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [
         ("center_fraction", 1.5, "trajectory.center_fraction: need 0 < center_fraction < 1"),

@@ -184,6 +184,17 @@ class TestExternal:
         assert len(set(plan.shots)) == 2
         assert all(shot.points.base is None for shot in plan.shots)
 
+    def test_2d_file_loads_on_the_kz_0_plane(self, tmp_path):
+        """A 2D shot's (kx, ky) points load onto the kz = 0 plane."""
+        xy = gen_spiral((8, 8), 16)
+        path = tmp_path / "spiral2d.snkt"
+        write_trajectory(path, [xy], dwell_time_us=10.0, tr_shot_ms=50.0)
+        points = load_trajectory_file(path, (8, 8, 8)).shots[0].points
+        assert points.shape == (16, 3)
+        # SNKT1 stores float32
+        assert points[:, :2].tobytes() == xy.astype(np.float32).astype(np.float64).tobytes()
+        assert not points[:, 2].any()
+
     def test_out_of_range_rejected(self, tmp_path):
         bad = np.zeros((4, 3))
         bad[2, 0] = 2.0  # == N/2 for N=4, outside the half-open range
