@@ -401,13 +401,17 @@ class TestRunPipeline:
         assert "2 frames" in manifest.error and "n_frames is 3" in manifest.error
         assert not (tmp_path / "run" / "kspace.snkd").exists()
 
-    @pytest.mark.parametrize("frac", [0.1])
+    @pytest.mark.parametrize("frac", [-0.2, 0.0, 0.1])
     def test_empty_roi_fails_before_the_sink(self, frac, tmp_path):
         """A GM sphere too small for any ROI voxel to reach weight 0.5 fails
         the acquisition stage before any k-space is written, not analysis.
-        A sphere of no positive radius fails in from_dict."""
+        A sphere of no positive radius fails earlier, in from_dict."""
         cfg = json.loads(json.dumps(_tiny_config().raw))
         cfg["phantom"]["gm_sphere_radius_frac"] = frac
+        if frac <= 0:
+            with pytest.raises(ConfigError, match=f"radius {frac * 8:g} at"):
+                RunConfig.from_dict(cfg)
+            return
         manifest = run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
         assert manifest.failed_stage == "acquisition"
         assert "ROI" in manifest.error
@@ -917,11 +921,7 @@ class TestCli:
         ({"phantom": {"kind": "files", "files": ["gm.snkv"],
                       "tissues": ["WM", "GM"]}}, "1 files for 2 tissues"),
         ({"phantom": {"kind": "synthetic", "gm_sphere_radius_frac": 0.8}}, "does not fit"),
-        ({"trajectory": {"n_shots_per_frame": 9}}, "9 EPI planes > Nz = 8"),
-        pytest.param({"phantom": {"kind": "synthetic", "gm_sphere_radius_frac": 0.0}},
-                     "radius 0 at", id="gm_radius_0"),
-        pytest.param({"phantom": {"kind": "synthetic", "gm_sphere_radius_frac": -0.2}},
-                     "radius -1.6 at", id="gm_radius_negative")])
+        ({"trajectory": {"n_shots_per_frame": 9}}, "9 EPI planes > Nz = 8")])
     def test_run_unbuildable_phantom_or_plan_exit_2_before_acquisition(
             self, change, message, tmp_path, capsys):
         """Configs the phantom and plan builders would refuse exit 2 before
