@@ -35,7 +35,7 @@ print("sample times span", epi.shots[0].times[0], "to",
 # Stack of spirals: an in-out spiral repeated across kz planes. With
 # acceleration 2 and a 12.5% fully sampled center, each frame carries
 # 2 center planes plus 6 outer planes.
-spiral = gen_spiral(dims[:2], 128, n_turns=4.0, in_out=True)
+spiral = gen_spiral(dims[:2], 128, n_turns=4.0)
 sos = gen_stack_of_spirals(spiral, dims[2], af=2.0, center_fraction=0.125,
                            dynamic=True, n_frames=3, seed=7,
                            tr_shot_s=seq.tr_shot_s, t_obs_s=seq.t_obs_s,

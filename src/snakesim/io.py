@@ -244,8 +244,8 @@ class DatasetReader:
     is indexed.
 
     ``reader[t]`` reads frame t, and only it, into a fresh complex64
-    (n_coils, P) array (``reader[t, ...]`` then indexes that frame), and
-    ``np.asarray(reader)`` reads the whole (n_frames, n_coils, P) body.
+    (n_coils, P) array, and ``np.asarray(reader)`` reads the whole
+    (n_frames, n_coils, P) body.
     Each read opens the file, reads one byte range and closes it, so the
     reader holds neither a file nor a memory map.
     """
@@ -264,13 +264,12 @@ class DatasetReader:
             raise FormatError(f"{self.path}: body ends {count - data.size} samples early")
         return data
 
-    def __getitem__(self, key):
-        t, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
+    def __getitem__(self, t):
         t, n = operator.index(t), len(self)
         if not -n <= t < n:
             raise IndexError(f"frame {t} out of range for {n} frames")
         size = self.shape[1] * self.shape[2]
-        return self._read(size * (t % n), size).reshape(self.shape[1:])[rest]
+        return self._read(size * (t % n), size).reshape(self.shape[1:])
 
     def __array__(self, dtype=None, copy=None):
         data = self._read(0, int(np.prod(self.shape))).reshape(self.shape)

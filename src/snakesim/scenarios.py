@@ -13,7 +13,6 @@ import contextlib
 import copy
 import csv
 import hashlib
-import math
 import resource
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -26,15 +25,15 @@ from . import __version__
 from .analysis import (bacc, build_design, glm_fit, precision_recall, psnr,
                        ssim, threshold_detect, tsnr, MetricsReport, SeriesSums)
 from .engine import CoilProfile, EngineError, NoiseConfig, birdcage_coils, run_acquisition
-from .io import canonical_json, write_volume
+from .io import FormatError, canonical_json, write_volume
 from .phantom import (TISSUE_7T, BoldSpec, Paradigm, Phantom, PhantomError,
                       SequenceParams, bold_response, build_bold_timecourse, contrast_volume,
                       default_tissues, ellipsoid_roi, gre_contrast, load_phantom,
                       sphere_fits, synthetic_phantom)
 from .recon import (COMPLEX64_TOL_FLOOR, ReconConfig, ReconError, WaveletBasis,
                     adjoint_series, reconstruct_series)
-from .trajectories import (gen_epi_3d, gen_spiral, gen_stack_of_spirals,
-                           load_trajectory_file)
+from .trajectories import (SamplingPlan, TrajectoryError, gen_epi_3d, gen_spiral,
+                           gen_stack_of_spirals, load_trajectory_file)
 from .wavelets import WaveletError
 
 
@@ -121,10 +120,12 @@ def _check_phantom(cfg):
 @dataclass(frozen=True)
 class RunConfig:
     """A checked run config: ``raw``, the mapping saved and hashed, and the typed objects
-    built from it once; ``cs`` is the (WaveletBasis, ReconConfig) pair of a CS recon."""
+    built from it once: ``plan`` is the run's sampling plan, read from its file for an
+    external trajectory, and ``cs`` the (WaveletBasis, ReconConfig) pair of a CS recon."""
 
     raw: dict
     sequence: SequenceParams
+    plan: SamplingPlan
     paradigm: Paradigm
     noise: NoiseConfig
     cs: tuple | None
@@ -141,29 +142,13 @@ class RunConfig:
         for key, typ in (("dims", int), ("voxel_size_mm", _NUMBER)):
             if len(raw[key]) != 3 or not all(isinstance(v, typ) and v > 0 for v in raw[key]):
                 raise ConfigError(f"{key}: need 3 positive values, got {raw[key]}")
-        for key, value in (("n_frames", raw["n_frames"]), ("n_coils", raw["n_coils"]),
-                           ("trajectory.n_shots_per_frame", traj["n_shots_per_frame"])):
-            if value < 1:
-                raise ConfigError(f"{key}: need at least 1, got {value}")
+        for key in ("n_frames", "n_coils"):
+            if raw[key] < 1:
+                raise ConfigError(f"{key}: need at least 1, got {raw[key]}")
         if raw["seed"] < 0:
             raise ConfigError(f"seed: need a non-negative integer, got {raw['seed']}")
         if traj["kind"] == "external" and not traj["path"]:
             raise ConfigError("trajectory: the external kind requires a path")
-        if traj["kind"] == "epi3d" and traj["n_shots_per_frame"] > raw["dims"][2]:
-            raise ConfigError(f"trajectory.n_shots_per_frame: {traj['n_shots_per_frame']} "
-                              f"EPI planes > Nz = {raw['dims'][2]}")
-        if traj["kind"] == "stack_of_spirals":
-            # what gen_spiral and gen_stack_of_spirals would refuse
-            n, nz, fraction = traj["n_shots_per_frame"], raw["dims"][2], traj["center_fraction"]
-            if traj["spiral_samples"] < 2:
-                raise ConfigError(f"trajectory.spiral_samples: a spiral needs at least 2 "
-                                  f"samples, got {traj['spiral_samples']}")
-            if not 0 < fraction < 1:
-                raise ConfigError(f"trajectory.center_fraction: need 0 < center_fraction "
-                                  f"< 1, got {fraction}")
-            if not (n_center := math.ceil(fraction * nz)) <= n <= nz:
-                raise ConfigError(f"trajectory.n_shots_per_frame: {n} planes, need at least "
-                                  f"the {n_center} center planes and at most Nz = {nz}")
         _check_phantom(raw)
         if not (0 < analysis["p_threshold"] < 1
                 and 0 <= analysis["drift_order"] <= raw["n_frames"] - 2):
@@ -173,6 +158,10 @@ class RunConfig:
         try:
             sequence = SequenceParams(tr_shot=seq["tr_shot_ms"], te=seq["te_ms"],
                                       flip_angle=seq["flip_angle_deg"], t_obs=seq["t_obs_ms"])
+            # a TrajectoryError or FormatError is the plan's; _build_plan's
+            # ConfigError (a frame count) passes, as does an unreadable file
+            section = "trajectory"
+            plan = _build_plan(raw, sequence)
             section = "paradigm"
             paradigm = Paradigm.blocks(par["block_on_s"], par["block_off_s"],
                                        par["run_length_s"])
@@ -194,9 +183,10 @@ class RunConfig:
                       ReconConfig(strategy=recon["strategy"], max_iters=recon["max_iters"],
                                   tol=recon["tol"], mu_mode=recon["mu_mode"],
                                   mu_value=recon["mu_value"]))
-        except (PhantomError, EngineError, ReconError, WaveletError) as e:
+        except (PhantomError, EngineError, ReconError, WaveletError, TrajectoryError,
+                FormatError) as e:
             raise ConfigError(f"{section}: {e}") from e
-        return cls(raw, sequence, paradigm, noise, cs)
+        return cls(raw, sequence, plan, paradigm, noise, cs)
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.raw, sort_keys=True)
@@ -336,12 +326,11 @@ def _build_plan(cfg, seq):
         return gen_epi_3d(dims, seq, n_planes_per_volume=traj["n_shots_per_frame"],
                           n_frames=n_frames)
     if traj["kind"] == "stack_of_spirals":
-        spiral = gen_spiral(dims[:2], traj["spiral_samples"],
-                            n_turns=traj["spiral_turns"], in_out=True)
+        spiral = gen_spiral(dims[:2], traj["spiral_samples"], n_turns=traj["spiral_turns"])
         return gen_stack_of_spirals(
-            spiral, dims[2], center_fraction=traj["center_fraction"], dynamic=traj["dynamic"],
-            n_frames=n_frames, seed=cfg["seed"], tr_shot_s=seq.tr_shot_s,
-            t_obs_s=seq.t_obs_s, dims=dims,
+            spiral, dims[2], dims, center_fraction=traj["center_fraction"],
+            dynamic=traj["dynamic"], n_frames=n_frames, seed=cfg["seed"],
+            tr_shot_s=seq.tr_shot_s, t_obs_s=seq.t_obs_s,
             shots_per_frame=traj["n_shots_per_frame"])
     plan = load_trajectory_file(traj["path"], dims,
                                 shots_per_frame=traj["n_shots_per_frame"])
@@ -445,9 +434,8 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
                 config.cs[0].check_dims(cfg["dims"])
             except WaveletError as e:
                 raise ConfigError(f"recon: {e}") from e
-        seq = config.sequence
+        seq, plan = config.sequence, config.plan
         phantom, gm_index = _build_phantom(cfg)
-        plan = _build_plan(cfg, seq)
         design = build_design(config.paradigm, cfg["bold"]["hrf"], plan.n_frames,
                               plan.tr_vol, drift_order=cfg["analysis"]["drift_order"])
         h = build_bold_timecourse(config.paradigm, plan.shot_times, hrf=cfg["bold"]["hrf"])

@@ -124,7 +124,7 @@ def gen_epi_3d(dims, seq: SequenceParams, n_planes_per_volume=None,
     if n_planes_per_volume is None:
         n_planes_per_volume = nz
     if n_planes_per_volume > nz:
-        raise TrajectoryError(f"{n_planes_per_volume} planes > Nz={nz}")
+        raise TrajectoryError(f"{n_planes_per_volume} EPI planes > Nz = {nz}")
     kx = np.arange(nx) - nx // 2
     ky = np.arange(ny) - ny // 2
     all_kz = np.arange(nz) - nz // 2
@@ -147,22 +147,19 @@ def gen_epi_3d(dims, seq: SequenceParams, n_planes_per_volume=None,
 # Spirals
 
 
-def gen_spiral(dims_xy, n_samples, n_turns=4.0, in_out=True):
-    """Archimedean spiral sample points (2D, cycles/FOV).
+def gen_spiral(dims_xy, n_samples, n_turns=4.0):
+    """Archimedean in-out spiral sample points (2D, cycles/FOV).
 
-    in_out readouts traverse the reversed, point-symmetric half first,
-    pass through k=0 at the temporal center, then spiral out; the radius
-    grows linearly to k_max = (min(dims_xy) - 1) / 2, the largest that
-    keeps every sample inside the grid's band.
+    The readout traverses the reversed, point-symmetric half first,
+    passes through k=0 at the temporal center, then spirals out; the
+    radius grows linearly to k_max = (min(dims_xy) - 1) / 2, the largest
+    that keeps every sample inside the grid's band.
     """
     if n_samples < 2:
-        raise TrajectoryError("a spiral needs at least 2 samples")
+        raise TrajectoryError(f"a spiral needs at least 2 samples, got {n_samples}")
     k_max = (min(dims_xy) - 1) / 2
     theta_max = 2 * np.pi * n_turns
-    if in_out:
-        s = -1.0 + 2.0 * np.arange(n_samples) / (n_samples - 1)
-    else:
-        s = np.arange(n_samples) / (n_samples - 1)
+    s = -1.0 + 2.0 * np.arange(n_samples) / (n_samples - 1)
     r = k_max * np.abs(s)
     theta = theta_max * np.abs(s)
     pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
@@ -171,10 +168,9 @@ def gen_spiral(dims_xy, n_samples, n_turns=4.0, in_out=True):
     return pts
 
 
-def gen_stack_of_spirals(spiral, nz, af=1.0, center_fraction=0.1,
+def gen_stack_of_spirals(spiral, nz, dims, af=1.0, center_fraction=0.1,
                          dynamic=False, n_frames=1, seed=0, tr_shot_s=0.05,
-                         t_obs_s=0.025, dims=None,
-                         shots_per_frame=None) -> SamplingPlan:
+                         t_obs_s=0.025, shots_per_frame=None) -> SamplingPlan:
     """Stack the 2D spiral along kz with variable density plane selection.
 
     Per frame, ceil(center_fraction * nz) central planes are always
@@ -182,10 +178,11 @@ def gen_stack_of_spirals(spiral, nz, af=1.0, center_fraction=0.1,
     is filled from the outer region -- the same evenly strided set for
     every frame when static, a fresh seeded draw without replacement per
     frame when dynamic. ``shots_per_frame`` overrides the derived
-    per-frame plane budget (center planes always kept).
+    per-frame plane budget, which must keep the center planes and fit in
+    Nz.
     """
     if not (0 < center_fraction < 1):
-        raise TrajectoryError("center_fraction must be in (0, 1)")
+        raise TrajectoryError(f"need 0 < center_fraction < 1, got {center_fraction}")
     if af < 1:
         raise TrajectoryError("acceleration factor must be >= 1")
     spiral = np.asarray(spiral, dtype=np.float64)
@@ -195,16 +192,12 @@ def gen_stack_of_spirals(spiral, nz, af=1.0, center_fraction=0.1,
     center_kz = all_kz[center_order[:n_center]]
     outer_kz = all_kz[center_order[n_center:]]
 
-    if shots_per_frame is not None:
-        n_outer = shots_per_frame - n_center
-        if n_outer < 0:
-            raise TrajectoryError(
-                f"shots_per_frame={shots_per_frame} below {n_center} center planes"
-            )
-    else:
-        n_outer = max(0, int(round(nz / af)) - n_center)
-    if n_outer > len(outer_kz):
-        raise TrajectoryError(f"cannot select {n_outer} of {len(outer_kz)} outer planes")
+    if shots_per_frame is None:
+        shots_per_frame = max(n_center, int(round(nz / af)))
+    if not n_center <= shots_per_frame <= nz:
+        raise TrajectoryError(f"{shots_per_frame} planes a frame, need at least the "
+                              f"{n_center} center planes and at most Nz = {nz}")
+    n_outer = shots_per_frame - n_center
     if n_outer == 0 and len(outer_kz) > 0:
         import warnings
         warnings.warn("acceleration leaves zero outer planes: center-only plan")
@@ -213,7 +206,6 @@ def gen_stack_of_spirals(spiral, nz, af=1.0, center_fraction=0.1,
     shots = []
     times = _echo_centered_times(len(spiral), t_obs_s)
     planes = {kz: _plane_shot(spiral, kz, times) for kz in all_kz}
-    n_per_frame = n_center + n_outer
     if n_outer:
         stride_idx = np.round(np.linspace(0, len(outer_kz) - 1, n_outer)).astype(int)
         static_outer = outer_kz[stride_idx]
@@ -228,9 +220,7 @@ def gen_stack_of_spirals(spiral, nz, af=1.0, center_fraction=0.1,
         frame_kz = np.concatenate([center_kz, sel_outer])
         frame_kz = frame_kz[np.argsort(np.abs(frame_kz), kind="stable")]
         shots.extend(planes[kz] for kz in frame_kz)
-    if dims is None:
-        dims = (nz, nz, nz)
-    return SamplingPlan(shots=tuple(shots), shots_per_frame=n_per_frame,
+    return SamplingPlan(shots=tuple(shots), shots_per_frame=shots_per_frame,
                         tr_shot=tr_shot_s, kind="stack_of_spirals", dims=tuple(dims))
 
 
@@ -243,7 +233,7 @@ def save_trajectory_file(path, plan: SamplingPlan, dwell_time_us):
                         plan.tr_shot * 1e3)
 
 
-def load_trajectory_file(path, dims, shots_per_frame=None) -> SamplingPlan:
+def load_trajectory_file(path, dims, shots_per_frame) -> SamplingPlan:
     """Load an SNKT1 trajectory into a plan; timing from the dwell header.
 
     Shots whose (3D) points are bit-equal become one Shot, repeated in
@@ -264,7 +254,5 @@ def load_trajectory_file(path, dims, shots_per_frame=None) -> SamplingPlan:
             # which a view would keep alive for the plan's lifetime
             distinct[key] = Shot(points=pts.copy(), times=_echo_centered_times(len(pts), t_obs_s))
         shots.append(distinct[key])
-    if shots_per_frame is None:
-        shots_per_frame = len(shots)
     return SamplingPlan(shots=tuple(shots), shots_per_frame=shots_per_frame,
                         tr_shot=tr_shot_s, kind="external", dims=tuple(dims))

@@ -145,7 +145,7 @@ def test_trajectory_empty_refused(tmp_path, capsys, n_shots, samples):
     with pytest.raises(FormatError, match="empty trajectory"):
         read_trajectory(path)
     with pytest.raises(FormatError, match="empty trajectory"):
-        load_trajectory_file(path, (8, 8, 8))
+        load_trajectory_file(path, (8, 8, 8), shots_per_frame=1)
     assert cli_main(["traj", "inspect", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     with pytest.raises(FormatError, match="empty trajectory"):
@@ -224,7 +224,7 @@ def test_dataset_round_trip(tmp_path):
     for t in range(2):
         for l in range(2):
             for s in range(2):
-                np.testing.assert_array_equal(frames[t, l, 4 * s:4 * s + 4], blocks[i])
+                np.testing.assert_array_equal(frames[t][l, 4 * s:4 * s + 4], blocks[i])
                 i += 1
 
 

@@ -150,7 +150,8 @@ class TestDensityWeights:
         assert w.sum() == pytest.approx(len(pts))
 
     def test_spiral_linear_in_radius(self):
-        pts = gen_spiral((16, 16), 64, in_out=False)
+        # the outward half of an in-out spiral: 64 points from k = 0 out
+        pts = gen_spiral((16, 16), 127)[63:]
         w = radial_density_weights(pts)
         r = np.linalg.norm(pts, axis=1)
         nz = r > 0

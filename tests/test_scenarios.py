@@ -19,11 +19,25 @@ from snakesim import cli, engine, recon, scenarios
 from snakesim.analysis import SeriesSums, build_design
 from snakesim.cli import main as cli_main
 from snakesim.engine import NDFT, birdcage_coils
-from snakesim.io import read_dataset, read_volume, write_volume
+from snakesim.io import read_dataset, read_volume, write_trajectory, write_volume
 from snakesim.recon import COMPLEX64_TOL_FLOOR, adjoint_series, reconstruct_series
-from snakesim.scenarios import (ConfigError, RunConfig, RunManifest, _build_plan, preset,
+from snakesim.scenarios import (ConfigError, RunConfig, RunManifest, preset,
                                 run_pipeline)
 from snakesim.trajectories import gen_epi_3d, save_trajectory_file
+
+
+def _s3_trajectory(path, scale=1.0):
+    """Write to ``path`` an SNKT1 file of as many shots as s3_external at
+    ``scale`` acquires, n_frames x n_shots_per_frame by preset()'s
+    arithmetic, each one sample at k = 0, which is in band."""
+    n_shots, nz, run_length = 48, 181, scenarios.RUN_LENGTH_S
+    if scale != 1.0:
+        nz = max(8, 2 * round(nz * scale / 2))
+        n_shots = max(2, min(nz, int(round(n_shots * scale))))
+        run_length = max(80.0, run_length * scale)
+    n_frames = int(run_length // (n_shots * 50.0 * 1e-3))
+    write_trajectory(path, [np.zeros((1, 3))] * (n_frames * n_shots), 10.0, 50.0)
+    return str(path)
 
 
 def _base_config(**overrides):
@@ -104,8 +118,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("name", ["s1_epi", "s2_sos_static", "s2_sos_dynamic",
                                       "s3_external"])
-    def test_every_nested_key_of_every_preset_is_required(self, name):
-        raw = preset(name, trajectory_path="traj.snkt").raw
+    def test_every_nested_key_of_every_preset_is_required(self, name, tmp_path):
+        raw = preset(name, trajectory_path=_s3_trajectory(tmp_path / "traj.snkt")).raw
         nested = [(section, key) for section, value in raw.items()
                   if isinstance(value, dict) for key in value]
         assert len(nested) >= 25
@@ -202,6 +216,19 @@ def test_invalid_config_rejected_before_acquisition(probe, tmp_path, capsys):
     assert not (out / "kspace.snkd").exists()
 
 
+def _assert_refused_before_the_run_dir(cfg, error, message, tmp_path, capsys):
+    """from_dict refuses ``cfg`` with ``error`` matching ``message``, and
+    snake run on it exits 2, prints the message and makes no run directory."""
+    with pytest.raises(error, match=message):
+        RunConfig.from_dict(cfg)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "run"
+    assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _assert_design_accepted(config):
     cfg = config.raw
     tr_vol = cfg["trajectory"]["n_shots_per_frame"] * config.sequence.tr_shot_s
@@ -232,9 +259,7 @@ class TestPresets:
         assert cfg["trajectory"]["dynamic"] == (name == "s2_sos_dynamic")
 
     def test_s3_parameters(self, tmp_path):
-        path = tmp_path / "traj.snkt"
-        path.write_bytes(b"")
-        cfg = preset("s3_external", trajectory_path=str(path)).raw
+        cfg = preset("s3_external", trajectory_path=_s3_trajectory(tmp_path / "traj.snkt")).raw
         assert cfg["dims"] == [181, 217, 181]
         assert cfg["n_coils"] == 32
         assert cfg["trajectory"]["n_shots_per_frame"] == 48
@@ -254,10 +279,11 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", sorted(scenarios._PRESETS))
     @pytest.mark.parametrize("scale", [1.0, 0.5, 0.25, 0.15, 0.1])
-    def test_preset_design_accepted(self, name, scale):
+    def test_preset_design_accepted(self, name, scale, tmp_path):
         """Every preset's design passes the Gram matrix check (cond(X^T X)
         measured 10-15, the limit 4.5e12)."""
-        _assert_design_accepted(preset(name, scale, trajectory_path="plan.snkt"))
+        path = _s3_trajectory(tmp_path / "plan.snkt", scale)
+        _assert_design_accepted(preset(name, scale, trajectory_path=path))
 
     @pytest.mark.parametrize("workload", ["epi_acq", "sos_static_cs", "sos_dynamic_t2s_warm",
                                           "tiny_epi", "tiny_cs_refined"])
@@ -348,10 +374,9 @@ class TestRunPipeline:
         assert a.checksums["kspace.snkd"] != b.checksums["kspace.snkd"]
 
     def test_stage_failure_recorded(self, tmp_path):
-        cfg = _tiny_config().raw
-        cfg = json.loads(json.dumps(cfg))
-        cfg["trajectory"]["kind"] = "external"
-        cfg["trajectory"]["path"] = str(tmp_path / "missing.snkt")
+        cfg = json.loads(json.dumps(_tiny_config().raw))
+        # an empty ROI, which the acquisition stage refuses
+        cfg["phantom"]["gm_sphere_radius_frac"] = 0.1
         config = RunConfig.from_dict(cfg)
         manifest = run_pipeline(config, tmp_path / "run")
         assert manifest.failed_stage == "acquisition"
@@ -388,18 +413,36 @@ class TestRunPipeline:
         assert sorted(f.name for f in out.iterdir()) == [
             "config.yaml", "kspace.snkd.partial", "manifest.json", "notes.txt"]
 
-    def test_external_plan_frame_count_must_match(self, tmp_path):
+    def test_external_plan_frame_count_must_match(self, tmp_path, capsys):
+        """An external plan's file is read when the config is built: one of
+        another frame count than the config's is refused by from_dict, and
+        snake run exits 2 before its run directory exists."""
         config = _tiny_config()
-        seq = config.sequence
         path = tmp_path / "two_frames.snkt"
-        save_trajectory_file(path, gen_epi_3d((8, 8, 8), seq, n_frames=2), dwell_time_us=10.0)
+        save_trajectory_file(path, gen_epi_3d((8, 8, 8), config.sequence, n_frames=2),
+                             dwell_time_us=10.0)
         cfg = json.loads(json.dumps(config.raw))
         cfg["trajectory"].update(kind="external", path=str(path))
         cfg["n_frames"] = 3
-        manifest = run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
-        assert manifest.failed_stage == "acquisition"
-        assert "2 frames" in manifest.error and "n_frames is 3" in manifest.error
-        assert not (tmp_path / "run" / "kspace.snkd").exists()
+        _assert_refused_before_the_run_dir(
+            cfg, ConfigError, "holds 2 frames of 8 shots, the config's n_frames is 3",
+            tmp_path, capsys)
+
+    def test_external_plan_file_missing(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(_tiny_config().raw))
+        cfg["trajectory"].update(kind="external", path=str(tmp_path / "missing.snkt"))
+        _assert_refused_before_the_run_dir(cfg, FileNotFoundError, "missing.snkt",
+                                           tmp_path, capsys)
+
+    def test_acquisition_takes_the_configs_plan(self, tmp_path, monkeypatch):
+        """The plan run_acquisition samples is the one from_dict built."""
+        config, plans = _tiny_config(), []
+        acquire = scenarios.run_acquisition
+        monkeypatch.setattr(scenarios, "run_acquisition",
+                            lambda phantom, plan, *a, **kw: plans.append(plan)
+                            or acquire(phantom, plan, *a, **kw))
+        assert run_pipeline(config, tmp_path / "run").failed_stage is None
+        assert len(plans) == 1 and plans[0] is config.plan
 
     @pytest.mark.parametrize("frac", [-0.2, 0.0, 0.1])
     def test_empty_roi_fails_before_the_sink(self, frac, tmp_path):
@@ -564,7 +607,7 @@ class TestRunPipeline:
         cfg["recon"].update(max_iters=2)
         config = RunConfig.from_dict(cfg)
         assert run_pipeline(config, tmp_path / "run").failed_stage is None
-        plan = _build_plan(cfg, config.sequence)
+        plan = config.plan
         once = sum(n == 1 for n in Counter(plan.shots).values())
         runs = 1 + sum(plan.frame(t) != plan.frame(t - 1) for t in range(1, 6))
         return built, once, runs
@@ -701,7 +744,7 @@ class TestRunPipeline:
         config = RunConfig.from_dict(cfg)
         out = tmp_path / "run"
         assert run_pipeline(config, out).failed_stage is None
-        plan = _build_plan(cfg, config.sequence)
+        plan = config.plan
         coils = birdcage_coils(tuple(cfg["dims"]), cfg["n_coils"])
         _, kdata = read_dataset(out / "kspace.snkd")
         if method == "adjoint":
@@ -896,8 +939,8 @@ class TestCli:
 
     def test_run_stage_failure_exit_3(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(_tiny_config().raw))
-        cfg["trajectory"]["kind"] = "external"
-        cfg["trajectory"]["path"] = str(tmp_path / "missing.snkt")
+        # an empty ROI, which the acquisition stage refuses
+        cfg["phantom"]["gm_sphere_radius_frac"] = 0.1
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(yaml.safe_dump(cfg))
         assert cli_main(["run", str(cfg_path),
@@ -921,7 +964,7 @@ class TestCli:
         ({"phantom": {"kind": "files", "files": ["gm.snkv"],
                       "tissues": ["WM", "GM"]}}, "1 files for 2 tissues"),
         ({"phantom": {"kind": "synthetic", "gm_sphere_radius_frac": 0.8}}, "does not fit"),
-        ({"trajectory": {"n_shots_per_frame": 9}}, "9 EPI planes > Nz = 8")])
+        ({"trajectory": {"n_shots_per_frame": 9}}, "trajectory: 9 EPI planes > Nz = 8")])
     def test_run_unbuildable_phantom_or_plan_exit_2_before_acquisition(
             self, change, message, tmp_path, capsys):
         """Configs the phantom and plan builders would refuse exit 2 before
@@ -929,38 +972,24 @@ class TestCli:
         cfg = json.loads(json.dumps(_tiny_config().raw))
         for section, values in change.items():
             cfg[section] = {**cfg[section], **values} if section != "phantom" else values
-        with pytest.raises(ConfigError, match=message):
-            RunConfig.from_dict(cfg)
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml.safe_dump(cfg))
-        out = tmp_path / "run"
-        assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+        _assert_refused_before_the_run_dir(cfg, ConfigError, message, tmp_path, capsys)
 
     @pytest.mark.parametrize("key, value, message", [
-        ("center_fraction", 1.5, "trajectory.center_fraction: need 0 < center_fraction < 1"),
-        ("spiral_samples", 1, "trajectory.spiral_samples: a spiral needs at least 2"),
-        ("center_fraction", 0.5, "trajectory.n_shots_per_frame: 2 planes, need at least "
-                                 "the 4 center planes"),
-        ("n_shots_per_frame", 9, "trajectory.n_shots_per_frame: 9 planes, need at least "
-                                 "the 1 center planes and at most Nz = 8")])
+        ("center_fraction", 1.5, "trajectory: need 0 < center_fraction < 1, got 1.5"),
+        ("spiral_samples", 1, "trajectory: a spiral needs at least 2 samples, got 1"),
+        ("center_fraction", 0.5, "trajectory: 2 planes a frame, need at least the 4 "
+                                 "center planes"),
+        ("n_shots_per_frame", 9, "trajectory: 9 planes a frame, need at least the 1 "
+                                 "center planes and at most Nz = 8")])
     def test_run_unbuildable_stack_exit_2_before_the_run_dir(self, key, value, message,
                                                              tmp_path, capsys):
-        """Stack-of-spirals values the plan builder would refuse, on
-        s2_sos_static at scale 0.15 (dims 8x10x8, 2 planes a frame), fail
-        in from_dict, naming the key: snake run exits 2 and makes no run
-        directory, where the run used to fail in its acquisition stage."""
+        """Stack-of-spirals values the plan builders refuse, on s2_sos_static
+        at scale 0.15 (dims 8x10x8, 2 planes a frame), fail in from_dict,
+        which builds the plan, with the builder's message: snake run exits 2
+        and makes no run directory."""
         cfg = json.loads(json.dumps(preset("s2_sos_static", scale=0.15).raw))
         cfg["trajectory"][key] = value
-        with pytest.raises(ConfigError, match=message):
-            RunConfig.from_dict(cfg)
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml.safe_dump(cfg))
-        out = tmp_path / "run"
-        assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+        _assert_refused_before_the_run_dir(cfg, ConfigError, message, tmp_path, capsys)
 
     def test_run_scale_on_config_file_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

@@ -63,17 +63,17 @@ class TestEpi3d:
 
 class TestSpiral:
     def test_two_sample_endpoints(self):
-        pts = gen_spiral((8, 8), 2, in_out=True)
+        pts = gen_spiral((8, 8), 2)
         k_max = 3.5
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), k_max)
         np.testing.assert_allclose(pts[0], -pts[1], atol=1e-12)
 
     def test_center_sample_at_origin(self):
-        pts = gen_spiral((16, 16), 33, in_out=True)
+        pts = gen_spiral((16, 16), 33)
         np.testing.assert_allclose(pts[16], [0.0, 0.0], atol=1e-12)
 
     def test_radius_bound_and_peak(self):
-        pts = gen_spiral((16, 16), 101, n_turns=3, in_out=True)
+        pts = gen_spiral((16, 16), 101, n_turns=3)
         r = np.linalg.norm(pts, axis=1)
         k_max = (16 - 1) / 2
         assert np.all(r <= k_max + 1e-9)
@@ -82,7 +82,7 @@ class TestSpiral:
     def test_analytic_radius(self):
         # closed form: r = k_max * |s| with s linear in the sample index
         n = 51
-        pts = gen_spiral((12, 12), n, in_out=True)
+        pts = gen_spiral((12, 12), n)
         s = np.abs(-1 + 2 * np.arange(n) / (n - 1))
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 5.5 * s,
                                    atol=1e-9)
@@ -90,7 +90,7 @@ class TestSpiral:
 
 class TestStackOfSpirals:
     def _spiral(self):
-        return gen_spiral((16, 16), 32, in_out=True)
+        return gen_spiral((16, 16), 32)
 
     def test_af_one_covers_all_planes(self):
         plan = gen_stack_of_spirals(self._spiral(), nz=16, af=1.0,
@@ -159,7 +159,7 @@ class TestExternal:
         plan = gen_epi_3d((4, 4, 4), _seq())
         path = tmp_path / "epi.snkt"
         save_trajectory_file(path, plan, dwell_time_us=10.0)
-        back = load_trajectory_file(path, (4, 4, 4))
+        back = load_trajectory_file(path, (4, 4, 4), shots_per_frame=4)
         assert len(back.shots) == len(plan.shots)
         for s, (a, b) in enumerate(zip(plan.shots, back.shots)):
             np.testing.assert_allclose(a.points, b.points, atol=1e-6)
@@ -170,7 +170,7 @@ class TestExternal:
                for i in range(48)]
         path = tmp_path / "s3.snkt"
         write_trajectory(path, pts, dwell_time_us=10.0, tr_shot_ms=50.0)
-        plan = load_trajectory_file(path, (16, 16, 16))
+        plan = load_trajectory_file(path, (16, 16, 16), shots_per_frame=48)
         assert plan.shots_per_frame == 48
         assert plan.tr_vol == pytest.approx(2.4)
 
@@ -180,7 +180,7 @@ class TestExternal:
         pts = [np.full((4, 3), float(i % 2)) for i in range(6)]
         path = tmp_path / "two.snkt"
         write_trajectory(path, pts, dwell_time_us=10.0, tr_shot_ms=50.0)
-        plan = load_trajectory_file(path, (8, 8, 8))
+        plan = load_trajectory_file(path, (8, 8, 8), shots_per_frame=6)
         assert len(set(plan.shots)) == 2
         assert all(shot.points.base is None for shot in plan.shots)
 
@@ -189,7 +189,7 @@ class TestExternal:
         xy = gen_spiral((8, 8), 16)
         path = tmp_path / "spiral2d.snkt"
         write_trajectory(path, [xy], dwell_time_us=10.0, tr_shot_ms=50.0)
-        points = load_trajectory_file(path, (8, 8, 8)).shots[0].points
+        points = load_trajectory_file(path, (8, 8, 8), shots_per_frame=1).shots[0].points
         assert points.shape == (16, 3)
         # SNKT1 stores float32
         assert points[:, :2].tobytes() == xy.astype(np.float32).astype(np.float64).tobytes()
@@ -201,14 +201,14 @@ class TestExternal:
         path = tmp_path / "bad.snkt"
         write_trajectory(path, [bad], 10.0, 50.0)
         with pytest.raises(TrajectoryError, match="sample 2"):
-            load_trajectory_file(path, (4, 4, 4))
+            load_trajectory_file(path, (4, 4, 4), shots_per_frame=1)
 
     def test_timing_from_dwell(self, tmp_path):
         pts = [np.zeros((10, 3))]
         pts[0][:, 0] = np.linspace(-2, 1.9, 10)
         path = tmp_path / "t.snkt"
         write_trajectory(path, pts, dwell_time_us=100.0, tr_shot_ms=50.0)
-        plan = load_trajectory_file(path, (8, 8, 8))
+        plan = load_trajectory_file(path, (8, 8, 8), shots_per_frame=1)
         times = plan.shots[0].times
         # sample count x dwell = T_obs within one dwell
         assert times[-1] - times[0] == pytest.approx(10 * 100e-6, abs=100e-6)
@@ -300,14 +300,14 @@ class TestShotIdentity:
         path = tmp_path / "bits.snkt"
         write_trajectory(path, [pts, pts.copy(), moved, zero_sign, np.zeros((5, 3)), pts],
                          dwell_time_us=10.0, tr_shot_ms=50.0)
-        plan = load_trajectory_file(path, (4, 4, 4))
+        plan = load_trajectory_file(path, (4, 4, 4), shots_per_frame=6)
         assert list(Counter(plan.shots).items()) == [
             (plan.shots[0], 3), (plan.shots[2], 1), (plan.shots[3], 1), (plan.shots[4], 1)]
         assert plan.shots[0] is plan.shots[1] is plan.shots[5]
         np.testing.assert_array_equal(plan.shots[2].points, moved)
         assert np.signbit(plan.shots[3].points[0, 0])
         write_trajectory(path, [pts], dwell_time_us=10.5, tr_shot_ms=50.0)
-        shifted = load_trajectory_file(path, (4, 4, 4)).shots[0]
+        shifted = load_trajectory_file(path, (4, 4, 4), shots_per_frame=1).shots[0]
         assert shifted.points.tobytes() == plan.shots[0].points.tobytes()
         assert not np.array_equal(shifted.times, plan.shots[0].times)
         assert list(Counter([plan.shots[0], shifted]).values()) == [1, 1]
