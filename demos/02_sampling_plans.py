@@ -36,7 +36,7 @@ print("sample times span", epi.shots[0].times[0], "to",
 # acceleration 2 and a 12.5% fully sampled center, each frame carries
 # 2 center planes plus 6 outer planes.
 spiral = gen_spiral(dims[:2], 128, n_turns=4.0)
-sos = gen_stack_of_spirals(spiral, dims[2], af=2.0, center_fraction=0.125,
+sos = gen_stack_of_spirals(spiral, af=2.0, center_fraction=0.125,
                            dynamic=True, n_frames=3, seed=7,
                            tr_shot_s=seq.tr_shot_s, t_obs_s=seq.t_obs_s,
                            dims=dims)
@@ -52,7 +52,8 @@ for t in range(sos.n_frames):
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "sos.snkt"
     save_trajectory_file(path, sos, dwell_time_us=10.0)
-    again = load_trajectory_file(path, dims, shots_per_frame=sos.shots_per_frame)
+    again = load_trajectory_file(path, dims, shots_per_frame=sos.shots_per_frame,
+                                 n_frames=sos.n_frames)
     same = all(np.array_equal(a.points.astype(np.float32), b.points)
                for a, b in zip(sos.shots, again.shots))
     print("file round trip exact at f32:", same)

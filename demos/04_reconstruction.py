@@ -37,7 +37,7 @@ phantom = synthetic_phantom(dims, [((8.0, 8.0, 8.0), 6.5, 0),
                             tissues=default_tissues(("WM", "GM")))
 seq = SequenceParams(tr_shot=50.0, te=25.0, flip_angle=12.0, t_obs=30.0)
 spiral = gen_spiral(dims[:2], 128)
-plan = gen_stack_of_spirals(spiral, dims[2], af=2.0, center_fraction=0.125,
+plan = gen_stack_of_spirals(spiral, af=2.0, center_fraction=0.125,
                             dynamic=True, n_frames=6, seed=3,
                             tr_shot_s=seq.tr_shot_s, t_obs_s=seq.t_obs_s,
                             dims=dims)

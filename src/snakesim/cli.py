@@ -138,9 +138,9 @@ def _cmd_traj_gen(args):
     else:
         spiral = gen_spiral(dims[:2], args.spiral_samples)
         plan = gen_stack_of_spirals(
-            spiral, dims[2], af=args.af, center_fraction=args.center_fraction,
+            spiral, dims, af=args.af, center_fraction=args.center_fraction,
             dynamic=False, n_frames=1, seed=args.seed,
-            tr_shot_s=seq.tr_shot_s, t_obs_s=seq.t_obs_s, dims=dims)
+            tr_shot_s=seq.tr_shot_s, t_obs_s=seq.t_obs_s)
     save_trajectory_file(args.out, plan, dwell_time_us=args.dwell_us)
     print(f"wrote {args.out}: {len(plan.shots)} shots, "
           f"{plan.shots[0].points.shape[0]} samples/shot")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
+import functools
 import hashlib
 import resource
 import time
@@ -120,15 +121,24 @@ def _check_phantom(cfg):
 @dataclass(frozen=True)
 class RunConfig:
     """A checked run config: ``raw``, the mapping saved and hashed, and the typed objects
-    built from it once: ``plan`` is the run's sampling plan, read from its file for an
-    external trajectory, and ``cs`` the (WaveletBasis, ReconConfig) pair of a CS recon."""
+    built from it once; ``cs`` is the (WaveletBasis, ReconConfig) pair of a CS recon."""
 
     raw: dict
     sequence: SequenceParams
-    plan: SamplingPlan
     paradigm: Paradigm
     noise: NoiseConfig
     cs: tuple | None
+
+    @functools.cached_property
+    def plan(self) -> SamplingPlan:
+        """The run's sampling plan, built on first use and kept: its builders
+        hold its rules, and their refusals, an external file's included, raise
+        ``ConfigError("trajectory: ...")``. ``run_pipeline`` reads it before
+        it makes the output directory."""
+        try:
+            return _build_plan(self.raw, self.sequence)
+        except (TrajectoryError, FormatError, OSError) as e:
+            raise ConfigError(f"trajectory: {e}") from e
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -158,10 +168,6 @@ class RunConfig:
         try:
             sequence = SequenceParams(tr_shot=seq["tr_shot_ms"], te=seq["te_ms"],
                                       flip_angle=seq["flip_angle_deg"], t_obs=seq["t_obs_ms"])
-            # a TrajectoryError or FormatError is the plan's; _build_plan's
-            # ConfigError (a frame count) passes, as does an unreadable file
-            section = "trajectory"
-            plan = _build_plan(raw, sequence)
             section = "paradigm"
             paradigm = Paradigm.blocks(par["block_on_s"], par["block_off_s"],
                                        par["run_length_s"])
@@ -183,10 +189,9 @@ class RunConfig:
                       ReconConfig(strategy=recon["strategy"], max_iters=recon["max_iters"],
                                   tol=recon["tol"], mu_mode=recon["mu_mode"],
                                   mu_value=recon["mu_value"]))
-        except (PhantomError, EngineError, ReconError, WaveletError, TrajectoryError,
-                FormatError) as e:
+        except (PhantomError, EngineError, ReconError, WaveletError) as e:
             raise ConfigError(f"{section}: {e}") from e
-        return cls(raw, sequence, plan, paradigm, noise, cs)
+        return cls(raw, sequence, paradigm, noise, cs)
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.raw, sort_keys=True)
@@ -328,16 +333,10 @@ def _build_plan(cfg, seq):
     if traj["kind"] == "stack_of_spirals":
         spiral = gen_spiral(dims[:2], traj["spiral_samples"], n_turns=traj["spiral_turns"])
         return gen_stack_of_spirals(
-            spiral, dims[2], dims, center_fraction=traj["center_fraction"],
-            dynamic=traj["dynamic"], n_frames=n_frames, seed=cfg["seed"],
-            tr_shot_s=seq.tr_shot_s, t_obs_s=seq.t_obs_s,
-            shots_per_frame=traj["n_shots_per_frame"])
-    plan = load_trajectory_file(traj["path"], dims,
-                                shots_per_frame=traj["n_shots_per_frame"])
-    if plan.n_frames != n_frames:
-        raise ConfigError(f"{traj['path']} holds {plan.n_frames} frames of "
-                          f"{plan.shots_per_frame} shots, the config's n_frames is {n_frames}")
-    return plan
+            spiral, dims, center_fraction=traj["center_fraction"], dynamic=traj["dynamic"],
+            n_frames=n_frames, seed=cfg["seed"], tr_shot_s=seq.tr_shot_s,
+            t_obs_s=seq.t_obs_s, shots_per_frame=traj["n_shots_per_frame"])
+    return load_trajectory_file(traj["path"], dims, traj["n_shots_per_frame"], n_frames)
 
 
 @dataclass
@@ -410,8 +409,10 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     downstream stages are skipped. Before the first stage the files of
     ``_RUN_FILES`` are removed from ``out_dir``, and no others, so the
     directory holds no output of an earlier run beside this one's.
+    A plan its builders refuse raises ``ConfigError`` before ``out_dir``
+    is made.
     """
-    cfg = config.raw
+    cfg, plan = config.raw, config.plan
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for pattern in _RUN_FILES:
@@ -434,7 +435,7 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
                 config.cs[0].check_dims(cfg["dims"])
             except WaveletError as e:
                 raise ConfigError(f"recon: {e}") from e
-        seq, plan = config.sequence, config.plan
+        seq = config.sequence
         phantom, gm_index = _build_phantom(cfg)
         design = build_design(config.paradigm, cfg["bold"]["hrf"], plan.n_frames,
                               plan.tr_vol, drift_order=cfg["analysis"]["drift_order"])

@@ -168,10 +168,11 @@ def gen_spiral(dims_xy, n_samples, n_turns=4.0):
     return pts
 
 
-def gen_stack_of_spirals(spiral, nz, dims, af=1.0, center_fraction=0.1,
+def gen_stack_of_spirals(spiral, dims, af=1.0, center_fraction=0.1,
                          dynamic=False, n_frames=1, seed=0, tr_shot_s=0.05,
                          t_obs_s=0.025, shots_per_frame=None) -> SamplingPlan:
-    """Stack the 2D spiral along kz with variable density plane selection.
+    """Stack the 2D spiral along the nz = dims[2] kz planes with variable
+    density plane selection.
 
     Per frame, ceil(center_fraction * nz) central planes are always
     acquired; the remaining budget of the round(nz / af) per-frame planes
@@ -186,6 +187,7 @@ def gen_stack_of_spirals(spiral, nz, dims, af=1.0, center_fraction=0.1,
     if af < 1:
         raise TrajectoryError("acceleration factor must be >= 1")
     spiral = np.asarray(spiral, dtype=np.float64)
+    nz = dims[2]
     all_kz = np.arange(nz) - nz // 2
     center_order = np.argsort(np.abs(all_kz), kind="stable")
     n_center = math.ceil(center_fraction * nz)
@@ -233,14 +235,19 @@ def save_trajectory_file(path, plan: SamplingPlan, dwell_time_us):
                         plan.tr_shot * 1e3)
 
 
-def load_trajectory_file(path, dims, shots_per_frame) -> SamplingPlan:
-    """Load an SNKT1 trajectory into a plan; timing from the dwell header.
+def load_trajectory_file(path, dims, shots_per_frame, n_frames) -> SamplingPlan:
+    """Load an SNKT1 trajectory of exactly n_frames x shots_per_frame
+    shots into a plan; timing from the dwell header.
 
     Shots whose (3D) points are bit-equal become one Shot, repeated in
     the plan; every shot of a file has the same sample count and so the
     same times.
     """
     shots_pts, dwell_us, tr_ms = io.read_trajectory(path)
+    if len(shots_pts) != n_frames * shots_per_frame:
+        raise TrajectoryError(f"{path}: {len(shots_pts)} shots, need n_frames x "
+                              f"n_shots_per_frame = {n_frames} x {shots_per_frame} = "
+                              f"{n_frames * shots_per_frame}")
     tr_shot_s = tr_ms * 1e-3
     distinct, shots = {}, []
     for pts in shots_pts:

@@ -302,7 +302,7 @@ def test_criterion_11_strategy_ordering():
     seq = _seq(t_obs=30.0)
     spiral = gen_spiral(dims[:2], 128)
     n_frames = 200
-    plan = gen_stack_of_spirals(spiral, dims[2], af=2.0, center_fraction=0.125,
+    plan = gen_stack_of_spirals(spiral, af=2.0, center_fraction=0.125,
                                 dynamic=True, n_frames=n_frames, seed=21,
                                 tr_shot_s=seq.tr_shot_s, t_obs_s=seq.t_obs_s,
                                 dims=dims)
@@ -343,7 +343,7 @@ def test_criterion_12_t2s_trend():
     for t_obs in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
         seq = _seq(t_obs=t_obs)
         spiral = gen_spiral(dims[:2], 256)
-        plan = gen_stack_of_spirals(spiral, dims[2], af=1.0,
+        plan = gen_stack_of_spirals(spiral, af=1.0,
                                     tr_shot_s=seq.tr_shot_s,
                                     t_obs_s=seq.t_obs_s, dims=dims)
         mu = gre_contrast(phantom, seq)

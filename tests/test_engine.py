@@ -954,7 +954,7 @@ def _plan(kind, dims, seq):
     if kind == "epi":
         return gen_epi_3d(dims, seq, n_frames=3)
     if kind in ("sos_static", "sos_dynamic"):
-        return gen_stack_of_spirals(spiral, dims[2], af=2.0, dynamic=kind == "sos_dynamic",
+        return gen_stack_of_spirals(spiral, af=2.0, dynamic=kind == "sos_dynamic",
                                     n_frames=3, seed=4, tr_shot_s=seq.tr_shot_s,
                                     t_obs_s=seq.t_obs_s, dims=dims)
     return _off_grid_plan(dims, seq)
@@ -1098,7 +1098,7 @@ class TestAffineAcquisition:
         plan = gen_epi_3d(dims, seq, n_frames=3)
         path = tmp_path / "epi.snkt"
         save_trajectory_file(path, plan, dwell_time_us=10.0)
-        back = load_trajectory_file(path, dims, shots_per_frame=22)
+        back = load_trajectory_file(path, dims, shots_per_frame=22, n_frames=3)
         assert len(back.shots) == 66 and len(set(back.shots)) == 22
         ph, bold = _bold_phantom(dims, plan)
         coils = birdcage_coils(dims, 2)

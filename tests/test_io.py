@@ -145,7 +145,7 @@ def test_trajectory_empty_refused(tmp_path, capsys, n_shots, samples):
     with pytest.raises(FormatError, match="empty trajectory"):
         read_trajectory(path)
     with pytest.raises(FormatError, match="empty trajectory"):
-        load_trajectory_file(path, (8, 8, 8), shots_per_frame=1)
+        load_trajectory_file(path, (8, 8, 8), shots_per_frame=1, n_frames=1)
     assert cli_main(["traj", "inspect", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     with pytest.raises(FormatError, match="empty trajectory"):

@@ -69,7 +69,7 @@ class TestAdjointRecon:
             shots = gen_epi_3d(dims, _seq()).frame(0)
         elif kind == "sos":
             sp = gen_spiral((4, 4), 8)
-            shots = gen_stack_of_spirals(sp, 4, af=2.0, center_fraction=0.3,
+            shots = gen_stack_of_spirals(sp, af=2.0, center_fraction=0.3,
                                          dims=dims).frame(0)
         else:
             from snakesim.trajectories import Shot
@@ -176,7 +176,7 @@ class TestAdjointPrecision:
         if path == "fft":
             shots = gen_epi_3d(self.DIMS, _seq(), n_planes_per_volume=5).frame(0)
         elif path == "stack":
-            shots = gen_stack_of_spirals(gen_spiral(self.DIMS[:2], 32), self.DIMS[2], af=2.0,
+            shots = gen_stack_of_spirals(gen_spiral(self.DIMS[:2], 32), af=2.0,
                                          center_fraction=0.3, dims=self.DIMS).frame(0)
         else:
             shots = (Shot(points=rng.uniform(-5, 4.9, (200, 3)),
@@ -231,7 +231,7 @@ class TestCsPrecision:
         """(plan, complex128 coils, complex64 frame 0) of a noisy
         stack-of-spirals acquisition."""
         from snakesim.engine import NoiseConfig, run_acquisition
-        plan = gen_stack_of_spirals(gen_spiral(self.DIMS[:2], 64), self.DIMS[2], af=2.0,
+        plan = gen_stack_of_spirals(gen_spiral(self.DIMS[:2], 64), af=2.0,
                                     center_fraction=0.25, dims=self.DIMS,
                                     tr_shot_s=0.05, t_obs_s=0.025)
         phantom = synthetic_phantom(self.DIMS, [((8, 8, 8), 6, 0), ((8, 6, 8), 2.5, 1)])
@@ -273,7 +273,7 @@ class TestCsPrecision:
         array to complex128 under NEP 50."""
         from snakesim.engine import run_acquisition
         from snakesim.io import read_dataset
-        plan = gen_stack_of_spirals(gen_spiral(self.DIMS[:2], 64), self.DIMS[2], af=2.0,
+        plan = gen_stack_of_spirals(gen_spiral(self.DIMS[:2], 64), af=2.0,
                                     center_fraction=0.25, dynamic=True, n_frames=3, seed=2,
                                     dims=self.DIMS, tr_shot_s=0.05, t_obs_s=0.025)
         coils = birdcage_coils(self.DIMS, 2)
@@ -305,7 +305,7 @@ class TestCsPrecision:
         from snakesim.engine import run_acquisition
         from snakesim.io import read_dataset
         dims = (8, 8, 8)
-        plan = gen_stack_of_spirals(gen_spiral(dims[:2], 24), dims[2], af=2.0,
+        plan = gen_stack_of_spirals(gen_spiral(dims[:2], 24), af=2.0,
                                     center_fraction=0.25, dynamic=True, n_frames=3, seed=1,
                                     dims=dims, tr_shot_s=0.05, t_obs_s=0.025)
         phantom = synthetic_phantom(dims, [((4, 4, 4), 2, 1)])
@@ -369,7 +369,7 @@ class TestSolver:
         mu_t = gre_contrast(ph, _seq())
         vol = contrast_volume(ph, mu_t)
         sp = gen_spiral((8, 8), 24)
-        plan = gen_stack_of_spirals(sp, 8, af=2.0, center_fraction=0.15,
+        plan = gen_stack_of_spirals(sp, af=2.0, center_fraction=0.15,
                                     dims=dims)
         coils = birdcage_coils(dims, 1)
         frame = _frame_data(vol, plan.frame(0), coils)
@@ -453,7 +453,7 @@ class TestSeries:
         rng = np.random.default_rng(seed)
         dims = (8, 8, 8)
         sp = gen_spiral((8, 8), 16)
-        plan = gen_stack_of_spirals(sp, 8, af=2.0, center_fraction=0.15,
+        plan = gen_stack_of_spirals(sp, af=2.0, center_fraction=0.15,
                                     dynamic=dynamic, n_frames=n_frames, seed=seed,
                                     dims=dims)
         coils = birdcage_coils(dims, 2)
@@ -707,7 +707,7 @@ class TestFrameBatches:
         """A FrameOperator on the ``kind`` NDFT path, its maps in dtype."""
         rng = np.random.default_rng(4)
         if kind == "stack":
-            plan = gen_stack_of_spirals(gen_spiral(dims[:2], 64), dims[2], af=4.0,
+            plan = gen_stack_of_spirals(gen_spiral(dims[:2], 64), af=4.0,
                                         center_fraction=0.25, dims=dims)
             shots = plan.frame(0)
         elif kind == "fft":

@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -19,25 +20,11 @@ from snakesim import cli, engine, recon, scenarios
 from snakesim.analysis import SeriesSums, build_design
 from snakesim.cli import main as cli_main
 from snakesim.engine import NDFT, birdcage_coils
-from snakesim.io import read_dataset, read_volume, write_trajectory, write_volume
+from snakesim.io import read_dataset, read_volume, write_volume
 from snakesim.recon import COMPLEX64_TOL_FLOOR, adjoint_series, reconstruct_series
 from snakesim.scenarios import (ConfigError, RunConfig, RunManifest, preset,
                                 run_pipeline)
 from snakesim.trajectories import gen_epi_3d, save_trajectory_file
-
-
-def _s3_trajectory(path, scale=1.0):
-    """Write to ``path`` an SNKT1 file of as many shots as s3_external at
-    ``scale`` acquires, n_frames x n_shots_per_frame by preset()'s
-    arithmetic, each one sample at k = 0, which is in band."""
-    n_shots, nz, run_length = 48, 181, scenarios.RUN_LENGTH_S
-    if scale != 1.0:
-        nz = max(8, 2 * round(nz * scale / 2))
-        n_shots = max(2, min(nz, int(round(n_shots * scale))))
-        run_length = max(80.0, run_length * scale)
-    n_frames = int(run_length // (n_shots * 50.0 * 1e-3))
-    write_trajectory(path, [np.zeros((1, 3))] * (n_frames * n_shots), 10.0, 50.0)
-    return str(path)
 
 
 def _base_config(**overrides):
@@ -118,8 +105,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("name", ["s1_epi", "s2_sos_static", "s2_sos_dynamic",
                                       "s3_external"])
-    def test_every_nested_key_of_every_preset_is_required(self, name, tmp_path):
-        raw = preset(name, trajectory_path=_s3_trajectory(tmp_path / "traj.snkt")).raw
+    def test_every_nested_key_of_every_preset_is_required(self, name):
+        raw = preset(name, trajectory_path="traj.snkt").raw
         nested = [(section, key) for section, value in raw.items()
                   if isinstance(value, dict) for key in value]
         assert len(nested) >= 25
@@ -181,7 +168,8 @@ def _edit(section, key, value):
 
 
 # Configs that used to fail with a traceback, or in a stage after the run
-# had started; each must now fail in from_dict, naming its section or key.
+# had started; each must now fail in from_dict or, for the plan, when it
+# is built, naming its section or key.
 _PROBES = {
     "missing te_ms": (_edit("sequence", "te_ms", _DELETE), "sequence"),
     "missing trajectory kind": (_edit("trajectory", "kind", _DELETE), "trajectory"),
@@ -207,7 +195,7 @@ def test_invalid_config_rejected_before_acquisition(probe, tmp_path, capsys):
     cfg = json.loads(json.dumps(_tiny_config().raw))
     edit(cfg)
     with pytest.raises(ConfigError, match=section):
-        RunConfig.from_dict(cfg)
+        RunConfig.from_dict(cfg).plan
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     out = tmp_path / "run"
@@ -216,11 +204,12 @@ def test_invalid_config_rejected_before_acquisition(probe, tmp_path, capsys):
     assert not (out / "kspace.snkd").exists()
 
 
-def _assert_refused_before_the_run_dir(cfg, error, message, tmp_path, capsys):
-    """from_dict refuses ``cfg`` with ``error`` matching ``message``, and
-    snake run on it exits 2, prints the message and makes no run directory."""
-    with pytest.raises(error, match=message):
-        RunConfig.from_dict(cfg)
+def _assert_refused_before_the_run_dir(cfg, message, tmp_path, capsys):
+    """Building ``cfg``'s config and its plan raises ``ConfigError`` with
+    ``message``, and snake run on it exits 2, prints the message and makes
+    no run directory."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig.from_dict(cfg).plan
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     out = tmp_path / "run"
@@ -259,7 +248,9 @@ class TestPresets:
         assert cfg["trajectory"]["dynamic"] == (name == "s2_sos_dynamic")
 
     def test_s3_parameters(self, tmp_path):
-        cfg = preset("s3_external", trajectory_path=_s3_trajectory(tmp_path / "traj.snkt")).raw
+        path = tmp_path / "traj.snkt"
+        path.write_bytes(b"")
+        cfg = preset("s3_external", trajectory_path=str(path)).raw
         assert cfg["dims"] == [181, 217, 181]
         assert cfg["n_coils"] == 32
         assert cfg["trajectory"]["n_shots_per_frame"] == 48
@@ -279,11 +270,10 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", sorted(scenarios._PRESETS))
     @pytest.mark.parametrize("scale", [1.0, 0.5, 0.25, 0.15, 0.1])
-    def test_preset_design_accepted(self, name, scale, tmp_path):
+    def test_preset_design_accepted(self, name, scale):
         """Every preset's design passes the Gram matrix check (cond(X^T X)
         measured 10-15, the limit 4.5e12)."""
-        path = _s3_trajectory(tmp_path / "plan.snkt", scale)
-        _assert_design_accepted(preset(name, scale, trajectory_path=path))
+        _assert_design_accepted(preset(name, scale, trajectory_path="plan.snkt"))
 
     @pytest.mark.parametrize("workload", ["epi_acq", "sos_static_cs", "sos_dynamic_t2s_warm",
                                           "tiny_epi", "tiny_cs_refined"])
@@ -414,28 +404,31 @@ class TestRunPipeline:
             "config.yaml", "kspace.snkd.partial", "manifest.json", "notes.txt"]
 
     def test_external_plan_frame_count_must_match(self, tmp_path, capsys):
-        """An external plan's file is read when the config is built: one of
-        another frame count than the config's is refused by from_dict, and
-        snake run exits 2 before its run directory exists."""
+        """An external file of another shot count than n_frames x
+        n_shots_per_frame, whether or not it divides into whole frames, is
+        refused naming the file and the count needed: snake run exits 2
+        before its run directory exists."""
         config = _tiny_config()
         path = tmp_path / "two_frames.snkt"
         save_trajectory_file(path, gen_epi_3d((8, 8, 8), config.sequence, n_frames=2),
                              dwell_time_us=10.0)
         cfg = json.loads(json.dumps(config.raw))
-        cfg["trajectory"].update(kind="external", path=str(path))
         cfg["n_frames"] = 3
-        _assert_refused_before_the_run_dir(
-            cfg, ConfigError, "holds 2 frames of 8 shots, the config's n_frames is 3",
-            tmp_path, capsys)
+        for n in (8, 5):
+            cfg["trajectory"].update(kind="external", path=str(path), n_shots_per_frame=n)
+            _assert_refused_before_the_run_dir(
+                cfg, f"trajectory: {path}: 16 shots, need n_frames x n_shots_per_frame "
+                     f"= 3 x {n} = {3 * n}", tmp_path, capsys)
 
     def test_external_plan_file_missing(self, tmp_path, capsys):
+        path = tmp_path / "missing.snkt"
         cfg = json.loads(json.dumps(_tiny_config().raw))
-        cfg["trajectory"].update(kind="external", path=str(tmp_path / "missing.snkt"))
-        _assert_refused_before_the_run_dir(cfg, FileNotFoundError, "missing.snkt",
-                                           tmp_path, capsys)
+        cfg["trajectory"].update(kind="external", path=str(path))
+        _assert_refused_before_the_run_dir(
+            cfg, f"trajectory: [Errno 2] No such file or directory: '{path}'", tmp_path, capsys)
 
     def test_acquisition_takes_the_configs_plan(self, tmp_path, monkeypatch):
-        """The plan run_acquisition samples is the one from_dict built."""
+        """The plan run_acquisition samples is the config's, built once."""
         config, plans = _tiny_config(), []
         acquire = scenarios.run_acquisition
         monkeypatch.setattr(scenarios, "run_acquisition",
@@ -806,6 +799,13 @@ class TestCli:
         cfg = yaml.safe_load(capsys.readouterr().out)
         assert cfg["dims"] == [60, 71, 60]
 
+    def test_preset_external_does_not_read_its_file(self, tmp_path, capsys):
+        """Only building the plan reads an external file, so snake preset
+        prints the config for a path that does not exist yet."""
+        path = str(tmp_path / "later.snkt")
+        assert cli_main(["preset", "s3_external", "--scale", "0.1", "--trajectory", path]) == 0
+        assert yaml.safe_load(capsys.readouterr().out)["trajectory"]["path"] == path
+
     def test_preset_unknown_exit_2(self, capsys):
         assert cli_main(["preset", "nope"]) == 2
         assert "error" in capsys.readouterr().err
@@ -972,7 +972,7 @@ class TestCli:
         cfg = json.loads(json.dumps(_tiny_config().raw))
         for section, values in change.items():
             cfg[section] = {**cfg[section], **values} if section != "phantom" else values
-        _assert_refused_before_the_run_dir(cfg, ConfigError, message, tmp_path, capsys)
+        _assert_refused_before_the_run_dir(cfg, message, tmp_path, capsys)
 
     @pytest.mark.parametrize("key, value, message", [
         ("center_fraction", 1.5, "trajectory: need 0 < center_fraction < 1, got 1.5"),
@@ -984,12 +984,12 @@ class TestCli:
     def test_run_unbuildable_stack_exit_2_before_the_run_dir(self, key, value, message,
                                                              tmp_path, capsys):
         """Stack-of-spirals values the plan builders refuse, on s2_sos_static
-        at scale 0.15 (dims 8x10x8, 2 planes a frame), fail in from_dict,
-        which builds the plan, with the builder's message: snake run exits 2
-        and makes no run directory."""
+        at scale 0.15 (dims 8x10x8, 2 planes a frame), fail when the plan is
+        built, with the builder's message: snake run exits 2 and makes no
+        run directory."""
         cfg = json.loads(json.dumps(preset("s2_sos_static", scale=0.15).raw))
         cfg["trajectory"][key] = value
-        _assert_refused_before_the_run_dir(cfg, ConfigError, message, tmp_path, capsys)
+        _assert_refused_before_the_run_dir(cfg, message, tmp_path, capsys)
 
     def test_run_scale_on_config_file_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

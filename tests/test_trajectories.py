@@ -93,19 +93,19 @@ class TestStackOfSpirals:
         return gen_spiral((16, 16), 32)
 
     def test_af_one_covers_all_planes(self):
-        plan = gen_stack_of_spirals(self._spiral(), nz=16, af=1.0,
+        plan = gen_stack_of_spirals(self._spiral(), af=1.0,
                                     center_fraction=0.1, dims=(16, 16, 16))
         kz = {s.points[0, 2] for s in plan.frame(0)}
         assert kz == set(float(k) for k in range(-8, 8))
 
     def test_paper_shot_count_via_budget(self):
-        plan = gen_stack_of_spirals(self._spiral(), nz=60, af=4.0,
+        plan = gen_stack_of_spirals(self._spiral(), af=4.0,
                                     center_fraction=0.1, shots_per_frame=14,
                                     dims=(64, 64, 60))
         assert plan.shots_per_frame == 14
 
     def test_center_planes_every_frame(self):
-        plan = gen_stack_of_spirals(self._spiral(), nz=16, af=4.0,
+        plan = gen_stack_of_spirals(self._spiral(), af=4.0,
                                     center_fraction=0.1, dynamic=True,
                                     n_frames=20, seed=7, dims=(16, 16, 16))
         n_center = 2  # ceil(0.1 * 16)
@@ -115,7 +115,7 @@ class TestStackOfSpirals:
             assert center <= kz
 
     def test_static_frames_identical(self):
-        plan = gen_stack_of_spirals(self._spiral(), nz=16, af=2.0,
+        plan = gen_stack_of_spirals(self._spiral(), af=2.0,
                                     center_fraction=0.2, dynamic=False,
                                     n_frames=3, dims=(16, 16, 16))
         sets = [tuple(sorted(s.points[0, 2] for s in plan.frame(t)))
@@ -123,7 +123,7 @@ class TestStackOfSpirals:
         assert sets[0] == sets[1] == sets[2]
 
     def test_dynamic_seeded_reproducibility(self):
-        kw = dict(nz=16, af=4.0, center_fraction=0.1, dynamic=True,
+        kw = dict(af=4.0, center_fraction=0.1, dynamic=True,
                   n_frames=10, dims=(16, 16, 16))
         a = gen_stack_of_spirals(self._spiral(), seed=3, **kw)
         b = gen_stack_of_spirals(self._spiral(), seed=3, **kw)
@@ -135,7 +135,7 @@ class TestStackOfSpirals:
         assert seq_a != seq_c
 
     def test_dynamic_union_covers_all_planes(self):
-        plan = gen_stack_of_spirals(self._spiral(), nz=8, af=2.0,
+        plan = gen_stack_of_spirals(self._spiral(), af=2.0,
                                     center_fraction=0.15, dynamic=True,
                                     n_frames=60, seed=0, dims=(16, 16, 8))
         kz = {s.points[0, 2] for s in plan.shots}
@@ -143,12 +143,12 @@ class TestStackOfSpirals:
 
     def test_center_only_warning(self):
         with pytest.warns(UserWarning, match="center-only"):
-            plan = gen_stack_of_spirals(self._spiral(), nz=10, af=100.0,
+            plan = gen_stack_of_spirals(self._spiral(), af=100.0,
                                         center_fraction=0.1, dims=(16, 16, 10))
         assert plan.shots_per_frame == 1
 
     def test_center_out_order(self):
-        plan = gen_stack_of_spirals(self._spiral(), nz=16, af=1.0,
+        plan = gen_stack_of_spirals(self._spiral(), af=1.0,
                                     center_fraction=0.1, dims=(16, 16, 16))
         kz = [abs(s.points[0, 2]) for s in plan.frame(0)]
         assert kz == sorted(kz)
@@ -159,7 +159,7 @@ class TestExternal:
         plan = gen_epi_3d((4, 4, 4), _seq())
         path = tmp_path / "epi.snkt"
         save_trajectory_file(path, plan, dwell_time_us=10.0)
-        back = load_trajectory_file(path, (4, 4, 4), shots_per_frame=4)
+        back = load_trajectory_file(path, (4, 4, 4), shots_per_frame=4, n_frames=1)
         assert len(back.shots) == len(plan.shots)
         for s, (a, b) in enumerate(zip(plan.shots, back.shots)):
             np.testing.assert_allclose(a.points, b.points, atol=1e-6)
@@ -170,7 +170,7 @@ class TestExternal:
                for i in range(48)]
         path = tmp_path / "s3.snkt"
         write_trajectory(path, pts, dwell_time_us=10.0, tr_shot_ms=50.0)
-        plan = load_trajectory_file(path, (16, 16, 16), shots_per_frame=48)
+        plan = load_trajectory_file(path, (16, 16, 16), shots_per_frame=48, n_frames=1)
         assert plan.shots_per_frame == 48
         assert plan.tr_vol == pytest.approx(2.4)
 
@@ -180,7 +180,7 @@ class TestExternal:
         pts = [np.full((4, 3), float(i % 2)) for i in range(6)]
         path = tmp_path / "two.snkt"
         write_trajectory(path, pts, dwell_time_us=10.0, tr_shot_ms=50.0)
-        plan = load_trajectory_file(path, (8, 8, 8), shots_per_frame=6)
+        plan = load_trajectory_file(path, (8, 8, 8), shots_per_frame=6, n_frames=1)
         assert len(set(plan.shots)) == 2
         assert all(shot.points.base is None for shot in plan.shots)
 
@@ -189,7 +189,7 @@ class TestExternal:
         xy = gen_spiral((8, 8), 16)
         path = tmp_path / "spiral2d.snkt"
         write_trajectory(path, [xy], dwell_time_us=10.0, tr_shot_ms=50.0)
-        points = load_trajectory_file(path, (8, 8, 8), shots_per_frame=1).shots[0].points
+        points = load_trajectory_file(path, (8, 8, 8), shots_per_frame=1, n_frames=1).shots[0].points
         assert points.shape == (16, 3)
         # SNKT1 stores float32
         assert points[:, :2].tobytes() == xy.astype(np.float32).astype(np.float64).tobytes()
@@ -201,14 +201,14 @@ class TestExternal:
         path = tmp_path / "bad.snkt"
         write_trajectory(path, [bad], 10.0, 50.0)
         with pytest.raises(TrajectoryError, match="sample 2"):
-            load_trajectory_file(path, (4, 4, 4), shots_per_frame=1)
+            load_trajectory_file(path, (4, 4, 4), shots_per_frame=1, n_frames=1)
 
     def test_timing_from_dwell(self, tmp_path):
         pts = [np.zeros((10, 3))]
         pts[0][:, 0] = np.linspace(-2, 1.9, 10)
         path = tmp_path / "t.snkt"
         write_trajectory(path, pts, dwell_time_us=100.0, tr_shot_ms=50.0)
-        plan = load_trajectory_file(path, (8, 8, 8), shots_per_frame=1)
+        plan = load_trajectory_file(path, (8, 8, 8), shots_per_frame=1, n_frames=1)
         times = plan.shots[0].times
         # sample count x dwell = T_obs within one dwell
         assert times[-1] - times[0] == pytest.approx(10 * 100e-6, abs=100e-6)
@@ -257,7 +257,7 @@ class TestShotInvariants:
         assert abs(times[0] + times[-1]) < 1e-12
 
     def test_plan_serialization_deterministic(self, tmp_path):
-        kw = dict(nz=16, af=4.0, center_fraction=0.1, dynamic=True,
+        kw = dict(af=4.0, center_fraction=0.1, dynamic=True,
                   n_frames=5, seed=11, dims=(16, 16, 16))
         sp = gen_spiral((16, 16), 32)
         a_path, b_path = tmp_path / "a.snkt", tmp_path / "b.snkt"
@@ -300,14 +300,14 @@ class TestShotIdentity:
         path = tmp_path / "bits.snkt"
         write_trajectory(path, [pts, pts.copy(), moved, zero_sign, np.zeros((5, 3)), pts],
                          dwell_time_us=10.0, tr_shot_ms=50.0)
-        plan = load_trajectory_file(path, (4, 4, 4), shots_per_frame=6)
+        plan = load_trajectory_file(path, (4, 4, 4), shots_per_frame=6, n_frames=1)
         assert list(Counter(plan.shots).items()) == [
             (plan.shots[0], 3), (plan.shots[2], 1), (plan.shots[3], 1), (plan.shots[4], 1)]
         assert plan.shots[0] is plan.shots[1] is plan.shots[5]
         np.testing.assert_array_equal(plan.shots[2].points, moved)
         assert np.signbit(plan.shots[3].points[0, 0])
         write_trajectory(path, [pts], dwell_time_us=10.5, tr_shot_ms=50.0)
-        shifted = load_trajectory_file(path, (4, 4, 4), shots_per_frame=1).shots[0]
+        shifted = load_trajectory_file(path, (4, 4, 4), shots_per_frame=1, n_frames=1).shots[0]
         assert shifted.points.tobytes() == plan.shots[0].points.tobytes()
         assert not np.array_equal(shifted.times, plan.shots[0].times)
         assert list(Counter([plan.shots[0], shifted]).values()) == [1, 1]
@@ -319,7 +319,7 @@ class TestShotIdentity:
                             lambda pts, dims: checked.append(1) or check(pts, dims))
         path = tmp_path / "epi.snkt"
         save_trajectory_file(path, gen_epi_3d((4, 4, 4), _seq(), n_frames=3), 10.0)
-        plan = load_trajectory_file(path, (4, 4, 4), shots_per_frame=4)
+        plan = load_trajectory_file(path, (4, 4, 4), shots_per_frame=4, n_frames=3)
         assert len(plan.shots) == 12 and len(checked) == 4
 
 
@@ -331,7 +331,7 @@ class TestPlaneShots:
     def _plan(kind):
         if kind == "epi":
             return gen_epi_3d((6, 6, 22), _seq(), n_frames=3)
-        return gen_stack_of_spirals(gen_spiral((8, 8), 16), nz=8, af=2.0,
+        return gen_stack_of_spirals(gen_spiral((8, 8), 16), af=2.0,
                                     center_fraction=0.2, dynamic=True, n_frames=4,
                                     seed=5, dims=(8, 8, 8))
 
