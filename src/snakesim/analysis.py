@@ -125,6 +125,8 @@ def _legendre(x, order):
 def build_design(paradigm: Paradigm, hrf, n_frames, tr_vol, drift_order=1) -> DesignMatrix:
     """Task regressor + intercept + Legendre drifts up to drift_order; a
     design whose Gram matrix is singular is refused (see DesignMatrix)."""
+    if drift_order < 0:
+        raise AnalysisError(f"drift order must be non-negative, got {drift_order}")
     if n_frames < drift_order + 2:
         raise AnalysisError(f"{n_frames} frames too few for drift order {drift_order}")
     mid = (np.arange(n_frames) + 0.5) * tr_vol

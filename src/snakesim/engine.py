@@ -371,7 +371,7 @@ def birdcage_coils(dims, n_coils) -> CoilProfile:
     the loop's azimuth.
     """
     if n_coils < 1:
-        raise EngineError("need at least one coil")
+        raise EngineError(f"need at least one coil, got {n_coils}")
     if n_coils == 1:
         return CoilProfile(maps=np.ones((1, *dims), dtype=np.complex128))
     grids = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in dims], indexing="ij")

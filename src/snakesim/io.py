@@ -291,7 +291,8 @@ def read_dataset(path):
     a header that is not a UTF-8 JSON object, lacks a key or holds a
     count (``n_frames``, ``n_coils``, ``n_shots_per_frame``,
     ``samples_per_shot`` or an entry of its list) that is not a
-    non-negative int, a body shorter or longer than the header predicts,
+    non-negative int, a ``samples_per_shot`` list of another length than
+    ``n_shots_per_frame``, a body shorter or longer than the header predicts,
     or the ``partial`` marker with which earlier versions closed an
     incomplete dataset raises :class:`FormatError`.
     """
@@ -317,6 +318,9 @@ def read_dataset(path):
         counts = header["samples_per_shot"]
         if isinstance(counts, int):
             counts = [counts] * header["n_shots_per_frame"]
+        elif len(counts) != header["n_shots_per_frame"]:
+            raise FormatError(f"{path}: header samples_per_shot lists {len(counts)} shots, "
+                              f"n_shots_per_frame is {header['n_shots_per_frame']}")
         shape = (header["n_frames"], header["n_coils"], sum(counts))
         _check_body(path, os.fstat(f.fileno()).st_size - f.tell(), 8 * int(np.prod(shape)))
         offset = f.tell()

@@ -61,6 +61,9 @@ class TissueParams:
 
 
 def default_tissues(names=("WM", "GM", "CSF")):
+    unknown = [n for n in names if n not in TISSUE_7T]
+    if unknown:
+        raise PhantomError(f"unknown tissues {unknown}, known: {sorted(TISSUE_7T)}")
     return [TissueParams(name=n, **TISSUE_7T[n]) for n in names]
 
 
@@ -112,6 +115,8 @@ class SequenceParams:
             raise PhantomError(f"need 0 < TE < TR_shot, got TE={self.te}, TR={self.tr_shot}")
         if not (0 < self.t_obs <= self.tr_shot):
             raise PhantomError(f"need 0 < T_obs <= TR_shot, got {self.t_obs}, {self.tr_shot}")
+        if not (0 < self.flip_angle < 180):
+            raise PhantomError(f"need 0 < flip angle < 180 deg, got {self.flip_angle}")
 
     @property
     def tr_shot_s(self):
@@ -199,12 +204,6 @@ def load_phantom(volume_files, tissue_table):
                    tissues=tuple(tissue_table), weights=weights)
 
 
-def sphere_fits(center, radius, dims):
-    """Whether the sphere has a positive radius and lies inside the volume,
-    as :func:`synthetic_phantom` requires of each of its spheres."""
-    return radius > 0 and all(radius <= c <= n - radius for c, n in zip(center, dims))
-
-
 def synthetic_phantom(dims, spheres, tissues=None, voxel_size=(1.0, 1.0, 1.0)):
     """Deterministic fuzzy sphere phantom for desk-scale tests.
 
@@ -224,7 +223,7 @@ def synthetic_phantom(dims, spheres, tissues=None, voxel_size=(1.0, 1.0, 1.0)):
     # subvoxel offsets for partial-volume estimation
     off = (np.arange(_SUPERSAMPLE) + 0.5) / _SUPERSAMPLE - 0.5
     for center, radius, ti in spheres:
-        if not sphere_fits(center, radius, dims):
+        if not (radius > 0 and all(radius <= c <= n - radius for c, n in zip(center, dims))):
             raise PhantomError(f"sphere at {center} r={radius} does not fit in {dims}")
         # no subvoxel of a voxel more than radius + 1 from the center is inside
         box = tuple(slice(max(0, math.floor(c - radius - 1)),

@@ -23,14 +23,14 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .analysis import (bacc, build_design, glm_fit, precision_recall, psnr,
+from .analysis import (AnalysisError, bacc, build_design, glm_fit, precision_recall, psnr,
                        ssim, threshold_detect, tsnr, MetricsReport, SeriesSums)
 from .engine import CoilProfile, EngineError, NoiseConfig, birdcage_coils, run_acquisition
 from .io import FormatError, canonical_json, write_volume
-from .phantom import (TISSUE_7T, BoldSpec, Paradigm, Phantom, PhantomError,
+from .phantom import (BoldSpec, Paradigm, Phantom, PhantomError,
                       SequenceParams, bold_response, build_bold_timecourse, contrast_volume,
                       default_tissues, ellipsoid_roi, gre_contrast, load_phantom,
-                      sphere_fits, synthetic_phantom)
+                      synthetic_phantom)
 from .recon import (COMPLEX64_TOL_FLOOR, ReconConfig, ReconError, WaveletBasis,
                     adjoint_series, reconstruct_series)
 from .trajectories import (SamplingPlan, TrajectoryError, gen_epi_3d, gen_spiral,
@@ -89,35 +89,6 @@ def _check(section, data, keys):
                               f"got {type(value).__name__}")
 
 
-def _gm_sphere(cfg):
-    """(center, radius) of the synthetic phantom's GM sphere."""
-    dims = cfg["dims"]
-    return tuple(d / 2 for d in dims), cfg["phantom"]["gm_sphere_radius_frac"] * min(dims)
-
-
-def _check_phantom(cfg):
-    """Reject a phantom that :func:`_build_phantom` would refuse: a GM
-    sphere that does not fit ``dims`` or has no positive radius, or a
-    tissue list with a name outside ``TISSUE_7T``, without GM (the tissue
-    the BOLD response modulates) or of another length than the file list."""
-    spec = cfg["phantom"]
-    if spec["kind"] == "synthetic":
-        center, r = _gm_sphere(cfg)
-        if not sphere_fits(center, r, cfg["dims"]):
-            raise ConfigError(f"phantom.gm_sphere_radius_frac: the GM sphere of radius "
-                              f"{r:g} at {center} does not fit in {cfg['dims']}")
-        return
-    unknown = [t for t in spec["tissues"]
-               if not (isinstance(t, str) and t.upper() in TISSUE_7T)]
-    if unknown:
-        raise ConfigError(f"phantom.tissues: {unknown} not in {sorted(TISSUE_7T)}")
-    if "GM" not in [t.upper() for t in spec["tissues"]]:
-        raise ConfigError(f"phantom.tissues: {spec['tissues']} does not list GM")
-    if len(spec["files"]) != len(spec["tissues"]):
-        raise ConfigError(f"phantom: {len(spec['files'])} files for "
-                          f"{len(spec['tissues'])} tissues")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A checked run config: ``raw``, the mapping saved and hashed, and the typed objects
@@ -148,22 +119,17 @@ class RunConfig:
         if kind not in _PHANTOM_KEYS:
             raise ConfigError(f"phantom.kind: {kind!r} is not one of {sorted(_PHANTOM_KEYS)}")
         _check("phantom", raw["phantom"], _PHANTOM_KEYS[kind])
-        traj, analysis = raw["trajectory"], raw["analysis"]
+        traj, p_threshold = raw["trajectory"], raw["analysis"]["p_threshold"]
         for key, typ in (("dims", int), ("voxel_size_mm", _NUMBER)):
             if len(raw[key]) != 3 or not all(isinstance(v, typ) and v > 0 for v in raw[key]):
                 raise ConfigError(f"{key}: need 3 positive values, got {raw[key]}")
-        for key in ("n_frames", "n_coils"):
-            if raw[key] < 1:
-                raise ConfigError(f"{key}: need at least 1, got {raw[key]}")
-        if raw["seed"] < 0:
-            raise ConfigError(f"seed: need a non-negative integer, got {raw['seed']}")
+        if raw["n_frames"] < 1:
+            raise ConfigError(f"n_frames: need at least 1, got {raw['n_frames']}")
         if traj["kind"] == "external" and not traj["path"]:
             raise ConfigError("trajectory: the external kind requires a path")
-        _check_phantom(raw)
-        if not (0 < analysis["p_threshold"] < 1
-                and 0 <= analysis["drift_order"] <= raw["n_frames"] - 2):
-            raise ConfigError(f"analysis: need 0 < p_threshold < 1 and 0 <= drift_order "
-                              f"<= n_frames - 2 = {raw['n_frames'] - 2}, got {analysis}")
+        # no builder of the threshold runs before the analysis stage
+        if not 0 < p_threshold < 1:
+            raise ConfigError(f"analysis: need 0 < p_threshold < 1, got {p_threshold}")
         seq, par, recon, section = raw["sequence"], raw["paradigm"], raw["recon"], "sequence"
         try:
             sequence = SequenceParams(tr_shot=seq["tr_shot_ms"], te=seq["te_ms"],
@@ -301,10 +267,12 @@ def _peak_rss_mb():
 
 
 def _build_phantom(cfg):
+    """(phantom, GM index) of the config; a ``files`` phantom's rules that
+    need no file run before its first file is opened."""
     dims = tuple(cfg["dims"])
     spec = cfg["phantom"]
     if spec["kind"] == "synthetic":
-        center, r = _gm_sphere(cfg)
+        center, r = tuple(d / 2 for d in dims), spec["gm_sphere_radius_frac"] * min(dims)
         tissues = default_tissues(("WM", "GM"))
         voxel = tuple(cfg["voxel_size_mm"])
         # concentric construction: GM sphere inside a WM ball
@@ -315,12 +283,16 @@ def _build_phantom(cfg):
         wm = np.clip(wm - gm, 0, 1)
         phantom = Phantom(dims=tuple(dims), voxel_size=voxel, tissues=tuple(tissues),
                           weights=np.stack([wm, gm]))
-        gm_index = 1
-    else:
-        tissues = default_tissues(tuple(t.upper() for t in spec["tissues"]))
-        phantom = load_phantom(spec["files"], tissues)
-        gm_index = [t.name for t in tissues].index("GM")
-    return phantom, gm_index
+        return phantom, 1
+    names = [str(t).upper() for t in spec["tissues"]]
+    tissues = default_tissues(names)
+    if "GM" not in names:
+        raise PhantomError(f"tissues {spec['tissues']} do not list GM, the tissue the "
+                           f"BOLD response modulates")
+    phantom = load_phantom(spec["files"], tissues)
+    if phantom.dims != dims:
+        raise PhantomError(f"the volumes' dims {phantom.dims} are not dims {dims}")
+    return phantom, names.index("GM")
 
 
 def _build_plan(cfg, seq):
@@ -387,12 +359,43 @@ _RUN_FILES = ("config.yaml", "manifest.json", "kspace.snkd", "kspace.snkd.partia
               "objective_traces.csv", "metrics.json", "zmap.snkv", "pr_curve.csv")
 
 
+def _run_inputs(config):
+    """(plan, phantom, GM index, design, BOLD spec, coil maps) of a run,
+    the cheap checks first and the coil maps last. A builder's refusal
+    raises ``ConfigError("<section>: ...")``."""
+    cfg, section = config.raw, "recon"
+    try:
+        if config.cs is not None:
+            # not in from_dict, which builds every preset at scale 1 (ROADMAP item 2)
+            config.cs[0].check_dims(cfg["dims"])
+        plan, section = config.plan, "phantom"
+        phantom, gm_index = _build_phantom(cfg)
+        roi = ellipsoid_roi(phantom, gm_index)
+        if not (roi >= 0.5).any():
+            raise ConfigError("phantom: empty ROI: no GM voxel of weight >= 0.5 lies in the "
+                              "activation ellipsoid")
+        section = "analysis"
+        design = build_design(config.paradigm, cfg["bold"]["hrf"], plan.n_frames,
+                              plan.tr_vol, drift_order=cfg["analysis"]["drift_order"])
+        section = "paradigm"
+        h = build_bold_timecourse(config.paradigm, plan.shot_times, hrf=cfg["bold"]["hrf"])
+        # both sampled the one response, which the run does not hold
+        bold_response.cache_clear()
+        bold = BoldSpec(roi=roi, delta_r2s=cfg["bold"]["delta_r2s_hz"], h_tilde=h)
+        section = "n_coils"
+        coils = birdcage_coils(phantom.dims, cfg["n_coils"])
+    except (PhantomError, AnalysisError, EngineError, WaveletError, FormatError, OSError) as e:
+        raise ConfigError(f"{section}: {e}") from e
+    return plan, phantom, gm_index, design, bold, coils
+
+
 def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     """Acquisition -> reconstruction -> analysis, all artifacts persisted.
 
-    The design matrix is built with the plan, so a degenerate paradigm
-    fails before any shot runs, as does a CS grid that the wavelet basis
-    cannot split. The k-space goes to ``kspace.snkd`` frame
+    Every input of the run is built first (:func:`_run_inputs`): a config
+    one of their builders refuses raises ``ConfigError`` naming its
+    section before ``out_dir`` is made, and the acquisition stage's
+    seconds count these builds. The k-space goes to ``kspace.snkd`` frame
     by frame; each frame is read back from the file, reconstructed,
     and its float32 magnitude written and fed to the :class:`SeriesSums`
     that the GLM and tSNR are taken from, so no run-sized array is held.
@@ -405,14 +408,13 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     batch; smaller frames and acquisition run on the calling thread.
     The manifest records each finished stage's seconds and the process's
     peak RSS at its end.
-    Any stage failure is recorded in the manifest with the stage name and
-    downstream stages are skipped. Before the first stage the files of
-    ``_RUN_FILES`` are removed from ``out_dir``, and no others, so the
-    directory holds no output of an earlier run beside this one's.
-    A plan its builders refuse raises ``ConfigError`` before ``out_dir``
-    is made.
+    A stage's runtime failure is recorded in the manifest with the stage
+    name and downstream stages are skipped. Before the first stage the
+    files of ``_RUN_FILES`` are removed from ``out_dir``, and no others,
+    so the directory holds no output of an earlier run beside this one's.
     """
-    cfg, plan = config.raw, config.plan
+    cfg, t0 = config.raw, time.monotonic()
+    plan, phantom, gm_index, design, bold, coils = _run_inputs(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for pattern in _RUN_FILES:
@@ -428,39 +430,19 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
 
     stage = "acquisition"
     try:
-        t0 = time.monotonic()
-        if config.cs is not None:
-            # not in from_dict, which builds every preset at scale 1 (ROADMAP item 2)
-            try:
-                config.cs[0].check_dims(cfg["dims"])
-            except WaveletError as e:
-                raise ConfigError(f"recon: {e}") from e
-        seq = config.sequence
-        phantom, gm_index = _build_phantom(cfg)
-        design = build_design(config.paradigm, cfg["bold"]["hrf"], plan.n_frames,
-                              plan.tr_vol, drift_order=cfg["analysis"]["drift_order"])
-        h = build_bold_timecourse(config.paradigm, plan.shot_times, hrf=cfg["bold"]["hrf"])
-        # both sampled the one response, which the run does not hold
-        bold_response.cache_clear()
-        coils = birdcage_coils(phantom.dims, cfg["n_coils"])
-        roi = ellipsoid_roi(phantom, gm_index)
-        if not (roi >= 0.5).any():
-            raise ConfigError("empty ROI: no GM voxel of weight >= 0.5 lies in the "
-                              "activation ellipsoid")
-        bold = BoldSpec(roi=roi, delta_r2s=cfg["bold"]["delta_r2s_hz"], h_tilde=h)
         dataset_path = out / "kspace.snkd"
         header, kdata = run_acquisition(
-            phantom, plan, coils, seq, bold=bold, model=cfg["model"],
+            phantom, plan, coils, config.sequence, bold=bold, model=cfg["model"],
             noise=config.noise, sink_path=dataset_path, gm_index=gm_index)
         # the series computes in the dataset's precision: its coil maps
         # replace acquisition's, which are dropped here (at s3@1 the
         # complex64 maps take 1.8 GB of the 5.5 GB that both would)
         coils = CoilProfile(maps=coils.maps.astype(kdata.dtype))
-        mu = gre_contrast(phantom, seq)
+        mu = gre_contrast(phantom, config.sequence)
         reference = contrast_volume(phantom, mu)
         write_volume(out / "reference.snkv", np.abs(reference),
                      voxel_size=phantom.voxel_size)
-        write_volume(out / "roi.snkv", roi, voxel_size=phantom.voxel_size)
+        write_volume(out / "roi.snkv", bold.roi, voxel_size=phantom.voxel_size)
         finish(stage, t0)
         manifest.checksums["kspace.snkd"] = _sha256(dataset_path)
         manifest.checksums["reference.snkv"] = _sha256(out / "reference.snkv")
@@ -507,7 +489,8 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
 
         stage = "analysis"
         t0 = time.monotonic()
-        _analyse(out, sums, design, phantom, roi, reference, cfg["analysis"]["p_threshold"])
+        _analyse(out, sums, design, phantom, bold.roi, reference,
+                 cfg["analysis"]["p_threshold"])
         finish(stage, t0)
         manifest.checksums["metrics.json"] = _sha256(out / "metrics.json")
         manifest.checksums["zmap.snkv"] = _sha256(out / "zmap.snkv")

@@ -292,6 +292,21 @@ def test_dataset_samples_per_shot_list_accepted(tmp_path):
     assert read_dataset(path)[1].shape == (2, 2, 8)
 
 
+@pytest.mark.parametrize("counts", [[4], [2, 2, 4], [8]])
+def test_dataset_samples_per_shot_list_of_another_length_refused(tmp_path, counts):
+    """A samples_per_shot list must hold one count per shot of a frame,
+    even when its sum sizes the body right ([8] for two shots of 4)."""
+    header = _header()
+    path = tmp_path / "n.snkd"
+    body = _full_dataset(path, header)[9 + len(canonical_json(header)):]
+    header["samples_per_shot"] = counts
+    blob = canonical_json(header).encode()
+    path.write_bytes(b"SNKD1" + struct.pack("<I", len(blob)) + blob + body)
+    with pytest.raises(FormatError, match=f"samples_per_shot lists {len(counts)} shots, "
+                                          f"n_shots_per_frame is 2"):
+        read_dataset(path)
+
+
 def test_dataset_closed_early_stays_partial(tmp_path):
     """A writer closed before every expected block leaves ``<path>.partial``,
     holding the header and every appended byte, and nothing at ``path``."""

@@ -336,3 +336,12 @@ class TestSequenceParams:
     def test_t_obs_bound(self):
         with pytest.raises(PhantomError):
             SequenceParams(tr_shot=50.0, te=25.0, flip_angle=12.0, t_obs=60.0)
+
+    @pytest.mark.parametrize("flip", [0.0, -12.0, 180.0, 200.0])
+    def test_flip_angle_bound(self, flip):
+        """A flip angle outside (0, 180) deg gives a zero or sign-flipped
+        steady-state signal: refused, 0 deg among them, which would run a
+        whole pipeline on an all-zero image."""
+        with pytest.raises(PhantomError, match=f"0 < flip angle < 180 deg, got {flip}"):
+            SequenceParams(tr_shot=50.0, te=25.0, flip_angle=flip, t_obs=25.0)
+        SequenceParams(tr_shot=50.0, te=25.0, flip_angle=179.0, t_obs=25.0)

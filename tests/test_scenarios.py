@@ -94,7 +94,7 @@ class TestRunConfig:
     def test_negative_seed_rejected(self):
         """The seed keys the noise draws, which take non-negative integers
         only: a negative one is refused before any compute."""
-        with pytest.raises(ConfigError, match="seed: need a non-negative integer, got -1"):
+        with pytest.raises(ConfigError, match="noise: seed must be a non-negative integer, got -1"):
             RunConfig.from_dict(_base_config(seed=-1))
         assert RunConfig.from_dict(_base_config(seed=0)).noise.seed == 0
 
@@ -168,8 +168,9 @@ def _edit(section, key, value):
 
 
 # Configs that used to fail with a traceback, or in a stage after the run
-# had started; each must now fail in from_dict or, for the plan, when it
-# is built, naming its section or key.
+# had started; each must now fail in from_dict or, for a rule a builder of
+# the run's inputs holds, in run_pipeline before the run directory is made,
+# naming its section or key.
 _PROBES = {
     "missing te_ms": (_edit("sequence", "te_ms", _DELETE), "sequence"),
     "missing trajectory kind": (_edit("trajectory", "kind", _DELETE), "trajectory"),
@@ -177,12 +178,14 @@ _PROBES = {
     "unknown phantom kind": (_edit("phantom", "kind", "blob"), "phantom.kind"),
     "unknown trajectory kind": (_edit("trajectory", "kind", "rosette"), "trajectory.kind"),
     "t_obs above tr_shot": (_edit("sequence", "t_obs_ms", 60.0), "sequence"),
+    "zero flip angle": (_edit("sequence", "flip_angle_deg", 0), "sequence"),
     "negative snr": (_edit("noise", "snr_i", -1), "noise"),
     "unknown hrf": (_edit("bold", "hrf", "bogus"), "bold.hrf"),
-    "no coils": (_edit(None, "n_coils", 0), "n_coils"),
+    "no coils": (_edit(None, "n_coils", 0), "n_coils: need at least one coil, got 0"),
     "two dims": (_edit(None, "dims", [8, 8]), "dims"),
     "p_threshold above 1": (_edit("analysis", "p_threshold", 2), "analysis"),
-    "drift order above frames": (_edit("analysis", "drift_order", 30), "analysis"),
+    "drift order above frames": (_edit("analysis", "drift_order", 30),
+                                 "analysis: 25 frames too few for drift order 30"),
     "zero on block": (_edit("paradigm", "block_on_s", 0), "paradigm"),
     "zero run length": (_edit("paradigm", "run_length_s", 0), "paradigm"),
     "no shots per frame": (_edit("trajectory", "n_shots_per_frame", 0), "trajectory"),
@@ -194,25 +197,27 @@ def test_invalid_config_rejected_before_acquisition(probe, tmp_path, capsys):
     edit, section = _PROBES[probe]
     cfg = json.loads(json.dumps(_tiny_config().raw))
     edit(cfg)
+    out = tmp_path / "run"
     with pytest.raises(ConfigError, match=section):
-        RunConfig.from_dict(cfg).plan
+        run_pipeline(RunConfig.from_dict(cfg), out)
+    assert not out.exists()
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
-    out = tmp_path / "run"
     assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
     assert section.split(".")[0] in capsys.readouterr().err
-    assert not (out / "kspace.snkd").exists()
+    assert not out.exists()
 
 
 def _assert_refused_before_the_run_dir(cfg, message, tmp_path, capsys):
-    """Building ``cfg``'s config and its plan raises ``ConfigError`` with
-    ``message``, and snake run on it exits 2, prints the message and makes
-    no run directory."""
+    """Running ``cfg`` raises ``ConfigError`` with ``message`` before the
+    run directory exists, and snake run on it exits 2, prints the message
+    and makes no run directory."""
+    out = tmp_path / "run"
     with pytest.raises(ConfigError, match=re.escape(message)):
-        RunConfig.from_dict(cfg).plan
+        run_pipeline(RunConfig.from_dict(cfg), out)
+    assert not out.exists()
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
-    out = tmp_path / "run"
     assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -300,6 +305,11 @@ def started_threads(monkeypatch):
     return started
 
 
+def _failing_acquisition(*args, **kwargs):
+    """A runtime failure of the acquisition stage, in place of run_acquisition."""
+    raise RuntimeError("acquisition failed")
+
+
 def _tiny_config(seed=1234, **overrides):
     """A fast end-to-end configuration: 8^3 grid, short run, few frames."""
     cfg = preset("s1_epi", scale=0.2).raw
@@ -363,14 +373,11 @@ class TestRunPipeline:
         b = run_pipeline(_tiny_config(seed=2), tmp_path / "b")
         assert a.checksums["kspace.snkd"] != b.checksums["kspace.snkd"]
 
-    def test_stage_failure_recorded(self, tmp_path):
-        cfg = json.loads(json.dumps(_tiny_config().raw))
-        # an empty ROI, which the acquisition stage refuses
-        cfg["phantom"]["gm_sphere_radius_frac"] = 0.1
-        config = RunConfig.from_dict(cfg)
-        manifest = run_pipeline(config, tmp_path / "run")
+    def test_stage_failure_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenarios, "run_acquisition", _failing_acquisition)
+        manifest = run_pipeline(_tiny_config(), tmp_path / "run")
         assert manifest.failed_stage == "acquisition"
-        assert manifest.error
+        assert manifest.error == "RuntimeError: acquisition failed"
         assert "reconstruction" not in manifest.stage_seconds
         disk = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert disk["failed_stage"] == "acquisition"
@@ -438,34 +445,29 @@ class TestRunPipeline:
         assert len(plans) == 1 and plans[0] is config.plan
 
     @pytest.mark.parametrize("frac", [-0.2, 0.0, 0.1])
-    def test_empty_roi_fails_before_the_sink(self, frac, tmp_path):
-        """A GM sphere too small for any ROI voxel to reach weight 0.5 fails
-        the acquisition stage before any k-space is written, not analysis.
-        A sphere of no positive radius fails earlier, in from_dict."""
+    def test_empty_roi_fails_before_the_sink(self, frac, tmp_path, capsys):
+        """A GM sphere too small for any ROI voxel to reach weight 0.5, or
+        of no positive radius, which synthetic_phantom refuses, fails before
+        the run directory is made, not in analysis."""
         cfg = json.loads(json.dumps(_tiny_config().raw))
         cfg["phantom"]["gm_sphere_radius_frac"] = frac
-        if frac <= 0:
-            with pytest.raises(ConfigError, match=f"radius {frac * 8:g} at"):
-                RunConfig.from_dict(cfg)
-            return
-        manifest = run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
-        assert manifest.failed_stage == "acquisition"
-        assert "ROI" in manifest.error
-        assert not (tmp_path / "run" / "kspace.snkd").exists()
+        message = (f"phantom: sphere at (4.0, 4.0, 4.0) r={frac * 8} does not fit" if frac <= 0
+                   else "phantom: empty ROI: no GM voxel of weight >= 0.5")
+        _assert_refused_before_the_run_dir(cfg, message, tmp_path, capsys)
 
     def test_cs_grid_the_basis_cannot_split_fails_before_the_first_shot(self, tmp_path,
-                                                                       monkeypatch):
+                                                                       capsys, monkeypatch):
         """s2_sos_static at scale 1 passes from_dict with its levels lowered
-        to 1, but 71 does not halve: the acquisition stage refuses it,
-        naming the dims, before any shot runs or any k-space is written."""
-        def no_shot(*args, **kwargs):
-            raise AssertionError("a shot ran")
+        to 1, but 71 does not halve: run_pipeline refuses it, naming the
+        dims, before it builds the plan or makes the run directory."""
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the plan was built or a shot ran")
 
-        monkeypatch.setattr(scenarios, "run_acquisition", no_shot)
-        manifest = run_pipeline(preset("s2_sos_static"), tmp_path / "run")
-        assert manifest.failed_stage == "acquisition"
-        assert manifest.error.startswith("ConfigError: recon: dims (60, 71, 60) not divisible")
-        assert not (tmp_path / "run" / "kspace.snkd").exists()
+        monkeypatch.setattr(scenarios, "_build_plan", not_reached)
+        monkeypatch.setattr(scenarios, "run_acquisition", not_reached)
+        _assert_refused_before_the_run_dir(preset("s2_sos_static").raw,
+                                           "recon: dims (60, 71, 60) not divisible by 2^1",
+                                           tmp_path, capsys)
 
     def test_files_phantom_runs_end_to_end(self, tmp_path):
         """A ``files`` phantom, WM and GM volumes of the synthetic 8^3
@@ -497,16 +499,14 @@ class TestRunPipeline:
         metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
         assert all(np.isfinite(v) for v in metrics.values())
 
-    def test_degenerate_paradigm_fails_before_the_sink(self, tmp_path):
+    def test_degenerate_paradigm_fails_before_the_sink(self, tmp_path, capsys):
         """Blocks longer than the run leave the task regressor zero: the
-        design is built with the plan, so the run fails before any k-space
-        is written, not in analysis."""
+        design is built with the plan, before the run directory is made,
+        so the run fails there, not in analysis."""
         cfg = json.loads(json.dumps(preset("s1_epi", scale=0.15).raw))
         cfg["paradigm"].update(block_on_s=1000.0, block_off_s=1000.0)
-        manifest = run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
-        assert manifest.failed_stage == "acquisition"
-        assert "task regressor is identically zero" in manifest.error
-        assert not (tmp_path / "run" / "kspace.snkd").exists()
+        _assert_refused_before_the_run_dir(cfg, "analysis: task regressor is identically zero",
+                                           tmp_path, capsys)
 
     def test_pipeline_holds_no_run_sized_array(self, tmp_path, monkeypatch):
         """Reconstruction and analysis hold no (n_frames, *dims) array: from
@@ -937,14 +937,13 @@ class TestCli:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_run_stage_failure_exit_3(self, tmp_path, capsys):
-        cfg = json.loads(json.dumps(_tiny_config().raw))
-        # an empty ROI, which the acquisition stage refuses
-        cfg["phantom"]["gm_sphere_radius_frac"] = 0.1
+    def test_run_stage_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(scenarios, "run_acquisition", _failing_acquisition)
         cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml.safe_dump(cfg))
+        cfg_path.write_text(_tiny_config().to_yaml())
         assert cli_main(["run", str(cfg_path),
                          "--out", str(tmp_path / "run")]) == 3
+        assert json.loads(capsys.readouterr().out)["failed_stage"] == "acquisition"
 
     def test_run_bad_recon_value_exit_2_before_acquisition(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(_tiny_config().raw))
@@ -958,20 +957,38 @@ class TestCli:
 
     @pytest.mark.parametrize("change, message", [
         ({"phantom": {"kind": "files", "files": ["wm.snkv", "xx.snkv"],
-                      "tissues": ["WM", "XX"]}}, "XX"),
+                      "tissues": ["WM", "XX"]}},
+         "phantom: unknown tissues ['XX'], known: ['CSF', 'GM', 'WM']"),
         ({"phantom": {"kind": "files", "files": ["wm.snkv", "csf.snkv"],
-                      "tissues": ["WM", "CSF"]}}, "does not list GM"),
+                      "tissues": ["WM", "CSF"]}},
+         "phantom: tissues ['WM', 'CSF'] do not list GM"),
         ({"phantom": {"kind": "files", "files": ["gm.snkv"],
-                      "tissues": ["WM", "GM"]}}, "1 files for 2 tissues"),
+                      "tissues": ["WM", "GM"]}}, "phantom: 1 volumes for 2 tissues"),
         ({"phantom": {"kind": "synthetic", "gm_sphere_radius_frac": 0.8}}, "does not fit"),
-        ({"trajectory": {"n_shots_per_frame": 9}}, "trajectory: 9 EPI planes > Nz = 8")])
+        ({"trajectory": {"n_shots_per_frame": 9}}, "trajectory: 9 EPI planes > Nz = 8"),
+        ({"phantom": {"kind": "files", "files": ["wm6.snkv", "gm6.snkv"],
+                      "tissues": ["WM", "GM"]}},
+         "phantom: the volumes' dims (8, 8, 6) are not dims (8, 8, 8)"),
+        ({"analysis": {"drift_order": -1}}, "analysis: drift order must be non-negative, got -1"),
+        ({"paradigm": {"run_length_s": 5.0}},
+         "paradigm: shot times must lie within [0, run_length]")])
     def test_run_unbuildable_phantom_or_plan_exit_2_before_acquisition(
-            self, change, message, tmp_path, capsys):
-        """Configs the phantom and plan builders would refuse exit 2 before
-        the run directory exists (the files are never opened)."""
+            self, change, message, tmp_path, capsys, monkeypatch):
+        """Configs the builders of the run's inputs refuse (the phantom, the
+        plan, the design and the BOLD time course) exit 2 before the run
+        directory exists, with the builder's message naming its section. A
+        ``files`` phantom's rules that need no file run before any file is
+        opened (``wm.snkv`` and the like do not exist); ``wm6``/``gm6``
+        are 8x8x6 volumes for the 8^3 config. The empty ROI, the CS grid,
+        the degenerate paradigm, the seed and the coil count have tests of
+        their own."""
+        monkeypatch.chdir(tmp_path)
+        for name in ("wm6.snkv", "gm6.snkv"):
+            write_volume(name, np.full((8, 8, 6), 0.5), voxel_size=(3.0, 3.0, 3.0))
         cfg = json.loads(json.dumps(_tiny_config().raw))
-        for section, values in change.items():
-            cfg[section] = {**cfg[section], **values} if section != "phantom" else values
+        for key, value in change.items():
+            merge = isinstance(value, dict) and key != "phantom"
+            cfg[key] = {**cfg[key], **value} if merge else value
         _assert_refused_before_the_run_dir(cfg, message, tmp_path, capsys)
 
     @pytest.mark.parametrize("key, value, message", [
