@@ -289,7 +289,7 @@ def _build_phantom(cfg):
     if "GM" not in names:
         raise PhantomError(f"tissues {spec['tissues']} do not list GM, the tissue the "
                            f"BOLD response modulates")
-    phantom = load_phantom(spec["files"], tissues)
+    phantom = load_phantom([str(f) for f in spec["files"]], tissues)
     if phantom.dims != dims:
         raise PhantomError(f"the volumes' dims {phantom.dims} are not dims {dims}")
     return phantom, names.index("GM")

@@ -971,7 +971,9 @@ class TestCli:
          "phantom: the volumes' dims (8, 8, 6) are not dims (8, 8, 8)"),
         ({"analysis": {"drift_order": -1}}, "analysis: drift order must be non-negative, got -1"),
         ({"paradigm": {"run_length_s": 5.0}},
-         "paradigm: shot times must lie within [0, run_length]")])
+         "paradigm: shot times must lie within [0, run_length]"),
+        ({"phantom": {"kind": "files", "files": [0, 1], "tissues": ["WM", "GM"]}},
+         "phantom: [Errno 2] No such file or directory: '0'")])
     def test_run_unbuildable_phantom_or_plan_exit_2_before_acquisition(
             self, change, message, tmp_path, capsys, monkeypatch):
         """Configs the builders of the run's inputs refuse (the phantom, the
@@ -979,16 +981,16 @@ class TestCli:
         directory exists, with the builder's message naming its section. A
         ``files`` phantom's rules that need no file run before any file is
         opened (``wm.snkv`` and the like do not exist); ``wm6``/``gm6``
-        are 8x8x6 volumes for the 8^3 config. The empty ROI, the CS grid,
+        are 8x8x6 volumes for the 8^3 config, and a file entry that is not
+        a string is taken as a path. The empty ROI, the CS grid,
         the degenerate paradigm, the seed and the coil count have tests of
         their own."""
         monkeypatch.chdir(tmp_path)
         for name in ("wm6.snkv", "gm6.snkv"):
             write_volume(name, np.full((8, 8, 6), 0.5), voxel_size=(3.0, 3.0, 3.0))
         cfg = json.loads(json.dumps(_tiny_config().raw))
-        for key, value in change.items():
-            merge = isinstance(value, dict) and key != "phantom"
-            cfg[key] = {**cfg[key], **value} if merge else value
+        for section, values in change.items():
+            cfg[section] = {**cfg[section], **values} if section != "phantom" else values
         _assert_refused_before_the_run_dir(cfg, message, tmp_path, capsys)
 
     @pytest.mark.parametrize("key, value, message", [
