@@ -146,8 +146,9 @@ class RunConfig:
                         f"recon.tol: {recon['tol']:g} is below {COMPLEX64_TOL_FLOOR:g}, the "
                         f"smallest relative objective change a complex64 solve resolves (CS "
                         f"solves the dataset's complex64 frames)")
-                # the deepest level up to ``levels`` the grid supports (wavelets
-                # reject dims not divisible by 2^levels)
+                # the deepest level up to ``levels`` at which 2^levels divides
+                # every axis: the basis takes any dims, and this keeps the
+                # depth, and so the CS results, of the existing grids
                 levels = recon["levels"]
                 while levels > 1 and any(d % (2 ** levels) for d in raw["dims"]):
                     levels -= 1
@@ -202,7 +203,8 @@ def preset(name, scale=1.0, trajectory_path=None, seed=1234) -> RunConfig:
     if scale == 1.0:
         dims = list(p["dims"])
     else:
-        # proportional shrink, rounded to even sizes for the FFT/wavelet paths
+        # proportional shrink, rounded to even sizes: the basis takes any dims,
+        # and this keeps the grids, and so the bytes, of the existing scaled runs
         dims = [max(8, 2 * round(d * scale / 2)) for d in p["dims"]]
     tr_shot_ms = 50.0
     n_shots = p["n_shots"] if scale == 1.0 else max(2, min(dims[2], int(round(p["n_shots"] * scale))))
@@ -363,12 +365,8 @@ def _run_inputs(config):
     """(plan, phantom, GM index, design, BOLD spec, coil maps) of a run,
     the cheap checks first and the coil maps last. A builder's refusal
     raises ``ConfigError("<section>: ...")``."""
-    cfg, section = config.raw, "recon"
+    cfg, plan, section = config.raw, config.plan, "phantom"
     try:
-        if config.cs is not None:
-            # not in from_dict, which builds every preset at scale 1 (ROADMAP item 2)
-            config.cs[0].check_dims(cfg["dims"])
-        plan, section = config.plan, "phantom"
         phantom, gm_index = _build_phantom(cfg)
         roi = ellipsoid_roi(phantom, gm_index)
         if not (roi >= 0.5).any():
@@ -384,7 +382,7 @@ def _run_inputs(config):
         bold = BoldSpec(roi=roi, delta_r2s=cfg["bold"]["delta_r2s_hz"], h_tilde=h)
         section = "n_coils"
         coils = birdcage_coils(phantom.dims, cfg["n_coils"])
-    except (PhantomError, AnalysisError, EngineError, WaveletError, FormatError, OSError) as e:
+    except (PhantomError, AnalysisError, EngineError, FormatError, OSError) as e:
         raise ConfigError(f"{section}: {e}") from e
     return plan, phantom, gm_index, design, bold, coils
 

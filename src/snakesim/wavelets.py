@@ -2,12 +2,13 @@
 
 Filter taps are hardcoded (Haar and the 16-tap symlet-8) so the
 transform contract does not depend on an external wavelet library.
-Periodization preserves orthonormality for any even signal length, so
-perfect reconstruction and Parseval hold to machine precision.
+Each axis is periodized over its even part, and an odd length passes
+its last sample into the low band, so the transform is orthonormal on
+any grid: perfect reconstruction and Parseval hold to machine precision.
 
-Matrix form: one level of the periodized DWT along an axis of length n
-is an orthogonal (n, n) matrix, the n/2 low-pass rows stacked on the
-n/2 high-pass rows. ``forward`` applies these matrices along x, y and
+Matrix form: one level along an axis of length n is an orthogonal
+(n, n) matrix, the ceil(n/2) low-pass rows stacked on the floor(n/2)
+high-pass rows. ``forward`` applies these matrices along x, y and
 z to the leading block of each level, finest first; ``inverse``
 applies their transposes, coarsest first. The matrices are built from
 the taps once per block shape and cached on the basis. A float32 or
@@ -18,12 +19,14 @@ of a batch) and transform each volume with matrix products of a lone
 volume's shapes, so each equals its own transform bit for bit.
 
 Coefficient layout: ``forward`` returns one dense array of the
-volume's shape in Mallat layout, and ``inverse`` takes one. The
-coarsest approximation is its leading block of shape dims / 2^levels;
-at each level the seven detail subbands, named by their axis code
-(e.g. ``"ddd"`` is high-pass along every axis), fill the rest of that
-level's leading block of shape dims / 2^(level-1). :func:`finest_detail`
-is a view of the finest ``"ddd"`` subband; it depends only on the shape.
+volume's shape in Mallat layout, and ``inverse`` takes one. Along each
+axis, a level's low band, the next level's block, is the first ceil(b/2)
+entries of its block b, and its high band is the rest: 60 x 71 x 60
+splits into 30 x 36 x 30, then 15 x 18 x 15. The coarsest approximation
+is the last level's low band; at each level the seven detail subbands,
+named by their axis code (e.g. ``"ddd"`` is high-pass along every axis),
+fill the rest of that level's block. :func:`finest_detail` is a view of
+the finest ``"ddd"`` subband; it depends only on the shape.
 """
 
 from __future__ import annotations
@@ -61,34 +64,37 @@ def _filters(family):
 
 
 def _analysis_matrix(n, lo, hi):
-    """(n, n) one-level periodized DWT along one axis: low-pass rows over
-    high-pass rows, row i taking taps at positions (2i + j) mod n.
-
-    Taps that wrap onto one position (n below the filter length) add up.
-    The matrix is orthogonal for any even n, so its transpose inverts it.
+    """(n, n) one-level DWT along one axis: ceil(n/2) low-pass rows over
+    floor(n/2) high-pass rows. Row i of the periodized DWT of the first
+    m = 2 * (n // 2) samples takes taps at positions (2i + j) mod m, and
+    taps that wrap onto one position (m below the filter length) add up;
+    an odd n passes its last sample into the last low-pass row. The
+    matrix is orthogonal for any n, so its transpose inverts it.
     """
-    rows = np.repeat(np.arange(n // 2), len(lo))
-    cols = (2 * rows + np.tile(np.arange(len(lo)), n // 2)) % n
+    h = n // 2
+    rows = np.repeat(np.arange(h), len(lo))
+    cols = (2 * rows + np.tile(np.arange(len(lo)), h)) % (2 * h)
     w = np.zeros((n, n))
-    np.add.at(w, (rows, cols), np.tile(lo, n // 2))
-    np.add.at(w, (rows + n // 2, cols), np.tile(hi, n // 2))
+    np.add.at(w, (rows, cols), np.tile(lo, h))
+    np.add.at(w, (rows + n - h, cols), np.tile(hi, h))
+    if n % 2:
+        w[h, n - 1] = 1.0
     return w
 
 
-def _band(code, half):
-    """Slices of the subband ``code`` of a level whose blocks are ``half``."""
-    return tuple(slice(0, h) if c == "a" else slice(h, 2 * h)
-                 for c, h in zip(code, half))
-
-
-def _half(shape, level):
-    """Subband block shape of ``level`` (1 = finest) in a ``shape`` array."""
-    return tuple(n >> level for n in shape)
+def _band(code, shape, level):
+    """Slices of the subband ``code`` of ``level`` (1 = finest) in a
+    ``shape`` array: along each axis, the first ceil(b/2) entries of the
+    level's block b for "a" and the rest for "d"."""
+    # -(-n >> k) is ceil(n / 2^k), the block of level k + 1
+    return tuple(slice(0, -(-n >> level)) if c == "a"
+                 else slice(-(-n >> level), -(-n >> (level - 1)))
+                 for c, n in zip(code, shape))
 
 
 def finest_detail(coeffs):
     """View of the finest high-pass-on-every-axis ("ddd") subband of ``coeffs``."""
-    return coeffs[_band("ddd", _half(coeffs.shape, 1))]
+    return coeffs[_band("ddd", coeffs.shape, 1)]
 
 
 class WaveletBasis:
@@ -101,15 +107,6 @@ class WaveletBasis:
         self.levels = levels
         self.lo, self.hi = _filters(family)
         self._matrices = {}
-
-    def check_dims(self, dims):
-        """Raise :class:`WaveletError` unless 2^levels divides every axis of ``dims``."""
-        for n in dims:
-            if n % (2 ** self.levels) != 0:
-                raise WaveletError(
-                    f"dims {tuple(dims)} not divisible by 2^{self.levels}; "
-                    f"pad to a multiple of {2 ** self.levels} first"
-                )
 
     def _level_matrices(self, shape, parts, real):
         """(W_x, W_y, W_z kron I_parts) for a level block of ``shape``, in
@@ -157,21 +154,22 @@ class WaveletBasis:
         volume = np.asarray(volume)
         if volume.ndim < 3:
             raise WaveletError("expected a 3D volume or a stack of them")
-        self.check_dims(volume.shape[-3:])
         out = self._apply(volume, inverse=False)
         for level in range(1, self.levels):
-            sl = (..., *_band("aaa", _half(out.shape[-3:], level)))
+            sl = (..., *_band("aaa", out.shape[-3:], level))
             out[sl] = self._apply(out[sl], inverse=False)
         return out
 
     def inverse(self, coeffs):
         """The volume of a Mallat-layout array, or the stack of volumes of a
         stack of them; ``coeffs`` is left as it is."""
+        if np.ndim(coeffs) < 3:
+            raise WaveletError("expected a 3D array of coefficients or a stack of them")
         # a copy only when coarser levels are transformed in place
         out = np.array(coeffs, dtype=np.result_type(coeffs, np.float32),
                        copy=True if self.levels > 1 else None)
         for level in range(self.levels - 1, 0, -1):
-            sl = (..., *_band("aaa", _half(out.shape[-3:], level)))
+            sl = (..., *_band("aaa", out.shape[-3:], level))
             out[sl] = self._apply(out[sl], inverse=True)
         return self._apply(out, inverse=True)
 

@@ -744,7 +744,8 @@ class TestFrameBatches:
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     @pytest.mark.parametrize("family", ["haar", "symlet8"])
-    @pytest.mark.parametrize("dims, levels", [((8, 8, 8), 2), ((16, 18, 16), 1)])
+    @pytest.mark.parametrize("dims, levels", [((8, 8, 8), 2), ((16, 18, 16), 1),
+                                              ((9, 11, 7), 2)])
     def test_wavelets_and_threshold_on_a_batch_equal_each_frame(self, dims, levels,
                                                                 family, dtype):
         """forward, inverse and soft_threshold with one threshold per frame,

@@ -455,19 +455,27 @@ class TestRunPipeline:
                    else "phantom: empty ROI: no GM voxel of weight >= 0.5")
         _assert_refused_before_the_run_dir(cfg, message, tmp_path, capsys)
 
-    def test_cs_grid_the_basis_cannot_split_fails_before_the_first_shot(self, tmp_path,
-                                                                       capsys, monkeypatch):
-        """s2_sos_static at scale 1 passes from_dict with its levels lowered
-        to 1, but 71 does not halve: run_pipeline refuses it, naming the
-        dims, before it builds the plan or makes the run directory."""
-        def not_reached(*args, **kwargs):
-            raise AssertionError("the plan was built or a shot ran")
-
-        monkeypatch.setattr(scenarios, "_build_plan", not_reached)
-        monkeypatch.setattr(scenarios, "run_acquisition", not_reached)
-        _assert_refused_before_the_run_dir(preset("s2_sos_static").raw,
-                                           "recon: dims (60, 71, 60) not divisible by 2^1",
-                                           tmp_path, capsys)
+    def test_cs_on_the_scale_1_grid_runs_every_stage(self, tmp_path):
+        """s2_sos_static at scale 1 solves CS on its 60 x 71 x 60 grid, at
+        the one wavelet level from_dict keeps for 71, through every stage:
+        cut to 4 frames as the benchmark's workloads are (blocks of one
+        frame's TR) and 2 iterations. s2_sos_dynamic's inputs at scale 1
+        build as well."""
+        sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        cfg = preset("s2_sos_static").raw
+        tr_vol_s = cfg["trajectory"]["n_shots_per_frame"] * cfg["sequence"]["tr_shot_ms"] * 1e-3
+        cfg = workloads._trim(cfg, 4, tr_vol_s)
+        cfg["recon"]["max_iters"] = 2
+        config = RunConfig.from_dict(cfg)
+        assert config.cs[0].levels == 1
+        manifest = run_pipeline(config, tmp_path / "run")
+        assert manifest.failed_stage is None, manifest.error
+        index = json.loads((tmp_path / "run" / "series_index.json").read_text())
+        assert len(index["stop"]) == 4
+        metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert all(np.isfinite(v) for v in metrics.values())
+        assert scenarios._run_inputs(preset("s2_sos_dynamic"))[0].n_frames == 428
 
     def test_files_phantom_runs_end_to_end(self, tmp_path):
         """A ``files`` phantom, WM and GM volumes of the synthetic 8^3
@@ -982,9 +990,8 @@ class TestCli:
         ``files`` phantom's rules that need no file run before any file is
         opened (``wm.snkv`` and the like do not exist); ``wm6``/``gm6``
         are 8x8x6 volumes for the 8^3 config, and a file entry that is not
-        a string is taken as a path. The empty ROI, the CS grid,
-        the degenerate paradigm, the seed and the coil count have tests of
-        their own."""
+        a string is taken as a path. The empty ROI, the degenerate
+        paradigm, the seed and the coil count have tests of their own."""
         monkeypatch.chdir(tmp_path)
         for name in ("wm6.snkv", "gm6.snkv"):
             write_volume(name, np.full((8, 8, 6), 0.5), voxel_size=(3.0, 3.0, 3.0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snakesim.wavelets import (FAMILIES, WaveletBasis, WaveletError, _analysis_matrix,
-                               _band, _filters, _half, finest_detail, soft_threshold)
+                               _band, _filters, finest_detail, soft_threshold)
 
 SUBBANDS = ("aad", "ada", "add", "daa", "dad", "dda", "ddd")
 
@@ -13,25 +13,30 @@ SUBBANDS = ("aad", "ada", "add", "daa", "dad", "dda", "ddd")
 
 
 def _ref_analysis(x, lo, hi, axis):
-    """Circular convolution + downsample by 2 along one axis."""
+    """Circular convolution + downsample by 2 along one axis, over its
+    first 2 * (n // 2) samples; an odd length's last sample is appended
+    to the low band."""
     n = x.shape[axis]
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(len(lo))[None, :]) % n
+    m = 2 * (n // 2)
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(len(lo))[None, :]) % m
     taken = np.take(x, idx.ravel(), axis=axis)
     shape = list(x.shape)
     shape[axis: axis + 1] = [n // 2, len(lo)]
     taken = taken.reshape(shape)
     a = np.tensordot(taken, lo, axes=([axis + 1], [0]))
     d = np.tensordot(taken, hi, axes=([axis + 1], [0]))
-    return a, d
+    return np.concatenate([a, np.take(x, range(m, n), axis=axis)], axis=axis), d
 
 
 def _ref_synthesis(a, d, lo, hi, axis):
-    """Adjoint of :func:`_ref_analysis`: the taps accumulated with np.add.at."""
-    n = 2 * a.shape[axis]
+    """Adjoint of :func:`_ref_analysis`: the taps accumulated with np.add.at,
+    and a low band longer than the high band passing its last entry on."""
+    h = d.shape[axis]
     am, dm = np.moveaxis(a, axis, 0), np.moveaxis(d, axis, 0)
-    out = np.zeros((n, *am.shape[1:]), dtype=np.promote_types(a.dtype, np.float64))
+    out = np.zeros((len(am) + h, *am.shape[1:]), dtype=np.promote_types(a.dtype, np.float64))
     for j, (cl, ch) in enumerate(zip(lo, hi)):
-        np.add.at(out, (2 * np.arange(n // 2) + j) % n, cl * am + ch * dm)
+        np.add.at(out, (2 * np.arange(h) + j) % (2 * h), cl * am[:h] + ch * dm)
+    out[2 * h:] = am[h:]
     return np.moveaxis(out, 0, axis)
 
 
@@ -75,12 +80,12 @@ def _ref_soft_threshold(x, mu):
 
 def _approx(coeffs, levels):
     """The coarsest approximation block of a dense Mallat array."""
-    return coeffs[_band("aaa", _half(coeffs.shape, levels))]
+    return coeffs[_band("aaa", coeffs.shape, levels)]
 
 
 def _details(coeffs, levels):
     """Coarsest-first [{code: block}] of a dense Mallat array's detail subbands."""
-    return [{code: coeffs[_band(code, _half(coeffs.shape, level))] for code in SUBBANDS}
+    return [{code: coeffs[_band(code, coeffs.shape, level)] for code in SUBBANDS}
             for level in range(levels, 0, -1)]
 
 
@@ -96,7 +101,7 @@ def _random_volume(rng, dims, complex_=False):
 
 
 @pytest.mark.parametrize("family", ["haar", "symlet8"])
-@pytest.mark.parametrize("dims", [(8, 8, 8), (16, 8, 8)])
+@pytest.mark.parametrize("dims", [(8, 8, 8), (16, 8, 8), (60, 71, 60)])
 def test_perfect_reconstruction(family, dims):
     rng = np.random.default_rng(0)
     basis = WaveletBasis(family=family, levels=2)
@@ -149,10 +154,18 @@ def test_haar_impulse_hand_oracle():
         assert np.count_nonzero(np.abs(arr) > 1e-15) == 1
 
 
-def test_indivisible_dims_rejected():
+def test_inverse_of_an_axis_that_halves_to_odd():
+    """6 halves to 3 at level 2: the odd block's matrix is orthogonal,
+    so the inverse returns the volume the forward transform took."""
     basis = WaveletBasis(family="haar", levels=2)
-    with pytest.raises(WaveletError, match="pad"):
-        basis.forward(np.zeros((6, 8, 8)))
+    x = _random_volume(np.random.default_rng(10), (6, 8, 8), complex_=True)
+    _close(basis.inverse(basis.forward(x)), x)
+
+
+@pytest.mark.parametrize("method", ["forward", "inverse"])
+def test_fewer_than_three_dims_rejected(method):
+    with pytest.raises(WaveletError, match="3D"):
+        getattr(WaveletBasis(family="haar", levels=1), method)(np.zeros((8, 8)))
 
 
 def test_unknown_family_rejected():
@@ -203,8 +216,8 @@ def test_synthesis_equals_scatter_add_reference(family, axis):
     equals the np.add.at synthesis of the filter bank."""
     rng = np.random.default_rng(4)
     lo, hi = _filters(family)
-    a, d = _ref_analysis(_random_volume(rng, (8, 6, 4), complex_=True), lo, hi, axis)
-    n = 2 * a.shape[axis]
+    a, d = _ref_analysis(_random_volume(rng, (9, 6, 5), complex_=True), lo, hi, axis)
+    n = a.shape[axis] + d.shape[axis]
     stacked = np.moveaxis(np.concatenate([a, d], axis=axis), axis, 0)
     got = np.moveaxis(np.tensordot(_analysis_matrix(n, lo, hi).T, stacked, axes=1), 0, axis)
     _close(got, _ref_synthesis(a, d, lo, hi, axis))
@@ -218,8 +231,45 @@ def test_level_matrix_orthogonal(family, n):
     np.testing.assert_allclose(w @ w.T, np.eye(n), atol=1e-10)
 
 
+@pytest.mark.parametrize("family", ["haar", "symlet8"])
+def test_level_matrix_orthogonal_at_every_length(family):
+    """Odd lengths included (max |W W^T - I| is 2.2e-16 for Haar and
+    3.5e-13 for symlet-8 over n = 1..217)."""
+    for n in range(1, 218):
+        w = _analysis_matrix(n, *_filters(family))
+        assert w.shape == (n, n)
+        assert np.abs(w @ w.T - np.eye(n)).max() <= 1e-12, n
+
+
+def _periodized_matrix(n, lo, hi):
+    """The even-length matrix as built before odd lengths were taken."""
+    rows = np.repeat(np.arange(n // 2), len(lo))
+    cols = (2 * rows + np.tile(np.arange(len(lo)), n // 2)) % n
+    w = np.zeros((n, n))
+    np.add.at(w, (rows, cols), np.tile(lo, n // 2))
+    np.add.at(w, (rows + n // 2, cols), np.tile(hi, n // 2))
+    return w
+
+
+@pytest.mark.parametrize("family", ["haar", "symlet8"])
+def test_even_level_matrix_is_the_periodized_matrix(family):
+    """Even lengths keep their matrices bit for bit, so every grid the
+    transform took before odd lengths keeps its coefficients' bytes."""
+    lo, hi = _filters(family)
+    for n in range(2, 218, 2):
+        assert _analysis_matrix(n, lo, hi).tobytes() == _periodized_matrix(n, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("family", ["haar", "symlet8"])
+def test_parseval_on_the_scale_1_grid(family):
+    basis = WaveletBasis(family=family, levels=2)
+    x = _random_volume(np.random.default_rng(11), (60, 71, 60), complex_=True)
+    assert np.linalg.norm(basis.forward(x)) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+
+
 DENSE_CASES = [(levels, dims) for levels in (1, 2, 3)
-               for dims in ((16, 24, 8), (8, 32, 16))] + [(1, (16, 18, 16))]
+               for dims in ((16, 24, 8), (8, 32, 16))] + [(1, (16, 18, 16))] + [
+    (levels, dims) for levels in (1, 2, 3) for dims in ((9, 11, 7), (15, 18, 15))]
 
 
 @pytest.mark.parametrize("family", ["haar", "symlet8"])
