@@ -105,7 +105,10 @@ def read_nifti(path):
 
     Returns ``(data, voxel_size)`` with data as a 3D float32 array. A
     header whose sizes past the third are not all 1, a file of more than
-    one volume, raises :class:`FormatError`.
+    one volume, raises :class:`FormatError`, as do a size below 1, a
+    ``vox_offset`` that is not an integer >= 352, a separate ``.img``
+    body (magic ``ni1``) and a body shorter than the sizes predict. The
+    header's sizes allocate nothing: the body read is the rest of the file.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
@@ -117,26 +120,34 @@ def read_nifti(path):
         if sizeof_hdr != 348:
             raise FormatError(f"{path}: not a little-endian NIfTI-1 file")
         magic = header[344:348]
-        if magic not in (b"n+1\x00", b"ni1\x00"):
+        if magic == b"ni1\x00":
+            raise FormatError(f"{path}: a NIfTI-1 header of a separate .img file (magic "
+                              f"ni1) is not supported, only a single .nii (n+1)")
+        if magic != b"n+1\x00":
             raise FormatError(f"{path}: bad NIfTI magic {magic!r}")
         dim = struct.unpack_from("<8h", header, 40)
         if dim[0] < 3:
             raise FormatError(f"{path}: expected a 3D volume, ndim={dim[0]}")
+        if any(n < 1 for n in dim[1:dim[0] + 1]):
+            raise FormatError(f"{path}: dims {dim[1:dim[0] + 1]} hold a size below 1")
         if any(n > 1 for n in dim[4:dim[0] + 1]):
             raise FormatError(f"{path}: holds more than one volume, dims {dim[1:dim[0] + 1]}")
         datatype = struct.unpack_from("<h", header, 70)[0]
         if datatype != _NIFTI_FLOAT32:
             raise FormatError(f"{path}: only float32 NIfTI supported (datatype={datatype})")
         pixdim = struct.unpack_from("<8f", header, 76)
-        vox_offset = int(struct.unpack_from("<f", header, 108)[0])
+        vox_offset = struct.unpack_from("<f", header, 108)[0]
+        # a single .nii's body starts after the header and its 4 extension bytes
+        if not (vox_offset >= 352 and vox_offset.is_integer()):
+            raise FormatError(f"{path}: vox_offset {vox_offset} is not an integer >= 352")
         shape = tuple(dim[1:4])
-        f.read(max(0, vox_offset - 348))
+        f.seek(int(vox_offset))
         n = int(np.prod(shape))
-        body = f.read(4 * n)
+        body = f.read()
         if len(body) < 4 * n:
             raise FormatError(f"{path}: truncated NIfTI body")
         # NIfTI stores data Fortran-ordered (x fastest).
-        data = np.frombuffer(body, dtype="<f4").reshape(shape, order="F")
+        data = np.frombuffer(body, dtype="<f4", count=n).reshape(shape, order="F")
     return np.ascontiguousarray(data), tuple(pixdim[1:4])
 
 

@@ -121,7 +121,8 @@ class RunConfig:
         _check("phantom", raw["phantom"], _PHANTOM_KEYS[kind])
         traj, p_threshold = raw["trajectory"], raw["analysis"]["p_threshold"]
         for key, typ in (("dims", int), ("voxel_size_mm", _NUMBER)):
-            if len(raw[key]) != 3 or not all(isinstance(v, typ) and v > 0 for v in raw[key]):
+            if len(raw[key]) != 3 or not all(isinstance(v, typ) and not isinstance(v, bool)
+                                             and v > 0 for v in raw[key]):
                 raise ConfigError(f"{key}: need 3 positive values, got {raw[key]}")
         if raw["n_frames"] < 1:
             raise ConfigError(f"n_frames: need at least 1, got {raw['n_frames']}")

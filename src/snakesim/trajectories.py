@@ -10,6 +10,7 @@ immutable once built.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,19 +92,50 @@ def _check_bounds(points, dims):
             )
 
 
-def _plane_shot(xy, kz, times):
-    """The Shot of the 2D pattern ``xy`` on plane ``kz`` with sample
-    ``times``, with read-only (n, 3) points; a plan builds one per plane
-    and repeats it in every frame that acquires the plane."""
-    pts = np.column_stack([xy, np.full(len(xy), float(kz))])
-    pts.flags.writeable = False
-    return Shot(points=pts, times=times)
-
-
 def _echo_centered_times(n_samples, t_obs_s):
     """Times (n-1)*dt shifted so the midpoint sample sits at t=0."""
     dt = t_obs_s / n_samples
     return (np.arange(n_samples) - (n_samples - 1) / 2) * dt
+
+
+def _frame_planes(nz, n_center, n, n_frames, rng=None):
+    """Each frame's n kz planes, center-out, as an (n_frames, n) array.
+
+    Center-out is a stable sort by |kz|, so the ranking of the planes puts
+    the lower first on a tie. A frame takes the n_center first and
+    n - n_center of the others: without ``rng`` evenly strided through the
+    ranking, one array every frame shares; with it, a draw without replacement a frame.
+    """
+    def center_out(kz):
+        return np.take_along_axis(kz, np.argsort(np.abs(kz), axis=-1, kind="stable"), axis=-1)
+
+    ranked = center_out(np.arange(nz) - nz // 2)
+    center, outer = ranked[:n_center], ranked[n_center:]
+    if rng is None:
+        stride = np.round(np.linspace(0, len(outer) - 1, n - n_center)).astype(int)
+        frame = np.concatenate([center, outer[stride]])  # ranking order: center-out
+        return np.broadcast_to(frame, (n_frames, len(frame)))
+    draws = (rng.choice(outer, size=n - n_center, replace=False) for _ in range(n_frames))
+    frames = np.array([np.concatenate([center, d]) for d in draws], int)
+    return center_out(frames.reshape(n_frames, n))
+
+
+def _stack(pattern, t_obs_s, frames, shots_per_frame, tr_shot_s, kind, dims):
+    """The plan whose frame t acquires the 2D ``pattern``, echo-centred over
+    ``t_obs_s``, on the kz planes ``frames[t]`` in order: one Shot of read-only
+    (n, 3) points per plane used, repeated in every frame that acquires it."""
+    if min(dims) < 1:
+        raise TrajectoryError(f"invalid dims {tuple(dims)}: every axis needs at least 1")
+    times, shift = _echo_centered_times(len(pattern), t_obs_s), dims[2] // 2
+    index = frames + shift  # plane kz's Shot is by_plane[kz + shift]
+    by_plane = np.empty(dims[2], dtype=object)
+    for i in np.flatnonzero(np.bincount(index.ravel(), minlength=dims[2])):
+        pts = np.column_stack([pattern, np.full(len(pattern), float(i - shift))])
+        pts.flags.writeable = False
+        by_plane[i] = Shot(points=pts, times=times)
+    return SamplingPlan(shots=tuple(by_plane[index].ravel().tolist()),
+                        shots_per_frame=shots_per_frame, tr_shot=tr_shot_s, kind=kind,
+                        dims=tuple(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -115,32 +147,21 @@ def gen_epi_3d(dims, seq: SequenceParams, n_planes_per_volume=None,
     """Plane-segmented 3D EPI: one snake-raster shot per kz plane.
 
     Covers every Cartesian point of the selected planes exactly once per
-    frame. Planes are taken symmetrically around kz=0 when fewer than Nz
-    are requested.
+    frame, in increasing kz. Planes are taken symmetrically around kz=0
+    when fewer than Nz are requested.
     """
     nx, ny, nz = dims
-    if nx == 0 or ny == 0 or nz == 0:
-        raise TrajectoryError(f"invalid dims {dims}")
     if n_planes_per_volume is None:
         n_planes_per_volume = nz
     if n_planes_per_volume > nz:
         raise TrajectoryError(f"{n_planes_per_volume} EPI planes > Nz = {nz}")
-    kx = np.arange(nx) - nx // 2
-    ky = np.arange(ny) - ny // 2
-    all_kz = np.arange(nz) - nz // 2
-    # symmetric slab around kz=0
-    order = np.argsort(np.abs(all_kz), kind="stable")
-    kz_sel = np.sort(all_kz[order[:n_planes_per_volume]])
-
-    plane = np.empty((ny * nx, 2))
-    for row in range(ny):
-        xs = kx if row % 2 == 0 else kx[::-1]
-        plane[row * nx: (row + 1) * nx, 0] = xs
-        plane[row * nx: (row + 1) * nx, 1] = ky[row]
-    times = _echo_centered_times(ny * nx, seq.t_obs_s)
-    planes = [_plane_shot(plane, kz, times) for kz in kz_sel]
-    return SamplingPlan(shots=tuple(planes * n_frames), shots_per_frame=n_planes_per_volume,
-                        tr_shot=seq.tr_shot_s, kind="epi3d", dims=tuple(dims))
+    kx, ky = np.arange(nx) - nx // 2, np.arange(ny) - ny // 2
+    # snake raster: the odd ky rows run in -kx
+    plane = np.stack(np.meshgrid(kx, ky), axis=-1).astype(float)
+    plane[1::2] = plane[1::2, ::-1]
+    frames = _frame_planes(nz, n_planes_per_volume, n_planes_per_volume, n_frames)
+    return _stack(plane.reshape(-1, 2), seq.t_obs_s, np.sort(frames, axis=1),
+                  n_planes_per_volume, seq.tr_shot_s, "epi3d", dims)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +176,8 @@ def gen_spiral(dims_xy, n_samples, n_turns=4.0):
     radius grows linearly to k_max = (min(dims_xy) - 1) / 2, the largest
     that keeps every sample inside the grid's band.
     """
+    if min(dims_xy) < 1:
+        raise TrajectoryError(f"invalid dims {tuple(dims_xy)}: every axis needs at least 1")
     if n_samples < 2:
         raise TrajectoryError(f"a spiral needs at least 2 samples, got {n_samples}")
     k_max = (min(dims_xy) - 1) / 2
@@ -186,44 +209,19 @@ def gen_stack_of_spirals(spiral, dims, af=1.0, center_fraction=0.1,
         raise TrajectoryError(f"need 0 < center_fraction < 1, got {center_fraction}")
     if af < 1:
         raise TrajectoryError("acceleration factor must be >= 1")
-    spiral = np.asarray(spiral, dtype=np.float64)
     nz = dims[2]
-    all_kz = np.arange(nz) - nz // 2
-    center_order = np.argsort(np.abs(all_kz), kind="stable")
     n_center = math.ceil(center_fraction * nz)
-    center_kz = all_kz[center_order[:n_center]]
-    outer_kz = all_kz[center_order[n_center:]]
-
     if shots_per_frame is None:
         shots_per_frame = max(n_center, int(round(nz / af)))
     if not n_center <= shots_per_frame <= nz:
         raise TrajectoryError(f"{shots_per_frame} planes a frame, need at least the "
                               f"{n_center} center planes and at most Nz = {nz}")
-    n_outer = shots_per_frame - n_center
-    if n_outer == 0 and len(outer_kz) > 0:
-        import warnings
+    if shots_per_frame == n_center < nz:
         warnings.warn("acceleration leaves zero outer planes: center-only plan")
-
-    rng = np.random.default_rng(seed)
-    shots = []
-    times = _echo_centered_times(len(spiral), t_obs_s)
-    planes = {kz: _plane_shot(spiral, kz, times) for kz in all_kz}
-    if n_outer:
-        stride_idx = np.round(np.linspace(0, len(outer_kz) - 1, n_outer)).astype(int)
-        static_outer = outer_kz[stride_idx]
-    else:
-        static_outer = outer_kz[:0]
-    for _ in range(n_frames):
-        if dynamic and n_outer:
-            sel_outer = rng.choice(outer_kz, size=n_outer, replace=False)
-        else:
-            sel_outer = static_outer
-        # center-out acquisition order within the frame
-        frame_kz = np.concatenate([center_kz, sel_outer])
-        frame_kz = frame_kz[np.argsort(np.abs(frame_kz), kind="stable")]
-        shots.extend(planes[kz] for kz in frame_kz)
-    return SamplingPlan(shots=tuple(shots), shots_per_frame=shots_per_frame,
-                        tr_shot=tr_shot_s, kind="stack_of_spirals", dims=tuple(dims))
+    rng = np.random.default_rng(seed) if dynamic else None
+    frames = _frame_planes(nz, n_center, shots_per_frame, n_frames, rng)
+    return _stack(np.asarray(spiral, dtype=np.float64), t_obs_s, frames, shots_per_frame,
+                  tr_shot_s, "stack_of_spirals", dims)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+import yaml
 
 from snakesim.cli import main as cli_main
 from snakesim.io import (TRAJ_MAGIC, DatasetWriter, FormatError, canonical_json,
                          load_volume_file, read_dataset, read_nifti,
                          read_trajectory, read_volume, write_trajectory,
                          write_volume)
+from snakesim.scenarios import ConfigError, RunConfig, preset, run_pipeline
 from snakesim.trajectories import load_trajectory_file
 
 
@@ -97,6 +99,81 @@ def test_nifti_gz_via_dispatch(tmp_path):
     _write_nifti(path, data, gz=True)
     back, _ = load_volume_file(path)
     np.testing.assert_allclose(back, data, rtol=1e-6)
+
+
+def _patched_nifti(path, fmt, offset, *values, gz=False):
+    """A 2x2x2 NIfTI file of ones whose header field at byte ``offset``
+    holds ``values``."""
+    _write_nifti(path, np.ones((2, 2, 2), dtype=np.float32))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into(fmt, blob, offset, *values)
+    path.write_bytes(gzip.compress(bytes(blob)) if gz else bytes(blob))
+
+
+@pytest.mark.parametrize("fmt, offset, value, message", [
+    ("<h", 42, -4, r"dims \(-4, 2, 2\) hold a size below 1"),
+    ("<h", 46, 0, r"dims \(2, 2, 0\) hold a size below 1"),
+    ("<f", 108, 10.0, "vox_offset 10.0 is not an integer >= 352"),
+    ("<f", 108, 0.0, "vox_offset 0.0 is not"),
+    ("<f", 108, 352.5, "vox_offset 352.5 is not"),
+    ("<f", 108, float("nan"), "vox_offset nan is not"),
+    ("<f", 108, float("inf"), "vox_offset inf is not"),
+    ("4s", 344, b"ni1\0", r"separate \.img file \(magic ni1\) is not supported")],
+    ids=["negative_dim", "zero_dim", "offset_10", "offset_0", "offset_352.5", "offset_nan",
+         "offset_inf", "magic_ni1"])
+def test_nifti_header_refused(fmt, offset, value, message, tmp_path):
+    """A size below 1, a vox_offset inside the header or not a whole byte
+    count, and a header whose body is a separate .img file raise
+    FormatError; a vox_offset of 10 used to read the volume 4 bytes early."""
+    path = tmp_path / "t.nii"
+    _patched_nifti(path, fmt, offset, value)
+    with pytest.raises(FormatError, match=message):
+        read_nifti(path)
+
+
+@pytest.mark.parametrize("gz", [False, True])
+@pytest.mark.parametrize("fmt, offset, values", [
+    ("<f", 108, (1e12,)), ("<3h", 42, (32767, 32767, 32767))], ids=["offset_1e12", "dims_32767"])
+def test_nifti_body_past_the_file_is_truncated(fmt, offset, values, gz, tmp_path):
+    """A vox_offset past the end of the file is skipped to, not read, and
+    sizes the file cannot hold allocate nothing: both are a truncated body
+    (they used to raise MemoryError)."""
+    path = tmp_path / ("t.nii.gz" if gz else "t.nii")
+    _patched_nifti(path, fmt, offset, *values, gz=gz)
+    with pytest.raises(FormatError, match="truncated NIfTI body"):
+        read_nifti(path)
+
+
+def test_nifti_body_read_from_vox_offset(tmp_path):
+    """A vox_offset of 360 skips 8 more bytes before the body."""
+    data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+    path = tmp_path / "t.nii"
+    _write_nifti(path, data)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<f", blob, 108, 360.0)
+    path.write_bytes(bytes(blob[:352]) + b"\xff" * 8 + bytes(blob[352:]))
+    np.testing.assert_array_equal(read_nifti(path)[0], data)
+
+
+def test_run_refuses_a_bad_nifti_phantom_before_the_run_dir(tmp_path, capsys):
+    """A files phantom whose NIfTI header has a negative size raises
+    ConfigError("phantom: ...") before the run directory is made, and
+    snake run exits 2 on it."""
+    bad, good = tmp_path / "wm.nii", tmp_path / "gm.nii"
+    _patched_nifti(bad, "<h", 42, -4)
+    _write_nifti(good, np.ones((2, 2, 2), dtype=np.float32))
+    cfg = json.loads(json.dumps(preset("s1_epi", scale=0.15).raw))
+    cfg["phantom"] = {"kind": "files", "files": [str(bad), str(good)],
+                      "tissues": ["WM", "GM"]}
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=r"^phantom: .*wm\.nii: dims \(-4, 2, 2\)"):
+        run_pipeline(RunConfig.from_dict(cfg), out)
+    assert not out.exists()
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert "phantom: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trajectory_round_trip(tmp_path):

@@ -183,6 +183,10 @@ _PROBES = {
     "unknown hrf": (_edit("bold", "hrf", "bogus"), "bold.hrf"),
     "no coils": (_edit(None, "n_coils", 0), "n_coils: need at least one coil, got 0"),
     "two dims": (_edit(None, "dims", [8, 8]), "dims"),
+    "a bool dims entry": (_edit(None, "dims", [True, 8, 8]),
+                          "dims: need 3 positive values, got"),
+    "a bool voxel size": (_edit(None, "voxel_size_mm", [3.0, True, 3.0]),
+                          "voxel_size_mm: need 3 positive values, got"),
     "p_threshold above 1": (_edit("analysis", "p_threshold", 2), "analysis"),
     "drift order above frames": (_edit("analysis", "drift_order", 30),
                                  "analysis: 25 frames too few for drift order 30"),

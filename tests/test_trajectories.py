@@ -1,9 +1,12 @@
+import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from snakesim import trajectories
+from snakesim.cli import main as cli_main
 from snakesim.io import write_trajectory
 from snakesim.phantom import SequenceParams
 from snakesim.trajectories import (SamplingPlan, Shot, TrajectoryError,
@@ -368,3 +371,178 @@ class TestPlaneShots:
         assert plan.shot_times.shape == (len(plan.shots),)
         for s in range(len(plan.shots)):
             assert plan.shot_times[s] == s * plan.tr_shot
+
+
+class TestGeneratorDims:
+    """Every axis of a generated plan needs at least one sample."""
+
+    @pytest.mark.parametrize("dims", [(-4, 8, 8), (8, -4, 8), (8, 8, -4)])
+    def test_epi_axis_below_one_rejected(self, dims):
+        with pytest.raises(TrajectoryError, match="invalid dims"):
+            gen_epi_3d(dims, _seq())
+
+    @pytest.mark.parametrize("dims_xy", [(-4, 8), (8, 0)])
+    def test_spiral_axis_below_one_rejected(self, dims_xy):
+        with pytest.raises(TrajectoryError, match=r"invalid dims \(-?\d, -?\d\)"):
+            gen_spiral(dims_xy, 16)
+
+    @pytest.mark.parametrize("dims", [(-4, 8, 8), (8, 0, 8), (8, 8, 0)])
+    def test_stack_axis_below_one_rejected(self, dims):
+        with pytest.raises(TrajectoryError, match="invalid dims"):
+            gen_stack_of_spirals(gen_spiral((8, 8), 16), dims)
+
+    @pytest.mark.parametrize("kind", ["epi3d", "stack_of_spirals"])
+    def test_traj_gen_exits_2_and_writes_no_file(self, kind, tmp_path, capsys):
+        path = tmp_path / "x.snkt"
+        assert cli_main(["traj", "gen", str(path), "--kind", kind,
+                         "--dims", "-4", "8", "8"]) == 2
+        assert "invalid dims (-4, 8" in capsys.readouterr().err
+        assert not path.exists()
+
+
+def _oracle_echo_centered_times(n_samples, t_obs_s):
+    dt = t_obs_s / n_samples
+    return (np.arange(n_samples) - (n_samples - 1) / 2) * dt
+
+
+def _oracle_plane_shot(xy, kz, times):
+    pts = np.column_stack([xy, np.full(len(xy), float(kz))])
+    pts.flags.writeable = False
+    return Shot(points=pts, times=times)
+
+
+def _oracle_epi_3d(dims, seq, n_planes_per_volume=None, n_frames=1):
+    """gen_epi_3d as it was before plane selection was shared, frozen."""
+    nx, ny, nz = dims
+    if nx == 0 or ny == 0 or nz == 0:
+        raise TrajectoryError(f"invalid dims {dims}")
+    if n_planes_per_volume is None:
+        n_planes_per_volume = nz
+    if n_planes_per_volume > nz:
+        raise TrajectoryError(f"{n_planes_per_volume} EPI planes > Nz = {nz}")
+    kx = np.arange(nx) - nx // 2
+    ky = np.arange(ny) - ny // 2
+    all_kz = np.arange(nz) - nz // 2
+    order = np.argsort(np.abs(all_kz), kind="stable")
+    kz_sel = np.sort(all_kz[order[:n_planes_per_volume]])
+    plane = np.empty((ny * nx, 2))
+    for row in range(ny):
+        xs = kx if row % 2 == 0 else kx[::-1]
+        plane[row * nx: (row + 1) * nx, 0] = xs
+        plane[row * nx: (row + 1) * nx, 1] = ky[row]
+    times = _oracle_echo_centered_times(ny * nx, seq.t_obs_s)
+    planes = [_oracle_plane_shot(plane, kz, times) for kz in kz_sel]
+    return SamplingPlan(shots=tuple(planes * n_frames), shots_per_frame=n_planes_per_volume,
+                        tr_shot=seq.tr_shot_s, kind="epi3d", dims=tuple(dims))
+
+
+def _oracle_stack_of_spirals(spiral, dims, af=1.0, center_fraction=0.1, dynamic=False,
+                             n_frames=1, seed=0, tr_shot_s=0.05, t_obs_s=0.025,
+                             shots_per_frame=None):
+    """gen_stack_of_spirals as it was before plane selection was shared,
+    frozen."""
+    if not (0 < center_fraction < 1):
+        raise TrajectoryError(f"need 0 < center_fraction < 1, got {center_fraction}")
+    if af < 1:
+        raise TrajectoryError("acceleration factor must be >= 1")
+    spiral = np.asarray(spiral, dtype=np.float64)
+    nz = dims[2]
+    all_kz = np.arange(nz) - nz // 2
+    center_order = np.argsort(np.abs(all_kz), kind="stable")
+    n_center = math.ceil(center_fraction * nz)
+    center_kz = all_kz[center_order[:n_center]]
+    outer_kz = all_kz[center_order[n_center:]]
+    if shots_per_frame is None:
+        shots_per_frame = max(n_center, int(round(nz / af)))
+    if not n_center <= shots_per_frame <= nz:
+        raise TrajectoryError(f"{shots_per_frame} planes a frame, need at least the "
+                              f"{n_center} center planes and at most Nz = {nz}")
+    n_outer = shots_per_frame - n_center
+    if n_outer == 0 and len(outer_kz) > 0:
+        import warnings
+        warnings.warn("acceleration leaves zero outer planes: center-only plan")
+    rng = np.random.default_rng(seed)
+    shots = []
+    times = _oracle_echo_centered_times(len(spiral), t_obs_s)
+    planes = {kz: _oracle_plane_shot(spiral, kz, times) for kz in all_kz}
+    if n_outer:
+        stride_idx = np.round(np.linspace(0, len(outer_kz) - 1, n_outer)).astype(int)
+        static_outer = outer_kz[stride_idx]
+    else:
+        static_outer = outer_kz[:0]
+    for _ in range(n_frames):
+        if dynamic and n_outer:
+            sel_outer = rng.choice(outer_kz, size=n_outer, replace=False)
+        else:
+            sel_outer = static_outer
+        frame_kz = np.concatenate([center_kz, sel_outer])
+        frame_kz = frame_kz[np.argsort(np.abs(frame_kz), kind="stable")]
+        shots.extend(planes[kz] for kz in frame_kz)
+    return SamplingPlan(shots=tuple(shots), shots_per_frame=shots_per_frame,
+                        tr_shot=tr_shot_s, kind="stack_of_spirals", dims=tuple(dims))
+
+
+def _outcome(gen, *args, **kwargs):
+    """(plan or None, refusal message or None, warning messages) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            plan, error = gen(*args, **kwargs), None
+        except TrajectoryError as e:
+            plan, error = None, str(e)
+    return plan, error, [str(w.message) for w in caught]
+
+
+def _assert_same_outcome(gen, oracle, *args, **kwargs):
+    """Assert ``gen`` and ``oracle`` agree on the call; return its warnings."""
+    plan, error, warned = _outcome(gen, *args, **kwargs)
+    want, want_error, want_warned = _outcome(oracle, *args, **kwargs)
+    assert (error, warned) == (want_error, want_warned)
+    if want is None:
+        return warned
+    assert (plan.shots_per_frame, plan.tr_shot, plan.kind, plan.dims) == \
+        (want.shots_per_frame, want.tr_shot, want.kind, want.dims)
+    assert len(plan.shots) == len(want.shots)
+
+    def first_of(shots):  # the Shot identity pattern: shot s repeats shot first_of[s]
+        first = {}
+        return [first.setdefault(shot, s) for s, shot in enumerate(shots)]
+
+    assert first_of(plan.shots) == first_of(want.shots)
+    for shot, oracle_shot in zip(plan.shots, want.shots):
+        assert shot.points.tobytes() == oracle_shot.points.tobytes()
+        assert shot.times.tobytes() == oracle_shot.times.tobytes()
+        assert not shot.points.flags.writeable
+    return warned
+
+
+class TestFrozenOracle:
+    """Both generators give the plans of their own earlier, separate
+    implementations, byte for byte, over odd and even Nz, every plane
+    count, static plans and dynamic ones at four seeds, and 0, 1 and 7
+    frames; the same refusals and the same center-only warning."""
+
+    @pytest.mark.parametrize("nz", [7, 8])
+    def test_epi(self, nz):
+        for n in range(1, nz + 1):
+            for n_frames in (0, 1, 7):
+                _assert_same_outcome(gen_epi_3d, _oracle_epi_3d, (6, 5, nz), _seq(),
+                                     n_planes_per_volume=n, n_frames=n_frames)
+
+    @pytest.mark.parametrize("nz", [7, 8])
+    def test_stack_of_spirals(self, nz):
+        spiral = gen_spiral((6, 5), 12)
+        budgets = [dict(af=af) for af in (1.0, 2.0, 4.0)]
+        budgets += [dict(shots_per_frame=n) for n in range(1, nz + 1)]
+        plans = [dict(dynamic=False)] + [dict(dynamic=True, seed=s) for s in range(4)]
+        warned = 0
+        for center_fraction in (0.1, 0.3, 0.9):
+            for budget in budgets:
+                for plan in plans:
+                    for n_frames in (0, 1, 7):
+                        kwargs = dict(dims=(6, 5, nz), center_fraction=center_fraction,
+                                      n_frames=n_frames, tr_shot_s=0.05, t_obs_s=0.03,
+                                      **budget, **plan)
+                        warned += bool(_assert_same_outcome(
+                            gen_stack_of_spirals, _oracle_stack_of_spirals, spiral, **kwargs))
+        assert warned > 0
