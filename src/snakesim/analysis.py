@@ -359,31 +359,19 @@ class SeriesSums:
         self.n += 1
 
 
-def _fed(series, design=None) -> SeriesSums:
-    """``series`` itself if it is a :class:`SeriesSums`, else a SeriesSums
-    under ``design`` fed every frame of the (n_frames, *dims) ``series``."""
-    if isinstance(series, SeriesSums):
-        return series
-    sums = SeriesSums(design)
-    for frame in np.asarray(series):
-        sums.add(frame)
-    return sums
-
-
-def glm_fit(series, design: DesignMatrix, mask=None) -> StatMap:
-    """Voxel-wise OLS with a t test on the task column.
-
-    series is (n_frames, *dims) magnitude data, or the :class:`SeriesSums`
-    it was fed to under ``design``. The residual sum of squares is
+def glm_fit(sums: SeriesSums, mask=None) -> StatMap:
+    """Voxel-wise OLS with a t test on the task column, from the
+    :class:`SeriesSums` of a (n_frames, *dims) magnitude series, fed
+    under its design. The residual sum of squares is
     sum D^2 - beta . X^T D, clamped at 0. Voxels with zero residual
     variance get t = +-Z_CAP (exact fit) or 0 (constant data). Voxels
     outside ``mask`` get t = z = 0, and only those inside are mapped to z.
     beta is dropped once the effect and the RSS are formed, and sigma^2
     and t are formed in place in the RSS's volume.
     """
-    sums = _fed(series, design)
-    if sums.design is not design:
-        raise AnalysisError("the series sums were fed under another design")
+    design = sums.design
+    if design is None:
+        raise AnalysisError("the series sums were fed without a design")
     n, k = design.matrix.shape
     if sums.n != n:
         raise AnalysisError(f"series has {sums.n} frames, design {n}")
@@ -549,16 +537,15 @@ def ssim(x, ref):
     return float(np.mean(np.divide(num, den, out=num)))
 
 
-def tsnr(series, roi=None):
-    """Voxel-wise temporal mean / std (unbiased); flags zero-std voxels.
+def tsnr(sums: SeriesSums, roi=None):
+    """Voxel-wise temporal mean / std (unbiased) of the series fed to the
+    :class:`SeriesSums` ``sums``; flags zero-std voxels.
 
-    series is a (n_frames, *dims) array or the :class:`SeriesSums` it was
-    fed to. Returns ``(map, roi_mean)``; zero-variance voxels carry inf in
+    Returns ``(map, roi_mean)``; zero-variance voxels carry inf in
     the map and are excluded from the ROI mean. The map is formed in place
     in the volumes of the mean and the std, so tsnr holds two float64
     volumes and a mask.
     """
-    sums = _fed(series)
     if sums.n < 2:
         raise AnalysisError("tSNR needs at least 2 frames")
     # each element's operations in the order of mean = first + mean_d and

@@ -163,6 +163,18 @@ def load_volume_file(path):
 # SNKT1 trajectories
 
 
+def _check_timing(where, dwell_time_us, tr_shot_ms):
+    """:class:`FormatError`, its message led by ``where``, unless an SNKT1
+    file's dwell time and TR are finite and positive as the float32 values
+    the file stores (1e39 would be inf, 1e-50 would be 0)."""
+    for name, value, unit in (("dwell time", dwell_time_us, "us"), ("TR", tr_shot_ms, "ms")):
+        with np.errstate(over="ignore"):
+            stored = np.float32(value)
+        if not 0 < stored < np.inf:
+            raise FormatError(f"{where}{name} must be finite and positive in float32, "
+                              f"got {value} {unit}")
+
+
 def write_trajectory(path, shots_points, dwell_time_us, tr_shot_ms):
     """Write shot coordinate arrays (each samples x ndims) to SNKT1."""
     shots = [np.asarray(p, dtype=np.float64) for p in shots_points]
@@ -171,8 +183,7 @@ def write_trajectory(path, shots_points, dwell_time_us, tr_shot_ms):
     samples, ndims = shots[0].shape
     if ndims not in (2, 3):
         raise FormatError(f"n_dims must be 2 or 3, got {ndims}")
-    if not dwell_time_us > 0:
-        raise FormatError(f"dwell time must be positive, got {dwell_time_us}")
+    _check_timing("", dwell_time_us, tr_shot_ms)
     for i, p in enumerate(shots):
         if p.shape != (samples, ndims):
             raise FormatError(f"shot {i} shape {p.shape} != {(samples, ndims)}")
@@ -190,11 +201,13 @@ def read_trajectory(path):
     Returns ``(shots, dwell_time_us, tr_shot_ms)`` where shots is a list
     of (samples, ndims) float64 arrays, the row views of one (n_shots,
     samples, ndims) array. A bad magic, a file shorter than its header, a
-    body shorter or longer than the header predicts, an empty trajectory
-    or an n_dims other than 2 or 3 raises :class:`FormatError`.
+    body shorter or longer than the header predicts, an empty trajectory,
+    an n_dims other than 2 or 3, or a dwell time or TR that is not finite
+    and positive raises :class:`FormatError`.
     """
     raw = Path(path).read_bytes()
     n_shots, samples, ndims, dwell_us, tr_ms = _fields(path, raw, TRAJ_MAGIC, "<IIBff")
+    _check_timing(f"{path}: ", dwell_us, tr_ms)
     if n_shots == 0 or samples == 0:
         raise FormatError(f"{path}: empty trajectory ({n_shots} shots of {samples} samples)")
     if ndims not in (2, 3):

@@ -23,6 +23,7 @@ import numpy as np
 from .io import load_volume_file
 
 WEIGHT_SUM_EPS = 1e-6
+VOXEL_SIZE_RTOL = 1e-5  # relative tolerance within which voxel sizes are one size
 _SUPERSAMPLE = 4  # subvoxels per axis of synthetic_phantom's coverage count
 _BOLD_DT = 0.01  # s, the step of the grid the BOLD response is convolved on
 
@@ -196,7 +197,7 @@ def load_phantom(volume_files, tissue_table):
             dims, voxel_size = data.shape, vs
         elif data.shape != dims:
             raise PhantomError(f"{path}: dims {data.shape} differ from {dims}")
-        elif not np.allclose(vs, voxel_size, rtol=1e-5):
+        elif not np.allclose(vs, voxel_size, rtol=VOXEL_SIZE_RTOL):
             raise PhantomError(f"{path}: voxel size {vs} differs from {voxel_size}")
         volumes.append(np.clip(data.astype(np.float64), 0.0, 1.0))
     weights = np.stack(volumes)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
-import functools
 import hashlib
 import resource
 import time
@@ -27,14 +26,14 @@ from .analysis import (AnalysisError, bacc, build_design, glm_fit, precision_rec
                        ssim, threshold_detect, tsnr, MetricsReport, SeriesSums)
 from .engine import CoilProfile, EngineError, NoiseConfig, birdcage_coils, run_acquisition
 from .io import FormatError, canonical_json, write_volume
-from .phantom import (BoldSpec, Paradigm, Phantom, PhantomError,
+from .phantom import (VOXEL_SIZE_RTOL, BoldSpec, Paradigm, Phantom, PhantomError,
                       SequenceParams, bold_response, build_bold_timecourse, contrast_volume,
                       default_tissues, ellipsoid_roi, gre_contrast, load_phantom,
                       synthetic_phantom)
 from .recon import (COMPLEX64_TOL_FLOOR, ReconConfig, ReconError, WaveletBasis,
                     adjoint_series, reconstruct_series)
-from .trajectories import (SamplingPlan, TrajectoryError, gen_epi_3d, gen_spiral,
-                           gen_stack_of_spirals, load_trajectory_file)
+from .trajectories import (TrajectoryError, gen_epi_3d, gen_spiral, gen_stack_of_spirals,
+                           load_trajectory_file)
 from .wavelets import WaveletError
 
 
@@ -91,25 +90,11 @@ def _check(section, data, keys):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A checked run config: ``raw``, the mapping saved and hashed, and the typed objects
-    built from it once; ``cs`` is the (WaveletBasis, ReconConfig) pair of a CS recon."""
+    """A checked run config: ``raw``, the mapping saved and hashed.
+    ``run_pipeline`` builds the run's typed inputs from it
+    (:func:`_run_inputs`), and their builders hold their own rules."""
 
     raw: dict
-    sequence: SequenceParams
-    paradigm: Paradigm
-    noise: NoiseConfig
-    cs: tuple | None
-
-    @functools.cached_property
-    def plan(self) -> SamplingPlan:
-        """The run's sampling plan, built on first use and kept: its builders
-        hold its rules, and their refusals, an external file's included, raise
-        ``ConfigError("trajectory: ...")``. ``run_pipeline`` reads it before
-        it makes the output directory."""
-        try:
-            return _build_plan(self.raw, self.sequence)
-        except (TrajectoryError, FormatError, OSError) as e:
-            raise ConfigError(f"trajectory: {e}") from e
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -119,7 +104,7 @@ class RunConfig:
         if kind not in _PHANTOM_KEYS:
             raise ConfigError(f"phantom.kind: {kind!r} is not one of {sorted(_PHANTOM_KEYS)}")
         _check("phantom", raw["phantom"], _PHANTOM_KEYS[kind])
-        traj, p_threshold = raw["trajectory"], raw["analysis"]["p_threshold"]
+        traj, recon, p_threshold = raw["trajectory"], raw["recon"], raw["analysis"]["p_threshold"]
         for key, typ in (("dims", int), ("voxel_size_mm", _NUMBER)):
             if len(raw[key]) != 3 or not all(isinstance(v, typ) and not isinstance(v, bool)
                                              and v > 0 for v in raw[key]):
@@ -131,35 +116,12 @@ class RunConfig:
         # no builder of the threshold runs before the analysis stage
         if not 0 < p_threshold < 1:
             raise ConfigError(f"analysis: need 0 < p_threshold < 1, got {p_threshold}")
-        seq, par, recon, section = raw["sequence"], raw["paradigm"], raw["recon"], "sequence"
-        try:
-            sequence = SequenceParams(tr_shot=seq["tr_shot_ms"], te=seq["te_ms"],
-                                      flip_angle=seq["flip_angle_deg"], t_obs=seq["t_obs_ms"])
-            section = "paradigm"
-            paradigm = Paradigm.blocks(par["block_on_s"], par["block_off_s"],
-                                       par["run_length_s"])
-            section = "noise"  # snr_i 0 means no noise
-            noise = NoiseConfig(snr_i=float(raw["noise"]["snr_i"] or np.inf), seed=raw["seed"])
-            section, cs = "recon", None
-            if recon["method"] == "cs":
-                if recon["tol"] < COMPLEX64_TOL_FLOOR:
-                    raise ConfigError(
-                        f"recon.tol: {recon['tol']:g} is below {COMPLEX64_TOL_FLOOR:g}, the "
-                        f"smallest relative objective change a complex64 solve resolves (CS "
-                        f"solves the dataset's complex64 frames)")
-                # the deepest level up to ``levels`` at which 2^levels divides
-                # every axis: the basis takes any dims, and this keeps the
-                # depth, and so the CS results, of the existing grids
-                levels = recon["levels"]
-                while levels > 1 and any(d % (2 ** levels) for d in raw["dims"]):
-                    levels -= 1
-                cs = (WaveletBasis(family=recon["wavelet"], levels=levels),
-                      ReconConfig(strategy=recon["strategy"], max_iters=recon["max_iters"],
-                                  tol=recon["tol"], mu_mode=recon["mu_mode"],
-                                  mu_value=recon["mu_value"]))
-        except (PhantomError, EngineError, ReconError, WaveletError) as e:
-            raise ConfigError(f"{section}: {e}") from e
-        return cls(raw, sequence, paradigm, noise, cs)
+        if recon["method"] == "cs" and recon["tol"] < COMPLEX64_TOL_FLOOR:
+            raise ConfigError(
+                f"recon.tol: {recon['tol']:g} is below {COMPLEX64_TOL_FLOOR:g}, the "
+                f"smallest relative objective change a complex64 solve resolves (CS "
+                f"solves the dataset's complex64 frames)")
+        return cls(raw)
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.raw, sort_keys=True)
@@ -295,6 +257,9 @@ def _build_phantom(cfg):
     phantom = load_phantom([str(f) for f in spec["files"]], tissues)
     if phantom.dims != dims:
         raise PhantomError(f"the volumes' dims {phantom.dims} are not dims {dims}")
+    if not np.allclose(phantom.voxel_size, cfg["voxel_size_mm"], rtol=VOXEL_SIZE_RTOL):
+        raise PhantomError(f"the volumes' voxel size {phantom.voxel_size} is not "
+                           f"voxel_size_mm {tuple(cfg['voxel_size_mm'])}")
     return phantom, names.index("GM")
 
 
@@ -329,9 +294,9 @@ class RunManifest:
         return asdict(self)
 
 
-def _analyse(out, sums, design, phantom, roi, reference, p_threshold):
+def _analyse(out, sums, phantom, roi, reference, p_threshold):
     """The analysis stage: the GLM of the frames fed to ``sums`` under
-    ``design``, detection at ``p_threshold`` against ``roi`` and the image
+    their design, detection at ``p_threshold`` against ``roi`` and the image
     metrics against ``reference``, written to ``metrics.json``,
     ``zmap.snkv`` and ``pr_curve.csv`` under ``out``. The image metrics
     and the tSNR come first, so neither working set is held beside the
@@ -342,7 +307,7 @@ def _analyse(out, sums, design, phantom, roi, reference, p_threshold):
     del ref_mag
     _, tsnr_mean = tsnr(sums, roi=roi)
     tissue_mask = phantom.weights.sum(axis=0) > 0.1
-    stat = glm_fit(sums, design, mask=tissue_mask)
+    stat = glm_fit(sums, mask=tissue_mask)
     det = threshold_detect(stat, p_threshold, roi, mask=tissue_mask)
     pr = precision_recall(stat, roi, mask=tissue_mask)
     report = MetricsReport(auc_pr=pr["auc"], bacc=bacc(det), tsnr_roi_mean=tsnr_mean, **image)
@@ -363,29 +328,54 @@ _RUN_FILES = ("config.yaml", "manifest.json", "kspace.snkd", "kspace.snkd.partia
 
 
 def _run_inputs(config):
-    """(plan, phantom, GM index, design, BOLD spec, coil maps) of a run,
-    the cheap checks first and the coil maps last. A builder's refusal
-    raises ``ConfigError("<section>: ...")``."""
-    cfg, plan, section = config.raw, config.plan, "phantom"
+    """(sequence, noise, CS pair, plan, phantom, GM index, design, BOLD
+    spec, coil maps) of a run, each built once from ``config.raw``, the
+    cheap checks first and the coil maps last. The CS pair is the
+    (WaveletBasis, ReconConfig) of a CS recon, else None. A builder's
+    refusal raises ``ConfigError("<section>: ...")``."""
+    cfg, section = config.raw, "sequence"
+    seq, par, recon = cfg["sequence"], cfg["paradigm"], cfg["recon"]
     try:
+        sequence = SequenceParams(tr_shot=seq["tr_shot_ms"], te=seq["te_ms"],
+                                  flip_angle=seq["flip_angle_deg"], t_obs=seq["t_obs_ms"])
+        section = "paradigm"
+        paradigm = Paradigm.blocks(par["block_on_s"], par["block_off_s"], par["run_length_s"])
+        section = "noise"  # snr_i 0 means no noise
+        noise = NoiseConfig(snr_i=float(cfg["noise"]["snr_i"] or np.inf), seed=cfg["seed"])
+        section, cs = "recon", None
+        if recon["method"] == "cs":
+            # the deepest level up to ``levels`` at which 2^levels divides
+            # every axis: the basis takes any dims, and this keeps the
+            # depth, and so the CS results, of the existing grids
+            levels = recon["levels"]
+            while levels > 1 and any(d % (2 ** levels) for d in cfg["dims"]):
+                levels -= 1
+            cs = (WaveletBasis(family=recon["wavelet"], levels=levels),
+                  ReconConfig(strategy=recon["strategy"], max_iters=recon["max_iters"],
+                              tol=recon["tol"], mu_mode=recon["mu_mode"],
+                              mu_value=recon["mu_value"]))
+        section = "trajectory"
+        plan = _build_plan(cfg, sequence)
+        section = "phantom"
         phantom, gm_index = _build_phantom(cfg)
         roi = ellipsoid_roi(phantom, gm_index)
         if not (roi >= 0.5).any():
             raise ConfigError("phantom: empty ROI: no GM voxel of weight >= 0.5 lies in the "
                               "activation ellipsoid")
         section = "analysis"
-        design = build_design(config.paradigm, cfg["bold"]["hrf"], plan.n_frames,
+        design = build_design(paradigm, cfg["bold"]["hrf"], plan.n_frames,
                               plan.tr_vol, drift_order=cfg["analysis"]["drift_order"])
         section = "paradigm"
-        h = build_bold_timecourse(config.paradigm, plan.shot_times, hrf=cfg["bold"]["hrf"])
+        h = build_bold_timecourse(paradigm, plan.shot_times, hrf=cfg["bold"]["hrf"])
         # both sampled the one response, which the run does not hold
         bold_response.cache_clear()
         bold = BoldSpec(roi=roi, delta_r2s=cfg["bold"]["delta_r2s_hz"], h_tilde=h)
         section = "n_coils"
         coils = birdcage_coils(phantom.dims, cfg["n_coils"])
-    except (PhantomError, AnalysisError, EngineError, FormatError, OSError) as e:
+    except (PhantomError, EngineError, ReconError, WaveletError, TrajectoryError,
+            AnalysisError, FormatError, OSError) as e:
         raise ConfigError(f"{section}: {e}") from e
-    return plan, phantom, gm_index, design, bold, coils
+    return sequence, noise, cs, plan, phantom, gm_index, design, bold, coils
 
 
 def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
@@ -413,7 +403,7 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     so the directory holds no output of an earlier run beside this one's.
     """
     cfg, t0 = config.raw, time.monotonic()
-    plan, phantom, gm_index, design, bold, coils = _run_inputs(config)
+    sequence, noise, cs, plan, phantom, gm_index, design, bold, coils = _run_inputs(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for pattern in _RUN_FILES:
@@ -431,13 +421,13 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
     try:
         dataset_path = out / "kspace.snkd"
         header, kdata = run_acquisition(
-            phantom, plan, coils, config.sequence, bold=bold, model=cfg["model"],
-            noise=config.noise, sink_path=dataset_path, gm_index=gm_index)
+            phantom, plan, coils, sequence, bold=bold, model=cfg["model"],
+            noise=noise, sink_path=dataset_path, gm_index=gm_index)
         # the series computes in the dataset's precision: its coil maps
         # replace acquisition's, which are dropped here (at s3@1 the
         # complex64 maps take 1.8 GB of the 5.5 GB that both would)
         coils = CoilProfile(maps=coils.maps.astype(kdata.dtype))
-        mu = gre_contrast(phantom, config.sequence)
+        mu = gre_contrast(phantom, sequence)
         reference = contrast_volume(phantom, mu)
         write_volume(out / "reference.snkv", np.abs(reference),
                      voxel_size=phantom.voxel_size)
@@ -450,11 +440,11 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
         t0 = time.monotonic()
         # kdata reads each frame from kspace.snkd as it is solved, and the
         # frame's magnitude goes to the file and to the series sums
-        if config.cs is None:
+        if cs is None:
             frames = adjoint_series(kdata, plan, coils, cfg["recon"]["density_comp"],
                                     n_jobs=n_jobs)
         else:
-            frames = reconstruct_series(kdata, plan, coils, *config.cs, n_jobs=n_jobs)
+            frames = reconstruct_series(kdata, plan, coils, *cs, n_jobs=n_jobs)
         sums = SeriesSums(design)
         estimates = []
         # closing the series on a failure here stops its worker threads
@@ -468,10 +458,10 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
                 estimates.append(replace(est, volume=None))
         index = {"n_frames": sums.n, "dims": list(phantom.dims),
                  "tr_vol_s": plan.tr_vol,
-                 "strategy": "adjoint" if config.cs is None else config.cs[1].strategy,
+                 "strategy": "adjoint" if cs is None else cs[1].strategy,
                  "mu": [float(est.mu_used) for est in estimates],
                  "objective_traces": "objective_traces.csv"}
-        if config.cs is not None:
+        if cs is not None:
             # how each frame's solve ended (see recon.FrameEstimate)
             index.update({key: [getattr(est, key) for est in estimates] for key in
                           ("n_iters", "stop", "restarts", "final_rel_change")})
@@ -488,8 +478,7 @@ def run_pipeline(config: RunConfig, out_dir, n_jobs=None) -> RunManifest:
 
         stage = "analysis"
         t0 = time.monotonic()
-        _analyse(out, sums, design, phantom, bold.roi, reference,
-                 cfg["analysis"]["p_threshold"])
+        _analyse(out, sums, phantom, bold.roi, reference, cfg["analysis"]["p_threshold"])
         finish(stage, t0)
         manifest.checksums["metrics.json"] = _sha256(out / "metrics.json")
         manifest.checksums["zmap.snkv"] = _sha256(out / "zmap.snkv")

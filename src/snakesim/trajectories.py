@@ -26,7 +26,7 @@ class TrajectoryError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Shot:
     """One readout: k-space points with per-sample times (s), checked
-    once per object: equal lengths and strictly increasing times.
+    once per object: equal lengths and finite, strictly increasing times.
 
     Shots hash and compare by identity. A plan that repeats a k-point
     pattern repeats its Shot object, so the engine and the
@@ -39,6 +39,8 @@ class Shot:
     def __post_init__(self):
         if len(self.points) != len(self.times):
             raise TrajectoryError("points and times must have equal length")
+        if not np.isfinite(self.times).all():
+            raise TrajectoryError("sample times must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise TrajectoryError("sample times must be strictly increasing")
 

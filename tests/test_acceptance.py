@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from snakesim.analysis import (bacc, build_design, glm_fit, precision_recall,
+from snakesim.analysis import (SeriesSums, bacc, build_design, glm_fit, precision_recall,
                                threshold_detect)
 from snakesim.engine import (NoiseConfig, acquire_shot_basic, acquire_shot_t2s,
                              add_noise, birdcage_coils, centered_ifft,
@@ -247,8 +247,10 @@ def test_criterion_09_glm_null_calibration():
     n_frames, n_vox = 60, 10_000
     paradigm = Paradigm.blocks(on=20.0, off=20.0, run_length=150.0)
     design = build_design(paradigm, "double_gamma", n_frames, tr_vol=2.5)
-    series = rng.standard_normal((n_frames, n_vox, 1, 1))
-    stat = glm_fit(series, design)
+    sums = SeriesSums(design)
+    for frame in rng.standard_normal((n_frames, n_vox, 1, 1)):
+        sums.add(frame)
+    stat = glm_fit(sums)
     exceed = int(np.sum(stat.z > 3.0902))
     p = 0.001
     sigma = np.sqrt(n_vox * p * (1 - p))
@@ -274,12 +276,11 @@ def _desk_s1(snr_i, dims=(16, 16, 16), n_frames=120):
     noise = NoiseConfig(snr_i=snr_i, seed=77)
     _, frames = run_acquisition(phantom, plan, coils, seq, bold=bold,
                                 model="basic", noise=noise, gm_index=gm_index)
-    mags = np.stack([
-        np.abs(adjoint_recon(frames[t], FrameOperator(plan.frame(t), dims, coils)))
-        for t in range(n_frames)])
-    design = build_design(paradigm, "double_gamma", n_frames, plan.tr_vol)
+    sums = SeriesSums(build_design(paradigm, "double_gamma", n_frames, plan.tr_vol))
+    for t in range(n_frames):
+        sums.add(np.abs(adjoint_recon(frames[t], FrameOperator(plan.frame(t), dims, coils))))
     mask = phantom.weights.sum(axis=0) > 0.1
-    stat = glm_fit(mags, design, mask=mask)
+    stat = glm_fit(sums, mask=mask)
     det = threshold_detect(stat, 0.001, roi, mask=mask)
     pr = precision_recall(stat, roi, mask=mask)
     return bacc(det), pr["auc"]
@@ -325,9 +326,10 @@ def test_criterion_11_strategy_ordering():
                           mu_mode="sure")
         # the frames are independent under both strategies (refined after
         # its warm pass), so two workers give the same volumes
-        mags = np.stack([np.abs(e.volume) for e in
-                         reconstruct_series(frames, plan, coils, basis, cfg, n_jobs=2)])
-        stat = glm_fit(mags, design, mask=mask)
+        sums = SeriesSums(design)
+        for e in reconstruct_series(frames, plan, coils, basis, cfg, n_jobs=2):
+            sums.add(np.abs(e.volume))
+        stat = glm_fit(sums, mask=mask)
         aucs[strategy] = precision_recall(stat, roi, mask=mask)["auc"]
     _criterion(11, f"refined PR-AUC {aucs['refined']:.3f} >= "
                    f"cold {aucs['cold']:.3f}",

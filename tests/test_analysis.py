@@ -37,6 +37,14 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
+def _sums(series, design=None):
+    """A SeriesSums under ``design`` fed every frame of ``series``."""
+    sums = SeriesSums(design)
+    for frame in series:
+        sums.add(frame)
+    return sums
+
+
 def _statmap(z):
     z = np.asarray(z, dtype=np.float64)
     return StatMap(beta=z.copy(), t=z.copy(), z=z, dof=100)
@@ -139,7 +147,7 @@ class TestGlmFit:
         series[:, 0, 0, 0] = 5.0 * task + 3.0          # exact positive fit
         series[:, 1, 1, 1] = -2.0 * task + 1.0         # exact negative fit
         series[:, 0, 1, 0] = 4.0                       # constant voxel
-        sm = glm_fit(series, design)
+        sm = glm_fit(_sums(series, design))
         assert sm.beta[0, 0, 0] == pytest.approx(5.0)
         assert sm.t[0, 0, 0] == 38.0
         assert sm.t[1, 1, 1] == -38.0
@@ -151,7 +159,7 @@ class TestGlmFit:
         x = design.matrix
         n, k = x.shape
         series = rng.standard_normal((n, 3, 3, 3)) + 10.0
-        sm = glm_fit(series, design)
+        sm = glm_fit(_sums(series, design))
         y = series.reshape(n, -1)
         beta = np.linalg.lstsq(x, y, rcond=None)[0]
         resid = y - x @ beta
@@ -167,7 +175,7 @@ class TestGlmFit:
         rng = np.random.default_rng(2024)
         design = self._design(n_frames=60)
         series = rng.standard_normal((60, 25, 20, 20))
-        sm = glm_fit(series, design)
+        sm = glm_fit(_sums(series, design))
         z = sm.z.ravel()
         assert abs(z.mean()) < 3.0 / np.sqrt(z.size)
         assert z.std() == pytest.approx(1.0, abs=0.02)
@@ -175,7 +183,7 @@ class TestGlmFit:
     def test_frame_count_mismatch(self):
         design = self._design()
         with pytest.raises(AnalysisError, match="frames"):
-            glm_fit(np.zeros((10, 2, 2, 2)), design)
+            glm_fit(_sums(np.zeros((10, 2, 2, 2)), design))
 
     @pytest.mark.parametrize("dof", [1, 2, 3, 5, 7, 20, 133, 1000])
     def test_t_to_z_is_the_scipy_stats_expression(self, dof):
@@ -238,10 +246,10 @@ class TestGlmFit:
         series = rng.standard_normal((design.n_frames, 2, 2, 2)) + 5
         mask = np.zeros((2, 2, 2), dtype=bool)
         mask[0, 0, 0] = True
-        sm = glm_fit(series, design, mask=mask)
+        sm = glm_fit(_sums(series, design), mask=mask)
         assert np.all(sm.z[~mask] == 0.0)
         # only the voxels kept are mapped to z, to the same values
-        full = glm_fit(series, design)
+        full = glm_fit(_sums(series, design))
         assert np.array_equal(sm.z[mask], full.z[mask])
         assert np.array_equal(sm.t[mask], full.t[mask])
 
@@ -481,7 +489,7 @@ class TestSsim:
 class TestTsnr:
     def test_constant_series_flagged_inf(self):
         series = np.full((5, 3, 3, 3), 7.0)
-        tmap, roi_mean = tsnr(series, roi=np.ones((3, 3, 3)))
+        tmap, roi_mean = tsnr(_sums(series), roi=np.ones((3, 3, 3)))
         assert np.all(np.isinf(tmap))
         assert np.isnan(roi_mean)
 
@@ -490,26 +498,26 @@ class TestTsnr:
         series = np.zeros((2, 1, 1, 1))
         series[0] = 10 - np.sqrt(0.5)
         series[1] = 10 + np.sqrt(0.5)
-        tmap, roi_mean = tsnr(series, roi=np.ones((1, 1, 1)))
+        tmap, roi_mean = tsnr(_sums(series), roi=np.ones((1, 1, 1)))
         assert tmap[0, 0, 0] == pytest.approx(10.0)
         assert roi_mean == pytest.approx(10.0)
 
     def test_monte_carlo_ratio(self):
         rng = np.random.default_rng(12)
         series = 50.0 + rng.standard_normal((2000, 4, 4, 4))
-        _, roi_mean = tsnr(series, roi=np.ones((4, 4, 4)))
+        _, roi_mean = tsnr(_sums(series), roi=np.ones((4, 4, 4)))
         assert roi_mean == pytest.approx(50.0, rel=0.05)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(13)
         series = 20.0 + rng.standard_normal((50, 3, 3, 3))
-        _, a = tsnr(series, roi=np.ones((3, 3, 3)))
-        _, b = tsnr(3.0 * series, roi=np.ones((3, 3, 3)))
+        _, a = tsnr(_sums(series), roi=np.ones((3, 3, 3)))
+        _, b = tsnr(_sums(3.0 * series), roi=np.ones((3, 3, 3)))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_needs_two_frames(self):
         with pytest.raises(AnalysisError):
-            tsnr(np.zeros((1, 2, 2, 2)))
+            tsnr(_sums(np.zeros((1, 2, 2, 2))))
 
     def test_equals_the_expression_with_fresh_temporaries(self):
         """Formed in place, the map keeps each element's operations and
@@ -517,9 +525,7 @@ class TestTsnr:
         rng = np.random.default_rng(14)
         series = 20.0 + rng.standard_normal((9, 6, 7, 5)).astype(np.float32)
         series[:, 0, 0, 0] = 3.0  # zero variance: inf
-        sums = SeriesSums()
-        for frame in series:
-            sums.add(frame)
+        sums = _sums(series)
         mean_d = sums.sum / sums.n
         var = np.maximum(sums.sum_sq - sums.sum * mean_d, 0.0) / (sums.n - 1)
         mean = (sums.first.ravel() + mean_d).reshape(sums.first.shape)
@@ -550,9 +556,9 @@ class TestSeriesSums:
         paradigm = Paradigm.blocks(on=10.0, off=10.0, run_length=n_frames * 2.5)
         return build_design(paradigm, "double_gamma", n_frames=n_frames, tr_vol=2.5)
 
-    def test_fed_frame_by_frame_equals_the_array_calls(self):
-        """Sums fed one frame at a time give the array calls' maps exactly
-        and keep the first and last frames."""
+    def test_fed_frame_by_frame_keeps_the_count_and_end_frames(self):
+        """Sums fed one frame at a time count the frames and keep the first
+        and last ones."""
         rng = np.random.default_rng(41)
         design = self._design()
         series = 5.0 + rng.standard_normal((design.n_frames, 4, 3, 2))
@@ -562,8 +568,6 @@ class TestSeriesSums:
         assert sums.n == design.n_frames
         np.testing.assert_array_equal(sums.first, series[0])
         np.testing.assert_array_equal(sums.last, series[-1])
-        np.testing.assert_array_equal(glm_fit(sums, design).z, glm_fit(series, design).z)
-        np.testing.assert_array_equal(tsnr(sums)[0], tsnr(series)[0])
 
     def test_float32_frames_give_the_sums_of_their_float64_copies(self):
         """first and last stay float32, and D_t is formed in float64 from
@@ -580,7 +584,7 @@ class TestSeriesSums:
         assert sums64.first.dtype == np.float64
         for name in ("sum", "sum_sq", "xtd"):
             assert getattr(sums32, name).tobytes() == getattr(sums64, name).tobytes()
-        assert glm_fit(sums32, design).z.tobytes() == glm_fit(sums64, design).z.tobytes()
+        assert glm_fit(sums32).z.tobytes() == glm_fit(sums64).z.tobytes()
         roi = rng.random(series.shape[1:])
         assert tsnr(sums32, roi)[0].tobytes() == tsnr(sums64, roi)[0].tobytes()
         assert tsnr(sums32, roi)[1] == tsnr(sums64, roi)[1]
@@ -596,15 +600,13 @@ class TestSeriesSums:
         with pytest.raises(AnalysisError, match="shape"):
             sums.add(np.ones((2, 3)))
         with pytest.raises(AnalysisError, match="1 frames, design 20"):
-            glm_fit(sums, design)
-        with pytest.raises(AnalysisError, match="another design"):
-            glm_fit(sums, self._design())
+            glm_fit(sums)
         for _ in range(design.n_frames - 1):
             sums.add(np.ones((2, 2)))
         with pytest.raises(AnalysisError, match="more frames"):
             sums.add(np.ones((2, 2)))
-        with pytest.raises(AnalysisError, match="another design"):
-            glm_fit(SeriesSums(), design)
+        with pytest.raises(AnalysisError, match="fed without a design"):
+            glm_fit(SeriesSums())
 
 
 class TestChunkedSums:
@@ -630,7 +632,7 @@ class TestChunkedSums:
         beta = xtx_inv @ x.T @ y
         sigma2 = ((y - x @ beta) ** 2).sum(axis=0) / (n - k)
         t = np.clip(beta[0] / np.sqrt(sigma2 * xtx_inv[0, 0]), -Z_CAP, Z_CAP)
-        sm = glm_fit(series, design)
+        sm = glm_fit(_sums(series, design))
         np.testing.assert_allclose(sm.t.ravel(), t, rtol=0, atol=1e-12)
         np.testing.assert_allclose(sm.z.ravel(), _t_to_z(t, n - k), rtol=0, atol=1e-12)
 
@@ -648,7 +650,7 @@ class TestChunkedSums:
             sums.add(10.0 + rng.standard_normal(dims).astype(np.float32))
         mask = np.zeros(dims, bool)
         mask[5:25, 5:30, 5:25] = True
-        assert _peak_bytes(lambda: glm_fit(sums, design, mask=mask)) <= 8 * 8 * np.prod(dims)
+        assert _peak_bytes(lambda: glm_fit(sums, mask=mask)) <= 8 * 8 * np.prod(dims)
 
     def test_glm_fit_peak_does_not_grow_with_the_mask(self):
         """t maps to z a block of masked voxels at a time, so a mask of all
@@ -663,12 +665,12 @@ class TestChunkedSums:
             sums.add(10.0 + rng.standard_normal(dims))
         eighth = np.zeros(dims, bool)
         eighth[:6] = True
-        peaks = [_peak_bytes(lambda: glm_fit(sums, design, mask=mask))
+        peaks = [_peak_bytes(lambda: glm_fit(sums, mask=mask))
                  for mask in (eighth, np.ones(dims, bool))]
         assert peaks[1] <= peaks[0] + 2 * 8 * np.prod(dims)
 
     def test_tsnr(self):
         series = self._series()
         want = series.mean(axis=0) / series.std(axis=0, ddof=1)
-        tmap, _ = tsnr(series)
+        tmap, _ = tsnr(_sums(series))
         np.testing.assert_allclose(tmap, want, rtol=1e-12, atol=0)

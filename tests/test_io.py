@@ -1,5 +1,6 @@
 import gzip
 import json
+import re
 import struct
 
 import numpy as np
@@ -227,6 +228,67 @@ def test_trajectory_empty_refused(tmp_path, capsys, n_shots, samples):
     assert capsys.readouterr().err.startswith("error: ")
     with pytest.raises(FormatError, match="empty trajectory"):
         write_trajectory(path, [np.zeros((samples, 3))] * n_shots, 10.0, 50.0)
+
+
+def _patched_trajectory(path, offset, value):
+    """A one-shot SNKT1 file whose f32 header field at byte ``offset``
+    (14 the dwell time, 18 the TR) is patched to ``value``."""
+    write_trajectory(path, [np.zeros((4, 3))], 10.0, 50.0)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, offset, value)
+    path.write_bytes(bytes(raw))
+
+
+_BAD_TIMING = [("dwell time", 14, "us", value) for value in (np.nan, np.inf, -np.inf, 0.0, -1.0)] \
+    + [("TR", 18, "ms", value) for value in (np.nan, np.inf, 0.0, -50.0)]
+
+
+@pytest.mark.parametrize("field, offset, unit, value", _BAD_TIMING)
+def test_trajectory_timing_refused(tmp_path, capsys, field, offset, unit, value):
+    """A dwell time or TR that is not finite and positive is a format
+    error for the reader, the plan loader, ``snake traj inspect`` and the
+    writer, naming the field and its value: a NaN or infinite dwell time
+    used to load into a plan of NaN or -inf sample times."""
+    path = tmp_path / "t.snkt"
+    _patched_trajectory(path, offset, value)
+    message = f"{field} must be finite and positive in float32, got {value} {unit}"
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        read_trajectory(path)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_trajectory_file(path, (8, 8, 8), shots_per_frame=1, n_frames=1)
+    assert cli_main(["traj", "inspect", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    timing = {"dwell_time_us": 10.0, "tr_shot_ms": 50.0}
+    timing["dwell_time_us" if field == "dwell time" else "tr_shot_ms"] = value
+    with pytest.raises(FormatError, match=re.escape(message)):
+        write_trajectory(tmp_path / "w.snkt", [np.zeros((4, 3))], **timing)
+    assert not (tmp_path / "w.snkt").exists()
+
+
+@pytest.mark.parametrize("key, value", [("dwell_time_us", 1e39), ("dwell_time_us", 1e-50),
+                                        ("tr_shot_ms", 1e39), ("tr_shot_ms", 1e-50)])
+def test_trajectory_timing_outside_float32_refused_by_the_writer(tmp_path, key, value):
+    """The writer refuses a dwell time or TR whose float32 header field
+    would be inf or 0, and writes no file: 1e39 raised OverflowError after
+    the magic was written, and 1e-50 wrote a file its reader refuses."""
+    timing = {"dwell_time_us": 10.0, "tr_shot_ms": 50.0, key: value}
+    with pytest.raises(FormatError, match=re.escape(f"positive in float32, got {value} ")):
+        write_trajectory(tmp_path / "w.snkt", [np.zeros((4, 3))], **timing)
+    assert not (tmp_path / "w.snkt").exists()
+
+
+@pytest.mark.parametrize("offset, value",[(14, np.nan), (18, 0.0)], ids=["dwell_nan", "tr_0"])
+def test_run_refuses_a_bad_trajectory_header_before_the_run_dir(offset, value, tmp_path,
+                                                                capsys):
+    """snake run s3_external on a file with a NaN dwell time or a zero TR
+    exits 2, naming the field, and makes no run directory."""
+    path, out = tmp_path / "bad.snkt", tmp_path / "run"
+    _patched_trajectory(path, offset, value)
+    assert cli_main(["run", "s3_external", "--trajectory", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: trajectory: {path}: ")
+    assert ("dwell time" if offset == 14 else "TR") + " must be finite and positive in float32" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ndims", [2, 3])

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import operator
 import os
 import re
 import subprocess
@@ -21,6 +22,7 @@ from snakesim.analysis import SeriesSums, build_design
 from snakesim.cli import main as cli_main
 from snakesim.engine import NDFT, birdcage_coils
 from snakesim.io import read_dataset, read_volume, write_volume
+from snakesim.phantom import VOXEL_SIZE_RTOL, Paradigm
 from snakesim.recon import COMPLEX64_TOL_FLOOR, adjoint_series, reconstruct_series
 from snakesim.scenarios import (ConfigError, RunConfig, RunManifest, preset,
                                 run_pipeline)
@@ -59,11 +61,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="recon"):
             RunConfig.from_dict(cfg)
 
-    def test_te_above_tr_rejected(self):
+    def test_te_above_tr_rejected(self, tmp_path):
         cfg = _base_config()
         cfg["sequence"]["te_ms"] = 60.0
         with pytest.raises(ConfigError, match="TE"):
-            RunConfig.from_dict(cfg)
+            run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError, match="model"):
@@ -72,11 +75,12 @@ class TestRunConfig:
     @pytest.mark.parametrize("key, value", [
         ("method", "sense"), ("wavelet", "db4"), ("strategy", "lukewarm"),
         ("mu_mode", "guess"), ("levels", 0), ("max_iters", 0)])
-    def test_bad_cs_recon_value_rejected(self, key, value):
+    def test_bad_cs_recon_value_rejected(self, key, value, tmp_path):
         cfg = _base_config()
         cfg["recon"].update({"method": "cs", key: value})
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict(cfg)
+        with pytest.raises(ConfigError, match="recon"):
+            run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_bad_density_comp_rejected_for_adjoint(self):
         cfg = _base_config()
@@ -95,8 +99,25 @@ class TestRunConfig:
         """The seed keys the noise draws, which take non-negative integers
         only: a negative one is refused before any compute."""
         with pytest.raises(ConfigError, match="noise: seed must be a non-negative integer, got -1"):
-            RunConfig.from_dict(_base_config(seed=-1))
-        assert RunConfig.from_dict(_base_config(seed=0)).noise.seed == 0
+            scenarios._run_inputs(RunConfig.from_dict(_base_config(seed=-1)))
+        _, noise, *_ = scenarios._run_inputs(RunConfig.from_dict(_base_config(seed=0)))
+        assert noise.seed == 0
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("sequence", "te_ms", 50.0, "sequence: need 0 < TE < TR_shot, got TE=50.0, TR=50.0"),
+        ("recon", "strategy", "lukewarm", "recon: unknown strategy 'lukewarm'"),
+        (None, "seed", -1, "noise: seed must be a non-negative integer, got -1"),
+        ("recon", "levels", 0, "recon: need at least one decomposition level")])
+    def test_a_builders_rule_refuses_in_run_pipeline(self, section, key, value, message,
+                                                     tmp_path, capsys):
+        """A rule that a builder of the run's inputs holds is not checked
+        again by from_dict: the config is returned, and run_pipeline
+        refuses it with the builder's message before the run directory."""
+        cfg = json.loads(json.dumps(_tiny_config().raw))
+        cfg["recon"]["method"] = "cs"
+        (cfg if section is None else cfg[section])[key] = value
+        assert RunConfig.from_dict(cfg).raw == cfg
+        _assert_refused_before_the_run_dir(cfg, message, tmp_path, capsys)
 
     def test_hash_changes_with_content(self):
         a = RunConfig.from_dict(_base_config(seed=1))
@@ -130,12 +151,12 @@ class TestRunConfig:
         cfg["recon"].update(method="cs", levels=3, strategy="warm")
         cfg["noise"]["snr_i"] = 0
         config = RunConfig.from_dict(cfg)
+        sequence, noise, (basis, recon), plan, _, _, design, *_ = scenarios._run_inputs(config)
         seq = cfg["sequence"]
-        assert (config.sequence.tr_shot, config.sequence.te, config.sequence.t_obs) == (
+        assert (sequence.tr_shot, sequence.te, sequence.t_obs) == (
             seq["tr_shot_ms"], seq["te_ms"], seq["t_obs_ms"])
-        assert config.paradigm.run_length == cfg["paradigm"]["run_length_s"]
-        assert np.isinf(config.noise.snr_i) and config.noise.seed == cfg["seed"]
-        basis, recon = config.cs
+        assert design.n_frames == plan.n_frames == cfg["n_frames"]
+        assert np.isinf(noise.snr_i) and noise.seed == cfg["seed"]
         # dims 12 x 14 x 12 take one level only
         assert (basis.levels, recon.strategy) == (1, "warm")
         # the config keeps its own copy of the mapping it was built from
@@ -148,10 +169,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"recon.tol: .* below {COMPLEX64_TOL_FLOOR:g}"):
             RunConfig.from_dict(cfg)
         cfg["recon"]["tol"] = COMPLEX64_TOL_FLOOR
-        assert RunConfig.from_dict(cfg).cs[1].tol == COMPLEX64_TOL_FLOOR
+        assert scenarios._run_inputs(RunConfig.from_dict(cfg))[2][1].tol == COMPLEX64_TOL_FLOOR
         # the adjoint route does not read tol
         cfg["recon"].update(method="adjoint", tol=COMPLEX64_TOL_FLOOR / 10)
-        assert RunConfig.from_dict(cfg).cs is None
+        assert scenarios._run_inputs(RunConfig.from_dict(cfg))[2] is None
 
 
 _DELETE = object()
@@ -228,9 +249,10 @@ def _assert_refused_before_the_run_dir(cfg, message, tmp_path, capsys):
 
 
 def _assert_design_accepted(config):
-    cfg = config.raw
-    tr_vol = cfg["trajectory"]["n_shots_per_frame"] * config.sequence.tr_shot_s
-    design = build_design(config.paradigm, cfg["bold"]["hrf"], cfg["n_frames"], tr_vol,
+    cfg, par = config.raw, config.raw["paradigm"]
+    tr_vol = cfg["trajectory"]["n_shots_per_frame"] * cfg["sequence"]["tr_shot_ms"] * 1e-3
+    paradigm = Paradigm.blocks(par["block_on_s"], par["block_off_s"], par["run_length_s"])
+    design = build_design(paradigm, cfg["bold"]["hrf"], cfg["n_frames"], tr_vol,
                           drift_order=cfg["analysis"]["drift_order"])
     assert np.isfinite(design.xtx_inv).all()
 
@@ -421,7 +443,8 @@ class TestRunPipeline:
         before its run directory exists."""
         config = _tiny_config()
         path = tmp_path / "two_frames.snkt"
-        save_trajectory_file(path, gen_epi_3d((8, 8, 8), config.sequence, n_frames=2),
+        sequence = scenarios._run_inputs(config)[0]
+        save_trajectory_file(path, gen_epi_3d((8, 8, 8), sequence, n_frames=2),
                              dwell_time_us=10.0)
         cfg = json.loads(json.dumps(config.raw))
         cfg["n_frames"] = 3
@@ -439,14 +462,18 @@ class TestRunPipeline:
             cfg, f"trajectory: [Errno 2] No such file or directory: '{path}'", tmp_path, capsys)
 
     def test_acquisition_takes_the_configs_plan(self, tmp_path, monkeypatch):
-        """The plan run_acquisition samples is the config's, built once."""
-        config, plans = _tiny_config(), []
-        acquire = scenarios.run_acquisition
+        """The plan run_acquisition samples is built once per run_pipeline
+        call, by _build_plan: a second run of the config builds its own."""
+        config, built, plans = _tiny_config(), [], []
+        build, acquire = scenarios._build_plan, scenarios.run_acquisition
+        monkeypatch.setattr(scenarios, "_build_plan",
+                            lambda *a: built.append(build(*a)) or built[-1])
         monkeypatch.setattr(scenarios, "run_acquisition",
                             lambda phantom, plan, *a, **kw: plans.append(plan)
                             or acquire(phantom, plan, *a, **kw))
-        assert run_pipeline(config, tmp_path / "run").failed_stage is None
-        assert len(plans) == 1 and plans[0] is config.plan
+        for run in ("a", "b"):
+            assert run_pipeline(config, tmp_path / run).failed_stage is None
+        assert len(built) == 2 and all(map(operator.is_, plans, built))
 
     @pytest.mark.parametrize("frac", [-0.2, 0.0, 0.1])
     def test_empty_roi_fails_before_the_sink(self, frac, tmp_path, capsys):
@@ -459,7 +486,7 @@ class TestRunPipeline:
                    else "phantom: empty ROI: no GM voxel of weight >= 0.5")
         _assert_refused_before_the_run_dir(cfg, message, tmp_path, capsys)
 
-    def test_cs_on_the_scale_1_grid_runs_every_stage(self, tmp_path):
+    def test_cs_on_the_scale_1_grid_runs_every_stage(self, tmp_path, monkeypatch):
         """s2_sos_static at scale 1 solves CS on its 60 x 71 x 60 grid, at
         the one wavelet level from_dict keeps for 71, through every stage:
         cut to 4 frames as the benchmark's workloads are (blocks of one
@@ -471,15 +498,18 @@ class TestRunPipeline:
         tr_vol_s = cfg["trajectory"]["n_shots_per_frame"] * cfg["sequence"]["tr_shot_ms"] * 1e-3
         cfg = workloads._trim(cfg, 4, tr_vol_s)
         cfg["recon"]["max_iters"] = 2
-        config = RunConfig.from_dict(cfg)
-        assert config.cs[0].levels == 1
-        manifest = run_pipeline(config, tmp_path / "run")
+        bases, series = [], scenarios.reconstruct_series
+        monkeypatch.setattr(scenarios, "reconstruct_series",
+                            lambda kdata, plan, coils, basis, *a, **kw: bases.append(basis)
+                            or series(kdata, plan, coils, basis, *a, **kw))
+        manifest = run_pipeline(RunConfig.from_dict(cfg), tmp_path / "run")
         assert manifest.failed_stage is None, manifest.error
+        assert [basis.levels for basis in bases] == [1]
         index = json.loads((tmp_path / "run" / "series_index.json").read_text())
         assert len(index["stop"]) == 4
         metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
         assert all(np.isfinite(v) for v in metrics.values())
-        assert scenarios._run_inputs(preset("s2_sos_dynamic"))[0].n_frames == 428
+        assert scenarios._run_inputs(preset("s2_sos_dynamic"))[3].n_frames == 428
 
     def test_files_phantom_runs_end_to_end(self, tmp_path):
         """A ``files`` phantom, WM and GM volumes of the synthetic 8^3
@@ -496,13 +526,30 @@ class TestRunPipeline:
         metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
         assert all(np.isfinite(v) for v in metrics.values())
 
+    def test_files_phantom_voxel_size_must_be_the_configs(self, tmp_path, capsys):
+        """A ``files`` phantom of 1 mm volumes under a 3 mm config is
+        refused, naming both sizes, before the run directory: its zmap.snkv
+        used to say 1 mm. A size within load_phantom's rtol is the same."""
+        cfg = json.loads(json.dumps(_tiny_config().raw))
+        weights = scenarios._build_phantom(cfg)[0].weights
+        files = []
+        for name, volume in zip(("wm", "gm"), weights):
+            files.append(str(tmp_path / f"{name}.snkv"))
+            write_volume(files[-1], volume, voxel_size=(1.0, 1.0, 1.0))
+        cfg["phantom"] = {"kind": "files", "files": files, "tissues": ["WM", "GM"]}
+        _assert_refused_before_the_run_dir(
+            cfg, "phantom: the volumes' voxel size (1.0, 1.0, 1.0) is not voxel_size_mm "
+                 "(3.0, 3.0, 3.0)", tmp_path, capsys)
+        cfg["voxel_size_mm"] = [1.0, 1.0, 1.0 + 0.5 * VOXEL_SIZE_RTOL]
+        assert scenarios._build_phantom(cfg)[0].voxel_size == (1.0, 1.0, 1.0)
+
     def test_external_plan_runs_end_to_end(self, tmp_path):
         """An external plan, the SNKT1 file of the 8^3 config's own EPI
         plan, runs every stage."""
         config = _tiny_config()
         cfg = json.loads(json.dumps(config.raw))
         path = tmp_path / "epi.snkt"
-        plan = gen_epi_3d((8, 8, 8), config.sequence, n_planes_per_volume=8,
+        plan = gen_epi_3d((8, 8, 8), scenarios._run_inputs(config)[0], n_planes_per_volume=8,
                           n_frames=cfg["n_frames"])
         save_trajectory_file(path, plan, dwell_time_us=10.0)
         cfg["trajectory"].update(kind="external", path=str(path))
@@ -612,7 +659,7 @@ class TestRunPipeline:
         cfg["recon"].update(max_iters=2)
         config = RunConfig.from_dict(cfg)
         assert run_pipeline(config, tmp_path / "run").failed_stage is None
-        plan = config.plan
+        plan = scenarios._run_inputs(config)[3]
         once = sum(n == 1 for n in Counter(plan.shots).values())
         runs = 1 + sum(plan.frame(t) != plan.frame(t - 1) for t in range(1, 6))
         return built, once, runs
@@ -749,13 +796,13 @@ class TestRunPipeline:
         config = RunConfig.from_dict(cfg)
         out = tmp_path / "run"
         assert run_pipeline(config, out).failed_stage is None
-        plan = config.plan
+        _, _, cs, plan, *_ = scenarios._run_inputs(config)
         coils = birdcage_coils(tuple(cfg["dims"]), cfg["n_coils"])
         _, kdata = read_dataset(out / "kspace.snkd")
         if method == "adjoint":
             series = adjoint_series(kdata, plan, coils)
         else:
-            series = reconstruct_series(kdata, plan, coils, *config.cs)
+            series = reconstruct_series(kdata, plan, coils, *cs)
         for t, est in enumerate(series):
             write_volume(tmp_path / "again.snkv", np.abs(est.volume),
                          voxel_size=cfg["voxel_size_mm"])
@@ -770,7 +817,7 @@ class TestRunPipeline:
         inputs = []
         analyse = scenarios._analyse
         monkeypatch.setattr(scenarios, "_analyse", lambda out, sums, *rest: (
-            inputs.append(rest), analyse(out, sums, *rest)))
+            inputs.append((sums.design, *rest)), analyse(out, sums, *rest)))
         cfg = json.loads(json.dumps(_tiny_config().raw))
         cfg["recon"].update(method=method, max_iters=3)
         out = tmp_path / "run"
@@ -781,7 +828,7 @@ class TestRunPipeline:
             sums.add(read_volume(path)[0])
         assert sums.n == 25
         (tmp_path / "again").mkdir()
-        analyse(tmp_path / "again", sums, design, *rest)
+        analyse(tmp_path / "again", sums, *rest)
         for name in ("zmap.snkv", "metrics.json", "pr_curve.csv"):
             assert (tmp_path / "again" / name).read_bytes() == (out / name).read_bytes(), name
 

@@ -28,6 +28,15 @@ def _grid_set(nx, ny, kz_values):
     return pts
 
 
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [-np.inf, 0.0, 1.0],
+                                   [0.0, 1.0, np.inf]])
+def test_shot_times_must_be_finite(times):
+    """NaN and infinite sample times are refused: a NaN time or a leading
+    -inf passed the strictly increasing check."""
+    with pytest.raises(TrajectoryError, match="sample times must be finite"):
+        Shot(points=np.zeros((3, 3)), times=np.array(times))
+
+
 class TestEpi3d:
     def test_full_coverage_4cubed(self):
         plan = gen_epi_3d((4, 4, 4), _seq())
